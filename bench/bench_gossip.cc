@@ -79,7 +79,11 @@ int main() {
     if (next < 0) break;
     chain.insert(chain.begin(), next);
     std::string label;
-    for (ProcessId p : chain) label += "p" + std::to_string(p) + " ";
+    for (ProcessId p : chain) {
+      label += 'p';
+      label += std::to_string(p);
+      label += ' ';
+    }
     const auto at = cone.EarliestNestedKnowledge(chain);
     nested.AddRow({label, at.has_value() ? std::to_string(*at) : "never"});
   }

@@ -1,23 +1,16 @@
 // Experiment E23/E24/E25 — knowledge-evaluation scaling: how fast can the
 // paper's actual workload ("P knows b" quantified over the whole
 // computation set, Section 4.1) be answered, and how far do the
-// range-sharded parallel evaluator and the projection-class memo tiers
-// carry it?  Sweeps processes × formula depth × group size × worker
-// threads × memo tier over seeded random systems, timing SatisfyingSet for
-// K-chains of growing modal depth, multi-process K{G}/E{G} queries of
-// growing group size (the E25 group-tier axis), and a common-knowledge
-// query, and asserting along the way that every (thread count, memo tier)
-// combination reproduces the baseline answers byte for byte (satisfying
-// sets and CK component labels) — the determinism contracts of
-// KnowledgeOptions::num_threads / bucket_memo / group_memo.  The memo axis
-// is three-valued: `off` disables both projection tiers, `bucket` enables
-// only the singleton (node, [p]-class) tier, `full` adds the
-// (node, [G]-class) group tier.  The off K-depth1 rows cost the sum of
-// squared bucket sizes and the bucket rows sweep each [p]-bucket once (the
-// E24 headline); the |G|>=2 rows show the same collapse one layer up —
-// bucket leaves group modalities quadratic, full sweeps each [G]-bucket
-// once (the E25 headline).  Rows carry `bytes_space`/`bytes_memo` in the
-// JSON.
+// range-sharded kernels and the projection-class memo tiers carry it?
+// Sweeps processes × formula depth × group size × worker threads ×
+// kernels over seeded random systems, timing SatisfyingSet for K-chains of
+// growing modal depth, multi-process K{G}/E{G} queries of growing group
+// size (the E25 group-tier axis), and a common-knowledge query, and
+// asserting along the way that every (thread count, kernels) combination
+// reproduces the t=1 kernels-off baseline answers byte for byte
+// (satisfying sets and CK component labels) — the determinism contracts of
+// KnowledgeOptions::num_threads / compiled_kernels.  Rows carry
+// `bytes_space`/`bytes_memo` in the JSON.
 //
 // The kernels axis runs every row with the compiled kernel engine off and
 // on (KnowledgeOptions::compiled_kernels) under the same divergence abort,
@@ -97,18 +90,6 @@ void RequireEqualSets(const std::vector<std::size_t>& baseline,
   std::exit(1);
 }
 
-// The three-valued memo axis (see the header comment).
-struct MemoConfig {
-  const char* name;
-  bool bucket_memo;
-  bool group_memo;
-};
-constexpr MemoConfig kMemoConfigs[] = {
-    {"off", false, false},
-    {"bucket", true, false},
-    {"full", true, true},
-};
-
 // The first `size` processes, the group-size axis of the E25 sweep.
 ProcessSet Prefix(int size) {
   ProcessSet g;
@@ -164,9 +145,8 @@ int main(int argc, char** argv) {
               preset.c_str());
   double min_kernel_speedup = std::numeric_limits<double>::infinity();
   bench::JsonReporter reporter("knowledge_scaling");
-  bench::Table table({"system", "classes", "query", "threads", "memo",
-                      "kernels", "wall ms", "classes/sec", "speedup",
-                      "identical?"});
+  bench::Table table({"system", "classes", "query", "threads", "kernels",
+                      "wall ms", "classes/sec", "speedup", "identical?"});
 
   for (const Config& config : configs) {
     RandomSystemOptions options;
@@ -216,13 +196,10 @@ int main(int argc, char** argv) {
       bool have_baseline = false;
       for (int t : threads) {
         for (const bool kernels : {false, true}) {
-        for (const MemoConfig& memo : kMemoConfigs) {
           // Fresh evaluator per run: timings measure cold memo planes, and
           // the cross-run comparison sees exactly one engine's answers.
-          KnowledgeEvaluator eval(space, {.num_threads = t,
-                                          .bucket_memo = memo.bucket_memo,
-                                          .group_memo = memo.group_memo,
-                                          .compiled_kernels = kernels});
+          KnowledgeEvaluator eval(
+              space, {.num_threads = t, .compiled_kernels = kernels});
           bench::WallTimer timer;
           const std::vector<std::size_t> sat =
               eval.SatisfyingSet(query.formula);
@@ -234,11 +211,8 @@ int main(int argc, char** argv) {
           // and keep the better wall: the CI regression gate compares these
           // rows, and short timings are the noise-prone ones.
           if (wall_ns < 1'000'000'000) {
-            KnowledgeEvaluator rerun(space,
-                                     {.num_threads = t,
-                                      .bucket_memo = memo.bucket_memo,
-                                      .group_memo = memo.group_memo,
-                                      .compiled_kernels = kernels});
+            KnowledgeEvaluator rerun(
+                space, {.num_threads = t, .compiled_kernels = kernels});
             bench::WallTimer retimer;
             const std::vector<std::size_t> sat2 =
                 rerun.SatisfyingSet(query.formula);
@@ -253,15 +227,15 @@ int main(int argc, char** argv) {
             baseline_sat = sat;
             baseline_components = components;
           } else {
-            // Built-in divergence abort: every (threads, kernels, memo)
-            // combination must reproduce the t=1 interpreted memo-off
-            // baseline byte for byte.
+            // Built-in divergence abort: every (threads, kernels)
+            // combination must reproduce the t=1 kernels-off baseline byte
+            // for byte.
             RequireEqualSets(baseline_sat, sat, t, query.name.c_str());
             if (components != baseline_components) {
               std::fprintf(stderr,
                            "DETERMINISM VIOLATION: CK component labels "
-                           "differ at %d threads (memo=%s, kernels=%s)\n",
-                           t, memo.name, kernels ? "on" : "off");
+                           "differ at %d threads (kernels=%s)\n",
+                           t, kernels ? "on" : "off");
               return 1;
             }
           }
@@ -271,11 +245,9 @@ int main(int argc, char** argv) {
               wall_ns > 0 ? static_cast<double>(baseline_ns) /
                                 static_cast<double>(wall_ns)
                           : 0.0;
-          const bool is_baseline =
-              t == 1 && !kernels && !memo.bucket_memo && !memo.group_memo;
+          const bool is_baseline = t == 1 && !kernels;
           table.AddRow({system.Name(), std::to_string(space.size()),
-                        query.name, std::to_string(t), memo.name,
-                        kernels ? "on" : "off",
+                        query.name, std::to_string(t), kernels ? "on" : "off",
                         bench::Fmt(static_cast<double>(wall_ns) / 1e6, 1),
                         bench::Fmt(per_sec, 0), bench::Fmt(speedup, 2),
                         is_baseline ? "baseline" : "yes"});
@@ -295,8 +267,6 @@ int main(int argc, char** argv) {
               {"group_size", static_cast<double>(query.group_size)},
               {"boolean_depth", static_cast<double>(query.boolean_depth)},
               {"threads", static_cast<double>(t)},
-              {"bucket_memo", memo.bucket_memo ? 1.0 : 0.0},
-              {"group_memo", memo.group_memo ? 1.0 : 0.0},
               {"kernels", kernels ? 1.0 : 0.0},
               {"satisfying", static_cast<double>(sat.size())},
               {"memo_entries", static_cast<double>(eval.memo_size())}};
@@ -304,12 +274,11 @@ int main(int argc, char** argv) {
           result.space_classes = space.size();
           result.classes_per_sec = per_sec;
           // Recomputed per row: [G]-class indexes built lazily by earlier
-          // full-tier runs stay cached on the space, and the loop order is
-          // fixed, so every row's gauge is reproducible run over run.
+          // runs stay cached on the space, and the loop order is fixed, so
+          // every row's gauge is reproducible run over run.
           result.bytes_space = space.MemoryUsage().bytes_total;
           result.bytes_memo = eval.MemoryUsage().bytes_total;
           reporter.Add(std::move(result));
-        }
         }
       }
     }
@@ -358,19 +327,14 @@ int main(int argc, char** argv) {
   table.Print();
   std::printf(
       "\nexpected: identical satisfying sets and component labels at every\n"
-      "(thread count, memo tier) combination; the memo=bucket K-depth1 rows\n"
-      "beat memo=off by the mean bucket size (sum-of-squares -> linear);\n"
-      "the memo=full KG/EG rows beat memo=bucket the same way one layer up\n"
-      "(each [G]-bucket swept once per node instead of once per member);\n"
-      "thread speedup approaches the core count on queries whose verdicts\n"
-      "are spread evenly (low laziness skew), and never regresses far\n"
-      "below 1.0 on lazy-friendly queries, whose total work the\n"
-      "range-sharded engine preserves.  kernels=on rows compute complete\n"
-      "planes bottom-up: they win big on pure-boolean chains (word-wide\n"
-      "ops) and on memo-off modal sweeps (each bucket swept once even\n"
-      "without the tier), and can trail the interpreter on nested modal\n"
-      "queries whose laziness skips most of the space — verdicts stay\n"
-      "byte-identical either way.\n");
+      "(thread count, kernels) combination.  kernels=off rows run the\n"
+      "sequential lazy interpreter at any thread count (only the CK\n"
+      "union-find uses the pool); kernels=on rows compute complete planes\n"
+      "bottom-up, range-sharded over the pool: they win big on pure-boolean\n"
+      "chains (word-wide ops) and can trail the interpreter on nested modal\n"
+      "queries whose laziness skips most of the space.  At t=1 a lone modal\n"
+      "root stays on the interpreter (profitability dispatch), so its\n"
+      "kernels=on row matches kernels=off.\n");
 
   if (json_path.has_value() && !reporter.WriteFile(*json_path)) return 1;
   if (require_kernel_speedup > 0.0 &&

@@ -13,6 +13,14 @@
 
 namespace {
 
+// prefix + std::to_string(i), built by appending: gcc 12 -O3 flags the
+// `"lit" + std::string` form with a false -Werror=restrict positive.
+std::string Label(const char* prefix, int i) {
+  std::string out = prefix;
+  out += std::to_string(i);
+  return out;
+}
+
 using namespace hpl;
 
 RandomSystem MakeSystem(int messages, std::uint64_t seed) {
@@ -42,8 +50,8 @@ void BM_ProjectionIsomorphism(benchmark::State& state) {
   // Build two long computations differing at the tail.
   std::vector<Event> a, b;
   for (int i = 0; i < length; ++i) {
-    a.push_back(Internal(i % 3, "e" + std::to_string(i)));
-    b.push_back(Internal(i % 3, "e" + std::to_string(i)));
+    a.push_back(Internal(i % 3, Label("e", i)));
+    b.push_back(Internal(i % 3, Label("e", i)));
   }
   b.back().label = "different";
   const Computation x(std::move(a)), y(std::move(b));
@@ -156,8 +164,8 @@ void BM_FusionTheorem2(benchmark::State& state) {
   Computation y = x;
   Computation z = x.Extended(Receive(1, 0, 0, "m"));
   for (int i = 0; i < state.range(0); ++i) {
-    y = y.Extended(Internal(0, "a" + std::to_string(i)));
-    z = z.Extended(Internal(1, "b" + std::to_string(i)));
+    y = y.Extended(Internal(0, Label("a", i)));
+    z = z.Extended(Internal(1, Label("b", i)));
   }
   for (auto _ : state) {
     auto fused = FuseTheorem2(x, y, z, ProcessSet{0}, 2);

@@ -77,8 +77,9 @@ int main() {
       return total ? std::to_string(n) + "/" + std::to_string(total)
                    : "n/a";
     };
-    position.AddRow({"p" + std::to_string(holder), frac(kq), frac(ks),
-                     frac(kqt)});
+    std::string name = "p";
+    name += std::to_string(holder);
+    position.AddRow({std::move(name), frac(kq), frac(ks), frac(kqt)});
   }
   position.Print();
   return 0;

@@ -35,10 +35,12 @@ int main(int argc, char** argv) {
   Computation x;
   auto report = [&](const char* what) {
     const auto holder = bus.TokenAt(x);
-    std::printf("%-28s token at %s  claim %s\n", what,
-                holder.has_value()
-                    ? ("p" + std::to_string(*holder)).c_str()
-                    : "(in flight)",
+    std::string at = "(in flight)";
+    if (holder.has_value()) {
+      at = "p";
+      at += std::to_string(*holder);
+    }
+    std::printf("%-28s token at %s  claim %s\n", what, at.c_str(),
                 eval.Holds(claim, space.RequireIndex(x)) ? "HOLDS"
                                                          : "does not hold");
   };

@@ -16,7 +16,7 @@ IsomorphismDiagram::IsomorphismDiagram(std::vector<Computation> vertices,
   if (names_.empty()) {
     names_.reserve(vertices_.size());
     for (std::size_t i = 0; i < vertices_.size(); ++i)
-      names_.push_back("c" + std::to_string(i));
+      names_.push_back('c' + std::to_string(i));
   }
   const ProcessSet universe = ProcessSet::All(num_processes_);
   for (std::size_t i = 0; i < vertices_.size(); ++i) {

@@ -17,21 +17,28 @@ const char* ToString(EventKind kind) noexcept {
 }
 
 std::string Event::ToString() const {
-  std::string out = "p" + std::to_string(process);
+  // Appends into one string: gcc 12 -O3 flags `"lit" + std::to_string(n)`
+  // with a false -Werror=restrict positive.
+  std::string out = "p";
+  out += std::to_string(process);
   switch (kind) {
     case EventKind::kInternal:
       out += ".internal";
       break;
     case EventKind::kSend:
-      out += ".send(m" + std::to_string(message) + "->p" +
-             std::to_string(peer) + ")";
-      break;
     case EventKind::kReceive:
-      out += ".recv(m" + std::to_string(message) + "<-p" +
-             std::to_string(peer) + ")";
+      out += kind == EventKind::kSend ? ".send(m" : ".recv(m";
+      out += std::to_string(message);
+      out += kind == EventKind::kSend ? "->p" : "<-p";
+      out += std::to_string(peer);
+      out += ')';
       break;
   }
-  if (!label.empty()) out += "[" + label + "]";
+  if (!label.empty()) {
+    out += '[';
+    out += label;
+    out += ']';
+  }
   return out;
 }
 

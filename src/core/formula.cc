@@ -102,27 +102,47 @@ FormulaPtr Formula::KnowsChain(const std::vector<ProcessSet>& chain,
 }
 
 std::string Formula::ToString() const {
+  // Appends into one string: gcc 12 -O3 flags `"lit" + std::string` with a
+  // false -Werror=restrict positive.
+  const auto binary = [&](const char* op) {
+    std::string out(1, '(');
+    out += left_->ToString();
+    out += op;
+    out += right_->ToString();
+    out += ')';
+    return out;
+  };
+  const auto modal = [&](const char* name) {
+    std::string out(name);
+    out += group_.ToString();
+    out += ' ';
+    out += left_->ToString();
+    return out;
+  };
   switch (kind_) {
     case FormulaKind::kAtom:
       return atom_.name();
-    case FormulaKind::kNot:
-      return "!" + left_->ToString();
+    case FormulaKind::kNot: {
+      std::string out(1, '!');
+      out += left_->ToString();
+      return out;
+    }
     case FormulaKind::kAnd:
-      return "(" + left_->ToString() + " && " + right_->ToString() + ")";
+      return binary(" && ");
     case FormulaKind::kOr:
-      return "(" + left_->ToString() + " || " + right_->ToString() + ")";
+      return binary(" || ");
     case FormulaKind::kImplies:
-      return "(" + left_->ToString() + " => " + right_->ToString() + ")";
+      return binary(" => ");
     case FormulaKind::kKnows:
-      return "K" + group_.ToString() + " " + left_->ToString();
+      return modal("K");
     case FormulaKind::kSure:
-      return "Sure" + group_.ToString() + " " + left_->ToString();
+      return modal("Sure");
     case FormulaKind::kCommon:
-      return "CK" + group_.ToString() + " " + left_->ToString();
+      return modal("CK");
     case FormulaKind::kEveryone:
-      return "E" + group_.ToString() + " " + left_->ToString();
+      return modal("E");
     case FormulaKind::kPossible:
-      return "M" + group_.ToString() + " " + left_->ToString();
+      return modal("M");
   }
   return "?";
 }

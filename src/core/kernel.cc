@@ -208,8 +208,7 @@ bool Compile(const ComputationSpace& space,
         op.code = OpCode::kEveryoneSeg;
         op.node = f;
         op.seg = cn.seg_begin;
-        if (cn.seg_begin != kNoSegment)
-          op.index = &space.EnsureGroupIndex(group);
+        op.index = &space.EnsureGroupIndex(group);
         op.a = use(f->left().get());
         op.dst = make_dst();
         emit(op);
@@ -490,21 +489,15 @@ void ScatterRange(const ExecContext& ctx, Regs& regs, Slot dst,
   }
 }
 
+// A tier row of the evaluator's bucket planes.
 struct RowPtrs {
   std::uint64_t* known;
   std::uint64_t* value;
 };
 
-// Locates a tier row in the shared bucket planes, or carves scratch space
-// (known zeroed: nothing seeded) when the node has no tier row.
-RowPtrs LocateRow(const ExecContext& ctx, std::uint32_t seg,
-                  std::size_t classes, std::vector<std::uint64_t>& scratch) {
-  if (seg != kNoSegment)
-    return RowPtrs{ctx.bucket_known + ctx.seg_offset[seg],
-                   ctx.bucket_value + ctx.seg_offset[seg]};
-  const std::size_t row_words = (classes + 63) / 64;
-  scratch.assign(2 * row_words, 0);
-  return RowPtrs{scratch.data(), scratch.data() + row_words};
+RowPtrs TierRow(const ExecContext& ctx, std::uint32_t seg) {
+  return RowPtrs{ctx.bucket_known + ctx.seg_offset[seg],
+                 ctx.bucket_value + ctx.seg_offset[seg]};
 }
 
 void ExecKnowSeg(const ExecContext& ctx, Regs& regs, const Op& op) {
@@ -512,7 +505,7 @@ void ExecKnowSeg(const ExecContext& ctx, Regs& regs, const Op& op) {
   const std::size_t classes =
       grouped ? op.index->NumClasses()
               : ctx.space->NumProjectionClasses(op.process);
-  const RowPtrs row = LocateRow(ctx, op.seg, classes, *ctx.row_scratch);
+  const RowPtrs row = TierRow(ctx, op.seg);
 
   const FoldScan fold = ScanConstant(ctx, regs, op.a);
   if (fold != FoldScan::kMixed) {
@@ -520,7 +513,7 @@ void ExecKnowSeg(const ExecContext& ctx, Regs& regs, const Op& op) {
     // reflexive, never empty), sure == true either way.
     const bool verdict =
         op.quant == Quant::kSure ? true : fold == FoldScan::kAllTrue;
-    if (op.seg != kNoSegment) FillRow(row.known, row.value, classes, verdict);
+    FillRow(row.known, row.value, classes, verdict);
     FillPlane(ctx, regs, op.dst, verdict);
     return;
   }
@@ -553,16 +546,13 @@ void ExecEveryoneSeg(const ExecContext& ctx, Regs& regs, const Op& op) {
   const FoldScan fold = ScanConstant(ctx, regs, op.a);
   if (fold != FoldScan::kMixed) {
     const bool verdict = fold == FoldScan::kAllTrue;
-    if (op.seg != kNoSegment) {
-      FillRow(ctx.bucket_known + ctx.seg_offset[op.seg],
-              ctx.bucket_value + ctx.seg_offset[op.seg],
-              op.index->NumClasses(), verdict);
-      for (std::size_t k = 0; k < members.size(); ++k) {
-        const std::uint32_t seg = op.seg + 1 + static_cast<std::uint32_t>(k);
-        FillRow(ctx.bucket_known + ctx.seg_offset[seg],
-                ctx.bucket_value + ctx.seg_offset[seg],
-                ctx.space->NumProjectionClasses(members[k]), verdict);
-      }
+    const RowPtrs agg = TierRow(ctx, op.seg);
+    FillRow(agg.known, agg.value, op.index->NumClasses(), verdict);
+    for (std::size_t k = 0; k < members.size(); ++k) {
+      const RowPtrs row =
+          TierRow(ctx, op.seg + 1 + static_cast<std::uint32_t>(k));
+      FillRow(row.known, row.value,
+              ctx.space->NumProjectionClasses(members[k]), verdict);
     }
     FillPlane(ctx, regs, op.dst, verdict);
     return;
@@ -571,10 +561,8 @@ void ExecEveryoneSeg(const ExecContext& ctx, Regs& regs, const Op& op) {
   for (std::size_t k = 0; k < members.size(); ++k) {
     const ProcessId q = members[k];
     const std::size_t classes = ctx.space->NumProjectionClasses(q);
-    const std::uint32_t seg =
-        op.seg != kNoSegment ? op.seg + 1 + static_cast<std::uint32_t>(k)
-                             : kNoSegment;
-    const RowPtrs row = LocateRow(ctx, seg, classes, *ctx.row_scratch);
+    const RowPtrs row =
+        TierRow(ctx, op.seg + 1 + static_cast<std::uint32_t>(k));
     internal::ParallelFor(ctx.pool, classes, /*align=*/64,
                           [&](std::size_t b, std::size_t e) {
                             SweepRowRange(ctx, regs, op.a, Quant::kForAll,
@@ -599,33 +587,30 @@ void ExecEveryoneSeg(const ExecContext& ctx, Regs& regs, const Op& op) {
         });
   }
 
-  if (op.seg != kNoSegment) {
-    // Complete the [G]-aggregation row from the finished plane: the E
-    // verdict is constant on the [G]-class, so the representative's bit is
-    // the row cell.
-    std::uint64_t* agg_known = ctx.bucket_known + ctx.seg_offset[op.seg];
-    std::uint64_t* agg_value = ctx.bucket_value + ctx.seg_offset[op.seg];
-    const std::size_t classes = op.index->NumClasses();
-    internal::ParallelFor(
-        ctx.pool, classes, /*align=*/64, [&](std::size_t b, std::size_t e) {
-          for (std::size_t w = b / 64; w * 64 < e; ++w) {
-            std::uint64_t known = agg_known[w];
-            std::uint64_t value = agg_value[w];
-            const std::size_t c_end = std::min(e, w * 64 + 64);
-            for (std::size_t c = w * 64; c < c_end; ++c) {
-              const std::uint64_t bit = std::uint64_t{1} << (c % 64);
-              if (known & bit) continue;
-              known |= bit;
-              if (ReadBit(ctx, regs, op.dst,
-                          op.index->Representative(
-                              static_cast<std::uint32_t>(c))))
-                value |= bit;
-            }
-            agg_known[w] = known;
-            agg_value[w] = value;
+  // Complete the [G]-aggregation row from the finished plane: the E verdict
+  // is constant on the [G]-class, so the representative's bit is the row
+  // cell.
+  const RowPtrs agg = TierRow(ctx, op.seg);
+  internal::ParallelFor(
+      ctx.pool, op.index->NumClasses(), /*align=*/64,
+      [&](std::size_t b, std::size_t e) {
+        for (std::size_t w = b / 64; w * 64 < e; ++w) {
+          std::uint64_t known = agg.known[w];
+          std::uint64_t value = agg.value[w];
+          const std::size_t c_end = std::min(e, w * 64 + 64);
+          for (std::size_t c = w * 64; c < c_end; ++c) {
+            const std::uint64_t bit = std::uint64_t{1} << (c % 64);
+            if (known & bit) continue;
+            known |= bit;
+            if (ReadBit(ctx, regs, op.dst,
+                        op.index->Representative(
+                            static_cast<std::uint32_t>(c))))
+              value |= bit;
           }
-        });
-  }
+          agg.known[w] = known;
+          agg.value[w] = value;
+        }
+      });
 }
 
 void ExecCkComponent(const ExecContext& ctx, Regs& regs, const Op& op) {

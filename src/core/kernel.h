@@ -16,8 +16,8 @@
 //                       segment primitive: phase A sweeps each [p]- or
 //                       [G]-bucket of the child plane once per class (seeded
 //                       from, and written back to, the evaluator's bucket /
-//                       group memo rows when the tier is on), phase B
-//                       scatters the per-class verdicts to the id plane
+//                       group memo rows), phase B scatters the per-class
+//                       verdicts to the id plane
 //   kEveryoneSeg        multi-process Everyone: per-member kKnowSeg rows
 //                       folded with word-AND, plus the [G]-aggregation row
 //   kCkComponent        common knowledge: per-component AND over the union-
@@ -52,7 +52,7 @@
 // pass runs inline — kernels speed up single-threaded sweeps too.
 //
 // Verdicts are byte-identical to the interpreted engine at any thread
-// count and memo-tier setting: every op computes the same pure function of
+// count: every op computes the same pure function of
 // (node, class id) the lazy recursion computes, folds are S5-sound, and
 // seeded memo bits were produced by the same functions.
 #ifndef HPL_CORE_KERNEL_H_
@@ -101,7 +101,7 @@ struct Op {
   bool const_value = false;      // kLoadConst only
   ProcessId process = 0;         // kKnowSeg over a singleton group
   // Group sweeps: the space's [G]-class index (kKnowSeg with a multi-
-  // process group always; kEveryoneSeg only when `seg` names a tier row).
+  // process group, kEveryoneSeg).
   const ComputationSpace::GroupIndex* index = nullptr;
   // The owning formula node: predicate for kLoadAtomPlane, group and child
   // for the segment ops.
@@ -112,9 +112,9 @@ struct Op {
   Slot a{0, true};
   Slot b{0, true};
   // First projection-tier segment of `node` in the evaluator's segment
-  // table (kNoSegment => sweep into scratch rows instead): the [p]- or
-  // [G]-row of kKnowSeg; the [G]-aggregation row of kEveryoneSeg, followed
-  // by one member row per process in group ForEach order.
+  // table: the [p]- or [G]-row of kKnowSeg; the [G]-aggregation row of
+  // kEveryoneSeg, followed by one member row per process in group ForEach
+  // order.
   std::uint32_t seg = kNoSegment;
 };
 
@@ -139,7 +139,8 @@ struct CompileNode {
   const Formula* f = nullptr;
   std::uint32_t node = 0;   // dense memo row id
   bool complete = false;    // whole-space memoized: compile as a leaf
-  std::uint32_t seg_begin = kNoSegment;  // first tier segment, or none
+  // First tier segment; every modal node over a non-empty group has one.
+  std::uint32_t seg_begin = kNoSegment;
 };
 
 // Lowers the DAG to a program.  `postorder` must cover every node reachable
@@ -172,7 +173,6 @@ struct ExecContext {
   // share pool 0 across 64-aligned shards.  Resized by the executor and
   // persistent across runs so repeat sweeps skip the allocations.
   std::vector<std::vector<std::vector<std::uint64_t>>>* worker_regs = nullptr;
-  std::vector<std::uint64_t>* row_scratch = nullptr;   // per-op tier row
   std::vector<std::uint64_t>* comp_scratch = nullptr;  // CK verdict bits
 };
 

@@ -1,7 +1,9 @@
 #include "core/knowledge.h"
 
 #include <algorithm>
+#include <atomic>
 #include <numeric>
+#include <ranges>
 #include <unordered_set>
 #include <utility>
 
@@ -10,11 +12,7 @@
 namespace hpl {
 namespace {
 
-// Buckets smaller than this are scanned directly; packing them into
-// per-class bitsets would cost more memory traffic than it saves.
-constexpr std::size_t kMinBucketForBits = 64;
-
-// Spaces smaller than this answer whole-space queries sequentially even
+// Spaces smaller than this run kernels and the CK union-find inline even
 // when the evaluator has worker threads; the pass setup would dominate.
 constexpr std::size_t kMinParallelSpace = 128;
 
@@ -75,15 +73,6 @@ void AtomicUnion(std::vector<std::atomic<std::uint32_t>>& parent,
   }
 }
 
-// Children-before-parents order over the unique nodes of a formula DAG.
-void PostOrder(const Formula* f, std::unordered_set<const Formula*>& seen,
-               std::vector<const Formula*>& order) {
-  if (f == nullptr || !seen.insert(f).second) return;
-  PostOrder(f->left().get(), seen, order);
-  PostOrder(f->right().get(), seen, order);
-  order.push_back(f);
-}
-
 // Bits of plane word `w` that correspond to real class ids (the last word
 // of an n-id plane is only partially populated).
 std::uint64_t LiveWordMask(std::size_t n, std::size_t w) {
@@ -91,26 +80,69 @@ std::uint64_t LiveWordMask(std::size_t n, std::size_t w) {
   return tail >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << tail) - 1;
 }
 
-// Number of projection-tier rows a node owns under the given knobs.
-// Singleton modalities (verdict constant per [p]-class) take one [p]-row
-// under bucket_memo.  Multi-process Knows/Sure/Possible quantify exactly
-// over the [G]-bucket, so they take one [G]-row under group_memo.
-// Multi-process Everyone decomposes into singleton K{p} but its verdict is
-// constant on the (finer) [G]-class, so under group_memo it takes one
-// [G]-aggregation row plus one [p]-row per member.
-int TierSegmentCount(const Formula* f, bool bucket_memo, bool group_memo) {
+// True when all `n` verdict bits of `plane` equal `v`.
+bool PlaneIsUniform(const std::uint64_t* plane, std::size_t n, bool v) {
+  for (std::size_t w = 0; w * 64 < n; ++w)
+    if (plane[w] != (v ? LiveWordMask(n, w) : 0)) return false;
+  return true;
+}
+
+// Number of projection-tier rows a node owns.  Singleton modalities
+// (verdict constant per [p]-class) take one [p]-row.  Multi-process
+// Knows/Sure/Possible quantify exactly over the [G]-bucket, so they take
+// one [G]-row.  Multi-process Everyone decomposes into singleton K{p} but
+// its verdict is constant on the (finer) [G]-class, so it takes one
+// [G]-aggregation row plus one [p]-row per member.  Knows/Sure/Possible
+// over the empty group take none (Everyone and Common reject it).
+int TierSegmentCount(const Formula* f) {
   const int size = f->group().Size();
   switch (f->kind()) {
     case FormulaKind::kKnows:
     case FormulaKind::kSure:
     case FormulaKind::kPossible:
-      if (size == 1) return bucket_memo ? 1 : 0;
-      return size >= 2 && group_memo ? 1 : 0;
+      return size >= 1 ? 1 : 0;
     case FormulaKind::kEveryone:
-      if (size == 1) return bucket_memo ? 1 : 0;
-      return size >= 2 && group_memo ? 1 + size : 0;
+      return size == 1 ? 1 : 1 + size;
     default:
       return 0;
+  }
+}
+
+// The quantifier of Knows / Everyone (for all), Possible (exists) or Sure
+// (all equal) over `ids`, with `holds(y)` the child verdict at y; stops at
+// the first id that decides it.
+template <typename Ids, typename Holds>
+bool Quantify(FormulaKind kind, const Ids& ids, Holds&& holds) {
+  switch (kind) {
+    case FormulaKind::kKnows:
+    case FormulaKind::kEveryone:
+      for (const auto y : ids)
+        if (!holds(y)) return false;
+      return true;
+    case FormulaKind::kPossible:
+      for (const auto y : ids)
+        if (holds(y)) return true;
+      return false;
+    case FormulaKind::kSure: {
+      // K_P f || K_P !f, decided in one pass.
+      bool all_true = true, all_false = true;
+      for (const auto y : ids) {
+        (holds(y) ? all_false : all_true) = false;
+        if (!all_true && !all_false) return false;
+      }
+      return true;
+    }
+    default:
+      throw ModelError("Quantify: node has no quantifier");
+  }
+}
+
+// Appends the ids of the set bits of a `words`-word plane, ascending.
+void AppendSetBits(const std::uint64_t* plane, std::size_t words,
+                   std::vector<std::size_t>& out) {
+  for (std::size_t w = 0; w < words; ++w) {
+    for (std::uint64_t word = plane[w]; word != 0; word &= word - 1)
+      out.push_back(w * 64 + static_cast<std::size_t>(__builtin_ctzll(word)));
   }
 }
 
@@ -128,18 +160,9 @@ KnowledgeEvaluator::KnowledgeEvaluator(const ComputationSpace& space,
       words_((space.size() + 63) / 64),
       synced_size_(space.size()),
       num_threads_(internal::ResolveNumThreads(options.num_threads)),
-      bucket_memo_(options.bucket_memo),
-      group_memo_(options.group_memo),
-      compiled_kernels_(options.compiled_kernels) {
-  bucket_bits_.reserve(static_cast<std::size_t>(space.num_processes()));
-  for (ProcessId p = 0; p < space.num_processes(); ++p)
-    bucket_bits_.emplace_back(space.NumProjectionClasses(p));
-}
+      compiled_kernels_(options.compiled_kernels) {}
 
-KnowledgeEvaluator::~KnowledgeEvaluator() {
-  for (auto& per_process : bucket_bits_)
-    for (auto& slot : per_process) delete slot.load(std::memory_order_acquire);
-}
+KnowledgeEvaluator::~KnowledgeEvaluator() = default;
 
 void KnowledgeEvaluator::Refresh() {
   const std::size_t n = space_.size();
@@ -197,11 +220,15 @@ void KnowledgeEvaluator::Refresh() {
   // growth.  Atoms are pure functions of the computation, so they are never
   // dirty; propositional nodes are dirty where a child is; modal nodes
   // close their child's dirt (plus the new ids) over their quantifier
-  // buckets.  A multi-process modality without a cached [G]-index closes
-  // over the first member's [p]-buckets instead — [G] refines [p], so the
-  // [p]-closure over-approximates soundly.  CK components can merge through
-  // new classes, so kCommon is dirty everywhere.
+  // buckets — the [p]-buckets of a singleton group, the [G]-buckets of a
+  // multi-process one (InternNode built that index).  The empty group
+  // relates every class and CK components can merge through new classes,
+  // so empty-group Knows/Sure/Possible and kCommon are dirty everywhere.
   std::unordered_map<const Formula*, std::vector<std::uint64_t>> dirty;
+  const auto mark_all = [&](std::vector<std::uint64_t>& bits) {
+    for (std::size_t w = 0; w < old_words; ++w)
+      bits[w] = LiveWordMask(old_n, w);
+  };
   auto dirty_of = [&](auto&& self,
                       const Formula* f) -> const std::vector<std::uint64_t>& {
     auto it = dirty.find(f);
@@ -226,10 +253,12 @@ void KnowledgeEvaluator::Refresh() {
       case FormulaKind::kPossible: {
         const auto& child = self(self, f->left().get());
         const ProcessSet g = f->group();
-        if (g.Size() >= 2 && space_.HasGroupIndex(g))
-          close_over_index(space_.EnsureGroupIndex(g), child, bits);
-        else
+        if (g.IsEmpty())
+          mark_all(bits);
+        else if (g.Size() == 1)
           close_over_p(g.First(), child, bits);
+        else
+          close_over_index(space_.EnsureGroupIndex(g), child, bits);
         break;
       }
       case FormulaKind::kEveryone: {
@@ -239,8 +268,7 @@ void KnowledgeEvaluator::Refresh() {
         break;
       }
       case FormulaKind::kCommon:
-        for (std::size_t w = 0; w < old_words; ++w)
-          bits[w] = LiveWordMask(old_n, w);
+        mark_all(bits);
         break;
     }
     return dirty.emplace(f, std::move(bits)).first->second;
@@ -300,7 +328,7 @@ void KnowledgeEvaluator::Refresh() {
         for (std::uint32_t c = 0; c < classes; ++c) {
           if (c / 64 >= seg.words) continue;  // row cell did not exist yet
           const std::uint64_t bit = std::uint64_t{1} << (c % 64);
-          if ((bucket_planes_.known[seg.shared_offset + c / 64] & bit) == 0)
+          if ((bucket_planes_.known[seg_offset_[s] + c / 64] & bit) == 0)
             continue;
           // Keep rule per row shape: a singleton [p]-row (and a [G]-row of
           // distributed K/Sure/Possible, whose quantifier is exactly the
@@ -328,32 +356,24 @@ void KnowledgeEvaluator::Refresh() {
           }
           if (row_dirty) continue;
           grown.known[new_offsets[s] + c / 64] |= bit;
-          if (bucket_planes_.value[seg.shared_offset + c / 64] & bit)
+          if (bucket_planes_.value[seg_offset_[s] + c / 64] & bit)
             grown.value[new_offsets[s] + c / 64] |= bit;
         }
       }
     }
     bucket_planes_ = std::move(grown);
-    for (std::size_t s = 0; s < segments_.size(); ++s) {
+    for (std::size_t s = 0; s < segments_.size(); ++s)
       segments_[s].words = new_seg_words[s];
-      segments_[s].shared_offset = new_offsets[s];
-      shared_seg_offset_[s] = new_offsets[s];
-    }
+    seg_offset_ = std::move(new_offsets);
   }
 
-  // Whole-space completion flags, CK components, compiled kernel programs,
-  // and the packed bucket bitsets all key off the old id range / plane
-  // layout; drop them wholesale (they are rebuilt lazily, and components
-  // can merge through new classes).
+  // Whole-space completion flags, CK components, and compiled kernel
+  // programs all key off the old id range / plane layout; drop them
+  // wholesale (they are rebuilt lazily, and components can merge through
+  // new classes).
   std::fill(node_complete_.begin(), node_complete_.end(), 0);
   components_.clear();
   kernel_programs_.clear();
-  for (auto& per_process : bucket_bits_)
-    for (auto& slot : per_process) delete slot.load(std::memory_order_acquire);
-  bucket_bits_.clear();
-  bucket_bits_.reserve(static_cast<std::size_t>(space_.num_processes()));
-  for (ProcessId p = 0; p < space_.num_processes(); ++p)
-    bucket_bits_.emplace_back(space_.NumProjectionClasses(p));
 
   words_ = new_words;
   synced_size_ = n;
@@ -363,29 +383,15 @@ bool KnowledgeEvaluator::UseParallel() const noexcept {
   return num_threads_ > 1 && space_.size() >= kMinParallelSpace;
 }
 
-bool KnowledgeEvaluator::UseKernels() const noexcept {
-  return compiled_kernels_;
-}
-
-bool KnowledgeEvaluator::UsePlanes() const noexcept {
-  return UseKernels() || UseParallel();
-}
-
 internal::WorkerPool& KnowledgeEvaluator::Pool() {
   if (!pool_) pool_ = std::make_unique<internal::WorkerPool>(num_threads_);
   return *pool_;
 }
 
-KnowledgeEvaluator::EvalContext KnowledgeEvaluator::SharedContext() {
-  return EvalContext{planes_, identity_rows_, bucket_planes_,
-                     shared_seg_offset_};
-}
-
 bool KnowledgeEvaluator::Holds(const FormulaPtr& f, std::size_t id) {
   if (!f) throw ModelError("KnowledgeEvaluator::Holds: null formula");
   const FormulaPtr canon = interner_.Intern(f);
-  EvalContext ctx = SharedContext();
-  return Eval(canon.get(), id, ctx);
+  return Eval(canon.get(), id);
 }
 
 bool KnowledgeEvaluator::Holds(const FormulaPtr& f, const Computation& x) {
@@ -405,18 +411,9 @@ std::vector<std::uint8_t> KnowledgeEvaluator::HoldsAll(const FormulaPtr& f) {
   if (!f) throw ModelError("KnowledgeEvaluator::HoldsAll: null formula");
   std::vector<std::uint8_t> out(space_.size(), 0);
   if (space_.size() == 0) return out;
-  if (UsePlanes()) {
-    const std::uint64_t* value = EvaluatedValuePlane(f);
-    for (std::size_t id = 0; id < space_.size(); ++id)
-      out[id] = (value[id / 64] >> (id % 64)) & 1;
-    return out;
-  }
-  const FormulaPtr canon = interner_.Intern(f);
-  EvalContext ctx = SharedContext();
-  for (auto cur = space_.Classes(0, SIZE_MAX, space_.out_of_core());
-       cur.Valid(); cur.Next())
-    for (std::size_t id = cur.begin(); id < cur.end(); ++id)
-      out[id] = Eval(canon.get(), id, ctx) ? 1 : 0;
+  const std::uint64_t* value = EvaluatedValuePlane(f);
+  for (std::size_t id = 0; id < space_.size(); ++id)
+    out[id] = (value[id / 64] >> (id % 64)) & 1;
   return out;
 }
 
@@ -425,24 +422,7 @@ std::vector<std::size_t> KnowledgeEvaluator::SatisfyingSet(
   if (!f) throw ModelError("KnowledgeEvaluator::SatisfyingSet: null formula");
   std::vector<std::size_t> out;
   if (space_.size() == 0) return out;
-  if (UsePlanes()) {
-    const std::uint64_t* value = EvaluatedValuePlane(f);
-    for (std::size_t w = 0; w < words_; ++w) {
-      std::uint64_t word = value[w];
-      while (word != 0) {
-        out.push_back(w * 64 +
-                      static_cast<std::size_t>(__builtin_ctzll(word)));
-        word &= word - 1;
-      }
-    }
-    return out;
-  }
-  const FormulaPtr canon = interner_.Intern(f);
-  EvalContext ctx = SharedContext();
-  for (auto cur = space_.Classes(0, SIZE_MAX, space_.out_of_core());
-       cur.Valid(); cur.Next())
-    for (std::size_t id = cur.begin(); id < cur.end(); ++id)
-      if (Eval(canon.get(), id, ctx)) out.push_back(id);
+  AppendSetBits(EvaluatedValuePlane(f), words_, out);
   return out;
 }
 
@@ -454,42 +434,17 @@ std::vector<std::vector<std::size_t>> KnowledgeEvaluator::SatisfyingSets(
   std::vector<std::vector<std::size_t>> out(formulas.size());
   if (formulas.empty() || space_.size() == 0) return out;
   // Canonicalize the batch: structurally equal formulas collapse onto one
-  // node, one memo row, and (kernels on) one fused program root.
-  std::vector<FormulaPtr> canon;
-  canon.reserve(formulas.size());
-  for (const FormulaPtr& f : formulas) canon.push_back(interner_.Intern(f));
-
-  if (UsePlanes()) {
-    std::vector<const Formula*> roots;
-    roots.reserve(canon.size());
-    for (const FormulaPtr& f : canon) roots.push_back(f.get());
-    EvaluateEverywhere(
-        std::span<const Formula* const>(roots.data(), roots.size()));
-    for (std::size_t k = 0; k < canon.size(); ++k) {
-      const std::uint64_t* value =
-          &planes_.value[InternNode(roots[k]) * words_];
-      for (std::size_t w = 0; w < words_; ++w) {
-        std::uint64_t word = value[w];
-        while (word != 0) {
-          out[k].push_back(w * 64 +
-                           static_cast<std::size_t>(__builtin_ctzll(word)));
-          word &= word - 1;
-        }
-      }
-    }
-    return out;
-  }
-
-  // Sequential fused sweep: id-outer, formula-inner, so at each id the
-  // dense plane-stack is warm and shared subformulas evaluate once for the
-  // whole batch.  Identical verdicts to per-formula SatisfyingSet calls —
-  // Eval is a pure function of (node, id) — just fewer cold probes.
-  EvalContext ctx = SharedContext();
-  for (auto cur = space_.Classes(0, SIZE_MAX, space_.out_of_core());
-       cur.Valid(); cur.Next())
-    for (std::size_t id = cur.begin(); id < cur.end(); ++id)
-      for (std::size_t k = 0; k < canon.size(); ++k)
-        if (Eval(canon[k].get(), id, ctx)) out[k].push_back(id);
+  // node, one memo row, and (kernels on) one fused program root.  The
+  // interner keeps the canonical nodes alive.
+  std::vector<const Formula*> roots;
+  roots.reserve(formulas.size());
+  for (const FormulaPtr& f : formulas)
+    roots.push_back(interner_.Intern(f).get());
+  EvaluateEverywhere(
+      std::span<const Formula* const>(roots.data(), roots.size()));
+  for (std::size_t k = 0; k < roots.size(); ++k)
+    AppendSetBits(&planes_.value[InternNode(roots[k]) * words_], words_,
+                  out[k]);
   return out;
 }
 
@@ -509,41 +464,16 @@ bool KnowledgeEvaluator::IsLocalTo(const Predicate& b, ProcessSet p) {
 
 bool KnowledgeEvaluator::IsLocalTo(const FormulaPtr& f, ProcessSet p) {
   if (!f) throw ModelError("KnowledgeEvaluator::IsLocalTo: null formula");
-  FormulaPtr sure = Formula::Sure(p, f);
   if (space_.size() == 0) return true;
-  if (UsePlanes()) {
-    const std::uint64_t* value = EvaluatedValuePlane(sure);
-    for (std::size_t w = 0; w < words_; ++w)
-      if (value[w] != LiveWordMask(space_.size(), w)) return false;
-    return true;
-  }
-  const FormulaPtr canon = interner_.Intern(sure);
-  EvalContext ctx = SharedContext();
-  for (auto cur = space_.Classes(0, SIZE_MAX, space_.out_of_core());
-       cur.Valid(); cur.Next())
-    for (std::size_t id = cur.begin(); id < cur.end(); ++id)
-      if (!Eval(canon.get(), id, ctx)) return false;
-  return true;
+  return PlaneIsUniform(EvaluatedValuePlane(Formula::Sure(p, f)),
+                        space_.size(), true);
 }
 
 bool KnowledgeEvaluator::IsConstant(const FormulaPtr& f) {
   if (!f) throw ModelError("KnowledgeEvaluator::IsConstant: null formula");
   if (space_.size() == 0) return true;
-  if (UsePlanes()) {
-    const std::uint64_t* value = EvaluatedValuePlane(f);
-    const bool v0 = (value[0] & 1) != 0;
-    for (std::size_t w = 0; w < words_; ++w)
-      if (value[w] != (v0 ? LiveWordMask(space_.size(), w) : 0)) return false;
-    return true;
-  }
-  const FormulaPtr canon = interner_.Intern(f);
-  EvalContext ctx = SharedContext();
-  const bool v0 = Eval(canon.get(), 0, ctx);
-  for (auto cur = space_.Classes(1, SIZE_MAX, space_.out_of_core());
-       cur.Valid(); cur.Next())
-    for (std::size_t id = cur.begin(); id < cur.end(); ++id)
-      if (Eval(canon.get(), id, ctx) != v0) return false;
-  return true;
+  const std::uint64_t* value = EvaluatedValuePlane(f);
+  return PlaneIsUniform(value, space_.size(), (value[0] & 1) != 0);
 }
 
 std::uint32_t KnowledgeEvaluator::CommonComponent(ProcessSet g,
@@ -567,7 +497,7 @@ const KnowledgeEvaluator::ComponentIndex& KnowledgeEvaluator::Components(
 void KnowledgeEvaluator::BuildComponentRoots(ProcessSet g,
                                              std::vector<std::uint32_t>& root) {
   const std::size_t n = space_.size();
-  if (group_memo_ && g.Size() >= 2) {
+  if (g.Size() >= 2) {
     // [G]-contracted build: all members of a [G]-class are mutually related
     // through every p in G, so contract them to one union-find node and run
     // the per-process unions over [G]-class representatives — two
@@ -647,22 +577,20 @@ void KnowledgeEvaluator::BuildComponentRoots(ProcessSet g,
 }
 
 std::uint32_t KnowledgeEvaluator::InternNode(const Formula* f) {
-  // find-before-emplace: parallel passes pre-intern every node of the DAG,
-  // so worker threads always take this read-only path and the shared planes
-  // never resize while a pass is in flight.
+  // find-before-emplace: kernel passes pre-intern every node of the DAG,
+  // so the planes never resize while a pass is in flight.
   auto it = node_index_.find(f);
   if (it != node_index_.end()) return it->second;
   const auto node = static_cast<std::uint32_t>(node_index_.size());
   node_index_.emplace(f, node);
   planes_.known.resize(planes_.known.size() + words_, 0);
   planes_.value.resize(planes_.value.size() + words_, 0);
-  identity_rows_.push_back(node);
   node_complete_.push_back(0);
-  // Projection tiers: rows laid out append-only in the shared bucket
-  // planes.  A multi-process node builds (or reuses) the space's [G]-class
-  // index here — always on the interning thread, never inside a parallel
-  // pass (passes pre-intern their whole DAG).
-  const int seg_count = TierSegmentCount(f, bucket_memo_, group_memo_);
+  // Projection tiers: rows laid out append-only in the bucket planes.  A
+  // multi-process node builds (or reuses) the space's [G]-class index here
+  // — always on the interning thread, never inside a kernel pass (passes
+  // pre-intern their whole DAG).
+  const int seg_count = TierSegmentCount(f);
   node_seg_count_.push_back(static_cast<std::uint32_t>(seg_count));
   if (seg_count > 0) {
     node_seg_begin_.push_back(static_cast<std::uint32_t>(segments_.size()));
@@ -670,10 +598,9 @@ std::uint32_t KnowledgeEvaluator::InternNode(const Formula* f) {
     auto append = [&](BucketSegment seg, std::size_t classes) {
       seg.group_tier = multi;
       seg.words = static_cast<std::uint32_t>((classes + 63) / 64);
-      seg.shared_offset =
-          static_cast<std::uint32_t>(bucket_planes_.known.size());
       segments_.push_back(seg);
-      shared_seg_offset_.push_back(seg.shared_offset);
+      seg_offset_.push_back(
+          static_cast<std::uint32_t>(bucket_planes_.known.size()));
       bucket_planes_.known.resize(bucket_planes_.known.size() + seg.words, 0);
       bucket_planes_.value.resize(bucket_planes_.value.size() + seg.words, 0);
     };
@@ -695,68 +622,16 @@ std::uint32_t KnowledgeEvaluator::InternNode(const Formula* f) {
   return node;
 }
 
-const std::vector<std::uint64_t>& KnowledgeEvaluator::BucketBits(
-    ProcessId p, std::uint32_t cls) {
-  auto& slot = bucket_bits_[static_cast<std::size_t>(p)][cls];
-  const std::vector<std::uint64_t>* bits =
-      slot.load(std::memory_order_acquire);
-  if (bits != nullptr) return *bits;
-  auto fresh = std::make_unique<std::vector<std::uint64_t>>(words_, 0);
-  for (std::uint32_t y : space_.Bucket(p, cls))
-    (*fresh)[y / 64] |= std::uint64_t{1} << (y % 64);
-  const std::vector<std::uint64_t>* expected = nullptr;
-  if (slot.compare_exchange_strong(expected, fresh.get(),
-                                   std::memory_order_acq_rel,
-                                   std::memory_order_acquire))
-    return *fresh.release();
-  // Another worker published the identical bitset first; keep theirs.
-  return *expected;
-}
-
-template <typename Fn>
-void KnowledgeEvaluator::ForEachRelated(std::size_t id, ProcessSet set,
-                                        Fn&& fn) {
-  std::size_t best_size = SIZE_MAX;
-  set.ForEach([&](ProcessId p) {
-    best_size = std::min(
-        best_size, space_.Bucket(p, space_.ProjectionClass(id, p)).size());
-  });
-  if (set.IsEmpty() || set.Size() == 1 || best_size < kMinBucketForBits) {
-    space_.ForEachIsomorphicWhile(id, set, fn);
-    return;
-  }
-  // Every bucket is large: intersect their packed membership bitsets.  The
-  // intersection lives in a local buffer because `fn` recurses into Eval,
-  // which may run another ForEachRelated before this iteration finishes.
-  std::vector<std::uint64_t> meet;
-  set.ForEach([&](ProcessId p) {
-    const auto& bits = BucketBits(p, space_.ProjectionClass(id, p));
-    if (meet.empty()) {
-      meet.assign(bits.begin(), bits.end());
-    } else {
-      for (std::size_t w = 0; w < words_; ++w) meet[w] &= bits[w];
-    }
-  });
-  for (std::size_t w = 0; w < words_; ++w) {
-    std::uint64_t word = meet[w];
-    while (word != 0) {
-      const auto y = w * 64 + static_cast<std::size_t>(__builtin_ctzll(word));
-      if (!fn(y)) return;
-      word &= word - 1;
-    }
-  }
-}
-
 bool KnowledgeEvaluator::BucketVerdict(const Formula* f, std::uint32_t seg,
-                                       std::size_t id, EvalContext& ctx) {
+                                       std::size_t id) {
   const BucketSegment& row = segments_[seg];
   const std::uint32_t cls = row.index != nullptr
                                 ? row.index->ClassOf(id)
                                 : space_.ProjectionClass(id, row.process);
-  const std::size_t word = ctx.seg_offset[seg] + cls / 64;
+  const std::size_t word = seg_offset_[seg] + cls / 64;
   const std::uint64_t bit = std::uint64_t{1} << (cls % 64);
-  if (ctx.bucket.known[word] & bit)
-    return (ctx.bucket.value[word] & bit) != 0;
+  if (bucket_planes_.known[word] & bit)
+    return (bucket_planes_.value[word] & bit) != 0;
 
   // Miss: sweep the row's bucket once.  The quantifier of a singleton group
   // ranges exactly over the [p]-bucket — and of a multi-process group over
@@ -767,59 +642,19 @@ bool KnowledgeEvaluator::BucketVerdict(const Formula* f, std::uint32_t seg,
       row.index != nullptr ? row.index->Bucket(cls)
                            : space_.Bucket(row.process, cls);
   const Formula* child = f->left().get();
-  bool result = false;
-  switch (f->kind()) {
-    case FormulaKind::kKnows:
-    case FormulaKind::kEveryone: {
-      result = true;
-      for (std::uint32_t y : bucket) {
-        if (!Eval(child, y, ctx)) {
-          result = false;
-          break;
-        }
-      }
-      break;
-    }
-    case FormulaKind::kPossible: {
-      result = false;
-      for (std::uint32_t y : bucket) {
-        if (Eval(child, y, ctx)) {
-          result = true;
-          break;
-        }
-      }
-      break;
-    }
-    case FormulaKind::kSure: {
-      // K_P f || K_P !f, decided in one bucket pass.
-      bool all_true = true, all_false = true;
-      for (std::uint32_t y : bucket) {
-        if (Eval(child, y, ctx))
-          all_false = false;
-        else
-          all_true = false;
-        if (!all_true && !all_false) break;
-      }
-      result = all_true || all_false;
-      break;
-    }
-    default:
-      throw ModelError("BucketVerdict: node has no projection tier");
-  }
-  ctx.bucket.known[word] |= bit;
-  if (result) ctx.bucket.value[word] |= bit;
+  const bool result = Quantify(f->kind(), bucket, [&](std::size_t y) {
+    return Eval(child, y);
+  });
+  bucket_planes_.known[word] |= bit;
+  if (result) bucket_planes_.value[word] |= bit;
   return result;
 }
 
-bool KnowledgeEvaluator::Eval(const Formula* f, std::size_t id,
-                              EvalContext& ctx) {
+bool KnowledgeEvaluator::Eval(const Formula* f, std::size_t id) {
   const std::uint32_t node = InternNode(f);
-  const std::size_t row = ctx.rows[node];
-  {
-    const std::uint64_t bit = std::uint64_t{1} << (id % 64);
-    if (ctx.dense.known[row * words_ + id / 64] & bit)
-      return (ctx.dense.value[row * words_ + id / 64] & bit) != 0;
-  }
+  const std::size_t word = node * words_ + id / 64;
+  const std::uint64_t bit = std::uint64_t{1} << (id % 64);
+  if (planes_.known[word] & bit) return (planes_.value[word] & bit) != 0;
 
   const std::uint32_t seg = node_seg_begin_[node];
   bool result = false;
@@ -831,47 +666,29 @@ bool KnowledgeEvaluator::Eval(const Formula* f, std::size_t id,
       result = f->atom().Eval(space_.At(id));
       break;
     case FormulaKind::kNot:
-      result = !Eval(f->left().get(), id, ctx);
+      result = !Eval(f->left().get(), id);
       break;
     case FormulaKind::kAnd:
-      result = Eval(f->left().get(), id, ctx) &&
-               Eval(f->right().get(), id, ctx);
+      result = Eval(f->left().get(), id) && Eval(f->right().get(), id);
       break;
     case FormulaKind::kOr:
-      result = Eval(f->left().get(), id, ctx) ||
-               Eval(f->right().get(), id, ctx);
+      result = Eval(f->left().get(), id) || Eval(f->right().get(), id);
       break;
     case FormulaKind::kImplies:
-      result = !Eval(f->left().get(), id, ctx) ||
-               Eval(f->right().get(), id, ctx);
+      result = !Eval(f->left().get(), id) || Eval(f->right().get(), id);
       break;
-    case FormulaKind::kKnows: {
+    case FormulaKind::kKnows:
+    case FormulaKind::kSure:
+    case FormulaKind::kPossible: {
       if (seg != kNoSegment) {
-        result = BucketVerdict(f, seg, id, ctx);
+        result = BucketVerdict(f, seg, id);
         break;
       }
-      result = true;
-      ForEachRelated(id, f->group(), [&](std::size_t y) {
-        if (!Eval(f->left().get(), y, ctx)) result = false;
-        return result;
-      });
-      break;
-    }
-    case FormulaKind::kSure: {
-      if (seg != kNoSegment) {
-        result = BucketVerdict(f, seg, id, ctx);
-        break;
-      }
-      // K_P f || K_P !f, evaluated in one bucket pass.
-      bool all_true = true, all_false = true;
-      ForEachRelated(id, f->group(), [&](std::size_t y) {
-        if (Eval(f->left().get(), y, ctx))
-          all_false = false;
-        else
-          all_true = false;
-        return all_true || all_false;
-      });
-      result = all_true || all_false;
+      // The empty group has no tier row: x [{}] y for every y, so the
+      // quantifier ranges over the whole space.
+      result = Quantify(f->kind(),
+                        std::views::iota(std::size_t{0}, space_.size()),
+                        [&](std::size_t y) { return Eval(f->left().get(), y); });
       break;
     }
     case FormulaKind::kCommon: {
@@ -883,112 +700,74 @@ bool KnowledgeEvaluator::Eval(const Formula* f, std::size_t id,
           components.members.at(components.root[id]);
       result = true;
       for (std::uint32_t y : members) {
-        if (!Eval(f->left().get(), y, ctx)) {
+        if (!Eval(f->left().get(), y)) {
           result = false;
           break;
         }
       }
       for (std::uint32_t y : members) {
-        const std::uint64_t bit = std::uint64_t{1} << (y % 64);
-        ctx.dense.known[row * words_ + y / 64] |= bit;
+        const std::uint64_t y_bit = std::uint64_t{1} << (y % 64);
+        planes_.known[node * words_ + y / 64] |= y_bit;
         if (result)
-          ctx.dense.value[row * words_ + y / 64] |= bit;
+          planes_.value[node * words_ + y / 64] |= y_bit;
         else
-          ctx.dense.value[row * words_ + y / 64] &= ~bit;
+          planes_.value[node * words_ + y / 64] &= ~y_bit;
       }
       return result;
     }
     case FormulaKind::kEveryone: {
-      // Conjunction of the individual K{p} over the group — each conjunct
-      // is a singleton tier row of this node when a tier is on.
+      // Conjunction of the individual K{p} over the group, each conjunct a
+      // singleton tier row of this node.
+      if (segments_[seg].index == nullptr) {
+        result = BucketVerdict(f, seg, id);  // E{p} == K{p}
+        break;
+      }
+      // Multi-process: row `seg` is the [G]-aggregation row — probe it, fill
+      // from the per-member rows on a miss.  The verdict is constant on the
+      // [G]-class because [G] refines every member [p].
+      const std::uint32_t cls = segments_[seg].index->ClassOf(id);
+      const std::size_t agg_word = seg_offset_[seg] + cls / 64;
+      const std::uint64_t agg_bit = std::uint64_t{1} << (cls % 64);
+      if (bucket_planes_.known[agg_word] & agg_bit) {
+        result = (bucket_planes_.value[agg_word] & agg_bit) != 0;
+        break;
+      }
       result = true;
-      if (seg != kNoSegment) {
-        const std::uint32_t conjuncts = node_seg_count_[node];
-        if (segments_[seg].index != nullptr) {
-          // Multi-process: row `seg` is the [G]-aggregation row — probe it,
-          // fill from the per-member rows on a miss.  The verdict is
-          // constant on the [G]-class because [G] refines every member [p].
-          const std::uint32_t cls = segments_[seg].index->ClassOf(id);
-          const std::size_t word = ctx.seg_offset[seg] + cls / 64;
-          const std::uint64_t bit = std::uint64_t{1} << (cls % 64);
-          if (ctx.bucket.known[word] & bit) {
-            result = (ctx.bucket.value[word] & bit) != 0;
-            break;
-          }
-          for (std::uint32_t k = 1; k < conjuncts && result; ++k)
-            if (!BucketVerdict(f, seg + k, id, ctx)) result = false;
-          ctx.bucket.known[word] |= bit;
-          if (result) ctx.bucket.value[word] |= bit;
-          break;
-        }
-        for (std::uint32_t k = 0; k < conjuncts && result; ++k)
-          if (!BucketVerdict(f, seg + k, id, ctx)) result = false;
-        break;
-      }
-      f->group().ForEach([&](ProcessId p) {
-        if (!result) return;
-        ForEachRelated(id, ProcessSet::Of(p), [&](std::size_t y) {
-          if (!Eval(f->left().get(), y, ctx)) result = false;
-          return result;
-        });
-      });
-      break;
-    }
-    case FormulaKind::kPossible: {
-      if (seg != kNoSegment) {
-        result = BucketVerdict(f, seg, id, ctx);
-        break;
-      }
-      // !K{P}!f: some [P]-isomorphic computation satisfies f.
-      result = false;
-      ForEachRelated(id, f->group(), [&](std::size_t y) {
-        if (Eval(f->left().get(), y, ctx)) result = true;
-        return !result;
-      });
+      for (std::uint32_t k = 1; k < node_seg_count_[node] && result; ++k)
+        result = BucketVerdict(f, seg + k, id);
+      bucket_planes_.known[agg_word] |= agg_bit;
+      if (result) bucket_planes_.value[agg_word] |= agg_bit;
       break;
     }
   }
-  const std::uint64_t bit = std::uint64_t{1} << (id % 64);
-  ctx.dense.known[row * words_ + id / 64] |= bit;
-  if (result) ctx.dense.value[row * words_ + id / 64] |= bit;
+  planes_.known[word] |= bit;
+  if (result) planes_.value[word] |= bit;
   return result;
 }
 
 void KnowledgeEvaluator::EvaluateEverywhere(
-    std::span<const Formula* const> all_roots) {
-  if (UseKernels() && EvaluateEverywhereKernel(all_roots)) return;
-  if (UseParallel()) {
-    EvaluateEverywhereParallel(all_roots);
-    return;
-  }
-  // Sequential completion: the lazy recursion against the shared planes,
-  // id-outer so shared subformulas stay memo-warm across a multi-root
-  // batch.  This is where a kernel profitability refusal lands at one
-  // thread — the short-circuiting interpreter touches only the child bits
-  // the quantifiers demand, where the kernel would materialize every
-  // subformula plane in full.
-  std::vector<const Formula*> roots;
-  roots.reserve(all_roots.size());
-  for (const Formula* root : all_roots)
-    if (!node_complete_[InternNode(root)]) roots.push_back(root);
-  if (roots.empty()) return;
-  EvalContext ctx = SharedContext();
-  for (auto cur = space_.Classes(0, SIZE_MAX, space_.out_of_core());
-       cur.Valid(); cur.Next())
-    for (std::size_t id = cur.begin(); id < cur.end(); ++id)
-      for (const Formula* root : roots) Eval(root, id, ctx);
-  for (const Formula* root : roots) node_complete_[InternNode(root)] = 1;
-}
-
-bool KnowledgeEvaluator::EvaluateEverywhereKernel(
     std::span<const Formula* const> all_roots) {
   // Roots completed by earlier passes answer from their planes already.
   std::vector<const Formula*> roots;
   roots.reserve(all_roots.size());
   for (const Formula* root : all_roots)
     if (!node_complete_[InternNode(root)]) roots.push_back(root);
-  if (roots.empty()) return true;
+  if (roots.empty()) return;
+  if (compiled_kernels_ && EvaluateEverywhereKernel(roots)) return;
+  // Sequential completion: the lazy recursion over the planes, id-outer so
+  // shared subformulas stay memo-warm across a multi-root batch.  This is
+  // where a kernel profitability refusal lands — the short-circuiting
+  // interpreter touches only the child bits the quantifiers demand, where
+  // the kernel would materialize every subformula plane in full.
+  for (auto cur = space_.Classes(0, SIZE_MAX, space_.out_of_core());
+       cur.Valid(); cur.Next())
+    for (std::size_t id = cur.begin(); id < cur.end(); ++id)
+      for (const Formula* root : roots) Eval(root, id);
+  for (const Formula* root : roots) node_complete_[InternNode(root)] = 1;
+}
 
+bool KnowledgeEvaluator::EvaluateEverywhereKernel(
+    std::span<const Formula* const> roots) {
   // Fused postorder over the combined DAG, stopping at whole-space-complete
   // subformulas — the compiler reads those as dense leaves, so their
   // subtrees never re-lower.
@@ -1010,14 +789,14 @@ bool KnowledgeEvaluator::EvaluateEverywhereKernel(
   }
   for (const Formula* f : order) InternNode(f);
 
-  // Profitability: a lone modal root with both memo tiers on and no worker
-  // pool is better served by the lazy interpreter — the kernel computes
-  // every subformula plane at every id, while the short-circuiting
-  // recursion touches only the atom bits its quantifiers demand (measured
-  // ~5x on shallow one-shot `check` queries).  Pure-boolean programs,
-  // fused multi-root batches, memo-off sweeps, and parallel passes all
-  // need (or amortize) the eager planes, so they stay on the kernel.
-  if (roots.size() == 1 && bucket_memo_ && group_memo_ && !UseParallel()) {
+  // Profitability: a lone modal root with no worker pool is better served
+  // by the lazy interpreter — the kernel computes every subformula plane at
+  // every id, while the short-circuiting recursion touches only the atom
+  // bits its quantifiers demand (measured ~5x on shallow one-shot `check`
+  // queries).  Pure-boolean programs, fused multi-root batches, and
+  // parallel passes all need (or amortize) the eager planes, so they stay
+  // on the kernel.
+  if (roots.size() == 1 && !UseParallel()) {
     for (const Formula* f : order) {
       switch (f->kind()) {
         case FormulaKind::kKnows:
@@ -1074,140 +853,18 @@ bool KnowledgeEvaluator::EvaluateEverywhereKernel(
   ctx.dense_value = planes_.value.data();
   ctx.bucket_known = bucket_planes_.known.data();
   ctx.bucket_value = bucket_planes_.value.data();
-  ctx.seg_offset = shared_seg_offset_.data();
+  ctx.seg_offset = seg_offset_.data();
   ctx.ck_roots = [this](const Formula* f) -> std::span<const std::uint32_t> {
     const ComponentIndex& c = components_.at(f->group().bits());
     return std::span<const std::uint32_t>(c.root.data(), c.root.size());
   };
   ctx.pool = UseParallel() ? &Pool() : nullptr;
   ctx.worker_regs = &kernel_worker_regs_;
-  ctx.row_scratch = &kernel_row_scratch_;
   ctx.comp_scratch = &kernel_comp_scratch_;
   kernel::Execute(*program, ctx);
 
   for (const std::uint32_t node : program->completed) node_complete_[node] = 1;
   return true;
-}
-
-void KnowledgeEvaluator::EvaluateEverywhereParallel(
-    std::span<const Formula* const> all_roots) {
-  // A completed pass memoized a root at every id in the shared planes;
-  // repeat whole-space queries go straight to the plane reads.  Only the
-  // still-incomplete roots drive this pass.
-  std::vector<const Formula*> roots;
-  roots.reserve(all_roots.size());
-  for (const Formula* root : all_roots)
-    if (!node_complete_[InternNode(root)]) roots.push_back(root);
-  if (roots.empty()) return;
-
-  // Pre-intern the combined DAG of every root and pre-build its CK
-  // component indexes so workers never mutate the node index, resize the
-  // shared planes, or touch the component cache; BucketBits remains safe
-  // through its CAS publication.  One shared `seen` set fuses the DAGs:
-  // a subformula common to several roots gets one compact row, one
-  // evaluation, and N plane reads.
-  std::vector<const Formula*> order;
-  {
-    std::unordered_set<const Formula*> seen;
-    for (const Formula* root : roots) PostOrder(root, seen, order);
-  }
-  for (const Formula* f : order) InternNode(f);
-  for (const Formula* f : order)
-    if (f->kind() == FormulaKind::kCommon) Components(f->group());
-
-  // Shard the id range; each worker runs the exact sequential lazy
-  // recursion against private planes seeded from the shared memo.
-  // Verdicts are pure, so workers that duplicate a subformula evaluation
-  // (bounded by the worker count) compute identical bits, and the OR-merge
-  // below is order-independent — results match the sequential engine
-  // byte for byte at any thread count.  The recursion can only touch this
-  // DAG's nodes, so the worker planes hold just |DAG| compact rows — and
-  // just the DAG's bucket-tier segments — located through per-pass
-  // node -> row and segment -> offset maps: per-pass traffic and
-  // worker-plane footprint stay O(|DAG| x words) however many nodes
-  // earlier queries interned.
-  internal::WorkerPool& pool = Pool();
-  std::vector<std::uint32_t> pass_rows(node_index_.size(), 0);
-  for (std::size_t i = 0; i < order.size(); ++i)
-    pass_rows[InternNode(order[i])] = static_cast<std::uint32_t>(i);
-  // Compact bucket planes: collect the DAG's segments in order.
-  std::vector<std::uint32_t> pass_seg_offset(segments_.size(), 0);
-  std::vector<std::uint32_t> pass_segments;  // global segment ids, in order
-  std::size_t bucket_words = 0;
-  for (const Formula* f : order) {
-    const std::uint32_t node = InternNode(f);
-    const std::uint32_t seg0 = node_seg_begin_[node];
-    if (seg0 == kNoSegment) continue;
-    for (std::uint32_t k = 0; k < node_seg_count_[node]; ++k) {
-      const std::uint32_t s = seg0 + k;
-      pass_seg_offset[s] = static_cast<std::uint32_t>(bucket_words);
-      pass_segments.push_back(s);
-      bucket_words += segments_[s].words;
-    }
-  }
-  worker_planes_.resize(static_cast<std::size_t>(pool.size()));
-  worker_bucket_planes_.resize(static_cast<std::size_t>(pool.size()));
-  for (MemoPlanes& planes : worker_planes_) {
-    planes.known.resize(order.size() * words_);
-    planes.value.resize(order.size() * words_);
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      const std::size_t from = InternNode(order[i]) * words_;
-      std::copy_n(planes_.known.begin() + from, words_,
-                  planes.known.begin() + i * words_);
-      std::copy_n(planes_.value.begin() + from, words_,
-                  planes.value.begin() + i * words_);
-    }
-  }
-  for (MemoPlanes& planes : worker_bucket_planes_) {
-    planes.known.resize(bucket_words);
-    planes.value.resize(bucket_words);
-    for (std::uint32_t s : pass_segments) {
-      std::copy_n(bucket_planes_.known.begin() + segments_[s].shared_offset,
-                  segments_[s].words,
-                  planes.known.begin() + pass_seg_offset[s]);
-      std::copy_n(bucket_planes_.value.begin() + segments_[s].shared_offset,
-                  segments_[s].words,
-                  planes.value.begin() + pass_seg_offset[s]);
-    }
-  }
-  internal::ParallelForIndexed(
-      &pool, space_.size(), /*align=*/64,
-      [&](int worker, std::size_t begin, std::size_t end) {
-        EvalContext ctx{worker_planes_[static_cast<std::size_t>(worker)],
-                        pass_rows,
-                        worker_bucket_planes_[static_cast<std::size_t>(worker)],
-                        pass_seg_offset};
-        // Root-inner, id-outer: at each id the whole plane-stack is warm,
-        // so every root after the first mostly hits the memo bits the
-        // earlier roots' shared subformulas just wrote.  Each shard runs
-        // its own non-trimming cursor (pins are per-segment, so shards
-        // never fight); residency trims wait for the pass to finish.
-        for (auto cur = space_.Classes(begin, end, /*trim_behind=*/false);
-             cur.Valid(); cur.Next())
-          for (std::size_t id = cur.begin(); id < cur.end(); ++id)
-            for (const Formula* root : roots) Eval(root, id, ctx);
-      });
-  if (space_.out_of_core()) space_.TrimResidency();
-  for (const MemoPlanes& planes : worker_planes_) {
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      const std::size_t to = InternNode(order[i]) * words_;
-      for (std::size_t w = 0; w < words_; ++w) {
-        planes_.known[to + w] |= planes.known[i * words_ + w];
-        planes_.value[to + w] |= planes.value[i * words_ + w];
-      }
-    }
-  }
-  for (const MemoPlanes& planes : worker_bucket_planes_) {
-    for (std::uint32_t s : pass_segments) {
-      for (std::uint32_t w = 0; w < segments_[s].words; ++w) {
-        bucket_planes_.known[segments_[s].shared_offset + w] |=
-            planes.known[pass_seg_offset[s] + w];
-        bucket_planes_.value[segments_[s].shared_offset + w] |=
-            planes.value[pass_seg_offset[s] + w];
-      }
-    }
-  }
-  for (const Formula* root : roots) node_complete_[InternNode(root)] = 1;
 }
 
 std::size_t KnowledgeEvaluator::memo_size() const noexcept {
@@ -1222,11 +879,12 @@ KnowledgeEvaluator::MemoStats KnowledgeEvaluator::MemoryUsage() const {
   // The shared bucket planes interleave [p]-tier rows (singleton nodes) and
   // [G]-tier rows (multi-process nodes); attribute words and known-bit
   // popcounts per segment.
-  for (const BucketSegment& row : segments_) {
+  for (std::size_t seg = 0; seg < segments_.size(); ++seg) {
+    const BucketSegment& row = segments_[seg];
     std::size_t entries = 0;
     for (std::uint32_t w = 0; w < row.words; ++w)
       entries += static_cast<std::size_t>(__builtin_popcountll(
-          bucket_planes_.known[row.shared_offset + w]));
+          bucket_planes_.known[seg_offset_[seg] + w]));
     const std::size_t bytes = 2 * row.words * sizeof(std::uint64_t);
     if (row.group_tier) {
       s.group_entries += entries;
@@ -1245,9 +903,7 @@ KnowledgeEvaluator::MemoStats KnowledgeEvaluator::MemoryUsage() const {
   for (const auto& pool : kernel_worker_regs_)
     for (const auto& reg : pool)
       s.bytes_kernel += reg.capacity() * sizeof(std::uint64_t);
-  s.bytes_kernel += (kernel_row_scratch_.capacity() +
-                     kernel_comp_scratch_.capacity()) *
-                    sizeof(std::uint64_t);
+  s.bytes_kernel += kernel_comp_scratch_.capacity() * sizeof(std::uint64_t);
   s.bytes_total =
       s.bytes_dense + s.bytes_bucket + s.bytes_group + s.bytes_kernel;
   return s;

@@ -16,12 +16,7 @@
 // the [p]-bucket of x, so the verdict is constant across the bucket.  Those
 // nodes memo per (node, [p]-class) and sweep each bucket once per node
 // instead of once per member, collapsing the dominant single-process
-// K-sweep cost from the sum of squared bucket sizes to linear in the space
-// (KnowledgeOptions::bucket_memo gates the tier; verdicts are identical
-// either way).  The [p]-class buckets are additionally packed into
-// per-class uint64_t membership bitsets (built lazily for large buckets),
-// so the untierable multi-process quantifier sweeps become word-parallel
-// bitset intersections.
+// K-sweep cost from the sum of squared bucket sizes to linear in the space.
 //
 // A third memo tier covers multi-process groups through the space's
 // [G]-class layer (ComputationSpace::EnsureGroupIndex — the common
@@ -32,42 +27,40 @@
 // linear collapse, now for group modalities.  Everyone(G, f) with |G| >= 2
 // is a conjunction of singleton K{p} whose verdict is constant on the
 // (finer) [G]-class; the tier gives it one [G]-aggregation row probed in
-// O(1) plus one per-member [p]-row per conjunct, so a whole-space sweep
-// costs one pass per member bucket column instead of per-member bucket
-// rescans.  KnowledgeOptions::group_memo gates the tier (default on);
-// verdicts are identical either way and at any thread count.  The tier also
-// routes common-knowledge component construction through the [G]-index:
+// O(1) plus one per-member [p]-row per conjunct.  Common-knowledge
+// components over |G| >= 2 are built through the [G]-index too:
 // [G]-classes are contracted first and the per-process unions run over
 // [G]-class representatives instead of every computation.
+//
+// Both tiers are always on.  The only modal nodes without tier rows are
+// Knows / Sure / Possible over the empty group, which relate every class
+// (x [{}] y for all x, y) and sweep the whole space directly.
+//
 // Common knowledge CK{G} f is the greatest fixpoint "f and (p knows CK f)
 // for all p in G", computed as: f holds at every computation reachable from
 // x through the union of the [p] relations, p in G — i.e. on x's whole
 // connected component of the "G-indistinguishability" graph; the verdict is
 // constant per component and is cached for the entire component at once.
 //
-// Whole-space queries (SatisfyingSet, HoldsAll, IsLocalTo, IsConstant, and
-// common-knowledge component construction) are parallel, gated by
-// KnowledgeOptions::num_threads.  The engine shards the class-id range over
-// a worker pool and each worker runs the *same lazy recursion* as the
-// sequential path — early exits, per-component CK caching, bucket-tier
-// probes and all — against a private copy of the memo planes (both tiers),
-// seeded from the shared ones; after the pass the per-worker planes are
-// OR-merged back into the shared planes.  Verdicts are pure functions of
-// (formula node, class id) — and, for the bucket tier, of (formula node,
-// [p]-class) — so duplicated subformula work between workers (bounded by
-// the worker count) changes nothing but time, worker-range results are
-// order-independent, and satisfying sets come out byte-identical at any
-// thread count.  Components are built by a lock-free parallel union-find
+// Two engines answer queries.  Pointwise Holds runs the lazy interpreter
+// (Eval), which short-circuits quantifiers and touches only the memo bits it
+// needs.  Whole-space queries (SatisfyingSet(s), HoldsAll, IsLocalTo,
+// IsConstant) memoize every root at every class id and read the value
+// plane: they lower to compiled kernels (kernel.h), range-sharded over
+// KnowledgeOptions::num_threads workers, and fall back to one sequential
+// lazy pass when kernels are off, the compiler refuses the DAG, or the
+// profitability dispatch keeps a lone modal root on the interpreter.
+// Common-knowledge components are built by a lock-free parallel union-find
 // whose labels are normalized to the smallest member id, the same labels
-// the sequential path produces.
-// Parallel evaluation calls Predicate::Eval concurrently from multiple
+// the sequential build produces, so results are byte-identical at any
+// thread count.
+// Kernel atom loads call Predicate::Eval concurrently from multiple
 // threads, which is safe for every predicate in the repo because predicates
 // are pure functions of the computation; custom predicates must preserve
 // that (no mutable state inside Eval).
 #ifndef HPL_CORE_KNOWLEDGE_H_
 #define HPL_CORE_KNOWLEDGE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -82,32 +75,22 @@
 namespace hpl {
 
 struct KnowledgeOptions {
-  // Worker threads for whole-space queries.  0 = hardware concurrency (at
-  // least 1); 1 = the exact sequential code path.  Any value produces
-  // byte-identical query results (see the header comment); spaces smaller
-  // than an internal threshold always run sequentially.
+  // Worker threads for compiled whole-space queries and the common-
+  // knowledge union-find.  0 = hardware concurrency (at least 1); 1 = run
+  // inline.  Any value produces byte-identical query results (see the
+  // header comment); spaces smaller than an internal threshold always run
+  // inline.
   int num_threads = 0;
-  // Enables the (node, [p]-class) memo tier for singleton-group Knows /
-  // Sure / Possible / Everyone.  Off, every member of a [p]-bucket
-  // re-sweeps the bucket; verdicts are identical either way (the knob
-  // exists for differential tests and ablation benches).
-  bool bucket_memo = true;
-  // Enables the (node, [G]-class) memo tier for multi-process Knows / Sure /
-  // Possible / Everyone and the [G]-contracted common-knowledge component
-  // build (see the header comment).  Off, group modalities fall back to
-  // per-member relation sweeps; verdicts are identical either way.
-  bool group_memo = true;
   // Lowers whole-space queries to compiled kernel programs (kernel.h): the
   // formula DAG becomes a flat postorder array of bitset ops executed
   // word-at-a-time over the memo planes, with constant / local-formula
   // folding, instead of the per-(node, id) interpreted recursion.  Programs
   // are cached per root-set and invalidated by Refresh().  The dispatch
   // keeps one case on the lazy interpreter even when this is on: a lone
-  // modal root with both memo tiers on and no worker pool, where
-  // short-circuiting quantifiers beat eager plane materialization.  Off,
-  // whole-space queries always run the interpreted engine (the reference
-  // for differential tests); pointwise Holds always does.  Verdicts are
-  // byte-identical either way, at any thread count and memo-tier setting.
+  // modal root with no worker pool, where short-circuiting quantifiers beat
+  // eager plane materialization.  Off, whole-space queries run one
+  // sequential interpreted pass; pointwise Holds always does.  Verdicts are
+  // byte-identical either way, at any thread count.
   bool compiled_kernels = true;
 };
 
@@ -126,8 +109,8 @@ class KnowledgeEvaluator {
   // Truth at a computation given by value (must be in the space).
   bool Holds(const FormulaPtr& f, const Computation& x);
 
-  // Batch Holds: truth of `f` at every class id (1 = holds), evaluated over
-  // contiguous id ranges on the worker pool when num_threads > 1.
+  // Batch Holds: truth of `f` at every class id (1 = holds), read off the
+  // value plane of one whole-space pass.
   std::vector<std::uint8_t> HoldsAll(const FormulaPtr& f);
 
   // All class ids at which `f` holds, ascending.
@@ -141,7 +124,7 @@ class KnowledgeEvaluator {
   // the dense memo for every other root — so a batch of N related formulas
   // costs roughly one sweep plus N plane reads, not N sweeps.  Results are
   // byte-identical to calling SatisfyingSet per formula, at any thread
-  // count and memo-tier setting.  Null formulas throw; an empty batch
+  // count.  Null formulas throw; an empty batch
   // returns an empty vector.
   std::vector<std::vector<std::size_t>> SatisfyingSets(
       std::span<const FormulaPtr> formulas);
@@ -182,13 +165,11 @@ class KnowledgeEvaluator {
   void Refresh();
 
   // Exact number of (interned formula node, [D]-class) pairs whose verdict
-  // is memoized, i.e. the popcount of the shared "known" plane.  Parallel
-  // passes OR-merge every per-worker plane back into the shared one before
-  // returning, so the count is exact at any thread count — though its
-  // *value* may exceed the sequential one for the same queries, because
-  // racing workers can each (consistently) evaluate a subformula at classes
-  // where a single lazy sweep would have short-circuited.  Exposed for the
-  // perf benchmarks.
+  // is memoized, i.e. the popcount of the "known" plane.  Its value depends
+  // on the engine that answered: a kernel pass completes every plane it
+  // computes, while the lazy interpreter memoizes only the (node, id) pairs
+  // its short-circuiting quantifiers reached.  Exposed for the perf
+  // benchmarks.
   std::size_t memo_size() const noexcept;
 
   // Memo footprint and fill, split by tier: the dense (node, [D]-class)
@@ -225,9 +206,7 @@ class KnowledgeEvaluator {
     std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> members;
   };
 
-  // Dense memo planes.  The evaluator owns one shared instance per tier;
-  // parallel passes give each worker private copies seeded from them and
-  // OR-merge the copies back.
+  // Dense memo planes: `known` and `value` bits, node-major.
   struct MemoPlanes {
     std::vector<std::uint64_t> known;
     std::vector<std::uint64_t> value;
@@ -239,81 +218,44 @@ class KnowledgeEvaluator {
   // in `segments_`: multi-process Everyone lays out its [G]-aggregation row
   // first, then one singleton row per member in group ForEach order.
   // `group_tier` tags rows owned by multi-process nodes for the MemoStats
-  // split (a multi-Everyone's member rows belong to the group tier — they
-  // exist exactly when group_memo is on).
+  // split (a multi-Everyone's member rows belong to the group tier).
   struct BucketSegment {
     ProcessId process = 0;  // singleton rows only
     const ComputationSpace::GroupIndex* index = nullptr;  // group rows only
     bool group_tier = false;
-    std::uint32_t words = 0;          // ceil(classes-of-this-row / 64)
-    std::uint32_t shared_offset = 0;  // word offset in bucket_planes_
+    std::uint32_t words = 0;  // ceil(classes-of-this-row / 64)
   };
   static constexpr std::uint32_t kNoSegment = UINT32_MAX;
 
-  // Everything one evaluation pass needs to locate its memo state: the
-  // dense planes with their node -> row map, and the bucket planes with
-  // their segment -> word-offset map.  The shared context uses the identity
-  // maps; parallel passes use compact per-pass planes holding only the
-  // queried DAG's rows and segments.
-  struct EvalContext {
-    MemoPlanes& dense;
-    const std::vector<std::uint32_t>& rows;
-    MemoPlanes& bucket;
-    const std::vector<std::uint32_t>& seg_offset;
-  };
-
-  bool Eval(const Formula* f, std::size_t id, EvalContext& ctx);
+  bool Eval(const Formula* f, std::size_t id);
   // The projection-tier probe/sweep for segment `seg`: returns the memoized
   // verdict of `f`'s quantifier over the row's bucket of `id` (the
   // [p]-bucket of a singleton row, the [G]-bucket of a group row), sweeping
   // the bucket once on a miss.  Not used for the [G]-aggregation row of a
   // multi-process Everyone, which Eval fills from the member rows.
-  bool BucketVerdict(const Formula* f, std::uint32_t seg, std::size_t id,
-                     EvalContext& ctx);
+  bool BucketVerdict(const Formula* f, std::uint32_t seg, std::size_t id);
   std::uint32_t InternNode(const Formula* f);
   const ComponentIndex& Components(ProcessSet g);
   void BuildComponentRoots(ProcessSet g, std::vector<std::uint32_t>& root);
-  // Packed membership bits of Bucket(p, cls); built on first use and
-  // published with a pointer CAS so concurrent workers may race to build.
-  const std::vector<std::uint64_t>& BucketBits(ProcessId p, std::uint32_t cls);
-  // Calls fn(y) for every y with At(id) [set] y, while fn returns true.
-  // Picks between a scan of the smallest bucket and a word-parallel
-  // intersection of packed bucket bitsets.
-  template <typename Fn>
-  void ForEachRelated(std::size_t id, ProcessSet set, Fn&& fn);
 
-  // True when whole-space queries should use the worker pool.
+  // True when whole-space kernels and the CK union-find use the worker pool.
   bool UseParallel() const noexcept;
-  // True when whole-space queries should lower to compiled kernels.
-  bool UseKernels() const noexcept;
-  // True when whole-space queries answer from the memo planes (kernel or
-  // interpreted parallel engine) instead of a sequential lazy loop.
-  bool UsePlanes() const noexcept;
   internal::WorkerPool& Pool();
   // Whole-space dispatch: memoizes every root at every class id in the
-  // shared planes.  Three engines, in preference order: the compiled
-  // kernel executor when UseKernels() (which may refuse — compile failure
-  // or profitability, see the .cc), the interpreted per-worker-plane
-  // engine when UseParallel(), else one sequential lazy pass over the
-  // shared planes.
+  // planes.  Tries the compiled kernel executor (which may refuse — compile
+  // failure or profitability, see the .cc), else runs one sequential lazy
+  // pass.
   void EvaluateEverywhere(std::span<const Formula* const> roots);
-  // The kernel engine: compiles (or reuses) the program for this root-set
-  // and executes it over the shared planes.  Returns false when the DAG
-  // has a shape the compiler refuses or the program would lose to the
-  // lazy interpreter (a lone modal root, both memo tiers on, no worker
-  // pool); true once every root is whole-space memoized.
+  // The kernel engine: compiles (or reuses) the program for this set of
+  // incomplete roots and executes it over the planes.  Returns false when
+  // the DAG has a shape the compiler refuses or the program would lose to
+  // the lazy interpreter (a lone modal root, no worker pool); true once
+  // every root is whole-space memoized.
   bool EvaluateEverywhereKernel(std::span<const Formula* const> roots);
-  // The interpreted parallel engine: one sharded pass memoizes EVERY root
-  // at every class id against a combined DAG — shared subformulas get one
-  // compact worker-plane row each.  Roots already completed by earlier
-  // passes are skipped.
-  void EvaluateEverywhereParallel(std::span<const Formula* const> roots);
   // Canonicalizes f, runs the whole-space pass, and returns f's value
   // plane (one verdict bit per class id) — the shared preamble of every
-  // plane-backed whole-space query.  Requires UsePlanes().
+  // whole-space query.
   const std::uint64_t* EvaluatedValuePlane(const FormulaPtr& f);
-  // The shared-plane EvalContext (identity row/segment maps).
-  EvalContext SharedContext();
 
   const ComputationSpace& space_;
   std::size_t words_ = 0;  // bitset words per formula node: ceil(size/64)
@@ -321,36 +263,22 @@ class KnowledgeEvaluator {
   // against it to find the new-id range.
   std::size_t synced_size_ = 0;
   int num_threads_ = 1;
-  bool bucket_memo_ = true;
-  bool group_memo_ = true;
   bool compiled_kernels_ = true;
   std::unique_ptr<internal::WorkerPool> pool_;  // lazily created
 
   std::unordered_map<const Formula*, std::uint32_t> node_index_;
-  MemoPlanes planes_;        // the shared dense memo (identity row mapping)
-  std::vector<std::uint32_t> identity_rows_;  // rows[k] == k
+  MemoPlanes planes_;  // the dense (node, [D]-class) memo
   // Per node: 1 once a whole-space pass has memoized it at every class id,
   // so repeat whole-space queries skip straight to the plane reads.
   std::vector<char> node_complete_;
   // Projection tiers: per node, the index of its first segment in segments_
   // (kNoSegment when the node has no tier rows) and its segment count;
-  // segments and the shared bucket planes grow append-only at intern time.
+  // segments and the bucket planes grow append-only at intern time.
   std::vector<std::uint32_t> node_seg_begin_;
   std::vector<std::uint32_t> node_seg_count_;
   std::vector<BucketSegment> segments_;
-  std::vector<std::uint32_t> shared_seg_offset_;  // segments_[s].shared_offset
+  std::vector<std::uint32_t> seg_offset_;  // word offset in bucket_planes_
   MemoPlanes bucket_planes_;
-  // Per-worker scratch planes, persistent across parallel passes; each pass
-  // resizes them to the queried DAG's row/segment counts and reseeds from
-  // the shared memo, so their footprint is O(threads x |DAG| x words).
-  std::vector<MemoPlanes> worker_planes_;
-  std::vector<MemoPlanes> worker_bucket_planes_;
-
-  // bucket_bits_[p][cls]: packed members of Bucket(p, cls), null until
-  // first use; only buckets with >= kMinBucketForBits members are packed.
-  // Owned; freed in the destructor.
-  std::vector<std::vector<std::atomic<const std::vector<std::uint64_t>*>>>
-      bucket_bits_;
 
   // Component indexes keyed by group bits.
   std::unordered_map<std::uint64_t, ComponentIndex> components_;
@@ -361,10 +289,8 @@ class KnowledgeEvaluator {
   std::map<std::vector<std::uint32_t>, kernel::KernelProgram>
       kernel_programs_;
   // Executor scratch, persistent across runs: per-worker register-plane
-  // pools, a tier-row buffer for segment ops without memo rows, and the CK
-  // per-component verdict bits.
+  // pools and the CK per-component verdict bits.
   std::vector<std::vector<std::vector<std::uint64_t>>> kernel_worker_regs_;
-  std::vector<std::uint64_t> kernel_row_scratch_;
   std::vector<std::uint64_t> kernel_comp_scratch_;
 
   // Canonicalizes every queried formula and keeps the canonical nodes (and

@@ -31,15 +31,21 @@ RandomSystem::RandomSystem(const RandomSystemOptions& options)
         static_cast<ProcessId>(rng.Below(options.num_processes));
     auto to = static_cast<ProcessId>(rng.Below(options.num_processes - 1));
     if (to >= from) ++to;
-    scripts_[from].push_back(Send(from, to, m, "m" + std::to_string(m)));
+    std::string label = "m";
+    label += std::to_string(m);
+    scripts_[from].push_back(Send(from, to, m, std::move(label)));
   }
   for (ProcessId p = 0; p < options.num_processes; ++p) {
     for (int i = 0; i < options.internal_events; ++i) {
       // Insert internal events at random script positions.
       const auto pos = rng.Below(scripts_[p].size() + 1);
+      std::string label = "i";
+      label += std::to_string(p);
+      label += '_';
+      label += std::to_string(i);
       scripts_[p].insert(
           scripts_[p].begin() + static_cast<std::ptrdiff_t>(pos),
-          Internal(p, "i" + std::to_string(p) + "_" + std::to_string(i)));
+          Internal(p, std::move(label)));
     }
   }
 }

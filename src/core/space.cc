@@ -182,14 +182,6 @@ void ComputationSpace::InitColumns(const SegmentOptions& options) {
   succ_event_.Bind(s, "succe", sh);
 }
 
-void ComputationSpace::RequireFullyResident(const char* what) const {
-  if (store_->out_of_core())
-    throw ModelError(
-        std::string(what) +
-        ": raw-span access on an out-of-core store (a residency budget is "
-        "set, so spans could dangle across a trim); use the view API");
-}
-
 // Transient construction state retained between Build/Deepen/Ingest calls:
 // the event interner, the incremental projection-class maps, the live group
 // minters, and the BFS frontier arena — everything the one-shot BFS used to

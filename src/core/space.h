@@ -40,8 +40,7 @@
 // returns a BucketView, SuccessorsOf() a SuccessorRange, and Classes() a
 // SegmentCursor — each pins the segments it touches for its lifetime, so a
 // cooperative residency trim (TrimResidency) can never invalidate an
-// in-flight access.  Deprecated span shims (BucketSpan) remain for
-// out-of-tree code and fail loudly on an out-of-core store.
+// in-flight access.
 //
 // Per-process buckets group computations with equal projections, so the
 // [p]-equivalence classes are materialized and "for all y: x [P] y" becomes
@@ -239,18 +238,6 @@ class ComputationSpace {
     return BucketView(ids.data() + offsets.at(cls),
                       offsets.at(cls + 1) - offsets[cls],
                       internal::SegmentPin());
-  }
-
-  // DEPRECATED raw-span shim for out-of-tree callers of the pre-segment
-  // API.  Only valid on a fully resident store: throws ModelError when the
-  // space runs out-of-core (a raw span cannot pin its segment, so handing
-  // one out would dangle across a residency trim).  In-repo code uses
-  // Bucket()/BucketView.
-  [[deprecated("use Bucket(): BucketView pins its segment")]]
-  std::span<const std::uint32_t> BucketSpan(ProcessId p,
-                                            std::uint32_t cls) const {
-    RequireFullyResident("ComputationSpace::BucketSpan");
-    return Bucket(p, cls).span();
   }
 
   // One materialized [G]-class partition: the common refinement of the
@@ -558,10 +545,6 @@ class ComputationSpace {
   // Configures the segment store and binds every column to it.  Must run
   // after num_processes_ is set and before any column grows.
   void InitColumns(const SegmentOptions& options);
-
-  // Throws when the store runs out-of-core — the deprecated raw-span shims
-  // cannot pin, so they refuse rather than dangle.
-  void RequireFullyResident(const char* what) const;
 
   // Bucket size without materializing a view (offset subtraction).
   std::size_t BucketSize(ProcessId p, std::uint32_t cls) const {

@@ -136,7 +136,8 @@ class ProcessSet {
     bool first = true;
     ForEach([&](ProcessId p) {
       if (!first) out += ",";
-      out += "p" + std::to_string(p);
+      out += 'p';
+      out += std::to_string(p);
       first = false;
     });
     out += "}";

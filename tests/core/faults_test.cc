@@ -4,9 +4,11 @@
 // The differential contract mirrors the fault tentpole's acceptance
 // criterion: enumeration with failure patterns — and every knowledge verdict
 // over it, including the per-pattern [G]-queries of CommonAmongCorrect —
-// must be byte-identical across thread counts and memo tiers.
+// must be byte-identical across thread counts and engines, and match the
+// definitional ReferenceKnowledge oracle.
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -20,6 +22,7 @@
 #include "core/serialization.h"
 #include "core/space.h"
 #include "core/system.h"
+#include "reference_knowledge.h"
 
 namespace hpl {
 namespace {
@@ -239,8 +242,9 @@ TEST(FaultsTest, FaultyEnumerationIsByteIdenticalAcrossThreadsAndMemoTiers) {
   }
 
   // Verdict bytes: the per-pattern [G]-queries of the correct-process
-  // machinery answer identically at every (threads, bucket_memo,
-  // group_memo) combination.
+  // machinery match the definitional oracle — CK / E over each class's
+  // correct group, false where every process crashed — at every
+  // (threads, kernels) combination.
   const FailurePatternIndex index(reference);
   const FormulaPtr value0 =
       Formula::Atom(Predicate::DidInternal(0, "propose0"));
@@ -248,33 +252,30 @@ TEST(FaultsTest, FaultyEnumerationIsByteIdenticalAcrossThreadsAndMemoTiers) {
       Formula::Knows(1, value0),
       Formula::Everyone(ProcessSet::Of(1).Union(ProcessSet::Of(2)), value0));
 
-  std::vector<std::uint8_t> ck_ref, ek_ref;
-  std::vector<std::size_t> sat_ref;
-  bool first = true;
+  ReferenceKnowledge oracle(reference);
+  std::vector<std::uint8_t> ck_ref(reference.size()), ek_ref(reference.size());
+  std::map<std::uint64_t, std::pair<FormulaPtr, FormulaPtr>> per_pattern;
+  for (std::size_t id = 0; id < reference.size(); ++id) {
+    const ProcessSet correct = index.CorrectAt(id);
+    if (correct.IsEmpty()) continue;
+    auto [it, fresh] = per_pattern.try_emplace(correct.bits());
+    if (fresh)
+      it->second = {Formula::Common(correct, value0),
+                    Formula::Everyone(correct, value0)};
+    ck_ref[id] = oracle.Holds(it->second.first, id) ? 1 : 0;
+    ek_ref[id] = oracle.Holds(it->second.second, id) ? 1 : 0;
+  }
+  const std::vector<std::size_t> sat_ref = oracle.SatisfyingSet(mixed);
+
   for (const int threads : {1, 4}) {
-    for (const bool bucket_memo : {false, true}) {
-      for (const bool group_memo : {false, true}) {
-        KnowledgeEvaluator eval(reference,
-                                {.num_threads = threads,
-                                 .bucket_memo = bucket_memo,
-                                 .group_memo = group_memo});
-        const auto ck = CommonAmongCorrect(eval, index, value0);
-        const auto ek = EveryoneCorrectKnows(eval, index, value0);
-        const auto sat = eval.SatisfyingSet(mixed);
-        if (first) {
-          ck_ref = ck;
-          ek_ref = ek;
-          sat_ref = sat;
-          first = false;
-          continue;
-        }
-        const std::string config = "threads=" + std::to_string(threads) +
-                                   " bucket=" + std::to_string(bucket_memo) +
-                                   " group=" + std::to_string(group_memo);
-        EXPECT_EQ(ck, ck_ref) << config;
-        EXPECT_EQ(ek, ek_ref) << config;
-        EXPECT_EQ(sat, sat_ref) << config;
-      }
+    for (const bool kernels : {false, true}) {
+      KnowledgeEvaluator eval(
+          reference, {.num_threads = threads, .compiled_kernels = kernels});
+      const std::string config = "threads=" + std::to_string(threads) +
+                                 " kernels=" + std::to_string(kernels);
+      EXPECT_EQ(CommonAmongCorrect(eval, index, value0), ck_ref) << config;
+      EXPECT_EQ(EveryoneCorrectKnows(eval, index, value0), ek_ref) << config;
+      EXPECT_EQ(eval.SatisfyingSet(mixed), sat_ref) << config;
     }
   }
 }

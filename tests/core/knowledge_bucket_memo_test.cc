@@ -1,10 +1,11 @@
-// Determinism contract of the projection-class memo tier
-// (KnowledgeOptions::bucket_memo): for singleton-group Knows / Sure /
-// Possible and for Everyone, the verdict is constant per [p]-bucket, so
-// memoizing per (node, [p]-class) and sweeping each bucket once must
-// reproduce the memo-off engine byte for byte — satisfying sets, batch
-// Holds, pointwise Holds, and CK component labels — at 1 and 4 worker
-// threads, on a canonicalized space and a lockstep (non-canonicalized) one.
+// Correctness contract of the projection-class memo tier: for
+// singleton-group Knows / Sure / Possible and for Everyone, the verdict is
+// constant per [p]-bucket, so memoizing per (node, [p]-class) and sweeping
+// each bucket once must reproduce the paper's definitions byte for byte —
+// satisfying sets, batch Holds, pointwise Holds, and CK component labels,
+// checked against the independent ReferenceKnowledge oracle — at 1 and 4
+// worker threads, kernels off and on, on a canonicalized space and a
+// lockstep (non-canonicalized) one.
 #include <gtest/gtest.h>
 
 #include <span>
@@ -13,6 +14,7 @@
 #include "core/knowledge.h"
 #include "core/random_system.h"
 #include "protocols/lockstep.h"
+#include "reference_knowledge.h"
 
 namespace hpl {
 namespace {
@@ -32,7 +34,7 @@ std::vector<FormulaPtr> TierFormulas(const ComputationSpace& space,
       Formula::Everyone(all, Formula::Knows(ProcessSet{0}, a)),
       Formula::Not(Formula::Sure(ProcessSet{0}, a)),
       // ... and mixed with nodes this tier does not cover (multi-process
-      // groups — the [G]-tier's domain, see knowledge_group_memo_test —
+      // groups — the [G]-tier's domain, see KnowledgeGroupMemoTest —
       // and CK), which must keep their own paths intact.
       Formula::Knows(all, a),
       Formula::Common(all, a),
@@ -42,28 +44,33 @@ std::vector<FormulaPtr> TierFormulas(const ComputationSpace& space,
 }
 
 void ExpectTierInvariant(const ComputationSpace& space, const Predicate& atom) {
+  ReferenceKnowledge reference(space);
   for (int threads : {1, 4}) {
-    KnowledgeEvaluator memo_off(
-        space, {.num_threads = threads, .bucket_memo = false});
-    KnowledgeEvaluator memo_on(
-        space, {.num_threads = threads, .bucket_memo = true});
-    for (const FormulaPtr& f : TierFormulas(space, atom)) {
-      ASSERT_EQ(memo_off.SatisfyingSet(f), memo_on.SatisfyingSet(f))
-          << f->ToString() << " at " << threads << " threads";
-      ASSERT_EQ(memo_off.HoldsAll(f), memo_on.HoldsAll(f)) << f->ToString();
-      for (std::size_t id = 0; id < space.size(); id += 17)
-        ASSERT_EQ(memo_off.Holds(f, id), memo_on.Holds(f, id))
-            << f->ToString() << " at " << id;
+    for (bool kernels : {false, true}) {
+      KnowledgeEvaluator eval(
+          space, {.num_threads = threads, .compiled_kernels = kernels});
+      for (const FormulaPtr& f : TierFormulas(space, atom)) {
+        ASSERT_EQ(eval.SatisfyingSet(f), reference.SatisfyingSet(f))
+            << f->ToString() << " at " << threads
+            << " threads, kernels=" << kernels;
+        ASSERT_EQ(eval.HoldsAll(f), reference.HoldsAll(f)) << f->ToString();
+      }
+      // Pointwise probes on a cold evaluator take the lazy interpreter.
+      KnowledgeEvaluator cold(
+          space, {.num_threads = threads, .compiled_kernels = kernels});
+      for (const FormulaPtr& f : TierFormulas(space, atom))
+        for (std::size_t id = 0; id < space.size(); id += 17)
+          ASSERT_EQ(cold.Holds(f, id), reference.Holds(f, id))
+              << f->ToString() << " at " << id;
+      const ProcessSet all = space.AllProcesses();
+      for (std::size_t id = 0; id < space.size(); ++id)
+        ASSERT_EQ(eval.CommonComponent(all, id),
+                  reference.CommonComponent(all, id))
+            << "component of " << id;
+      // The tier actually engaged.
+      EXPECT_GT(eval.MemoryUsage().bucket_entries, 0u);
+      EXPECT_GT(cold.MemoryUsage().bucket_entries, 0u);
     }
-    const ProcessSet all = space.AllProcesses();
-    for (std::size_t id = 0; id < space.size(); ++id)
-      ASSERT_EQ(memo_off.CommonComponent(all, id),
-                memo_on.CommonComponent(all, id))
-          << "component of " << id;
-    // The tier actually engaged: bucket entries exist only when it is on.
-    EXPECT_GT(memo_on.MemoryUsage().bucket_entries, 0u);
-    EXPECT_EQ(memo_off.MemoryUsage().bucket_entries, 0u);
-    EXPECT_EQ(memo_off.MemoryUsage().bytes_bucket, 0u);
   }
 }
 

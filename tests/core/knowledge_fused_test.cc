@@ -1,7 +1,8 @@
 // Fused multi-formula sweeps: KnowledgeEvaluator::SatisfyingSets must
 // return, for any batch, exactly what per-formula SatisfyingSet calls
-// return — at any thread count, under any memo-tier knobs, with shared
-// subformulas, duplicate formulas, and warm or cold memo planes.
+// return, and what the independent ReferenceKnowledge oracle says — at any
+// thread count, kernels on or off, with shared subformulas, duplicate
+// formulas, and warm or cold memo planes.
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include "core/knowledge.h"
 #include "core/random_system.h"
 #include "protocols/token_bus.h"
+#include "reference_knowledge.h"
 
 namespace hpl {
 namespace {
@@ -43,20 +45,26 @@ TEST(KnowledgeFusedTest, MatchesPerFormulaSweeps) {
   ASSERT_GE(space.size(), 128u)
       << "space too small to exercise the parallel path";
   const auto batch = SampleBatch();
+  ReferenceKnowledge reference(space);
+  std::vector<std::vector<std::size_t>> expected;
+  for (const FormulaPtr& f : batch)
+    expected.push_back(reference.SatisfyingSet(f));
   for (const int threads : {1, 4}) {
-    for (const bool bucket_memo : {false, true}) {
+    for (const bool kernels : {false, true}) {
       KnowledgeOptions options;
       options.num_threads = threads;
-      options.bucket_memo = bucket_memo;
-      // Reference: a fresh evaluator per formula, so nothing is shared.
-      std::vector<std::vector<std::size_t>> expected;
-      for (const FormulaPtr& f : batch) {
-        KnowledgeEvaluator reference(space, options);
-        expected.push_back(reference.SatisfyingSet(f));
+      options.compiled_kernels = kernels;
+      // Per-formula sweeps: a fresh evaluator per formula, so nothing is
+      // shared.
+      for (std::size_t k = 0; k < batch.size(); ++k) {
+        KnowledgeEvaluator single(space, options);
+        EXPECT_EQ(single.SatisfyingSet(batch[k]), expected[k])
+            << batch[k]->ToString() << " threads=" << threads
+            << " kernels=" << kernels;
       }
       KnowledgeEvaluator fused(space, options);
       EXPECT_EQ(fused.SatisfyingSets(batch), expected)
-          << "threads=" << threads << " bucket=" << bucket_memo;
+          << "threads=" << threads << " kernels=" << kernels;
     }
   }
 }

@@ -1,12 +1,13 @@
-// Determinism contract of the [G]-class memo tier
-// (KnowledgeOptions::group_memo): for multi-process Knows / Sure / Possible
-// the quantifier ranges exactly over the [G]-bucket, and Everyone's
-// conjunction is constant on the [G]-class, so memoizing per
-// (node, [G]-class) — and building CK components over contracted
-// [G]-classes — must reproduce the tier-off engine byte for byte:
-// satisfying sets, batch Holds, pointwise Holds, and CK component labels,
-// at 1 and 4 worker threads, on a canonicalized space and a lockstep
-// (non-canonicalized) one, including nested Everyone(G, Knows(p, f)).
+// Correctness contract of the [G]-class memo tier: for multi-process
+// Knows / Sure / Possible the quantifier ranges exactly over the
+// [G]-bucket, and Everyone's conjunction is constant on the [G]-class, so
+// memoizing per (node, [G]-class) — and building CK components over
+// contracted [G]-classes — must reproduce the paper's definitions byte for
+// byte: satisfying sets, batch Holds, pointwise Holds, and CK component
+// labels, checked against the independent ReferenceKnowledge oracle at 1
+// and 4 worker threads, kernels off and on, on a canonicalized space and a
+// lockstep (non-canonicalized) one, including nested
+// Everyone(G, Knows(p, f)).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -14,6 +15,7 @@
 #include "core/knowledge.h"
 #include "core/random_system.h"
 #include "protocols/lockstep.h"
+#include "reference_knowledge.h"
 
 namespace hpl {
 namespace {
@@ -47,31 +49,36 @@ std::vector<FormulaPtr> GroupTierFormulas(const ComputationSpace& space,
 
 void ExpectGroupTierInvariant(const ComputationSpace& space,
                               const Predicate& atom) {
+  ReferenceKnowledge reference(space);
   for (int threads : {1, 4}) {
-    KnowledgeEvaluator memo_off(
-        space, {.num_threads = threads, .group_memo = false});
-    KnowledgeEvaluator memo_on(
-        space, {.num_threads = threads, .group_memo = true});
-    for (const FormulaPtr& f : GroupTierFormulas(space, atom)) {
-      ASSERT_EQ(memo_off.SatisfyingSet(f), memo_on.SatisfyingSet(f))
-          << f->ToString() << " at " << threads << " threads";
-      ASSERT_EQ(memo_off.HoldsAll(f), memo_on.HoldsAll(f)) << f->ToString();
-      for (std::size_t id = 0; id < space.size(); id += 17)
-        ASSERT_EQ(memo_off.Holds(f, id), memo_on.Holds(f, id))
-            << f->ToString() << " at " << id;
+    for (bool kernels : {false, true}) {
+      KnowledgeEvaluator eval(
+          space, {.num_threads = threads, .compiled_kernels = kernels});
+      for (const FormulaPtr& f : GroupTierFormulas(space, atom)) {
+        ASSERT_EQ(eval.SatisfyingSet(f), reference.SatisfyingSet(f))
+            << f->ToString() << " at " << threads
+            << " threads, kernels=" << kernels;
+        ASSERT_EQ(eval.HoldsAll(f), reference.HoldsAll(f)) << f->ToString();
+      }
+      // Pointwise probes on a cold evaluator take the lazy interpreter.
+      KnowledgeEvaluator cold(
+          space, {.num_threads = threads, .compiled_kernels = kernels});
+      for (const FormulaPtr& f : GroupTierFormulas(space, atom))
+        for (std::size_t id = 0; id < space.size(); id += 17)
+          ASSERT_EQ(cold.Holds(f, id), reference.Holds(f, id))
+              << f->ToString() << " at " << id;
+      // CK components: the [G]-contracted union-find must produce the
+      // smallest-member labels of the reference union-find over
+      // [p]-classes, for the full group and a pair.
+      for (ProcessSet g : {space.AllProcesses(), ProcessSet{0, 1}})
+        for (std::size_t id = 0; id < space.size(); ++id)
+          ASSERT_EQ(eval.CommonComponent(g, id),
+                    reference.CommonComponent(g, id))
+              << "component of " << id << " at " << threads << " threads";
+      // The tier actually engaged.
+      EXPECT_GT(eval.MemoryUsage().group_entries, 0u);
+      EXPECT_GT(cold.MemoryUsage().group_entries, 0u);
     }
-    // CK components: the [G]-contracted union-find must produce the exact
-    // smallest-member labels of the per-id build, for the full group and a
-    // pair.
-    for (ProcessSet g : {space.AllProcesses(), ProcessSet{0, 1}})
-      for (std::size_t id = 0; id < space.size(); ++id)
-        ASSERT_EQ(memo_off.CommonComponent(g, id),
-                  memo_on.CommonComponent(g, id))
-            << "component of " << id << " at " << threads << " threads";
-    // The tier actually engaged: [G]-rows fill only when it is on.
-    EXPECT_GT(memo_on.MemoryUsage().group_entries, 0u);
-    EXPECT_EQ(memo_off.MemoryUsage().group_entries, 0u);
-    EXPECT_EQ(memo_off.MemoryUsage().bytes_group, 0u);
   }
 }
 
@@ -98,8 +105,9 @@ TEST(KnowledgeGroupMemoTest, LockstepSpaceIsTierInvariant) {
 }
 
 TEST(KnowledgeGroupMemoTest, SequentialAndParallelEnginesAgreeWithTierOn) {
-  // The per-worker-plane engine must carry compact [G]-rows exactly like
-  // [p]-rows: 4-thread results equal the 1-thread engine's, tier on.
+  // Sharded kernel passes must fill [G]-rows exactly like [p]-rows: the
+  // 4-thread kernels, the 1-thread kernels, and the sequential interpreter
+  // all match the reference.
   RandomSystemOptions options;
   options.num_processes = 4;
   options.num_messages = 4;
@@ -108,6 +116,9 @@ TEST(KnowledgeGroupMemoTest, SequentialAndParallelEnginesAgreeWithTierOn) {
   RandomSystem system(options);
   const auto space = ComputationSpace::Enumerate(system, {.max_depth = 32});
   ASSERT_GT(space.size(), 1000u);
+  ReferenceKnowledge reference(space);
+  KnowledgeEvaluator interpreted(
+      space, {.num_threads = 1, .compiled_kernels = false});
   KnowledgeEvaluator seq(space, {.num_threads = 1});
   KnowledgeEvaluator par(space, {.num_threads = 4});
   const FormulaPtr atom = Formula::Atom(Predicate::CountOnAtLeast(0, 2));
@@ -116,7 +127,10 @@ TEST(KnowledgeGroupMemoTest, SequentialAndParallelEnginesAgreeWithTierOn) {
         Formula::Everyone(ProcessSet{1, 2, 3}, atom),
         Formula::Everyone(ProcessSet{0, 1},
                           Formula::Knows(ProcessSet{2}, atom))}) {
-    ASSERT_EQ(seq.SatisfyingSet(f), par.SatisfyingSet(f)) << f->ToString();
+    const auto expected = reference.SatisfyingSet(f);
+    ASSERT_EQ(interpreted.SatisfyingSet(f), expected) << f->ToString();
+    ASSERT_EQ(seq.SatisfyingSet(f), expected) << f->ToString();
+    ASSERT_EQ(par.SatisfyingSet(f), expected) << f->ToString();
   }
 }
 

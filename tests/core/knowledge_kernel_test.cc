@@ -1,13 +1,13 @@
 // Differential contract of the compiled kernel engine: with
 // KnowledgeOptions::compiled_kernels on, every whole-space query must
-// reproduce the interpreted engine's verdicts byte for byte — across memo
-// tiers (off / bucket-only / full), thread counts, and the sequential
-// engine — on canonicalized, lockstep (literal interleaving), and
-// crash-fault spaces; for single sweeps and fused SatisfyingSets batches;
-// and across Refresh() after Deepen/Ingest, which must invalidate the
-// kernel program cache.  The profitability dispatch (a lone modal root with
-// both memo tiers on and no pool stays on the lazy interpreter) is pinned
-// by LoneModalRootStaysOnInterpreter.
+// reproduce the paper's definitions (the independent ReferenceKnowledge
+// oracle) byte for byte, as the interpreted engine must with kernels off —
+// at 1 and 4 threads — on canonicalized, lockstep (literal interleaving),
+// and crash-fault spaces; for single sweeps and fused SatisfyingSets
+// batches; and across Refresh() after Deepen/Ingest, which must invalidate
+// the kernel program cache.  The profitability dispatch (a lone modal root
+// with no pool stays on the lazy interpreter) is pinned by
+// LoneModalRootStaysOnInterpreter.
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -20,37 +20,21 @@
 #include "core/random_system.h"
 #include "protocols/lockstep.h"
 #include "protocols/token_bus.h"
+#include "reference_knowledge.h"
 
 namespace hpl {
 namespace {
 
-struct TierConfig {
-  bool bucket_memo;
-  bool group_memo;
-};
-
-constexpr TierConfig kTiers[] = {
-    {false, false},  // memo off: scratch-row sweeps everywhere
-    {true, false},   // bucket tier only
-    {true, true},    // full
-};
-
-KnowledgeOptions Config(int threads, TierConfig tier, bool kernels) {
-  KnowledgeOptions options;
-  options.num_threads = threads;
-  options.bucket_memo = tier.bucket_memo;
-  options.group_memo = tier.group_memo;
-  options.compiled_kernels = kernels;
-  return options;
+KnowledgeOptions Config(int threads, bool kernels) {
+  return {.num_threads = threads, .compiled_kernels = kernels};
 }
 
 // The battery covers every op the compiler emits: deep pure-boolean DAGs
 // (the fused pointwise mode), singleton and group modalities (kKnowSeg with
-// each quantifier), multi-process Everyone (kEveryoneSeg with and without
-// tier rows), common knowledge (kCkComponent), compile-time local-formula
-// folds (modal child constant on the operator's view), runtime constant
-// folds (tautological children), and the empty-group compile refusal that
-// falls back to the interpreter.
+// each quantifier), multi-process Everyone (kEveryoneSeg), common knowledge
+// (kCkComponent), compile-time local-formula folds (modal child constant on
+// the operator's view), runtime constant folds (tautological children), and
+// the empty-group compile refusal that falls back to the interpreter.
 std::vector<FormulaPtr> KernelFormulas(const FormulaPtr& a,
                                        const FormulaPtr& b, ProcessSet all) {
   const ProcessSet pair = ProcessSet::Of(0).Union(ProcessSet::Of(1));
@@ -90,28 +74,23 @@ std::vector<FormulaPtr> KernelFormulas(const FormulaPtr& a,
 void ExpectKernelsMatchInterpreter(const ComputationSpace& space,
                                    const FormulaPtr& a, const FormulaPtr& b) {
   const auto battery = KernelFormulas(a, b, space.AllProcesses());
-  // Reference: the sequential interpreted engine, full memo tiers.
-  KnowledgeEvaluator reference(space, Config(1, kTiers[2], false));
-  for (const TierConfig tier : kTiers) {
-    for (const int threads : {1, 4}) {
-      KnowledgeEvaluator interpreted(space, Config(threads, tier, false));
-      KnowledgeEvaluator kernels(space, Config(threads, tier, true));
-      for (const FormulaPtr& f : battery) {
-        const auto expected = reference.SatisfyingSet(f);
-        ASSERT_EQ(interpreted.SatisfyingSet(f), expected)
-            << "interpreted diverged: " << f->ToString() << " threads="
-            << threads << " bucket=" << tier.bucket_memo
-            << " group=" << tier.group_memo;
-        ASSERT_EQ(kernels.SatisfyingSet(f), expected)
-            << "kernels diverged: " << f->ToString() << " threads=" << threads
-            << " bucket=" << tier.bucket_memo << " group=" << tier.group_memo;
-        ASSERT_EQ(kernels.HoldsAll(f), interpreted.HoldsAll(f))
-            << f->ToString();
-      }
-      // Locality/constancy decisions ride the same planes.
-      ASSERT_EQ(kernels.IsConstant(battery[1]),
-                reference.IsConstant(battery[1]));
-      ASSERT_EQ(kernels.IsLocalTo(a, ProcessSet::Of(0)),
+  ReferenceKnowledge reference(space);
+  for (const int threads : {1, 4}) {
+    KnowledgeEvaluator interpreted(space, Config(threads, false));
+    KnowledgeEvaluator kernels(space, Config(threads, true));
+    for (const FormulaPtr& f : battery) {
+      const auto expected = reference.SatisfyingSet(f);
+      ASSERT_EQ(interpreted.SatisfyingSet(f), expected)
+          << "interpreted diverged: " << f->ToString()
+          << " threads=" << threads;
+      ASSERT_EQ(kernels.SatisfyingSet(f), expected)
+          << "kernels diverged: " << f->ToString() << " threads=" << threads;
+      ASSERT_EQ(kernels.HoldsAll(f), reference.HoldsAll(f)) << f->ToString();
+    }
+    // Locality/constancy decisions ride the same planes.
+    for (KnowledgeEvaluator* eval : {&interpreted, &kernels}) {
+      ASSERT_EQ(eval->IsConstant(battery[1]), reference.IsConstant(battery[1]));
+      ASSERT_EQ(eval->IsLocalTo(a, ProcessSet::Of(0)),
                 reference.IsLocalTo(a, ProcessSet::Of(0)));
     }
   }
@@ -163,17 +142,17 @@ TEST(KnowledgeKernelTest, FusedBatchesAreByteIdentical) {
                      Formula::Atom(Predicate::Received(0)),
                      space.AllProcesses());
   const std::span<const FormulaPtr> span(batch.data(), batch.size());
-  for (const TierConfig tier : kTiers) {
-    for (const int threads : {1, 4}) {
-      KnowledgeEvaluator interpreted(space, Config(threads, tier, false));
-      KnowledgeEvaluator kernels(space, Config(threads, tier, true));
-      const auto expected = interpreted.SatisfyingSets(span);
-      const auto got = kernels.SatisfyingSets(span);
-      ASSERT_EQ(got, expected)
-          << "threads=" << threads << " bucket=" << tier.bucket_memo
-          << " group=" << tier.group_memo;
+  ReferenceKnowledge reference(space);
+  std::vector<std::vector<std::size_t>> expected;
+  for (const FormulaPtr& f : batch)
+    expected.push_back(reference.SatisfyingSet(f));
+  for (const int threads : {1, 4}) {
+    for (const bool use_kernels : {false, true}) {
+      KnowledgeEvaluator eval(space, Config(threads, use_kernels));
+      ASSERT_EQ(eval.SatisfyingSets(span), expected)
+          << "threads=" << threads << " kernels=" << use_kernels;
       // A repeat batch hits completed planes and the program cache.
-      ASSERT_EQ(kernels.SatisfyingSets(span), expected);
+      ASSERT_EQ(eval.SatisfyingSets(span), expected);
     }
   }
 }
@@ -187,15 +166,19 @@ TEST(KnowledgeKernelTest, PointwiseHoldsInterleavesWithKernelSweeps) {
       ProcessSet::Of(0),
       Formula::Or(Formula::Atom(Predicate::Sent(0)),
                   Formula::Atom(Predicate::Received(1))));
-  KnowledgeEvaluator interpreted(space, Config(1, kTiers[2], false));
-  KnowledgeEvaluator kernels(space, Config(1, kTiers[2], true));
+  ReferenceKnowledge reference(space);
+  // 4 threads: a lone modal root compiles only with a worker pool (the
+  // profitability dispatch keeps it on the interpreter otherwise).
+  ASSERT_GE(space.size(), 128u);
+  KnowledgeEvaluator kernels(space, Config(4, true));
   // Pointwise probes seed partial memo bits; the kernel sweep must respect
   // and complete them, and pointwise probes after it must hit the planes.
   for (const std::size_t id : {std::size_t{0}, space.size() / 2})
-    ASSERT_EQ(kernels.Holds(f, id), interpreted.Holds(f, id));
-  ASSERT_EQ(kernels.SatisfyingSet(f), interpreted.SatisfyingSet(f));
+    ASSERT_EQ(kernels.Holds(f, id), reference.Holds(f, id));
+  ASSERT_EQ(kernels.SatisfyingSet(f), reference.SatisfyingSet(f));
+  EXPECT_EQ(kernels.MemoryUsage().kernel_programs, 1u);
   for (std::size_t id = 0; id < space.size(); ++id)
-    ASSERT_EQ(kernels.Holds(f, id), interpreted.Holds(f, id)) << id;
+    ASSERT_EQ(kernels.Holds(f, id), reference.Holds(f, id)) << id;
 }
 
 TEST(KnowledgeKernelTest, StructurallyEqualFormulasShareOneProgram) {
@@ -203,9 +186,9 @@ TEST(KnowledgeKernelTest, StructurallyEqualFormulasShareOneProgram) {
   options.seed = 11;
   RandomSystem system(options);
   const auto space = ComputationSpace::Enumerate(system, {.max_depth = 24});
-  // Memo-off tier: a lone modal root with both tiers on would stay on the
-  // lazy interpreter (profitability dispatch) and never compile.
-  KnowledgeEvaluator eval(space, Config(1, kTiers[0], true));
+  // A two-root batch: a lone modal root without a worker pool would stay on
+  // the lazy interpreter (profitability dispatch) and never compile.
+  KnowledgeEvaluator eval(space, Config(1, true));
   // Two structurally equal roots built by different code paths: the
   // interner must collapse them onto one node, one sweep, one program.
   auto build = [] {
@@ -213,7 +196,10 @@ TEST(KnowledgeKernelTest, StructurallyEqualFormulasShareOneProgram) {
                           Formula::And(Formula::Atom(Predicate::Sent(0)),
                                        Formula::Atom(Predicate::Received(1))));
   };
-  const auto first = eval.SatisfyingSet(build());
+  const std::vector<FormulaPtr> batch = {
+      build(), Formula::Atom(Predicate::Received(0))};
+  const auto first =
+      eval.SatisfyingSets(std::span<const FormulaPtr>(batch.data(), 2))[0];
   const auto stats_after_first = eval.MemoryUsage();
   ASSERT_GT(stats_after_first.kernel_programs, 0u);
   EXPECT_EQ(eval.SatisfyingSet(build()), first);
@@ -234,25 +220,27 @@ TEST(KnowledgeKernelTest, RefreshAfterDeepenInvalidatesProgramCache) {
   limits.max_depth = 4;
   limits.allow_truncation = true;
   builder.Build(bus, limits);
-  // Memo-off tier so the lone modal root compiles (see the profitability
-  // dispatch); the cache-invalidation contract is tier-independent.
-  KnowledgeEvaluator eval(builder.space(), Config(1, kTiers[0], true));
+  KnowledgeEvaluator eval(builder.space(), Config(1, true));
   const FormulaPtr f = Formula::Knows(
       ProcessSet::Of(0),
       Formula::Or(Formula::Atom(bus.HoldsToken(0)),
                   Formula::Atom(bus.HoldsToken(2))));
-  eval.SatisfyingSet(f);
+  // A two-root batch so the modal root compiles (see the profitability
+  // dispatch); the cache-invalidation contract is batch-independent.
+  const std::vector<FormulaPtr> batch = {f, Formula::Atom(bus.HoldsToken(1))};
+  const std::span<const FormulaPtr> span(batch.data(), batch.size());
+  eval.SatisfyingSets(span);
   ASSERT_GT(eval.MemoryUsage().kernel_programs, 0u);
 
   ASSERT_GT(builder.Deepen(1), 0u);
   eval.Refresh();
   EXPECT_EQ(eval.MemoryUsage().kernel_programs, 0u);
 
-  KnowledgeEvaluator fresh(builder.space(), Config(1, kTiers[0], true));
-  KnowledgeEvaluator interpreted(builder.space(), Config(1, kTiers[0], false));
-  const auto expected = interpreted.SatisfyingSet(f);
-  EXPECT_EQ(eval.SatisfyingSet(f), expected);
-  EXPECT_EQ(fresh.SatisfyingSet(f), expected);
+  KnowledgeEvaluator fresh(builder.space(), Config(1, true));
+  ReferenceKnowledge reference(builder.space());
+  const auto expected = reference.SatisfyingSet(f);
+  EXPECT_EQ(eval.SatisfyingSets(span)[0], expected);
+  EXPECT_EQ(fresh.SatisfyingSets(span)[0], expected);
   EXPECT_GT(eval.MemoryUsage().kernel_programs, 0u);  // recompiled
 }
 
@@ -263,11 +251,13 @@ TEST(KnowledgeKernelTest, RefreshAfterIngestInvalidatesProgramCache) {
   limits.max_depth = 3;
   limits.allow_truncation = true;
   builder.Build(bus, limits);
-  KnowledgeEvaluator eval(builder.space(), Config(1, kTiers[0], true));
+  KnowledgeEvaluator eval(builder.space(), Config(1, true));
   const FormulaPtr f =
       Formula::Everyone(ProcessSet::Of(0).Union(ProcessSet::Of(1)),
                         Formula::Atom(bus.HoldsToken(0)));
-  eval.SatisfyingSet(f);
+  const std::vector<FormulaPtr> batch = {f, Formula::Atom(bus.HoldsToken(1))};
+  const std::span<const FormulaPtr> span(batch.data(), batch.size());
+  eval.SatisfyingSets(span);
   ASSERT_GT(eval.MemoryUsage().kernel_programs, 0u);
 
   // Splice the system's lexicographically-first run, two levels past the
@@ -283,13 +273,14 @@ TEST(KnowledgeKernelTest, RefreshAfterIngestInvalidatesProgramCache) {
 
   eval.Refresh();
   EXPECT_EQ(eval.MemoryUsage().kernel_programs, 0u);
-  KnowledgeEvaluator interpreted(builder.space(), Config(1, kTiers[0], false));
-  EXPECT_EQ(eval.SatisfyingSet(f), interpreted.SatisfyingSet(f));
+  ReferenceKnowledge reference(builder.space());
+  EXPECT_EQ(eval.SatisfyingSets(span)[0], reference.SatisfyingSet(f));
+  EXPECT_GT(eval.MemoryUsage().kernel_programs, 0u);  // recompiled
 }
 
-// The profitability dispatch: with both memo tiers on and no worker pool, a
-// lone modal root stays on the lazy interpreter (no program compiles), while
-// pure-boolean roots, fused batches, and memo-off sweeps use the kernel.
+// The profitability dispatch: with no worker pool, a lone modal root stays on
+// the lazy interpreter (no program compiles), while pure-boolean roots,
+// fused batches, and sweeps with a worker pool use the kernel.
 TEST(KnowledgeKernelTest, LoneModalRootStaysOnInterpreter) {
   RandomSystemOptions options;
   options.seed = 17;
@@ -298,23 +289,28 @@ TEST(KnowledgeKernelTest, LoneModalRootStaysOnInterpreter) {
   const FormulaPtr atom = Formula::Atom(Predicate::Sent(0));
   const FormulaPtr modal = Formula::Knows(ProcessSet::Of(0), atom);
 
-  KnowledgeEvaluator lazy(space, Config(1, kTiers[2], true));
+  KnowledgeEvaluator lazy(space, Config(1, true));
   lazy.SatisfyingSet(modal);
   EXPECT_EQ(lazy.MemoryUsage().kernel_programs, 0u);
 
-  KnowledgeEvaluator boolean(space, Config(1, kTiers[2], true));
+  KnowledgeEvaluator boolean(space, Config(1, true));
   boolean.SatisfyingSet(Formula::And(atom, Formula::Not(atom)));
   EXPECT_EQ(boolean.MemoryUsage().kernel_programs, 1u);
 
-  KnowledgeEvaluator fused(space, Config(1, kTiers[2], true));
+  KnowledgeEvaluator fused(space, Config(1, true));
   const std::vector<FormulaPtr> batch = {modal,
                                          Formula::Sure(ProcessSet::Of(1), atom)};
   fused.SatisfyingSets(std::span<const FormulaPtr>(batch.data(), batch.size()));
   EXPECT_EQ(fused.MemoryUsage().kernel_programs, 1u);
 
-  KnowledgeEvaluator memo_off(space, Config(1, kTiers[0], true));
-  memo_off.SatisfyingSet(modal);
-  EXPECT_EQ(memo_off.MemoryUsage().kernel_programs, 1u);
+  ASSERT_GE(space.size(), 128u);  // the worker-pool threshold
+  KnowledgeEvaluator pooled(space, Config(4, true));
+  pooled.SatisfyingSet(modal);
+  EXPECT_EQ(pooled.MemoryUsage().kernel_programs, 1u);
+
+  ReferenceKnowledge reference(space);
+  EXPECT_EQ(lazy.SatisfyingSet(modal), reference.SatisfyingSet(modal));
+  EXPECT_EQ(pooled.SatisfyingSet(modal), reference.SatisfyingSet(modal));
 }
 
 }  // namespace

@@ -1,28 +1,16 @@
-// Differential check of the evaluator's bitset fast paths against a
-// brute-force bottom-up evaluation over the whole space.  Exercises nested
-// multi-process Knows on a space large enough that the packed-bucket
-// intersection path (buckets >= 64 members) actually runs — a regression
-// guard for re-entrancy bugs in the word-parallel iteration.
+// Differential check of nested multi-process Knows against the
+// definitional ReferenceKnowledge oracle.  The space is large enough that
+// [G]-bucket sweeps of the outer modality recurse into sweeps of the inner
+// one over buckets of 64+ members — a regression guard for re-entrancy bugs
+// in the lazy interpreter's tier rows, which pointwise Holds exercises.
 #include <gtest/gtest.h>
 
 #include "core/knowledge.h"
 #include "core/random_system.h"
+#include "reference_knowledge.h"
 
 namespace hpl {
 namespace {
-
-// sat[id] of "K{P} g" from sat[id] of g, straight from the definition.
-std::vector<bool> BruteKnows(const ComputationSpace& space, ProcessSet p,
-                             const std::vector<bool>& sub) {
-  std::vector<bool> out(space.size());
-  for (std::size_t x = 0; x < space.size(); ++x) {
-    bool all = true;
-    for (std::size_t y = 0; y < space.size() && all; ++y)
-      if (space.Isomorphic(x, y, p) && !sub[y]) all = false;
-    out[x] = all;
-  }
-  return out;
-}
 
 TEST(KnowledgeNestedTest, NestedMultiProcessKnowsMatchesBruteForce) {
   RandomSystemOptions options;
@@ -34,8 +22,8 @@ TEST(KnowledgeNestedTest, NestedMultiProcessKnowsMatchesBruteForce) {
   auto space = ComputationSpace::Enumerate(system, {.max_depth = 32});
   ASSERT_GT(space.size(), 500u);
 
-  // Confirm the word-parallel path is reachable: some multi-process bucket
-  // pair where the smallest bucket has >= 64 members.
+  // Confirm the sweeps are large: some multi-process bucket pair where the
+  // smallest bucket has >= 64 members.
   bool big_bucket = false;
   for (std::size_t id = 0; id < space.size() && !big_bucket; ++id) {
     std::size_t smallest = SIZE_MAX;
@@ -44,27 +32,18 @@ TEST(KnowledgeNestedTest, NestedMultiProcessKnowsMatchesBruteForce) {
           smallest, space.Bucket(p, space.ProjectionClass(id, p)).size());
     big_bucket = smallest >= 64;
   }
-  ASSERT_TRUE(big_bucket) << "space too small to exercise the bitset path";
+  ASSERT_TRUE(big_bucket) << "space too small for large bucket sweeps";
 
   const Predicate inner_atom = Predicate::CountOnAtLeast(1, 2);
   const Predicate outer_atom = Predicate::CountOnAtLeast(0, 1);
-  std::vector<bool> sat_inner(space.size()), sat_outer(space.size());
-  for (std::size_t id = 0; id < space.size(); ++id) {
-    sat_inner[id] = inner_atom.Eval(space.At(id));
-    sat_outer[id] = outer_atom.Eval(space.At(id));
-  }
-  const auto k_inner = BruteKnows(space, ProcessSet{1, 2}, sat_inner);
-  std::vector<bool> conjunction(space.size());
-  for (std::size_t id = 0; id < space.size(); ++id)
-    conjunction[id] = k_inner[id] && sat_outer[id];
-  const auto expected = BruteKnows(space, ProcessSet{0, 1}, conjunction);
-
   KnowledgeEvaluator eval(space);
   auto formula = Formula::Knows(
       ProcessSet{0, 1},
       Formula::And(
           Formula::Knows(ProcessSet{1, 2}, Formula::Atom(inner_atom)),
           Formula::Atom(outer_atom)));
+  const std::vector<bool> expected =
+      ReferenceKnowledge(space).Verdicts(formula);
   for (std::size_t id = 0; id < space.size(); ++id)
     ASSERT_EQ(eval.Holds(formula, id), expected[id]) << "class " << id;
 

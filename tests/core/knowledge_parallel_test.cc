@@ -1,10 +1,10 @@
-// Determinism contract of the parallel knowledge engine: every
-// KnowledgeOptions::num_threads value must reproduce the sequential
-// verdicts byte for byte — satisfying sets, batch Holds, locality and
-// constancy checks, and common-knowledge component labels — on both a
-// canonicalized space and a lockstep (non-canonicalized) one, including
-// re-entrant evaluation where whole-space sweeps interleave with pointwise
-// Holds() probes over a shared formula DAG.
+// Determinism contract of the range-sharded knowledge kernels and CK
+// union-find: every KnowledgeOptions::num_threads value must reproduce the
+// sequential verdicts byte for byte — satisfying sets, batch Holds,
+// locality and constancy checks, and common-knowledge component labels —
+// on both a canonicalized space and a lockstep (non-canonicalized) one,
+// including re-entrant evaluation where whole-space sweeps interleave with
+// pointwise Holds() probes over a shared formula DAG.
 #include <gtest/gtest.h>
 
 #include <vector>

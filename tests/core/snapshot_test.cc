@@ -6,9 +6,10 @@
 // indistinguishable from the freshly enumerated one: same class ids,
 // canonical forms, hashes, projection classes, buckets, successors, group
 // tables, and (within allocator slack) the same MemoryUsage(); knowledge
-// verdicts evaluated against it must match exactly, across memo tiers and
-// thread counts.  Corrupt, truncated, or foreign files must be rejected
-// with ModelError, never crash or silently load.
+// verdicts evaluated against it must match the definitional oracle over the
+// fresh space exactly, kernels on and off, at 1 and 4 threads.  Corrupt,
+// truncated, or foreign files must be rejected with ModelError, never crash
+// or silently load.
 #include <sstream>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "core/serialization.h"
 #include "protocols/token_bus.h"
 #include "protocols/tracker.h"
+#include "reference_knowledge.h"
 
 namespace hpl {
 namespace {
@@ -235,7 +237,8 @@ TEST(SnapshotTest, RejectsCorruptInput) {
 
 // The tentpole invariant: knowledge verdicts on a loaded space are
 // byte-identical to verdicts on the freshly enumerated space — for K, E,
-// and CK formulas, across both memo tiers and at 1 and 4 threads.
+// and CK formulas, kernels on and off, at 1 and 4 threads — and both match
+// the independent ReferenceKnowledge oracle.
 TEST(SnapshotTest, DifferentialSatisfyingSets) {
   protocols::TokenBusSystem bus(/*num_processes=*/4, /*passes=*/4);
   EnumerationLimits limits;
@@ -253,19 +256,20 @@ TEST(SnapshotTest, DifferentialSatisfyingSets) {
       Formula::Possible(ProcessSet::Of(1), Formula::Not(atom)),
   };
 
-  for (const bool bucket_memo : {false, true}) {
-    for (const bool group_memo : {false, true}) {
-      for (const int threads : {1, 4}) {
-        KnowledgeOptions options;
-        options.num_threads = threads;
-        options.bucket_memo = bucket_memo;
-        options.group_memo = group_memo;
-        KnowledgeEvaluator fresh_eval(fresh, options);
-        KnowledgeEvaluator loaded_eval(loaded, options);
-        for (const FormulaPtr& f : formulas)
-          EXPECT_EQ(loaded_eval.SatisfyingSet(f), fresh_eval.SatisfyingSet(f))
-              << f->ToString() << " bucket=" << bucket_memo
-              << " group=" << group_memo << " threads=" << threads;
+  ReferenceKnowledge reference(fresh);
+  for (const bool kernels : {false, true}) {
+    for (const int threads : {1, 4}) {
+      KnowledgeOptions options;
+      options.num_threads = threads;
+      options.compiled_kernels = kernels;
+      KnowledgeEvaluator fresh_eval(fresh, options);
+      KnowledgeEvaluator loaded_eval(loaded, options);
+      for (const FormulaPtr& f : formulas) {
+        const auto expected = reference.SatisfyingSet(f);
+        EXPECT_EQ(loaded_eval.SatisfyingSet(f), expected)
+            << f->ToString() << " kernels=" << kernels
+            << " threads=" << threads;
+        EXPECT_EQ(fresh_eval.SatisfyingSet(f), expected) << f->ToString();
       }
     }
   }

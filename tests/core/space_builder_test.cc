@@ -23,6 +23,7 @@
 #include "core/space.h"
 #include "protocols/lockstep.h"
 #include "protocols/token_bus.h"
+#include "reference_knowledge.h"
 #include "sim/trace.h"
 
 namespace hpl {
@@ -206,28 +207,50 @@ TEST(SpaceBuilderTest, RefreshMatchesFreshEvaluatorAcrossMemoTiers) {
   const auto formulas = TokenBusFormulas(bus);
   const auto fresh_space =
       ComputationSpace::Enumerate(bus, TruncatableLimits(6, /*threads=*/1));
-  KnowledgeEvaluator oracle(fresh_space, {.num_threads = 1});
+  ReferenceKnowledge oracle(fresh_space);
 
-  for (const bool bucket_memo : {true, false}) {
-    for (const bool group_memo : {true, false}) {
-      for (const int threads : {1, 4}) {
-        SpaceBuilder builder;
-        builder.Build(bus, TruncatableLimits(5, threads));
-        KnowledgeEvaluator eval(builder.space(),
-                                {.num_threads = threads,
-                                 .bucket_memo = bucket_memo,
-                                 .group_memo = group_memo});
-        // Warm every memo tier on the shallow space first.
-        for (const FormulaPtr& f : formulas) eval.SatisfyingSet(f);
-        builder.Deepen(1);
-        eval.Refresh();
-        for (std::size_t k = 0; k < formulas.size(); ++k)
-          EXPECT_EQ(eval.SatisfyingSet(formulas[k]),
-                    oracle.SatisfyingSet(formulas[k]))
-              << "formula " << k << " bucket_memo " << bucket_memo
-              << " group_memo " << group_memo << " threads " << threads;
-      }
+  for (const bool kernels : {true, false}) {
+    for (const int threads : {1, 4}) {
+      SpaceBuilder builder;
+      builder.Build(bus, TruncatableLimits(5, threads));
+      KnowledgeEvaluator eval(
+          builder.space(),
+          {.num_threads = threads, .compiled_kernels = kernels});
+      // Warm every memo tier on the shallow space first.
+      for (const FormulaPtr& f : formulas) eval.SatisfyingSet(f);
+      builder.Deepen(1);
+      eval.Refresh();
+      for (std::size_t k = 0; k < formulas.size(); ++k)
+        EXPECT_EQ(eval.SatisfyingSet(formulas[k]),
+                  oracle.SatisfyingSet(formulas[k]))
+            << "formula " << k << " kernels " << kernels << " threads "
+            << threads;
     }
+  }
+}
+
+TEST(SpaceBuilderTest, RefreshHandlesEmptyGroupModalities) {
+  // Modalities over the empty group relate every class and own no tier
+  // rows, so any growth dirties them everywhere; Refresh must not look for
+  // a member process.
+  protocols::TokenBusSystem bus(3, 3);
+  const FormulaPtr atom = Formula::Atom(bus.HoldsToken(0));
+  const std::vector<FormulaPtr> formulas = {
+      Formula::Knows(ProcessSet(), Formula::Or(atom, Formula::Not(atom))),
+      Formula::Possible(ProcessSet(), atom),
+      Formula::Sure(ProcessSet(), atom)};
+  for (const bool kernels : {true, false}) {
+    SpaceBuilder builder;
+    builder.Build(bus, TruncatableLimits(5, /*threads=*/1));
+    KnowledgeEvaluator eval(builder.space(),
+                            {.num_threads = 1, .compiled_kernels = kernels});
+    for (const FormulaPtr& f : formulas) eval.SatisfyingSet(f);
+    builder.Deepen(1);
+    eval.Refresh();
+    ReferenceKnowledge oracle(builder.space());
+    for (const FormulaPtr& f : formulas)
+      EXPECT_EQ(eval.SatisfyingSet(f), oracle.SatisfyingSet(f))
+          << f->ToString() << " kernels " << kernels;
   }
 }
 

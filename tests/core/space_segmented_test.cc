@@ -3,11 +3,11 @@
 // segments spilled behind the BFS frontier, faulted back on demand — is
 // structurally IDENTICAL to the single-segment resident build (same class
 // ids, canonical order, projections, buckets, successors), and knowledge
-// verdicts over it are byte-identical across every engine configuration:
-// memo tiers on/off x compiled kernels on/off x 1 and 4 threads.  Snapshots
-// round-trip through the v3 format (which carries the segment directory),
-// load back under a budget, and attribute payload corruption to the named
-// column.
+// verdicts over it match the independent ReferenceKnowledge oracle over the
+// resident store for every engine configuration: compiled kernels on/off x
+// 1 and 4 threads.  Snapshots round-trip through the v3 format (which
+// carries the segment directory), load back under a budget, and attribute
+// payload corruption to the named column.
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -21,6 +21,7 @@
 #include "core/space.h"
 #include "core/types.h"
 #include "protocols/token_bus.h"
+#include "reference_knowledge.h"
 
 namespace hpl {
 namespace {
@@ -113,28 +114,20 @@ TEST(SpaceSegmentedTest, SweepVerdictsMatchAcrossEngines) {
       Formula::Not(Formula::Knows(ProcessSet::Of(1), Formula::Not(atom))),
   };
 
-  // Reference verdicts: resident store, sequential interpreter, no memo.
-  KnowledgeOptions reference;
-  reference.num_threads = 1;
-  reference.bucket_memo = false;
-  reference.group_memo = false;
-  reference.compiled_kernels = false;
-  KnowledgeEvaluator ref(base, reference);
-  const auto expected = ref.SatisfyingSets(formulas);
+  // Reference verdicts: the definitional oracle over the resident store.
+  ReferenceKnowledge ref(base);
+  std::vector<std::vector<std::size_t>> expected;
+  for (const FormulaPtr& f : formulas) expected.push_back(ref.SatisfyingSet(f));
 
-  for (const bool memo : {false, true})
-    for (const bool kernels : {false, true})
-      for (const int threads : {1, 4}) {
-        KnowledgeOptions options;
-        options.num_threads = threads;
-        options.bucket_memo = memo;
-        options.group_memo = memo;
-        options.compiled_kernels = kernels;
-        KnowledgeEvaluator eval(segmented, options);
-        EXPECT_EQ(eval.SatisfyingSets(formulas), expected)
-            << "memo=" << memo << " kernels=" << kernels
-            << " threads=" << threads;
-      }
+  for (const bool kernels : {false, true})
+    for (const int threads : {1, 4}) {
+      KnowledgeOptions options;
+      options.num_threads = threads;
+      options.compiled_kernels = kernels;
+      KnowledgeEvaluator eval(segmented, options);
+      EXPECT_EQ(eval.SatisfyingSets(formulas), expected)
+          << "kernels=" << kernels << " threads=" << threads;
+    }
 }
 
 TEST(SpaceSegmentedTest, SegmentCursorCoversEveryClassOnce) {
@@ -163,27 +156,6 @@ TEST(SpaceSegmentedTest, SegmentCursorCoversEveryClassOnce) {
   for (auto cur = space.Classes(3, space.size() - 2); cur.Valid(); cur.Next())
     count += cur.end() - cur.begin();
   EXPECT_EQ(count, space.size() - 5);
-}
-
-TEST(SpaceSegmentedTest, RawSpanShimThrowsOutOfCore) {
-  RandomSystem system = MakeRandom(5);
-  EnumerationLimits limits;
-  limits.max_depth = 5;
-  limits.allow_truncation = true;
-  limits.segments = TinySegments();
-  const auto space = ComputationSpace::Enumerate(system, limits);
-  ASSERT_TRUE(space.out_of_core());
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  EXPECT_THROW((void)space.BucketSpan(0, 0), ModelError);
-
-  EnumerationLimits plain;
-  plain.max_depth = 5;
-  plain.allow_truncation = true;
-  const auto resident = ComputationSpace::Enumerate(system, plain);
-  EXPECT_FALSE(resident.out_of_core());
-  EXPECT_EQ(resident.BucketSpan(0, 0).size(), resident.Bucket(0, 0).size());
-#pragma GCC diagnostic pop
 }
 
 TEST(SpaceSegmentedTest, MemoryUsageSplitsResidency) {

@@ -9,6 +9,7 @@
 
 #include "core/knowledge.h"
 #include "core/random_system.h"
+#include "reference_knowledge.h"
 
 namespace hpl {
 namespace {
@@ -77,7 +78,8 @@ TEST(TruncatedSpaceTest, TruncatedVerdictsAreApproximations) {
 
 TEST(TruncatedSpaceTest, TruncatedSpacesAreThreadAndMemoInvariant) {
   // Approximate or not, the determinism contracts hold on truncated spaces
-  // too: thread counts and the bucket memo tier do not change verdicts.
+  // too: thread counts and the engine do not change verdicts, which match
+  // the definitional oracle over the same prefix.
   const LambdaSystem system = UnboundedSystem(3);
   const auto space = ComputationSpace::Enumerate(
       system, {.max_depth = 8, .allow_truncation = true});
@@ -86,15 +88,14 @@ TEST(TruncatedSpaceTest, TruncatedSpacesAreThreadAndMemoInvariant) {
 
   const FormulaPtr f = Formula::Everyone(
       space.AllProcesses(), Formula::Atom(Predicate::CountOnAtLeast(1, 1)));
-  KnowledgeEvaluator baseline(space,
-                              {.num_threads = 1, .bucket_memo = false});
-  const auto expected = baseline.SatisfyingSet(f);
+  ReferenceKnowledge reference(space);
+  const auto expected = reference.SatisfyingSet(f);
   for (int threads : {1, 4}) {
-    for (bool memo : {false, true}) {
-      KnowledgeEvaluator eval(space,
-                              {.num_threads = threads, .bucket_memo = memo});
+    for (bool kernels : {false, true}) {
+      KnowledgeEvaluator eval(
+          space, {.num_threads = threads, .compiled_kernels = kernels});
       ASSERT_EQ(eval.SatisfyingSet(f), expected)
-          << threads << " threads, bucket_memo=" << memo;
+          << threads << " threads, kernels=" << kernels;
     }
   }
 }

@@ -72,10 +72,12 @@
 //
 // check, check-at, and bench share the flags
 //   --threads=N            ComputationSpace::Enumerate workers
-//   --knowledge-threads=N  KnowledgeEvaluator workers
-//                          (both: 0 = hardware concurrency, 1 = sequential)
-//   --kernels=on|off       compiled kernel sweeps (default on; off runs the
-//                          interpreted reference engine — see core/kernel.h)
+//   --knowledge-threads=N  workers for compiled kernel sweeps and the CK
+//                          union-find (both: 0 = hardware concurrency,
+//                          1 = sequential)
+//   --kernels=on|off       compiled kernel sweeps (default on; off answers
+//                          whole-space queries with one sequential
+//                          interpreted pass — see core/kernel.h)
 //   --max-depth=N          override the system's enumeration depth cap
 //   --max-classes=N        override the [D]-class budget
 //   --segment-shift=N      log2 class rows per store segment (default 16)
