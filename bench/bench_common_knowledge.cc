@@ -15,7 +15,7 @@
 using namespace hpl;
 
 int main(int argc, char** argv) {
-  auto json_path = bench::JsonReporter::JsonFlag(argc, argv);
+  auto json_path = bench::ParseBenchArgs(argc, argv).json_path;
   bench::JsonReporter reporter("common_knowledge");
   std::printf("E8: common knowledge constancy (Section 4.2)\n\n");
 

@@ -15,7 +15,6 @@
 //
 //   bench_faults [--preset=smoke|default] [--json=PATH]
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -91,17 +90,10 @@ std::string CellLabel(const ConsensusCell& cell) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto json_path = bench::JsonReporter::JsonFlag(argc, argv);
-  std::string preset = "default";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--preset=", 9) == 0) {
-      preset = argv[i] + 9;
-    } else {
-      std::fprintf(stderr, "usage: %s [--preset=smoke|default] [--json=PATH]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  auto [preset, threads, json_path] =
+      bench::ParseBenchArgs(argc, argv, "default");
+  if (argc > 1)
+    return bench::BenchUsage(argv[0], "[--preset=smoke|default]");
 
   std::vector<ConsensusCell> cells;
   std::uint64_t seeds = 5;

@@ -14,7 +14,6 @@
 //                     [--json=PATH]
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <span>
 #include <sstream>
 #include <string>
@@ -142,28 +141,11 @@ IngestSample MeasureIngest(const System& system,
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto json_path = bench::JsonReporter::JsonFlag(argc, argv);
-  std::string preset = "default";
-  std::vector<int> threads{1, 4};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--preset=", 9) == 0) {
-      preset = argv[i] + 9;
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads.clear();
-      for (const char* cursor = argv[i] + 10; *cursor != '\0';) {
-        threads.push_back(std::atoi(cursor));
-        const char* comma = std::strchr(cursor, ',');
-        if (comma == nullptr) break;
-        cursor = comma + 1;
-      }
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--preset=smoke|default|big] [--threads=1,4] "
-                   "[--json=PATH]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  auto [preset, threads, json_path] =
+      bench::ParseBenchArgs(argc, argv, "default", {1, 4});
+  if (argc > 1)
+    return bench::BenchUsage(argv[0], "[--preset=smoke|default|big] "
+                                      "[--threads=1,4]");
 
   std::vector<Config> configs;
   if (preset == "smoke") {
@@ -176,7 +158,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown preset '%s'\n", preset.c_str());
     return 2;
   }
-  if (threads.empty()) threads = {1};
 
   std::printf("E27: incremental space maintenance (preset=%s)\n\n",
               preset.c_str());

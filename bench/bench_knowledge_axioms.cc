@@ -24,7 +24,7 @@ struct Counter {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto json_path = bench::JsonReporter::JsonFlag(argc, argv);
+  auto json_path = bench::ParseBenchArgs(argc, argv).json_path;
   bench::JsonReporter reporter("knowledge_axioms");
   std::printf("E6: knowledge axioms (Section 4.1 facts 1-12, Lemma 2)\n\n");
 

@@ -100,30 +100,17 @@ ProcessSet Prefix(int size) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto json_path = bench::JsonReporter::JsonFlag(argc, argv);
-  std::string preset = "default";
-  std::vector<int> threads{1, 2, 4};
+  auto [preset, threads, json_path] =
+      bench::ParseBenchArgs(argc, argv, "default", {1, 2, 4});
   double require_kernel_speedup = 0.0;  // 0 = report only, no gate
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--preset=", 9) == 0) {
-      preset = argv[i] + 9;
-    } else if (std::strncmp(argv[i], "--require-kernel-speedup=", 25) == 0) {
+    if (std::strncmp(argv[i], "--require-kernel-speedup=", 25) == 0)
       require_kernel_speedup = std::atof(argv[i] + 25);
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads.clear();
-      for (const char* cursor = argv[i] + 10; *cursor != '\0';) {
-        threads.push_back(std::atoi(cursor));
-        const char* comma = std::strchr(cursor, ',');
-        if (comma == nullptr) break;
-        cursor = comma + 1;
-      }
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--preset=smoke|default|big] [--threads=1,2,4] "
-                   "[--require-kernel-speedup=X] [--json=PATH]\n",
-                   argv[0]);
-      return 2;
-    }
+    else
+      return bench::BenchUsage(argv[0],
+                               "[--preset=smoke|default|big] "
+                               "[--threads=1,2,4] "
+                               "[--require-kernel-speedup=X]");
   }
 
   std::vector<Config> configs;
@@ -138,8 +125,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown preset '%s'\n", preset.c_str());
     return 2;
   }
-  if (threads.empty() || threads.front() != 1)
-    threads.insert(threads.begin(), 1);
+  if (threads.front() != 1) threads.insert(threads.begin(), 1);
 
   std::printf("E23: knowledge-evaluation scaling (preset=%s)\n\n",
               preset.c_str());

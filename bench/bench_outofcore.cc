@@ -21,7 +21,6 @@
 //   bench_outofcore [--preset=smoke|default|big|huge] [--threads=1,4]
 //                   [--json=PATH]
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -94,28 +93,11 @@ double Mb(std::uint64_t bytes) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto json_path = bench::JsonReporter::JsonFlag(argc, argv);
-  std::string preset = "smoke";
-  std::vector<int> threads{1, 4};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--preset=", 9) == 0) {
-      preset = argv[i] + 9;
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads.clear();
-      for (const char* cursor = argv[i] + 10; *cursor != '\0';) {
-        threads.push_back(std::atoi(cursor));
-        const char* comma = std::strchr(cursor, ',');
-        if (comma == nullptr) break;
-        cursor = comma + 1;
-      }
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--preset=smoke|default|big|huge] "
-                   "[--threads=1,4] [--json=PATH]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  auto [preset, threads, json_path] =
+      bench::ParseBenchArgs(argc, argv, "smoke", {1, 4});
+  if (argc > 1)
+    return bench::BenchUsage(argv[0], "[--preset=smoke|default|big|huge] "
+                                      "[--threads=1,4]");
 
   // Budgets are sized well below each config's columnar footprint so the
   // spill path genuinely runs; shifts scale with the space so segment
@@ -140,7 +122,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown preset '%s'\n", preset.c_str());
     return 2;
   }
-  if (threads.empty()) threads = {1};
 
   std::printf("E30: out-of-core segmented enumeration (preset=%s)\n\n",
               preset.c_str());

@@ -245,7 +245,7 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto json_path = hpl::bench::JsonReporter::JsonFlag(argc, argv);
+  auto json_path = hpl::bench::ParseBenchArgs(argc, argv).json_path;
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   hpl::bench::JsonReporter reporter("perf_micro");

@@ -46,7 +46,7 @@ std::vector<FormulaPtr> QuerySet() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto json_path = bench::JsonReporter::JsonFlag(argc, argv);
+  auto json_path = bench::ParseBenchArgs(argc, argv).json_path;
   bench::JsonReporter reporter("query_service");
   std::printf("E26: snapshot-backed query service (serve)\n\n");
 

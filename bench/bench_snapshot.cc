@@ -14,7 +14,7 @@ using protocols::RunSnapshotScenario;
 using protocols::SnapshotScenario;
 
 int main(int argc, char** argv) {
-  auto json_path = bench::JsonReporter::JsonFlag(argc, argv);
+  auto json_path = bench::ParseBenchArgs(argc, argv).json_path;
   bench::JsonReporter reporter("snapshot");
   std::printf("E17: Chandy-Lamport snapshot consistency\n\n");
 

@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -69,28 +68,11 @@ void RequireIdentical(const ComputationSpace& a, const ComputationSpace& b,
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto json_path = bench::JsonReporter::JsonFlag(argc, argv);
-  std::string preset = "default";
-  std::vector<int> threads{1, 2, 4};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--preset=", 9) == 0) {
-      preset = argv[i] + 9;
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads.clear();
-      for (const char* cursor = argv[i] + 10; *cursor != '\0';) {
-        threads.push_back(std::atoi(cursor));
-        const char* comma = std::strchr(cursor, ',');
-        if (comma == nullptr) break;
-        cursor = comma + 1;
-      }
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--preset=smoke|default|big] [--threads=1,2,4] "
-                   "[--json=PATH]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  auto [preset, threads, json_path] =
+      bench::ParseBenchArgs(argc, argv, "default", {1, 2, 4});
+  if (argc > 1)
+    return bench::BenchUsage(argv[0], "[--preset=smoke|default|big|huge] "
+                                      "[--threads=1,2,4]");
 
   std::vector<Config> configs;
   if (preset == "smoke") {
@@ -105,7 +87,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown preset '%s'\n", preset.c_str());
     return 2;
   }
-  if (threads.empty() || threads.front() != 1) threads.insert(threads.begin(), 1);
+  if (threads.front() != 1) threads.insert(threads.begin(), 1);
 
   std::printf("E22: computation-space enumeration scaling (preset=%s)\n\n",
               preset.c_str());

@@ -1,40 +1,18 @@
 #include "bench/reporter.h"
 
-#include <cctype>
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
+
+#include "serve/json.h"
 
 namespace hpl::bench {
 namespace {
 
-void AppendEscaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
+std::string Quoted(const std::string& s) {
+  return "\"" + json::Escape(s) + "\"";
 }
 
 std::string FormatDouble(double v) {
@@ -50,109 +28,62 @@ std::string FormatDouble(double v) {
   return short_parsed == v ? shorter : buffer;
 }
 
-// Minimal cursor over the reporter's own output format.
-class Scanner {
- public:
-  explicit Scanner(const std::string& text) : text_(text) {}
+[[noreturn]] void Fail(const std::string& what) {
+  throw std::runtime_error("bench JSON parse error: " + what);
+}
 
-  void Expect(char c) {
-    SkipSpace();
-    if (pos_ >= text_.size() || text_[pos_] != c)
-      Fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
+// The member at `index` of `object`, which must be named `key` and have
+// type `type`: the schema fixes the key order.
+const json::Value& Member(const json::Value& object, std::size_t index,
+                          const char* key, json::Value::Type type) {
+  if (index >= object.members.size() || object.members[index].first != key)
+    Fail(std::string("expected key \"") + key + "\"");
+  const json::Value& v = object.members[index].second;
+  if (v.type != type) Fail(std::string("wrong type for \"") + key + "\"");
+  return v;
+}
 
-  bool Peek(char c) {
-    SkipSpace();
-    return pos_ < text_.size() && text_[pos_] == c;
-  }
+double Number(const json::Value& object, std::size_t index, const char* key) {
+  return Member(object, index, key, json::Value::Type::kNumber).number;
+}
 
-  bool Consume(char c) {
-    if (!Peek(c)) return false;
-    ++pos_;
-    return true;
-  }
-
-  std::string String() {
-    Expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) Fail("dangling escape");
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case 'n':
-            out += '\n';
-            break;
-          case 't':
-            out += '\t';
-            break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) Fail("short \\u escape");
-            unsigned code = 0;
-            std::sscanf(text_.c_str() + pos_, "%4x", &code);
-            pos_ += 4;
-            out += static_cast<char>(code);
-            break;
-          }
-          default:
-            out += esc;
-        }
-      } else {
-        out += c;
-      }
+// A --threads value: comma-separated counts in [0, 4096].  Anything else
+// exits 2 naming the flag rather than running a different sweep.
+std::vector<int> ParseThreads(const char* list) {
+  std::vector<int> counts;
+  const char* end = list + std::strlen(list);
+  for (const char* item = list;; ++item) {
+    int value = -1;
+    const auto [stop, ec] = std::from_chars(item, end, value);
+    if (ec != std::errc{} || value < 0 || value > 4096 ||
+        (stop != end && *stop != ',')) {
+      std::fprintf(stderr,
+                   "--threads: expected comma-separated thread counts in "
+                   "[0, 4096], got '%s'\n",
+                   list);
+      std::exit(2);
     }
-    Expect('"');
-    return out;
+    counts.push_back(value);
+    if (stop == end) return counts;
+    item = stop;
   }
-
-  double Number() {
-    SkipSpace();
-    char* end = nullptr;
-    const double v = std::strtod(text_.c_str() + pos_, &end);
-    if (end == text_.c_str() + pos_) Fail("expected a number");
-    pos_ = static_cast<std::size_t>(end - text_.c_str());
-    return v;
-  }
-
-  void Done() {
-    SkipSpace();
-    if (pos_ != text_.size()) Fail("trailing content");
-  }
-
-  [[noreturn]] void Fail(const std::string& what) const {
-    throw std::runtime_error("bench JSON parse error at offset " +
-                             std::to_string(pos_) + ": " + what);
-  }
-
- private:
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
+}
 
 }  // namespace
 
 std::string JsonReporter::ToJson() const {
   std::string out = "{\n  \"schema\": \"hpl-bench-v1\",\n  \"bench\": ";
-  AppendEscaped(out, bench_);
+  out += Quoted(bench_);
   out += ",\n  \"results\": [";
   for (std::size_t i = 0; i < results_.size(); ++i) {
     const JsonResult& r = results_[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "    {\"name\": ";
-    AppendEscaped(out, r.name);
+    out += "    {\"name\": " + Quoted(r.name);
     out += ", \"params\": {";
     for (std::size_t j = 0; j < r.params.size(); ++j) {
       if (j > 0) out += ", ";
-      AppendEscaped(out, r.params[j].first);
-      out += ": " + FormatDouble(r.params[j].second);
+      out += Quoted(r.params[j].first) + ": " +
+             FormatDouble(r.params[j].second);
     }
     out += "}, \"wall_ns\": " + std::to_string(r.wall_ns);
     out += ", \"space_classes\": " + std::to_string(r.space_classes);
@@ -182,83 +113,68 @@ bool JsonReporter::WriteFile(const std::string& path) const {
   return ok;
 }
 
-JsonReporter JsonReporter::Parse(const std::string& json) {
-  Scanner scanner(json);
-  scanner.Expect('{');
-  auto expect_key = [&](const char* key) {
-    const std::string k = scanner.String();
-    if (k != key)
-      scanner.Fail(std::string("expected key \"") + key + "\", got \"" + k +
-                   "\"");
-    scanner.Expect(':');
-  };
-  expect_key("schema");
-  if (scanner.String() != "hpl-bench-v1") scanner.Fail("unknown schema");
-  scanner.Expect(',');
-  expect_key("bench");
-  JsonReporter reporter(scanner.String());
-  scanner.Expect(',');
-  expect_key("results");
-  scanner.Expect('[');
-  if (!scanner.Peek(']')) {
-    do {
-      scanner.Expect('{');
-      JsonResult r;
-      expect_key("name");
-      r.name = scanner.String();
-      scanner.Expect(',');
-      expect_key("params");
-      scanner.Expect('{');
-      if (!scanner.Peek('}')) {
-        do {
-          std::string key = scanner.String();
-          scanner.Expect(':');
-          r.params.emplace_back(std::move(key), scanner.Number());
-        } while (scanner.Consume(','));
-      }
-      scanner.Expect('}');
-      scanner.Expect(',');
-      expect_key("wall_ns");
-      r.wall_ns = static_cast<std::int64_t>(scanner.Number());
-      scanner.Expect(',');
-      expect_key("space_classes");
-      r.space_classes = static_cast<std::uint64_t>(scanner.Number());
-      scanner.Expect(',');
-      expect_key("classes_per_sec");
-      r.classes_per_sec = scanner.Number();
-      // Optional trailing memory gauges, in either order.
-      while (scanner.Consume(',')) {
-        const std::string key = scanner.String();
-        scanner.Expect(':');
-        if (key == "bytes_space")
-          r.bytes_space = static_cast<std::uint64_t>(scanner.Number());
-        else if (key == "bytes_memo")
-          r.bytes_memo = static_cast<std::uint64_t>(scanner.Number());
-        else
-          scanner.Fail("unknown result key \"" + key + "\"");
-      }
-      scanner.Expect('}');
-      reporter.Add(std::move(r));
-    } while (scanner.Consume(','));
+JsonReporter JsonReporter::Parse(const std::string& text) {
+  const json::Value doc = json::Parse(text);
+  using Type = json::Value::Type;
+  if (doc.type != Type::kObject || doc.members.size() != 3)
+    Fail("expected an object with schema, bench and results");
+  if (Member(doc, 0, "schema", Type::kString).string != "hpl-bench-v1")
+    Fail("unknown schema");
+  JsonReporter reporter(Member(doc, 1, "bench", Type::kString).string);
+  const json::Value& results = Member(doc, 2, "results", Type::kArray);
+  for (const json::Value& row : results.array) {
+    if (row.type != Type::kObject) Fail("result is not an object");
+    JsonResult r;
+    r.name = Member(row, 0, "name", Type::kString).string;
+    const json::Value& params = Member(row, 1, "params", Type::kObject);
+    for (const auto& [key, value] : params.members) {
+      if (value.type != Type::kNumber)
+        Fail("param \"" + key + "\" is not a number");
+      r.params.emplace_back(key, value.number);
+    }
+    r.wall_ns = static_cast<std::int64_t>(Number(row, 2, "wall_ns"));
+    r.space_classes =
+        static_cast<std::uint64_t>(Number(row, 3, "space_classes"));
+    r.classes_per_sec = Number(row, 4, "classes_per_sec");
+    // Optional trailing memory gauges, in either order.
+    for (std::size_t i = 5; i < row.members.size(); ++i) {
+      const std::string& key = row.members[i].first;
+      std::uint64_t* gauge = key == "bytes_space" ? &r.bytes_space
+                             : key == "bytes_memo" ? &r.bytes_memo
+                                                   : nullptr;
+      if (gauge == nullptr) Fail("unknown result key \"" + key + "\"");
+      *gauge = static_cast<std::uint64_t>(Number(row, i, key.c_str()));
+    }
+    reporter.Add(std::move(r));
   }
-  scanner.Expect(']');
-  scanner.Expect('}');
-  scanner.Done();
   return reporter;
 }
 
-std::optional<std::string> JsonReporter::JsonFlag(int& argc, char** argv) {
-  std::optional<std::string> path;
+BenchArgs ParseBenchArgs(int& argc, char** argv, std::string default_preset,
+                         std::vector<int> default_threads) {
+  BenchArgs args{std::move(default_preset), std::move(default_threads), {}};
+  const bool presets = !args.preset.empty();
+  const bool threads = !args.threads.empty();
   int out = 1;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0)
-      path = std::string(argv[i] + 7);
+    const char* arg = argv[i];
+    if (std::strncmp(arg, "--json=", 7) == 0)
+      args.json_path = std::string(arg + 7);
+    else if (presets && std::strncmp(arg, "--preset=", 9) == 0)
+      args.preset = arg + 9;
+    else if (threads && std::strncmp(arg, "--threads=", 10) == 0)
+      args.threads = ParseThreads(arg + 10);
     else
       argv[out++] = argv[i];
   }
   argc = out;
   argv[out] = nullptr;  // keep the argv[argc] == NULL guarantee
-  return path;
+  return args;
+}
+
+int BenchUsage(const char* argv0, const char* flags) {
+  std::fprintf(stderr, "usage: %s %s [--json=PATH]\n", argv0, flags);
+  return 2;
 }
 
 }  // namespace hpl::bench

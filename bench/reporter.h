@@ -28,8 +28,8 @@
 // (KnowledgeEvaluator::MemoryUsage().bytes_total) are optional memory
 // gauges: rows omit them when 0 and parsers must accept their absence —
 // bench_space_scaling and bench_knowledge_scaling populate them.  The
-// reporter has no dependency on the hpl core libraries so any tool can
-// link it.
+// reporter depends only on the JSON codec (serve/json.h), not on the hpl
+// core libraries, so any tool can link it.
 #ifndef HPL_BENCH_REPORTER_H_
 #define HPL_BENCH_REPORTER_H_
 
@@ -69,19 +69,37 @@ class JsonReporter {
   // a diagnostic to stderr).
   bool WriteFile(const std::string& path) const;
 
-  // Parses a document produced by ToJson().  Understands exactly the schema
-  // above (not a general JSON parser); throws std::runtime_error on
-  // malformed input or a schema mismatch.
+  // Parses a document produced by ToJson().  Accepts exactly the schema
+  // above, keys in the order ToJson writes them; throws std::runtime_error
+  // on malformed input or a schema mismatch.
   static JsonReporter Parse(const std::string& json);
-
-  // Extracts a `--json=<path>` argument, removing it from argc/argv so the
-  // remaining arguments can be handled by the bench (or google-benchmark).
-  static std::optional<std::string> JsonFlag(int& argc, char** argv);
 
  private:
   std::string bench_;
   std::vector<JsonResult> results_;
 };
+
+// The flags the benches share.
+struct BenchArgs {
+  std::string preset;        // empty for a bench with no presets
+  std::vector<int> threads;  // empty for a bench with no threads axis
+  std::optional<std::string> json_path;
+};
+
+// Consumes --json=PATH, plus --preset=NAME when `default_preset` is
+// non-empty and --threads=N[,N...] when `default_threads` is, from argv;
+// every other argument stays in argv (in order) for the caller or
+// google-benchmark.  Thread counts are integers in [0, 4096] (0 = all
+// hardware threads); any other --threads value prints a message naming the
+// flag and exits 2.
+BenchArgs ParseBenchArgs(int& argc, char** argv,
+                         std::string default_preset = "",
+                         std::vector<int> default_threads = {});
+
+// Prints "usage: <argv0> <flags> [--json=PATH]" to stderr and returns 2:
+// what a bench does with an argument ParseBenchArgs left it and it does not
+// know.
+int BenchUsage(const char* argv0, const char* flags);
 
 // Wall-clock stopwatch for bench measurements.
 class WallTimer {

@@ -12,6 +12,8 @@ struct FormulaBuilder {
                           FormulaPtr right, ProcessSet group) {
     auto node = std::shared_ptr<Formula>(new Formula());
     node->kind_ = kind;
+    node->height_ = 1 + std::max(left ? left->height_ : 0,
+                                 right ? right->height_ : 0);
     node->atom_ = std::move(atom);
     node->left_ = std::move(left);
     node->right_ = std::move(right);
@@ -189,6 +191,16 @@ class Parser {
       ++pos_;
   }
 
+  [[noreturn]] static void TooDeep() {
+    throw ModelError("Formula parse: formula deeper than the limit of " +
+                     std::to_string(kMaxFormulaHeight) + " levels");
+  }
+
+  static FormulaPtr Bounded(FormulaPtr f) {
+    if (f->Height() > kMaxFormulaHeight) TooDeep();
+    return f;
+  }
+
   bool Eat(const std::string& token) {
     SkipSpace();
     if (text_.compare(pos_, token.size(), token) == 0) {
@@ -203,26 +215,39 @@ class Parser {
     return pos_ < text_.size() ? text_[pos_] : '\0';
   }
 
-  // implies is right-associative and lowest precedence.
+  // implies is right-associative and lowest precedence; the chain folds
+  // from the right without recursing.
   FormulaPtr ParseImplies() {
-    FormulaPtr lhs = ParseOr();
-    if (Eat("=>")) return Formula::Implies(lhs, ParseImplies());
-    return lhs;
+    std::vector<FormulaPtr> operands{ParseOr()};
+    while (Eat("=>")) operands.push_back(ParseOr());
+    FormulaPtr f = operands.back();
+    for (auto it = operands.rbegin() + 1; it != operands.rend(); ++it)
+      f = Bounded(Formula::Implies(*it, f));
+    return f;
   }
 
   FormulaPtr ParseOr() {
     FormulaPtr lhs = ParseAnd();
-    while (Eat("||")) lhs = Formula::Or(lhs, ParseAnd());
+    while (Eat("||")) lhs = Bounded(Formula::Or(lhs, ParseAnd()));
     return lhs;
   }
 
   FormulaPtr ParseAnd() {
     FormulaPtr lhs = ParseUnary();
-    while (Eat("&&")) lhs = Formula::And(lhs, ParseUnary());
+    while (Eat("&&")) lhs = Bounded(Formula::And(lhs, ParseUnary()));
     return lhs;
   }
 
+  // Each '!', modal operator and '(' is one level of recursion here; a
+  // parser that threw is discarded, so only success paths restore depth_.
   FormulaPtr ParseUnary() {
+    if (++depth_ > kMaxFormulaHeight) TooDeep();
+    FormulaPtr f = Bounded(ParseUnaryOperand());
+    --depth_;
+    return f;
+  }
+
+  FormulaPtr ParseUnaryOperand() {
     SkipSpace();
     if (Eat("!")) return Formula::Not(ParseUnary());
     // The group must be parsed before the operand (argument evaluation
@@ -296,6 +321,7 @@ class Parser {
   const std::string& text_;
   const std::vector<Predicate>& atoms_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -39,6 +39,12 @@ enum class FormulaKind : std::uint8_t {
   kPossible,  // M{P}: P considers possible == !K{P}!f
 };
 
+// Formula::Parse rejects text nesting deeper than this, or building a tree
+// taller than this (left-folded && / || chains grow the tree without
+// nesting): every evaluator, printer and destructor of a formula recurses
+// once per level, so an unbounded request could overflow the stack.
+inline constexpr int kMaxFormulaHeight = 1000;
+
 class Formula;
 using FormulaPtr = std::shared_ptr<const Formula>;
 
@@ -54,6 +60,8 @@ class Formula {
 
   // Depth of K/Sure/CK nesting (0 for purely propositional formulas).
   int ModalDepth() const;
+  // Nodes on the longest root-to-leaf path (1 for an atom).
+  int Height() const noexcept { return height_; }
 
   // --- Constructors -------------------------------------------------------
   static FormulaPtr Atom(Predicate b);
@@ -86,7 +94,8 @@ class Formula {
                                FormulaPtr f);
 
   // Parses the text syntax; atoms are resolved by name through `atoms`.
-  // Throws ModelError on syntax errors or unknown atom names.
+  // Throws ModelError on syntax errors, unknown atom names, and text
+  // nesting or building a tree deeper than kMaxFormulaHeight.
   static FormulaPtr Parse(const std::string& text,
                           const std::vector<Predicate>& atoms);
 
@@ -95,6 +104,7 @@ class Formula {
   Formula() = default;
 
   FormulaKind kind_ = FormulaKind::kAtom;
+  int height_ = 1;
   Predicate atom_;
   FormulaPtr left_;
   FormulaPtr right_;

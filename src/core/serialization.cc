@@ -129,7 +129,7 @@ Computation ParseComputation(const std::string& text) {
   return built;
 }
 
-// --- Binary space snapshots (hpl-space-v1) ---------------------------------
+// --- Binary space snapshots (hpl-space-v3) ---------------------------------
 
 namespace {
 
@@ -288,7 +288,7 @@ class Reader {
 };
 
 // FNV-1a folds over the little-endian wire form of column elements — the
-// per-column checksums in the v3 segment directory.
+// per-column checksums in the segment directory.
 std::uint64_t FoldU16(std::uint64_t h, std::uint16_t v) {
   for (int i = 0; i < 2; ++i) {
     h ^= (v >> (8 * i)) & 0xff;
@@ -311,7 +311,7 @@ std::uint64_t FoldU64(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-// One v3 segment-directory row: a segmented column's identity and payload
+// One segment-directory row: a segmented column's identity and payload
 // checksum, written in the header so corruption is attributed by name.
 struct SegDirEntry {
   std::string tag;
@@ -345,8 +345,8 @@ std::uint64_t ReadU32SegColumn(Reader& r,
 }
 
 // Header (everything ReadSpaceSnapshotInfo needs), after the magic: version,
-// shape flags, name, the summary counts, (v2) the frontier fields, and (v3)
-// the segment directory.
+// shape flags, name, the summary counts, the frontier fields and the segment
+// directory.
 void WriteHeader(Writer& w, const SpaceSnapshotInfo& info,
                  const std::vector<SegDirEntry>& dir) {
   w.Bytes(kSnapshotMagic, sizeof(kSnapshotMagic));
@@ -359,20 +359,16 @@ void WriteHeader(Writer& w, const SpaceSnapshotInfo& info,
   w.U64(info.classes);
   w.U64(info.pool_events);
   w.U64(info.group_indexes);
-  if (info.version >= 2) {
-    w.U8(info.frontier);
-    w.U32(info.built_depth);
-    w.U64(info.frontier_begin);
-  }
-  if (info.version >= 3) {
-    w.U32(info.segment_shift);
-    w.U32(static_cast<std::uint32_t>(dir.size()));
-    for (const SegDirEntry& e : dir) {
-      w.Str(e.tag);
-      w.U64(e.elems);
-      w.U32(e.segments);
-      w.U64(e.checksum);
-    }
+  w.U8(info.frontier);
+  w.U32(info.built_depth);
+  w.U64(info.frontier_begin);
+  w.U32(info.segment_shift);
+  w.U32(static_cast<std::uint32_t>(dir.size()));
+  for (const SegDirEntry& e : dir) {
+    w.Str(e.tag);
+    w.U64(e.elems);
+    w.U32(e.segments);
+    w.U64(e.checksum);
   }
 }
 
@@ -385,12 +381,12 @@ SpaceSnapshotInfo ReadHeader(Reader& r,
                      "(bad magic)");
   SpaceSnapshotInfo info;
   info.version = r.U32("version");
-  if (info.version < kMinSpaceSnapshotVersion ||
-      info.version > kSpaceSnapshotVersion)
+  if (info.version != kSpaceSnapshotVersion)
     throw ModelError("LoadSpaceSnapshot: unsupported snapshot version " +
-                     std::to_string(info.version) + " (this build reads " +
-                     std::to_string(kMinSpaceSnapshotVersion) + " through " +
-                     std::to_string(kSpaceSnapshotVersion) + ")");
+                     std::to_string(info.version) +
+                     " (this build reads only version " +
+                     std::to_string(kSpaceSnapshotVersion) +
+                     "; re-save the snapshot from its system)");
   const std::uint32_t np = r.U32("num_processes");
   if (np == 0 || np > static_cast<std::uint32_t>(kMaxProcesses))
     throw ModelError("LoadSpaceSnapshot: bad process count " +
@@ -403,36 +399,34 @@ SpaceSnapshotInfo ReadHeader(Reader& r,
   info.classes = r.Count("classes");
   info.pool_events = r.Count("pool_events");
   info.group_indexes = r.Count("group_indexes");
-  if (info.version >= 2) {
-    info.frontier = r.U8("frontier state");
-    if (info.frontier > 3)
-      throw ModelError("LoadSpaceSnapshot: bad frontier state " +
-                       std::to_string(info.frontier));
-    info.built_depth = r.U32("built depth");
-    info.frontier_begin = r.U64("frontier begin");
-    if (info.frontier == 2 &&
-        (info.frontier_begin >= info.classes))
-      throw ModelError(
-          "LoadSpaceSnapshot: capped snapshot with out-of-range frontier "
-          "begin " +
-          std::to_string(info.frontier_begin));
-  }
-  if (info.version >= 3) {
-    info.segment_shift = r.U32("segment shift");
-    const std::uint32_t ncols = r.U32("segment column count");
-    if (ncols > 64)
-      throw ModelError("LoadSpaceSnapshot: implausible segment column count " +
-                       std::to_string(ncols) + "; corrupt file?");
-    info.segment_columns = ncols;
-    for (std::uint32_t i = 0; i < ncols; ++i) {
-      SegDirEntry e;
-      e.tag = r.Str("segment column tag");
-      e.elems = r.Count("segment column elems");
-      e.segments = r.U32("segment column segments");
-      e.checksum = r.U64("segment column checksum");
-      info.segments += e.segments;
-      if (dir != nullptr) dir->push_back(e);
-    }
+  info.frontier = r.U8("frontier state");
+  if (info.frontier > 3)
+    throw ModelError("LoadSpaceSnapshot: bad frontier state " +
+                     std::to_string(info.frontier));
+  info.built_depth = r.U32("built depth");
+  info.frontier_begin = r.U64("frontier begin");
+  if (info.frontier == 2 && info.frontier_begin >= info.classes)
+    throw ModelError(
+        "LoadSpaceSnapshot: capped snapshot with out-of-range frontier "
+        "begin " +
+        std::to_string(info.frontier_begin));
+  info.segment_shift = r.U32("segment shift");
+  if (info.segment_shift >= 32)
+    throw ModelError("LoadSpaceSnapshot: bad segment shift " +
+                     std::to_string(info.segment_shift));
+  const std::uint32_t ncols = r.U32("segment column count");
+  if (ncols > 64)
+    throw ModelError("LoadSpaceSnapshot: implausible segment column count " +
+                     std::to_string(ncols) + "; corrupt file?");
+  info.segment_columns = ncols;
+  for (std::uint32_t i = 0; i < ncols; ++i) {
+    SegDirEntry e;
+    e.tag = r.Str("segment column tag");
+    e.elems = r.Count("segment column elems");
+    e.segments = r.U32("segment column segments");
+    e.checksum = r.U64("segment column checksum");
+    info.segments += e.segments;
+    if (dir != nullptr) dir->push_back(e);
   }
   return info;
 }
@@ -476,7 +470,7 @@ struct SpaceSnapshotIO {
   };
 
   // Per-column FNV-1a checksums over each column's little-endian wire form,
-  // recorded in the v3 segment directory.  The links column interleaves
+  // recorded in the segment directory.  The links column interleaves
   // field widths, so it gets its own fold.
   static std::uint64_t LinksChecksum(const ComputationSpace& space) {
     std::uint64_t h = kFnvOffset;
@@ -505,14 +499,7 @@ struct SpaceSnapshotIO {
   }
 
   static void Save(const ComputationSpace& space, std::ostream& out,
-                   std::uint32_t version, const FrontierMeta& frontier) {
-    if (version < kMinSpaceSnapshotVersion ||
-        version > kSpaceSnapshotVersion)
-      throw ModelError("SaveSpaceSnapshot: unsupported snapshot version " +
-                       std::to_string(version) + " (this build writes " +
-                       std::to_string(kMinSpaceSnapshotVersion) +
-                       " through " + std::to_string(kSpaceSnapshotVersion) +
-                       ")");
+                   const FrontierMeta& frontier) {
     // Group indexes are built lazily under the space's mutex; collect the
     // published ones under it, then write sorted by mask so identical
     // spaces serialize byte-identically regardless of build order.
@@ -537,7 +524,7 @@ struct SpaceSnapshotIO {
 
     Writer w(out);
     SpaceSnapshotInfo info;
-    info.version = version;
+    info.version = kSpaceSnapshotVersion;
     info.system_name = space.system_name_;
     info.num_processes = space.num_processes_;
     info.truncated = space.truncated_;
@@ -549,38 +536,36 @@ struct SpaceSnapshotIO {
     info.built_depth = frontier.built_depth;
     info.frontier_begin = frontier.begin;
 
+    // The snapshot is a logical serialization: the directory describes the
+    // columns at the format's canonical row-group granularity, NOT at the
+    // in-memory store's shift, so a budget-built space and a resident build
+    // of the same system save byte-identical files.
     std::vector<SegDirEntry> dir;
-    if (version >= 3) {
-      // The snapshot is a logical serialization: the directory describes the
-      // columns at the format's canonical row-group granularity, NOT at the
-      // in-memory store's shift, so a budget-built space and a resident build
-      // of the same system save byte-identical files.
-      info.segment_shift = SegmentOptions{}.segment_shift;
-      const std::size_t rows_per_seg = std::size_t{1} << info.segment_shift;
-      const auto entry = [&](const char* tag, std::uint64_t elems,
-                             std::size_t rows, std::uint64_t checksum) {
-        const std::size_t segs = (rows + rows_per_seg - 1) / rows_per_seg;
-        dir.push_back(SegDirEntry{tag, elems, static_cast<std::uint32_t>(segs),
-                                  checksum});
-        trim();
-      };
-      entry("links", space.links_.size(), space.links_.rows(),
-            LinksChecksum(space));
-      entry("canonh", space.canon_hash_.size(), space.canon_hash_.rows(),
-            U64ColumnChecksum(space.canon_hash_));
-      entry("canoni", space.canon_id_.size(), space.canon_id_.rows(),
-            U32ColumnChecksum(space.canon_id_));
-      entry("proj", space.proj_class_.size(), space.proj_class_.rows(),
-            U32ColumnChecksum(space.proj_class_));
-      entry("succo", space.succ_offsets_.size(), space.succ_offsets_.rows(),
-            U32ColumnChecksum(space.succ_offsets_));
-      entry("succc", space.succ_class_.size(), space.succ_class_.rows(),
-            U32ColumnChecksum(space.succ_class_));
-      entry("succe", space.succ_event_.size(), space.succ_event_.rows(),
-            U32ColumnChecksum(space.succ_event_));
-      info.segment_columns = dir.size();
-      for (const SegDirEntry& e : dir) info.segments += e.segments;
-    }
+    info.segment_shift = SegmentOptions{}.segment_shift;
+    const std::size_t rows_per_seg = std::size_t{1} << info.segment_shift;
+    const auto entry = [&](const char* tag, std::uint64_t elems,
+                           std::size_t rows, std::uint64_t checksum) {
+      const std::size_t segs = (rows + rows_per_seg - 1) / rows_per_seg;
+      dir.push_back(SegDirEntry{tag, elems, static_cast<std::uint32_t>(segs),
+                                checksum});
+      trim();
+    };
+    entry("links", space.links_.size(), space.links_.rows(),
+          LinksChecksum(space));
+    entry("canonh", space.canon_hash_.size(), space.canon_hash_.rows(),
+          U64ColumnChecksum(space.canon_hash_));
+    entry("canoni", space.canon_id_.size(), space.canon_id_.rows(),
+          U32ColumnChecksum(space.canon_id_));
+    entry("proj", space.proj_class_.size(), space.proj_class_.rows(),
+          U32ColumnChecksum(space.proj_class_));
+    entry("succo", space.succ_offsets_.size(), space.succ_offsets_.rows(),
+          U32ColumnChecksum(space.succ_offsets_));
+    entry("succc", space.succ_class_.size(), space.succ_class_.rows(),
+          U32ColumnChecksum(space.succ_class_));
+    entry("succe", space.succ_event_.size(), space.succ_event_.rows(),
+          U32ColumnChecksum(space.succ_event_));
+    info.segment_columns = dir.size();
+    for (const SegDirEntry& e : dir) info.segments += e.segments;
     WriteHeader(w, info, dir);
 
     for (const Event& e : space.event_pool_) WriteEvent(w, e);
@@ -627,7 +612,7 @@ struct SpaceSnapshotIO {
     std::vector<SegDirEntry> dir;
     const SpaceSnapshotInfo info = ReadHeader(r, &dir);
     if (info_out != nullptr) *info_out = info;
-    if (info.version >= 3 && dir.size() != 7)
+    if (dir.size() != 7)
       throw ModelError(
           "LoadSpaceSnapshot: bad segment directory (expected 7 columns, "
           "found " +
@@ -639,8 +624,7 @@ struct SpaceSnapshotIO {
     space.canonicalize_ = info.canonicalize;
     space.system_name_ = info.system_name;
     // Columns rebuild into the *caller's* segment geometry; the file's
-    // segment_shift is informational.  v1/v2 files carry no directory and
-    // skip the per-column checks below.
+    // segment_shift is informational.
     space.InitColumns(segments);
     internal::SegmentedSpaceStore& store = *space.store_;
     const auto trim = [&store] {
@@ -648,7 +632,6 @@ struct SpaceSnapshotIO {
     };
     const auto check_column = [&](std::size_t idx, const char* tag,
                                   std::uint64_t elems, std::uint64_t checksum) {
-      if (info.version < 3) return;
       const SegDirEntry& e = dir[idx];
       if (e.tag != tag)
         throw ModelError("LoadSpaceSnapshot: segment directory expects column "
@@ -773,14 +756,7 @@ struct SpaceSnapshotIO {
 
     r.VerifyChecksum();
 
-    // built_depth: stored in v2; a v1 file predates Ingest, so its classes
-    // are in BFS level order and the last link's length is the depth the
-    // BFS reached.
-    space.built_depth_ = info.version >= 2
-                             ? static_cast<int>(info.built_depth)
-                             : (space.links_.empty()
-                                    ? 0
-                                    : static_cast<int>(space.links_.back().length));
+    space.built_depth_ = static_cast<int>(info.built_depth);
     trim();
     return space;
   }
@@ -835,55 +811,53 @@ struct SpaceSnapshotIO {
 
 }  // namespace internal
 
+namespace {
+
+// The file forms of the stream entry points; `who` names the entry point in
+// I/O errors.
+std::ifstream OpenSnapshot(const std::string& path, const char* who) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw ModelError(std::string(who) + ": cannot open '" + path + "'");
+  return in;
+}
+
+template <typename Save>
+void WriteSnapshot(const std::string& path, const char* who, Save save) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out)
+    throw ModelError(std::string(who) + ": cannot open '" + path +
+                     "' for writing");
+  save(out);
+  out.flush();
+  if (!out)
+    throw ModelError(std::string(who) + ": write to '" + path + "' failed");
+}
+
+}  // namespace
+
 void SaveSpaceSnapshot(const ComputationSpace& space, std::ostream& out) {
-  SaveSpaceSnapshot(space, out, kSpaceSnapshotVersion);
+  internal::SpaceSnapshotIO::Save(
+      space, out, internal::SpaceSnapshotIO::SealedFrontier(space));
 }
 
 void SaveSpaceSnapshot(const ComputationSpace& space, const std::string& path) {
-  SaveSpaceSnapshot(space, path, kSpaceSnapshotVersion);
-}
-
-void SaveSpaceSnapshot(const ComputationSpace& space, std::ostream& out,
-                       std::uint32_t version) {
-  internal::SpaceSnapshotIO::Save(
-      space, out, version, internal::SpaceSnapshotIO::SealedFrontier(space));
-}
-
-void SaveSpaceSnapshot(const ComputationSpace& space, const std::string& path,
-                       std::uint32_t version) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out)
-    throw ModelError("SaveSpaceSnapshot: cannot open '" + path +
-                     "' for writing");
-  SaveSpaceSnapshot(space, out, version);
-  out.flush();
-  if (!out)
-    throw ModelError("SaveSpaceSnapshot: write to '" + path + "' failed");
+  WriteSnapshot(path, "SaveSpaceSnapshot",
+                [&](std::ostream& out) { SaveSpaceSnapshot(space, out); });
 }
 
 void SaveSpaceBuilderSnapshot(const SpaceBuilder& builder, std::ostream& out) {
   if (!builder.has_space())
     throw ModelError("SaveSpaceBuilderSnapshot: builder holds no space");
   internal::SpaceSnapshotIO::Save(
-      builder.space(), out, kSpaceSnapshotVersion,
+      builder.space(), out,
       internal::SpaceSnapshotIO::BuilderFrontier(builder));
 }
 
 void SaveSpaceBuilderSnapshot(const SpaceBuilder& builder,
                               const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out)
-    throw ModelError("SaveSpaceBuilderSnapshot: cannot open '" + path +
-                     "' for writing");
-  SaveSpaceBuilderSnapshot(builder, out);
-  out.flush();
-  if (!out)
-    throw ModelError("SaveSpaceBuilderSnapshot: write to '" + path +
-                     "' failed");
-}
-
-ComputationSpace LoadSpaceSnapshot(std::istream& in) {
-  return internal::SpaceSnapshotIO::Load(in, SegmentOptions{});
+  WriteSnapshot(path, "SaveSpaceBuilderSnapshot", [&](std::ostream& out) {
+    SaveSpaceBuilderSnapshot(builder, out);
+  });
 }
 
 ComputationSpace LoadSpaceSnapshot(std::istream& in,
@@ -891,15 +865,9 @@ ComputationSpace LoadSpaceSnapshot(std::istream& in,
   return internal::SpaceSnapshotIO::Load(in, segments);
 }
 
-ComputationSpace LoadSpaceSnapshot(const std::string& path) {
-  return LoadSpaceSnapshot(path, SegmentOptions{});
-}
-
 ComputationSpace LoadSpaceSnapshot(const std::string& path,
                                    const SegmentOptions& segments) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in)
-    throw ModelError("LoadSpaceSnapshot: cannot open '" + path + "'");
+  std::ifstream in = OpenSnapshot(path, "LoadSpaceSnapshot");
   return internal::SpaceSnapshotIO::Load(in, segments);
 }
 
@@ -911,9 +879,7 @@ SpaceBuilder LoadSpaceBuilderSnapshot(const System& system, std::istream& in,
 SpaceBuilder LoadSpaceBuilderSnapshot(const System& system,
                                       const std::string& path,
                                       const EnumerationLimits& limits) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in)
-    throw ModelError("LoadSpaceBuilderSnapshot: cannot open '" + path + "'");
+  std::ifstream in = OpenSnapshot(path, "LoadSpaceBuilderSnapshot");
   return internal::SpaceSnapshotIO::LoadBuilder(system, in, limits);
 }
 
@@ -923,11 +889,8 @@ SpaceSnapshotInfo ReadSpaceSnapshotInfo(std::istream& in) {
 }
 
 SpaceSnapshotInfo ReadSpaceSnapshotInfo(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in)
-    throw ModelError("ReadSpaceSnapshotInfo: cannot open '" + path + "'");
-  Reader r(in);
-  return ReadHeader(r);
+  std::ifstream in = OpenSnapshot(path, "ReadSpaceSnapshotInfo");
+  return ReadSpaceSnapshotInfo(in);
 }
 
 }  // namespace hpl

@@ -11,7 +11,7 @@
 //    the result as a system computation — incrementally, so errors name the
 //    offending token (1-based index and text); Format is its inverse.
 //
-// 2. Binary space snapshots (format `hpl-space-v2`): versioned,
+// 2. Binary space snapshots (format `hpl-space-v3`): versioned,
 //    little-endian save/load of the full columnar ComputationSpace — the
 //    interned event pool, splice links, canonical-hash index, per-process
 //    [p]-class tables, CSR successors and buckets, and every materialized
@@ -21,34 +21,33 @@
 //    match the freshly enumerated space exactly.  This is what lets
 //    `hpl_cli serve` enumerate once and answer queries forever after.
 //
-//    v2 additionally records the SpaceBuilder frontier state (sealed /
+//    The header records the SpaceBuilder frontier state (sealed /
 //    complete / capped / ingested, the built depth, and where the parked
 //    frontier level begins in the id range), so a snapshot saved from a
 //    depth-capped build can be loaded back into a SpaceBuilder and
 //    *deepened* — LoadSpaceBuilderSnapshot rehydrates the retained BFS
 //    frontier from the splice links and resumes byte-identically to a
-//    fresh enumeration at the larger depth.  v1 files (which carry no
-//    frontier) still load, as sealed spaces: queryable, not deepenable.
+//    fresh enumeration at the larger depth.
 //
-//    v3 additionally carries the segment directory of the out-of-core
-//    store (segment_store.h): the save-time segment geometry plus, per
+//    It also carries the segment directory of the out-of-core store
+//    (segment_store.h): the save-time segment geometry plus, per
 //    segmented column, its tag, element count, segment count and an
 //    FNV-1a checksum of its payload — so corruption is attributed to a
 //    named column, not just "the file".  Loads rebuild the columns into
-//    whatever segment geometry the caller configures (the
-//    SegmentOptions-taking overloads; the plain ones load fully
-//    resident), re-enforcing the residency budget column by column, so a
+//    whatever segment geometry the caller passes (fully resident by
+//    default), re-enforcing the residency budget column by column, so a
 //    100M-class snapshot can be opened under a memory budget far below
-//    its payload.  v1/v2 files carry no directory and load the same way,
-//    minus the per-column checksum attribution.
+//    its payload.
 //
 //    Layout: an 8-byte magic ("HPLSPACE"), a u32 format version, a header
-//    (process count, flags, system name, and in v2 the frontier fields),
-//    the columns in a fixed order, and a trailing FNV-1a checksum of
-//    everything before it.  All integers are explicit little-endian, so
-//    snapshots are portable across hosts.  Load rejects bad magic, unknown
-//    versions, truncated files, inconsistent column sizes, and checksum
-//    mismatches with a ModelError naming the problem.
+//    (process count, flags, system name, summary counts, the frontier
+//    fields and the segment directory), the columns in a fixed order, and
+//    a trailing FNV-1a checksum of everything before it.  All integers are
+//    explicit little-endian, so snapshots are portable across hosts.  Load
+//    rejects bad magic, other versions (the pre-directory versions 1 and 2
+//    with a message to re-save from the system), truncated files,
+//    inconsistent column sizes, and checksum mismatches with a ModelError
+//    naming the problem.
 #ifndef HPL_CORE_SERIALIZATION_H_
 #define HPL_CORE_SERIALIZATION_H_
 
@@ -70,12 +69,10 @@ std::string FormatComputation(const Computation& x);
 // index and text of the offending token.
 Computation ParseComputation(const std::string& text);
 
-// --- Binary space snapshots (hpl-space-v2) ---------------------------------
+// --- Binary space snapshots (hpl-space-v3) ---------------------------------
 
-// The snapshot format version this build writes by default.  Reads accept
-// kMinSpaceSnapshotVersion through kSpaceSnapshotVersion.
+// The one snapshot format version this build writes and reads.
 inline constexpr std::uint32_t kSpaceSnapshotVersion = 3;
-inline constexpr std::uint32_t kMinSpaceSnapshotVersion = 1;
 
 // Header summary of a snapshot, readable without loading the columns.
 struct SpaceSnapshotInfo {
@@ -87,14 +84,14 @@ struct SpaceSnapshotInfo {
   std::uint64_t classes = 0;       // [D]-classes in the space
   std::uint64_t pool_events = 0;   // interned event alphabet size
   std::uint64_t group_indexes = 0; // materialized [G]-class tables
-  // v2 frontier fields (v1 files read back as frontier == 0, sealed):
-  // 0 = sealed (no frontier: query-only), 1 = complete (BFS drained),
-  // 2 = capped (frontier parked at built_depth: loadable-then-deepenable),
-  // 3 = ingested (spliced traces: Ingest continues, Deepen refuses).
+  // Frontier fields: 0 = sealed (no frontier: query-only), 1 = complete
+  // (BFS drained), 2 = capped (frontier parked at built_depth:
+  // loadable-then-deepenable), 3 = ingested (spliced traces: Ingest
+  // continues, Deepen refuses).
   std::uint8_t frontier = 0;
   std::uint32_t built_depth = 0;    // depth the level-synchronous BFS reached
   std::uint64_t frontier_begin = 0; // first class id of the parked frontier
-  // v3 segment-directory fields (0 for older files):
+  // Segment-directory fields:
   std::uint32_t segment_shift = 0;   // save-time log2 class rows per segment
   std::uint64_t segment_columns = 0; // segmented columns in the directory
   std::uint64_t segments = 0;        // total segments across those columns
@@ -103,46 +100,38 @@ struct SpaceSnapshotInfo {
 // Writes the space as an hpl-space snapshot.  The stream overload writes
 // to any binary ostream; the path overload creates/truncates the file and
 // throws ModelError on I/O failure.  Group indexes are saved in ascending
-// mask order, so identical spaces produce byte-identical snapshots.  The
-// two-argument forms write kSpaceSnapshotVersion; the `version` overloads
-// select an older format (v1 drops the frontier fields — the legacy layout
-// bit for bit).  A bare ComputationSpace carries no frontier, so these
-// save as `complete` when the space is exhaustive and `sealed` when it was
-// truncated; SaveSpaceBuilderSnapshot preserves a live frontier.
+// mask order, so identical spaces produce byte-identical snapshots.  A
+// bare ComputationSpace carries no frontier, so these save as `complete`
+// when the space is exhaustive and `sealed` when it was truncated;
+// SaveSpaceBuilderSnapshot preserves a live frontier.
 void SaveSpaceSnapshot(const ComputationSpace& space, std::ostream& out);
 void SaveSpaceSnapshot(const ComputationSpace& space, const std::string& path);
-void SaveSpaceSnapshot(const ComputationSpace& space, std::ostream& out,
-                       std::uint32_t version);
-void SaveSpaceSnapshot(const ComputationSpace& space, const std::string& path,
-                       std::uint32_t version);
 
 // Writes the builder's space together with its live frontier state, so the
 // returned file can be loaded with LoadSpaceBuilderSnapshot and deepened
 // (or further ingested into) from exactly where this builder stopped.
-// Always writes kSpaceSnapshotVersion.  Throws if the builder is empty.
+// Throws if the builder is empty.
 void SaveSpaceBuilderSnapshot(const SpaceBuilder& builder, std::ostream& out);
 void SaveSpaceBuilderSnapshot(const SpaceBuilder& builder,
                               const std::string& path);
 
 // Reads a snapshot back into a ComputationSpace.  Throws ModelError on bad
 // magic, version mismatch, truncation, inconsistent columns, or checksum
-// failure.  The SegmentOptions overloads rebuild the columns under the
-// given segment geometry / residency budget (spilling cold segments as the
-// load streams in); the plain overloads load fully resident.
-ComputationSpace LoadSpaceSnapshot(std::istream& in);
+// failure.  The columns are rebuilt under `segments`' geometry / residency
+// budget (spilling cold segments as the load streams in); the default loads
+// fully resident.
 ComputationSpace LoadSpaceSnapshot(std::istream& in,
-                                   const SegmentOptions& segments);
-ComputationSpace LoadSpaceSnapshot(const std::string& path);
+                                   const SegmentOptions& segments = {});
 ComputationSpace LoadSpaceSnapshot(const std::string& path,
-                                   const SegmentOptions& segments);
+                                   const SegmentOptions& segments = {});
 
 // Reads a snapshot into a SpaceBuilder bound to `system` (which must be
 // the system the snapshot was enumerated from — name and process count are
-// checked — and must outlive the builder).  A v2 `capped` snapshot comes
-// back deepenable: the BFS frontier is rehydrated from the splice links
-// and Deepen resumes byte-identically to a fresh deeper enumeration.  An
-// `ingested` snapshot keeps accepting Ingest.  v1 snapshots (and v2
-// `sealed` ones) load as sealed: queries work, Deepen and Ingest throw.
+// checked — and must outlive the builder).  A `capped` snapshot comes back
+// deepenable: the BFS frontier is rehydrated from the splice links and
+// Deepen resumes byte-identically to a fresh deeper enumeration.  An
+// `ingested` snapshot keeps accepting Ingest.  `sealed` snapshots load
+// sealed: queries work, Deepen and Ingest throw.
 // `limits` seeds the builder's Deepen/Ingest budgets (max_classes,
 // num_threads, allow_truncation) and `limits.segments` the loaded store's
 // segment geometry / residency budget; max_depth is ignored — pass the

@@ -186,7 +186,7 @@ void ComputationSpace::InitColumns(const SegmentOptions& options) {
 // the event interner, the incremental projection-class maps, the live group
 // minters, and the BFS frontier arena — everything the one-shot BFS used to
 // discard when it returned.  All of it is reconstructible from the sealed
-// columns by an id-order replay, which is how a loaded hpl-space-v2/v3
+// columns by an id-order replay, which is how a loaded hpl-space-v3
 // snapshot resumes (AdoptSpace).
 struct SpaceBuilder::State {
   // Event interner: pool-id lists per event hash.  Read-only while a

@@ -662,8 +662,8 @@ class ComputationSpace {
 // builder whose Build/Deepen threw is in an unspecified state; rebuild it.
 //
 // Snapshots: serialization.h saves a builder with its frontier
-// (hpl-space-v2/v3) so a served space can be loaded and then deepened;
-// loading a frontier-less snapshot (v1 files, or a space saved without its
+// (hpl-space-v3) so a served space can be loaded and then deepened;
+// loading a frontier-less snapshot (a truncated space saved without its
 // builder) yields a sealed builder — Ingest still works, Deepen throws.
 class SpaceBuilder {
  public:
@@ -709,8 +709,8 @@ class SpaceBuilder {
   // True once the BFS exhausted the system below the depth cap: Deepen
   // becomes a 0-class no-op.
   bool complete() const noexcept { return complete_; }
-  // True when the builder carries no frontier (loaded from a v1 snapshot or
-  // one saved without builder state): Deepen throws, Ingest still works.
+  // True when the builder carries no frontier (loaded from a snapshot saved
+  // without builder state): Deepen throws, Ingest still works.
   bool sealed() const noexcept { return sealed_; }
   // True when Deepen can still mint classes.
   bool CanDeepen() const noexcept {
@@ -730,7 +730,7 @@ class SpaceBuilder {
   struct State;
 
   // How the held space relates to its (absent or retained) frontier; the
-  // hpl-space-v2 snapshot stores this byte verbatim.
+  // hpl-space-v3 snapshot stores this byte verbatim.
   enum class FrontierState : std::uint8_t {
     kSealed = 0,    // no frontier persisted: query-only
     kComplete = 1,  // BFS drained: nothing left to deepen into

@@ -90,5 +90,51 @@ TEST(FormulaTest, NullOperandsRejected) {
   EXPECT_THROW(Formula::Atom(Predicate{}), ModelError);
 }
 
+TEST(FormulaTest, HeightCountsTheLongestPath) {
+  auto b = Formula::Atom(Atoms()[0]);
+  EXPECT_EQ(b->Height(), 1);
+  EXPECT_EQ(Formula::Not(b)->Height(), 2);
+  EXPECT_EQ(Formula::And(Formula::Knows(ProcessSet{0}, Formula::Not(b)), b)
+                ->Height(),
+            4);
+}
+
+TEST(FormulaTest, ParseCapsHeightAndNesting) {
+  const auto atoms = Atoms();
+  const auto repeat = [](const std::string& unit, int n) {
+    std::string out;
+    for (int i = 0; i < n; ++i) out += unit;
+    return out;
+  };
+  const auto chain = [](const std::string& op, int atoms) {
+    std::string out = "b";
+    for (int i = 1; i < atoms; ++i) out += op + "b";
+    return out;
+  };
+  // Right at the cap parses; one level past it is an error naming the cap.
+  EXPECT_EQ(Formula::Parse(repeat("!", kMaxFormulaHeight - 1) + "b", atoms)
+                ->Height(),
+            kMaxFormulaHeight);
+  EXPECT_EQ(Formula::Parse(chain(" && ", kMaxFormulaHeight), atoms)->Height(),
+            kMaxFormulaHeight);
+  for (const std::string& text :
+       {repeat("!", kMaxFormulaHeight) + "b",
+        repeat("K{0} ", 100000) + "b",
+        repeat("(", 100000) + "b" + repeat(")", 100000),
+        chain(" && ", kMaxFormulaHeight + 1), chain(" || ", 100000),
+        chain(" => ", 100000),
+        "!(" + chain(" || ", kMaxFormulaHeight) + ")"}) {
+    try {
+      (void)Formula::Parse(text, atoms);
+      ADD_FAILURE() << "parsed a formula past the cap: " << text.substr(0, 40);
+    } catch (const ModelError& error) {
+      EXPECT_NE(std::string(error.what()).find(
+                    std::to_string(kMaxFormulaHeight)),
+                std::string::npos)
+          << error.what();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace hpl

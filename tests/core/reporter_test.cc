@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace hpl::bench {
 namespace {
 
@@ -80,20 +83,94 @@ TEST(ReporterTest, ParseRejectsMalformedInput) {
 }
 
 TEST(ReporterTest, JsonFlagExtractsAndRemovesArgument) {
+  // A bench with neither presets nor a threads axis takes only --json and
+  // leaves the rest, in order, for itself or google-benchmark.
   const char* raw[] = {"bench", "--preset=smoke", "--json=/tmp/out.json",
-                       "--threads=2"};
-  char* argv[4];
-  for (int i = 0; i < 4; ++i) argv[i] = const_cast<char*>(raw[i]);
+                       "--threads=2", nullptr};
+  char* argv[5];
+  for (int i = 0; i < 5; ++i) argv[i] = const_cast<char*>(raw[i]);
   int argc = 4;
-  const auto path = JsonReporter::JsonFlag(argc, argv);
+  const auto path = ParseBenchArgs(argc, argv).json_path;
   ASSERT_TRUE(path.has_value());
   EXPECT_EQ(*path, "/tmp/out.json");
   ASSERT_EQ(argc, 3);
   EXPECT_STREQ(argv[1], "--preset=smoke");
   EXPECT_STREQ(argv[2], "--threads=2");
+  EXPECT_EQ(argv[3], nullptr);
 
   int argc_none = 1;
-  EXPECT_FALSE(JsonReporter::JsonFlag(argc_none, argv).has_value());
+  EXPECT_FALSE(ParseBenchArgs(argc_none, argv).json_path.has_value());
+}
+
+TEST(ReporterTest, ParseRejectsSchemaDrift) {
+  JsonReporter reporter("x");
+  reporter.Add(MakeResult());
+  const std::string json = reporter.ToJson();
+  const auto with = [&](const std::string& from, const std::string& to) {
+    std::string out = json;
+    out.replace(out.find(from), from.size(), to);
+    return out;
+  };
+  EXPECT_THROW(JsonReporter::Parse(with("\"bytes_memo\"", "\"bytes_other\"")),
+               std::runtime_error);
+  EXPECT_THROW(JsonReporter::Parse(with("\"wall_ns\"", "\"wall\"")),
+               std::runtime_error);
+  EXPECT_THROW(
+      JsonReporter::Parse(with("\"processes\": 4", "\"processes\": \"4\"")),
+      std::runtime_error);
+  EXPECT_THROW(JsonReporter::Parse(with("\n  ]\n}", "\n  ], \"extra\": 1\n}")),
+               std::runtime_error);
+}
+
+// Copies `args` into a mutable argv (with the argv[argc] == NULL slot).
+struct Argv {
+  explicit Argv(std::vector<std::string> args) : storage(std::move(args)) {
+    for (std::string& a : storage) pointers.push_back(a.data());
+    pointers.push_back(nullptr);
+    argc = static_cast<int>(storage.size());
+  }
+  std::vector<std::string> storage;
+  std::vector<char*> pointers;
+  int argc;
+  char** argv() { return pointers.data(); }
+};
+
+TEST(ReporterTest, ParseBenchArgsConsumesTheSharedFlags) {
+  Argv a({"bench", "--preset=smoke", "--extra=1", "--threads=2,0,8",
+          "--json=out.json"});
+  const BenchArgs args = ParseBenchArgs(a.argc, a.argv(), "default", {1, 4});
+  EXPECT_EQ(args.preset, "smoke");
+  EXPECT_EQ(args.threads, (std::vector<int>{2, 0, 8}));
+  ASSERT_TRUE(args.json_path.has_value());
+  EXPECT_EQ(*args.json_path, "out.json");
+  // Unrecognized flags stay for the caller.
+  ASSERT_EQ(a.argc, 2);
+  EXPECT_STREQ(a.argv()[1], "--extra=1");
+  EXPECT_EQ(a.argv()[2], nullptr);
+
+  Argv defaults({"bench"});
+  const BenchArgs d =
+      ParseBenchArgs(defaults.argc, defaults.argv(), "default", {1, 4});
+  EXPECT_EQ(d.preset, "default");
+  EXPECT_EQ(d.threads, (std::vector<int>{1, 4}));
+  EXPECT_FALSE(d.json_path.has_value());
+
+  // A bench without a threads axis leaves --threads to its caller.
+  Argv no_axis({"bench", "--threads=2"});
+  EXPECT_TRUE(ParseBenchArgs(no_axis.argc, no_axis.argv(), "default")
+                  .threads.empty());
+  EXPECT_EQ(no_axis.argc, 2);
+}
+
+TEST(ReporterTest, ParseBenchArgsRejectsBadThreadCounts) {
+  for (const char* bad : {"--threads=x", "--threads=", "--threads=1,",
+                          "--threads=2,,4", "--threads=-1", "--threads=4097",
+                          "--threads=3x"}) {
+    Argv a({"bench", bad});
+    EXPECT_EXIT(ParseBenchArgs(a.argc, a.argv(), "default", {1}),
+                ::testing::ExitedWithCode(2), "--threads")
+        << bad;
+  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// Binary space snapshots (hpl-space-v2): round-trip invariants.
-// (Builder snapshots — frontier round-trip, v1 back-compat, legacy byte
-// layout — are covered in space_builder_test.cc.)
+// Binary space snapshots (hpl-space-v3): round-trip invariants.
+// (Builder snapshots — frontier round-trip, sealed loads, rejection of the
+// retired versions 1 and 2 — are covered in space_builder_test.cc.)
 //
 // The contract under test is byte-identity — a loaded space must be
 // indistinguishable from the freshly enumerated one: same class ids,
@@ -233,6 +233,24 @@ TEST(SnapshotTest, RejectsCorruptInput) {
     EXPECT_THROW(LoadBytes(bad), ModelError);
   }
   EXPECT_THROW(LoadSpaceSnapshot("/nonexistent/path.snap"), ModelError);
+}
+
+TEST(SnapshotTest, RejectsAnOutOfRangeSegmentShift) {
+  // `snapshot info` prints 1 << segment_shift, so a corrupt shift must be
+  // rejected when the header is read, not shifted.
+  const auto fresh = EnumerateRandom(2);
+  std::string bytes = SnapshotBytes(fresh);
+  // magic, version, processes, two flags, reserved u16, the length-prefixed
+  // name, three counts, frontier state, built depth, frontier begin.
+  const std::size_t shift_at = 8 + 4 + 4 + 1 + 1 + 2 + 4 +
+                               fresh.system_name().size() + 3 * 8 + 1 + 4 +
+                               8;
+  ASSERT_EQ(static_cast<unsigned char>(bytes[shift_at]),
+            SegmentOptions{}.segment_shift);
+  bytes[shift_at] = 40;
+  std::istringstream in(bytes);
+  EXPECT_THROW(ReadSpaceSnapshotInfo(in), ModelError);
+  EXPECT_THROW(LoadBytes(bytes), ModelError);
 }
 
 // The tentpole invariant: knowledge verdicts on a loaded space are

@@ -435,39 +435,52 @@ TEST(SpaceBuilderTest, BuilderSnapshotRoundTripsAndDeepens) {
                 bus, TruncatableLimits(6, /*threads=*/1))));
 }
 
-TEST(SpaceBuilderTest, V1SnapshotLoadsSealed) {
+TEST(SpaceBuilderTest, TruncatedSpaceSnapshotLoadsSealed) {
+  // A bare truncated space lost its frontier with its builder, so its
+  // snapshot records state 0 (sealed) and loads query-only.
   protocols::TokenBusSystem bus(3, 3);
   const auto space =
       ComputationSpace::Enumerate(bus, TruncatableLimits(4, /*threads=*/1));
-  std::ostringstream out;
-  SaveSpaceSnapshot(space, out, /*version=*/1);
+  const std::string bytes = SnapshotBytes(space);
+  std::istringstream header(bytes);
+  EXPECT_EQ(ReadSpaceSnapshotInfo(header).frontier, 0u);
 
-  std::istringstream in(out.str());
+  std::istringstream in(bytes);
   SpaceBuilder loaded = LoadSpaceBuilderSnapshot(bus, in);
   EXPECT_TRUE(loaded.sealed());
   EXPECT_FALSE(loaded.CanDeepen());
   EXPECT_THROW(loaded.Deepen(1), ModelError);
   // The space itself is intact and queryable.
   EXPECT_EQ(loaded.space().size(), space.size());
-  std::ostringstream reout;
-  SaveSpaceSnapshot(loaded.space(), reout, /*version=*/1);
-  EXPECT_EQ(reout.str(), out.str());
+  EXPECT_EQ(SnapshotBytes(loaded.space()), bytes);
 }
 
-TEST(SpaceBuilderTest, V1SnapshotBytesAreTheLegacyLayout) {
-  // The v1 writer must still produce the exact pre-frontier format: byte
-  // count differs from v2 by the three frontier fields alone.
+TEST(SpaceBuilderTest, PreV3SnapshotsAreRejected) {
+  // Versions 1 and 2 predate the segment directory; every reader refuses
+  // them with an error that names the version and says how to recover.
   protocols::TokenBusSystem bus(3, 3);
-  const auto space =
-      ComputationSpace::Enumerate(bus, TruncatableLimits(4, /*threads=*/1));
-  std::ostringstream v1, v2;
-  SaveSpaceSnapshot(space, v1, 1);
-  SaveSpaceSnapshot(space, v2, 2);
-  EXPECT_EQ(v2.str().size(), v1.str().size() + 1 + 4 + 8);
-  std::istringstream read_v1(v1.str());
-  const SpaceSnapshotInfo info = ReadSpaceSnapshotInfo(read_v1);
-  EXPECT_EQ(info.version, 1u);
-  EXPECT_EQ(info.frontier, 0u);  // v1 carries none: reads back as sealed
+  const std::string v3 = SnapshotBytes(
+      ComputationSpace::Enumerate(bus, TruncatableLimits(4, /*threads=*/1)));
+  for (const char version : {1, 2}) {
+    std::string bytes = v3;
+    bytes[8] = version;  // the u32 after the 8-byte magic, little-endian
+    const std::string named = "snapshot version " + std::to_string(version);
+    const auto expect_rejected = [&](const auto& read) {
+      std::istringstream in(bytes);
+      try {
+        read(in);
+        ADD_FAILURE() << named << " loaded";
+      } catch (const ModelError& error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find(named), std::string::npos) << what;
+        EXPECT_NE(what.find("re-save"), std::string::npos) << what;
+      }
+    };
+    expect_rejected([](std::istream& in) { (void)LoadSpaceSnapshot(in); });
+    expect_rejected(
+        [&](std::istream& in) { (void)LoadSpaceBuilderSnapshot(bus, in); });
+    expect_rejected([](std::istream& in) { (void)ReadSpaceSnapshotInfo(in); });
+  }
 }
 
 TEST(SpaceBuilderTest, LoadBuilderRejectsTheWrongSystem) {

@@ -221,26 +221,6 @@ TEST(SpaceSegmentedTest, SnapshotV3RoundTripsUnderBudget) {
   }
 }
 
-TEST(SpaceSegmentedTest, V2SnapshotsStillLoad) {
-  RandomSystem system = MakeRandom(17);
-  EnumerationLimits limits;
-  limits.max_depth = 6;
-  limits.allow_truncation = true;
-  const auto fresh = ComputationSpace::Enumerate(system, limits);
-
-  std::ostringstream out;
-  SaveSpaceSnapshot(fresh, out, /*version=*/2);
-  std::istringstream in(out.str());
-  const SpaceSnapshotInfo info = ReadSpaceSnapshotInfo(in);
-  EXPECT_EQ(info.version, 2u);
-  EXPECT_EQ(info.segments, 0u);  // v2 carries no directory
-
-  std::istringstream in2(out.str());
-  const auto loaded = LoadSpaceSnapshot(in2, TinySegments());
-  EXPECT_TRUE(loaded.out_of_core());
-  ExpectSameSpace(fresh, loaded);
-}
-
 TEST(SpaceSegmentedTest, SnapshotCorruptionNamesTheColumn) {
   RandomSystem system = MakeRandom(19);
   EnumerationLimits limits;

@@ -7,7 +7,8 @@ Contract under test:
     every verdict (count + FNV-1a satisfying-set hash) is byte-identical
     to a standalone `hpl_cli check` of the same formula,
   * malformed requests -- garbage bytes, non-objects, missing fields,
-    unknown ops, unparseable formulas/computations -- get a graceful
+    unknown ops, unparseable formulas/computations, and hostile lines
+    nesting JSON or formulas 100,000 levels deep -- get a graceful
     {"ok":false,"error":...} response and the loop keeps serving (no
     crash, no hang),
   * a second serve run against the snapshot written by the first starts
@@ -56,6 +57,12 @@ MALFORMED = [
     '{"op":"check-at","formula":"K{0} token_at_p0","at":"0?1:x"}',
     '{"op":"check-at","formula":"K{0} token_at_p0","at":"0>1:99/zzz"}',
     '{"op":"ping","op":"ping"',  # truncated object
+    # Past the JSON nesting and formula height caps: each used to overflow
+    # the stack.
+    "[" * 100000,
+    json.dumps({"op": "check", "formula": "!" * 100000 + "token_at_p0"}),
+    json.dumps({"op": "check",
+                "formula": " && ".join(["token_at_p0"] * 100000)}),
 ]
 
 failures = []
@@ -178,7 +185,7 @@ def main():
         try:
             request = json.loads(request_text)
             well_formed = isinstance(request, dict)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             well_formed = False
 
         if response.get("v") != 3:

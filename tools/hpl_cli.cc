@@ -31,7 +31,7 @@
 //                                        phases; optional BENCH_*.json
 //   hpl snapshot save <system> <path> [flags]
 //                                        enumerate and write a binary
-//                                        hpl-space-v1 snapshot
+//                                        hpl-space snapshot
 //   hpl snapshot info <path>             print a snapshot's header
 //   hpl snapshot load <path>             load + verify a snapshot
 //   hpl serve    <system> [--snapshot=PATH] [flags]
@@ -40,35 +40,8 @@
 //                                        it when --snapshot is given) ONCE,
 //                                        then answers newline-delimited JSON
 //                                        requests on stdin with one JSON
-//                                        response per line on stdout,
-//                                        keeping the evaluator's memo planes
-//                                        warm across requests.  Requests:
-//                                          {"op":"check","formula":"K{0} b"}
-//                                          {"op":"check","formulas":[...]}
-//                                          {"op":"check-at","formula":"...",
-//                                           "at":"0>1:0/ping ..."}
-//                                          {"op":"deepen","levels":N}
-//                                          {"op":"info"} {"op":"ping"}
-//                                          {"op":"quit"}
-//                                        A "formulas" batch runs as ONE
-//                                        fused multi-formula sweep.  The
-//                                        space lives in a resumable
-//                                        SpaceBuilder, so "deepen" grows it
-//                                        N more BFS levels in place and
-//                                        re-warms the evaluator's memo
-//                                        planes (Refresh) instead of
-//                                        rebuilding them.  Serve speaks
-//                                        protocol v3: every response
-//                                        carries "v":3 and echoes the
-//                                        request's "id" member (string or
-//                                        number), if present — errors too.
-//                                        v3 adds segment-store fields to
-//                                        "info" (segments, residency and
-//                                        spill bytes) and the
-//                                        {"op":"residency"} op, which
-//                                        reports the out-of-core store's
-//                                        per-state segment counts and byte
-//                                        split.
+//                                        response per line on stdout (the
+//                                        protocol: serve/serve.h)
 //
 // check, check-at, and bench share the flags
 //   --threads=N            ComputationSpace::Enumerate workers
@@ -128,7 +101,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "bench/reporter.h"
@@ -148,6 +120,7 @@
 #include "protocols/termination.h"
 #include "protocols/token_bus.h"
 #include "protocols/tracker.h"
+#include "serve/serve.h"
 
 namespace hpl::cli {
 
@@ -578,28 +551,6 @@ void AddGroupRows(bench::JsonReporter& reporter, const NamedSystem& named,
   }
 }
 
-// FNV-1a over the satisfying class ids (8 little-endian bytes each): a
-// stable fingerprint of a satisfying set.  `check` prints it and `serve`
-// returns it per response, so "serve verdicts are byte-identical to a
-// standalone check" is testable by comparing two short hex strings.
-std::uint64_t HashSatisfyingSet(const std::vector<std::size_t>& sat) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (std::size_t id : sat) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (static_cast<std::uint64_t>(id) >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
-  return h;
-}
-
-std::string SatisfyingHashHex(const std::vector<std::size_t>& sat) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(HashSatisfyingSet(sat)));
-  return std::string(buffer);
-}
-
 // A truncated space under-approximates the quantifier domain, so verdicts
 // are approximations; say so loudly on every query path.
 void WarnIfTruncated(const ComputationSpace& space) {
@@ -678,7 +629,7 @@ int CmdCheck(const std::string& spec, const std::string& text,
   PrintMemoryStats(space_memory, memo_memory);
   PrintGroupStats(space, flags.groups);
   std::printf("holds at %zu/%zu computations\n", sat.size(), space.size());
-  std::printf("satisfying-hash: %s\n", SatisfyingHashHex(sat).c_str());
+  std::printf("satisfying-hash: %s\n", serve::SatisfyingHashHex(sat).c_str());
   if (!sat.empty() && sat.size() <= 12) {
     for (std::size_t id : sat)
       std::printf("  %s\n", space.At(id).ToString().c_str());
@@ -904,475 +855,6 @@ int CmdFuse(int n, const std::string& xs, const std::string& ys,
   return 0;
 }
 
-// --- Minimal JSON for the serve request/response protocol -------------------
-//
-// serve speaks newline-delimited JSON over stdin/stdout; this is a small
-// strict parser for exactly that traffic (objects, arrays, strings with the
-// standard escapes, numbers, true/false/null) — malformed input throws
-// ModelError, which serve turns into an {"ok":false,...} response instead
-// of crashing or hanging.
-
-namespace json {
-
-struct Value {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<Value> array;
-  std::vector<std::pair<std::string, Value>> members;
-
-  // First member with the key, or null (objects only).
-  const Value* Find(const std::string& key) const {
-    for (const auto& [k, v] : members)
-      if (k == key) return &v;
-    return nullptr;
-  }
-};
-
-std::string Escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned char>(c));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  Value Parse() {
-    Value v = ParseValue();
-    SkipSpace();
-    if (pos_ != text_.size())
-      throw ModelError("bad JSON: trailing characters after value");
-    return v;
-  }
-
- private:
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\r' ||
-            text_[pos_] == '\n'))
-      ++pos_;
-  }
-  char Peek() {
-    if (pos_ >= text_.size()) throw ModelError("bad JSON: unexpected end");
-    return text_[pos_];
-  }
-  void Expect(char c) {
-    if (Peek() != c)
-      throw ModelError(std::string("bad JSON: expected '") + c + "' at offset " +
-                       std::to_string(pos_));
-    ++pos_;
-  }
-  bool Literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) return false;
-    pos_ += word.size();
-    return true;
-  }
-
-  Value ParseValue() {
-    SkipSpace();
-    const char c = Peek();
-    Value v;
-    if (c == '{') return ParseObject();
-    if (c == '[') return ParseArray();
-    if (c == '"') {
-      v.type = Value::Type::kString;
-      v.string = ParseString();
-      return v;
-    }
-    if (Literal("true")) {
-      v.type = Value::Type::kBool;
-      v.boolean = true;
-      return v;
-    }
-    if (Literal("false")) {
-      v.type = Value::Type::kBool;
-      return v;
-    }
-    if (Literal("null")) return v;
-    if (c == '-' || (c >= '0' && c <= '9')) {
-      v.type = Value::Type::kNumber;
-      const char* begin = text_.data() + pos_;
-      char* end = nullptr;
-      v.number = std::strtod(begin, &end);
-      if (end == begin) throw ModelError("bad JSON: malformed number");
-      pos_ += static_cast<std::size_t>(end - begin);
-      return v;
-    }
-    throw ModelError(std::string("bad JSON: unexpected character '") + c +
-                     "' at offset " + std::to_string(pos_));
-  }
-
-  std::string ParseString() {
-    Expect('"');
-    std::string out;
-    for (;;) {
-      if (pos_ >= text_.size())
-        throw ModelError("bad JSON: unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20)
-        throw ModelError("bad JSON: control character in string");
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size())
-        throw ModelError("bad JSON: unterminated escape");
-      const char e = text_[pos_++];
-      switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size())
-            throw ModelError("bad JSON: truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f')
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F')
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            else
-              throw ModelError("bad JSON: bad hex digit in \\u escape");
-          }
-          // Formula/computation texts are ASCII; reject the rest rather
-          // than carrying a UTF-8 encoder for input that cannot occur.
-          if (code > 0x7f)
-            throw ModelError("bad JSON: non-ASCII \\u escape unsupported");
-          out += static_cast<char>(code);
-          break;
-        }
-        default:
-          throw ModelError(std::string("bad JSON: unknown escape '\\") + e +
-                           "'");
-      }
-    }
-  }
-
-  Value ParseArray() {
-    Expect('[');
-    Value v;
-    v.type = Value::Type::kArray;
-    SkipSpace();
-    if (Peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      v.array.push_back(ParseValue());
-      SkipSpace();
-      const char c = Peek();
-      ++pos_;
-      if (c == ']') return v;
-      if (c != ',') throw ModelError("bad JSON: expected ',' or ']' in array");
-    }
-  }
-
-  Value ParseObject() {
-    Expect('{');
-    Value v;
-    v.type = Value::Type::kObject;
-    SkipSpace();
-    if (Peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      SkipSpace();
-      std::string key = ParseString();
-      SkipSpace();
-      Expect(':');
-      v.members.emplace_back(std::move(key), ParseValue());
-      SkipSpace();
-      const char c = Peek();
-      ++pos_;
-      if (c == '}') return v;
-      if (c != ',') throw ModelError("bad JSON: expected ',' or '}' in object");
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-Value Parse(std::string_view text) { return Parser(text).Parse(); }
-
-}  // namespace json
-
-// --- hpl serve: the long-lived query service --------------------------------
-
-// The long-lived state behind one serve process.  The space lives inside a
-// resumable SpaceBuilder so a "deepen" request can grow it in place: the
-// builder owns the space behind a stable pointer, the evaluator holds a
-// reference to it, and after Deepen a single KnowledgeEvaluator::Refresh()
-// re-syncs the memo planes — verdicts for cones closed below the old depth
-// survive, only the frontier-adjacent rows recompute.
-//
-// Formula::Parse builds fresh nodes per request, but the evaluator
-// canonicalizes every entry formula through its own structural
-// FormulaInterner, so the hundredth "K{0} sent" lands on the first one's
-// memo rows and compiled kernel program; the serve layer only caches
-// request text -> parsed formula to skip re-parsing.
-struct ServeContext {
-  NamedSystem named;
-  SpaceBuilder builder;
-  std::unique_ptr<KnowledgeEvaluator> eval;
-  // Request text -> parsed formula, so repeat queries skip the parse.
-  std::unordered_map<std::string, FormulaPtr> by_text;
-  std::uint64_t requests = 0;
-
-  ServeContext(NamedSystem n, SpaceBuilder b, int threads, bool kernels)
-      : named(std::move(n)), builder(std::move(b)) {
-    eval = std::make_unique<KnowledgeEvaluator>(
-        builder.space(), KnowledgeOptions{.num_threads = threads,
-                                          .compiled_kernels = kernels});
-  }
-
-  const ComputationSpace& space() const { return builder.space(); }
-
-  FormulaPtr FormulaFor(const std::string& text) {
-    const auto it = by_text.find(text);
-    if (it != by_text.end()) return it->second;
-    FormulaPtr f = Formula::Parse(text, named.atoms);
-    by_text.emplace(text, f);
-    return f;
-  }
-};
-
-// The per-formula fragment of a check response.
-std::string CheckResultJson(const std::vector<std::size_t>& sat,
-                            bool with_ids) {
-  std::string out = "\"count\":" + std::to_string(sat.size()) +
-                    ",\"hash\":\"" + SatisfyingHashHex(sat) + "\"";
-  if (with_ids) {
-    out += ",\"satisfying\":[";
-    for (std::size_t i = 0; i < sat.size(); ++i) {
-      if (i) out += ",";
-      out += std::to_string(sat[i]);
-    }
-    out += "]";
-  }
-  return out;
-}
-
-// Requires `key` to be a string member of the request.
-const std::string& RequireString(const json::Value& request,
-                                 const std::string& key) {
-  const json::Value* v = request.Find(key);
-  if (v == nullptr || v->type != json::Value::Type::kString)
-    throw ModelError("request needs a string field \"" + key + "\"");
-  return v->string;
-}
-
-// The request's "formula" field, parsed and interned through the context.
-FormulaPtr FormulaFor(ServeContext& ctx, const json::Value& request) {
-  return ctx.FormulaFor(RequireString(request, "formula"));
-}
-
-// The request's "id" member rendered as a `,"id":...` response fragment
-// ("" when absent).  Protocol v2 echoes it verbatim on every response —
-// errors included — so pipelining clients can match responses to requests.
-// Strings and numbers only; anything else is a protocol error.
-std::string IdEcho(const json::Value& request) {
-  const json::Value* id = request.Find("id");
-  if (id == nullptr) return "";
-  if (id->type == json::Value::Type::kString)
-    return ",\"id\":\"" + json::Escape(id->string) + "\"";
-  if (id->type == json::Value::Type::kNumber) {
-    const double n = id->number;
-    const long long integral = static_cast<long long>(n);
-    if (static_cast<double>(integral) == n)
-      return ",\"id\":" + std::to_string(integral);
-    char buffer[32];
-    std::snprintf(buffer, sizeof(buffer), "%.17g", n);
-    return std::string(",\"id\":") + buffer;
-  }
-  throw ModelError("\"id\" must be a string or a number");
-}
-
-// One request -> one single-line JSON response.  `id` is the pre-rendered
-// IdEcho fragment, appended to every response.  Throws on malformed or
-// failing requests; the serve loop turns the exception into an
-// {"ok":false,...} response (still carrying "v" and "id") and keeps
-// serving.
-std::string HandleServeRequest(ServeContext& ctx, const json::Value& request,
-                               const std::string& id, bool* quit) {
-  if (request.type != json::Value::Type::kObject)
-    throw ModelError("request must be a JSON object");
-  const std::string& op = RequireString(request, "op");
-  ++ctx.requests;
-
-  if (op == "ping") return "{\"ok\":true,\"v\":3,\"op\":\"ping\"" + id + "}";
-  if (op == "quit") {
-    *quit = true;
-    return "{\"ok\":true,\"v\":3,\"op\":\"quit\"" + id + "}";
-  }
-  if (op == "info") {
-    const auto memo = ctx.eval->MemoryUsage();
-    const ComputationSpace& space = ctx.space();
-    const auto seg = space.SegmentStats();
-    return "{\"ok\":true,\"v\":3,\"op\":\"info\",\"system\":\"" +
-           json::Escape(space.system_name()) +
-           "\",\"classes\":" + std::to_string(space.size()) +
-           ",\"truncated\":" + (space.truncated() ? "true" : "false") +
-           ",\"built_depth\":" + std::to_string(space.built_depth()) +
-           ",\"deepenable\":" + (ctx.builder.CanDeepen() ? "true" : "false") +
-           ",\"memo_entries\":" + std::to_string(ctx.eval->memo_size()) +
-           ",\"bytes_memo\":" + std::to_string(memo.bytes_total) +
-           ",\"formulas_interned\":" +
-           std::to_string(ctx.eval->interner().size()) +
-           ",\"kernel_programs\":" + std::to_string(memo.kernel_programs) +
-           ",\"kernel_ops\":" + std::to_string(memo.kernel_ops) +
-           ",\"bytes_kernel\":" + std::to_string(memo.bytes_kernel) +
-           ",\"out_of_core\":" + (space.out_of_core() ? "true" : "false") +
-           ",\"segments\":" + std::to_string(seg.segments) +
-           ",\"segments_resident\":" + std::to_string(seg.resident_segments) +
-           ",\"segments_spilled\":" + std::to_string(seg.spilled_segments) +
-           ",\"bytes_resident\":" + std::to_string(seg.bytes_resident) +
-           ",\"bytes_mapped\":" + std::to_string(seg.bytes_mapped) +
-           ",\"bytes_spilled\":" + std::to_string(seg.bytes_spilled) +
-           ",\"requests\":" + std::to_string(ctx.requests) + id + "}";
-  }
-  if (op == "residency") {
-    // The out-of-core store's residency split: per-state segment counts,
-    // the byte ledger, and the spill traffic counters.  Meaningful (but
-    // all-resident) for a store with no budget too.
-    const ComputationSpace& space = ctx.space();
-    const auto seg = space.SegmentStats();
-    return "{\"ok\":true,\"v\":3,\"op\":\"residency\",\"out_of_core\":" +
-           std::string(space.out_of_core() ? "true" : "false") +
-           ",\"budget_bytes\":" +
-           std::to_string(space.segment_options().residency_budget_bytes) +
-           ",\"segment_shift\":" +
-           std::to_string(space.segment_options().segment_shift) +
-           ",\"segments\":" + std::to_string(seg.segments) +
-           ",\"segments_resident\":" + std::to_string(seg.resident_segments) +
-           ",\"segments_mapped\":" + std::to_string(seg.mapped_segments) +
-           ",\"segments_spilled\":" + std::to_string(seg.spilled_segments) +
-           ",\"bytes_resident\":" + std::to_string(seg.bytes_resident) +
-           ",\"bytes_mapped\":" + std::to_string(seg.bytes_mapped) +
-           ",\"bytes_spilled\":" + std::to_string(seg.bytes_spilled) +
-           ",\"spill_faults\":" + std::to_string(seg.spill_faults) +
-           ",\"spill_writes\":" + std::to_string(seg.spill_writes) + id + "}";
-  }
-  if (op == "check") {
-    const json::Value* ids = request.Find("ids");
-    const bool with_ids =
-        ids != nullptr && ids->type == json::Value::Type::kBool && ids->boolean;
-    const json::Value* batch = request.Find("formulas");
-    if (batch != nullptr) {
-      if (batch->type != json::Value::Type::kArray || batch->array.empty())
-        throw ModelError("\"formulas\" must be a non-empty array of strings");
-      std::vector<FormulaPtr> formulas;
-      formulas.reserve(batch->array.size());
-      for (const json::Value& v : batch->array) {
-        if (v.type != json::Value::Type::kString)
-          throw ModelError("\"formulas\" must be a non-empty array of strings");
-        formulas.push_back(ctx.FormulaFor(v.string));
-      }
-      // The whole batch runs as ONE fused sweep.
-      const auto sets = ctx.eval->SatisfyingSets(formulas);
-      std::string out = "{\"ok\":true,\"v\":3,\"op\":\"check\",\"classes\":" +
-                        std::to_string(ctx.space().size()) + ",\"results\":[";
-      for (std::size_t k = 0; k < sets.size(); ++k) {
-        if (k) out += ",";
-        out += "{" + CheckResultJson(sets[k], with_ids) + "}";
-      }
-      return out + "]" + id + "}";
-    }
-    const auto sat = ctx.eval->SatisfyingSet(FormulaFor(ctx, request));
-    return "{\"ok\":true,\"v\":3,\"op\":\"check\",\"classes\":" +
-           std::to_string(ctx.space().size()) + "," +
-           CheckResultJson(sat, with_ids) + id + "}";
-  }
-  if (op == "check-at") {
-    const FormulaPtr f = FormulaFor(ctx, request);
-    const Computation at = ParseComputation(RequireString(request, "at"));
-    const ComputationSpace& space = ctx.space();
-    const auto class_id = space.IndexOf(at);
-    if (!class_id.has_value()) {
-      if (space.truncated() &&
-          at.size() > static_cast<std::size_t>(space.built_depth()))
-        throw ModelError("computation has " + std::to_string(at.size()) +
-                         " events but the space is only built to depth " +
-                         std::to_string(space.built_depth()) +
-                         " (send {\"op\":\"deepen\"} or re-serve with a "
-                         "larger --max-depth)");
-      throw ModelError("computation is not in the space of " +
-                       space.system_name());
-    }
-    const bool verdict = ctx.eval->Holds(f, *class_id);
-    // v2 renames the class-id field "id" -> "class": "id" now belongs to
-    // the request-correlation echo.
-    return std::string(
-               "{\"ok\":true,\"v\":3,\"op\":\"check-at\",\"verdict\":") +
-           (verdict ? "true" : "false") +
-           ",\"class\":" + std::to_string(*class_id) + id + "}";
-  }
-  if (op == "deepen") {
-    int levels = 1;
-    if (const json::Value* v = request.Find("levels"); v != nullptr) {
-      if (v->type != json::Value::Type::kNumber ||
-          v->number !=
-              static_cast<double>(static_cast<long long>(v->number)) ||
-          v->number < 1 || v->number > 65535)
-        throw ModelError("\"levels\" must be an integer in [1, 65535]");
-      levels = static_cast<int>(v->number);
-    }
-    bench::WallTimer timer;
-    const std::size_t added = ctx.builder.Deepen(levels);
-    ctx.eval->Refresh();
-    // Timing goes to stderr, NOT the response: the stdout stream must stay
-    // byte-identical between cold and snapshot-warmed runs.
-    std::fprintf(stderr,
-                 "serve: deepen +%d -> depth %d, %zu new classes (%.3f ms)\n",
-                 levels, ctx.builder.built_depth(), added,
-                 static_cast<double>(timer.ElapsedNs()) / 1e6);
-    return "{\"ok\":true,\"v\":3,\"op\":\"deepen\",\"added\":" +
-           std::to_string(added) +
-           ",\"classes\":" + std::to_string(ctx.space().size()) +
-           ",\"built_depth\":" + std::to_string(ctx.builder.built_depth()) +
-           ",\"complete\":" + (ctx.builder.complete() ? "true" : "false") +
-           id + "}";
-  }
-  // Unknown ops get a STRUCTURED error naming the op, not just prose: a
-  // client probing for capabilities can switch on "unknown_op" instead of
-  // parsing the message.
-  return "{\"ok\":false,\"v\":3,\"error\":\"unknown op '" + json::Escape(op) +
-         "' (check, check-at, deepen, info, ping, quit, residency)\"," +
-         "\"unknown_op\":\"" + json::Escape(op) + "\"" + id + "}";
-}
-
 int CmdServe(const std::string& spec, const CliOptions& flags) {
   const std::optional<std::string>& snapshot_path = flags.snapshot;
   NamedSystem named = MakeSystem(spec);
@@ -1382,10 +864,9 @@ int CmdServe(const std::string& spec, const CliOptions& flags) {
   if (snapshot_path.has_value()) {
     // Probe: load the snapshot when it exists, else enumerate and write it
     // so the NEXT serve (or a snapshot-driven tool) starts warm.  The load
-    // goes through LoadSpaceBuilderSnapshot, so a v2 `capped` snapshot
-    // comes back with its BFS frontier live and "deepen" requests resume
-    // it; v1 snapshots load as sealed (query-only) spaces.  System name
-    // and process count are validated by the loader.
+    // goes through LoadSpaceBuilderSnapshot, so a `capped` snapshot comes
+    // back with its BFS frontier live and "deepen" requests resume it.
+    // System name and process count are validated by the loader.
     std::ifstream probe(*snapshot_path, std::ios::binary);
     if (probe) {
       probe.close();
@@ -1413,36 +894,19 @@ int CmdServe(const std::string& spec, const CliOptions& flags) {
   }
   WarnIfTruncated(builder->space());
 
-  ServeContext ctx(std::move(named), std::move(*builder),
-                   flags.knowledge_threads, flags.kernels);
+  serve::Session session(std::move(*builder), std::move(named.atoms),
+                         {.num_threads = flags.knowledge_threads,
+                          .compiled_kernels = flags.kernels});
+  const SpaceBuilder& served = session.builder();
   std::fprintf(stderr,
                "serve: %s ready (%zu classes, depth %d%s); "
                "newline-delimited JSON requests on stdin, one response per "
                "line on stdout\n",
-               ctx.space().system_name().c_str(), ctx.space().size(),
-               ctx.builder.built_depth(),
-               ctx.builder.CanDeepen() ? ", deepenable" : "");
-
-  std::string line;
-  bool quit = false;
-  while (!quit && std::getline(std::cin, line)) {
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    std::string response;
-    std::string id;  // stays "" until the request parses as an object
-    try {
-      const json::Value request = json::Parse(line);
-      if (request.type == json::Value::Type::kObject) id = IdEcho(request);
-      response = HandleServeRequest(ctx, request, id, &quit);
-    } catch (const std::exception& error) {
-      response = std::string("{\"ok\":false,\"v\":3,\"error\":\"") +
-                 json::Escape(error.what()) + "\"" + id + "}";
-    }
-    std::fputs(response.c_str(), stdout);
-    std::fputc('\n', stdout);
-    std::fflush(stdout);
-  }
+               served.space().system_name().c_str(), served.space().size(),
+               served.built_depth(), served.CanDeepen() ? ", deepenable" : "");
+  const std::uint64_t requests = serve::Run(session, std::cin, std::cout);
   std::fprintf(stderr, "serve: done (%llu requests)\n",
-               static_cast<unsigned long long>(ctx.requests));
+               static_cast<unsigned long long>(requests));
   return 0;
 }
 
@@ -1482,12 +946,11 @@ int CmdSnapshotInfo(const std::string& path) {
   std::printf("group indexes: %llu\n",
               static_cast<unsigned long long>(info.group_indexes));
   std::printf("canonicalize:  %s\n", info.canonicalize ? "yes" : "no");
-  if (info.version >= 3)
-    std::printf("segments:      %llu across %llu columns (saved at "
-                "shift %u: %u class rows/segment)\n",
-                static_cast<unsigned long long>(info.segments),
-                static_cast<unsigned long long>(info.segment_columns),
-                info.segment_shift, 1u << info.segment_shift);
+  std::printf("segments:      %llu across %llu columns (saved at "
+              "shift %u: %u class rows/segment)\n",
+              static_cast<unsigned long long>(info.segments),
+              static_cast<unsigned long long>(info.segment_columns),
+              info.segment_shift, 1u << info.segment_shift);
   // Snapshots persist the space only; an evaluator over it starts with an
   // empty kernel cache, so report the per-register-plane footprint a
   // compiled sweep of this space will use (one 64-bit word per 64 classes).
