@@ -18,8 +18,8 @@
 //                         files.
 //   SegmentPin            RAII residency pin: while alive, the pinned
 //                         segment cannot be evicted and its base pointer is
-//                         stable.  BucketView / SuccessorRange /
-//                         SegmentCursor (space.h) are built on it.
+//                         stable.  SuccessorRange and SegmentCursor
+//                         (space.h) are built on it.
 //
 // Segment files extend the hpl-space on-disk family (magic "HPLSEGM1"):
 // a fixed little-endian header carrying the column tag, segment index,

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 #include <string_view>
@@ -137,8 +138,9 @@ constexpr char kSnapshotMagic[8] = {'H', 'P', 'L', 'S', 'P', 'A', 'C', 'E'};
 
 // Counts in a snapshot beyond this are assumed corruption, not data: the
 // columnar store itself caps classes at EnumerationLimits::max_classes
-// (default 20M), so a multi-billion count means a garbage header — reject
-// it before reserve() turns it into a bad_alloc.
+// (default 20M), so a multi-billion count means a garbage header.  Counts
+// below it that size an allocation are further checked against the bytes
+// left in the input (Reader::RequireFits).
 constexpr std::uint64_t kMaxPlausibleCount = std::uint64_t{1} << 33;
 
 constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
@@ -204,15 +206,31 @@ class Writer {
 
 // Little-endian reader mirroring Writer; throws ModelError with `where`
 // context on truncation, and folds the same checksum for the final check.
+// It knows how many input bytes remain (a stream that cannot seek is read
+// into memory first), so no count read from the file can size an
+// allocation beyond what the file can still deliver.
 class Reader {
  public:
-  explicit Reader(std::istream& in) : in_(in) {}
+  explicit Reader(std::istream& in) : in_(&in) {
+    const std::istream::pos_type here = in.tellg();
+    if (here != std::istream::pos_type(-1) && in.seekg(0, std::ios::end)) {
+      remaining_ = static_cast<std::uint64_t>(in.tellg() - here);
+      in.seekg(here);
+    } else {
+      in.clear();
+      std::string all(std::istreambuf_iterator<char>(in), {});
+      remaining_ = all.size();
+      buffered_.str(std::move(all));
+      in_ = &buffered_;
+    }
+  }
 
   void Bytes(void* data, std::size_t n, const char* where) {
-    in_.read(static_cast<char*>(data), static_cast<std::streamsize>(n));
-    if (static_cast<std::size_t>(in_.gcount()) != n)
+    in_->read(static_cast<char*>(data), static_cast<std::streamsize>(n));
+    if (static_cast<std::size_t>(in_->gcount()) != n)
       throw ModelError(std::string("LoadSpaceSnapshot: truncated snapshot (") +
                        where + ")");
+    remaining_ -= std::min<std::uint64_t>(remaining_, n);  // a growing file
     const auto* p = static_cast<const unsigned char*>(data);
     for (std::size_t i = 0; i < n; ++i) {
       hash_ ^= p[i];
@@ -250,18 +268,26 @@ class Reader {
                        std::to_string(n) + " (" + where + "); corrupt file?");
     return n;
   }
+  // Throws unless `n` elements of at least `min_bytes` wire bytes each can
+  // still be read; call it before anything is reserved or sized by `n`.
+  void RequireFits(std::uint64_t n, std::uint64_t min_bytes,
+                   const char* where) const {
+    if (n > remaining_ / min_bytes)
+      throw ModelError(std::string("LoadSpaceSnapshot: truncated snapshot (") +
+                       where + ": count " + std::to_string(n) + " of " +
+                       std::to_string(min_bytes) + "-byte elements, " +
+                       std::to_string(remaining_) + " bytes remain)");
+  }
   std::string Str(const char* where) {
     const std::uint32_t n = U32(where);
-    if (n > kMaxPlausibleCount)
-      throw ModelError(std::string("LoadSpaceSnapshot: implausible string "
-                                   "length (") +
-                       where + "); corrupt file?");
+    RequireFits(n, 1, where);
     std::string s(n, '\0');
     Bytes(s.data(), n, where);
     return s;
   }
   std::vector<std::uint32_t> U32Column(const char* where) {
     const std::uint64_t n = Count(where);
+    RequireFits(n, 4, where);
     std::vector<std::uint32_t> column;
     column.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) column.push_back(U32(where));
@@ -272,8 +298,8 @@ class Reader {
   void VerifyChecksum() {
     const std::uint64_t expected = hash_;
     unsigned char b[8];
-    in_.read(reinterpret_cast<char*>(b), 8);
-    if (in_.gcount() != 8)
+    in_->read(reinterpret_cast<char*>(b), 8);
+    if (in_->gcount() != 8)
       throw ModelError("LoadSpaceSnapshot: truncated snapshot (checksum)");
     std::uint64_t stored = 0;
     for (int i = 0; i < 8; ++i)
@@ -283,7 +309,9 @@ class Reader {
   }
 
  private:
-  std::istream& in_;
+  std::istream* in_;
+  std::istringstream buffered_;  // the input, when it cannot seek
+  std::uint64_t remaining_ = 0;  // input bytes not yet read
   std::uint64_t hash_ = kFnvOffset;
 };
 
@@ -430,6 +458,10 @@ SpaceSnapshotInfo ReadHeader(Reader& r,
   }
   return info;
 }
+
+// Wire size of an event with an empty label: the floor a pool count is
+// checked against before the pool is reserved.
+constexpr std::uint64_t kMinEventBytes = 4 + 1 + 8 + 4 + 4;
 
 void WriteEvent(Writer& w, const Event& e) {
   w.U32(static_cast<std::uint32_t>(e.process));
@@ -649,6 +681,7 @@ struct SpaceSnapshotIO {
     };
 
     const std::size_t classes = info.classes;
+    r.RequireFits(info.pool_events, kMinEventBytes, "pool_events");
     space.event_pool_.reserve(info.pool_events);
     for (std::uint64_t i = 0; i < info.pool_events; ++i)
       space.event_pool_.push_back(ReadEvent(r));

@@ -71,12 +71,12 @@ std::size_t UpperBound(const internal::SegColumn<T>& col, const T& v) {
 // the only sound key for |G| >= 2: the same [G]-tuple is reachable through
 // parents that extend different member processes, so any
 // (parent-class, event)-shaped key would mint duplicate ids (see space.h).
-// Ids come out in first-occurrence order, so the incremental (BFS merge)
-// and lazy (link replay) callers produce byte-identical tables.
+// Ids come out in first-occurrence order, so replaying the same links always
+// mints the same table.  ComputationSpace::ReplayGroupClasses is its only
+// user.
 class GroupClassMinter {
  public:
-  GroupClassMinter(ProcessSet g, int num_processes)
-      : g_(g), num_processes_(static_cast<std::size_t>(num_processes)) {}
+  explicit GroupClassMinter(ProcessSet g) : g_(g) {}
 
   // Visit class `id` (ids strictly ascending from 0, the root).  `proj` is
   // the space's proj_class_ column, already filled through `id`'s row.
@@ -116,9 +116,6 @@ class GroupClassMinter {
   std::uint32_t num_classes() const {
     return static_cast<std::uint32_t>(rep_.size());
   }
-  // The classification so far, for callers that keep the minter alive
-  // (SpaceBuilder republishes after every Deepen and keeps classifying).
-  const std::vector<std::uint32_t>& classes() const { return cls_; }
   std::vector<std::uint32_t> TakeClasses() { return std::move(cls_); }
 
  private:
@@ -138,22 +135,10 @@ class GroupClassMinter {
   }
 
   ProcessSet g_;
-  std::size_t num_processes_;
   std::vector<std::uint32_t> cls_;  // per visited id: its [G]-class
   std::vector<std::uint32_t> rep_;  // per [G]-class: first member id
   std::unordered_map<std::size_t, std::vector<std::uint32_t>> by_hash_;
 };
-
-// Rejects group sets the space cannot index.
-void CheckGroup(ProcessSet g, int num_processes, const char* where) {
-  if (g.IsEmpty())
-    throw ModelError(std::string(where) +
-                     ": the empty set has no projection classes (x [{}] y "
-                     "relates everything)");
-  if (num_processes < 64 && (g.bits() >> num_processes) != 0)
-    throw ModelError(std::string(where) +
-                     ": group contains a process outside the system");
-}
 
 }  // namespace
 
@@ -183,11 +168,11 @@ void ComputationSpace::InitColumns(const SegmentOptions& options) {
 }
 
 // Transient construction state retained between Build/Deepen/Ingest calls:
-// the event interner, the incremental projection-class maps, the live group
-// minters, and the BFS frontier arena — everything the one-shot BFS used to
-// discard when it returned.  All of it is reconstructible from the sealed
-// columns by an id-order replay, which is how a loaded hpl-space-v3
-// snapshot resumes (AdoptSpace).
+// the event interner, the incremental projection-class maps, and the BFS
+// frontier arena — everything the one-shot BFS used to discard when it
+// returned.  All of it is reconstructible from the sealed columns by an
+// id-order replay, which is how a loaded hpl-space-v3 snapshot resumes
+// (AdoptSpace).
 struct SpaceBuilder::State {
   // Event interner: pool-id lists per event hash.  Read-only while a
   // level's parallel phases are in flight; misses are interned between
@@ -203,11 +188,6 @@ struct SpaceBuilder::State {
   // Class 0 is the empty projection on every process.
   std::vector<std::unordered_map<std::uint64_t, std::uint32_t>> proj_extend;
   std::vector<std::uint32_t> proj_count;
-
-  // Group minters for EnumerationLimits::groups (deduped by mask), kept
-  // live across Deepen/Ingest so classification continues incrementally;
-  // Finalize republishes their tables after every growth step.
-  std::vector<std::pair<ProcessSet, GroupClassMinter>> minters;
 
   // The BFS frontier: classes [level_begin, level_begin + level_count),
   // all of length `depth`, with their interned-id sequences materialized in
@@ -284,6 +264,14 @@ ComputationSpace SpaceBuilder::Take() && {
 
 void SpaceBuilder::Build(const System& system,
                          const EnumerationLimits& limits) {
+  // Projection rows are copied through kMaxProcesses-wide stack arrays, so
+  // a System outside [1, kMaxProcesses] must be refused before any row is.
+  const int num_processes = system.NumProcesses();
+  if (num_processes < 1 || num_processes > kMaxProcesses)
+    throw ModelError("ComputationSpace::Enumerate: system '" + system.Name() +
+                     "' has " + std::to_string(num_processes) +
+                     " processes; the space supports 1 to " +
+                     std::to_string(kMaxProcesses));
   if (limits.max_depth > kMaxStoredDepth)
     throw ModelError(
         "ComputationSpace::Enumerate: max_depth exceeds the columnar "
@@ -296,7 +284,7 @@ void SpaceBuilder::Build(const System& system,
   state_ = std::make_unique<State>();
   ComputationSpace& space = *space_;
   State& st = *state_;
-  space.num_processes_ = system.NumProcesses();
+  space.num_processes_ = num_processes;
   space.system_name_ = system.Name();
   space.canonicalize_ = limits.canonicalize;
   space.InitColumns(limits.segments);
@@ -304,16 +292,6 @@ void SpaceBuilder::Build(const System& system,
 
   st.proj_extend.resize(static_cast<std::size_t>(P));
   st.proj_count.assign(static_cast<std::size_t>(P), 1);
-
-  // Requested group indexes, minted incrementally as classes appear —
-  // deduped by mask so each partition is built once.
-  for (ProcessSet g : limits.groups) {
-    CheckGroup(g, P, "ComputationSpace::Enumerate");
-    bool seen = false;
-    for (const auto& [existing, minter] : st.minters)
-      if (existing.bits() == g.bits()) seen = true;
-    if (!seen) st.minters.emplace_back(g, GroupClassMinter(g, P));
-  }
 
   // Root: the empty computation.
   space.links_.push_back(ComputationSpace::ClassLink{});
@@ -324,8 +302,6 @@ void SpaceBuilder::Build(const System& system,
   space.canon_hash_.push_back(Computation().SequenceHash());
   space.canon_id_.push_back(0);
   space.succ_offsets_.push_back(0);
-  for (auto& [g, minter] : st.minters)
-    minter.Classify(0, 0, 0, space.proj_class_);
   st.level_begin = 0;
   st.level_count = 1;
   st.depth = 0;
@@ -604,12 +580,6 @@ void SpaceBuilder::RunLevels(int target_depth, internal::WorkerPool* pool) {
           if (minted) ++st.proj_count[ep];
           row[ep] = it->second;
           space.proj_class_.Append(row.data(), static_cast<std::size_t>(P));
-          // Incremental [G]-classification: the child's [p]-class row is
-          // complete, so the minters can inherit or hash-cons now.
-          for (auto& [g, minter] : st.minters)
-            minter.Classify(id, parent,
-                            space.event_pool_[c.event_id].process,
-                            space.proj_class_);
           // Next level arena row.
           const std::uint32_t* seq =
               ext_seqs[i].data() +
@@ -722,30 +692,16 @@ void SpaceBuilder::Finalize(internal::WorkerPool* pool) {
     space.bucket_offsets_[static_cast<std::size_t>(p)].assign(
         st.proj_count[static_cast<std::size_t>(p)] + 1, 0);
 
-  // Publish the incrementally minted group partitions; BuildBuckets fills
-  // their CSR columns alongside the singleton ones.  Indexes that already
-  // exist are refreshed in place — evaluators hold references to them, and
-  // the minter replay visits ids in the same order as the original build,
-  // so old ids keep their [G]-classes.  Indexes minted lazily (no live
-  // minter, e.g. after a snapshot load) are re-replayed from the links.
+  // Refresh every cached group index in place (evaluators hold references
+  // to them); BuildBuckets fills their CSR columns alongside the singleton
+  // ones.  The replay visits ids in the same order as the original build,
+  // so old ids keep their [G]-classes.
   {
     std::lock_guard<std::mutex> lock(*space.group_mutex_);
-    for (auto& [g, minter] : st.minters) {
-      auto it = space.group_index_.find(g.bits());
-      if (it == space.group_index_.end()) {
-        auto index = std::make_unique<ComputationSpace::GroupIndex>();
-        index->mask_ = g.bits();
-        it = space.group_index_.emplace(g.bits(), std::move(index)).first;
-      }
-      it->second->cls_ = minter.classes();
-      it->second->cls_.shrink_to_fit();
-      it->second->offsets_.assign(minter.num_classes() + 1, 0);
-    }
     for (auto& [mask, index] : space.group_index_) {
       if (index->cls_.size() == n) {
-        // Refreshed above, or a lazily-built index untouched by a
-        // zero-growth Finalize; either way the counting sort in
-        // BuildBuckets needs its offsets zeroed again.
+        // Untouched by a zero-growth Finalize; the counting sort in
+        // BuildBuckets still needs its offsets zeroed again.
         std::fill(index->offsets_.begin(), index->offsets_.end(), 0);
         continue;
       }
@@ -905,8 +861,6 @@ std::size_t SpaceBuilder::Ingest(std::span<const Event> events) {
     if (pminted) ++st.proj_count[ep];
     row[ep] = pit->second;
     space.proj_class_.Append(row.data(), static_cast<std::size_t>(P));
-    for (auto& [g, minter] : st.minters)
-      minter.Classify(id, cur, e.process, space.proj_class_);
 
     // Successor CSR: an empty row for the newcomer, then the parent edge.
     space.succ_offsets_.push_back(space.succ_offsets_.back());
@@ -1007,9 +961,6 @@ void SpaceBuilder::AdoptSpace(std::unique_ptr<ComputationSpace> space,
     st.proj_extend[ep].try_emplace(key, sp.proj_class_.Row(id)[ep]);
   }
 
-  // Group minters stay empty: Finalize replays any cached index from the
-  // links instead, which is byte-identical to continuing a live minter.
-
   if (capped_) {
     // Rehydrate the frontier arena from the stored splice chains.
     st.depth = sp.built_depth_;
@@ -1076,9 +1027,8 @@ void ComputationSpace::BuildBuckets(ComputationSpace& space,
       if (space.store_->out_of_core()) space.store_->EnforceBudget();
     }
   };
-  // Group indexes minted during phase 1 still need their CSR columns; the
-  // sorts are independent of the per-process ones, so they join the task
-  // list.
+  // Cached group indexes still need their CSR columns; the sorts are
+  // independent of the per-process ones, so they join the task list.
   std::vector<GroupIndex*> group_tasks;
   for (auto& [mask, index] : space.group_index_)
     group_tasks.push_back(index.get());
@@ -1102,7 +1052,7 @@ void ComputationSpace::BuildBuckets(ComputationSpace& space,
 void ComputationSpace::BuildGroupBuckets(GroupIndex& index) {
   // Counting sort of class ids by [G]-class; ids land ascending within each
   // bucket because they are scanned in ascending order.  offsets_ is
-  // pre-assigned to NumClasses() + 1 zeros by both callers.
+  // pre-assigned to NumClasses() + 1 zeros by ReplayGroupClasses.
   auto& offsets = index.offsets_;
   const std::size_t n = index.cls_.size();
   for (std::size_t id = 0; id < n; ++id) ++offsets[index.cls_[id] + 1];
@@ -1114,11 +1064,10 @@ void ComputationSpace::BuildGroupBuckets(GroupIndex& index) {
 }
 
 void ComputationSpace::ReplayGroupClasses(GroupIndex& index) const {
-  // Replay the class links in id order — BFS parents always have smaller
-  // ids, so the minter sees exactly the sequence the incremental path fed
-  // it during enumeration, and the tables come out byte-identical.
+  // Replay the class links in id order — BFS and Ingest parents always have
+  // smaller ids, so every parent is classified before its children.
   const ProcessSet g = ProcessSet::FromBits(index.mask_);
-  GroupClassMinter minter(g, num_processes_);
+  GroupClassMinter minter(g);
   const std::size_t n = links_.size();
   for (std::size_t id = 0; id < n; ++id) {
     const ClassLink link = links_[id];
@@ -1131,20 +1080,23 @@ void ComputationSpace::ReplayGroupClasses(GroupIndex& index) const {
   index.offsets_.assign(minter.num_classes() + 1, 0);
 }
 
-void ComputationSpace::BuildGroupIndex(GroupIndex& index) const {
-  ReplayGroupClasses(index);
-  BuildGroupBuckets(index);
-}
-
 const ComputationSpace::GroupIndex& ComputationSpace::EnsureGroupIndex(
     ProcessSet g) const {
-  CheckGroup(g, num_processes_, "ComputationSpace::EnsureGroupIndex");
+  if (g.IsEmpty())
+    throw ModelError(
+        "ComputationSpace::EnsureGroupIndex: the empty set has no projection "
+        "classes (x [{}] y relates everything)");
+  if (num_processes_ < kMaxProcesses && (g.bits() >> num_processes_) != 0)
+    throw ModelError(
+        "ComputationSpace::EnsureGroupIndex: group contains a process "
+        "outside the system");
   std::lock_guard<std::mutex> lock(*group_mutex_);
   auto it = group_index_.find(g.bits());
   if (it != group_index_.end()) return *it->second;
   auto index = std::make_unique<GroupIndex>();
   index->mask_ = g.bits();
-  BuildGroupIndex(*index);
+  ReplayGroupClasses(*index);
+  BuildGroupBuckets(*index);
   return *group_index_.emplace(g.bits(), std::move(index)).first->second;
 }
 

@@ -36,11 +36,12 @@
 // payloads are the one column sweeps genuinely random-access (their
 // footprint is the documented floor of the out-of-core mode).
 //
-// Reads go through view/cursor types instead of raw spans: Bucket()
-// returns a BucketView, SuccessorsOf() a SuccessorRange, and Classes() a
+// Reads of the segmented columns go through view/cursor types instead of
+// raw spans: SuccessorsOf() returns a SuccessorRange and Classes() a
 // SegmentCursor — each pins the segments it touches for its lifetime, so a
 // cooperative residency trim (TrimResidency) can never invalidate an
-// in-flight access.
+// in-flight access.  Bucket() returns a plain std::span: bucket payloads
+// are resident by design, so there is nothing to pin.
 //
 // Per-process buckets group computations with equal projections, so the
 // [p]-equivalence classes are materialized and "for all y: x [P] y" becomes
@@ -63,10 +64,9 @@
 // (parent [G]-class, event) would be UNSOUND for |G| >= 2: the same
 // [G]-tuple is reachable through parents that extend different member
 // processes, which would mint duplicate ids — the tuple key is canonical.)
-// Indexes are built incrementally during the BFS merge for the groups in
-// EnumerationLimits::groups, and lazily afterwards by replaying the class
-// links in id order through EnsureGroupIndex's mask-keyed cache; both scans
-// visit classes in the same order, so they mint byte-identical tables.
+// An index is built on first use by EnsureGroupIndex, which replays the
+// class links in id order and caches the table by process mask; Deepen and
+// Ingest re-replay every cached index in place.
 //
 // Enumeration is level-synchronous: the BFS frontier expands one depth
 // level at a time, extensions dedup through per-shard hash maps over the
@@ -130,12 +130,6 @@ struct EnumerationLimits {
   // (at least 1); 1 = the same level phases run inline.  Any value produces
   // byte-identical class ids and derived indexes (see the header comment).
   int num_threads = 0;
-  // Process groups whose [G]-class indexes are materialized incrementally
-  // during the BFS merge (one inherit-or-mint step per discovered class)
-  // instead of by a whole-space replay on first use.  Duplicates (by mask)
-  // are built once; empty sets are rejected.  The resulting tables are
-  // byte-identical to the lazy EnsureGroupIndex path.
-  std::vector<ProcessSet> groups = {};
   // Segment size / residency budget / spill directory of the columnar
   // store (segment_store.h).  The default keeps everything resident; a
   // non-zero residency budget turns on out-of-core enumeration: cold
@@ -193,59 +187,22 @@ class ComputationSpace {
     return bucket_offsets_.at(static_cast<std::size_t>(p)).size() - 1;
   }
 
-  // Span-like view of one [p]-bucket, pinning whatever segment backs it
-  // for the view's lifetime (today bucket payloads are always resident, so
-  // the pin is empty — the type exists so the contract survives buckets
-  // moving out of core).  Implicitly converts to std::span for code that
-  // only reads.  Move-only: the pin is owned.
-  class BucketView {
-   public:
-    using value_type = std::uint32_t;
-    BucketView() = default;
-    BucketView(BucketView&&) noexcept = default;
-    BucketView& operator=(BucketView&&) noexcept = default;
-
-    const std::uint32_t* data() const noexcept { return data_; }
-    std::size_t size() const noexcept { return size_; }
-    bool empty() const noexcept { return size_ == 0; }
-    std::uint32_t operator[](std::size_t k) const { return data_[k]; }
-    std::uint32_t front() const { return data_[0]; }
-    std::uint32_t back() const { return data_[size_ - 1]; }
-    const std::uint32_t* begin() const noexcept { return data_; }
-    const std::uint32_t* end() const noexcept { return data_ + size_; }
-    std::span<const std::uint32_t> span() const noexcept {
-      return std::span<const std::uint32_t>(data_, size_);
-    }
-    operator std::span<const std::uint32_t>() const noexcept {  // NOLINT
-      return span();
-    }
-
-   private:
-    friend class ComputationSpace;
-    BucketView(const std::uint32_t* data, std::size_t size,
-               internal::SegmentPin pin)
-        : data_(data), size_(size), pin_(std::move(pin)) {}
-    const std::uint32_t* data_ = nullptr;
-    std::size_t size_ = 0;
-    internal::SegmentPin pin_;
-  };
-
   // All computations y with At(id) [p] y (including id itself), ascending —
   // one contiguous slice of the process's CSR bucket column.
-  BucketView Bucket(ProcessId p, std::uint32_t cls) const {
+  std::span<const std::uint32_t> Bucket(ProcessId p, std::uint32_t cls) const {
     const auto& offsets = bucket_offsets_.at(static_cast<std::size_t>(p));
     const auto& ids = bucket_ids_[static_cast<std::size_t>(p)];
-    return BucketView(ids.data() + offsets.at(cls),
-                      offsets.at(cls + 1) - offsets[cls],
-                      internal::SegmentPin());
+    return std::span<const std::uint32_t>(ids.data() + offsets.at(cls),
+                                          offsets.at(cls + 1) - offsets[cls]);
   }
 
   // One materialized [G]-class partition: the common refinement of the
   // member [p]-partitions, stored like the singleton layer — a dense class
   // id per [D]-class and a CSR bucket column.  Instances are owned by the
-  // space (built by Enumerate for EnumerationLimits::groups, or lazily by
-  // EnsureGroupIndex) and their addresses are stable for the space's
-  // lifetime, so hot sweeps hold the reference and never touch the cache.
+  // space (built by EnsureGroupIndex, or loaded with a snapshot) and their
+  // addresses are stable for the space's lifetime — SpaceBuilder refreshes
+  // them in place — so hot sweeps hold the reference and never touch the
+  // cache.
   // Group tables are always resident (they are derived, rebuildable
   // indexes, not part of the segmented class store).
   class GroupIndex {
@@ -284,22 +241,9 @@ class ComputationSpace {
   // singleton ProjectionClass/Bucket columns.
   const GroupIndex& EnsureGroupIndex(ProcessSet g) const;
 
-  // True when the [G]-class index for `g` is already materialized (via
-  // EnumerationLimits::groups or a previous EnsureGroupIndex).
+  // True when the [G]-class index for `g` is already materialized (by a
+  // previous EnsureGroupIndex, or loaded with a snapshot).
   bool HasGroupIndex(ProcessSet g) const;
-
-  // Convenience forwards to EnsureGroupIndex(g) — each call pays the cache
-  // lookup; hold the GroupIndex reference on hot paths.
-  std::uint32_t GroupClass(std::size_t id, ProcessSet g) const {
-    return EnsureGroupIndex(g).ClassOf(id);
-  }
-  std::size_t NumGroupClasses(ProcessSet g) const {
-    return EnsureGroupIndex(g).NumClasses();
-  }
-  std::span<const std::uint32_t> GroupBucket(ProcessSet g,
-                                             std::uint32_t cls) const {
-    return EnsureGroupIndex(g).Bucket(cls);
-  }
 
   // Iterates ids of all y with At(id) [P] y.  P empty relates everything
   // (the paper: x [{}] y for all x, y).  A thin forward to
@@ -333,8 +277,7 @@ class ComputationSpace {
         best = p;
       }
     });
-    const BucketView bucket = Bucket(best, ProjectionClass(id, best));
-    for (std::uint32_t y : bucket)
+    for (std::uint32_t y : Bucket(best, ProjectionClass(id, best)))
       if (Isomorphic(id, y, set) && !fn(y)) return;
   }
 
@@ -546,7 +489,7 @@ class ComputationSpace {
   // after num_processes_ is set and before any column grows.
   void InitColumns(const SegmentOptions& options);
 
-  // Bucket size without materializing a view (offset subtraction).
+  // Bucket size without the bounds checks of Bucket().
   std::size_t BucketSize(ProcessId p, std::uint32_t cls) const {
     const auto& offsets = bucket_offsets_[static_cast<std::size_t>(p)];
     return offsets[cls + 1] - offsets[cls];
@@ -556,21 +499,17 @@ class ComputationSpace {
   // (phase 2 of construction); one independent task per process when a pool
   // is given.  Streams the projection column segment-at-a-time under pins,
   // trimming residency as it goes when a budget is set.  Also finishes the
-  // CSR columns of any group indexes whose cls_ columns are filled and
-  // offsets zeroed (SpaceBuilder::Finalize).
+  // CSR columns of every cached group index, whose cls_ columns are filled
+  // and offsets zeroed (SpaceBuilder::Finalize).
   static void BuildBuckets(ComputationSpace& space, internal::WorkerPool* pool);
 
-  // Fills `index` (mask already set) by replaying the class links in id
-  // order — the same inherit-or-mint scan the incremental path runs during
-  // the BFS merge, so both produce byte-identical tables.
-  void BuildGroupIndex(GroupIndex& index) const;
-
-  // The cls_/offsets_ half of BuildGroupIndex without the bucket sort:
-  // replays the links into a fresh cls_ column and zeroes offsets_ so
-  // BuildBuckets (or BuildGroupBuckets) can fill the CSR.  SpaceBuilder
-  // re-runs this over every cached index after Deepen/Ingest — the replay
-  // visits ids in the same order as the original build, so the extended
-  // tables stay byte-identical to a from-scratch enumeration.
+  // The one way a [G]-class table is built: replays the class links in id
+  // order through an inherit-or-mint scan into a fresh cls_ column and
+  // zeroes offsets_ so BuildBuckets (or BuildGroupBuckets) can fill the CSR.
+  // EnsureGroupIndex runs it on first use; SpaceBuilder re-runs it over
+  // every cached index after Deepen/Ingest — the replay visits ids in the
+  // same order as the original build, so the extended tables stay
+  // byte-identical to a from-scratch enumeration.
   void ReplayGroupClasses(GroupIndex& index) const;
 
   // Counting sort of the CSR bucket column of a finished `cls_` column
@@ -627,8 +566,8 @@ class ComputationSpace {
 
 // Resumable construction surface over ComputationSpace: owns the space plus
 // the BFS frontier (the per-level pending interned-id sequences and the
-// incremental interner/projection/group-minter state the one-shot BFS used
-// to discard), so depth becomes a dial instead of a rebuild:
+// incremental interner/projection state the one-shot BFS used to discard),
+// so depth becomes a dial instead of a rebuild:
 //
 //   SpaceBuilder builder;
 //   builder.Build(system, {.max_depth = 4, .allow_truncation = true});
@@ -725,8 +664,7 @@ class SpaceBuilder {
   // Snapshot save/load (serialization.cc) persists the frontier fields.
   friend struct internal::SpaceSnapshotIO;
 
-  // Transient BFS/interner state (defined in space.cc: it holds the
-  // file-local group-minter machinery).
+  // Transient BFS/interner state (defined in space.cc).
   struct State;
 
   // How the held space relates to its (absent or retained) frontier; the
@@ -761,7 +699,7 @@ class SpaceBuilder {
   void RunLevels(int target_depth, internal::WorkerPool* pool);
   // Re-derives every sorted/derived column after RunLevels or Ingest:
   // merges the new canonical-index suffix, rebuilds the per-process CSR
-  // buckets, republishes/replays the group indexes in place, records
+  // buckets, re-replays the cached group indexes in place, records
   // built_depth, and drops growth slack.
   void Finalize(internal::WorkerPool* pool);
 

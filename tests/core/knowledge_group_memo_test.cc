@@ -147,29 +147,34 @@ TEST(KnowledgeGroupMemoTest, GroupSweepsMemoizePerGroupClassNotPerMember) {
   const FormulaPtr f =
       Formula::Knows(pair, Formula::Atom(Predicate::CountOnAtLeast(0, 1)));
   eval.SatisfyingSet(f);
-  EXPECT_EQ(eval.MemoryUsage().group_entries, space.NumGroupClasses(pair));
+  EXPECT_EQ(eval.MemoryUsage().group_entries,
+            space.EnsureGroupIndex(pair).NumClasses());
 }
 
-TEST(KnowledgeGroupMemoTest, EvaluatorReusesAnIncrementallyBuiltIndex) {
-  // A space enumerated with EnumerationLimits::groups already owns the
-  // [G]-index; the evaluator's tier must attach to it rather than build a
-  // second one, and verdicts must match a lazily indexed space.
+TEST(KnowledgeGroupMemoTest, EvaluatorReusesAnEnsuredIndex) {
+  // A space whose [G]-index was ensured before the evaluator existed (as
+  // hpl_cli --group does) already owns it; the evaluator's tier must attach
+  // to that table rather than build a second one, and verdicts must match
+  // an evaluator that builds the index on first use.
   RandomSystemOptions options;
   options.seed = 5;
   RandomSystem system(options);
   const ProcessSet pair{0, 1};
-  EnumerationLimits limits;
-  limits.max_depth = 24;
-  limits.groups = {pair};
-  const auto pre_indexed = ComputationSpace::Enumerate(system, limits);
-  limits.groups.clear();
-  const auto lazy = ComputationSpace::Enumerate(system, limits);
-  ASSERT_TRUE(pre_indexed.HasGroupIndex(pair));
+  const auto pre_indexed =
+      ComputationSpace::Enumerate(system, {.max_depth = 24});
+  const auto lazy = ComputationSpace::Enumerate(system, {.max_depth = 24});
+  const ComputationSpace::GroupIndex& index =
+      pre_indexed.EnsureGroupIndex(pair);
+  const std::size_t index_bytes = pre_indexed.MemoryUsage().bytes_group_index;
+  ASSERT_FALSE(lazy.HasGroupIndex(pair));
   KnowledgeEvaluator eval_pre(pre_indexed, {.num_threads = 1});
   KnowledgeEvaluator eval_lazy(lazy, {.num_threads = 1});
   const FormulaPtr f =
       Formula::Knows(pair, Formula::Atom(Predicate::CountOnAtLeast(0, 1)));
   EXPECT_EQ(eval_pre.SatisfyingSet(f), eval_lazy.SatisfyingSet(f));
+  EXPECT_EQ(&pre_indexed.EnsureGroupIndex(pair), &index);
+  EXPECT_EQ(pre_indexed.MemoryUsage().bytes_group_index, index_bytes);
+  EXPECT_TRUE(lazy.HasGroupIndex(pair));
 }
 
 }  // namespace

@@ -10,7 +10,11 @@
 // fresh space exactly, kernels on and off, at 1 and 4 threads.  Corrupt,
 // truncated, or foreign files must be rejected with ModelError, never crash
 // or silently load.
+#include <cstdint>
 #include <sstream>
+#include <streambuf>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -93,17 +97,13 @@ TEST(SnapshotTest, RoundTripPreservesGroupIndexes) {
   options.num_messages = 5;
   options.seed = 11;
   RandomSystem system(options);
-  EnumerationLimits limits;
-  limits.groups = {ProcessSet::Of(0).Union(ProcessSet::Of(1)),
-                   ProcessSet::Of(2).Union(ProcessSet::Of(3))};
-  const auto fresh = ComputationSpace::Enumerate(system, limits);
-  // Also materialize one lazily, after enumeration.
-  const ProcessSet trio =
-      ProcessSet::Of(0).Union(ProcessSet::Of(1)).Union(ProcessSet::Of(2));
-  fresh.EnsureGroupIndex(trio);
+  const auto fresh = ComputationSpace::Enumerate(system);
+  const std::vector<ProcessSet> groups = {ProcessSet{0, 1}, ProcessSet{2, 3},
+                                          ProcessSet{0, 1, 2}};
+  for (ProcessSet g : groups) fresh.EnsureGroupIndex(g);
 
   const auto loaded = LoadBytes(SnapshotBytes(fresh));
-  for (ProcessSet g : {limits.groups[0], limits.groups[1], trio}) {
+  for (ProcessSet g : groups) {
     ASSERT_TRUE(loaded.HasGroupIndex(g)) << g.ToString();
     const auto& a = fresh.EnsureGroupIndex(g);
     const auto& b = loaded.EnsureGroupIndex(g);
@@ -233,6 +233,52 @@ TEST(SnapshotTest, RejectsCorruptInput) {
     EXPECT_THROW(LoadBytes(bad), ModelError);
   }
   EXPECT_THROW(LoadSpaceSnapshot("/nonexistent/path.snap"), ModelError);
+}
+
+// A read-only buffer without seek support, like a pipe.
+class UnseekableBuf : public std::streambuf {
+ public:
+  explicit UnseekableBuf(std::string bytes) : bytes_(std::move(bytes)) {
+    setg(bytes_.data(), bytes_.data(), bytes_.data() + bytes_.size());
+  }
+
+ private:
+  std::string bytes_;
+};
+
+TEST(SnapshotTest, LoadsFromAStreamThatCannotSeek) {
+  const auto fresh = EnumerateRandom(3);
+  UnseekableBuf buf(SnapshotBytes(fresh));
+  std::istream in(&buf);
+  ASSERT_EQ(in.tellg(), std::istream::pos_type(-1));
+  ExpectStructurallyIdentical(fresh, LoadSpaceSnapshot(in));
+}
+
+TEST(SnapshotTest, RejectsACountTheInputCannotHold) {
+  // pool_events = 2^32 passes the plausibility cap but would reserve
+  // hundreds of GiB; the reader must refuse it against the bytes that
+  // remain instead of dying in the allocator.
+  const auto fresh = EnumerateRandom(2);
+  std::string bytes = SnapshotBytes(fresh);
+  // magic, version, processes, two flags, reserved u16, the length-prefixed
+  // name, then the classes count.
+  const std::size_t pool_at =
+      8 + 4 + 4 + 1 + 1 + 2 + 4 + fresh.system_name().size() + 8;
+  for (std::size_t i = 0; i < 8; ++i) bytes[pool_at + i] = 0;
+  bytes[pool_at + 4] = 1;  // little-endian 2^32
+  std::istringstream header(bytes);
+  EXPECT_EQ(ReadSpaceSnapshotInfo(header).pool_events, std::uint64_t{1} << 32);
+  try {
+    LoadBytes(bytes);
+    FAIL() << "a 2^32-event pool loaded";
+  } catch (const ModelError& error) {
+    EXPECT_NE(std::string(error.what()).find("pool_events"),
+              std::string::npos)
+        << error.what();
+  }
+  UnseekableBuf buf(bytes);
+  std::istream unseekable(&buf);
+  EXPECT_THROW(LoadSpaceSnapshot(unseekable), ModelError);
 }
 
 TEST(SnapshotTest, RejectsAnOutOfRangeSegmentShift) {

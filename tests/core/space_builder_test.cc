@@ -146,21 +146,32 @@ TEST(SpaceBuilderTest, DeepenWorksOnLiteralInterleavingSpaces) {
   }
 }
 
-TEST(SpaceBuilderTest, DeepenCarriesIncrementalGroupIndexes) {
+TEST(SpaceBuilderTest, DeepenRefreshesEnsuredGroupIndexesInPlace) {
+  // Evaluators hold GroupIndex references across Deepen, so the capped
+  // builder's indexes must be extended in place — same address — into the
+  // tables a fresh full-depth space builds.
   protocols::TokenBusSystem bus(3, 3);
-  auto limits = TruncatableLimits(6, /*threads=*/1);
-  limits.groups = {ProcessSet::Of(0).Union(ProcessSet::Of(1)),
-                   ProcessSet::Of(1).Union(ProcessSet::Of(2))};
-  const auto fresh = ComputationSpace::Enumerate(bus, limits);
-  auto partial = limits;
-  partial.max_depth = 4;
-  SpaceBuilder builder;
-  builder.Build(bus, partial);
-  builder.Deepen(2);
-  for (const ProcessSet g : limits.groups)
-    ASSERT_TRUE(builder.space().HasGroupIndex(g)) << g.ToString();
-  // Snapshot bytes cover the group tables (saved in mask order).
-  EXPECT_EQ(SnapshotBytes(builder.space()), SnapshotBytes(fresh));
+  const std::vector<ProcessSet> groups = {ProcessSet{0, 1}, ProcessSet{1, 2}};
+  for (const int threads : {1, 4}) {
+    const auto fresh =
+        ComputationSpace::Enumerate(bus, TruncatableLimits(6, threads));
+    for (const ProcessSet g : groups) fresh.EnsureGroupIndex(g);
+    SpaceBuilder builder;
+    builder.Build(bus, TruncatableLimits(4, threads));
+    std::vector<const ComputationSpace::GroupIndex*> held;
+    for (const ProcessSet g : groups)
+      held.push_back(&builder.space().EnsureGroupIndex(g));
+    ASSERT_GT(builder.Deepen(2), 0u);
+    for (std::size_t i = 0; i < groups.size(); ++i) {
+      EXPECT_EQ(&builder.space().EnsureGroupIndex(groups[i]), held[i])
+          << groups[i].ToString();
+      EXPECT_EQ(held[i]->NumClasses(),
+                fresh.EnsureGroupIndex(groups[i]).NumClasses())
+          << groups[i].ToString();
+    }
+    // Snapshot bytes cover the group tables (saved in mask order).
+    EXPECT_EQ(SnapshotBytes(builder.space()), SnapshotBytes(fresh)) << threads;
+  }
 }
 
 TEST(SpaceBuilderTest, DeepenOnCompleteSpaceReturnsZero) {

@@ -1,5 +1,5 @@
 // Invariants of the [G]-class (group projection) layer
-// (ComputationSpace::EnsureGroupIndex / EnumerationLimits::groups):
+// (ComputationSpace::EnsureGroupIndex):
 //
 //   * partition semantics — two computations share a [G]-class iff they
 //     share the [p]-class of every member (the [G]-partition is the common
@@ -8,10 +8,6 @@
 //     [p]-bucket of its representative;
 //   * |G| = 1 reduction — the lazily built singleton index coincides with
 //     the existing ProjectionClass/Bucket columns;
-//   * incremental == lazy — the tables minted during the BFS merge
-//     (EnumerationLimits::groups) are byte-identical to the post-hoc
-//     replay, at 1 and 4 enumeration threads, on canonicalized and
-//     lockstep (non-canonicalized) spaces;
 //   * CSR shape — buckets are ascending, disjoint, and cover the space.
 #include <gtest/gtest.h>
 
@@ -112,36 +108,6 @@ void ExpectSingletonReduction(const ComputationSpace& space) {
   }
 }
 
-void ExpectIncrementalEqualsLazy(const System& system,
-                                 EnumerationLimits limits) {
-  const std::vector<ProcessSet> groups = TestGroups(system.NumProcesses());
-  for (int threads : {1, 4}) {
-    limits.num_threads = threads;
-    limits.groups = groups;
-    const auto incremental = ComputationSpace::Enumerate(system, limits);
-    limits.groups.clear();
-    const auto lazy_space = ComputationSpace::Enumerate(system, limits);
-    ASSERT_EQ(incremental.size(), lazy_space.size());
-    for (ProcessSet g : groups) {
-      EXPECT_TRUE(incremental.HasGroupIndex(g));
-      EXPECT_FALSE(lazy_space.HasGroupIndex(g));
-      const auto& a = incremental.EnsureGroupIndex(g);
-      const auto& b = lazy_space.EnsureGroupIndex(g);
-      ASSERT_EQ(a.NumClasses(), b.NumClasses()) << "mask=" << g.bits();
-      for (std::size_t id = 0; id < incremental.size(); ++id)
-        ASSERT_EQ(a.ClassOf(id), b.ClassOf(id))
-            << "id " << id << " mask=" << g.bits() << " threads=" << threads;
-      for (std::uint32_t cls = 0; cls < a.NumClasses(); ++cls) {
-        const auto ba = a.Bucket(cls);
-        const auto bb = b.Bucket(cls);
-        ASSERT_EQ(std::vector<std::uint32_t>(ba.begin(), ba.end()),
-                  std::vector<std::uint32_t>(bb.begin(), bb.end()));
-      }
-      EXPECT_TRUE(lazy_space.HasGroupIndex(g));
-    }
-  }
-}
-
 ComputationSpace SmallRandomSpace() {
   RandomSystemOptions options;
   options.num_processes = 3;
@@ -174,24 +140,6 @@ TEST(SpaceGroupClassTest, SingletonIndexReducesToProjectionColumns) {
   ExpectSingletonReduction(SmallRandomSpace());
 }
 
-TEST(SpaceGroupClassTest, IncrementalBuildMatchesLazyBuild) {
-  RandomSystemOptions options;
-  options.num_processes = 4;
-  options.num_messages = 4;
-  options.internal_events = 1;
-  options.seed = 42;
-  RandomSystem system(options);
-  ExpectIncrementalEqualsLazy(system, {.max_depth = 32});
-}
-
-TEST(SpaceGroupClassTest, IncrementalBuildMatchesLazyBuildOnLockstep) {
-  protocols::LockstepSystem system(6);
-  EnumerationLimits limits;
-  limits.max_depth = 32;
-  limits.canonicalize = false;
-  ExpectIncrementalEqualsLazy(system, limits);
-}
-
 TEST(SpaceGroupClassTest, FullGroupOnCanonicalSpaceIsDiscrete) {
   // On a canonicalized space, projections onto all processes determine the
   // [D]-class, so the [All]-partition is discrete.
@@ -215,13 +163,9 @@ TEST(SpaceGroupClassTest, RejectsEmptyAndOutOfRangeGroups) {
   const auto space = SmallRandomSpace();
   EXPECT_THROW(space.EnsureGroupIndex(ProcessSet::Empty()), ModelError);
   EXPECT_THROW(space.EnsureGroupIndex(ProcessSet{0, 5}), ModelError);
-  RandomSystemOptions options;
-  options.seed = 11;
-  RandomSystem system(options);
-  EnumerationLimits limits;
-  limits.max_depth = 24;
-  limits.groups = {ProcessSet::Empty()};
-  EXPECT_THROW(ComputationSpace::Enumerate(system, limits), ModelError);
+  // A rejected group leaves nothing behind in the cache.
+  EXPECT_FALSE(space.HasGroupIndex(ProcessSet::Empty()));
+  EXPECT_FALSE(space.HasGroupIndex(ProcessSet{0, 5}));
 }
 
 }  // namespace

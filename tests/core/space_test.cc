@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/isomorphism.h"
 #include "core/random_system.h"
 
@@ -242,6 +245,32 @@ TEST(SpaceTest, ClassBudgetEnforced) {
   EXPECT_THROW(
       ComputationSpace::Enumerate(system, {.max_depth = 24, .max_classes = 3}),
       ModelError);
+}
+
+TEST(SpaceTest, RejectsProcessCountsTheStoreCannotHold) {
+  // Projection rows are kMaxProcesses wide: a System reporting more (or no)
+  // processes must be refused with its count named, before any row exists.
+  for (const int n : {kMaxProcesses + 1, 0}) {
+    const LambdaSystem system(
+        n,
+        [n](const Computation& x) {
+          std::vector<Event> out;
+          if (x.size() < 2) out.push_back(Internal(n - 1, "tick"));
+          return out;
+        },
+        "wide");
+    SpaceBuilder builder;
+    try {
+      builder.Build(system);
+      ADD_FAILURE() << n << " processes enumerated";
+    } catch (const ModelError& error) {
+      EXPECT_NE(std::string(error.what())
+                    .find("has " + std::to_string(n) + " processes"),
+                std::string::npos)
+          << error.what();
+    }
+    EXPECT_FALSE(builder.has_space());
+  }
 }
 
 TEST(SpaceTest, SuccessorsAreOneEventExtensions) {

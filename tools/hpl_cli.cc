@@ -43,7 +43,7 @@
 //                                        response per line on stdout (the
 //                                        protocol: serve/serve.h)
 //
-// check, check-at, and bench share the flags
+// check, check-at, bench, serve and snapshot save share the flags
 //   --threads=N            ComputationSpace::Enumerate workers
 //   --knowledge-threads=N  workers for compiled kernel sweeps and the CK
 //                          union-find (both: 0 = hardware concurrency,
@@ -61,9 +61,10 @@
 //   --allow-truncation     keep going at max_depth (knowledge verdicts are
 //                          then approximations; a WARNING is printed)
 //   --group=P0,P1[,...]    materialize the [G]-class index of this process
-//                          group incrementally during enumeration
-//                          (repeatable); group stats are printed and, with
-//                          --json, emitted as group_index/ rows
+//                          group right after the space is built or loaded
+//                          (repeatable; snapshot save and serve persist it);
+//                          group stats are printed and, with --json, emitted
+//                          as group_index/ rows
 //   --json=PATH            write the phases as hpl-bench-v1 rows, including
 //                          the bytes_space/bytes_memo memory gauges
 //
@@ -85,8 +86,8 @@
 // non-zero (after writing --json, rows flagged deterministic=0) if any
 // multi-threaded row fails that determinism check.
 //
-// Systems: ping | relay:N | tokenbus:N,PASSES | tracker:FLIPS | random:SEED
-//          | lockstep:ROUNDS
+// Systems: ping | relay:N (N in [2, 64]) | tokenbus:N,PASSES | tracker:FLIPS
+//          | random:SEED | lockstep:ROUNDS
 // Formulas use the text syntax, e.g.  "K{1} (sent && !K{0} K{1} sent)".
 #include <algorithm>
 #include <charconv>
@@ -171,11 +172,12 @@ double ParseDoubleArg(const std::string& what, std::string_view text,
   return value;
 }
 
-int ParseIntAfter(const std::string& spec, std::size_t pos, int fallback) {
+int ParseIntAfter(const std::string& spec, std::size_t pos, int fallback,
+                  long long min_value = 0, long long max_value = 1'000'000) {
   if (pos >= spec.size()) return fallback;
   return static_cast<int>(ParseIntArg("system spec '" + spec + "'",
-                                      std::string_view(spec).substr(pos), 0,
-                                      1'000'000));
+                                      std::string_view(spec).substr(pos),
+                                      min_value, max_value));
 }
 
 // Builds a system from its spec string; throws ModelError on bad specs.
@@ -205,7 +207,7 @@ NamedSystem MakeSystem(const std::string& spec) {
     return out;
   }
   if (spec.rfind("relay:", 0) == 0) {
-    const int n = ParseIntAfter(spec, 6, 3);
+    const int n = ParseIntAfter(spec, 6, 3, 2, kMaxProcesses);
     auto relay = std::make_unique<protocols::RelaySystem>(n);
     out.atoms = {relay->Fact()};
     out.system = std::move(relay);
@@ -343,7 +345,7 @@ struct CliOptions {
   int max_depth = -1;         // < 0: keep the system's default
   long long max_classes = 0;  // 0: keep the EnumerationLimits default
   bool allow_truncation = false;
-  std::vector<ProcessSet> groups;  // --group= [G]-indexes to materialize
+  std::vector<ProcessSet> groups;  // --group= [G]-indexes to ensure
   int repeat = 3;                        // --repeat= (bench)
   std::optional<std::string> json_path;  // --json= (check/check-at/bench)
   std::optional<std::string> snapshot;   // --snapshot= (serve)
@@ -505,8 +507,17 @@ void ApplyFaultFlags(NamedSystem& named, const CliOptions& flags) {
                                                     options);
 }
 
-// The EnumerationLimits for a system under the given flags.
+// The EnumerationLimits for a system under the given flags.  Every
+// enumerating subcommand calls this before it builds or loads the space, so
+// it is also where the --group sets are checked against the system.
 EnumerationLimits LimitsFor(const NamedSystem& named, const CliOptions& flags) {
+  const int num_processes = named.system->NumProcesses();
+  for (ProcessSet g : flags.groups)
+    if (g.IsEmpty() || !g.IsSubsetOf(ProcessSet::All(num_processes)))
+      throw ModelError("--group: '" + g.ToString() +
+                       "' is not a non-empty set of the " +
+                       std::to_string(num_processes) + " processes of " +
+                       named.system->Name());
   EnumerationLimits limits;
   limits.max_depth = flags.max_depth >= 0 ? flags.max_depth : named.max_depth;
   if (flags.max_classes > 0)
@@ -514,7 +525,6 @@ EnumerationLimits LimitsFor(const NamedSystem& named, const CliOptions& flags) {
   limits.allow_truncation = flags.allow_truncation;
   limits.canonicalize = named.canonicalize;
   limits.num_threads = flags.threads;
-  limits.groups = flags.groups;
   limits.segments.segment_shift = static_cast<unsigned>(flags.segment_shift);
   limits.segments.residency_budget_bytes =
       flags.residency_budget > 0
@@ -522,6 +532,12 @@ EnumerationLimits LimitsFor(const NamedSystem& named, const CliOptions& flags) {
           : 0;
   limits.segments.spill_dir = flags.spill_dir;
   return limits;
+}
+
+// Builds every --group= index; called right after the space is built or
+// loaded, so memory stats and saved snapshots include the tables.
+void EnsureGroups(const ComputationSpace& space, const CliOptions& flags) {
+  for (ProcessSet g : flags.groups) space.EnsureGroupIndex(g);
 }
 
 // The group-layer stats of every --group= index: printed on check paths and
@@ -609,6 +625,7 @@ int CmdCheck(const std::string& spec, const std::string& text,
   const EnumerationLimits limits = LimitsFor(named, flags);
   bench::WallTimer enumerate_timer;
   auto space = ComputationSpace::Enumerate(*named.system, limits);
+  EnsureGroups(space, flags);
   const std::int64_t enumerate_ns = enumerate_timer.ElapsedNs();
   WarnIfTruncated(space);
   KnowledgeEvaluator eval(space, {.num_threads = flags.knowledge_threads,
@@ -668,6 +685,7 @@ int CmdCheckAt(const std::string& spec, const std::string& text,
   const EnumerationLimits limits = LimitsFor(named, flags);
   bench::WallTimer enumerate_timer;
   auto space = ComputationSpace::Enumerate(*named.system, limits);
+  EnsureGroups(space, flags);
   const std::int64_t enumerate_ns = enumerate_timer.ElapsedNs();
   WarnIfTruncated(space);
   KnowledgeEvaluator eval(space, {.num_threads = flags.knowledge_threads,
@@ -873,6 +891,7 @@ int CmdServe(const std::string& spec, const CliOptions& flags) {
       bench::WallTimer timer;
       builder = LoadSpaceBuilderSnapshot(*named.system, *snapshot_path,
                                          limits);
+      EnsureGroups(builder->space(), flags);
       std::fprintf(stderr, "serve: loaded snapshot '%s' (%zu classes, %.3f "
                            "ms)\n",
                    snapshot_path->c_str(), builder->space().size(),
@@ -883,6 +902,7 @@ int CmdServe(const std::string& spec, const CliOptions& flags) {
     bench::WallTimer timer;
     builder.emplace();
     builder->Build(*named.system, limits);
+    EnsureGroups(builder->space(), flags);
     std::fprintf(stderr, "serve: enumerated %zu classes in %.3f ms\n",
                  builder->space().size(),
                  static_cast<double>(timer.ElapsedNs()) / 1e6);
@@ -918,6 +938,7 @@ int CmdSnapshotSave(const std::string& spec, const std::string& path,
   const EnumerationLimits limits = LimitsFor(named, flags);
   bench::WallTimer enumerate_timer;
   const auto space = ComputationSpace::Enumerate(*named.system, limits);
+  EnsureGroups(space, flags);
   const double enumerate_ms =
       static_cast<double>(enumerate_timer.ElapsedNs()) / 1e6;
   WarnIfTruncated(space);
@@ -992,6 +1013,7 @@ int CmdBench(const std::string& spec, const CliOptions& flags) {
   for (int rep = 0; rep < flags.repeat; ++rep) {
     bench::WallTimer timer;
     space = ComputationSpace::Enumerate(*named.system, limits);
+    EnsureGroups(*space, flags);
     enumerate_ns = std::min(enumerate_ns, timer.ElapsedNs());
   }
   WarnIfTruncated(*space);
@@ -1104,10 +1126,11 @@ int Main(int argc, char** argv) {
                  "<comp> | simulate <what> [seed] | bench <sys> [--repeat=K] "
                  "| serve <sys> [--snapshot=PATH] | snapshot save <sys> "
                  "<path> | snapshot info <path> | snapshot load <path>"
-                 "\n  check/check-at/bench/serve flags: [--threads=N] "
-                 "[--knowledge-threads=N] [--kernels=on|off] [--max-depth=N] "
-                 "[--max-classes=N] [--allow-truncation] "
-                 "[--group=P0,P1[,...]] [--json=PATH]"
+                 "\n  check/check-at/bench/serve/snapshot save flags: "
+                 "[--threads=N] [--knowledge-threads=N] [--kernels=on|off] "
+                 "[--max-depth=N] [--max-classes=N] [--allow-truncation] "
+                 "[--group=P0,P1[,...] (a [G]-index built after the space)] "
+                 "[--json=PATH]"
                  "\n  fault knobs (check/bench/simulate consensus): "
                  "[--crash=p[@t]] [--drop=P] [--partition=S@B..E]\n");
     return 2;
