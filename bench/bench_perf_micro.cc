@@ -4,12 +4,15 @@
 // a figure in the paper.
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "bench/reporter.h"
 #include "core/fusion.h"
 #include "core/isomorphism.h"
 #include "core/knowledge.h"
 #include "core/random_system.h"
 #include "core/theorems.h"
+#include "protocols/token_bus.h"
 
 namespace {
 
@@ -183,6 +186,59 @@ void BM_CanonicalForm(benchmark::State& state) {
   state.counters["events"] = static_cast<double>(z.size());
 }
 BENCHMARK(BM_CanonicalForm)->Arg(32)->Arg(128)->Arg(512);
+
+// The two cold whole-space passes a served query can pay (EXPERIMENTS E31),
+// on a 157,789-class token-bus space (8 processes, 18 passes), one thread.
+const protocols::TokenBusSystem& TokenBus() {
+  static const protocols::TokenBusSystem bus(8, 18);
+  return bus;
+}
+
+ComputationSpace EnumerateTokenBus() {
+  return ComputationSpace::Enumerate(TokenBus(),
+                                     {.max_depth = 64, .num_threads = 1});
+}
+
+// First whole-space query of one atom on a fresh evaluator: the atom-plane
+// load streams every class's computation along the splice chain.
+void BM_AtomPlaneLoad(benchmark::State& state) {
+  static const ComputationSpace space = EnumerateTokenBus();
+  const FormulaPtr atom = Formula::Atom(TokenBus().HoldsToken(3));
+  for (auto _ : state) {
+    KnowledgeEvaluator eval(space, {.num_threads = 1});
+    const std::vector<std::uint8_t> verdicts = eval.HoldsAll(atom);
+    benchmark::DoNotOptimize(verdicts.data());
+  }
+  state.counters["space"] = static_cast<double>(space.size());
+}
+BENCHMARK(BM_AtomPlaneLoad)->Unit(benchmark::kMillisecond);
+
+// First EnsureGroupIndex of a 2- or 3-process group (processes 0, 2, 4):
+// the id-order replay that hash-conses member [p]-class tuples.  The cache
+// has no eviction, so every iteration indexes a freshly enumerated space;
+// enumeration and teardown run with the timer paused.
+void BM_EnsureGroupIndex(benchmark::State& state) {
+  const int members = static_cast<int>(state.range(0));
+  ProcessSet g;
+  for (int p = 0; p < members; ++p) g.Insert(static_cast<ProcessId>(2 * p));
+  std::optional<ComputationSpace> space;
+  std::size_t classes = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    space.reset();
+    space.emplace(EnumerateTokenBus());
+    state.ResumeTiming();
+    classes = space->EnsureGroupIndex(g).NumClasses();
+    benchmark::DoNotOptimize(classes);
+  }
+  state.counters["space"] = static_cast<double>(space->size());
+  state.counters["group_classes"] = static_cast<double>(classes);
+}
+BENCHMARK(BM_EnsureGroupIndex)
+    ->Arg(2)
+    ->Arg(3)
+    ->Iterations(5)
+    ->Unit(benchmark::kMillisecond);
 
 double ToNanoseconds(double value, benchmark::TimeUnit unit) {
   switch (unit) {

@@ -30,8 +30,11 @@ BeliefEvaluator::BeliefEvaluator(const ComputationSpace& space,
                                  PlausibilityOrder order)
     : space_(space), order_(std::move(order)) {
   ranks_.reserve(space.size());
-  for (std::size_t id = 0; id < space.size(); ++id)
-    ranks_.push_back(order_.RankOf(space.At(id)));
+  space.ForEachComputation(
+      0, space.size(), [](std::size_t) { return true; },
+      [&](std::size_t, const Computation& x) {
+        ranks_.push_back(order_.RankOf(x));
+      });
 }
 
 std::vector<std::size_t> BeliefEvaluator::MostPlausible(

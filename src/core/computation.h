@@ -22,6 +22,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/event.h"
@@ -41,6 +42,14 @@ class Computation {
   // Builds without validation.  Only for internal use on sequences already
   // known valid (e.g. prefixes of a valid computation).
   static Computation TrustedFromEvents(std::vector<Event> events);
+
+  // Moves the event sequence out, leaving this computation empty — lets a
+  // streaming reader recycle one buffer across TrustedFromEvents calls.
+  std::vector<Event> TakeEvents() && {
+    std::vector<Event> out = std::move(events_);
+    events_.clear();
+    return out;
+  }
 
   const std::vector<Event>& events() const noexcept { return events_; }
   std::size_t size() const noexcept { return events_.size(); }

@@ -33,8 +33,9 @@ IsomorphismDiagram IsomorphismDiagram::FromSpace(
     const ComputationSpace& space, bool include_empty) {
   std::vector<Computation> vertices;
   vertices.reserve(space.size());
-  for (std::size_t i = 0; i < space.size(); ++i)
-    vertices.push_back(space.At(i));
+  space.ForEachComputation(
+      0, space.size(), [](std::size_t) { return true; },
+      [&](std::size_t, const Computation& x) { vertices.push_back(x); });
   return IsomorphismDiagram(std::move(vertices), space.num_processes(), {},
                             include_empty);
 }

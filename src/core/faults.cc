@@ -115,8 +115,11 @@ FailurePatternIndex::FailurePatternIndex(const ComputationSpace& space)
   }
   // Safety net for classes not hanging off the root's successor tree (a
   // future store could admit them): derive the mask from the events.
-  for (std::size_t id = 0; id < space.size(); ++id)
-    if (!visited[id]) crashed_[id] = CrashedIn(space.At(id)).bits();
+  space.ForEachComputation(
+      0, space.size(), [&](std::size_t id) { return visited[id] == 0; },
+      [&](std::size_t id, const Computation& x) {
+        crashed_[id] = CrashedIn(x).bits();
+      });
 
   patterns_ = crashed_;
   std::sort(patterns_.begin(), patterns_.end());

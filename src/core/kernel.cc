@@ -344,25 +344,28 @@ void FillRow(std::uint64_t* row_known, std::uint64_t* row_value,
 }
 
 // The atom pass shared by both execution modes: per 64-id word, verdicts
-// seeded from bits earlier pointwise queries memoized, the rest evaluated
-// against the materialized computation; the dense row comes out complete.
+// seeded from bits earlier pointwise queries memoized (after Refresh that is
+// every old id), the rest evaluated against computations streamed along the
+// splice chain — only ids whose known bit is clear are materialized.  The
+// dense row comes out complete.  [begin, end) is 64-aligned at `begin`.
 void LoadAtomRange(const ExecContext& ctx, const Op& op, std::size_t begin,
                    std::size_t end) {
   const Predicate& atom = op.node->atom();
   std::uint64_t* known_row = DenseKnownRow(ctx, op.dst.index);
   std::uint64_t* value_row = DenseValueRow(ctx, op.dst.index);
-  for (std::size_t w = begin / 64; w * 64 < end; ++w) {
-    const std::uint64_t known = known_row[w];
-    std::uint64_t value = value_row[w] & known;
-    const std::size_t id_end = std::min(end, w * 64 + 64);
-    for (std::size_t id = w * 64; id < id_end; ++id) {
-      const std::uint64_t bit = std::uint64_t{1} << (id % 64);
-      if (known & bit) continue;
-      if (atom.Eval(ctx.space->At(id))) value |= bit;
-    }
-    value_row[w] = value;
-    known_row[w] = LiveMask(ctx.n, w);
-  }
+  const std::size_t wb = begin / 64;
+  const std::size_t we = (end + 63) / 64;
+  for (std::size_t w = wb; w < we; ++w) value_row[w] &= known_row[w];
+  const auto bit = [](std::size_t id) {
+    return std::uint64_t{1} << (id % 64);
+  };
+  ctx.space->ForEachComputation(
+      begin, end,
+      [&](std::size_t id) { return (known_row[id / 64] & bit(id)) == 0; },
+      [&](std::size_t id, const Computation& x) {
+        if (atom.Eval(x)) value_row[id / 64] |= bit(id);
+      });
+  for (std::size_t w = wb; w < we; ++w) known_row[w] = LiveMask(ctx.n, w);
 }
 
 // One pointwise op over the word range [wb, we) — the fused-mode inner loop

@@ -10,7 +10,11 @@
 //
 //   kLoadAtomPlane      one predicate plane per atom (persisted in the
 //                       evaluator's dense memo row, seeded from bits earlier
-//                       pointwise queries already memoized)
+//                       queries already memoized — after Refresh, every old
+//                       id); only the unknown ids are evaluated, each shard
+//                       streaming their computations along the splice chain
+//                       (ComputationSpace::ForEachComputation) instead of
+//                       rebuilding each one from the root
 //   kNot/kAnd/kOr/...   boolean connectives over 64-bit words
 //   kKnowSeg            Knows / Sure / Possible via the projection-tier
 //                       segment primitive: phase A sweeps each [p]- or

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <functional>
 #include <numeric>
 #include <stdexcept>
@@ -74,9 +75,16 @@ std::size_t UpperBound(const internal::SegColumn<T>& col, const T& v) {
 // Ids come out in first-occurrence order, so replaying the same links always
 // mints the same table.  ComputationSpace::ReplayGroupClasses is its only
 // user.
+//
+// The hash-cons table is flat open addressing: a slot holds class + 1 (0 is
+// empty), each class keeps its tuple hash, and a probe hit is confirmed by
+// comparing member tuples against the class's first member.  A new class
+// costs two array appends — no map node, no per-hash vector — and a rehash
+// reads only the stored hashes, never the projection column.
 class GroupClassMinter {
  public:
-  explicit GroupClassMinter(ProcessSet g) : g_(g) {}
+  // `n`: the number of ids the replay will visit.
+  GroupClassMinter(ProcessSet g, std::size_t n) : g_(g) { cls_.reserve(n); }
 
   // Visit class `id` (ids strictly ascending from 0, the root).  `proj` is
   // the space's proj_class_ column, already filled through `id`'s row.
@@ -85,8 +93,9 @@ class GroupClassMinter {
     if (id == 0) {
       // The root: every projection is empty.  Its tuple can never collide
       // with a minted one (minting appends an event on a member process),
-      // so it is not registered in the hash index.
+      // so it is not registered in the hash table.
       rep_.push_back(0);
+      hash_.push_back(0);
       cls_.push_back(0);
       return;
     }
@@ -95,21 +104,25 @@ class GroupClassMinter {
       return;
     }
     const std::uint32_t* row = proj.Row(id);
-    std::size_t h = 14695981039346656037ull;  // FNV-1a over the tuple
+    std::uint64_t h = 14695981039346656037ull;  // FNV-1a over the tuple
     g_.ForEach([&](ProcessId p) {
       h ^= row[static_cast<std::size_t>(p)];
       h *= 1099511628211ull;
     });
-    auto& with_hash = by_hash_[h];
-    for (std::uint32_t c : with_hash) {
-      if (TupleEqual(id, rep_[c], proj)) {
+    if (2 * rep_.size() >= slots_.size()) Grow();
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = SlotOf(h);
+    for (; slots_[i] != 0; i = (i + 1) & mask) {
+      const std::uint32_t c = slots_[i] - 1;
+      if (hash_[c] == h && TupleEqual(row, proj.Row(rep_[c]))) {
         cls_.push_back(c);
         return;
       }
     }
     const auto c = static_cast<std::uint32_t>(rep_.size());
-    with_hash.push_back(c);
+    slots_[i] = c + 1;
     rep_.push_back(static_cast<std::uint32_t>(id));
+    hash_.push_back(h);
     cls_.push_back(c);
   }
 
@@ -119,12 +132,26 @@ class GroupClassMinter {
   std::vector<std::uint32_t> TakeClasses() { return std::move(cls_); }
 
  private:
-  bool TupleEqual(std::size_t a, std::size_t b,
-                  const internal::SegColumn<std::uint32_t>& proj) const {
-    // Two Row resolutions per probe; comparing rows in different segments
-    // may fault the older one in.
-    const std::uint32_t* ra = proj.Row(a);
-    const std::uint32_t* rb = proj.Row(b);
+  // Fibonacci hashing: the multiply folds every bit of the tuple hash into
+  // the top bits the shift keeps.
+  std::size_t SlotOf(std::uint64_t h) const {
+    return static_cast<std::size_t>((h * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+
+  // Doubles the table (1024 slots at first) and re-inserts every class but
+  // the unregistered root; keeps the load factor at most 1/2.
+  void Grow() {
+    const std::size_t size = slots_.empty() ? 1024 : 2 * slots_.size();
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(size));
+    slots_.assign(size, 0);
+    for (std::uint32_t c = 1; c < rep_.size(); ++c) {
+      std::size_t i = SlotOf(hash_[c]);
+      while (slots_[i] != 0) i = (i + 1) & (size - 1);
+      slots_[i] = c + 1;
+    }
+  }
+
+  bool TupleEqual(const std::uint32_t* ra, const std::uint32_t* rb) const {
     bool equal = true;
     g_.ForEach([&](ProcessId p) {
       if (equal && ra[static_cast<std::size_t>(p)] !=
@@ -135,9 +162,11 @@ class GroupClassMinter {
   }
 
   ProcessSet g_;
-  std::vector<std::uint32_t> cls_;  // per visited id: its [G]-class
-  std::vector<std::uint32_t> rep_;  // per [G]-class: first member id
-  std::unordered_map<std::size_t, std::vector<std::uint32_t>> by_hash_;
+  std::vector<std::uint32_t> cls_;   // per visited id: its [G]-class
+  std::vector<std::uint32_t> rep_;   // per [G]-class: first member id
+  std::vector<std::uint64_t> hash_;  // per [G]-class: its tuple hash
+  std::vector<std::uint32_t> slots_;  // open addressing: class + 1, 0 empty
+  unsigned shift_ = 64;
 };
 
 }  // namespace
@@ -1067,8 +1096,8 @@ void ComputationSpace::ReplayGroupClasses(GroupIndex& index) const {
   // Replay the class links in id order — BFS and Ingest parents always have
   // smaller ids, so every parent is classified before its children.
   const ProcessSet g = ProcessSet::FromBits(index.mask_);
-  GroupClassMinter minter(g);
   const std::size_t n = links_.size();
+  GroupClassMinter minter(g, n);
   for (std::size_t id = 0; id < n; ++id) {
     const ClassLink link = links_[id];
     const ProcessId extend_process =
@@ -1133,6 +1162,60 @@ Computation ComputationSpace::At(std::size_t id) const {
   events.reserve(ids.size());
   for (std::uint32_t e : ids) events.push_back(event_pool_[e]);
   return Computation::TrustedFromEvents(std::move(events));
+}
+
+ComputationSpace::SpliceCursor::SpliceCursor(const ComputationSpace& space,
+                                             std::size_t end)
+    : space_(space), rows_(1), row_class_(1, 0) {
+  // rows_[0] is the root's empty row, owned by class 0 for good.
+  if (end > space.size())
+    throw std::out_of_range("ComputationSpace::ForEachComputation: end " +
+                            std::to_string(end) + " exceeds size " +
+                            std::to_string(space.size()));
+}
+
+const Computation& ComputationSpace::SpliceCursor::Materialize(
+    std::size_t id) {
+  ClassLink link = space_.links_[id];
+  std::size_t depth = link.length;
+  if (rows_.size() <= depth) {
+    rows_.resize(depth + 1);
+    row_class_.resize(depth + 1, UINT32_MAX);
+  }
+  // Collect the splice links from `id` up to the deepest class whose row is
+  // cached.  Depth follows the recorded length down to the root's empty row
+  // — the walk At() makes — so the result equals At(id) on every space.
+  chain_.clear();
+  for (std::size_t cur = id; depth > 0 && row_class_[depth] != cur; --depth) {
+    if (cur != id) link = space_.links_[cur];
+    chain_.emplace_back(static_cast<std::uint32_t>(cur), link);
+    cur = link.parent;
+  }
+  // Replay them root-side first: each row is the row one level up with one
+  // event spliced in.
+  for (auto it = chain_.rbegin(); it != chain_.rend(); ++it) {
+    const auto& [cls, link] = *it;
+    const std::vector<std::uint32_t>& src = rows_[depth];
+    std::vector<std::uint32_t>& dst = rows_[depth + 1];
+    dst.resize(depth + 1);
+    std::copy(src.begin(), src.begin() + link.pos, dst.begin());
+    dst[link.pos] = link.event;
+    std::copy(src.begin() + link.pos, src.end(), dst.begin() + link.pos + 1);
+    row_class_[++depth] = cls;
+  }
+  // Refill the recycled event buffer, copying only the positions whose
+  // pool id differs from the class it held before — consecutive classes
+  // share most of their canonical prefix.
+  const std::vector<std::uint32_t>& row = rows_[depth];
+  std::vector<Event> events = std::move(x_).TakeEvents();
+  events.resize(row.size());
+  const std::size_t kept = std::min(held_.size(), row.size());
+  for (std::size_t k = 0; k < row.size(); ++k)
+    if (k >= kept || held_[k] != row[k])
+      events[k] = space_.event_pool_[row[k]];
+  held_ = row;
+  x_ = Computation::TrustedFromEvents(std::move(events));
+  return x_;
 }
 
 ComputationSpace::SuccessorRange ComputationSpace::SuccessorsOf(

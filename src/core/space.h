@@ -90,6 +90,7 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/computation.h"
@@ -159,11 +160,33 @@ class ComputationSpace {
   int built_depth() const noexcept { return built_depth_; }
 
   // Canonical representative of class `id`, materialized from the columnar
-  // store by replaying the class's splice chain (O(length^2) uint32 moves
-  // plus one Event copy per event; lengths are <= max_depth).  Returns by
-  // value — bind with `const Computation& x = space.At(id)` when a
-  // reference is convenient (lifetime extension applies).
+  // store by replaying the class's splice chain from the root: `length`
+  // parent-link reads, O(length^2) uint32 moves, two allocations and one
+  // Event copy per event (lengths are <= max_depth).  Meant for pointwise
+  // use; whole-space passes go through ForEachComputation, which pays one
+  // splice per class instead.  Returns by value — bind with
+  // `const Computation& x = space.At(id)` when a reference is convenient
+  // (lifetime extension applies).
   Computation At(std::size_t id) const;
+
+  // Streaming materializer for whole-space passes: visits the ids in
+  // [begin, end) in ascending order and calls fn(id, x) with x == At(id)
+  // for every id where need(id) is true.  A skipped id costs one need()
+  // call and no class-store read.  One canonical id-row is cached per
+  // depth, so a class whose parent is the cached row one level up costs
+  // one splice (O(length) uint32 copies) plus the Event copies of `x`;
+  // when it is not (an Ingest parent, a gap of skipped ids, the first id of
+  // a range) the walk climbs to the deepest cached ancestor, so any range
+  // of any space materializes correctly.  `x` is valid only during the
+  // call.  Each call keeps its own cache: concurrent calls over disjoint
+  // ranges are safe (sharded kernels run one per chunk).
+  template <typename Need, typename Fn>
+  void ForEachComputation(std::size_t begin, std::size_t end, Need&& need,
+                          Fn&& fn) const {
+    SpliceCursor cursor(*this, end);
+    for (std::size_t id = begin; id < end; ++id)
+      if (need(id)) fn(id, cursor.Materialize(id));
+  }
 
   // Event count of class `id` without materializing it (O(1); faults the
   // class's links segment in if it is spilled).
@@ -519,6 +542,25 @@ class ComputationSpace {
   // Interned-event-id form of the canonical sequence of class `id`,
   // materialized by replaying the splice chain from the root.
   std::vector<std::uint32_t> CanonicalIdsOf(std::size_t id) const;
+
+  // ForEachComputation's state: one cached canonical id-row per depth (the
+  // class it belongs to, and its pool ids) plus the event buffer handed to
+  // the callback, reused across classes.
+  class SpliceCursor {
+   public:
+    // Throws std::out_of_range unless end <= space.size().
+    SpliceCursor(const ComputationSpace& space, std::size_t end);
+    const Computation& Materialize(std::size_t id);
+
+   private:
+    const ComputationSpace& space_;
+    std::vector<std::vector<std::uint32_t>> rows_;  // rows_[d]: d pool ids
+    std::vector<std::uint32_t> row_class_;          // owner of rows_[d]
+    // Scratch: the uncached (class, link) pairs of one walk, leaf first.
+    std::vector<std::pair<std::uint32_t, ClassLink>> chain_;
+    Computation x_;
+    std::vector<std::uint32_t> held_;  // pool ids of x_'s events
+  };
 
   Successor SuccessorAt(std::uint32_t i) const {
     return Successor{succ_class_[i], event_pool_[succ_event_[i]]};

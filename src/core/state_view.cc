@@ -47,18 +47,22 @@ StateView::StateView(const ComputationSpace& space,
   const int np = space.num_processes();
   classes_.assign(space.size() * np, 0);
   buckets_.assign(np, {});
-  for (ProcessId p = 0; p < np; ++p) {
-    std::unordered_map<std::string, std::uint32_t> key_to_class;
-    for (std::size_t id = 0; id < space.size(); ++id) {
-      const auto projection = space.At(id).Projection(p);
-      const std::string key = abstraction_.StateOf(p, projection);
-      auto [it, inserted] = key_to_class.emplace(
-          key, static_cast<std::uint32_t>(buckets_[p].size()));
-      if (inserted) buckets_[p].emplace_back();
-      classes_[id * np + p] = it->second;
-      buckets_[p][it->second].push_back(static_cast<std::uint32_t>(id));
-    }
-  }
+  // One streamed pass fills every process's state classes; each process
+  // still sees ids in ascending order, so class ids are first-occurrence.
+  std::vector<std::unordered_map<std::string, std::uint32_t>> key_to_class(
+      static_cast<std::size_t>(np));
+  space.ForEachComputation(
+      0, space.size(), [](std::size_t) { return true; },
+      [&](std::size_t id, const Computation& x) {
+        for (ProcessId p = 0; p < np; ++p) {
+          const std::string key = abstraction_.StateOf(p, x.Projection(p));
+          auto [it, inserted] = key_to_class[p].emplace(
+              key, static_cast<std::uint32_t>(buckets_[p].size()));
+          if (inserted) buckets_[p].emplace_back();
+          classes_[id * np + p] = it->second;
+          buckets_[p][it->second].push_back(static_cast<std::uint32_t>(id));
+        }
+      });
 }
 
 bool StateView::StateIsomorphic(std::size_t a, std::size_t b,

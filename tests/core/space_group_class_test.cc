@@ -8,10 +8,13 @@
 //     [p]-bucket of its representative;
 //   * |G| = 1 reduction — the lazily built singleton index coincides with
 //     the existing ProjectionClass/Bucket columns;
-//   * CSR shape — buckets are ascending, disjoint, and cover the space.
+//   * CSR shape — buckets are ascending, disjoint, and cover the space;
+//   * numbering — class ids are the first-occurrence order of member
+//     [p]-class tuples over ascending ids, the ids snapshots persist.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "core/random_system.h"
@@ -108,14 +111,44 @@ void ExpectSingletonReduction(const ComputationSpace& space) {
   }
 }
 
-ComputationSpace SmallRandomSpace() {
+RandomSystem SmallRandomSystem() {
   RandomSystemOptions options;
   options.num_processes = 3;
   options.num_messages = 3;
   options.internal_events = 1;
   options.seed = 11;
-  RandomSystem system(options);
-  return ComputationSpace::Enumerate(system, {.max_depth = 24});
+  return RandomSystem(options);
+}
+
+ComputationSpace SmallRandomSpace() {
+  return ComputationSpace::Enumerate(SmallRandomSystem(), {.max_depth = 24});
+}
+
+// Every non-empty process set of the space.
+std::vector<ProcessSet> AllGroups(const ComputationSpace& space) {
+  std::vector<ProcessSet> groups;
+  const std::uint64_t limit = std::uint64_t{1} << space.num_processes();
+  for (std::uint64_t mask = 1; mask < limit; ++mask)
+    groups.push_back(ProcessSet::FromBits(mask));
+  return groups;
+}
+
+// Brute-force numbering: scan ids ascending and give each new tuple of
+// member [p]-class ids the next [G]-class id.
+void ExpectFirstOccurrenceNumbering(const ComputationSpace& space,
+                                    const ComputationSpace::GroupIndex& gi,
+                                    ProcessSet g) {
+  std::map<std::vector<std::uint32_t>, std::uint32_t> numbering;
+  for (std::size_t id = 0; id < space.size(); ++id) {
+    std::vector<std::uint32_t> tuple;
+    g.ForEach(
+        [&](ProcessId p) { tuple.push_back(space.ProjectionClass(id, p)); });
+    const auto next = static_cast<std::uint32_t>(numbering.size());
+    const auto [it, inserted] = numbering.emplace(std::move(tuple), next);
+    ASSERT_EQ(gi.ClassOf(id), it->second)
+        << "id " << id << " mask " << g.bits();
+  }
+  EXPECT_EQ(gi.NumClasses(), numbering.size()) << "mask " << g.bits();
 }
 
 TEST(SpaceGroupClassTest, RefinementMatchesBruteForceOnRandomSpace) {
@@ -134,6 +167,43 @@ TEST(SpaceGroupClassTest, RefinementMatchesBruteForceOnLockstepSpace) {
   ASSERT_GT(space.size(), 50u);
   for (ProcessSet g : TestGroups(space.num_processes()))
     ExpectRefinementInvariants(space, g);
+}
+
+TEST(SpaceGroupClassTest, ClassIdsAreFirstOccurrenceOfMemberTuples) {
+  const auto space = SmallRandomSpace();
+  for (ProcessSet g : AllGroups(space))
+    ExpectFirstOccurrenceNumbering(space, space.EnsureGroupIndex(g), g);
+}
+
+TEST(SpaceGroupClassTest, ClassIdsAreFirstOccurrenceOnLockstepSpace) {
+  protocols::LockstepSystem system(4);
+  EnumerationLimits limits;
+  limits.max_depth = 22;
+  limits.canonicalize = false;
+  const auto space = ComputationSpace::Enumerate(system, limits);
+  for (ProcessSet g : AllGroups(space))
+    ExpectFirstOccurrenceNumbering(space, space.EnsureGroupIndex(g), g);
+}
+
+TEST(SpaceGroupClassTest, ClassIdsStayFirstOccurrenceAfterDeepen) {
+  // Deepen re-replays every cached index in place: the refreshed tables
+  // must number the grown space exactly as a first build would.
+  const RandomSystem system = SmallRandomSystem();
+  SpaceBuilder builder;
+  builder.Build(system,
+                {.max_depth = 8, .allow_truncation = true, .num_threads = 1});
+  const ComputationSpace& space = builder.space();
+  std::vector<const ComputationSpace::GroupIndex*> indexes;
+  for (ProcessSet g : AllGroups(space))
+    indexes.push_back(&space.EnsureGroupIndex(g));
+  const std::size_t before = space.size();
+  ASSERT_GT(builder.Deepen(6), 0u);
+  ASSERT_GT(space.size(), before);
+  const auto groups = AllGroups(space);
+  for (std::size_t k = 0; k < groups.size(); ++k) {
+    ASSERT_EQ(&space.EnsureGroupIndex(groups[k]), indexes[k]);
+    ExpectFirstOccurrenceNumbering(space, *indexes[k], groups[k]);
+  }
 }
 
 TEST(SpaceGroupClassTest, SingletonIndexReducesToProjectionColumns) {
