@@ -1,7 +1,8 @@
 // Experiment E8 — Section 4.2: common knowledge can be neither gained nor
 // lost (corollary to Lemma 3), and identical knowledge of disjoint sets is
 // constant.  Sweeps systems and predicates, reporting the CK value's
-// constancy across each entire computation space.
+// constancy across each entire computation space.  Exits 1 when a CK value
+// is not constant or the corollary fails.
 #include <cstdio>
 
 #include "bench/reporter.h"
@@ -21,6 +22,7 @@ int main(int argc, char** argv) {
 
   bench::Table table({"system", "space", "predicate", "CK constant?",
                       "CK value", "plain b varies?"});
+  bool all_constant = true;
 
   auto check = [&](const System& system, const Predicate& predicate,
                    int depth) {
@@ -33,6 +35,7 @@ int main(int argc, char** argv) {
     auto ck = Formula::Common(space.AllProcesses(),
                               Formula::Atom(predicate));
     const bool constant = eval.IsConstant(ck);
+    all_constant = all_constant && constant;
     const bool value = eval.Holds(ck, std::size_t{0});
     const bool varies = !eval.IsConstant(Formula::Atom(predicate));
     table.AddRow({system.Name(), std::to_string(space.size()),
@@ -119,5 +122,5 @@ int main(int argc, char** argv) {
   }
   table2.Print();
   if (json_path.has_value() && !reporter.WriteFile(*json_path)) return 1;
-  return 0;
+  return all_constant ? 0 : 1;
 }

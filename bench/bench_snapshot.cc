@@ -2,7 +2,8 @@
 // determines facts about the overall system computation" operationally.
 // Every recorded cut must be consistent (left-closed under happened-
 // before), overhead is exactly one marker per channel, and the recorded
-// global total is well-defined.
+// global total is well-defined.  Exits 1 on an incomplete or inconsistent
+// cut or a marker count other than n(n-1), after writing the JSON record.
 #include <cstdio>
 
 #include "bench/reporter.h"
@@ -20,6 +21,7 @@ int main(int argc, char** argv) {
 
   bench::Table table({"n", "snapshot at", "seeds", "consistent cuts",
                       "markers (=n(n-1))", "avg in-flight recorded"});
+  bool ok = true;
 
   for (int n : {3, 4, 6, 8}) {
     for (hpl::sim::Time at : {5, 25, 80}) {
@@ -39,6 +41,8 @@ int main(int argc, char** argv) {
         if (result.completed && result.cut_consistent) ++consistent;
         in_flight += static_cast<double>(result.recorded_in_flight);
         markers = result.marker_messages;
+        ok = ok && result.completed && result.cut_consistent &&
+             markers == static_cast<std::size_t>(n * (n - 1));
       }
       table.AddRow({std::to_string(n), std::to_string(at),
                     std::to_string(kSeeds),
@@ -64,5 +68,5 @@ int main(int argc, char** argv) {
       "system could have been in — an isomorphism-class fact assembled by\n"
       "message chains (Theorem 5 requires those chains to exist).\n");
   if (json_path.has_value() && !reporter.WriteFile(*json_path)) return 1;
-  return 0;
+  return ok ? 0 : 1;
 }

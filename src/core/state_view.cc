@@ -109,8 +109,7 @@ StateKnowledgeEvaluator::StateKnowledgeEvaluator(const StateView& view)
 
 bool StateKnowledgeEvaluator::Holds(const FormulaPtr& f, std::size_t id) {
   if (!f) throw ModelError("StateKnowledgeEvaluator::Holds: null formula");
-  retained_.push_back(f);
-  return Eval(f.get(), id);
+  return Eval(interner_.Intern(f).get(), id);
 }
 
 bool StateKnowledgeEvaluator::Knows(ProcessSet p, const Predicate& b,
@@ -119,9 +118,10 @@ bool StateKnowledgeEvaluator::Knows(ProcessSet p, const Predicate& b,
 }
 
 bool StateKnowledgeEvaluator::IsLocalTo(const Predicate& b, ProcessSet p) {
-  auto sure = Formula::Sure(p, Formula::Atom(b));
+  const Formula* sure =
+      interner_.Intern(Formula::Sure(p, Formula::Atom(b))).get();
   for (std::size_t id = 0; id < view_.space().size(); ++id)
-    if (!Holds(sure, id)) return false;
+    if (!Eval(sure, id)) return false;
   return true;
 }
 

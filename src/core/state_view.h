@@ -108,11 +108,14 @@ class StateKnowledgeEvaluator {
   bool IsLocalTo(const Predicate& b, ProcessSet p);
 
  private:
+  // `f` is canonical: its children are too, so the memo below sees one
+  // row per distinct subformula however many times callers rebuild it.
   bool Eval(const Formula* f, std::size_t id);
 
   const StateView& view_;
+  FormulaInterner interner_;
+  // Per canonical node: 0 = not evaluated, 1 = false, 2 = true, per id.
   std::unordered_map<const Formula*, std::vector<std::uint8_t>> cache_;
-  std::vector<FormulaPtr> retained_;
 };
 
 }  // namespace hpl

@@ -30,16 +30,23 @@ Theorem1Result CheckTheorem1(const ComputationSpace& space,
 
 ExtensionPrincipleResult CheckExtensionPrinciple(
     const ComputationSpace& space) {
+  // Every class is materialized once, up front: the pair loop below reads
+  // each y once per (x, successor), which through At() would replay y's
+  // splice chain O(n^2) times.
+  std::vector<Computation> all;
+  all.reserve(space.size());
+  space.ForEachComputation(
+      0, space.size(), [](std::size_t) { return true; },
+      [&](std::size_t, const Computation& x) { all.push_back(x); });
+
   ExtensionPrincipleResult out;
-  const int np = space.num_processes();
-  for (std::size_t xid = 0; xid < space.size(); ++xid) {
-    const Computation& x = space.At(xid);
+  for (std::size_t xid = 0; xid < all.size(); ++xid) {
+    const Computation& x = all[xid];
     for (const auto& succ : space.SuccessorsOf(xid)) {
       const Event& e = succ.event;
       const ProcessSet p = ProcessSet::Of(e.process);
-      (void)np;
-      for (std::size_t yid = 0; yid < space.size(); ++yid) {
-        const Computation& y = space.At(yid);
+      const Computation xe = x.Extended(e);
+      for (const Computation& y : all) {
         // Part 1: e internal or send, x [P] y, (x;e) computation => (y;e)
         // computation (and the system, being one fixed system, must admit
         // it — we check admissibility in the model sense: validity).
@@ -56,28 +63,25 @@ ExtensionPrincipleResult CheckExtensionPrinciple(
           }
         }
         // Part 2: e internal or receive, (x;e) [P] y => (y - e) computation.
-        if (e.IsInternal() || e.IsReceive()) {
-          const Computation xe = x.Extended(e);
-          if (IsomorphicWrt(xe, y, p)) {
-            ++out.instances_checked;
-            // y must contain e (p's projections match); removing it must
-            // leave a computation.
-            auto events = y.events();
-            auto it = std::find(events.begin(), events.end(), e);
-            if (it == events.end()) {
-              out.holds = false;
-              out.violation = "part 2: e missing from y";
-              return out;
-            }
-            events.erase(it);
-            try {
-              Computation check(std::move(events));
-            } catch (const ModelError& err) {
-              out.holds = false;
-              out.violation = std::string("part 2: (y - e) invalid: ") +
-                              err.what();
-              return out;
-            }
+        if ((e.IsInternal() || e.IsReceive()) && IsomorphicWrt(xe, y, p)) {
+          ++out.instances_checked;
+          // y must contain e (p's projections match); removing it must
+          // leave a computation.
+          auto events = y.events();
+          auto it = std::find(events.begin(), events.end(), e);
+          if (it == events.end()) {
+            out.holds = false;
+            out.violation = "part 2: e missing from y";
+            return out;
+          }
+          events.erase(it);
+          try {
+            Computation check(std::move(events));
+          } catch (const ModelError& err) {
+            out.holds = false;
+            out.violation = std::string("part 2: (y - e) invalid: ") +
+                            err.what();
+            return out;
           }
         }
       }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/random_system.h"
 #include "core/system.h"
 
 namespace hpl {
@@ -97,6 +98,54 @@ TEST_F(BeliefTest, KD45AxiomsHold) {
     EXPECT_EQ(report.negative_introspection, 0) << order.name();
     EXPECT_EQ(report.knowledge_implies_belief, 0) << order.name();
     EXPECT_GT(report.instances, 0);
+  }
+}
+
+TEST(BeliefRandomSystemTest, KD45HoldsYetBeliefsErrAndGrowBySends) {
+  // Over a random system: belief stays KD45 under every order, but under a
+  // non-uniform order some beliefs are false and some are gained by the
+  // believer's own send — both impossible for knowledge (Lemma 4), which
+  // is why the Discussion says the transfer results do not carry over.
+  RandomSystemOptions options;
+  options.num_processes = 3;
+  options.num_messages = 3;
+  options.internal_events = 1;
+  options.seed = 1801;
+  RandomSystem system(options);
+  auto space = ComputationSpace::Enumerate(system, {.max_depth = 24});
+  KnowledgeEvaluator eval(space);
+  const std::vector<Predicate> predicates = {
+      Predicate::CountOnAtLeast(0, 1), Predicate::Sent(0),
+      Predicate::Received(0)};
+  for (const PlausibilityOrder& order :
+       {PlausibilityOrder::Uniform(), PlausibilityOrder::MinimalPending(),
+        PlausibilityOrder::MostAdvanced()}) {
+    BeliefEvaluator belief(space, order);
+    const auto report = belief.CheckAxioms(eval, predicates);
+    EXPECT_EQ(report.consistency_violations, 0) << order.name();
+    EXPECT_EQ(report.closure_violations, 0) << order.name();
+    EXPECT_EQ(report.positive_introspection, 0) << order.name();
+    EXPECT_EQ(report.negative_introspection, 0) << order.name();
+    EXPECT_EQ(report.knowledge_implies_belief, 0) << order.name();
+    if (order.name() == "uniform") continue;
+    int wrong = 0, send_gains = 0;
+    for (std::size_t id = 0; id < space.size(); ++id) {
+      const Computation x = space.At(id);
+      for (ProcessId p = 0; p < 3; ++p)
+        for (const Predicate& b : predicates)
+          if (belief.Believes(ProcessSet::Of(p), b, id) && !b.Eval(x))
+            ++wrong;
+      for (const auto& succ : space.SuccessorsOf(id)) {
+        if (!succ.event.IsSend()) continue;
+        const ProcessSet p = ProcessSet::Of(succ.event.process);
+        const Predicate remote = Predicate::Received(succ.event.message);
+        if (!belief.Believes(p, remote, id) &&
+            belief.Believes(p, remote, succ.class_id))
+          ++send_gains;
+      }
+    }
+    EXPECT_GT(wrong, 0) << order.name();
+    EXPECT_GT(send_gains, 0) << order.name();
   }
 }
 

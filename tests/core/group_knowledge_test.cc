@@ -7,6 +7,7 @@
 #include "core/knowledge.h"
 #include "core/random_system.h"
 #include "protocols/relay.h"
+#include "protocols/token_bus.h"
 
 namespace hpl {
 namespace {
@@ -82,6 +83,33 @@ TEST_F(GroupKnowledgeTest, HierarchyConvergesAboveCommonKnowledge) {
   auto e1 = Formula::EveryoneIterated(all_, 1, Formula::Atom(fact_));
   EXPECT_FALSE(eval_.SatisfyingSet(e1).empty())
       << "E^1 should be attainable in the completed relay";
+}
+
+TEST(GroupKnowledgeDecayTest, EveryoneHierarchyReachesZeroOnTokenBus) {
+  // On a 4-process token ring, "everyone knows, k deep" about the token's
+  // position is attainable at k = 0 but empty by k = 4: the hierarchy
+  // decays to the CK limit, which is empty for a non-constant fact.
+  protocols::TokenBusSystem bus(4, 4);
+  auto space = ComputationSpace::Enumerate(bus, {.max_depth = 10});
+  KnowledgeEvaluator eval(space);
+  const ProcessSet all{0, 1, 2, 3};
+  const auto at0 = Formula::Atom(bus.HoldsToken(0));
+  for (const FormulaPtr& b : {at0, Formula::Not(at0)}) {
+    std::size_t previous = space.size() + 1;
+    for (int k = 0; k <= 4; ++k) {
+      const std::size_t count =
+          eval.SatisfyingSet(Formula::EveryoneIterated(all, k, b)).size();
+      EXPECT_LE(count, previous) << b->ToString() << " k=" << k;
+      if (k == 0) {
+        EXPECT_GT(count, 0u) << b->ToString();
+      }
+      if (k == 4) {
+        EXPECT_EQ(count, 0u) << b->ToString();
+      }
+      previous = count;
+    }
+    EXPECT_TRUE(eval.SatisfyingSet(Formula::Common(all, b)).empty());
+  }
 }
 
 TEST_F(GroupKnowledgeTest, ParserHandlesNewOperators) {

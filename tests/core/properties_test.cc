@@ -319,6 +319,25 @@ TEST_P(KnowledgeLawTest, CommonKnowledgeImpliesEveryDepth) {
   }
 }
 
+TEST_P(KnowledgeLawTest, CommonKnowledgeIsConstant) {
+  // Section 4.2: common knowledge is neither gained nor lost, so CK of any
+  // fact is constant over the space, and only a constant fact is commonly
+  // known.  Corollary: if disjoint P and Q know b at exactly the same
+  // computations, then P knows b is constant.
+  const ProcessSet all{0, 1, 2};
+  for (const Predicate& b : {b_, c_, Predicate::True()}) {
+    EXPECT_TRUE(bundle_.eval.IsConstant(Formula::Common(all, Formula::Atom(b))))
+        << b.name();
+    auto kp = Formula::Knows(ProcessSet{0}, Formula::Atom(b));
+    auto kq = Formula::Knows(ProcessSet{1}, Formula::Atom(b));
+    if (bundle_.eval.SatisfyingSet(kp) == bundle_.eval.SatisfyingSet(kq)) {
+      EXPECT_TRUE(bundle_.eval.IsConstant(kp)) << b.name();
+    }
+  }
+  EXPECT_FALSE(Holds(Formula::Common(all, Formula::Atom(b_)), 0));
+  EXPECT_TRUE(Holds(Formula::Common(all, Formula::Atom(Predicate::True())), 0));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, KnowledgeLawTest,
                          ::testing::Values(201, 202, 203, 204));
 

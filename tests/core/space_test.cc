@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -47,6 +48,32 @@ TEST(SpaceTest, IndexOfFindsPermutations) {
   EXPECT_FALSE(space.IndexOf(Computation({Internal(0, "zzz")})).has_value());
   EXPECT_THROW(space.RequireIndex(Computation({Internal(0, "zzz")})),
                ModelError);
+}
+
+TEST(SpaceTest, CanonicalClassesQuotientTheRawInterleavings) {
+  // [D]-canonical deduplication: the literal-interleaving space holds many
+  // more sequences than there are classes, every sequence lands in a
+  // class, and every class is some sequence's.
+  RandomSystemOptions options;
+  options.num_processes = 3;
+  options.num_messages = 2;
+  options.internal_events = 1;
+  options.seed = 2101;
+  RandomSystem system(options);
+  auto canonical = ComputationSpace::Enumerate(system, {.max_depth = 40});
+  auto raw = ComputationSpace::Enumerate(
+      system, {.max_depth = 40, .canonicalize = false});
+  EXPECT_GT(raw.size(), canonical.size());
+  std::vector<bool> hit(canonical.size(), false);
+  raw.ForEachComputation(
+      0, raw.size(), [](std::size_t) { return true; },
+      [&](std::size_t, const Computation& x) {
+        const auto id = canonical.IndexOf(x);
+        ASSERT_TRUE(id.has_value()) << x.ToString();
+        hit[*id] = true;
+      });
+  EXPECT_EQ(std::count(hit.begin(), hit.end(), true),
+            static_cast<std::ptrdiff_t>(canonical.size()));
 }
 
 TEST(SpaceTest, ProjectionClassesMatchIsomorphism) {

@@ -136,6 +136,26 @@ TEST(StateViewTest, TheoremFiveSurvivesStateAbstraction) {
   }
 }
 
+TEST(StateViewTest, RepeatedKnowsHitsTheMemo) {
+  // Knows builds fresh K and atom nodes on every call; the evaluator must
+  // canonicalize them onto the first call's memo rows instead of
+  // re-evaluating the atom over the whole bucket.
+  auto space = SmallSpace(8);
+  StateView view(space, StateAbstraction::EventCount());
+  StateKnowledgeEvaluator eval(view);
+  const Predicate sent = Predicate::Sent(0);
+  std::size_t calls = 0;
+  const Predicate counted("counted_sent_m0", [&](const Computation& x) {
+    ++calls;
+    return sent.Eval(x);
+  });
+  const bool first = eval.Knows(ProcessSet{1}, counted, 0);
+  EXPECT_GT(calls, 0u);
+  calls = 0;
+  EXPECT_EQ(eval.Knows(ProcessSet{1}, counted, 0), first);
+  EXPECT_EQ(calls, 0u);
+}
+
 TEST(StateViewTest, CommonKnowledgeUnsupported) {
   auto space = SmallSpace(6);
   StateView view(space, StateAbstraction::EventCount());

@@ -161,7 +161,9 @@ TEST_F(PingTheoremTest, GainRequiresReceiveCorollary) {
 TEST_F(PingTheoremTest, ExtensionPrincipleHoldsOnSpace) {
   auto result = CheckExtensionPrinciple(space_);
   EXPECT_TRUE(result.holds) << result.violation;
-  EXPECT_GT(result.instances_checked, 0u);
+  // Part 1 at the send from empty (only empty is [p0]-isomorphic to it)
+  // and part 2 at the receive (only the full run is [p1]-isomorphic to it).
+  EXPECT_EQ(result.instances_checked, 2u);
 }
 
 // Theorem 6 needs a system where knowledge can be *lost*.  Classic shape:
@@ -214,7 +216,7 @@ TEST_P(TheoremSweepTest, NoCounterexamples) {
   const std::vector<Predicate> predicates = {
       Predicate::CountOnAtLeast(0, 1), Predicate::CountOnAtLeast(1, 1),
       Predicate::CountOnAtLeast(2, 1), Predicate::Sent(0),
-      Predicate::Received(1)};
+      Predicate::Received(1), !Predicate::Received(0)};
   // Chains of every singleton (self-learning of local facts always fires
   // somewhere) plus nested cross-process patterns.
   const std::vector<std::vector<ProcessSet>> chains = {
@@ -256,7 +258,47 @@ TEST_P(TheoremSweepTest, NoCounterexamples) {
     }
   }
   EXPECT_GT(t5_live, 0) << "sweep never exercised knowledge gain";
-  (void)t6_live;  // loss is rarer; its positivity is covered elsewhere
+  // p1 knows "m0 not received" until its own receive destroys it.
+  EXPECT_GT(t6_live, 0) << "sweep never exercised knowledge loss";
+}
+
+// Event-level claims at every (x, e) edge of a random space with internal
+// events: Theorem 3 (a receive never grows the [P P̄]-set, a send never
+// shrinks it, an internal event keeps it), Lemma 4 (an event on P never
+// loses P's knowledge of a P̄-local fact on a receive nor gains it on a
+// send) and the Principle of Computation Extension over all pairs.
+TEST_P(TheoremSweepTest, EventLevelClaimsAtEveryEdge) {
+  RandomSystemOptions options;
+  options.num_processes = 3;
+  options.num_messages = 3;
+  options.internal_events = 1;
+  options.seed = GetParam();
+  RandomSystem system(options);
+  auto space = ComputationSpace::Enumerate(system, {.max_depth = 24});
+  KnowledgeEvaluator eval(space);
+
+  int receive_shrinks = 0, send_grows = 0;
+  for (std::size_t id = 0; id < space.size(); ++id) {
+    const Computation& x = space.At(id);
+    for (const auto& succ : space.SuccessorsOf(id)) {
+      const Event& e = succ.event;
+      const ProcessSet p = ProcessSet::Of(e.process);
+      const auto t3 = CheckTheorem3(space, x, e, p);
+      ASSERT_TRUE(t3.holds) << "x=" << x.ToString() << " e=" << e.ToString();
+      if (e.IsReceive() && t3.after_size < t3.before_size) ++receive_shrinks;
+      if (e.IsSend() && t3.after_size > t3.before_size) ++send_grows;
+      const Predicate remote =
+          Predicate::CountOnAtLeast((e.process + 1) % 3, 1);
+      ASSERT_TRUE(CheckLemma4(eval, p, remote, x, e).holds)
+          << "x=" << x.ToString() << " e=" << e.ToString();
+    }
+  }
+  EXPECT_GT(receive_shrinks, 0);
+  EXPECT_GT(send_grows, 0);
+
+  const auto principle = CheckExtensionPrinciple(space);
+  EXPECT_TRUE(principle.holds) << principle.violation;
+  EXPECT_GT(principle.instances_checked, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TheoremSweepTest,

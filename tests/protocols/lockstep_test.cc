@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/knowledge.h"
 #include "core/process_chain.h"
 
@@ -63,27 +65,32 @@ TEST(LockstepTest, KnowledgeGainWithoutChain_TheoremFiveFails) {
   hpl::KnowledgeEvaluator eval(space);
   const hpl::Predicate crashed = system.Crashed();
 
-  const hpl::Computation y = system.CrashedRun(/*crash_round=*/1, 2);
-  // x: everything up to (and including) the first round; q has sent hb_0.
-  // Find the prefix ending right before the crash event.
-  std::size_t crash_at = 0;
-  for (std::size_t i = 0; i < y.size(); ++i)
-    if (y.at(i).label == "crash") crash_at = i;
-  const hpl::Computation x = y.Prefix(crash_at);
+  // Every crash round of a 2- and a 3-round run is learned without a chain.
+  for (const auto& [crash_round, total_rounds] :
+       {std::pair{1, 2}, std::pair{0, 3}, std::pair{1, 3}, std::pair{2, 3}}) {
+    const hpl::Computation y = system.CrashedRun(crash_round, total_rounds);
+    // x: the prefix ending right before the crash event.
+    std::size_t crash_at = 0;
+    for (std::size_t i = 0; i < y.size(); ++i)
+      if (y.at(i).label == "crash") crash_at = i;
+    const hpl::Computation x = y.Prefix(crash_at);
 
-  ASSERT_FALSE(eval.Knows(hpl::ProcessSet{0}, crashed,
-                          space.RequireIndex(x)));
-  ASSERT_TRUE(eval.Knows(hpl::ProcessSet{0}, crashed,
-                         space.RequireIndex(y)));
-  // Theorem 5 would demand a chain <q p> in (x, y); there is none.
-  hpl::ChainDetector detector(y, 2, x.size());
-  EXPECT_FALSE(detector.HasChain({hpl::ProcessSet{1}, hpl::ProcessSet{0}}))
-      << "synchrony transferred knowledge without a message chain";
+    ASSERT_FALSE(eval.Knows(hpl::ProcessSet{0}, crashed,
+                            space.RequireIndex(x)));
+    ASSERT_TRUE(eval.Knows(hpl::ProcessSet{0}, crashed,
+                           space.RequireIndex(y)));
+    // Theorem 5 would demand a chain <q p> in (x, y); there is none.
+    hpl::ChainDetector detector(y, 2, x.size());
+    EXPECT_FALSE(detector.HasChain({hpl::ProcessSet{1}, hpl::ProcessSet{0}}))
+        << "synchrony transferred knowledge without a message chain, crash "
+           "round "
+        << crash_round << " of " << total_rounds;
+  }
 }
 
 TEST(LockstepTest, AsynchronousCounterpartCannotLearn) {
   // Sanity contrast within the same codebase: in the *asynchronous* crash
-  // model (tests/..., bench E11) p never knows.  Here we only confirm the
+  // model (Section 5's failure detection without time-outs) p never knows.  Here we only confirm the
   // lockstep system genuinely needs its synchrony: drop the round
   // structure by allowing silent rounds for an alive q, and the knowledge
   // disappears.

@@ -83,23 +83,36 @@ TEST(RelaySystemTest, TheoremFiveWitnessesTheRelayChain) {
 
 TEST(RelaySystemTest, MinimumMessagesForDepth) {
   // Depth-(k+1) nested knowledge first becomes true at a computation with
-  // exactly k receives — one message per hop, the Theorem 5 minimum.
-  RelaySystem relay(4);
-  auto space = hpl::ComputationSpace::Enumerate(relay, {.max_depth = 16});
-  hpl::KnowledgeEvaluator eval(space);
-  for (int hop = 1; hop <= 3; ++hop) {
-    auto nested = hpl::Formula::KnowsChain(relay.NestedChain(hop),
-                                           hpl::Formula::Atom(relay.Fact()));
-    std::size_t min_receives = SIZE_MAX;
-    for (std::size_t id = 0; id < space.size(); ++id) {
-      if (!eval.Holds(nested, id)) continue;
-      std::size_t receives = 0;
-      const hpl::Computation x = space.At(id);
-      for (const hpl::Event& e : x.events())
-        if (e.IsReceive()) ++receives;
-      min_receives = std::min(min_receives, receives);
+  // exactly k receives — one message per hop, the Theorem 5 minimum — and
+  // Theorem 5 finds the chain <p0 ... pk> at that witness.
+  for (int n : {4, 6}) {
+    RelaySystem relay(n);
+    auto space = hpl::ComputationSpace::Enumerate(relay, {.max_depth = 16});
+    hpl::KnowledgeEvaluator eval(space);
+    for (int hop = 1; hop < n; ++hop) {
+      auto nested = hpl::Formula::KnowsChain(
+          relay.NestedChain(hop), hpl::Formula::Atom(relay.Fact()));
+      std::size_t min_receives = SIZE_MAX;
+      std::size_t witness = 0;
+      for (std::size_t id = 0; id < space.size(); ++id) {
+        if (!eval.Holds(nested, id)) continue;
+        std::size_t receives = 0;
+        const hpl::Computation x = space.At(id);
+        for (const hpl::Event& e : x.events())
+          if (e.IsReceive()) ++receives;
+        if (receives < min_receives) {
+          min_receives = receives;
+          witness = id;
+        }
+      }
+      EXPECT_EQ(min_receives, static_cast<std::size_t>(hop))
+          << "n " << n << " hop " << hop;
+      EXPECT_TRUE(hpl::CheckTheorem5(eval, relay.NestedChain(hop),
+                                     relay.Fact(), hpl::Computation{},
+                                     space.At(witness))
+                      .holds())
+          << "n " << n << " hop " << hop;
     }
-    EXPECT_EQ(min_receives, static_cast<std::size_t>(hop)) << "hop " << hop;
   }
 }
 

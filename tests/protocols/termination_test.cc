@@ -82,6 +82,31 @@ TEST(SafraTest, FrequentProbingRaisesOverhead) {
   EXPECT_GE(fast_result.overhead_messages, slow_result.overhead_messages);
 }
 
+TEST(SafraTest, SlowSparseComputationCostsAtLeastM) {
+  // The adversarial family behind Section 5's worst-case bound: slow
+  // underlying traffic, one message at a time.  Each message blackens a
+  // process and spoils the probe in flight, so an eager Safra pays more
+  // overhead than there are underlying messages.
+  for (int budget : {10, 25}) {
+    TerminationExperimentOptions options;
+    options.detector = DetectorKind::kSafra;
+    options.num_processes = 4;
+    options.workload.budget = budget;
+    options.workload.fanout_max = 1;
+    options.workload.fanout_zero_prob = 0.0;
+    options.network.delay_base = 2;
+    options.network.delay_jitter = 2;
+    options.network.underlying_extra_delay = 150;
+    options.safra_probe_interval = 15;
+    options.seed = 777 + budget;
+    const auto result = RunTerminationExperiment(options);
+    ASSERT_TRUE(result.announced);
+    EXPECT_TRUE(result.safe);
+    EXPECT_EQ(result.underlying_messages, static_cast<std::size_t>(budget));
+    EXPECT_GE(result.overhead_ratio, 1.0) << "budget " << budget;
+  }
+}
+
 TEST(TerminationTest, WorkloadBudgetBoundsUnderlyingMessages) {
   for (int budget : {0, 5, 25, 80}) {
     auto options = Base(DetectorKind::kDijkstraScholten, 21);

@@ -39,43 +39,49 @@ TEST(TrackerSystemTest, BitIsLocalToQ) {
 // this predicate while it is undergoing change."  Formally: at every
 // computation where q can still flip, !(p sure b).
 TEST(TrackerSystemTest, ObserverUnsureWhileBitCanChange) {
-  TrackerSystem system(3);
-  auto space = hpl::ComputationSpace::Enumerate(system, {.max_depth = 16});
-  hpl::KnowledgeEvaluator eval(space);
-  auto sure =
-      hpl::Formula::Sure(hpl::ProcessSet{0}, hpl::Formula::Atom(system.Bit()));
-  int changeable = 0;
-  for (std::size_t id = 0; id < space.size(); ++id) {
-    if (system.CanStillChange(space.At(id))) {
-      EXPECT_FALSE(eval.Holds(sure, id)) << space.At(id).ToString();
-      ++changeable;
+  for (int flips : {3, 4}) {
+    TrackerSystem system(flips);
+    auto space = hpl::ComputationSpace::Enumerate(
+        system, {.max_depth = 4 * flips + 4});
+    hpl::KnowledgeEvaluator eval(space);
+    auto sure = hpl::Formula::Sure(hpl::ProcessSet{0},
+                                   hpl::Formula::Atom(system.Bit()));
+    int changeable = 0;
+    for (std::size_t id = 0; id < space.size(); ++id) {
+      if (system.CanStillChange(space.At(id))) {
+        EXPECT_FALSE(eval.Holds(sure, id)) << space.At(id).ToString();
+        ++changeable;
+      }
     }
+    EXPECT_GT(changeable, 0) << flips;
   }
-  EXPECT_GT(changeable, 0);
 }
 
 // The companion necessary condition: q may change b only when q knows that
 // p is unsure of b.
 TEST(TrackerSystemTest, ChangerKnowsObserverIsUnsure) {
-  TrackerSystem system(3);
-  auto space = hpl::ComputationSpace::Enumerate(system, {.max_depth = 16});
-  hpl::KnowledgeEvaluator eval(space);
-  auto p_unsure = hpl::Formula::Not(
-      hpl::Formula::Sure(hpl::ProcessSet{0}, hpl::Formula::Atom(system.Bit())));
-  auto q_knows_unsure = hpl::Formula::Knows(hpl::ProcessSet{1}, p_unsure);
-  // At every computation where a flip is enabled, q knows p is unsure.
-  int flip_points = 0;
-  for (std::size_t id = 0; id < space.size(); ++id) {
-    const auto enabled = system.EnabledEvents(space.At(id));
-    for (const hpl::Event& e : enabled) {
-      if (e.IsInternal() && e.label == "flip") {
-        EXPECT_TRUE(eval.Holds(q_knows_unsure, id))
-            << space.At(id).ToString();
-        ++flip_points;
+  for (int flips : {3, 4}) {
+    TrackerSystem system(flips);
+    auto space = hpl::ComputationSpace::Enumerate(
+        system, {.max_depth = 4 * flips + 4});
+    hpl::KnowledgeEvaluator eval(space);
+    auto p_unsure = hpl::Formula::Not(hpl::Formula::Sure(
+        hpl::ProcessSet{0}, hpl::Formula::Atom(system.Bit())));
+    auto q_knows_unsure = hpl::Formula::Knows(hpl::ProcessSet{1}, p_unsure);
+    // At every computation where a flip is enabled, q knows p is unsure.
+    int flip_points = 0;
+    for (std::size_t id = 0; id < space.size(); ++id) {
+      const auto enabled = system.EnabledEvents(space.At(id));
+      for (const hpl::Event& e : enabled) {
+        if (e.IsInternal() && e.label == "flip") {
+          EXPECT_TRUE(eval.Holds(q_knows_unsure, id))
+              << space.At(id).ToString();
+          ++flip_points;
+        }
       }
     }
+    EXPECT_GT(flip_points, 0) << flips;
   }
-  EXPECT_GT(flip_points, 0);
 }
 
 // After all flips are exhausted and the last notification arrives, p can
