@@ -314,8 +314,8 @@ int main(int argc, char** argv) {
   std::printf(
       "\nexpected: identical satisfying sets and component labels at every\n"
       "(thread count, kernels) combination.  kernels=off rows run the\n"
-      "sequential lazy interpreter at any thread count (only the CK\n"
-      "union-find uses the pool); kernels=on rows compute complete planes\n"
+      "sequential lazy interpreter at any thread count; kernels=on rows\n"
+      "compute complete planes\n"
       "bottom-up, range-sharded over the pool: they win big on pure-boolean\n"
       "chains (word-wide ops) and can trail the interpreter on nested modal\n"
       "queries whose laziness skips most of the space.  At t=1 a lone modal\n"

@@ -60,8 +60,7 @@ std::size_t KernelProgram::MemoryBytes() const {
          (completed.capacity() + roots.capacity()) * sizeof(std::uint32_t);
 }
 
-bool Compile(const ComputationSpace& space,
-             std::span<const CompileNode> postorder,
+bool Compile(std::span<const CompileNode> postorder,
              std::span<const std::uint32_t> roots, KernelProgram* out) {
   KernelProgram p;
   std::unordered_map<const Formula*, Slot> slot_of;
@@ -167,10 +166,6 @@ bool Compile(const ComputationSpace& space,
         op.quant = f->kind() == FormulaKind::kKnows      ? Quant::kForAll
                    : f->kind() == FormulaKind::kPossible ? Quant::kExists
                                                          : Quant::kSure;
-        if (group.Size() == 1)
-          op.process = group.First();
-        else
-          op.index = &space.EnsureGroupIndex(group);
         op.node = f;
         op.seg = cn.seg_begin;
         op.a = use(f->left().get());
@@ -196,7 +191,6 @@ bool Compile(const ComputationSpace& space,
           Op op;
           op.code = OpCode::kKnowSeg;
           op.quant = Quant::kForAll;
-          op.process = group.First();
           op.node = f;
           op.seg = cn.seg_begin;
           op.a = use(f->left().get());
@@ -208,7 +202,6 @@ bool Compile(const ComputationSpace& space,
         op.code = OpCode::kEveryoneSeg;
         op.node = f;
         op.seg = cn.seg_begin;
-        op.index = &space.EnsureGroupIndex(group);
         op.a = use(f->left().get());
         op.dst = make_dst();
         emit(op);
@@ -417,10 +410,9 @@ void RunPointwiseOp(const ExecContext& ctx, Regs& regs, const Op& op,
 // seeded (known) classes keep their memoized verdict, exactly like the
 // interpreter's BucketVerdict probe.
 void SweepRowRange(const ExecContext& ctx, const Regs& regs, Slot child,
-                   Quant quant, const ComputationSpace::GroupIndex* index,
-                   ProcessId process, std::uint64_t* row_known,
-                   std::uint64_t* row_value, std::size_t begin,
-                   std::size_t end) {
+                   Quant quant, const Partition& part,
+                   std::uint64_t* row_known, std::uint64_t* row_value,
+                   std::size_t begin, std::size_t end) {
   for (std::size_t w = begin / 64; w * 64 < end; ++w) {
     std::uint64_t known = row_known[w];
     std::uint64_t value = row_value[w];
@@ -429,9 +421,7 @@ void SweepRowRange(const ExecContext& ctx, const Regs& regs, Slot child,
       const std::uint64_t bit = std::uint64_t{1} << (c % 64);
       if (known & bit) continue;
       const std::span<const std::uint32_t> bucket =
-          index != nullptr ? index->Bucket(static_cast<std::uint32_t>(c))
-                           : ctx.space->Bucket(process,
-                                               static_cast<std::uint32_t>(c));
+          part.Bucket(static_cast<std::uint32_t>(c));
       bool verdict;
       switch (quant) {
         case Quant::kForAll: {
@@ -475,11 +465,12 @@ void SweepRowRange(const ExecContext& ctx, const Regs& regs, Slot child,
   }
 }
 
-// Phase B: scatter per-class verdicts back to the id plane.
+// Phase B: scatter per-class verdicts back to the id plane — or, with
+// `and_into`, fold them into what dst already holds with word-AND.
 template <typename ClassOfFn>
 void ScatterRange(const ExecContext& ctx, Regs& regs, Slot dst,
                   const std::uint64_t* row_value, ClassOfFn&& class_of,
-                  std::size_t begin, std::size_t end) {
+                  bool and_into, std::size_t begin, std::size_t end) {
   for (std::size_t w = begin / 64; w * 64 < end; ++w) {
     std::uint64_t word = 0;
     const std::size_t id_end = std::min(end, w * 64 + 64);
@@ -488,114 +479,84 @@ void ScatterRange(const ExecContext& ctx, Regs& regs, Slot dst,
       if ((row_value[cls / 64] >> (cls % 64)) & 1)
         word |= std::uint64_t{1} << (id % 64);
     }
+    if (and_into) word &= ReadWord(ctx, regs, dst, w);
     StoreWord(ctx, regs, dst, w, word);
   }
 }
 
-// A tier row of the evaluator's bucket planes.
-struct RowPtrs {
+// A tier row of the evaluator's bucket planes, with its partition.
+struct TierRow {
   std::uint64_t* known;
   std::uint64_t* value;
+  const Partition& partition;
+
+  TierRow(const ExecContext& ctx, std::uint32_t seg)
+      : known(ctx.bucket_known + ctx.segments[seg].offset),
+        value(ctx.bucket_value + ctx.segments[seg].offset),
+        partition(ctx.segments[seg].partition) {}
 };
 
-RowPtrs TierRow(const ExecContext& ctx, std::uint32_t seg) {
-  return RowPtrs{ctx.bucket_known + ctx.seg_offset[seg],
-                 ctx.bucket_value + ctx.seg_offset[seg]};
+// Sweeps row `seg` for the quantifier over the child plane `a`, then
+// scatters (or, with `and_into`, AND-folds) its verdicts into `dst`.
+void SweepAndScatter(const ExecContext& ctx, Regs& regs, Slot a, Slot dst,
+                     Quant quant, std::uint32_t seg, bool and_into) {
+  const TierRow row(ctx, seg);
+  internal::ParallelFor(ctx.pool, row.partition.NumClasses(), /*align=*/64,
+                        [&](std::size_t b, std::size_t e) {
+                          SweepRowRange(ctx, regs, a, quant, row.partition,
+                                        row.known, row.value, b, e);
+                        });
+  internal::ParallelFor(
+      ctx.pool, ctx.n, /*align=*/64, [&](std::size_t b, std::size_t e) {
+        ScatterRange(ctx, regs, dst, row.value,
+                     [&](std::size_t id) { return row.partition.ClassOf(id); },
+                     and_into, b, e);
+      });
 }
 
 void ExecKnowSeg(const ExecContext& ctx, Regs& regs, const Op& op) {
-  const bool grouped = op.index != nullptr;
-  const std::size_t classes =
-      grouped ? op.index->NumClasses()
-              : ctx.space->NumProjectionClasses(op.process);
-  const RowPtrs row = TierRow(ctx, op.seg);
-
   const FoldScan fold = ScanConstant(ctx, regs, op.a);
   if (fold != FoldScan::kMixed) {
     // Constant child: forall == exists == the constant (buckets are
     // reflexive, never empty), sure == true either way.
     const bool verdict =
         op.quant == Quant::kSure ? true : fold == FoldScan::kAllTrue;
-    FillRow(row.known, row.value, classes, verdict);
+    const TierRow row(ctx, op.seg);
+    FillRow(row.known, row.value, row.partition.NumClasses(), verdict);
     FillPlane(ctx, regs, op.dst, verdict);
     return;
   }
-
-  internal::ParallelFor(ctx.pool, classes, /*align=*/64,
-                        [&](std::size_t b, std::size_t e) {
-                          SweepRowRange(ctx, regs, op.a, op.quant, op.index,
-                                        op.process, row.known, row.value, b,
-                                        e);
-                        });
-  internal::ParallelFor(
-      ctx.pool, ctx.n, /*align=*/64, [&](std::size_t b, std::size_t e) {
-        if (grouped)
-          ScatterRange(ctx, regs, op.dst, row.value,
-                       [&](std::size_t id) { return op.index->ClassOf(id); },
-                       b, e);
-        else
-          ScatterRange(ctx, regs, op.dst, row.value,
-                       [&](std::size_t id) {
-                         return ctx.space->ProjectionClass(id, op.process);
-                       },
-                       b, e);
-      });
+  SweepAndScatter(ctx, regs, op.a, op.dst, op.quant, op.seg,
+                  /*and_into=*/false);
 }
 
 void ExecEveryoneSeg(const ExecContext& ctx, Regs& regs, const Op& op) {
-  std::vector<ProcessId> members;
-  op.node->group().ForEach([&](ProcessId q) { members.push_back(q); });
+  // Row op.seg is the [G]-aggregation row; rows op.seg + 1 .. op.seg + |G|
+  // are the member K{q} rows.
+  const auto members = static_cast<std::uint32_t>(op.node->group().Size());
+  const TierRow agg(ctx, op.seg);
 
   const FoldScan fold = ScanConstant(ctx, regs, op.a);
   if (fold != FoldScan::kMixed) {
     const bool verdict = fold == FoldScan::kAllTrue;
-    const RowPtrs agg = TierRow(ctx, op.seg);
-    FillRow(agg.known, agg.value, op.index->NumClasses(), verdict);
-    for (std::size_t k = 0; k < members.size(); ++k) {
-      const RowPtrs row =
-          TierRow(ctx, op.seg + 1 + static_cast<std::uint32_t>(k));
-      FillRow(row.known, row.value,
-              ctx.space->NumProjectionClasses(members[k]), verdict);
+    for (std::uint32_t k = 0; k <= members; ++k) {
+      const TierRow row(ctx, op.seg + k);
+      FillRow(row.known, row.value, row.partition.NumClasses(), verdict);
     }
     FillPlane(ctx, regs, op.dst, verdict);
     return;
   }
 
-  for (std::size_t k = 0; k < members.size(); ++k) {
-    const ProcessId q = members[k];
-    const std::size_t classes = ctx.space->NumProjectionClasses(q);
-    const RowPtrs row =
-        TierRow(ctx, op.seg + 1 + static_cast<std::uint32_t>(k));
-    internal::ParallelFor(ctx.pool, classes, /*align=*/64,
-                          [&](std::size_t b, std::size_t e) {
-                            SweepRowRange(ctx, regs, op.a, Quant::kForAll,
-                                          nullptr, q, row.known, row.value, b,
-                                          e);
-                          });
-    // Fold this member's K{q} plane into dst with word-AND.
-    const bool first = k == 0;
-    internal::ParallelFor(
-        ctx.pool, ctx.n, /*align=*/64, [&](std::size_t b, std::size_t e) {
-          for (std::size_t w = b / 64; w * 64 < e; ++w) {
-            std::uint64_t word = 0;
-            const std::size_t id_end = std::min(e, w * 64 + 64);
-            for (std::size_t id = w * 64; id < id_end; ++id) {
-              const std::uint32_t cls = ctx.space->ProjectionClass(id, q);
-              if ((row.value[cls / 64] >> (cls % 64)) & 1)
-                word |= std::uint64_t{1} << (id % 64);
-            }
-            if (!first) word &= ReadWord(ctx, regs, op.dst, w);
-            StoreWord(ctx, regs, op.dst, w, word);
-          }
-        });
-  }
+  // Fold each member's K{q} plane into dst with word-AND.
+  for (std::uint32_t k = 1; k <= members; ++k)
+    SweepAndScatter(ctx, regs, op.a, op.dst, Quant::kForAll, op.seg + k,
+                    /*and_into=*/k > 1);
 
   // Complete the [G]-aggregation row from the finished plane: the E verdict
   // is constant on the [G]-class, so the representative's bit is the row
   // cell.
-  const RowPtrs agg = TierRow(ctx, op.seg);
   internal::ParallelFor(
-      ctx.pool, op.index->NumClasses(), /*align=*/64,
+      ctx.pool, agg.partition.NumClasses(), /*align=*/64,
       [&](std::size_t b, std::size_t e) {
         for (std::size_t w = b / 64; w * 64 < e; ++w) {
           std::uint64_t known = agg.known[w];
@@ -606,7 +567,7 @@ void ExecEveryoneSeg(const ExecContext& ctx, Regs& regs, const Op& op) {
             if (known & bit) continue;
             known |= bit;
             if (ReadBit(ctx, regs, op.dst,
-                        op.index->Representative(
+                        agg.partition.Representative(
                             static_cast<std::uint32_t>(c))))
               value |= bit;
           }
@@ -642,7 +603,8 @@ void ExecCkComponent(const ExecContext& ctx, Regs& regs, const Op& op) {
   internal::ParallelFor(
       ctx.pool, ctx.n, /*align=*/64, [&](std::size_t b, std::size_t e) {
         ScatterRange(ctx, regs, op.dst, comp.data(),
-                     [&](std::size_t id) { return roots[id]; }, b, e);
+                     [&](std::size_t id) { return roots[id]; },
+                     /*and_into=*/false, b, e);
       });
 }
 

@@ -17,15 +17,20 @@
 //                       rebuilding each one from the root
 //   kNot/kAnd/kOr/...   boolean connectives over 64-bit words
 //   kKnowSeg            Knows / Sure / Possible via the projection-tier
-//                       segment primitive: phase A sweeps each [p]- or
-//                       [G]-bucket of the child plane once per class (seeded
-//                       from, and written back to, the evaluator's bucket /
-//                       group memo rows), phase B scatters the per-class
-//                       verdicts to the id plane
+//                       segment primitive: phase A sweeps each bucket of the
+//                       segment's partition over the child plane once per
+//                       class (seeded from, and written back to, the
+//                       evaluator's tier row), phase B scatters the
+//                       per-class verdicts to the id plane
 //   kEveryoneSeg        multi-process Everyone: per-member kKnowSeg rows
 //                       folded with word-AND, plus the [G]-aggregation row
-//   kCkComponent        common knowledge: per-component AND over the union-
-//                       find labels the evaluator already builds
+//   kCkComponent        common knowledge: per-component AND over the
+//                       component labels the evaluator already builds
+//
+// Segment ops name no relation themselves: each reads its partition(s)
+// from the evaluator's segment table (ExecContext::segments), the same rows
+// the interpreter probes, so a program cannot quantify over a different
+// relation than the interpreter does.
 //
 // Interior results live in a register pool of bitset planes sized by DAG
 // liveness (linear scan over the postorder, registers freed after their
@@ -99,14 +104,21 @@ struct Slot {
   bool dense = false;
 };
 
+// One projection-tier row of the evaluator's bucket planes: one known and
+// one value bit per class of `partition`, the relation the owning node's
+// quantifier ranges over.
+struct Segment {
+  ProcessSet group;  // whose partition (re-resolved after the space grows)
+  Partition partition;
+  std::uint32_t offset = 0;  // word offset in the bucket planes
+  std::uint32_t words = 0;   // ceil(partition.NumClasses() / 64)
+  bool group_tier = false;   // owned by a multi-process node (memo stats)
+};
+
 struct Op {
   OpCode code = OpCode::kLoadConst;
   Quant quant = Quant::kForAll;  // kKnowSeg only
   bool const_value = false;      // kLoadConst only
-  ProcessId process = 0;         // kKnowSeg over a singleton group
-  // Group sweeps: the space's [G]-class index (kKnowSeg with a multi-
-  // process group, kEveryoneSeg).
-  const ComputationSpace::GroupIndex* index = nullptr;
   // The owning formula node: predicate for kLoadAtomPlane, group and child
   // for the segment ops.
   const Formula* node = nullptr;
@@ -116,7 +128,7 @@ struct Op {
   Slot a{0, true};
   Slot b{0, true};
   // First projection-tier segment of `node` in the evaluator's segment
-  // table: the [p]- or [G]-row of kKnowSeg; the [G]-aggregation row of
+  // table: the one row of kKnowSeg; the [G]-aggregation row of
   // kEveryoneSeg, followed by one member row per process in group ForEach
   // order.
   std::uint32_t seg = kNoSegment;
@@ -152,8 +164,7 @@ struct CompileNode {
 // ids and must be incomplete.  Returns false when the DAG contains a shape
 // the kernels do not cover (currently: modal operators over an empty
 // process set) — callers fall back to the interpreted engine.
-bool Compile(const ComputationSpace& space,
-             std::span<const CompileNode> postorder,
+bool Compile(std::span<const CompileNode> postorder,
              std::span<const std::uint32_t> roots, KernelProgram* out);
 
 // Everything one execution needs to locate the evaluator's memo state and
@@ -165,10 +176,10 @@ struct ExecContext {
   // Dense memo planes, node-major, `words` words per row.
   std::uint64_t* dense_known = nullptr;
   std::uint64_t* dense_value = nullptr;
-  // Shared projection-tier planes and the segment -> word-offset map.
+  // Shared projection-tier planes and the evaluator's segment table.
   std::uint64_t* bucket_known = nullptr;
   std::uint64_t* bucket_value = nullptr;
-  const std::uint32_t* seg_offset = nullptr;
+  const Segment* segments = nullptr;
   // CK component labels (smallest member id per class), pre-built by the
   // caller for every kCkComponent node in the program.
   std::function<std::span<const std::uint32_t>(const Formula*)> ck_roots;

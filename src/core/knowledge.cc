@@ -1,22 +1,22 @@
 #include "core/knowledge.h"
 
 #include <algorithm>
-#include <atomic>
 #include <numeric>
 #include <ranges>
 #include <unordered_set>
 #include <utility>
 
 #include "core/parallel.h"
+#include "core/state_view.h"
 
 namespace hpl {
 namespace {
 
-// Spaces smaller than this run kernels and the CK union-find inline even
-// when the evaluator has worker threads; the pass setup would dominate.
+// Spaces smaller than this run kernels inline even when the evaluator has
+// worker threads; the pass setup would dominate.
 constexpr std::size_t kMinParallelSpace = 128;
 
-// Union-find over dense ids (sequential path).
+// Union-find over dense ids.
 class UnionFind {
  public:
   explicit UnionFind(std::size_t n) : parent_(n) {
@@ -39,40 +39,6 @@ class UnionFind {
   std::vector<std::uint32_t> parent_;
 };
 
-// Lock-free union-find for the parallel component build: roots are only
-// re-parented by a CAS from the self-pointing state, and unions always hook
-// the larger root under the smaller, so parent chains strictly decrease —
-// Find terminates and the final root of a component is its smallest member.
-std::uint32_t AtomicFind(std::vector<std::atomic<std::uint32_t>>& parent,
-                         std::uint32_t a) {
-  for (;;) {
-    std::uint32_t p = parent[a].load(std::memory_order_relaxed);
-    if (p == a) return a;
-    const std::uint32_t gp = parent[p].load(std::memory_order_relaxed);
-    if (gp == p) {
-      a = p;
-      continue;
-    }
-    // Path halving; a failed CAS just means another thread already helped.
-    parent[a].compare_exchange_weak(p, gp, std::memory_order_relaxed);
-    a = gp;
-  }
-}
-
-void AtomicUnion(std::vector<std::atomic<std::uint32_t>>& parent,
-                 std::uint32_t a, std::uint32_t b) {
-  for (;;) {
-    a = AtomicFind(parent, a);
-    b = AtomicFind(parent, b);
-    if (a == b) return;
-    if (a > b) std::swap(a, b);
-    std::uint32_t expected = b;
-    if (parent[b].compare_exchange_strong(expected, a,
-                                          std::memory_order_relaxed))
-      return;
-  }
-}
-
 // Bits of plane word `w` that correspond to real class ids (the last word
 // of an n-id plane is only partially populated).
 std::uint64_t LiveWordMask(std::size_t n, std::size_t w) {
@@ -85,27 +51,6 @@ bool PlaneIsUniform(const std::uint64_t* plane, std::size_t n, bool v) {
   for (std::size_t w = 0; w * 64 < n; ++w)
     if (plane[w] != (v ? LiveWordMask(n, w) : 0)) return false;
   return true;
-}
-
-// Number of projection-tier rows a node owns.  Singleton modalities
-// (verdict constant per [p]-class) take one [p]-row.  Multi-process
-// Knows/Sure/Possible quantify exactly over the [G]-bucket, so they take
-// one [G]-row.  Multi-process Everyone decomposes into singleton K{p} but
-// its verdict is constant on the (finer) [G]-class, so it takes one
-// [G]-aggregation row plus one [p]-row per member.  Knows/Sure/Possible
-// over the empty group take none (Everyone and Common reject it).
-int TierSegmentCount(const Formula* f) {
-  const int size = f->group().Size();
-  switch (f->kind()) {
-    case FormulaKind::kKnows:
-    case FormulaKind::kSure:
-    case FormulaKind::kPossible:
-      return size >= 1 ? 1 : 0;
-    case FormulaKind::kEveryone:
-      return size == 1 ? 1 : 1 + size;
-    default:
-      return 0;
-  }
 }
 
 // The quantifier of Knows / Everyone (for all), Possible (exists) or Sure
@@ -162,13 +107,30 @@ KnowledgeEvaluator::KnowledgeEvaluator(const ComputationSpace& space,
       num_threads_(internal::ResolveNumThreads(options.num_threads)),
       compiled_kernels_(options.compiled_kernels) {}
 
+KnowledgeEvaluator::KnowledgeEvaluator(const StateView& view,
+                                       const KnowledgeOptions& options)
+    : KnowledgeEvaluator(view.space(), options) {
+  view_ = &view;
+}
+
+Partition KnowledgeEvaluator::PartitionOf(ProcessSet g) const {
+  return view_ != nullptr ? view_->PartitionOf(g) : space_.PartitionOf(g);
+}
+
 KnowledgeEvaluator::~KnowledgeEvaluator() = default;
 
 void KnowledgeEvaluator::Refresh() {
   const std::size_t n = space_.size();
-  if (n == synced_size_) return;  // edge-only growth never changes verdicts
+  if (view_ != nullptr && view_->size() != n)
+    throw ModelError(
+        "KnowledgeEvaluator::Refresh: the space grew after its StateView was "
+        "built; build a new StateView and evaluator over the grown space");
   if (n < synced_size_)
     throw ModelError("KnowledgeEvaluator::Refresh: the space shrank");
+  // Growth reallocates the partition columns even when it adds no class,
+  // so every segment takes a fresh view first.
+  for (kernel::Segment& seg : segments_) seg.partition = PartitionOf(seg.group);
+  if (n == synced_size_) return;  // edge-only growth never changes verdicts
   const std::size_t old_n = synced_size_;
   const std::size_t old_words = words_;
   const std::size_t new_words = (n + 63) / 64;
@@ -191,24 +153,13 @@ void KnowledgeEvaluator::Refresh() {
       if (y >= old_n || test_bit(child, y)) return true;
     return false;
   };
-  // Marks every OLD member of every dirty [p]-bucket.
-  const auto close_over_p = [&](ProcessId p,
-                                const std::vector<std::uint64_t>& child,
-                                std::vector<std::uint64_t>& out) {
-    const std::size_t classes = space_.NumProjectionClasses(p);
+  // Marks every OLD member of every dirty bucket of `part`.
+  const auto close_over = [&](const Partition& part,
+                              const std::vector<std::uint64_t>& child,
+                              std::vector<std::uint64_t>& out) {
+    const auto classes = static_cast<std::uint32_t>(part.NumClasses());
     for (std::uint32_t c = 0; c < classes; ++c) {
-      const auto bucket = space_.Bucket(p, c);
-      if (!bucket_dirty(bucket, child)) continue;
-      for (std::uint32_t y : bucket)
-        if (y < old_n) set_bit(out, y);
-    }
-  };
-  const auto close_over_index = [&](const ComputationSpace::GroupIndex& index,
-                                    const std::vector<std::uint64_t>& child,
-                                    std::vector<std::uint64_t>& out) {
-    const std::size_t classes = index.NumClasses();
-    for (std::uint32_t c = 0; c < classes; ++c) {
-      const auto bucket = index.Bucket(c);
+      const auto bucket = part.Bucket(c);
       if (!bucket_dirty(bucket, child)) continue;
       for (std::uint32_t y : bucket)
         if (y < old_n) set_bit(out, y);
@@ -219,9 +170,8 @@ void KnowledgeEvaluator::Refresh() {
   // the set of old ids where the node's verdict may differ from before the
   // growth.  Atoms are pure functions of the computation, so they are never
   // dirty; propositional nodes are dirty where a child is; modal nodes
-  // close their child's dirt (plus the new ids) over their quantifier
-  // buckets — the [p]-buckets of a singleton group, the [G]-buckets of a
-  // multi-process one (InternNode built that index).  The empty group
+  // close their child's dirt (plus the new ids) over the buckets of their
+  // quantifier's partition (Everyone over each member's).  The empty group
   // relates every class and CK components can merge through new classes,
   // so empty-group Knows/Sure/Possible and kCommon are dirty everywhere.
   std::unordered_map<const Formula*, std::vector<std::uint64_t>> dirty;
@@ -252,19 +202,17 @@ void KnowledgeEvaluator::Refresh() {
       case FormulaKind::kSure:
       case FormulaKind::kPossible: {
         const auto& child = self(self, f->left().get());
-        const ProcessSet g = f->group();
-        if (g.IsEmpty())
+        if (f->group().IsEmpty())
           mark_all(bits);
-        else if (g.Size() == 1)
-          close_over_p(g.First(), child, bits);
         else
-          close_over_index(space_.EnsureGroupIndex(g), child, bits);
+          close_over(PartitionOf(f->group()), child, bits);
         break;
       }
       case FormulaKind::kEveryone: {
         const auto& child = self(self, f->left().get());
-        f->group().ForEach(
-            [&](ProcessId p) { close_over_p(p, child, bits); });
+        f->group().ForEach([&](ProcessId p) {
+          close_over(PartitionOf(ProcessSet::Of(p)), child, bits);
+        });
         break;
       }
       case FormulaKind::kCommon:
@@ -294,23 +242,16 @@ void KnowledgeEvaluator::Refresh() {
     planes_ = std::move(grown);
   }
 
-  // Bucket/group tier: rows are sized by per-process / per-group class
-  // counts, which grew too.  Re-lay the segment planes out for the new
+  // Bucket/group tier: rows are sized by the class counts of their
+  // partitions, which grew too.  Re-lay the segment planes out for the new
   // counts; a row cell survives iff its bucket is clean under the owning
   // node's child cone (same rule as the dense tier, one level up).
   if (!segments_.empty()) {
-    std::vector<std::uint32_t> new_seg_words(segments_.size());
     std::vector<std::uint32_t> new_offsets(segments_.size());
     std::size_t off = 0;
     for (std::size_t s = 0; s < segments_.size(); ++s) {
-      const BucketSegment& seg = segments_[s];
-      const std::size_t classes =
-          seg.index != nullptr
-              ? seg.index->NumClasses()
-              : space_.NumProjectionClasses(seg.process);
-      new_seg_words[s] = static_cast<std::uint32_t>((classes + 63) / 64);
       new_offsets[s] = static_cast<std::uint32_t>(off);
-      off += new_seg_words[s];
+      off += (segments_[s].partition.NumClasses() + 63) / 64;
     }
     MemoPlanes grown;
     grown.known.assign(off, 0);
@@ -318,53 +259,48 @@ void KnowledgeEvaluator::Refresh() {
     for (const auto& [f, node] : node_index_) {
       if (node_seg_begin_[node] == kNoSegment) continue;
       const auto& child = dirty.at(f->left().get());
-      for (std::uint32_t k = 0; k < node_seg_count_[node]; ++k) {
-        const std::uint32_t s = node_seg_begin_[node] + k;
-        const BucketSegment& seg = segments_[s];
-        const std::size_t classes =
-            seg.index != nullptr
-                ? seg.index->NumClasses()
-                : space_.NumProjectionClasses(seg.process);
+      const std::uint32_t begin = node_seg_begin_[node];
+      const std::uint32_t count = node_seg_count_[node];
+      for (std::uint32_t k = 0; k < count; ++k) {
+        const kernel::Segment& seg = segments_[begin + k];
+        const Partition& part = seg.partition;
+        // The [G]-aggregation row of a multi-process Everyone is an AND of
+        // its member rows' verdicts, and each member bucket is a superset
+        // of the [G]-bucket — so it must check every member bucket of the
+        // class representative (all [G]-equivalent ids share their member
+        // classes).  Every other row checks its own bucket.
+        const bool aggregate =
+            k == 0 && count > 1 && f->kind() == FormulaKind::kEveryone;
+        const auto classes = static_cast<std::uint32_t>(part.NumClasses());
         for (std::uint32_t c = 0; c < classes; ++c) {
           if (c / 64 >= seg.words) continue;  // row cell did not exist yet
           const std::uint64_t bit = std::uint64_t{1} << (c % 64);
-          if ((bucket_planes_.known[seg_offset_[s] + c / 64] & bit) == 0)
+          if ((bucket_planes_.known[seg.offset + c / 64] & bit) == 0)
             continue;
-          // Keep rule per row shape: a singleton [p]-row (and a [G]-row of
-          // distributed K/Sure/Possible, whose quantifier is exactly the
-          // [G]-bucket) checks its own bucket.  The [G]-aggregation row of
-          // a multi-process Everyone is an AND of member [p]-row verdicts,
-          // and each member [p]-bucket is a superset of the [G]-bucket — so
-          // it must check every member bucket of the class representative
-          // (all [G]-equivalent ids share their [p]-classes for p in G).
-          bool row_dirty;
-          if (seg.index != nullptr && f->kind() == FormulaKind::kEveryone) {
-            const std::uint32_t rep = seg.index->Representative(c);
-            row_dirty = false;
-            f->group().ForEach([&](ProcessId p) {
-              if (!row_dirty &&
-                  bucket_dirty(
-                      space_.Bucket(p, space_.ProjectionClass(rep, p)),
-                      child))
-                row_dirty = true;
-            });
+          bool row_dirty = false;
+          if (aggregate) {
+            const std::uint32_t rep = part.Representative(c);
+            for (std::uint32_t m = 1; m < count && !row_dirty; ++m) {
+              const Partition& member = segments_[begin + m].partition;
+              row_dirty =
+                  bucket_dirty(member.Bucket(member.ClassOf(rep)), child);
+            }
           } else {
-            row_dirty = bucket_dirty(seg.index != nullptr
-                                         ? seg.index->Bucket(c)
-                                         : space_.Bucket(seg.process, c),
-                                     child);
+            row_dirty = bucket_dirty(part.Bucket(c), child);
           }
           if (row_dirty) continue;
-          grown.known[new_offsets[s] + c / 64] |= bit;
-          if (bucket_planes_.value[seg_offset_[s] + c / 64] & bit)
-            grown.value[new_offsets[s] + c / 64] |= bit;
+          grown.known[new_offsets[begin + k] + c / 64] |= bit;
+          if (bucket_planes_.value[seg.offset + c / 64] & bit)
+            grown.value[new_offsets[begin + k] + c / 64] |= bit;
         }
       }
     }
     bucket_planes_ = std::move(grown);
-    for (std::size_t s = 0; s < segments_.size(); ++s)
-      segments_[s].words = new_seg_words[s];
-    seg_offset_ = std::move(new_offsets);
+    for (std::size_t s = 0; s < segments_.size(); ++s) {
+      segments_[s].offset = new_offsets[s];
+      segments_[s].words = static_cast<std::uint32_t>(
+          (segments_[s].partition.NumClasses() + 63) / 64);
+    }
   }
 
   // Whole-space completion flags, CK components, and compiled kernel
@@ -496,80 +432,39 @@ const KnowledgeEvaluator::ComponentIndex& KnowledgeEvaluator::Components(
 
 void KnowledgeEvaluator::BuildComponentRoots(ProcessSet g,
                                              std::vector<std::uint32_t>& root) {
-  const std::size_t n = space_.size();
-  if (g.Size() >= 2) {
-    // [G]-contracted build: all members of a [G]-class are mutually related
-    // through every p in G, so contract them to one union-find node and run
-    // the per-process unions over [G]-class representatives — two
-    // [G]-classes are p-adjacent iff their representatives share a
-    // [p]-class.  O(classes x |G|) unions instead of O(n x |G|); the
-    // normalization below maps the result onto the same smallest-member
-    // labels the uncontracted builds produce.
-    const ComputationSpace::GroupIndex& gi = space_.EnsureGroupIndex(g);
-    const auto num_classes = static_cast<std::uint32_t>(gi.NumClasses());
-    UnionFind uf(num_classes);
-    g.ForEach([&](ProcessId p) {
-      constexpr std::uint32_t kUnset = UINT32_MAX;
-      std::vector<std::uint32_t> first(space_.NumProjectionClasses(p), kUnset);
-      for (std::uint32_t c = 0; c < num_classes; ++c) {
-        const std::uint32_t pc =
-            space_.ProjectionClass(gi.Representative(c), p);
-        if (first[pc] == kUnset)
-          first[pc] = c;
-        else
-          uf.Union(first[pc], c);
-      }
-    });
-    for (std::size_t id = 0; id < n; ++id)
-      root[id] = uf.Find(gi.ClassOf(id));
-  } else if (!UseParallel()) {
-    UnionFind uf(n);
-    g.ForEach([&](ProcessId p) {
-      // All members of one [p]-bucket are mutually indistinguishable to p.
-      const auto num_classes =
-          static_cast<std::uint32_t>(space_.NumProjectionClasses(p));
-      for (std::uint32_t cls = 0; cls < num_classes; ++cls) {
-        const auto bucket = space_.Bucket(p, cls);
-        for (std::size_t i = 1; i < bucket.size(); ++i)
-          uf.Union(bucket[0], bucket[i]);
-      }
-    });
-    for (std::size_t id = 0; id < n; ++id)
-      root[id] = uf.Find(static_cast<std::uint32_t>(id));
-  } else {
-    std::vector<std::atomic<std::uint32_t>> parent(n);
-    for (std::size_t i = 0; i < n; ++i)
-      parent[i].store(static_cast<std::uint32_t>(i),
-                      std::memory_order_relaxed);
-    // One task per [p]-bucket class; unions from different buckets are safe
-    // to race on the atomic parents.
-    std::vector<std::pair<ProcessId, std::uint32_t>> tasks;
-    g.ForEach([&](ProcessId p) {
-      const auto num_classes =
-          static_cast<std::uint32_t>(space_.NumProjectionClasses(p));
-      for (std::uint32_t cls = 0; cls < num_classes; ++cls)
-        tasks.emplace_back(p, cls);
-    });
-    internal::WorkerPool& pool = Pool();
-    pool.Run(tasks.size(), [&](std::size_t t) {
-      const auto bucket = space_.Bucket(tasks[t].first, tasks[t].second);
-      for (std::size_t i = 1; i < bucket.size(); ++i)
-        AtomicUnion(parent, bucket[0], bucket[i]);
-    });
-    internal::ParallelFor(&pool, n, /*align=*/1,
-                          [&](std::size_t begin, std::size_t end) {
-                            for (std::size_t id = begin; id < end; ++id)
-                              root[id] = AtomicFind(
-                                  parent, static_cast<std::uint32_t>(id));
-                          });
+  const Partition classes = PartitionOf(g);
+  if (g.Size() == 1) {
+    // The union of one equivalence relation is that relation: the
+    // components are the [p]-classes, labeled by their smallest member.
+    for (std::size_t id = 0; id < root.size(); ++id)
+      root[id] = classes.Representative(classes.ClassOf(id));
+    return;
   }
-  // Normalize labels to the smallest member id — deterministic whatever
-  // union order or union-find flavor produced the raw roots, so sequential
-  // and parallel builds agree byte for byte.
+  // [G]-contracted build: all members of a [G]-class are mutually related
+  // through every p in G, so contract them to one union-find node and run
+  // the per-process unions over [G]-class representatives — two
+  // [G]-classes are p-adjacent iff their representatives share a
+  // [p]-class.  O(classes x |G|) unions instead of O(n x |G|).
+  const auto num_classes = static_cast<std::uint32_t>(classes.NumClasses());
+  UnionFind uf(num_classes);
+  g.ForEach([&](ProcessId p) {
+    const Partition member = PartitionOf(ProcessSet::Of(p));
+    constexpr std::uint32_t kUnset = UINT32_MAX;
+    std::vector<std::uint32_t> first(member.NumClasses(), kUnset);
+    for (std::uint32_t c = 0; c < num_classes; ++c) {
+      const std::uint32_t pc = member.ClassOf(classes.Representative(c));
+      if (first[pc] == kUnset)
+        first[pc] = c;
+      else
+        uf.Union(first[pc], c);
+    }
+  });
+  // Label each component by its smallest member id, whatever union order
+  // produced the raw roots.
   constexpr std::uint32_t kUnseen = UINT32_MAX;
-  std::vector<std::uint32_t> smallest(n, kUnseen);
-  for (std::size_t id = 0; id < n; ++id) {
-    const std::uint32_t raw = root[id];
+  std::vector<std::uint32_t> smallest(num_classes, kUnseen);
+  for (std::size_t id = 0; id < root.size(); ++id) {
+    const std::uint32_t raw = uf.Find(classes.ClassOf(id));
     if (smallest[raw] == kUnseen)
       smallest[raw] = static_cast<std::uint32_t>(id);
     root[id] = smallest[raw];
@@ -581,68 +476,69 @@ std::uint32_t KnowledgeEvaluator::InternNode(const Formula* f) {
   // so the planes never resize while a pass is in flight.
   auto it = node_index_.find(f);
   if (it != node_index_.end()) return it->second;
+  // Projection tiers: the node's rows, laid out append-only in the bucket
+  // planes.  Their partitions are resolved before any state changes, so a
+  // group the partition source rejects leaves the evaluator untouched.  A
+  // multi-process group builds (or reuses) its [G]-table here — always on
+  // the interning thread, never inside a kernel pass (passes pre-intern
+  // their whole DAG).
+  std::vector<kernel::Segment> segments;
+  const ProcessSet group = f->group();
+  const bool multi = group.Size() >= 2;
+  const auto add_row = [&](ProcessSet g) {
+    segments.push_back(kernel::Segment{.group = g,
+                                       .partition = PartitionOf(g),
+                                       .group_tier = multi});
+  };
+  switch (f->kind()) {
+    case FormulaKind::kKnows:
+    case FormulaKind::kSure:
+    case FormulaKind::kPossible:
+      if (!group.IsEmpty()) add_row(group);
+      break;
+    case FormulaKind::kEveryone:
+      if (multi) add_row(group);
+      group.ForEach([&](ProcessId p) { add_row(ProcessSet::Of(p)); });
+      break;
+    default:
+      break;
+  }
   const auto node = static_cast<std::uint32_t>(node_index_.size());
   node_index_.emplace(f, node);
   planes_.known.resize(planes_.known.size() + words_, 0);
   planes_.value.resize(planes_.value.size() + words_, 0);
   node_complete_.push_back(0);
-  // Projection tiers: rows laid out append-only in the bucket planes.  A
-  // multi-process node builds (or reuses) the space's [G]-class index here
-  // — always on the interning thread, never inside a kernel pass (passes
-  // pre-intern their whole DAG).
-  const int seg_count = TierSegmentCount(f);
-  node_seg_count_.push_back(static_cast<std::uint32_t>(seg_count));
-  if (seg_count > 0) {
-    node_seg_begin_.push_back(static_cast<std::uint32_t>(segments_.size()));
-    const bool multi = f->group().Size() >= 2;
-    auto append = [&](BucketSegment seg, std::size_t classes) {
-      seg.group_tier = multi;
-      seg.words = static_cast<std::uint32_t>((classes + 63) / 64);
-      segments_.push_back(seg);
-      seg_offset_.push_back(
-          static_cast<std::uint32_t>(bucket_planes_.known.size()));
-      bucket_planes_.known.resize(bucket_planes_.known.size() + seg.words, 0);
-      bucket_planes_.value.resize(bucket_planes_.value.size() + seg.words, 0);
-    };
-    if (multi) {
-      BucketSegment group_row;
-      group_row.index = &space_.EnsureGroupIndex(f->group());
-      append(group_row, group_row.index->NumClasses());
-    }
-    if (!multi || f->kind() == FormulaKind::kEveryone) {
-      f->group().ForEach([&](ProcessId p) {
-        BucketSegment row;
-        row.process = p;
-        append(row, space_.NumProjectionClasses(p));
-      });
-    }
-  } else {
-    node_seg_begin_.push_back(kNoSegment);
+  node_seg_count_.push_back(static_cast<std::uint32_t>(segments.size()));
+  node_seg_begin_.push_back(
+      segments.empty() ? kNoSegment
+                       : static_cast<std::uint32_t>(segments_.size()));
+  for (kernel::Segment& seg : segments) {
+    seg.offset = static_cast<std::uint32_t>(bucket_planes_.known.size());
+    seg.words = static_cast<std::uint32_t>(
+        (seg.partition.NumClasses() + 63) / 64);
+    bucket_planes_.known.resize(bucket_planes_.known.size() + seg.words, 0);
+    bucket_planes_.value.resize(bucket_planes_.value.size() + seg.words, 0);
+    segments_.push_back(seg);
   }
   return node;
 }
 
 bool KnowledgeEvaluator::BucketVerdict(const Formula* f, std::uint32_t seg,
                                        std::size_t id) {
-  const BucketSegment& row = segments_[seg];
-  const std::uint32_t cls = row.index != nullptr
-                                ? row.index->ClassOf(id)
-                                : space_.ProjectionClass(id, row.process);
-  const std::size_t word = seg_offset_[seg] + cls / 64;
+  const kernel::Segment& row = segments_[seg];
+  const std::uint32_t cls = row.partition.ClassOf(id);
+  const std::size_t word = row.offset + cls / 64;
   const std::uint64_t bit = std::uint64_t{1} << (cls % 64);
   if (bucket_planes_.known[word] & bit)
     return (bucket_planes_.value[word] & bit) != 0;
 
-  // Miss: sweep the row's bucket once.  The quantifier of a singleton group
-  // ranges exactly over the [p]-bucket — and of a multi-process group over
-  // the [G]-bucket — so the verdict below is the same for every member;
-  // memoizing it per projection class is what collapses a whole-space sweep
-  // of this node from sum-of-bucket-squares to linear.
-  const std::span<const std::uint32_t> bucket =
-      row.index != nullptr ? row.index->Bucket(cls)
-                           : space_.Bucket(row.process, cls);
+  // Miss: sweep the row's bucket once.  The quantifier ranges exactly over
+  // the bucket of the row's partition, so the verdict below is the same for
+  // every member; memoizing it per class is what collapses a whole-space
+  // sweep of this node from sum-of-bucket-squares to linear.
   const Formula* child = f->left().get();
-  const bool result = Quantify(f->kind(), bucket, [&](std::size_t y) {
+  const bool result =
+      Quantify(f->kind(), row.partition.Bucket(cls), [&](std::size_t y) {
     return Eval(child, y);
   });
   bucket_planes_.known[word] |= bit;
@@ -718,22 +614,23 @@ bool KnowledgeEvaluator::Eval(const Formula* f, std::size_t id) {
     case FormulaKind::kEveryone: {
       // Conjunction of the individual K{p} over the group, each conjunct a
       // singleton tier row of this node.
-      if (segments_[seg].index == nullptr) {
+      const std::uint32_t count = node_seg_count_[node];
+      if (count == 1) {
         result = BucketVerdict(f, seg, id);  // E{p} == K{p}
         break;
       }
       // Multi-process: row `seg` is the [G]-aggregation row — probe it, fill
       // from the per-member rows on a miss.  The verdict is constant on the
       // [G]-class because [G] refines every member [p].
-      const std::uint32_t cls = segments_[seg].index->ClassOf(id);
-      const std::size_t agg_word = seg_offset_[seg] + cls / 64;
+      const std::uint32_t cls = segments_[seg].partition.ClassOf(id);
+      const std::size_t agg_word = segments_[seg].offset + cls / 64;
       const std::uint64_t agg_bit = std::uint64_t{1} << (cls % 64);
       if (bucket_planes_.known[agg_word] & agg_bit) {
         result = (bucket_planes_.value[agg_word] & agg_bit) != 0;
         break;
       }
       result = true;
-      for (std::uint32_t k = 1; k < node_seg_count_[node] && result; ++k)
+      for (std::uint32_t k = 1; k < count && result; ++k)
         result = BucketVerdict(f, seg + k, id);
       bucket_planes_.known[agg_word] |= agg_bit;
       if (result) bucket_planes_.value[agg_word] |= agg_bit;
@@ -834,7 +731,7 @@ bool KnowledgeEvaluator::EvaluateEverywhereKernel(
       nodes.push_back(cn);
     }
     kernel::KernelProgram fresh;
-    if (!kernel::Compile(space_, nodes, key, &fresh)) return false;
+    if (!kernel::Compile(nodes, key, &fresh)) return false;
     program =
         &kernel_programs_.emplace(std::move(key), std::move(fresh))
              .first->second;
@@ -853,7 +750,7 @@ bool KnowledgeEvaluator::EvaluateEverywhereKernel(
   ctx.dense_value = planes_.value.data();
   ctx.bucket_known = bucket_planes_.known.data();
   ctx.bucket_value = bucket_planes_.value.data();
-  ctx.seg_offset = seg_offset_.data();
+  ctx.segments = segments_.data();
   ctx.ck_roots = [this](const Formula* f) -> std::span<const std::uint32_t> {
     const ComponentIndex& c = components_.at(f->group().bits());
     return std::span<const std::uint32_t>(c.root.data(), c.root.size());
@@ -879,12 +776,11 @@ KnowledgeEvaluator::MemoStats KnowledgeEvaluator::MemoryUsage() const {
   // The shared bucket planes interleave [p]-tier rows (singleton nodes) and
   // [G]-tier rows (multi-process nodes); attribute words and known-bit
   // popcounts per segment.
-  for (std::size_t seg = 0; seg < segments_.size(); ++seg) {
-    const BucketSegment& row = segments_[seg];
+  for (const kernel::Segment& row : segments_) {
     std::size_t entries = 0;
     for (std::uint32_t w = 0; w < row.words; ++w)
-      entries += static_cast<std::size_t>(__builtin_popcountll(
-          bucket_planes_.known[seg_offset_[seg] + w]));
+      entries += static_cast<std::size_t>(
+          __builtin_popcountll(bucket_planes_.known[row.offset + w]));
     const std::size_t bytes = 2 * row.words * sizeof(std::uint64_t);
     if (row.group_tier) {
       s.group_entries += entries;

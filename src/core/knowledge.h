@@ -18,9 +18,9 @@
 // instead of once per member, collapsing the dominant single-process
 // K-sweep cost from the sum of squared bucket sizes to linear in the space.
 //
-// A third memo tier covers multi-process groups through the space's
-// [G]-class layer (ComputationSpace::EnsureGroupIndex — the common
-// refinement of the member [p]-partitions): the [G]-relation of
+// A third memo tier covers multi-process groups through the [G]-class
+// layer (ComputationSpace::EnsureGroupIndex — the common refinement of the
+// member [p]-partitions): the [G]-relation of
 // Knows/Sure/Possible over |G| >= 2 is exactly the [G]-bucket of x, so
 // those nodes memo per (node, [G]-class) and sweep each [G]-bucket once per
 // node instead of once per member — the same sum-of-bucket-squares ->
@@ -36,11 +36,27 @@
 // Knows / Sure / Possible over the empty group, which relate every class
 // (x [{}] y for all x, y) and sweep the whole space directly.
 //
+// Every relation a quantifier ranges over is read through one type, the
+// Partition view (space.h): ClassOf, NumClasses, Bucket, Representative.
+// The evaluator takes its partitions from one source, chosen once at
+// construction: the space's [p]- and [G]-partitions
+// (ComputationSpace::PartitionOf), or — for the evaluator built over a
+// StateView — the view's state partitions (paper Section 6, state-based
+// isomorphism).  Every tier, kernel and Refresh rule below holds for any
+// source whose multi-process partitions refine their members', so
+// state-based K, Sure, M, E and CK run through this same engine.  Views are
+// resolved at intern, Refresh and component-build time, never per id; each
+// tier row keeps its view, and Refresh re-resolves them all because the
+// space's columns reallocate when it grows.  A group that is empty (where
+// a partition is required) or names a process outside the system throws
+// ModelError from the source.
+//
 // Common knowledge CK{G} f is the greatest fixpoint "f and (p knows CK f)
 // for all p in G", computed as: f holds at every computation reachable from
 // x through the union of the [p] relations, p in G — i.e. on x's whole
 // connected component of the "G-indistinguishability" graph; the verdict is
 // constant per component and is cached for the entire component at once.
+// For G = {p} the components are the [p]-classes themselves.
 //
 // Two engines answer queries.  Pointwise Holds runs the lazy interpreter
 // (Eval), which short-circuits quantifiers and touches only the memo bits it
@@ -49,11 +65,10 @@
 // plane: they lower to compiled kernels (kernel.h), range-sharded over
 // KnowledgeOptions::num_threads workers, and fall back to one sequential
 // lazy pass when kernels are off, the compiler refuses the DAG, or the
-// profitability dispatch keeps a lone modal root on the interpreter.
-// Common-knowledge components are built by a lock-free parallel union-find
-// whose labels are normalized to the smallest member id, the same labels
-// the sequential build produces, so results are byte-identical at any
-// thread count.
+// profitability dispatch keeps a lone modal root on the interpreter.  Both
+// engines read the same tier rows and partitions.  Common-knowledge
+// component labels are the smallest member id of each component, whatever
+// the union order, so results are byte-identical at any thread count.
 // Kernel atom loads call Predicate::Eval concurrently from multiple
 // threads, which is safe for every predicate in the repo because predicates
 // are pure functions of the computation; custom predicates must preserve
@@ -74,12 +89,13 @@
 
 namespace hpl {
 
+class StateView;  // state_view.h
+
 struct KnowledgeOptions {
-  // Worker threads for compiled whole-space queries and the common-
-  // knowledge union-find.  0 = hardware concurrency (at least 1); 1 = run
-  // inline.  Any value produces byte-identical query results (see the
-  // header comment); spaces smaller than an internal threshold always run
-  // inline.
+  // Worker threads for compiled whole-space queries.  0 = hardware
+  // concurrency (at least 1); 1 = run inline.  Any value produces
+  // byte-identical query results (see the header comment); spaces smaller
+  // than an internal threshold always run inline.
   int num_threads = 0;
   // Lowers whole-space queries to compiled kernel programs (kernel.h): the
   // formula DAG becomes a flat postorder array of bitset ops executed
@@ -97,6 +113,12 @@ struct KnowledgeOptions {
 class KnowledgeEvaluator {
  public:
   explicit KnowledgeEvaluator(const ComputationSpace& space,
+                              const KnowledgeOptions& options = {});
+  // State-based knowledge (state_view.h): the same engine over
+  // `view.space()`, with every quantifier ranging over the view's state
+  // partitions instead of the space's [p]/[G]-partitions.  The view must
+  // outlive the evaluator; Refresh throws once the space grew past it.
+  explicit KnowledgeEvaluator(const StateView& view,
                               const KnowledgeOptions& options = {});
   ~KnowledgeEvaluator();
 
@@ -145,7 +167,8 @@ class KnowledgeEvaluator {
   // Common knowledge components: id of the connected component of the
   // G-indistinguishability graph containing `id`.  Labels are canonical —
   // the smallest class id in the component — so they are identical at any
-  // thread count.
+  // thread count.  Throws ModelError for an empty `g` (as Formula::Common
+  // does) or one naming a process outside the system.
   std::uint32_t CommonComponent(ProcessSet g, std::size_t id);
 
   const ComputationSpace& space() const noexcept { return space_; }
@@ -161,7 +184,11 @@ class KnowledgeEvaluator {
   // indistinguishability components).  The bucket/group tier rows are
   // re-laid out for the grown class counts with the same keep/clear rule.
   // Verdicts after Refresh are byte-identical to a fresh evaluator over
-  // the grown space.  Not thread-safe against concurrent queries.
+  // the grown space.  Call it after every Deepen or Ingest, even one that
+  // added no class: the partition views the memo rows hold go stale.  An
+  // evaluator over a StateView throws ModelError instead once the space
+  // grew (the view's state classes cover only the old ids).  Not
+  // thread-safe against concurrent queries.
   void Refresh();
 
   // Exact number of (interned formula node, [D]-class) pairs whose verdict
@@ -212,33 +239,25 @@ class KnowledgeEvaluator {
     std::vector<std::uint64_t> value;
   };
 
-  // One projection-tier row.  A singleton row ((node, p): index == nullptr)
-  // owns one known/value bit per [p]-class; a group row ((node, [G]):
-  // index != nullptr) one per [G]-class.  Rows of one node are contiguous
-  // in `segments_`: multi-process Everyone lays out its [G]-aggregation row
-  // first, then one singleton row per member in group ForEach order.
-  // `group_tier` tags rows owned by multi-process nodes for the MemoStats
-  // split (a multi-Everyone's member rows belong to the group tier).
-  struct BucketSegment {
-    ProcessId process = 0;  // singleton rows only
-    const ComputationSpace::GroupIndex* index = nullptr;  // group rows only
-    bool group_tier = false;
-    std::uint32_t words = 0;  // ceil(classes-of-this-row / 64)
-  };
   static constexpr std::uint32_t kNoSegment = UINT32_MAX;
 
   bool Eval(const Formula* f, std::size_t id);
   // The projection-tier probe/sweep for segment `seg`: returns the memoized
-  // verdict of `f`'s quantifier over the row's bucket of `id` (the
-  // [p]-bucket of a singleton row, the [G]-bucket of a group row), sweeping
-  // the bucket once on a miss.  Not used for the [G]-aggregation row of a
-  // multi-process Everyone, which Eval fills from the member rows.
+  // verdict of `f`'s quantifier over the bucket of `id` in the row's
+  // partition, sweeping the bucket once on a miss.  Not used for the
+  // [G]-aggregation row of a multi-process Everyone, which Eval fills from
+  // the member rows.
   bool BucketVerdict(const Formula* f, std::uint32_t seg, std::size_t id);
   std::uint32_t InternNode(const Formula* f);
   const ComponentIndex& Components(ProcessSet g);
   void BuildComponentRoots(ProcessSet g, std::vector<std::uint32_t>& root);
+  // The partition a quantifier over `g` ranges over: the view's state
+  // partition when the evaluator has one, the space's [g]-partition
+  // otherwise.  The one place the source is chosen; called at intern,
+  // Refresh and component-build time, never per id.
+  Partition PartitionOf(ProcessSet g) const;
 
-  // True when whole-space kernels and the CK union-find use the worker pool.
+  // True when whole-space kernels use the worker pool.
   bool UseParallel() const noexcept;
   internal::WorkerPool& Pool();
   // Whole-space dispatch: memoizes every root at every class id in the
@@ -258,6 +277,7 @@ class KnowledgeEvaluator {
   const std::uint64_t* EvaluatedValuePlane(const FormulaPtr& f);
 
   const ComputationSpace& space_;
+  const StateView* view_ = nullptr;  // the partition source, when set
   std::size_t words_ = 0;  // bitset words per formula node: ceil(size/64)
   // space_.size() the memo layout was last sized for; Refresh() compares
   // against it to find the new-id range.
@@ -273,11 +293,14 @@ class KnowledgeEvaluator {
   std::vector<char> node_complete_;
   // Projection tiers: per node, the index of its first segment in segments_
   // (kNoSegment when the node has no tier rows) and its segment count;
-  // segments and the bucket planes grow append-only at intern time.
+  // segments and the bucket planes grow append-only at intern time.  A
+  // node's rows are contiguous: Knows / Sure / Possible over a non-empty
+  // group own one row over the group's partition; Everyone one row per
+  // member, after a [G]-aggregation row when |G| >= 2.  Knows / Sure /
+  // Possible over the empty group relate every class and own none.
   std::vector<std::uint32_t> node_seg_begin_;
   std::vector<std::uint32_t> node_seg_count_;
-  std::vector<BucketSegment> segments_;
-  std::vector<std::uint32_t> seg_offset_;  // word offset in bucket_planes_
+  std::vector<kernel::Segment> segments_;
   MemoPlanes bucket_planes_;
 
   // Component indexes keyed by group bits.

@@ -728,14 +728,8 @@ void SpaceBuilder::Finalize(internal::WorkerPool* pool) {
   {
     std::lock_guard<std::mutex> lock(*space.group_mutex_);
     for (auto& [mask, index] : space.group_index_) {
-      if (index->cls_.size() == n) {
-        // Untouched by a zero-growth Finalize; the counting sort in
-        // BuildBuckets still needs its offsets zeroed again.
-        std::fill(index->offsets_.begin(), index->offsets_.end(), 0);
-        continue;
-      }
-      index->ids_.clear();
-      space.ReplayGroupClasses(*index);
+      // Untouched by a zero-growth Finalize.
+      if (index->cls_.size() != n) space.ReplayGroupClasses(*index);
     }
   }
 
@@ -1065,7 +1059,9 @@ void ComputationSpace::BuildBuckets(ComputationSpace& space,
     if (t < P) {
       build_for(t);
     } else {
-      BuildGroupBuckets(*group_tasks[t - P]);
+      GroupIndex& index = *group_tasks[t - P];
+      internal::BucketByClass(index.cls_, index.NumClasses(), index.offsets_,
+                              index.ids_);
     }
   };
   const std::size_t num_tasks = P + group_tasks.size();
@@ -1078,18 +1074,30 @@ void ComputationSpace::BuildBuckets(ComputationSpace& space,
   }
 }
 
-void ComputationSpace::BuildGroupBuckets(GroupIndex& index) {
-  // Counting sort of class ids by [G]-class; ids land ascending within each
-  // bucket because they are scanned in ascending order.  offsets_ is
-  // pre-assigned to NumClasses() + 1 zeros by ReplayGroupClasses.
-  auto& offsets = index.offsets_;
-  const std::size_t n = index.cls_.size();
-  for (std::size_t id = 0; id < n; ++id) ++offsets[index.cls_[id] + 1];
+void internal::BucketByClass(std::span<const std::uint32_t> cls,
+                             std::size_t num_classes,
+                             std::vector<std::uint32_t>& offsets,
+                             std::vector<std::uint32_t>& ids) {
+  // Ids land ascending within each bucket because they are scanned in
+  // ascending order.
+  offsets.assign(num_classes + 1, 0);
+  for (const std::uint32_t c : cls) ++offsets[c + 1];
   for (std::size_t c = 1; c < offsets.size(); ++c) offsets[c] += offsets[c - 1];
-  index.ids_.resize(n);
+  ids.assign(cls.size(), 0);  // exact capacity when the column grew
   std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (std::size_t id = 0; id < n; ++id)
-    index.ids_[cursor[index.cls_[id]]++] = static_cast<std::uint32_t>(id);
+  for (std::size_t id = 0; id < cls.size(); ++id)
+    ids[cursor[cls[id]]++] = static_cast<std::uint32_t>(id);
+}
+
+void internal::RequirePartitionGroup(ProcessSet g, int num_processes) {
+  if (g.IsEmpty())
+    throw ModelError(
+        "the empty process set has no partition (x [{}] y relates every "
+        "pair of computations)");
+  if (num_processes < kMaxProcesses && (g.bits() >> num_processes) != 0)
+    throw ModelError("group " + g.ToString() +
+                     " names a process outside the system (" +
+                     std::to_string(num_processes) + " processes)");
 }
 
 void ComputationSpace::ReplayGroupClasses(GroupIndex& index) const {
@@ -1111,22 +1119,29 @@ void ComputationSpace::ReplayGroupClasses(GroupIndex& index) const {
 
 const ComputationSpace::GroupIndex& ComputationSpace::EnsureGroupIndex(
     ProcessSet g) const {
-  if (g.IsEmpty())
-    throw ModelError(
-        "ComputationSpace::EnsureGroupIndex: the empty set has no projection "
-        "classes (x [{}] y relates everything)");
-  if (num_processes_ < kMaxProcesses && (g.bits() >> num_processes_) != 0)
-    throw ModelError(
-        "ComputationSpace::EnsureGroupIndex: group contains a process "
-        "outside the system");
+  internal::RequirePartitionGroup(g, num_processes_);
   std::lock_guard<std::mutex> lock(*group_mutex_);
   auto it = group_index_.find(g.bits());
   if (it != group_index_.end()) return *it->second;
   auto index = std::make_unique<GroupIndex>();
   index->mask_ = g.bits();
   ReplayGroupClasses(*index);
-  BuildGroupBuckets(*index);
+  internal::BucketByClass(index->cls_, index->NumClasses(), index->offsets_,
+                          index->ids_);
   return *group_index_.emplace(g.bits(), std::move(index)).first->second;
+}
+
+Partition ComputationSpace::PartitionOf(ProcessSet g) const {
+  internal::RequirePartitionGroup(g, num_processes_);
+  if (g.Size() >= 2) {
+    const GroupIndex& index = EnsureGroupIndex(g);
+    return Partition(index.cls_.data(), index.offsets_, index.ids_.data());
+  }
+  const auto p = static_cast<std::size_t>(g.First());
+  Partition part(nullptr, bucket_offsets_[p], bucket_ids_[p].data());
+  part.proj_ = &proj_class_;
+  part.process_ = p;
+  return part;
 }
 
 bool ComputationSpace::HasGroupIndex(ProcessSet g) const {

@@ -107,9 +107,69 @@ class Trace;  // sim/trace.h: recorded event stream (SpaceBuilder::Ingest)
 namespace internal {
 class WorkerPool;
 struct SpaceSnapshotIO;  // serialization.cc: binary snapshot save/load
+
+// Counting sort of the ids 0 .. cls.size() - 1 by class: fills the CSR
+// bucket column of a partition with `num_classes` classes — `offsets`
+// (num_classes + 1 entries) and `ids`, ascending within each bucket.  The
+// one builder of the [G]-class tables and of StateView's state tables.
+void BucketByClass(std::span<const std::uint32_t> cls, std::size_t num_classes,
+                   std::vector<std::uint32_t>& offsets,
+                   std::vector<std::uint32_t>& ids);
+
+// Throws ModelError unless `g` is a non-empty set of processes of a
+// `num_processes`-process system: the precondition of every partition a
+// knowledge quantifier reads, with one message for every partition source.
+void RequirePartitionGroup(ProcessSet g, int num_processes);
 }  // namespace internal
 
 class SpaceBuilder;
+
+// A non-owning view of one partition of a space's class ids into
+// equivalence classes: the relation a knowledge quantifier ranges over.
+// Each id has a dense class, and each class's members form one ascending
+// CSR bucket, so a class's representative (its first bucket member) is its
+// smallest id.  Views come from ComputationSpace::PartitionOf (the [p]- and
+// [G]-partitions) and StateView::PartitionOf (state partitions).  A view
+// borrows its source's columns and goes stale when the source grows:
+// SpaceBuilder Deepen and Ingest reallocate them, so holders take a fresh
+// view after either.
+class Partition {
+ public:
+  Partition() = default;
+  // A partition stored flat: `cls` holds one class per id, `offsets` the
+  // NumClasses() + 1 CSR offsets into `ids`.
+  Partition(const std::uint32_t* cls, std::span<const std::uint32_t> offsets,
+            const std::uint32_t* ids)
+      : cls_(cls),
+        offsets_(offsets.data()),
+        ids_(ids),
+        num_classes_(offsets.size() - 1) {}
+
+  std::uint32_t ClassOf(std::size_t id) const {
+    return cls_ != nullptr ? cls_[id] : proj_->Row(id)[process_];
+  }
+  std::size_t NumClasses() const noexcept { return num_classes_; }
+  // The members of class `cls`, ascending.
+  std::span<const std::uint32_t> Bucket(std::uint32_t cls) const {
+    return std::span<const std::uint32_t>(ids_ + offsets_[cls],
+                                          offsets_[cls + 1] - offsets_[cls]);
+  }
+  // The smallest member of class `cls`.
+  std::uint32_t Representative(std::uint32_t cls) const {
+    return ids_[offsets_[cls]];
+  }
+
+ private:
+  friend class ComputationSpace;
+  // The classes of a flat partition; null for a [p]-partition, whose
+  // classes are column `process_` of the space's projection rows.
+  const std::uint32_t* cls_ = nullptr;
+  const internal::SegColumn<std::uint32_t>* proj_ = nullptr;
+  std::size_t process_ = 0;
+  const std::uint32_t* offsets_ = nullptr;
+  const std::uint32_t* ids_ = nullptr;
+  std::size_t num_classes_ = 0;
+};
 
 struct EnumerationLimits {
   // Hard cap on events per computation.  Enumeration throws if any branch
@@ -267,6 +327,12 @@ class ComputationSpace {
   // True when the [G]-class index for `g` is already materialized (by a
   // previous EnsureGroupIndex, or loaded with a snapshot).
   bool HasGroupIndex(ProcessSet g) const;
+
+  // The [g]-partition as a Partition view: the ProjectionClass/Bucket
+  // columns of p for g = {p}, the EnsureGroupIndex(g) table for |g| >= 2.
+  // Throws ModelError when `g` is empty or names a process outside the
+  // system.  The view is stale after a SpaceBuilder Deepen or Ingest.
+  Partition PartitionOf(ProcessSet g) const;
 
   // Iterates ids of all y with At(id) [P] y.  P empty relates everything
   // (the paper: x [{}] y for all x, y).  A thin forward to
@@ -521,23 +587,19 @@ class ComputationSpace {
   // Builds the per-process CSR buckets from proj_class_ by counting sort
   // (phase 2 of construction); one independent task per process when a pool
   // is given.  Streams the projection column segment-at-a-time under pins,
-  // trimming residency as it goes when a budget is set.  Also finishes the
-  // CSR columns of every cached group index, whose cls_ columns are filled
-  // and offsets zeroed (SpaceBuilder::Finalize).
+  // trimming residency as it goes when a budget is set.  Also refills the
+  // CSR columns of every cached group index from its cls_ column
+  // (SpaceBuilder::Finalize).
   static void BuildBuckets(ComputationSpace& space, internal::WorkerPool* pool);
 
   // The one way a [G]-class table is built: replays the class links in id
   // order through an inherit-or-mint scan into a fresh cls_ column and
-  // zeroes offsets_ so BuildBuckets (or BuildGroupBuckets) can fill the CSR.
-  // EnsureGroupIndex runs it on first use; SpaceBuilder re-runs it over
-  // every cached index after Deepen/Ingest — the replay visits ids in the
-  // same order as the original build, so the extended tables stay
-  // byte-identical to a from-scratch enumeration.
+  // sizes offsets_ so BuildBuckets (or EnsureGroupIndex) can fill the CSR
+  // with internal::BucketByClass.  EnsureGroupIndex runs it on first use;
+  // SpaceBuilder re-runs it over every cached index after Deepen/Ingest —
+  // the replay visits ids in the same order as the original build, so the
+  // extended tables stay byte-identical to a from-scratch enumeration.
   void ReplayGroupClasses(GroupIndex& index) const;
-
-  // Counting sort of the CSR bucket column of a finished `cls_` column
-  // (offsets_ pre-assigned to NumClasses() + 1 zeros by the caller).
-  static void BuildGroupBuckets(GroupIndex& index);
 
   // Interned-event-id form of the canonical sequence of class `id`,
   // materialized by replaying the splice chain from the root.

@@ -43,26 +43,29 @@ StateAbstraction StateAbstraction::LastEvent() {
 
 StateView::StateView(const ComputationSpace& space,
                      StateAbstraction abstraction)
-    : space_(space), abstraction_(std::move(abstraction)) {
-  const int np = space.num_processes();
-  classes_.assign(space.size() * np, 0);
-  buckets_.assign(np, {});
+    : space_(space),
+      abstraction_(std::move(abstraction)),
+      size_(space.size()),
+      tables_(static_cast<std::size_t>(space.num_processes())) {
   // One streamed pass fills every process's state classes; each process
-  // still sees ids in ascending order, so class ids are first-occurrence.
+  // sees ids in ascending order, so class ids are first-occurrence.
   std::vector<std::unordered_map<std::string, std::uint32_t>> key_to_class(
-      static_cast<std::size_t>(np));
+      tables_.size());
+  for (Table& t : tables_) t.cls.resize(size_);
   space.ForEachComputation(
-      0, space.size(), [](std::size_t) { return true; },
+      0, size_, [](std::size_t) { return true; },
       [&](std::size_t id, const Computation& x) {
-        for (ProcessId p = 0; p < np; ++p) {
-          const std::string key = abstraction_.StateOf(p, x.Projection(p));
-          auto [it, inserted] = key_to_class[p].emplace(
-              key, static_cast<std::uint32_t>(buckets_[p].size()));
-          if (inserted) buckets_[p].emplace_back();
-          classes_[id * np + p] = it->second;
-          buckets_[p][it->second].push_back(static_cast<std::uint32_t>(id));
+        for (ProcessId p = 0; p < space.num_processes(); ++p) {
+          auto& classes = key_to_class[static_cast<std::size_t>(p)];
+          const auto next = static_cast<std::uint32_t>(classes.size());
+          tables_[static_cast<std::size_t>(p)].cls[id] =
+              classes.emplace(abstraction_.StateOf(p, x.Projection(p)), next)
+                  .first->second;
         }
       });
+  for (std::size_t p = 0; p < tables_.size(); ++p)
+    internal::BucketByClass(tables_[p].cls, key_to_class[p].size(),
+                            tables_[p].offsets, tables_[p].ids);
 }
 
 bool StateView::StateIsomorphic(std::size_t a, std::size_t b,
@@ -74,122 +77,48 @@ bool StateView::StateIsomorphic(std::size_t a, std::size_t b,
   return ok;
 }
 
-void StateView::ForEachStateIsomorphic(
-    std::size_t id, ProcessSet set,
-    const std::function<void(std::size_t)>& fn) const {
-  if (set.IsEmpty()) {
-    for (std::size_t y = 0; y < space_.size(); ++y) fn(y);
-    return;
+Partition StateView::PartitionOf(ProcessSet g) const {
+  internal::RequirePartitionGroup(g, space_.num_processes());
+  if (g.Size() == 1)
+    return tables_[static_cast<std::size_t>(g.First())].View();
+  std::lock_guard<std::mutex> lock(group_mutex_);
+  std::unique_ptr<Table>& table = groups_[g.bits()];
+  if (table == nullptr) {
+    // Refine member by member: pairing the classes so far with the next
+    // member's and numbering the pairs by first occurrence yields the
+    // first-occurrence numbering of the members' state tuples.
+    auto built = std::make_unique<Table>();
+    std::vector<std::uint32_t> cls =
+        tables_[static_cast<std::size_t>(g.First())].cls;
+    std::size_t num_classes = 0;
+    g.ForEach([&](ProcessId q) {
+      if (q == g.First()) return;
+      std::unordered_map<std::uint64_t, std::uint32_t> pair_class;
+      for (std::size_t id = 0; id < size_; ++id) {
+        const std::uint64_t key =
+            std::uint64_t{cls[id]} << 32 |
+            tables_[static_cast<std::size_t>(q)].cls[id];
+        const auto next = static_cast<std::uint32_t>(pair_class.size());
+        cls[id] = pair_class.emplace(key, next).first->second;
+      }
+      num_classes = pair_class.size();
+    });
+    internal::BucketByClass(cls, num_classes, built->offsets, built->ids);
+    built->cls = std::move(cls);
+    table = std::move(built);
   }
-  // Scan the smallest bucket, verify the rest by class ids.
-  ProcessId best = set.First();
-  std::size_t best_size = SIZE_MAX;
-  set.ForEach([&](ProcessId p) {
-    const auto size = buckets_[p][StateClass(id, p)].size();
-    if (size < best_size) {
-      best_size = size;
-      best = p;
-    }
-  });
-  for (std::uint32_t y : buckets_[best][StateClass(id, best)])
-    if (StateIsomorphic(id, y, set)) fn(y);
+  return table->View();
 }
 
 bool StateView::IsLossless() const {
+  // A state is a function of the projection, so each state partition
+  // coarsens the [p]-partition; the two are equal iff their class counts
+  // are.
   for (ProcessId p = 0; p < space_.num_processes(); ++p)
-    for (std::size_t a = 0; a < space_.size(); ++a)
-      for (std::uint32_t b : buckets_[p][StateClass(a, p)])
-        if (space_.ProjectionClass(a, p) != space_.ProjectionClass(b, p))
-          return false;
+    if (tables_[static_cast<std::size_t>(p)].offsets.size() - 1 !=
+        space_.PartitionOf(ProcessSet::Of(p)).NumClasses())
+      return false;
   return true;
-}
-
-StateKnowledgeEvaluator::StateKnowledgeEvaluator(const StateView& view)
-    : view_(view) {}
-
-bool StateKnowledgeEvaluator::Holds(const FormulaPtr& f, std::size_t id) {
-  if (!f) throw ModelError("StateKnowledgeEvaluator::Holds: null formula");
-  return Eval(interner_.Intern(f).get(), id);
-}
-
-bool StateKnowledgeEvaluator::Knows(ProcessSet p, const Predicate& b,
-                                    std::size_t id) {
-  return Holds(Formula::Knows(p, Formula::Atom(b)), id);
-}
-
-bool StateKnowledgeEvaluator::IsLocalTo(const Predicate& b, ProcessSet p) {
-  const Formula* sure =
-      interner_.Intern(Formula::Sure(p, Formula::Atom(b))).get();
-  for (std::size_t id = 0; id < view_.space().size(); ++id)
-    if (!Eval(sure, id)) return false;
-  return true;
-}
-
-bool StateKnowledgeEvaluator::Eval(const Formula* f, std::size_t id) {
-  auto& slot = cache_[f];
-  if (slot.empty()) slot.assign(view_.space().size(), 0);
-  if (slot[id] != 0) return slot[id] == 2;
-
-  bool result = false;
-  switch (f->kind()) {
-    case FormulaKind::kAtom:
-      result = f->atom().Eval(view_.space().At(id));
-      break;
-    case FormulaKind::kNot:
-      result = !Eval(f->left().get(), id);
-      break;
-    case FormulaKind::kAnd:
-      result = Eval(f->left().get(), id) && Eval(f->right().get(), id);
-      break;
-    case FormulaKind::kOr:
-      result = Eval(f->left().get(), id) || Eval(f->right().get(), id);
-      break;
-    case FormulaKind::kImplies:
-      result = !Eval(f->left().get(), id) || Eval(f->right().get(), id);
-      break;
-    case FormulaKind::kKnows: {
-      result = true;
-      view_.ForEachStateIsomorphic(id, f->group(), [&](std::size_t y) {
-        if (result && !Eval(f->left().get(), y)) result = false;
-      });
-      break;
-    }
-    case FormulaKind::kSure: {
-      bool all_true = true, all_false = true;
-      view_.ForEachStateIsomorphic(id, f->group(), [&](std::size_t y) {
-        if (!all_true && !all_false) return;
-        if (Eval(f->left().get(), y))
-          all_false = false;
-        else
-          all_true = false;
-      });
-      result = all_true || all_false;
-      break;
-    }
-    case FormulaKind::kEveryone: {
-      result = true;
-      f->group().ForEach([&](ProcessId p) {
-        if (!result) return;
-        view_.ForEachStateIsomorphic(
-            id, ProcessSet::Of(p), [&](std::size_t y) {
-              if (result && !Eval(f->left().get(), y)) result = false;
-            });
-      });
-      break;
-    }
-    case FormulaKind::kPossible: {
-      result = false;
-      view_.ForEachStateIsomorphic(id, f->group(), [&](std::size_t y) {
-        if (!result && Eval(f->left().get(), y)) result = true;
-      });
-      break;
-    }
-    case FormulaKind::kCommon:
-      throw ModelError(
-          "StateKnowledgeEvaluator: CK unsupported; use EveryoneIterated");
-  }
-  slot[id] = result ? 2 : 1;
-  return result;
 }
 
 }  // namespace hpl

@@ -8,23 +8,27 @@
 // A StateAbstraction maps each process's computation (its projection) to
 // an opaque state; two system computations are state-isomorphic w.r.t. P
 // when every process in P is in the same state in both.  Because a state
-// abstraction can forget history, its relation is *coarser* than (or equal
-// to) the computation relation [P] — so state-based knowledge implies
-// computation-based knowledge, never the reverse.  StateKnowledgeEvaluator
-// model-checks the same Formula language under the coarser relation, which
-// lets the tests confirm the Discussion's claim that the transfer theorems
-// survive the generalization.
+// is a function of the projection, its relation is *coarser* than (or
+// equal to) the computation relation [P] — so state-based knowledge
+// implies computation-based knowledge, never the reverse.  A StateView is
+// a partition source for the one knowledge engine: KnowledgeEvaluator(view)
+// model-checks the whole Formula language, common knowledge included,
+// under the coarser relation, with the same memo tiers and kernels as
+// computation-based knowledge — which lets the tests confirm the
+// Discussion's claim that the transfer theorems survive the
+// generalization.
 #ifndef HPL_CORE_STATE_VIEW_H_
 #define HPL_CORE_STATE_VIEW_H_
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "core/formula.h"
 #include "core/space.h"
 
 namespace hpl {
@@ -60,62 +64,63 @@ class StateAbstraction {
   Fn fn_;
 };
 
-// Precomputed state classes over an enumerated space.
+// Precomputed state partitions over an enumerated space: per process, a
+// dense state class per class id (numbered by first occurrence) and a CSR
+// bucket column; per multi-process group, the common refinement of the
+// member partitions, built on first use and cached.  The view covers the
+// space as it was at construction; after a SpaceBuilder Deepen or Ingest,
+// build a new one.
 class StateView {
  public:
   StateView(const ComputationSpace& space, StateAbstraction abstraction);
+
+  StateView(const StateView&) = delete;
+  StateView& operator=(const StateView&) = delete;
 
   const ComputationSpace& space() const noexcept { return space_; }
   const StateAbstraction& abstraction() const noexcept {
     return abstraction_;
   }
+  // Number of class ids the view covers (space().size() at construction).
+  std::size_t size() const noexcept { return size_; }
 
   // Dense id of p's state in computation `id`.
   std::uint32_t StateClass(std::size_t id, ProcessId p) const {
-    return classes_.at(id * space_.num_processes() + p);
+    return tables_.at(static_cast<std::size_t>(p)).cls.at(id);
   }
 
   // a ~P b under state isomorphism.
   bool StateIsomorphic(std::size_t a, std::size_t b, ProcessSet set) const;
 
-  // Iterate all y state-isomorphic to id w.r.t. set.
-  void ForEachStateIsomorphic(
-      std::size_t id, ProcessSet set,
-      const std::function<void(std::size_t)>& fn) const;
+  // The state partition of `g` (equal states on every member) as a
+  // Partition view, valid for the view's lifetime.  Throws ModelError when
+  // `g` is empty or names a process outside the system.  Thread-safe.
+  Partition PartitionOf(ProcessSet g) const;
 
-  // True iff the abstraction's relation equals [P] on this space for every
+  // True iff the abstraction's relation equals [p] on this space for every
   // process (i.e. the abstraction loses nothing here).
   bool IsLossless() const;
 
  private:
+  // One partition: class per id plus its CSR buckets.
+  struct Table {
+    std::vector<std::uint32_t> cls;
+    std::vector<std::uint32_t> offsets;
+    std::vector<std::uint32_t> ids;
+
+    Partition View() const {
+      return Partition(cls.data(), offsets, ids.data());
+    }
+  };
+
   const ComputationSpace& space_;
   StateAbstraction abstraction_;
-  std::vector<std::uint32_t> classes_;
-  // buckets_[p][cls] = ids sharing p-state cls.
-  std::vector<std::vector<std::vector<std::uint32_t>>> buckets_;
-};
-
-// Model checker under state-based isomorphism.  Supports the same formula
-// language as KnowledgeEvaluator except CK (compute it via
-// EveryoneIterated if needed — the fixpoint machinery is identical and
-// omitted here for clarity).
-class StateKnowledgeEvaluator {
- public:
-  explicit StateKnowledgeEvaluator(const StateView& view);
-
-  bool Holds(const FormulaPtr& f, std::size_t id);
-  bool Knows(ProcessSet p, const Predicate& b, std::size_t id);
-  bool IsLocalTo(const Predicate& b, ProcessSet p);
-
- private:
-  // `f` is canonical: its children are too, so the memo below sees one
-  // row per distinct subformula however many times callers rebuild it.
-  bool Eval(const Formula* f, std::size_t id);
-
-  const StateView& view_;
-  FormulaInterner interner_;
-  // Per canonical node: 0 = not evaluated, 1 = false, 2 = true, per id.
-  std::unordered_map<const Formula*, std::vector<std::uint8_t>> cache_;
+  std::size_t size_ = 0;
+  std::vector<Table> tables_;  // per process
+  // Multi-process tables keyed by group bits; unique_ptr values keep their
+  // addresses stable, and the mutex guards only the map.
+  mutable std::mutex group_mutex_;
+  mutable std::unordered_map<std::uint64_t, std::unique_ptr<Table>> groups_;
 };
 
 }  // namespace hpl

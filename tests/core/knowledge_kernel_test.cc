@@ -5,9 +5,10 @@
 // at 1 and 4 threads — on canonicalized, lockstep (literal interleaving),
 // and crash-fault spaces; for single sweeps and fused SatisfyingSets
 // batches; and across Refresh() after Deepen/Ingest, which must invalidate
-// the kernel program cache.  The profitability dispatch (a lone modal root
-// with no pool stays on the lazy interpreter) is pinned by
-// LoneModalRootStaysOnInterpreter.
+// the kernel program cache — and over every StateView partition source
+// against the oracle fed the same state abstraction.  The profitability
+// dispatch (a lone modal root with no pool stays on the lazy interpreter)
+// is pinned by LoneModalRootStaysOnInterpreter.
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "core/faults.h"
 #include "core/knowledge.h"
 #include "core/random_system.h"
+#include "core/state_view.h"
 #include "protocols/lockstep.h"
 #include "protocols/token_bus.h"
 #include "reference_knowledge.h"
@@ -276,6 +278,57 @@ TEST(KnowledgeKernelTest, RefreshAfterIngestInvalidatesProgramCache) {
   ReferenceKnowledge reference(builder.space());
   EXPECT_EQ(eval.SatisfyingSets(span)[0], reference.SatisfyingSet(f));
   EXPECT_GT(eval.MemoryUsage().kernel_programs, 0u);  // recompiled
+}
+
+// State-based knowledge (paper Section 6) runs through the same engine: a
+// StateView is only another partition source.  Every abstraction's view
+// must reproduce the oracle fed that abstraction — CK, group K/E and both
+// folds included — in both engines at 1 and 4 threads, and the lossless
+// FullHistory view must answer byte-identically to the space's own
+// partitions.
+TEST(KnowledgeKernelTest, StateViewsMatchReference) {
+  RandomSystemOptions options;
+  options.num_processes = 3;
+  options.num_messages = 4;
+  options.seed = 29;
+  RandomSystem system(options);
+  const auto space = ComputationSpace::Enumerate(system, {});
+  ASSERT_GE(space.size(), 128u);  // the worker-pool threshold
+  const auto battery = KernelFormulas(Formula::Atom(Predicate::Sent(0)),
+                                      Formula::Atom(Predicate::Received(1)),
+                                      space.AllProcesses());
+  const std::span<const FormulaPtr> span(battery.data(), battery.size());
+  const ProcessSet pair{0, 1};
+  for (const StateAbstraction& abstraction :
+       {StateAbstraction::FullHistory(), StateAbstraction::EventCount(),
+        StateAbstraction::LabelBag(), StateAbstraction::LastEvent()}) {
+    const StateView view(space, abstraction);
+    ReferenceKnowledge reference(space, abstraction);
+    std::vector<std::vector<std::size_t>> expected;
+    for (const FormulaPtr& f : battery)
+      expected.push_back(reference.SatisfyingSet(f));
+    for (const int threads : {1, 4}) {
+      for (const bool use_kernels : {false, true}) {
+        KnowledgeEvaluator eval(view, Config(threads, use_kernels));
+        for (std::size_t k = 0; k < battery.size(); ++k)
+          ASSERT_EQ(eval.SatisfyingSet(battery[k]), expected[k])
+              << abstraction.name() << ": " << battery[k]->ToString()
+              << " threads=" << threads << " kernels=" << use_kernels;
+        KnowledgeEvaluator fused(view, Config(threads, use_kernels));
+        ASSERT_EQ(fused.SatisfyingSets(span), expected)
+            << abstraction.name() << " threads=" << threads
+            << " kernels=" << use_kernels;
+        for (std::size_t id = 0; id < space.size(); ++id)
+          ASSERT_EQ(eval.CommonComponent(pair, id),
+                    reference.CommonComponent(pair, id))
+              << abstraction.name() << " component of " << id;
+      }
+    }
+  }
+  const StateView full(space, StateAbstraction::FullHistory());
+  KnowledgeEvaluator by_view(full);
+  KnowledgeEvaluator by_space(space);
+  EXPECT_EQ(by_view.SatisfyingSets(span), by_space.SatisfyingSets(span));
 }
 
 // The profitability dispatch: with no worker pool, a lone modal root stays on

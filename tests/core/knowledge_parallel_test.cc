@@ -1,5 +1,5 @@
-// Determinism contract of the range-sharded knowledge kernels and CK
-// union-find: every KnowledgeOptions::num_threads value must reproduce the
+// Determinism contract of the range-sharded knowledge kernels: every
+// KnowledgeOptions::num_threads value must reproduce the
 // sequential verdicts byte for byte — satisfying sets, batch Holds,
 // locality and constancy checks, and common-knowledge component labels —
 // on both a canonicalized space and a lockstep (non-canonicalized) one,

@@ -155,6 +155,27 @@ TEST_F(PingKnowledgeTest, GroupKnowledgeIsDistributedView) {
   EXPECT_FALSE(eval_.Knows(ProcessSet{0, 1}, sent_, e_));
 }
 
+TEST_F(PingKnowledgeTest, GroupOutsideTheSystemIsANamedError) {
+  // Every modal kind, singleton or not, pointwise or whole-space, rejects
+  // a group naming a process the 2-process system lacks with a ModelError.
+  const FormulaPtr b = Formula::Atom(sent_);
+  for (const ProcessSet g : {ProcessSet{7}, ProcessSet{0, 7}}) {
+    for (const FormulaPtr& f :
+         {Formula::Knows(g, b), Formula::Possible(g, b), Formula::Sure(g, b),
+          Formula::Everyone(g, b), Formula::Common(g, b)}) {
+      EXPECT_THROW(eval_.Holds(f, s_), ModelError) << f->ToString();
+      EXPECT_THROW(eval_.SatisfyingSet(Formula::And(b, f)), ModelError)
+          << f->ToString();
+    }
+    EXPECT_THROW(eval_.CommonComponent(g, s_), ModelError) << g.ToString();
+  }
+  EXPECT_THROW(eval_.CommonComponent(ProcessSet{}, s_), ModelError);
+  // A rejected group leaves the evaluator usable.
+  EXPECT_TRUE(eval_.Knows(ProcessSet{0}, sent_, s_));
+  EXPECT_EQ(eval_.SatisfyingSet(Formula::Knows(ProcessSet{1}, b)),
+            std::vector<std::size_t>{r_});
+}
+
 TEST(KnowledgeEvaluatorTest, MemoizationGrows) {
   RandomSystemOptions options;
   options.seed = 3;

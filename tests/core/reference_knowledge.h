@@ -4,7 +4,9 @@
 //
 //   x [p] y      iff  x and y have equal projections on p, decided by
 //                     grouping class ids on the materialized
-//                     At(id).Projection(p);
+//                     At(id).Projection(p) — or, given a StateAbstraction
+//                     (paper Section 6, state-based isomorphism), equal
+//                     states StateOf(p, At(id).Projection(p));
 //   x [P] y      iff  x [p] y for every p in P (the empty set relates every
 //                     pair of computations);
 //   K{P} f at x  iff  f holds at every y with x [P] y;
@@ -25,6 +27,8 @@
 #include <cstdint>
 #include <map>
 #include <numeric>
+#include <optional>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -32,22 +36,34 @@
 #include "core/event.h"
 #include "core/formula.h"
 #include "core/space.h"
+#include "core/state_view.h"
 
 namespace hpl {
 
 class ReferenceKnowledge {
  public:
-  explicit ReferenceKnowledge(const ComputationSpace& space)
+  explicit ReferenceKnowledge(
+      const ComputationSpace& space,
+      const std::optional<StateAbstraction>& abstraction = std::nullopt)
       : space_(space),
         p_class_(static_cast<std::size_t>(space.num_processes()),
                  std::vector<std::uint32_t>(space.size())) {
     for (ProcessId p = 0; p < space.num_processes(); ++p) {
       std::unordered_map<std::vector<Event>, std::uint32_t, EventsHash>
-          classes;
+          by_projection;
+      std::unordered_map<std::string, std::uint32_t> by_state;
       for (std::size_t id = 0; id < space.size(); ++id) {
-        const auto next = static_cast<std::uint32_t>(classes.size());
+        std::vector<Event> projection = space.At(id).Projection(p);
         p_class_[static_cast<std::size_t>(p)][id] =
-            classes.emplace(space.At(id).Projection(p), next).first->second;
+            abstraction.has_value()
+                ? by_state
+                      .emplace(abstraction->StateOf(p, projection),
+                               static_cast<std::uint32_t>(by_state.size()))
+                      .first->second
+                : by_projection
+                      .emplace(std::move(projection),
+                               static_cast<std::uint32_t>(by_projection.size()))
+                      .first->second;
       }
     }
   }
@@ -220,8 +236,8 @@ class ReferenceKnowledge {
   }
 
   const ComputationSpace& space_;
-  // p_class_[p][id]: dense [p]-class of class id, from materialized
-  // projections.
+  // p_class_[p][id]: dense [p]-class (or state class) of class id, from
+  // materialized projections.
   std::vector<std::vector<std::uint32_t>> p_class_;
   // Keeps every queried formula (and so every memoized node) alive.
   std::vector<FormulaPtr> keep_alive_;

@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/knowledge.h"
 #include "core/process_chain.h"
 #include "core/random_system.h"
 #include "protocols/relay.h"
+#include "protocols/token_bus.h"
 
 namespace hpl {
 namespace {
@@ -65,7 +68,7 @@ TEST(StateViewTest, EventCountIsGenuinelyLossy) {
 TEST(StateViewTest, StateKnowledgeMatchesComputationKnowledgeWhenLossless) {
   auto space = SmallSpace(4);
   StateView view(space, StateAbstraction::FullHistory());
-  StateKnowledgeEvaluator state_eval(view);
+  KnowledgeEvaluator state_eval(view);
   KnowledgeEvaluator eval(space);
   const Predicate b = Predicate::CountOnAtLeast(0, 1);
   for (std::size_t id = 0; id < space.size(); ++id) {
@@ -85,7 +88,7 @@ TEST(StateViewTest, StateKnowledgeImpliesComputationKnowledge) {
        {StateAbstraction::EventCount(), StateAbstraction::LabelBag(),
         StateAbstraction::LastEvent()}) {
     StateView view(space, abstraction);
-    StateKnowledgeEvaluator state_eval(view);
+    KnowledgeEvaluator state_eval(view);
     const Predicate b = Predicate::Sent(0);
     int state_known = 0, comp_known = 0;
     for (std::size_t id = 0; id < space.size(); ++id) {
@@ -113,7 +116,7 @@ TEST(StateViewTest, TheoremFiveSurvivesStateAbstraction) {
        {StateAbstraction::FullHistory(), StateAbstraction::LabelBag(),
         StateAbstraction::EventCount()}) {
     StateView view(space, abstraction);
-    StateKnowledgeEvaluator state_eval(view);
+    KnowledgeEvaluator state_eval(view);
     const Predicate fact = relay.Fact();
     int gains = 0;
     for (std::size_t yid = 0; yid < space.size(); ++yid) {
@@ -142,7 +145,7 @@ TEST(StateViewTest, RepeatedKnowsHitsTheMemo) {
   // re-evaluating the atom over the whole bucket.
   auto space = SmallSpace(8);
   StateView view(space, StateAbstraction::EventCount());
-  StateKnowledgeEvaluator eval(view);
+  KnowledgeEvaluator eval(view);
   const Predicate sent = Predicate::Sent(0);
   std::size_t calls = 0;
   const Predicate counted("counted_sent_m0", [&](const Computation& x) {
@@ -156,17 +159,59 @@ TEST(StateViewTest, RepeatedKnowsHitsTheMemo) {
   EXPECT_EQ(calls, 0u);
 }
 
-TEST(StateViewTest, CommonKnowledgeUnsupported) {
+TEST(StateViewTest, CommonKnowledgeSupported) {
+  // CK runs through the one engine: the greatest fixpoint over the union of
+  // the members' state partitions.  EveryoneIterated still approximates it
+  // from above, and the coarser relation makes state CK imply computation
+  // CK.
   auto space = SmallSpace(6);
   StateView view(space, StateAbstraction::EventCount());
-  StateKnowledgeEvaluator eval(view);
-  auto ck = Formula::Common(ProcessSet{0, 1},
-                            Formula::Atom(Predicate::True()));
-  EXPECT_THROW(eval.Holds(ck, 0), ModelError);
-  // But EveryoneIterated works as the finite approximation.
-  auto e2 = Formula::EveryoneIterated(ProcessSet{0, 1}, 2,
-                                      Formula::Atom(Predicate::True()));
-  EXPECT_TRUE(eval.Holds(e2, 0));
+  KnowledgeEvaluator eval(view);
+  KnowledgeEvaluator comp(space);
+  const ProcessSet g{0, 1};
+  EXPECT_TRUE(eval.Holds(
+      Formula::Common(g, Formula::Atom(Predicate::True())), 0));
+  const FormulaPtr b = Formula::Atom(Predicate::CountOnAtLeast(0, 1));
+  const FormulaPtr ck = Formula::Common(g, b);
+  const FormulaPtr e2 = Formula::EveryoneIterated(g, 2, b);
+  for (std::size_t id = 0; id < space.size(); ++id) {
+    if (!eval.Holds(ck, id)) continue;
+    EXPECT_TRUE(eval.Holds(e2, id)) << id;
+    EXPECT_TRUE(comp.Holds(ck, id)) << id;
+  }
+  // Components are unions of state classes, so they are coarser too.
+  for (std::size_t a = 0; a < space.size(); ++a) {
+    for (std::size_t c = 0; c < space.size(); c += 3) {
+      if (comp.CommonComponent(g, a) == comp.CommonComponent(g, c)) {
+        EXPECT_EQ(eval.CommonComponent(g, a), eval.CommonComponent(g, c));
+      }
+    }
+  }
+  EXPECT_THROW(eval.Holds(Formula::Knows(ProcessSet{7}, b), 0), ModelError);
+  EXPECT_THROW(eval.CommonComponent(ProcessSet{}, 0), ModelError);
+}
+
+TEST(StateViewTest, RefreshAfterGrowthNamesTheStaleView) {
+  // The view's state classes cover the space as it was when the view was
+  // built; an evaluator over it refuses to re-sync past growth.
+  protocols::TokenBusSystem bus(3, 3);
+  SpaceBuilder builder;
+  builder.Build(bus, {.max_depth = 3, .allow_truncation = true});
+  StateView view(builder.space(), StateAbstraction::LabelBag());
+  KnowledgeEvaluator eval(view);
+  const FormulaPtr f =
+      Formula::Knows(ProcessSet{0}, Formula::Atom(bus.HoldsToken(1)));
+  const auto before = eval.SatisfyingSet(f);
+  eval.Refresh();  // no growth: a no-op
+  EXPECT_EQ(eval.SatisfyingSet(f), before);
+  ASSERT_GT(builder.Deepen(1), 0u);
+  try {
+    eval.Refresh();
+    ADD_FAILURE() << "Refresh after Deepen did not throw";
+  } catch (const ModelError& e) {
+    EXPECT_NE(std::string(e.what()).find("StateView"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(StateViewTest, LocalPredicatesUnderAbstraction) {
@@ -174,7 +219,7 @@ TEST(StateViewTest, LocalPredicatesUnderAbstraction) {
   // needs forgotten history loses localness.
   auto space = SmallSpace(7);
   StateView count_view(space, StateAbstraction::EventCount());
-  StateKnowledgeEvaluator count_eval(count_view);
+  KnowledgeEvaluator count_eval(count_view);
   // "p0 performed >= 1 event" is readable from p0's event count.
   EXPECT_TRUE(count_eval.IsLocalTo(Predicate::CountOnAtLeast(0, 1),
                                    ProcessSet{0}));
@@ -183,7 +228,7 @@ TEST(StateViewTest, LocalPredicatesUnderAbstraction) {
   // identity... use a label-sensitive predicate owned by p0:
   const Predicate did = Predicate::DidInternal(0, "i0_0");
   StateView bag_view(space, StateAbstraction::LabelBag());
-  StateKnowledgeEvaluator bag_eval(bag_view);
+  KnowledgeEvaluator bag_eval(bag_view);
   // LabelBag keeps labels: still local.
   EXPECT_TRUE(bag_eval.IsLocalTo(did, ProcessSet{0}));
 }

@@ -9,6 +9,9 @@ Contract under test:
     persist the index (`snapshot info` reports it),
   * a `--group` set that is empty or names a process outside the system
     exits 1 naming `--group` before anything is enumerated or written,
+  * a formula whose K/M/Sure/E/CK group names a process outside the system
+    exits 1 with a named error (it used to abort on an uncaught
+    std::out_of_range),
   * `relay:N` accepts only N in [2, 64]: larger specs exit 1 naming the
     spec instead of overflowing the space's per-process rows.
 
@@ -86,6 +89,15 @@ def main():
                       f"{args[0]} {bad} exits 1 naming --group")
                 check(proc.stdout == "" and not os.path.exists(rejected),
                       f"{args[0]} {bad} fails before enumerating")
+
+    # A formula group naming a process outside the system is a named
+    # error, whatever the modal kind or group size.
+    for formula in ["K{7} token_at_p0", "M{7} token_at_p0",
+                    "Sure{7} token_at_p0", "E{7} token_at_p0",
+                    "CK{7} token_at_p0", "K{1,7} token_at_p0"]:
+        proc = run_cli(cli, ["check", "tokenbus:3,3", formula])
+        check(proc.returncode == 1 and "outside the system" in proc.stderr,
+              f"check '{formula}' exits 1 naming the group")
 
     for spec in ["relay:65", "relay:1", "relay:1000000"]:
         proc = run_cli(cli, ["space", spec])

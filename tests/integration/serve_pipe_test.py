@@ -7,8 +7,9 @@ Contract under test:
     every verdict (count + FNV-1a satisfying-set hash) is byte-identical
     to a standalone `hpl_cli check` of the same formula,
   * malformed requests -- garbage bytes, non-objects, missing fields,
-    unknown ops, unparseable formulas/computations, and hostile lines
-    nesting JSON or formulas 100,000 levels deep -- get a graceful
+    unknown ops, unparseable formulas/computations, formula groups naming
+    a process outside the system, and hostile lines nesting JSON or
+    formulas 100,000 levels deep -- get a graceful
     {"ok":false,"error":...} response and the loop keeps serving (no
     crash, no hang),
   * a second serve run against the snapshot written by the first starts
@@ -64,6 +65,14 @@ MALFORMED = [
     json.dumps({"op": "check",
                 "formula": " && ".join(["token_at_p0"] * 100000)}),
 ]
+
+# Well-formed requests whose error must name the defect.  A group naming a
+# process outside the system used to be answered with libstdc++'s
+# out-of-range text.
+NAMED_ERRORS = {
+    '{"op":"check","formula":"CK{7} token_at_p0"}': "outside the system",
+}
+MALFORMED += list(NAMED_ERRORS)
 
 failures = []
 
@@ -200,6 +209,10 @@ def main():
         if request_text in MALFORMED or not well_formed:
             if response.get("ok") is not False or "error" not in response:
                 check(False, f"malformed request got {response_text[:80]}")
+            named = NAMED_ERRORS.get(request_text)
+            if named is not None and named not in response.get("error", ""):
+                check(False, f"error does not name the defect: "
+                             f"{response_text[:120]}")
             if well_formed and request.get("op") == "frobnicate" and \
                     response.get("unknown_op") != "frobnicate":
                 check(False, f"unknown op not named structurally: "

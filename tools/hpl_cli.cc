@@ -45,9 +45,8 @@
 //
 // check, check-at, bench, serve and snapshot save share the flags
 //   --threads=N            ComputationSpace::Enumerate workers
-//   --knowledge-threads=N  workers for compiled kernel sweeps and the CK
-//                          union-find (both: 0 = hardware concurrency,
-//                          1 = sequential)
+//   --knowledge-threads=N  workers for compiled kernel sweeps (0 = hardware
+//                          concurrency, 1 = sequential)
 //   --kernels=on|off       compiled kernel sweeps (default on; off answers
 //                          whole-space queries with one sequential
 //                          interpreted pass — see core/kernel.h)
