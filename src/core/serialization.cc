@@ -146,6 +146,58 @@ constexpr std::uint64_t kMaxPlausibleCount = std::uint64_t{1} << 33;
 constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
+// Records per bulk read or write: one stream call, one checksum loop and
+// one column append per chunk instead of one of each per element.
+constexpr std::size_t kChunkRecords = 4096;
+
+// Wire width of a splice link: parent u32, event u32, pos u16, length u16.
+constexpr std::size_t kLinkBytes = 12;
+
+// Portable little-endian loads and stores.  gcc and clang compile each to
+// a single move on a little-endian host, so there is no byte-order fork.
+std::uint16_t LoadLe16(const unsigned char* p) {
+  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
+}
+std::uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
+}
+std::uint64_t LoadLe64(const unsigned char* p) {
+  return LoadLe32(p) | (static_cast<std::uint64_t>(LoadLe32(p + 4)) << 32);
+}
+void StoreLe16(unsigned char* p, std::uint16_t v) {
+  p[0] = static_cast<unsigned char>(v);
+  p[1] = static_cast<unsigned char>(v >> 8);
+}
+void StoreLe32(unsigned char* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<unsigned char>(v >> (8 * i));
+}
+void StoreLe64(unsigned char* p, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<unsigned char>(v >> (8 * i));
+}
+
+// FNV-1a over p[0, n).
+std::uint64_t Fnv(std::uint64_t h, const unsigned char* p, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) h = (h ^ p[i]) * kFnvPrime;
+  return h;
+}
+
+// Folds p[0, n) into two FNV-1a chains in one loop — the file checksum and
+// a column's directory checksum.  The chains are independent, so their
+// multiplies overlap instead of running back to back.
+void Fnv2(std::uint64_t& a, std::uint64_t& b, const unsigned char* p,
+          std::size_t n) {
+  std::uint64_t x = a, y = b;
+  for (std::size_t i = 0; i < n; ++i) {
+    x = (x ^ p[i]) * kFnvPrime;
+    y = (y ^ p[i]) * kFnvPrime;
+  }
+  a = x;
+  b = y;
+}
+
 // Little-endian writer over an ostream, folding an FNV-1a checksum of every
 // byte it emits.
 class Writer {
@@ -155,46 +207,32 @@ class Writer {
   void Bytes(const void* data, std::size_t n) {
     out_.write(static_cast<const char*>(data),
                static_cast<std::streamsize>(n));
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      hash_ ^= p[i];
-      hash_ *= kFnvPrime;
-    }
+    hash_ = Fnv(hash_, static_cast<const unsigned char*>(data), n);
   }
   void U8(std::uint8_t v) { Bytes(&v, 1); }
   void U16(std::uint16_t v) {
-    const unsigned char b[2] = {static_cast<unsigned char>(v),
-                                static_cast<unsigned char>(v >> 8)};
+    unsigned char b[2];
+    StoreLe16(b, v);
     Bytes(b, 2);
   }
   void U32(std::uint32_t v) {
     unsigned char b[4];
-    for (int i = 0; i < 4; ++i) b[i] = static_cast<unsigned char>(v >> (8 * i));
+    StoreLe32(b, v);
     Bytes(b, 4);
   }
   void U64(std::uint64_t v) {
     unsigned char b[8];
-    for (int i = 0; i < 8; ++i) b[i] = static_cast<unsigned char>(v >> (8 * i));
+    StoreLe64(b, v);
     Bytes(b, 8);
   }
   void Str(const std::string& s) {
     U32(static_cast<std::uint32_t>(s.size()));
     Bytes(s.data(), s.size());
   }
-  void U32Column(const std::vector<std::uint32_t>& column) {
-    U64(column.size());
-    for (std::uint32_t v : column) U32(v);
-  }
-  void U32SegColumn(const internal::SegColumn<std::uint32_t>& column) {
-    U64(column.size());
-    for (std::size_t i = 0; i < column.size(); ++i) U32(column[i]);
-  }
   // Emits the running checksum (not folded into itself) and ends the file.
   void Checksum() {
-    const std::uint64_t sum = hash_;
     unsigned char b[8];
-    for (int i = 0; i < 8; ++i)
-      b[i] = static_cast<unsigned char>(sum >> (8 * i));
+    StoreLe64(b, hash_);
     out_.write(reinterpret_cast<const char*>(b), 8);
   }
   bool ok() const { return static_cast<bool>(out_); }
@@ -203,6 +241,38 @@ class Writer {
   std::ostream& out_;
   std::uint64_t hash_ = kFnvOffset;
 };
+
+// Encodes data[0, n) into wire form `wire` bytes per element, kChunkRecords
+// at a time (put(dst, element) writes one), and hands each chunk's bytes to
+// sink(bytes, size).
+template <typename T, typename Put, typename Sink>
+void EncodeChunks(const T* data, std::size_t n, std::size_t wire, Put put,
+                  Sink&& sink, std::vector<unsigned char>& buf) {
+  buf.resize(kChunkRecords * wire);
+  for (std::size_t i = 0; i < n; i += kChunkRecords) {
+    const std::size_t take = std::min(kChunkRecords, n - i);
+    unsigned char* dst = buf.data();
+    for (std::size_t k = 0; k < take; ++k, dst += wire) put(dst, data[i + k]);
+    sink(buf.data(), take * wire);
+  }
+}
+
+// The same over a segmented column, one pinned segment at a time, trimming
+// the residency budget after each so saving an out-of-core space never
+// holds more than one extra segment resident.
+template <typename T, typename Put, typename Sink>
+void EncodeChunks(const internal::SegColumn<T>& column, std::size_t wire,
+                  Put put, Sink&& sink, std::vector<unsigned char>& buf,
+                  internal::SegmentedSpaceStore& store) {
+  for (std::size_t s = 0; s < column.num_segments(); ++s) {
+    internal::SegmentPin pin;
+    const T* base = column.PinSegment(s, &pin);
+    EncodeChunks(base, column.SegmentEnd(s) - column.SegmentBegin(s), wire,
+                 put, sink, buf);
+    pin.Release();
+    if (store.out_of_core()) store.EnforceBudget();
+  }
+}
 
 // Little-endian reader mirroring Writer; throws ModelError with `where`
 // context on truncation, and folds the same checksum for the final check.
@@ -226,16 +296,7 @@ class Reader {
   }
 
   void Bytes(void* data, std::size_t n, const char* where) {
-    in_->read(static_cast<char*>(data), static_cast<std::streamsize>(n));
-    if (static_cast<std::size_t>(in_->gcount()) != n)
-      throw ModelError(std::string("LoadSpaceSnapshot: truncated snapshot (") +
-                       where + ")");
-    remaining_ -= std::min<std::uint64_t>(remaining_, n);  // a growing file
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      hash_ ^= p[i];
-      hash_ *= kFnvPrime;
-    }
+    if (Fill(data, n, nullptr) != n) Truncated(where);
   }
   std::uint8_t U8(const char* where) {
     std::uint8_t v;
@@ -245,21 +306,17 @@ class Reader {
   std::uint16_t U16(const char* where) {
     unsigned char b[2];
     Bytes(b, 2, where);
-    return static_cast<std::uint16_t>(b[0] | (b[1] << 8));
+    return LoadLe16(b);
   }
   std::uint32_t U32(const char* where) {
     unsigned char b[4];
     Bytes(b, 4, where);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
-    return v;
+    return LoadLe32(b);
   }
   std::uint64_t U64(const char* where) {
     unsigned char b[8];
     Bytes(b, 8, where);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-    return v;
+    return LoadLe64(b);
   }
   std::uint64_t Count(const char* where) {
     const std::uint64_t n = U64(where);
@@ -285,14 +342,31 @@ class Reader {
     Bytes(s.data(), n, where);
     return s;
   }
-  std::vector<std::uint32_t> U32Column(const char* where) {
-    const std::uint64_t n = Count(where);
-    RequireFits(n, 4, where);
-    std::vector<std::uint32_t> column;
-    column.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) column.push_back(U32(where));
-    return column;
+
+  // Reads `count` records of `wire` bytes, kChunkRecords per read call.
+  // Each chunk is folded into the file checksum — and into *column, when
+  // given, in the same loop — then handed to decode(bytes, first, n) for
+  // records [first, first + n).  A short read still decodes the whole
+  // records it got, so their defects are reported before the truncation,
+  // as element-wise reads did; the truncation error then names
+  // field(offset), the field holding the first missing byte.
+  template <typename Field, typename Decode>
+  void Records(std::uint64_t count, std::size_t wire, std::uint64_t* column,
+               Field&& field, Decode&& decode) {
+    chunk_.resize(kChunkRecords * wire);
+    for (std::uint64_t first = 0; first < count;) {
+      const std::size_t want =
+          static_cast<std::size_t>(
+              std::min<std::uint64_t>(count - first, kChunkRecords)) *
+          wire;
+      const std::size_t got = Fill(chunk_.data(), want, column);
+      const std::size_t whole = got / wire;
+      if (whole > 0) decode(chunk_.data(), first, whole);
+      if (got != want) Truncated(field(got % wire));
+      first += whole;
+    }
   }
+
   // Reads the trailing checksum (without folding it) and verifies it
   // matches everything read so far.
   void VerifyChecksum() {
@@ -301,43 +375,71 @@ class Reader {
     in_->read(reinterpret_cast<char*>(b), 8);
     if (in_->gcount() != 8)
       throw ModelError("LoadSpaceSnapshot: truncated snapshot (checksum)");
-    std::uint64_t stored = 0;
-    for (int i = 0; i < 8; ++i)
-      stored |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-    if (stored != expected)
+    if (LoadLe64(b) != expected)
       throw ModelError("LoadSpaceSnapshot: checksum mismatch (corrupt file)");
   }
 
  private:
+  // One read call for up to `n` bytes; folds what arrived into the file
+  // checksum (and *column) and returns its size.
+  std::size_t Fill(void* data, std::size_t n, std::uint64_t* column) {
+    in_->read(static_cast<char*>(data), static_cast<std::streamsize>(n));
+    const auto got = static_cast<std::size_t>(in_->gcount());
+    remaining_ -= std::min<std::uint64_t>(remaining_, got);  // a growing file
+    const auto* p = static_cast<const unsigned char*>(data);
+    if (column != nullptr)
+      Fnv2(hash_, *column, p, got);
+    else
+      hash_ = Fnv(hash_, p, got);
+    return got;
+  }
+
+  [[noreturn]] static void Truncated(const char* where) {
+    throw ModelError(std::string("LoadSpaceSnapshot: truncated snapshot (") +
+                     where + ")");
+  }
+
   std::istream* in_;
   std::istringstream buffered_;  // the input, when it cannot seek
   std::uint64_t remaining_ = 0;  // input bytes not yet read
   std::uint64_t hash_ = kFnvOffset;
+  std::vector<unsigned char> chunk_;  // one chunk of wire bytes
 };
 
-// FNV-1a folds over the little-endian wire form of column elements — the
-// per-column checksums in the segment directory.
-std::uint64_t FoldU16(std::uint64_t h, std::uint16_t v) {
-  for (int i = 0; i < 2; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= kFnvPrime;
+// What a load learns about a u32 column while decoding it, for the id
+// checks that run once the file's checksums hold: the largest value at each
+// position of a row, the first value, and whether the values never
+// decrease.
+struct U32Summary {
+  explicit U32Summary(std::size_t row = 1) : max(row, 0) {}
+  std::vector<std::uint32_t> max;
+  std::uint32_t first = 0;
+  bool ascending = true;
+
+  // Decodes n little-endian u32s into out[0, n) and folds them in.
+  void Decode(const unsigned char* p, std::size_t n, std::uint32_t* out) {
+    if (n == 0) return;
+    std::uint32_t prev = seen_ == 0 ? LoadLe32(p) : last_;
+    if (seen_ == 0) first = prev;
+    bool up = true;
+    std::size_t pos = static_cast<std::size_t>(seen_ % max.size());
+    for (std::size_t i = 0; i < n; ++i, p += 4) {
+      const std::uint32_t v = LoadLe32(p);
+      out[i] = v;
+      up &= v >= prev;
+      prev = v;
+      max[pos] = std::max(max[pos], v);
+      if (++pos == max.size()) pos = 0;
+    }
+    ascending &= up;
+    last_ = prev;
+    seen_ += n;
   }
-  return h;
-}
-std::uint64_t FoldU32(std::uint64_t h, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-std::uint64_t FoldU64(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= kFnvPrime;
-  }
-  return h;
-}
+
+ private:
+  std::uint64_t seen_ = 0;  // values folded so far
+  std::uint32_t last_ = 0;
+};
 
 // One segment-directory row: a segmented column's identity and payload
 // checksum, written in the header so corruption is attributed by name.
@@ -348,28 +450,38 @@ struct SegDirEntry {
   std::uint64_t checksum = 0;
 };
 
-// Reads `n` u32 elements into a segmented column in chunks (the bulk-append
-// path of a budget-bounded load), spilling sealed segments as it goes, and
-// returns the FNV-1a checksum of the streamed payload for the directory
-// check.
+// Reads `n` u32 elements into a segmented column chunk by chunk (spilling
+// sealed segments as it goes under a budget), folding `summary` rows of
+// `summary->max.size()` elements, and returns the FNV-1a checksum of the
+// streamed payload for the directory check.
 std::uint64_t ReadU32SegColumn(Reader& r,
                                internal::SegColumn<std::uint32_t>& column,
                                std::uint64_t n, const char* where,
-                               internal::SegmentedSpaceStore* store) {
+                               internal::SegmentedSpaceStore& store,
+                               U32Summary* summary) {
   std::uint64_t h = kFnvOffset;
-  std::uint32_t buf[4096];
-  while (n > 0) {
-    const std::size_t take =
-        static_cast<std::size_t>(std::min<std::uint64_t>(n, 4096));
-    for (std::size_t i = 0; i < take; ++i) {
-      buf[i] = r.U32(where);
-      h = FoldU32(h, buf[i]);
-    }
-    column.Append(buf, take);
-    n -= take;
-    if (store != nullptr && store->out_of_core()) store->EnforceBudget();
-  }
+  std::vector<std::uint32_t> buf(std::min<std::uint64_t>(n, kChunkRecords));
+  r.Records(n, 4, &h, [where](std::size_t) { return where; },
+            [&](const unsigned char* p, std::uint64_t, std::size_t k) {
+              summary->Decode(p, k, buf.data());
+              column.Append(buf.data(), k);
+              if (store.out_of_core()) store.EnforceBudget();
+            });
   return h;
+}
+
+// A resident u32 column (bucket and group tables): its count, checked
+// against the bytes left, then the elements in chunks.
+std::vector<std::uint32_t> ReadU32Column(Reader& r, const char* where,
+                                         U32Summary* summary) {
+  const std::uint64_t n = r.Count(where);
+  r.RequireFits(n, 4, where);
+  std::vector<std::uint32_t> column(static_cast<std::size_t>(n));
+  r.Records(n, 4, nullptr, [where](std::size_t) { return where; },
+            [&](const unsigned char* p, std::uint64_t first, std::size_t k) {
+              summary->Decode(p, k, column.data() + first);
+            });
+  return column;
 }
 
 // Header (everything ReadSpaceSnapshotInfo needs), after the magic: version,
@@ -501,34 +613,18 @@ struct SpaceSnapshotIO {
     std::uint64_t begin = 0;
   };
 
-  // Per-column FNV-1a checksums over each column's little-endian wire form,
-  // recorded in the segment directory.  The links column interleaves
-  // field widths, so it gets its own fold.
-  static std::uint64_t LinksChecksum(const ComputationSpace& space) {
-    std::uint64_t h = kFnvOffset;
-    for (std::size_t i = 0; i < space.links_.size(); ++i) {
-      const ComputationSpace::ClassLink link = space.links_[i];
-      h = FoldU32(h, link.parent);
-      h = FoldU32(h, link.event);
-      h = FoldU16(h, link.pos);
-      h = FoldU16(h, link.length);
-    }
-    return h;
+  // Wire encoders of the column element types.
+  static void PutLink(unsigned char* dst,
+                      const ComputationSpace::ClassLink& l) {
+    StoreLe32(dst, l.parent);
+    StoreLe32(dst + 4, l.event);
+    StoreLe16(dst + 8, l.pos);
+    StoreLe16(dst + 10, l.length);
   }
-  static std::uint64_t U64ColumnChecksum(
-      const internal::SegColumn<std::size_t>& column) {
-    std::uint64_t h = kFnvOffset;
-    for (std::size_t i = 0; i < column.size(); ++i)
-      h = FoldU64(h, static_cast<std::uint64_t>(column[i]));
-    return h;
+  static void PutU64(unsigned char* dst, std::size_t v) {
+    StoreLe64(dst, static_cast<std::uint64_t>(v));
   }
-  static std::uint64_t U32ColumnChecksum(
-      const internal::SegColumn<std::uint32_t>& column) {
-    std::uint64_t h = kFnvOffset;
-    for (std::size_t i = 0; i < column.size(); ++i)
-      h = FoldU32(h, column[i]);
-    return h;
-  }
+  static void PutU32(unsigned char* dst, std::uint32_t v) { StoreLe32(dst, v); }
 
   static void Save(const ComputationSpace& space, std::ostream& out,
                    const FrontierMeta& frontier) {
@@ -545,14 +641,13 @@ struct SpaceSnapshotIO {
     std::sort(groups.begin(), groups.end(),
               [](const auto* a, const auto* b) { return a->mask_ < b->mask_; });
 
-    // Faulting every element twice (once for the directory checksums, once
-    // for the payload) is the price of writing the checksums in the header;
-    // trim the residency budget between passes so saving an out-of-core
-    // space never exceeds it.
+    // Every segmented column is encoded twice — once for its directory
+    // checksum, once for the payload — because the checksums precede the
+    // payload in the header.  Both passes stream pinned segments and trim
+    // the residency budget after each, so saving an out-of-core space never
+    // exceeds it.
     internal::SegmentedSpaceStore& store = *space.store_;
-    const auto trim = [&store] {
-      if (store.out_of_core()) store.EnforceBudget();
-    };
+    std::vector<unsigned char> buf;
 
     Writer w(out);
     SpaceSnapshotInfo info;
@@ -575,69 +670,70 @@ struct SpaceSnapshotIO {
     std::vector<SegDirEntry> dir;
     info.segment_shift = SegmentOptions{}.segment_shift;
     const std::size_t rows_per_seg = std::size_t{1} << info.segment_shift;
-    const auto entry = [&](const char* tag, std::uint64_t elems,
-                           std::size_t rows, std::uint64_t checksum) {
-      const std::size_t segs = (rows + rows_per_seg - 1) / rows_per_seg;
-      dir.push_back(SegDirEntry{tag, elems, static_cast<std::uint32_t>(segs),
-                                checksum});
-      trim();
+    const auto entry = [&](const char* tag, const auto& column,
+                           std::size_t wire, auto put) {
+      std::uint64_t h = kFnvOffset;
+      EncodeChunks(
+          column, wire, put,
+          [&h](const unsigned char* p, std::size_t n) { h = Fnv(h, p, n); },
+          buf, store);
+      const std::size_t segs =
+          (column.rows() + rows_per_seg - 1) / rows_per_seg;
+      dir.push_back(SegDirEntry{tag, column.size(),
+                                static_cast<std::uint32_t>(segs), h});
     };
-    entry("links", space.links_.size(), space.links_.rows(),
-          LinksChecksum(space));
-    entry("canonh", space.canon_hash_.size(), space.canon_hash_.rows(),
-          U64ColumnChecksum(space.canon_hash_));
-    entry("canoni", space.canon_id_.size(), space.canon_id_.rows(),
-          U32ColumnChecksum(space.canon_id_));
-    entry("proj", space.proj_class_.size(), space.proj_class_.rows(),
-          U32ColumnChecksum(space.proj_class_));
-    entry("succo", space.succ_offsets_.size(), space.succ_offsets_.rows(),
-          U32ColumnChecksum(space.succ_offsets_));
-    entry("succc", space.succ_class_.size(), space.succ_class_.rows(),
-          U32ColumnChecksum(space.succ_class_));
-    entry("succe", space.succ_event_.size(), space.succ_event_.rows(),
-          U32ColumnChecksum(space.succ_event_));
+    entry("links", space.links_, kLinkBytes, PutLink);
+    entry("canonh", space.canon_hash_, 8, PutU64);
+    entry("canoni", space.canon_id_, 4, PutU32);
+    entry("proj", space.proj_class_, 4, PutU32);
+    entry("succo", space.succ_offsets_, 4, PutU32);
+    entry("succc", space.succ_class_, 4, PutU32);
+    entry("succe", space.succ_event_, 4, PutU32);
     info.segment_columns = dir.size();
     for (const SegDirEntry& e : dir) info.segments += e.segments;
     WriteHeader(w, info, dir);
 
     for (const Event& e : space.event_pool_) WriteEvent(w, e);
-    for (std::size_t i = 0; i < space.links_.size(); ++i) {
-      const ComputationSpace::ClassLink link = space.links_[i];
-      w.U32(link.parent);
-      w.U32(link.event);
-      w.U16(link.pos);
-      w.U16(link.length);
-    }
-    trim();
-    for (std::size_t i = 0; i < space.canon_hash_.size(); ++i)
-      w.U64(space.canon_hash_[i]);
-    trim();
-    for (std::size_t i = 0; i < space.canon_id_.size(); ++i)
-      w.U32(space.canon_id_[i]);
-    trim();
-    w.U32SegColumn(space.proj_class_);
-    trim();
+    const auto emit = [&w](const unsigned char* p, std::size_t n) {
+      w.Bytes(p, n);
+    };
+    EncodeChunks(space.links_, kLinkBytes, PutLink, emit, buf, store);
+    EncodeChunks(space.canon_hash_, 8, PutU64, emit, buf, store);
+    EncodeChunks(space.canon_id_, 4, PutU32, emit, buf, store);
+    const auto seg_column = [&](const internal::SegColumn<std::uint32_t>& c) {
+      w.U64(c.size());
+      EncodeChunks(c, 4, PutU32, emit, buf, store);
+    };
+    const auto column = [&](const std::vector<std::uint32_t>& c) {
+      w.U64(c.size());
+      EncodeChunks(c.data(), c.size(), 4, PutU32, emit, buf);
+    };
+    seg_column(space.proj_class_);
     for (int p = 0; p < space.num_processes_; ++p) {
-      w.U32Column(space.bucket_offsets_[static_cast<std::size_t>(p)]);
-      w.U32Column(space.bucket_ids_[static_cast<std::size_t>(p)]);
+      column(space.bucket_offsets_[static_cast<std::size_t>(p)]);
+      column(space.bucket_ids_[static_cast<std::size_t>(p)]);
     }
-    w.U32SegColumn(space.succ_offsets_);
-    trim();
-    w.U32SegColumn(space.succ_class_);
-    trim();
-    w.U32SegColumn(space.succ_event_);
-    trim();
+    seg_column(space.succ_offsets_);
+    seg_column(space.succ_class_);
+    seg_column(space.succ_event_);
     for (const auto* g : groups) {
       w.U64(g->mask_);
-      w.U32Column(g->cls_);
-      w.U32Column(g->offsets_);
-      w.U32Column(g->ids_);
+      column(g->cls_);
+      column(g->offsets_);
+      column(g->ids_);
     }
     w.Checksum();
     if (!w.ok())
       throw ModelError("SaveSpaceSnapshot: write failed (stream error)");
   }
 
+  // Load validates every id the columns carry, so no query, Deepen or
+  // Ingest over a loaded space can index outside a column.  The structural
+  // checks (truncation, counts, column sizes, parent < id, canonical ids)
+  // throw where the field is read, and a corrupt byte fails a checksum.
+  // The id checks below are computed in the decode loops and raised after
+  // the file checksum verifies: a damaged file keeps its checksum error,
+  // and only a file whose checksums hold gets the named defect.
   static ComputationSpace Load(std::istream& in, const SegmentOptions& segments,
                                SpaceSnapshotInfo* info_out = nullptr) {
     Reader r(in);
@@ -679,51 +775,125 @@ struct SpaceSnapshotIO {
         throw ModelError("LoadSpaceSnapshot: column '" + std::string(tag) +
                          "' checksum mismatch (corrupt snapshot)");
     };
+    // The first id defect found, raised once the file checksum holds.
+    std::string defect;
+    const auto note = [&defect](auto&& message) {
+      if (defect.empty()) defect = "LoadSpaceSnapshot: " + message();
+    };
 
     const std::size_t classes = info.classes;
+    const auto P = static_cast<std::size_t>(info.num_processes);
     r.RequireFits(info.pool_events, kMinEventBytes, "pool_events");
     space.event_pool_.reserve(info.pool_events);
-    for (std::uint64_t i = 0; i < info.pool_events; ++i)
-      space.event_pool_.push_back(ReadEvent(r));
+    const auto outside = [P](ProcessId p) {
+      return p < 0 || static_cast<std::size_t>(p) >= P;
+    };
+    for (std::uint64_t i = 0; i < info.pool_events; ++i) {
+      Event e = ReadEvent(r);
+      if (outside(e.process) || (!e.IsInternal() && outside(e.peer)))
+        note([&] {
+          return "event " + std::to_string(i) + " names process " +
+                 std::to_string(outside(e.process) ? e.process : e.peer) +
+                 " outside the system (" + std::to_string(P) + " processes)";
+        });
+      space.event_pool_.push_back(std::move(e));
+    }
+    const std::size_t pool = space.event_pool_.size();
 
+    // Links: every class is its parent plus one event, spliced at a
+    // position inside the parent's sequence.  Class lengths are kept aside
+    // while the column streams, so the check never faults a spilled
+    // segment back in.
     std::uint64_t fold = kFnvOffset;
-    for (std::size_t i = 0; i < classes; ++i) {
-      ComputationSpace::ClassLink link;
-      link.parent = r.U32("link parent");
-      link.event = r.U32("link event");
-      link.pos = r.U16("link pos");
-      link.length = r.U16("link length");
-      if (i > 0 && (link.parent >= i ||
-                    link.event >= space.event_pool_.size()))
-        throw ModelError("LoadSpaceSnapshot: class " + std::to_string(i) +
-                         " references out-of-range parent or event");
-      fold = FoldU32(fold, link.parent);
-      fold = FoldU32(fold, link.event);
-      fold = FoldU16(fold, link.pos);
-      fold = FoldU16(fold, link.length);
-      space.links_.push_back(link);
-      if ((i & 0xfff) == 0xfff) trim();
+    {
+      std::vector<std::uint16_t> lengths;
+      std::vector<ComputationSpace::ClassLink> buf(
+          std::min<std::size_t>(classes, kChunkRecords));
+      const auto field = [](std::size_t offset) {
+        return offset < 4   ? "link parent"
+               : offset < 8 ? "link event"
+               : offset < 10 ? "link pos"
+                             : "link length";
+      };
+      r.Records(classes, kLinkBytes, &fold, field,
+                [&](const unsigned char* p, std::uint64_t first,
+                    std::size_t n) {
+                  for (std::size_t k = 0; k < n; ++k, p += kLinkBytes) {
+                    const std::size_t i = first + k;
+                    ComputationSpace::ClassLink& link = buf[k];
+                    link.parent = LoadLe32(p);
+                    link.event = LoadLe32(p + 4);
+                    link.pos = LoadLe16(p + 8);
+                    link.length = LoadLe16(p + 10);
+                    if (i > 0 && (link.parent >= i || link.event >= pool))
+                      throw ModelError("LoadSpaceSnapshot: class " +
+                                       std::to_string(i) +
+                                       " references out-of-range parent or "
+                                       "event");
+                    const int want = i > 0 ? lengths[link.parent] + 1 : 0;
+                    if (i == 0 && link.length != 0)
+                      note([&] {
+                        return "root class has length " +
+                               std::to_string(link.length) + " (must be 0)";
+                      });
+                    if (i > 0 && (link.length != want || link.pos >= want))
+                      note([&] {
+                        return "class " + std::to_string(i) + " (length " +
+                               std::to_string(link.length) +
+                               ", splice position " +
+                               std::to_string(link.pos) +
+                               ") does not extend its parent class " +
+                               std::to_string(link.parent) + " (length " +
+                               std::to_string(want - 1) + ") by one event";
+                      });
+                    lengths.push_back(link.length);
+                  }
+                  space.links_.Append(buf.data(), n);
+                  trim();
+                });
+      // A parked frontier is the level at the built depth.
+      if (info.frontier == 2 &&
+          lengths[info.frontier_begin] != info.built_depth)
+        note([&] {
+          return "capped frontier begins at class " +
+                 std::to_string(info.frontier_begin) + " of length " +
+                 std::to_string(lengths[info.frontier_begin]) +
+                 ", not at the built depth " + std::to_string(info.built_depth);
+        });
     }
     check_column(0, "links", classes, fold);
     trim();
 
     fold = kFnvOffset;
-    for (std::size_t i = 0; i < classes; ++i) {
-      const std::uint64_t h = r.U64("canon hash");
-      fold = FoldU64(fold, h);
-      space.canon_hash_.push_back(static_cast<std::size_t>(h));
-      if ((i & 0xfff) == 0xfff) trim();
+    {
+      std::vector<std::size_t> buf(
+          std::min<std::size_t>(classes, kChunkRecords));
+      r.Records(classes, 8, &fold, [](std::size_t) { return "canon hash"; },
+                [&](const unsigned char* p, std::uint64_t, std::size_t n) {
+                  for (std::size_t k = 0; k < n; ++k, p += 8)
+                    buf[k] = static_cast<std::size_t>(LoadLe64(p));
+                  space.canon_hash_.Append(buf.data(), n);
+                  trim();
+                });
     }
     check_column(1, "canonh", classes, fold);
     trim();
     fold = kFnvOffset;
-    for (std::size_t i = 0; i < classes; ++i) {
-      const std::uint32_t id = r.U32("canon id");
-      if (id >= classes)
-        throw ModelError("LoadSpaceSnapshot: canonical index id out of range");
-      fold = FoldU32(fold, id);
-      space.canon_id_.push_back(id);
-      if ((i & 0xfff) == 0xfff) trim();
+    {
+      std::vector<std::uint32_t> buf(
+          std::min<std::size_t>(classes, kChunkRecords));
+      r.Records(classes, 4, &fold, [](std::size_t) { return "canon id"; },
+                [&](const unsigned char* p, std::uint64_t, std::size_t n) {
+                  for (std::size_t k = 0; k < n; ++k, p += 4) {
+                    buf[k] = LoadLe32(p);
+                    if (buf[k] >= classes)
+                      throw ModelError(
+                          "LoadSpaceSnapshot: canonical index id out of "
+                          "range");
+                  }
+                  space.canon_id_.Append(buf.data(), n);
+                  trim();
+                });
     }
     check_column(2, "canoni", classes, fold);
     trim();
@@ -732,41 +902,80 @@ struct SpaceSnapshotIO {
     if (proj_elems !=
         classes * static_cast<std::uint64_t>(info.num_processes))
       throw ModelError("LoadSpaceSnapshot: projection column size mismatch");
+    U32Summary proj(P);
     check_column(3, "proj", proj_elems,
                  ReadU32SegColumn(r, space.proj_class_, proj_elems,
-                                  "projection classes", &store));
+                                  "projection classes", store, &proj));
 
-    space.bucket_offsets_.resize(static_cast<std::size_t>(info.num_processes));
-    space.bucket_ids_.resize(static_cast<std::size_t>(info.num_processes));
-    for (int p = 0; p < info.num_processes; ++p) {
-      auto& offsets = space.bucket_offsets_[static_cast<std::size_t>(p)];
-      auto& ids = space.bucket_ids_[static_cast<std::size_t>(p)];
-      offsets = r.U32Column("bucket offsets");
-      ids = r.U32Column("bucket ids");
+    // A CSR offsets column starts at 0 and never decreases; its last entry
+    // is checked against the payload size where the column is read.
+    const auto csr = [](const U32Summary& s) {
+      return s.first == 0 && s.ascending;
+    };
+    space.bucket_offsets_.resize(P);
+    space.bucket_ids_.resize(P);
+    for (std::size_t p = 0; p < P; ++p) {
+      auto& offsets = space.bucket_offsets_[p];
+      auto& ids = space.bucket_ids_[p];
+      U32Summary offsets_sum, ids_sum;
+      offsets = ReadU32Column(r, "bucket offsets", &offsets_sum);
+      ids = ReadU32Column(r, "bucket ids", &ids_sum);
       if (offsets.empty() || offsets.back() != ids.size() ||
           ids.size() != classes)
         throw ModelError(
             "LoadSpaceSnapshot: bucket CSR columns inconsistent for process " +
             std::to_string(p));
+      if (!csr(offsets_sum))
+        note([&] {
+          return "bucket offsets of process " + std::to_string(p) +
+                 " do not start at 0 and ascend";
+        });
+      if (classes > 0 && ids_sum.max[0] >= classes)
+        note([&] {
+          return "bucket of process " + std::to_string(p) + " holds class " +
+                 std::to_string(ids_sum.max[0]) + " of " +
+                 std::to_string(classes);
+        });
+      if (classes > 0 && proj.max[p] >= offsets.size() - 1)
+        note([&] {
+          return "projection class " + std::to_string(proj.max[p]) +
+                 " of process " + std::to_string(p) + " is out of range (" +
+                 std::to_string(offsets.size() - 1) + " classes)";
+        });
     }
 
+    U32Summary succo, succc, succe;
     const std::uint64_t succo_elems = r.Count("successor offsets");
     check_column(4, "succo", succo_elems,
                  ReadU32SegColumn(r, space.succ_offsets_, succo_elems,
-                                  "successor offsets", &store));
+                                  "successor offsets", store, &succo));
     const std::uint64_t succc_elems = r.Count("successor classes");
     check_column(5, "succc", succc_elems,
                  ReadU32SegColumn(r, space.succ_class_, succc_elems,
-                                  "successor classes", &store));
+                                  "successor classes", store, &succc));
     const std::uint64_t succe_elems = r.Count("successor events");
     check_column(6, "succe", succe_elems,
                  ReadU32SegColumn(r, space.succ_event_, succe_elems,
-                                  "successor events", &store));
+                                  "successor events", store, &succe));
     if (space.succ_offsets_.size() != classes + (classes ? 1 : 0) ||
         (classes && space.succ_offsets_.back() != space.succ_class_.size()) ||
         space.succ_class_.size() != space.succ_event_.size())
       throw ModelError("LoadSpaceSnapshot: successor CSR columns "
                        "inconsistent");
+    if (!csr(succo))
+      note([] {
+        return std::string("successor offsets do not start at 0 and ascend");
+      });
+    if (succc_elems > 0 && succc.max[0] >= classes)
+      note([&] {
+        return "successor class " + std::to_string(succc.max[0]) +
+               " is out of range (" + std::to_string(classes) + " classes)";
+      });
+    if (succe_elems > 0 && succe.max[0] >= pool)
+      note([&] {
+        return "successor event " + std::to_string(succe.max[0]) +
+               " is out of range (" + std::to_string(pool) + " pool events)";
+      });
     trim();
 
     std::uint64_t last_mask = 0;
@@ -776,18 +985,44 @@ struct SpaceSnapshotIO {
       if (i > 0 && index->mask_ <= last_mask)
         throw ModelError("LoadSpaceSnapshot: group indexes out of order");
       last_mask = index->mask_;
-      index->cls_ = r.U32Column("group classes");
-      index->offsets_ = r.U32Column("group offsets");
-      index->ids_ = r.U32Column("group ids");
+      U32Summary cls_sum, offsets_sum, ids_sum;
+      index->cls_ = ReadU32Column(r, "group classes", &cls_sum);
+      index->offsets_ = ReadU32Column(r, "group offsets", &offsets_sum);
+      index->ids_ = ReadU32Column(r, "group ids", &ids_sum);
       if (index->cls_.size() != classes || index->offsets_.empty() ||
           index->offsets_.back() != index->ids_.size() ||
           index->ids_.size() != classes)
         throw ModelError("LoadSpaceSnapshot: group index columns "
                          "inconsistent");
+      const std::uint64_t mask = index->mask_;
+      const std::size_t group_classes = index->offsets_.size() - 1;
+      if (mask == 0 || (mask & ~space.AllProcesses().bits()) != 0)
+        note([&] {
+          return "group mask " + std::to_string(mask) +
+                 " names no process or one outside the system";
+        });
+      if (!csr(offsets_sum))
+        note([&] {
+          return "offsets of group " + std::to_string(mask) +
+                 " do not start at 0 and ascend";
+        });
+      if (classes > 0 && ids_sum.max[0] >= classes)
+        note([&] {
+          return "a bucket of group " + std::to_string(mask) +
+                 " holds class " + std::to_string(ids_sum.max[0]) + " of " +
+                 std::to_string(classes);
+        });
+      if (classes > 0 && cls_sum.max[0] >= group_classes)
+        note([&] {
+          return "group " + std::to_string(mask) + " class " +
+                 std::to_string(cls_sum.max[0]) + " is out of range (" +
+                 std::to_string(group_classes) + " classes)";
+        });
       space.group_index_.emplace(index->mask_, std::move(index));
     }
 
     r.VerifyChecksum();
+    if (!defect.empty()) throw ModelError(defect);
 
     space.built_depth_ = static_cast<int>(info.built_depth);
     trim();

@@ -43,11 +43,38 @@
 //    (process count, flags, system name, summary counts, the frontier
 //    fields and the segment directory), the columns in a fixed order, and
 //    a trailing FNV-1a checksum of everything before it.  All integers are
-//    explicit little-endian, so snapshots are portable across hosts.  Load
-//    rejects bad magic, other versions (the pre-directory versions 1 and 2
-//    with a message to re-save from the system), truncated files,
-//    inconsistent column sizes, and checksum mismatches with a ModelError
-//    naming the problem.
+//    explicit little-endian, so snapshots are portable across hosts.
+//
+//    Column I/O is bulk: load reads ~4096 records per stream call, folds
+//    each chunk into the file checksum and the column's directory checksum
+//    in one loop, decodes it with portable little-endian byte assembly and
+//    appends it to the column whole, re-enforcing the residency budget
+//    between chunks.  Save encodes the same chunks from pinned segments,
+//    once for the directory checksums and once for the payload.  Buffers
+//    are O(chunk): nothing is staged whole-file (except the input of a
+//    stream that cannot seek, which is read into memory first).
+//
+//    What a load validates, with a ModelError naming the problem:
+//    - where each field is read: bad magic, other versions (the
+//      pre-directory versions 1 and 2 with a message to re-save from the
+//      system), truncated files (naming the field that holds the first
+//      missing byte), implausible counts and counts the remaining bytes
+//      cannot hold, inconsistent column sizes, event kinds, link parents
+//      (an earlier id) and link events (inside the pool), canonical ids,
+//      and checksum mismatches (per directory column, then the file);
+//    - once the file checksum holds, every other id a query, Deepen or
+//      Ingest will follow: event processes and send/receive peers inside
+//      the system; class 0 the empty root, and every other class its
+//      parent plus one event spliced at a position inside the parent's
+//      sequence; successor classes and bucket ids below the class count;
+//      successor events inside the pool; projection classes below each
+//      process's [p]-class count; [G]-classes below their table's class
+//      count and group masks inside the system; CSR offsets that start at
+//      0 and never decrease; and a capped frontier that starts at a class
+//      of the built depth.  These are computed while each chunk is
+//      decoded; raising them last keeps a damaged file reported as a
+//      checksum mismatch, so only a checksum-consistent file gets the
+//      named defect.
 #ifndef HPL_CORE_SERIALIZATION_H_
 #define HPL_CORE_SERIALIZATION_H_
 

@@ -985,18 +985,22 @@ void SpaceBuilder::AdoptSpace(std::unique_ptr<ComputationSpace> space,
   }
 
   if (capped_) {
-    // Rehydrate the frontier arena from the stored splice chains.
+    // Rehydrate the frontier arena from the stored splice chains: the
+    // cursor caches one row per depth, so each frontier class costs one
+    // splice onto its parent's row.
     st.depth = sp.built_depth_;
     st.level_begin = frontier_begin;
     st.level_count = n - frontier_begin;
     st.level_seq.reserve(st.level_count * static_cast<std::size_t>(st.depth));
+    ComputationSpace::SpliceCursor cursor(sp, n);
     for (std::size_t id = frontier_begin; id < n; ++id) {
-      const std::vector<std::uint32_t> seq = sp.CanonicalIdsOf(id);
-      if (seq.size() != static_cast<std::size_t>(st.depth))
+      const std::size_t length = sp.LengthOf(id);
+      if (length != static_cast<std::size_t>(st.depth))
         throw ModelError(
             "SpaceBuilder: corrupt frontier — class " + std::to_string(id) +
-            " has length " + std::to_string(seq.size()) +
+            " has length " + std::to_string(length) +
             " but the frontier depth is " + std::to_string(st.depth));
+      const std::vector<std::uint32_t>& seq = cursor.Ids(id);
       st.level_seq.insert(st.level_seq.end(), seq.begin(), seq.end());
     }
   } else {
@@ -1191,6 +1195,23 @@ ComputationSpace::SpliceCursor::SpliceCursor(const ComputationSpace& space,
 
 const Computation& ComputationSpace::SpliceCursor::Materialize(
     std::size_t id) {
+  const std::vector<std::uint32_t>& row = Ids(id);
+  // Refill the recycled event buffer, copying only the positions whose
+  // pool id differs from the class it held before — consecutive classes
+  // share most of their canonical prefix.
+  std::vector<Event> events = std::move(x_).TakeEvents();
+  events.resize(row.size());
+  const std::size_t kept = std::min(held_.size(), row.size());
+  for (std::size_t k = 0; k < row.size(); ++k)
+    if (k >= kept || held_[k] != row[k])
+      events[k] = space_.event_pool_[row[k]];
+  held_ = row;
+  x_ = Computation::TrustedFromEvents(std::move(events));
+  return x_;
+}
+
+const std::vector<std::uint32_t>& ComputationSpace::SpliceCursor::Ids(
+    std::size_t id) {
   ClassLink link = space_.links_[id];
   std::size_t depth = link.length;
   if (rows_.size() <= depth) {
@@ -1218,19 +1239,7 @@ const Computation& ComputationSpace::SpliceCursor::Materialize(
     std::copy(src.begin() + link.pos, src.end(), dst.begin() + link.pos + 1);
     row_class_[++depth] = cls;
   }
-  // Refill the recycled event buffer, copying only the positions whose
-  // pool id differs from the class it held before — consecutive classes
-  // share most of their canonical prefix.
-  const std::vector<std::uint32_t>& row = rows_[depth];
-  std::vector<Event> events = std::move(x_).TakeEvents();
-  events.resize(row.size());
-  const std::size_t kept = std::min(held_.size(), row.size());
-  for (std::size_t k = 0; k < row.size(); ++k)
-    if (k >= kept || held_[k] != row[k])
-      events[k] = space_.event_pool_[row[k]];
-  held_ = row;
-  x_ = Computation::TrustedFromEvents(std::move(events));
-  return x_;
+  return rows_[depth];
 }
 
 ComputationSpace::SuccessorRange ComputationSpace::SuccessorsOf(

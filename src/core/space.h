@@ -607,12 +607,16 @@ class ComputationSpace {
 
   // ForEachComputation's state: one cached canonical id-row per depth (the
   // class it belongs to, and its pool ids) plus the event buffer handed to
-  // the callback, reused across classes.
+  // the callback, reused across classes.  SpaceBuilder::AdoptSpace reads
+  // the rows alone (Ids) to rehydrate a loaded frontier.
   class SpliceCursor {
    public:
     // Throws std::out_of_range unless end <= space.size().
     SpliceCursor(const ComputationSpace& space, std::size_t end);
     const Computation& Materialize(std::size_t id);
+    // The canonical pool-id row of class `id` (CanonicalIdsOf(id)), valid
+    // until the next call.
+    const std::vector<std::uint32_t>& Ids(std::size_t id);
 
    private:
     const ComputationSpace& space_;

@@ -9,7 +9,9 @@
 // verdicts evaluated against it must match the definitional oracle over the
 // fresh space exactly, kernels on and off, at 1 and 4 threads.  Corrupt,
 // truncated, or foreign files must be rejected with ModelError, never crash
-// or silently load.
+// or silently load — and so must files whose checksums hold but whose ids
+// point outside their columns.  The saved bytes and the truncation messages
+// are pinned.
 #include <cstdint>
 #include <sstream>
 #include <streambuf>
@@ -25,9 +27,12 @@
 #include "protocols/token_bus.h"
 #include "protocols/tracker.h"
 #include "reference_knowledge.h"
+#include "snapshot_bytes.h"
 
 namespace hpl {
 namespace {
+
+namespace sb = snapshot_bytes;
 
 ComputationSpace EnumerateRandom(std::uint64_t seed,
                                  const EnumerationLimits& limits = {}) {
@@ -336,6 +341,309 @@ TEST(SnapshotTest, DifferentialSatisfyingSets) {
         EXPECT_EQ(fresh_eval.SatisfyingSet(f), expected) << f->ToString();
       }
     }
+  }
+}
+
+// --- Format pins -------------------------------------------------------------
+//
+// hpl-space-v3 bytes are a contract: files saved by earlier builds must load,
+// and a rewrite of the I/O paths must not move a byte.  The lengths and
+// FNV-1a digests below were recorded from an element-by-element writer, so
+// they do not depend on the chunked one they check.
+
+struct Pin {
+  std::size_t length;
+  std::uint64_t digest;
+};
+
+void ExpectPinned(const std::string& bytes, const Pin& pin, const char* what) {
+  EXPECT_EQ(bytes.size(), pin.length) << what;
+  EXPECT_EQ(sb::Fnv1a(bytes), pin.digest) << what;
+}
+
+TEST(SnapshotFormatTest, CompleteSpaceBytesArePinned) {
+  protocols::TokenBusSystem bus(/*num_processes=*/4, /*passes=*/4);
+  ExpectPinned(SnapshotBytes(ComputationSpace::Enumerate(bus)),
+               {2548, 13446064194917206626ull}, "tokenbus(4,4)");
+}
+
+TEST(SnapshotFormatTest, CappedBuilderBytesArePinned) {
+  protocols::TokenBusSystem bus(/*num_processes=*/4, /*passes=*/4);
+  EnumerationLimits limits;
+  limits.max_depth = 6;
+  limits.allow_truncation = true;
+  SpaceBuilder builder;
+  builder.Build(bus, limits);
+  std::ostringstream out;
+  SaveSpaceBuilderSnapshot(builder, out);
+  ExpectPinned(out.str(), {1672, 10358189265477235969ull},
+               "tokenbus(4,4) capped at 6");
+}
+
+TEST(SnapshotFormatTest, GroupIndexBytesArePinned) {
+  const auto space = EnumerateRandom(11);
+  space.EnsureGroupIndex(ProcessSet{0, 1});
+  space.EnsureGroupIndex(ProcessSet{2, 3});
+  ExpectPinned(SnapshotBytes(space), {709806, 4751258480160657799ull},
+               "random(11) + 2 groups");
+}
+
+// --- Truncation messages -----------------------------------------------------
+//
+// A file cut short names the field that holds its first missing byte; the
+// resident bucket and group columns are refused by their count first.
+
+std::string Truncated(std::string where) {
+  return "LoadSpaceSnapshot: truncated snapshot (" + where + ")";
+}
+
+// The message a load of `bytes` cut to `keep` bytes throws.
+std::string TruncationMessage(const std::string& bytes, std::size_t keep) {
+  try {
+    (void)LoadBytes(bytes.substr(0, keep));
+  } catch (const ModelError& error) {
+    return error.what();
+  }
+  return "(loaded)";
+}
+
+TEST(SnapshotFormatTest, TruncationNamesTheFieldOfTheFirstMissingByte) {
+  const auto space = EnumerateRandom(11);
+  space.EnsureGroupIndex(ProcessSet{0, 1});
+  const std::string bytes = SnapshotBytes(space);
+  const sb::Layout l = sb::Parse(bytes);
+  ASSERT_EQ(l.groups, 1u);
+  // A resident column's count is checked against the bytes that remain.
+  const auto unfit = [&](const char* where, const sb::Counted& c,
+                         std::size_t keep) {
+    const std::uint64_t count = sb::GetLe(bytes, c.count_at, 8);
+    return Truncated(std::string(where) + ": count " + std::to_string(count) +
+                     " of 4-byte elements, " +
+                     std::to_string(keep - c.payload.begin) + " bytes remain");
+  };
+  // The last pool event: the pool's count is checked against the bytes
+  // left before any event is read, so a cut in the first one would be
+  // refused by that count.
+  const std::size_t event = l.event_at.back();
+  const std::size_t link = l.links.begin + 12;  // class 1
+  std::vector<std::pair<std::size_t, std::string>> cuts = {
+      {4, Truncated("magic")},
+      {event + 1, Truncated("event process")},
+      {event + 4, Truncated("event kind")},
+      {event + 7, Truncated("event message")},
+      {event + 14, Truncated("event peer")},
+      {event + 18, Truncated("event label")},
+      {link + 1, Truncated("link parent")},
+      {link + 5, Truncated("link event")},
+      {link + 9, Truncated("link pos")},
+      {link + 11, Truncated("link length")},
+      {l.canon_hash.begin + 11, Truncated("canon hash")},
+      {l.canon_id.begin + 6, Truncated("canon id")},
+      {l.proj.count_at + 3, Truncated("projection classes")},
+      {l.proj.payload.begin + 5, Truncated("projection classes")},
+      {l.bucket_offsets[1].count_at + 2, Truncated("bucket offsets")},
+      {l.bucket_offsets[1].payload.begin + 3,
+       unfit("bucket offsets", l.bucket_offsets[1],
+             l.bucket_offsets[1].payload.begin + 3)},
+      {l.bucket_ids[2].count_at + 7, Truncated("bucket ids")},
+      {l.bucket_ids[2].payload.begin + 9,
+       unfit("bucket ids", l.bucket_ids[2], l.bucket_ids[2].payload.begin + 9)},
+      {l.succ_offsets.count_at + 1, Truncated("successor offsets")},
+      {l.succ_offsets.payload.begin + 2, Truncated("successor offsets")},
+      {l.succ_classes.payload.begin + 6, Truncated("successor classes")},
+      {l.succ_events.count_at + 4, Truncated("successor events")},
+      {l.succ_events.payload.begin + 1, Truncated("successor events")},
+      {l.group_mask_at[0] + 3, Truncated("group mask")},
+      {l.group_classes[0].count_at + 5, Truncated("group classes")},
+      {l.group_classes[0].payload.begin + 1,
+       unfit("group classes", l.group_classes[0],
+             l.group_classes[0].payload.begin + 1)},
+      {l.group_offsets[0].payload.begin + 4,
+       unfit("group offsets", l.group_offsets[0],
+             l.group_offsets[0].payload.begin + 4)},
+      {l.group_ids[0].count_at, Truncated("group ids")},
+      {l.group_ids[0].payload.end - 1,
+       unfit("group ids", l.group_ids[0], l.group_ids[0].payload.end - 1)},
+      {l.checksum_at + 3, Truncated("checksum")},
+  };
+  for (const auto& [keep, message] : cuts)
+    EXPECT_EQ(TruncationMessage(bytes, keep), message) << "cut at " << keep;
+}
+
+TEST(SnapshotFormatTest, TruncationAtAChunkBoundaryNamesTheField) {
+  // Enough classes that the segmented columns span several read chunks.
+  const std::string bytes = SnapshotBytes(EnumerateRandom(11));
+  const sb::Layout l = sb::Parse(bytes);
+  ASSERT_GT(l.classes, 4096u + 1);
+  const std::size_t chunk_end = l.links.begin + 4096 * 12;
+  EXPECT_EQ(TruncationMessage(bytes, chunk_end - 1), Truncated("link length"));
+  EXPECT_EQ(TruncationMessage(bytes, chunk_end), Truncated("link parent"));
+  EXPECT_EQ(TruncationMessage(bytes, chunk_end + 8), Truncated("link pos"));
+  EXPECT_EQ(TruncationMessage(bytes, l.canon_hash.begin + 4096 * 8 + 7),
+            Truncated("canon hash"));
+  EXPECT_EQ(TruncationMessage(bytes, l.proj.payload.begin + 4096 * 4),
+            Truncated("projection classes"));
+}
+
+// --- Checksum-consistent defects ---------------------------------------------
+//
+// Each file below has valid directory and file checksums but carries an id
+// that would send a query, Deepen or Ingest outside a column.  The loader
+// must refuse it with a ModelError naming the defect.
+
+// Token bus n=3, 3 passes, with the {0,1} [G]-table.
+std::string SmallBusBytes() {
+  protocols::TokenBusSystem bus(/*num_processes=*/3, /*passes=*/3);
+  const auto space = ComputationSpace::Enumerate(bus);
+  space.EnsureGroupIndex(ProcessSet{0, 1});
+  return SnapshotBytes(space);
+}
+
+// Writes `value` over the `width` bytes at `at`, reseals the checksums and
+// expects the load to fail naming `defect`.
+void ExpectDefect(std::string bytes, std::size_t at, std::uint64_t value,
+                  int width, const std::string& defect) {
+  const sb::Layout layout = sb::Parse(bytes);
+  sb::PutLe(bytes, at, value, width);
+  sb::Reseal(bytes, layout);
+  try {
+    (void)LoadBytes(bytes);
+    FAIL() << "loaded a file whose defect is: " << defect;
+  } catch (const ModelError& error) {
+    EXPECT_NE(std::string(error.what()).find(defect), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(SnapshotDefectTest, EventProcessOutsideTheSystem) {
+  const std::string bytes = SmallBusBytes();
+  const std::size_t at = sb::Parse(bytes).event_at[0];
+  ExpectDefect(bytes, at, 99, 4, "names process 99 outside the system");
+  ExpectDefect(bytes, at, static_cast<std::uint32_t>(-5), 4,
+               "names process -5 outside the system");
+}
+
+TEST(SnapshotDefectTest, EventPeerOutsideTheSystem) {
+  const std::string bytes = SmallBusBytes();
+  const sb::Layout l = sb::Parse(bytes);
+  // The first send or receive in the pool (kind byte after the process).
+  std::size_t at = 0;
+  for (const std::size_t e : l.event_at)
+    if (bytes[e + 4] != static_cast<char>(EventKind::kInternal)) {
+      at = e;
+      break;
+    }
+  ASSERT_NE(at, 0u);
+  ExpectDefect(bytes, at + 13, 7, 4, "names process 7 outside the system");
+}
+
+TEST(SnapshotDefectTest, RootWithALength) {
+  const std::string bytes = SmallBusBytes();
+  ExpectDefect(bytes, sb::Parse(bytes).links.begin + 10, 1, 2,
+               "root class has length 1");
+}
+
+TEST(SnapshotDefectTest, LinkLengthNotOneMoreThanItsParent) {
+  const std::string bytes = SmallBusBytes();
+  ExpectDefect(bytes, sb::Parse(bytes).links.begin + 12 + 10, 5, 2,
+               "class 1 (length 5, splice position 0) does not extend its "
+               "parent class 0 (length 0) by one event");
+}
+
+TEST(SnapshotDefectTest, LinkSplicePositionPastItsParent) {
+  const std::string bytes = SmallBusBytes();
+  ExpectDefect(bytes, sb::Parse(bytes).links.begin + 12 + 8, 3, 2,
+               "class 1 (length 1, splice position 3) does not extend");
+}
+
+TEST(SnapshotDefectTest, ProjectionClassPastTheClassCount) {
+  const std::string bytes = SmallBusBytes();
+  ExpectDefect(bytes, sb::Parse(bytes).proj.payload.begin, 1000, 4,
+               "projection class 1000 of process 0 is out of range");
+}
+
+TEST(SnapshotDefectTest, BucketOffsetsNotACsrPrefix) {
+  const std::string bytes = SmallBusBytes();
+  ExpectDefect(bytes, sb::Parse(bytes).bucket_offsets[1].payload.begin, 1, 4,
+               "bucket offsets of process 1 do not start at 0 and ascend");
+}
+
+TEST(SnapshotDefectTest, BucketIdPastTheClasses) {
+  const std::string bytes = SmallBusBytes();
+  ExpectDefect(bytes, sb::Parse(bytes).bucket_ids[0].payload.begin, 4'000'000,
+               4, "bucket of process 0 holds class 4000000");
+}
+
+TEST(SnapshotDefectTest, SuccessorOffsetsNotACsrPrefix) {
+  const std::string bytes = SmallBusBytes();
+  const sb::Layout l = sb::Parse(bytes);
+  // Offsets 0 and 1 swapped into a descent that still ends at the payload
+  // size.
+  ExpectDefect(bytes, l.succ_offsets.payload.begin + 4, 0xffff, 4,
+               "successor offsets do not start at 0 and ascend");
+}
+
+TEST(SnapshotDefectTest, SuccessorClassPastTheClasses) {
+  const std::string bytes = SmallBusBytes();
+  ExpectDefect(bytes, sb::Parse(bytes).succ_classes.payload.begin, 99, 4,
+               "successor class 99 is out of range");
+}
+
+TEST(SnapshotDefectTest, SuccessorEventPastThePool) {
+  const std::string bytes = SmallBusBytes();
+  ExpectDefect(bytes, sb::Parse(bytes).succ_events.payload.begin, 99, 4,
+               "successor event 99 is out of range");
+}
+
+TEST(SnapshotDefectTest, GroupMaskOutsideTheSystem) {
+  const std::string bytes = SmallBusBytes();
+  ExpectDefect(bytes, sb::Parse(bytes).group_mask_at[0], 1u << 10, 8,
+               "group mask 1024 names no process or one outside the system");
+}
+
+TEST(SnapshotDefectTest, GroupClassPastTheGroupClassCount) {
+  const std::string bytes = SmallBusBytes();
+  ExpectDefect(bytes, sb::Parse(bytes).group_classes[0].payload.begin, 500, 4,
+               "group 3 class 500 is out of range");
+}
+
+TEST(SnapshotDefectTest, GroupOffsetsNotACsrPrefix) {
+  const std::string bytes = SmallBusBytes();
+  ExpectDefect(bytes, sb::Parse(bytes).group_offsets[0].payload.begin, 1, 4,
+               "offsets of group 3 do not start at 0 and ascend");
+}
+
+TEST(SnapshotDefectTest, GroupIdPastTheClasses) {
+  const std::string bytes = SmallBusBytes();
+  ExpectDefect(bytes, sb::Parse(bytes).group_ids[0].payload.begin, 4'000'000,
+               4, "a bucket of group 3 holds class 4000000");
+}
+
+TEST(SnapshotDefectTest, CappedFrontierOffTheBuiltDepth) {
+  protocols::TokenBusSystem bus(/*num_processes=*/3, /*passes=*/3);
+  EnumerationLimits limits;
+  limits.max_depth = 4;
+  limits.allow_truncation = true;
+  SpaceBuilder builder;
+  builder.Build(bus, limits);
+  std::ostringstream out;
+  SaveSpaceBuilderSnapshot(builder, out);
+  const std::string bytes = out.str();
+  ExpectDefect(bytes, sb::Parse(bytes).built_depth_at, 3, 4,
+               "of length 4, not at the built depth 3");
+}
+
+TEST(SnapshotDefectTest, AChecksumErrorWinsOverTheDefect) {
+  // Unsealed, the same out-of-range projection class is plain corruption.
+  std::string bytes = SmallBusBytes();
+  sb::PutLe(bytes, sb::Parse(bytes).proj.payload.begin, 1000, 4);
+  try {
+    (void)LoadBytes(bytes);
+    FAIL() << "loaded a corrupt file";
+  } catch (const ModelError& error) {
+    EXPECT_EQ(std::string(error.what()),
+              "LoadSpaceSnapshot: column 'proj' checksum mismatch (corrupt "
+              "snapshot)");
   }
 }
 

@@ -94,6 +94,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -872,6 +873,15 @@ int CmdFuse(int n, const std::string& xs, const std::string& ys,
   return 0;
 }
 
+// Throughput of a snapshot load that took `ns`: the file's size in MB per
+// second (0 when the size cannot be read).
+double SnapshotMbPerS(const std::string& path, std::int64_t ns) {
+  std::error_code error;
+  const std::uintmax_t bytes = std::filesystem::file_size(path, error);
+  if (error || ns <= 0) return 0.0;
+  return static_cast<double>(bytes) / 1e6 / (static_cast<double>(ns) / 1e9);
+}
+
 int CmdServe(const std::string& spec, const CliOptions& flags) {
   const std::optional<std::string>& snapshot_path = flags.snapshot;
   NamedSystem named = MakeSystem(spec);
@@ -891,10 +901,12 @@ int CmdServe(const std::string& spec, const CliOptions& flags) {
       builder = LoadSpaceBuilderSnapshot(*named.system, *snapshot_path,
                                          limits);
       EnsureGroups(builder->space(), flags);
+      const std::int64_t ns = timer.ElapsedNs();
       std::fprintf(stderr, "serve: loaded snapshot '%s' (%zu classes, %.3f "
-                           "ms)\n",
+                           "ms, %.1f MB/s)\n",
                    snapshot_path->c_str(), builder->space().size(),
-                   static_cast<double>(timer.ElapsedNs()) / 1e6);
+                   static_cast<double>(ns) / 1e6,
+                   SnapshotMbPerS(*snapshot_path, ns));
     }
   }
   if (!builder.has_value()) {
@@ -984,11 +996,12 @@ int CmdSnapshotInfo(const std::string& path) {
 int CmdSnapshotLoad(const std::string& path) {
   bench::WallTimer timer;
   const auto space = LoadSpaceSnapshot(path);
+  const std::int64_t ns = timer.ElapsedNs();
   std::printf("snapshot '%s' verified: %s, %zu classes, %.1f KiB columnar, "
-              "loaded in %.3f ms\n",
+              "loaded in %.3f ms (%.1f MB/s)\n",
               path.c_str(), space.system_name().c_str(), space.size(),
               static_cast<double>(space.MemoryUsage().bytes_total) / 1024.0,
-              static_cast<double>(timer.ElapsedNs()) / 1e6);
+              static_cast<double>(ns) / 1e6, SnapshotMbPerS(path, ns));
   return 0;
 }
 
