@@ -214,9 +214,10 @@ void BM_AtomPlaneLoad(benchmark::State& state) {
 BENCHMARK(BM_AtomPlaneLoad)->Unit(benchmark::kMillisecond);
 
 // First EnsureGroupIndex of a 2- or 3-process group (processes 0, 2, 4):
-// the id-order replay that hash-conses member [p]-class tuples.  The cache
-// has no eviction, so every iteration indexes a freshly enumerated space;
-// enumeration and teardown run with the timer paused.
+// the id-order replay that hash-conses member [p]-class tuples into a
+// [G]-table.  The cache has no eviction, so every iteration indexes a
+// freshly enumerated space; enumeration and teardown run with the timer
+// paused.
 void BM_EnsureGroupIndex(benchmark::State& state) {
   const int members = static_cast<int>(state.range(0));
   ProcessSet g;

@@ -53,8 +53,12 @@ void RequireIdentical(const ComputationSpace& a, const ComputationSpace& b,
                    id, threads);
       std::exit(1);
     }
-    for (ProcessId p = 0; p < a.num_processes(); ++p) {
-      if (a.ProjectionClass(id, p) != b.ProjectionClass(id, p)) {
+  }
+  for (ProcessId p = 0; p < a.num_processes(); ++p) {
+    const Partition pa = a.PartitionOf(ProcessSet::Of(p));
+    const Partition pb = b.PartitionOf(ProcessSet::Of(p));
+    for (std::size_t id = 0; id < a.size(); ++id) {
+      if (pa.ClassOf(id) != pb.ClassOf(id)) {
         std::fprintf(stderr,
                      "DETERMINISM VIOLATION: projection class of %zu on p%d "
                      "differs at %d threads\n",

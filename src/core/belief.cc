@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <ranges>
 
 namespace hpl {
 
@@ -39,15 +40,22 @@ BeliefEvaluator::BeliefEvaluator(const ComputationSpace& space,
 
 std::vector<std::size_t> BeliefEvaluator::MostPlausible(
     ProcessSet p, std::size_t id) const {
-  double best = std::numeric_limits<double>::infinity();
-  space_.ForEachIsomorphic(id, p, [&](std::size_t y) {
-    best = std::min(best, ranks_[y]);
-  });
+  // One pass for the minimum rank, one to collect its members; members
+  // come ascending, so the result does too.
   std::vector<std::size_t> out;
-  space_.ForEachIsomorphic(id, p, [&](std::size_t y) {
-    if (ranks_[y] == best) out.push_back(y);
-  });
-  std::sort(out.begin(), out.end());
+  const auto collect = [&](const auto& members) {
+    double best = std::numeric_limits<double>::infinity();
+    for (const auto y : members) best = std::min(best, ranks_[y]);
+    for (const auto y : members)
+      if (ranks_[y] == best) out.push_back(y);
+  };
+  if (p.IsEmpty()) {
+    // x [{}] y for all x, y: every id, as the knowledge engine reads it.
+    collect(std::views::iota(std::size_t{0}, ranks_.size()));
+  } else {
+    const Partition part = space_.PartitionOf(p);
+    collect(part.Bucket(part.ClassOf(id)));
+  }
   return out;
 }
 

@@ -19,8 +19,8 @@
 // K-sweep cost from the sum of squared bucket sizes to linear in the space.
 //
 // A third memo tier covers multi-process groups through the [G]-class
-// layer (ComputationSpace::EnsureGroupIndex — the common refinement of the
-// member [p]-partitions): the [G]-relation of
+// layer (ComputationSpace::PartitionOf(G) for |G| >= 2 — the cached common
+// refinement of the member [p]-partitions): the [G]-relation of
 // Knows/Sure/Possible over |G| >= 2 is exactly the [G]-bucket of x, so
 // those nodes memo per (node, [G]-class) and sweep each [G]-bucket once per
 // node instead of once per member — the same sum-of-bucket-squares ->
@@ -28,7 +28,7 @@
 // is a conjunction of singleton K{p} whose verdict is constant on the
 // (finer) [G]-class; the tier gives it one [G]-aggregation row probed in
 // O(1) plus one per-member [p]-row per conjunct.  Common-knowledge
-// components over |G| >= 2 are built through the [G]-index too:
+// components over |G| >= 2 are built through the [G]-partition too:
 // [G]-classes are contracted first and the per-process unions run over
 // [G]-class representatives instead of every computation.
 //

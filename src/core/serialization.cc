@@ -628,18 +628,17 @@ struct SpaceSnapshotIO {
 
   static void Save(const ComputationSpace& space, std::ostream& out,
                    const FrontierMeta& frontier) {
-    // Group indexes are built lazily under the space's mutex; collect the
-    // published ones under it, then write sorted by mask so identical
+    // [G]-tables are built lazily under the space's mutex; collect the
+    // published ones under it.  The cache is ordered by mask, so identical
     // spaces serialize byte-identically regardless of build order.
-    std::vector<const ComputationSpace::GroupIndex*> groups;
+    std::vector<std::pair<std::uint64_t, const internal::PartitionTable*>>
+        groups;
     {
       std::lock_guard<std::mutex> lock(*space.group_mutex_);
       groups.reserve(space.group_index_.size());
-      for (const auto& [mask, index] : space.group_index_)
-        groups.push_back(index.get());
+      for (const auto& [mask, table] : space.group_index_)
+        groups.emplace_back(mask, &table);
     }
-    std::sort(groups.begin(), groups.end(),
-              [](const auto* a, const auto* b) { return a->mask_ < b->mask_; });
 
     // Every segmented column is encoded twice — once for its directory
     // checksum, once for the payload — because the checksums precede the
@@ -716,11 +715,11 @@ struct SpaceSnapshotIO {
     seg_column(space.succ_offsets_);
     seg_column(space.succ_class_);
     seg_column(space.succ_event_);
-    for (const auto* g : groups) {
-      w.U64(g->mask_);
-      column(g->cls_);
-      column(g->offsets_);
-      column(g->ids_);
+    for (const auto& [mask, table] : groups) {
+      w.U64(mask);
+      column(table->cls);
+      column(table->offsets);
+      column(table->ids);
     }
     w.Checksum();
     if (!w.ok())
@@ -980,22 +979,21 @@ struct SpaceSnapshotIO {
 
     std::uint64_t last_mask = 0;
     for (std::uint64_t i = 0; i < info.group_indexes; ++i) {
-      auto index = std::make_unique<ComputationSpace::GroupIndex>();
-      index->mask_ = r.U64("group mask");
-      if (i > 0 && index->mask_ <= last_mask)
+      const std::uint64_t mask = r.U64("group mask");
+      if (i > 0 && mask <= last_mask)
         throw ModelError("LoadSpaceSnapshot: group indexes out of order");
-      last_mask = index->mask_;
+      last_mask = mask;
+      internal::PartitionTable table;
       U32Summary cls_sum, offsets_sum, ids_sum;
-      index->cls_ = ReadU32Column(r, "group classes", &cls_sum);
-      index->offsets_ = ReadU32Column(r, "group offsets", &offsets_sum);
-      index->ids_ = ReadU32Column(r, "group ids", &ids_sum);
-      if (index->cls_.size() != classes || index->offsets_.empty() ||
-          index->offsets_.back() != index->ids_.size() ||
-          index->ids_.size() != classes)
+      table.cls = ReadU32Column(r, "group classes", &cls_sum);
+      table.offsets = ReadU32Column(r, "group offsets", &offsets_sum);
+      table.ids = ReadU32Column(r, "group ids", &ids_sum);
+      if (table.cls.size() != classes || table.offsets.empty() ||
+          table.offsets.back() != table.ids.size() ||
+          table.ids.size() != classes)
         throw ModelError("LoadSpaceSnapshot: group index columns "
                          "inconsistent");
-      const std::uint64_t mask = index->mask_;
-      const std::size_t group_classes = index->offsets_.size() - 1;
+      const std::size_t group_classes = table.offsets.size() - 1;
       if (mask == 0 || (mask & ~space.AllProcesses().bits()) != 0)
         note([&] {
           return "group mask " + std::to_string(mask) +
@@ -1018,7 +1016,7 @@ struct SpaceSnapshotIO {
                  std::to_string(cls_sum.max[0]) + " is out of range (" +
                  std::to_string(group_classes) + " classes)";
         });
-      space.group_index_.emplace(index->mask_, std::move(index));
+      space.group_index_.emplace(mask, std::move(table));
     }
 
     r.VerifyChecksum();

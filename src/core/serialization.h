@@ -15,11 +15,12 @@
 //    little-endian save/load of the full columnar ComputationSpace — the
 //    interned event pool, splice links, canonical-hash index, per-process
 //    [p]-class tables, CSR successors and buckets, and every materialized
-//    GroupIndex.  A loaded space is byte-identical to the one saved: same
-//    class ids, canonical hashes, projection classes, buckets, successor
-//    lists and group tables, so knowledge verdicts evaluated against it
-//    match the freshly enumerated space exactly.  This is what lets
-//    `hpl_cli serve` enumerate once and answer queries forever after.
+//    [G]-table (EnsureGroupIndex).  A loaded space is byte-identical to
+//    the one saved: same class ids, canonical hashes, projection classes,
+//    buckets, successor lists and group tables, so knowledge verdicts
+//    evaluated against it match the freshly enumerated space exactly.
+//    This is what lets `hpl_cli serve` enumerate once and answer queries
+//    forever after.
 //
 //    The header records the SpaceBuilder frontier state (sealed /
 //    complete / capped / ingested, the built depth, and where the parked

@@ -218,6 +218,26 @@ struct SpaceBuilder::State {
   std::vector<std::unordered_map<std::uint64_t, std::uint32_t>> proj_extend;
   std::vector<std::uint32_t> proj_count;
 
+  // The one [p]-class mint rule: the projection row of a child of `parent`
+  // extended by pool event `event` — the parent's row with the event's own
+  // process moved to the class keyed (parent [p]-class, event), minted on
+  // first sight.  Classes are minted in id order, so an id-order replay
+  // over stored links reproduces every class number (AdoptSpace).
+  std::array<std::uint32_t, kMaxProcesses> ChildRow(const ComputationSpace& sp,
+                                                    std::size_t parent,
+                                                    std::uint32_t event) {
+    const auto P = static_cast<std::size_t>(sp.num_processes_);
+    std::array<std::uint32_t, kMaxProcesses> row;
+    const std::uint32_t* parent_row = sp.proj_class_.Row(parent);
+    std::copy(parent_row, parent_row + P, row.begin());
+    const auto p = static_cast<std::size_t>(sp.event_pool_[event].process);
+    const std::uint64_t key = (std::uint64_t{row[p]} << 32) | event;
+    auto [it, minted] = proj_extend[p].try_emplace(key, proj_count[p]);
+    if (minted) ++proj_count[p];
+    row[p] = it->second;
+    return row;
+  }
+
   // The BFS frontier: classes [level_begin, level_begin + level_count),
   // all of length `depth`, with their interned-id sequences materialized in
   // the flat level arena (level_count rows of `depth` ids).  The arena is
@@ -368,21 +388,56 @@ std::size_t SpaceBuilder::Deepen(int extra_levels) {
         std::to_string(kMaxStoredDepth) + ")");
   const int target = st.depth + extra_levels;
 
+  // The parked state a failed run rewinds to.  The BFS only appends past
+  // these sizes (the frontier's successor rows all end at succ_before), so
+  // they are all a rewind needs.
+  const std::size_t before = space.size();
+  const std::size_t frontier_begin = st.level_begin;
+  const std::size_t succ_before = space.succ_class_.size();
+  const std::size_t pool_before = space.event_pool_.size();
+  const bool truncated_before = space.truncated_;
+
   // Un-finalize the parked frontier: drop the empty successor rows recorded
   // for it and the truncation verdict — the resumed run re-derives both.
-  space.succ_offsets_.Truncate(st.level_begin + 1);
+  space.succ_offsets_.Truncate(frontier_begin + 1);
   space.truncated_ = false;
   capped_ = false;
 
-  const std::size_t before = space.size();
+  const auto run = [&](internal::WorkerPool* pool) {
+    try {
+      RunLevels(target, pool);
+    } catch (...) {
+      // A level threw (depth cap without allow_truncation, class budget,
+      // an illegal event) before Finalize: cut every grown column back,
+      // re-park the frontier, and rebuild the builder state by the replay
+      // a loaded snapshot resumes through — the call becomes a no-op.
+      const auto P = static_cast<std::size_t>(space.num_processes_);
+      space.links_.Truncate(before);
+      space.canon_hash_.Truncate(before);
+      space.canon_id_.Truncate(before);
+      space.proj_class_.Truncate(before * P);
+      space.succ_class_.Truncate(succ_before);
+      space.succ_event_.Truncate(succ_before);
+      space.succ_offsets_.Truncate(frontier_begin + 1);
+      for (std::size_t id = frontier_begin; id < before; ++id)
+        space.succ_offsets_.push_back(
+            static_cast<std::uint32_t>(succ_before));
+      space.event_pool_.erase(
+          space.event_pool_.begin() + static_cast<std::ptrdiff_t>(pool_before),
+          space.event_pool_.end());
+      space.truncated_ = truncated_before;
+      AdoptSpace(std::move(space_), FrontierState::kCapped, frontier_begin,
+                 system_, limits_);
+      throw;
+    }
+    Finalize(pool);
+  };
   const int threads = internal::ResolveNumThreads(limits_.num_threads);
   if (threads == 1) {
-    RunLevels(target, nullptr);
-    Finalize(nullptr);
+    run(nullptr);
   } else {
     internal::WorkerPool pool(threads);
-    RunLevels(target, &pool);
-    Finalize(&pool);
+    run(&pool);
   }
   return space.size() - before;
 }
@@ -591,23 +646,10 @@ void SpaceBuilder::RunLevels(int target_depth, internal::WorkerPool* pool) {
           space.links_.push_back(link);
           space.canon_hash_.push_back(c.key);
           space.canon_id_.push_back(id);
-          // Projection row: inherit the parent's classes, then extend on
-          // the event's own process.  Copied to the stack before the
-          // append — Append can seal (and shrink-reallocate) the tail
-          // segment the parent row lives in.
-          std::array<std::uint32_t, kMaxProcesses> row;
-          {
-            const std::uint32_t* parent_row = space.proj_class_.Row(parent);
-            std::copy(parent_row, parent_row + P, row.begin());
-          }
-          const auto ep = static_cast<std::size_t>(
-              space.event_pool_[c.event_id].process);
-          const std::uint64_t key =
-              (static_cast<std::uint64_t>(row[ep]) << 32) | c.event_id;
-          auto [it, minted] =
-              st.proj_extend[ep].try_emplace(key, st.proj_count[ep]);
-          if (minted) ++st.proj_count[ep];
-          row[ep] = it->second;
+          // Projection row, built on the stack before the append — Append
+          // can seal (and shrink-reallocate) the tail segment the parent
+          // row lives in.
+          const auto row = st.ChildRow(space, parent, c.event_id);
           space.proj_class_.Append(row.data(), static_cast<std::size_t>(P));
           // Next level arena row.
           const std::uint32_t* seq =
@@ -711,25 +753,25 @@ void SpaceBuilder::Finalize(internal::WorkerPool* pool) {
     st.finalized_canon = n;
   }
 
-  // NumProjectionClasses(p) is derived from the offset columns; pre-size
-  // them here so BuildBuckets only has to count and fill.  The bucket CSR
-  // is a pure function of proj_class_, so rebuilding from scratch after a
-  // Deepen/Ingest matches a fresh enumeration bit for bit.
+  // A [p]-partition's class count is derived from its offset column;
+  // pre-size them here so BuildBuckets only has to count and fill.  The
+  // bucket CSR is a pure function of proj_class_, so rebuilding from
+  // scratch after a Deepen/Ingest matches a fresh enumeration bit for bit.
   space.bucket_offsets_.assign(static_cast<std::size_t>(P), {});
   space.bucket_ids_.assign(static_cast<std::size_t>(P), {});
   for (int p = 0; p < P; ++p)
     space.bucket_offsets_[static_cast<std::size_t>(p)].assign(
         st.proj_count[static_cast<std::size_t>(p)] + 1, 0);
 
-  // Refresh every cached group index in place (evaluators hold references
-  // to them); BuildBuckets fills their CSR columns alongside the singleton
-  // ones.  The replay visits ids in the same order as the original build,
-  // so old ids keep their [G]-classes.
+  // Refresh every cached [G]-table in place; BuildBuckets fills their CSR
+  // columns alongside the singleton ones.  The replay visits ids in the
+  // same order as the original build, so old ids keep their [G]-classes.
   {
     std::lock_guard<std::mutex> lock(*space.group_mutex_);
-    for (auto& [mask, index] : space.group_index_) {
+    for (auto& [mask, table] : space.group_index_) {
       // Untouched by a zero-growth Finalize.
-      if (index->cls_.size() != n) space.ReplayGroupClasses(*index);
+      if (table.cls.size() != n)
+        space.ReplayGroupClasses(ProcessSet::FromBits(mask), table);
     }
   }
 
@@ -779,141 +821,138 @@ std::size_t SpaceBuilder::Ingest(std::span<const Event> events) {
   // enumeration mode) — and `cur`, the class id it lives at.  Every prefix
   // either already has a class (ensure the successor edge exists) or mints
   // one spliced onto the previous prefix's class.
+  //
+  // An event that throws leaves the prefixes before it in the space, so the
+  // close below runs on that path too: the space is then what ingesting the
+  // shorter stream would have left.
+  const auto close = [&] {
+    if (changed) {
+      // Ingested classes break the levels-in-id-order invariant the BFS
+      // frontier relies on, so the builder trades Deepen for Ingest from
+      // here on.
+      ingested_ = true;
+      Finalize(nullptr);
+    }
+    // Close the edit pass: re-seal everything but the open tails so the
+    // budget can spill again, then re-apply it.
+    space.canon_hash_.SealAllButTail();
+    space.canon_id_.SealAllButTail();
+    space.succ_offsets_.SealAllButTail();
+    space.succ_class_.SealAllButTail();
+    space.succ_event_.SealAllButTail();
+    if (space.store_->out_of_core()) space.store_->EnforceBudget();
+  };
   Computation stored;
   std::vector<Event> literal;  // literal prefix, for the non-canonical mode
   std::size_t cur = 0;
-  for (std::size_t k = 0; k < events.size(); ++k) {
-    const Event& e = events[k];
-    if (e.process < 0 || e.process >= P)
-      throw ModelError("SpaceBuilder::Ingest: event #" + std::to_string(k) +
-                       " (" + e.ToString() + ") names process " +
-                       std::to_string(e.process) + " outside the system's " +
-                       std::to_string(P) + " processes");
-    std::string why;
-    if (!CanExtend(stored, e, &why))
-      throw ModelError("SpaceBuilder::Ingest: event #" + std::to_string(k) +
-                       " (" + e.ToString() +
-                       ") does not extend the observed prefix: " + why);
-    const auto pos = static_cast<std::uint16_t>(
-        space.canonicalize_ ? stored.CanonicalInsertPos(e) : stored.size());
-    if (space.canonicalize_) {
-      stored = stored.CanonicalExtended(e);
-    } else {
-      literal.push_back(e);
-      stored = Computation::TrustedFromEvents(literal);
-    }
-    if (stored.size() > static_cast<std::size_t>(kMaxStoredDepth))
-      throw ModelError(
-          "SpaceBuilder::Ingest: trace prefix exceeds the columnar store's "
-          "16-bit depth links (" +
-          std::to_string(kMaxStoredDepth) + ")");
-
-    // Locate the extension in the canonical index.
-    const std::size_t h = stored.SequenceHash();
-    std::size_t found = SIZE_MAX;
-    for (std::size_t i = LowerBound(space.canon_hash_, h);
-         i < space.canon_hash_.size() && space.canon_hash_[i] == h; ++i) {
-      const std::uint32_t id = space.canon_id_[i];
-      if (space.LengthOf(id) == stored.size() && space.At(id) == stored) {
-        found = id;
-        break;
+  try {
+    for (std::size_t k = 0; k < events.size(); ++k) {
+      const Event& e = events[k];
+      if (e.process < 0 || e.process >= P)
+        throw ModelError("SpaceBuilder::Ingest: event #" + std::to_string(k) +
+                         " (" + e.ToString() + ") names process " +
+                         std::to_string(e.process) + " outside the system's " +
+                         std::to_string(P) + " processes");
+      std::string why;
+      if (!CanExtend(stored, e, &why))
+        throw ModelError("SpaceBuilder::Ingest: event #" + std::to_string(k) +
+                         " (" + e.ToString() +
+                         ") does not extend the observed prefix: " + why);
+      const auto pos = static_cast<std::uint16_t>(
+          space.canonicalize_ ? stored.CanonicalInsertPos(e) : stored.size());
+      if (space.canonicalize_) {
+        stored = stored.CanonicalExtended(e);
+      } else {
+        literal.push_back(e);
+        stored = Computation::TrustedFromEvents(literal);
       }
-    }
+      if (stored.size() > static_cast<std::size_t>(kMaxStoredDepth))
+        throw ModelError(
+            "SpaceBuilder::Ingest: trace prefix exceeds the columnar store's "
+            "16-bit depth links (" +
+            std::to_string(kMaxStoredDepth) + ")");
 
-    const std::size_t eh = HashEvent(e);
-    std::uint32_t eid = st.LookupEvent(space, e, eh);
-    if (found != SIZE_MAX) {
-      // Known class: make sure the parent's successor row carries the edge
-      // (it can be missing when `cur` was parked on a capped frontier or
-      // minted by an earlier Ingest).
-      bool has_edge = false;
-      for (std::uint32_t j = space.succ_offsets_[cur];
-           j < space.succ_offsets_[cur + 1]; ++j) {
-        if (space.succ_class_[j] == found) {
-          has_edge = true;
+      // Locate the extension in the canonical index.
+      const std::size_t h = stored.SequenceHash();
+      std::size_t found = SIZE_MAX;
+      for (std::size_t i = LowerBound(space.canon_hash_, h);
+           i < space.canon_hash_.size() && space.canon_hash_[i] == h; ++i) {
+        const std::uint32_t id = space.canon_id_[i];
+        if (space.LengthOf(id) == stored.size() && space.At(id) == stored) {
+          found = id;
           break;
         }
       }
-      if (!has_edge) {
-        if (eid == kNoEventId) eid = st.InternEvent(space, e, eh);
-        const std::uint32_t at = space.succ_offsets_[cur + 1];
-        space.succ_class_.Insert(at, found);
-        space.succ_event_.Insert(at, eid);
-        for (std::size_t j = cur + 1; j < space.succ_offsets_.size(); ++j)
-          ++space.succ_offsets_.Mut(j);
-        changed = true;  // an edge splice still reshapes the CSR
+
+      const std::size_t eh = HashEvent(e);
+      std::uint32_t eid = st.LookupEvent(space, e, eh);
+      if (found != SIZE_MAX) {
+        // Known class: make sure the parent's successor row carries the edge
+        // (it can be missing when `cur` was parked on a capped frontier or
+        // minted by an earlier Ingest).
+        bool has_edge = false;
+        for (std::uint32_t j = space.succ_offsets_[cur];
+             j < space.succ_offsets_[cur + 1]; ++j) {
+          if (space.succ_class_[j] == found) {
+            has_edge = true;
+            break;
+          }
+        }
+        if (!has_edge) {
+          if (eid == kNoEventId) eid = st.InternEvent(space, e, eh);
+          const std::uint32_t at = space.succ_offsets_[cur + 1];
+          space.succ_class_.Insert(at, found);
+          space.succ_event_.Insert(at, eid);
+          for (std::size_t j = cur + 1; j < space.succ_offsets_.size(); ++j)
+            ++space.succ_offsets_.Mut(j);
+          changed = true;  // an edge splice still reshapes the CSR
+        }
+        cur = found;
+        continue;
       }
-      cur = found;
-      continue;
+
+      // New class: splice it onto `cur` exactly as phase E would have.
+      if (space.links_.size() >= limits_.max_classes)
+        throw ModelError(
+            "SpaceBuilder::Ingest: class budget exhausted for system '" +
+            system.Name() + "'");
+      if (eid == kNoEventId) eid = st.InternEvent(space, e, eh);
+      const auto id = static_cast<std::uint32_t>(space.links_.size());
+      ComputationSpace::ClassLink link;
+      link.parent = static_cast<std::uint32_t>(cur);
+      link.event = eid;
+      link.pos = pos;
+      link.length = static_cast<std::uint16_t>(stored.size());
+      space.links_.push_back(link);
+
+      // Keep the canonical index sorted: all existing ids are smaller, so
+      // inserting at the upper bound of the hash run preserves the
+      // ids-ascending-within-equal-hash invariant.
+      const std::size_t at = UpperBound(space.canon_hash_, h);
+      space.canon_hash_.Insert(at, h);
+      space.canon_id_.Insert(at, id);
+      ++st.finalized_canon;
+
+      const auto row = st.ChildRow(space, cur, eid);
+      space.proj_class_.Append(row.data(), static_cast<std::size_t>(P));
+
+      // Successor CSR: an empty row for the newcomer, then the parent edge.
+      space.succ_offsets_.push_back(space.succ_offsets_.back());
+      const std::uint32_t edge_at = space.succ_offsets_[cur + 1];
+      space.succ_class_.Insert(edge_at, id);
+      space.succ_event_.Insert(edge_at, eid);
+      for (std::size_t j = cur + 1; j < space.succ_offsets_.size(); ++j)
+        ++space.succ_offsets_.Mut(j);
+
+      ++minted;
+      changed = true;
+      cur = id;
     }
-
-    // New class: splice it onto `cur` exactly as phase E would have.
-    if (space.links_.size() >= limits_.max_classes)
-      throw ModelError(
-          "SpaceBuilder::Ingest: class budget exhausted for system '" +
-          system.Name() + "'");
-    if (eid == kNoEventId) eid = st.InternEvent(space, e, eh);
-    const auto id = static_cast<std::uint32_t>(space.links_.size());
-    ComputationSpace::ClassLink link;
-    link.parent = static_cast<std::uint32_t>(cur);
-    link.event = eid;
-    link.pos = pos;
-    link.length = static_cast<std::uint16_t>(stored.size());
-    space.links_.push_back(link);
-
-    // Keep the canonical index sorted: all existing ids are smaller, so
-    // inserting at the upper bound of the hash run preserves the
-    // ids-ascending-within-equal-hash invariant.
-    const std::size_t at = UpperBound(space.canon_hash_, h);
-    space.canon_hash_.Insert(at, h);
-    space.canon_id_.Insert(at, id);
-    ++st.finalized_canon;
-
-    // Projection row: inherit, then extend on the event's own process
-    // (stack copy first — the append can reallocate the parent's segment).
-    std::array<std::uint32_t, kMaxProcesses> row;
-    {
-      const std::uint32_t* parent_row = space.proj_class_.Row(cur);
-      std::copy(parent_row, parent_row + P, row.begin());
-    }
-    const auto ep = static_cast<std::size_t>(e.process);
-    const std::uint64_t pkey =
-        (static_cast<std::uint64_t>(row[ep]) << 32) | eid;
-    auto [pit, pminted] =
-        st.proj_extend[ep].try_emplace(pkey, st.proj_count[ep]);
-    if (pminted) ++st.proj_count[ep];
-    row[ep] = pit->second;
-    space.proj_class_.Append(row.data(), static_cast<std::size_t>(P));
-
-    // Successor CSR: an empty row for the newcomer, then the parent edge.
-    space.succ_offsets_.push_back(space.succ_offsets_.back());
-    const std::uint32_t edge_at = space.succ_offsets_[cur + 1];
-    space.succ_class_.Insert(edge_at, id);
-    space.succ_event_.Insert(edge_at, eid);
-    for (std::size_t j = cur + 1; j < space.succ_offsets_.size(); ++j)
-      ++space.succ_offsets_.Mut(j);
-
-    ++minted;
-    changed = true;
-    cur = id;
+  } catch (...) {
+    close();
+    throw;
   }
-
-  if (changed) {
-    // Ingested classes break the levels-in-id-order invariant the BFS
-    // frontier relies on, so the builder trades Deepen for Ingest from
-    // here on.
-    ingested_ = true;
-    Finalize(nullptr);
-  }
-
-  // Close the edit pass: re-seal everything but the open tails so the
-  // budget can spill again, then re-apply it.
-  space.canon_hash_.SealAllButTail();
-  space.canon_id_.SealAllButTail();
-  space.succ_offsets_.SealAllButTail();
-  space.succ_class_.SealAllButTail();
-  space.succ_event_.SealAllButTail();
-  if (space.store_->out_of_core()) space.store_->EnforceBudget();
+  close();
   return minted;
 }
 
@@ -963,26 +1002,25 @@ void SpaceBuilder::AdoptSpace(std::unique_ptr<ComputationSpace> space,
     st.event_hash.push_back(h);
   }
 
-  // Replay the projection-extension maps from the links in id order: the
-  // stored rows force every map value, and the mint counters resume at the
-  // stored class counts.  Sequential id-order reads — segments fault in
-  // one at a time and can spill again at the next trim.
+  // Replay the [p]-class mint rule over the links in id order: classes
+  // were minted in id order, so the replay rebuilds the extension maps and
+  // counters exactly, and a stored row or class count it does not
+  // reproduce is a corrupt space.  Sequential id-order reads — segments
+  // fault in one at a time and can spill again at the next trim.
   st.proj_extend.resize(P);
   st.proj_count.assign(P, 1);
-  for (std::size_t p = 0; p < P; ++p)
-    st.proj_count[p] = static_cast<std::uint32_t>(
-        sp.NumProjectionClasses(static_cast<ProcessId>(p)));
   for (std::size_t id = 1; id < n; ++id) {
     const ComputationSpace::ClassLink link = sp.links_[id];
-    const auto ep =
-        static_cast<std::size_t>(sp.event_pool_[link.event].process);
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(
-             sp.proj_class_.Row(static_cast<std::size_t>(link.parent))[ep])
-         << 32) |
-        link.event;
-    st.proj_extend[ep].try_emplace(key, sp.proj_class_.Row(id)[ep]);
+    const auto row = st.ChildRow(sp, link.parent, link.event);
+    if (!std::equal(row.begin(), row.begin() + P, sp.proj_class_.Row(id)))
+      throw ModelError("SpaceBuilder: corrupt projection row of class " +
+                       std::to_string(id));
   }
+  for (std::size_t p = 0; p < P; ++p)
+    if (st.proj_count[p] !=
+        sp.PartitionOf(ProcessSet::Of(static_cast<ProcessId>(p))).NumClasses())
+      throw ModelError("SpaceBuilder: corrupt [p]-class count of process " +
+                       std::to_string(p));
 
   if (capped_) {
     // Rehydrate the frontier arena from the stored splice chains: the
@@ -1054,18 +1092,16 @@ void ComputationSpace::BuildBuckets(ComputationSpace& space,
       if (space.store_->out_of_core()) space.store_->EnforceBudget();
     }
   };
-  // Cached group indexes still need their CSR columns; the sorts are
+  // Cached [G]-tables still need their CSR columns; the sorts are
   // independent of the per-process ones, so they join the task list.
-  std::vector<GroupIndex*> group_tasks;
-  for (auto& [mask, index] : space.group_index_)
-    group_tasks.push_back(index.get());
+  std::vector<internal::PartitionTable*> group_tasks;
+  for (auto& [mask, table] : space.group_index_) group_tasks.push_back(&table);
   auto task = [&](std::size_t t) {
     if (t < P) {
       build_for(t);
     } else {
-      GroupIndex& index = *group_tasks[t - P];
-      internal::BucketByClass(index.cls_, index.NumClasses(), index.offsets_,
-                              index.ids_);
+      internal::PartitionTable& table = *group_tasks[t - P];
+      table.Fill(table.offsets.size() - 1);
     }
   };
   const std::size_t num_tasks = P + group_tasks.size();
@@ -1078,10 +1114,7 @@ void ComputationSpace::BuildBuckets(ComputationSpace& space,
   }
 }
 
-void internal::BucketByClass(std::span<const std::uint32_t> cls,
-                             std::size_t num_classes,
-                             std::vector<std::uint32_t>& offsets,
-                             std::vector<std::uint32_t>& ids) {
+void internal::PartitionTable::Fill(std::size_t num_classes) {
   // Ids land ascending within each bucket because they are scanned in
   // ascending order.
   offsets.assign(num_classes + 1, 0);
@@ -1104,10 +1137,10 @@ void internal::RequirePartitionGroup(ProcessSet g, int num_processes) {
                      std::to_string(num_processes) + " processes)");
 }
 
-void ComputationSpace::ReplayGroupClasses(GroupIndex& index) const {
+void ComputationSpace::ReplayGroupClasses(
+    ProcessSet g, internal::PartitionTable& table) const {
   // Replay the class links in id order — BFS and Ingest parents always have
   // smaller ids, so every parent is classified before its children.
-  const ProcessSet g = ProcessSet::FromBits(index.mask_);
   const std::size_t n = links_.size();
   GroupClassMinter minter(g, n);
   for (std::size_t id = 0; id < n; ++id) {
@@ -1116,31 +1149,26 @@ void ComputationSpace::ReplayGroupClasses(GroupIndex& index) const {
         id == 0 ? ProcessId{0} : event_pool_[link.event].process;
     minter.Classify(id, link.parent, extend_process, proj_class_);
   }
-  index.cls_ = minter.TakeClasses();
-  index.cls_.shrink_to_fit();
-  index.offsets_.assign(minter.num_classes() + 1, 0);
+  table.cls = minter.TakeClasses();
+  table.cls.shrink_to_fit();
+  table.offsets.assign(minter.num_classes() + 1, 0);
 }
 
-const ComputationSpace::GroupIndex& ComputationSpace::EnsureGroupIndex(
-    ProcessSet g) const {
+Partition ComputationSpace::EnsureGroupIndex(ProcessSet g) const {
   internal::RequirePartitionGroup(g, num_processes_);
   std::lock_guard<std::mutex> lock(*group_mutex_);
   auto it = group_index_.find(g.bits());
-  if (it != group_index_.end()) return *it->second;
-  auto index = std::make_unique<GroupIndex>();
-  index->mask_ = g.bits();
-  ReplayGroupClasses(*index);
-  internal::BucketByClass(index->cls_, index->NumClasses(), index->offsets_,
-                          index->ids_);
-  return *group_index_.emplace(g.bits(), std::move(index)).first->second;
+  if (it != group_index_.end()) return it->second.View();
+  internal::PartitionTable table;
+  ReplayGroupClasses(g, table);
+  table.Fill(table.offsets.size() - 1);
+  // Moving the table keeps its column buffers, so the view stays valid.
+  return group_index_.emplace(g.bits(), std::move(table)).first->second.View();
 }
 
 Partition ComputationSpace::PartitionOf(ProcessSet g) const {
   internal::RequirePartitionGroup(g, num_processes_);
-  if (g.Size() >= 2) {
-    const GroupIndex& index = EnsureGroupIndex(g);
-    return Partition(index.cls_.data(), index.offsets_, index.ids_.data());
-  }
+  if (g.Size() >= 2) return EnsureGroupIndex(g);
   const auto p = static_cast<std::size_t>(g.First());
   Partition part(nullptr, bucket_offsets_[p], bucket_ids_[p].data());
   part.proj_ = &proj_class_;
@@ -1366,8 +1394,8 @@ ComputationSpace::MemoryStats ComputationSpace::MemoryUsage() const {
                        succ_event_.ByteSize();
   {
     std::lock_guard<std::mutex> lock(*group_mutex_);
-    for (const auto& [mask, index] : group_index_)
-      s.bytes_group_index += index->MemoryBytes();
+    for (const auto& [mask, table] : group_index_)
+      s.bytes_group_index += table.MemoryBytes();
   }
   s.bytes_total = s.bytes_event_pool + s.bytes_class_links +
                   s.bytes_canon_index + s.bytes_projection + s.bytes_buckets +
@@ -1417,7 +1445,8 @@ bool ComputationSpace::Isomorphic(std::size_t a, std::size_t b,
                                   ProcessSet set) const {
   bool ok = true;
   set.ForEach([&](ProcessId p) {
-    if (ok && ProjectionClass(a, p) != ProjectionClass(b, p)) ok = false;
+    const Partition part = PartitionOf(ProcessSet::Of(p));
+    if (ok && part.ClassOf(a) != part.ClassOf(b)) ok = false;
   });
   return ok;
 }
@@ -1429,6 +1458,33 @@ bool ComputationSpace::ComposedIsomorphic(
   return std::find(frontier.begin(), frontier.end(), b) != frontier.end();
 }
 
+namespace {
+
+// One BFS stage of the composed relation: calls visit(x, y) once for every
+// y with x [stage] y, over the frontier members x in order; an empty stage
+// relates every id.  `seen(y)` tells whether y already joined the next
+// frontier — a bucket joins whole, so a bucket whose first member was seen
+// is skipped without a scan.
+template <typename Seen, typename Visit>
+void ExpandStage(const ComputationSpace& space, ProcessSet stage,
+                 const std::vector<std::size_t>& frontier, Seen&& seen,
+                 Visit&& visit) {
+  if (stage.IsEmpty()) {
+    if (frontier.empty()) return;
+    for (std::size_t y = 0; y < space.size(); ++y)
+      if (!seen(y)) visit(frontier.front(), y);
+    return;
+  }
+  const Partition part = space.PartitionOf(stage);
+  for (std::size_t x : frontier) {
+    const auto bucket = part.Bucket(part.ClassOf(x));
+    if (seen(bucket.front())) continue;
+    for (std::uint32_t y : bucket) visit(x, y);
+  }
+}
+
+}  // namespace
+
 std::vector<std::size_t> ComputationSpace::ComposedPath(
     std::size_t a, std::size_t b,
     const std::vector<ProcessSet>& stages) const {
@@ -1439,15 +1495,15 @@ std::vector<std::size_t> ComputationSpace::ComposedPath(
   std::vector<std::size_t> frontier{a};
   pred[0][a] = a;
   for (std::size_t i = 0; i < stages.size(); ++i) {
+    std::vector<std::size_t>& to = pred[i + 1];
     std::vector<std::size_t> next;
-    for (std::size_t x : frontier) {
-      ForEachIsomorphic(x, stages[i], [&](std::size_t y) {
-        if (pred[i + 1][y] == kUnset) {
-          pred[i + 1][y] = x;
+    ExpandStage(
+        *this, stages[i], frontier,
+        [&](std::size_t y) { return to[y] != kUnset; },
+        [&](std::size_t x, std::size_t y) {
+          to[y] = x;
           next.push_back(y);
-        }
-      });
-    }
+        });
     frontier.swap(next);
   }
   if (pred[stages.size()][b] == kUnset) return {};
@@ -1462,21 +1518,16 @@ std::vector<std::size_t> ComputationSpace::ComposedPath(
 
 std::vector<std::size_t> ComputationSpace::ComposedReachable(
     std::size_t a, const std::vector<ProcessSet>& stages) const {
-  std::vector<char> in_frontier(size(), 0);
   std::vector<std::size_t> frontier{a};
-  in_frontier[a] = 1;
   for (const ProcessSet& stage : stages) {
-    std::vector<char> next_in(size(), 0);
+    std::vector<char> in_next(size(), 0);
     std::vector<std::size_t> next;
-    for (std::size_t x : frontier) {
-      ForEachIsomorphic(x, stage, [&](std::size_t y) {
-        if (!next_in[y]) {
-          next_in[y] = 1;
+    ExpandStage(
+        *this, stage, frontier, [&](std::size_t y) { return in_next[y] != 0; },
+        [&](std::size_t, std::size_t y) {
+          in_next[y] = 1;
           next.push_back(y);
-        }
-      });
-    }
-    in_frontier.swap(next_in);
+        });
     frontier.swap(next);
   }
   std::sort(frontier.begin(), frontier.end());

@@ -40,33 +40,39 @@
 // raw spans: SuccessorsOf() returns a SuccessorRange and Classes() a
 // SegmentCursor — each pins the segments it touches for its lifetime, so a
 // cooperative residency trim (TrimResidency) can never invalidate an
-// in-flight access.  Bucket() returns a plain std::span: bucket payloads
-// are resident by design, so there is nothing to pin.
+// in-flight access.  Partition::Bucket() returns a plain std::span: bucket
+// payloads are resident by design, so there is nothing to pin.
 //
 // Per-process buckets group computations with equal projections, so the
 // [p]-equivalence classes are materialized and "for all y: x [P] y" becomes
-// an intersection of bucket scans instead of a scan of the whole space.
-// Projection classes are assigned *during* enumeration: a one-event
-// extension leaves every projection unchanged except on the extending
-// event's process, where it appends that event — so a child's [p]-class is
-// inherited from its parent for p != e.process and looked up (or minted) by
-// the key (parent's [p]-class, event id) for p == e.process.  Classifying a
-// class costs O(1) amortized instead of hashing its projections.
+// a scan of one bucket instead of a scan of the whole space.  Projection
+// classes are assigned *during* enumeration: a one-event extension leaves
+// every projection unchanged except on the extending event's process, where
+// it appends that event — so a child's [p]-class is inherited from its
+// parent for p != e.process and looked up (or minted) by the key (parent's
+// [p]-class, event id) for p == e.process.  Classifying a class costs O(1)
+// amortized instead of hashing its projections.
 //
 // On top of the singleton [p]-classes sits the group ([G]-class) layer: for
 // a process set G, the [G]-equivalence x [G] y (equal projections on every
 // member) is the common refinement of the member [p]-partitions, and its
-// classes are materialized as a GroupIndex — one dense class id per
-// [D]-class plus a CSR bucket column, exactly the singleton layout.  A
-// child whose extending event lies outside G inherits its parent's
+// classes are materialized as an internal::PartitionTable — one dense class
+// id per [D]-class plus a CSR bucket column, exactly the singleton layout.
+// A child whose extending event lies outside G inherits its parent's
 // [G]-class; otherwise the class is looked up (or minted) by the child's
 // tuple of member [p]-class ids.  (Unlike the singleton case, the key
 // (parent [G]-class, event) would be UNSOUND for |G| >= 2: the same
 // [G]-tuple is reachable through parents that extend different member
 // processes, which would mint duplicate ids — the tuple key is canonical.)
-// An index is built on first use by EnsureGroupIndex, which replays the
+// A table is built on first use by EnsureGroupIndex, which replays the
 // class links in id order and caches the table by process mask; Deepen and
-// Ingest re-replay every cached index in place.
+// Ingest re-replay every cached table in place.
+//
+// Every reader outside the space sees classes the same way: as a Partition
+// view (ClassOf, NumClasses, Bucket, Representative) from PartitionOf(g) —
+// the [p]-columns for g = {p}, the cached [G]-table for |g| >= 2.  Only
+// space.cc, state_view.cc and the snapshot code know how classes are
+// stored.
 //
 // Enumeration is level-synchronous: the BFS frontier expands one depth
 // level at a time, extensions dedup through per-shard hash maps over the
@@ -84,12 +90,12 @@
 #define HPL_CORE_SPACE_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -107,14 +113,6 @@ class Trace;  // sim/trace.h: recorded event stream (SpaceBuilder::Ingest)
 namespace internal {
 class WorkerPool;
 struct SpaceSnapshotIO;  // serialization.cc: binary snapshot save/load
-
-// Counting sort of the ids 0 .. cls.size() - 1 by class: fills the CSR
-// bucket column of a partition with `num_classes` classes — `offsets`
-// (num_classes + 1 entries) and `ids`, ascending within each bucket.  The
-// one builder of the [G]-class tables and of StateView's state tables.
-void BucketByClass(std::span<const std::uint32_t> cls, std::size_t num_classes,
-                   std::vector<std::uint32_t>& offsets,
-                   std::vector<std::uint32_t>& ids);
 
 // Throws ModelError unless `g` is a non-empty set of processes of a
 // `num_processes`-process system: the precondition of every partition a
@@ -170,6 +168,26 @@ class Partition {
   const std::uint32_t* ids_ = nullptr;
   std::size_t num_classes_ = 0;
 };
+
+namespace internal {
+// The one owning store of a flat partition: a class per id and the CSR
+// buckets a Partition view reads.  Backs the space's [G]-tables,
+// StateView's state tables, and the snapshot columns of both.
+struct PartitionTable {
+  std::vector<std::uint32_t> cls;      // per id: its class
+  std::vector<std::uint32_t> offsets;  // CSR offsets (num_classes + 1)
+  std::vector<std::uint32_t> ids;      // CSR payload, ascending per bucket
+
+  // Counting sort of the ids 0 .. cls.size() - 1 by class: fills `offsets`
+  // and `ids` for `num_classes` classes, ascending within each bucket.
+  void Fill(std::size_t num_classes);
+  Partition View() const { return Partition(cls.data(), offsets, ids.data()); }
+  std::size_t MemoryBytes() const noexcept {
+    return (cls.capacity() + offsets.capacity() + ids.capacity()) *
+           sizeof(std::uint32_t);
+  }
+};
+}  // namespace internal
 
 struct EnumerationLimits {
   // Hard cap on events per computation.  Enumeration throws if any branch
@@ -259,122 +277,30 @@ class ComputationSpace {
   // As IndexOf but throws with context when absent.
   std::size_t RequireIndex(const Computation& c) const;
 
-  // Id of the [p]-equivalence class of computation `id` (dense ints).
-  std::uint32_t ProjectionClass(std::size_t id, ProcessId p) const {
-    return proj_class_.Row(id)[static_cast<std::size_t>(p)];
-  }
+  // The [G]-partition for `g` as a Partition view.  The table behind it is
+  // built on first use (a replay of the class links in id order) and cached
+  // by process mask, |g| = 1 included, so a saved snapshot carries it; `g`
+  // must be non-empty and name only processes of the system.  Thread-safe.
+  // For |g| >= 2 PartitionOf(g) returns the same view.
+  Partition EnsureGroupIndex(ProcessSet g) const;
 
-  // Number of [p]-equivalence classes (valid class ids are dense in
-  // [0, NumProjectionClasses(p))).
-  std::size_t NumProjectionClasses(ProcessId p) const {
-    return bucket_offsets_.at(static_cast<std::size_t>(p)).size() - 1;
-  }
-
-  // All computations y with At(id) [p] y (including id itself), ascending —
-  // one contiguous slice of the process's CSR bucket column.
-  std::span<const std::uint32_t> Bucket(ProcessId p, std::uint32_t cls) const {
-    const auto& offsets = bucket_offsets_.at(static_cast<std::size_t>(p));
-    const auto& ids = bucket_ids_[static_cast<std::size_t>(p)];
-    return std::span<const std::uint32_t>(ids.data() + offsets.at(cls),
-                                          offsets.at(cls + 1) - offsets[cls]);
-  }
-
-  // One materialized [G]-class partition: the common refinement of the
-  // member [p]-partitions, stored like the singleton layer — a dense class
-  // id per [D]-class and a CSR bucket column.  Instances are owned by the
-  // space (built by EnsureGroupIndex, or loaded with a snapshot) and their
-  // addresses are stable for the space's lifetime — SpaceBuilder refreshes
-  // them in place — so hot sweeps hold the reference and never touch the
-  // cache.
-  // Group tables are always resident (they are derived, rebuildable
-  // indexes, not part of the segmented class store).
-  class GroupIndex {
-   public:
-    std::uint64_t mask() const noexcept { return mask_; }
-    std::size_t NumClasses() const noexcept { return offsets_.size() - 1; }
-    std::uint32_t ClassOf(std::size_t id) const { return cls_[id]; }
-    // All y with x [G] y for any x in [G]-class `cls` (ascending ids).
-    std::span<const std::uint32_t> Bucket(std::uint32_t cls) const {
-      return std::span<const std::uint32_t>(ids_.data() + offsets_[cls],
-                                            offsets_[cls + 1] - offsets_[cls]);
-    }
-    // First (smallest) member of [G]-class `cls` — its representative.
-    std::uint32_t Representative(std::uint32_t cls) const {
-      return ids_[offsets_[cls]];
-    }
-    std::size_t MemoryBytes() const noexcept {
-      return (cls_.capacity() + offsets_.capacity() + ids_.capacity()) *
-             sizeof(std::uint32_t);
-    }
-
-   private:
-    friend class ComputationSpace;
-    friend class SpaceBuilder;
-    friend struct internal::SpaceSnapshotIO;
-    std::uint64_t mask_ = 0;
-    std::vector<std::uint32_t> cls_;      // per [D]-class: its [G]-class
-    std::vector<std::uint32_t> offsets_;  // CSR offsets (NumClasses() + 1)
-    std::vector<std::uint32_t> ids_;      // CSR payload, ascending per bucket
-  };
-
-  // The [G]-class index for `g`, built on first use (a replay of the class
-  // links in id order) and cached by process mask; `g` must be non-empty.
-  // Thread-safe; the returned reference stays valid for the space's
-  // lifetime.  |G| = 1 builds a real table whose classes coincide with the
-  // singleton ProjectionClass/Bucket columns.
-  const GroupIndex& EnsureGroupIndex(ProcessSet g) const;
-
-  // True when the [G]-class index for `g` is already materialized (by a
-  // previous EnsureGroupIndex, or loaded with a snapshot).
+  // True when the [G]-table for `g` is already materialized (by a previous
+  // EnsureGroupIndex, or loaded with a snapshot).
   bool HasGroupIndex(ProcessSet g) const;
 
-  // The [g]-partition as a Partition view: the ProjectionClass/Bucket
-  // columns of p for g = {p}, the EnsureGroupIndex(g) table for |g| >= 2.
-  // Throws ModelError when `g` is empty or names a process outside the
-  // system.  The view is stale after a SpaceBuilder Deepen or Ingest.
+  // The [g]-partition as a Partition view: the [p]-class column and CSR
+  // buckets of p for g = {p}, the EnsureGroupIndex(g) table for |g| >= 2.
+  // The only reader of the space's equivalence classes.  Throws ModelError
+  // when `g` is empty or names a process outside the system.  The view is
+  // stale after a SpaceBuilder Deepen or Ingest.
   Partition PartitionOf(ProcessSet g) const;
 
-  // Iterates ids of all y with At(id) [P] y.  P empty relates everything
-  // (the paper: x [{}] y for all x, y).  A thin forward to
-  // ForEachIsomorphicWhile, so `fn` is invoked directly — no std::function
-  // on the sweep path.
-  template <typename Fn>
-  void ForEachIsomorphic(std::size_t id, ProcessSet set, Fn&& fn) const {
-    ForEachIsomorphicWhile(id, set, [&fn](std::size_t y) {
-      fn(y);
-      return true;
-    });
-  }
-
-  // As ForEachIsomorphic, but stops as soon as `fn` returns false.  The
-  // canonical implementation of the [P]-relation sweep: scans the smallest
-  // per-process bucket and verifies the other processes via class ids.
-  template <typename Fn>
-  void ForEachIsomorphicWhile(std::size_t id, ProcessSet set, Fn&& fn) const {
-    if (set.IsEmpty()) {
-      // x [{}] y holds for all computations.
-      for (std::size_t y = 0; y < size(); ++y)
-        if (!fn(y)) return;
-      return;
-    }
-    ProcessId best = set.First();
-    std::size_t best_size = SIZE_MAX;
-    set.ForEach([&](ProcessId p) {
-      const std::size_t bucket_size = BucketSize(p, ProjectionClass(id, p));
-      if (bucket_size < best_size) {
-        best_size = bucket_size;
-        best = p;
-      }
-    });
-    for (std::uint32_t y : Bucket(best, ProjectionClass(id, best)))
-      if (Isomorphic(id, y, set) && !fn(y)) return;
-  }
-
-  // True iff At(a) [P] At(b) — O(|P|) via class ids.
+  // True iff At(a) [P] At(b) — O(|P|): compares the members' [p]-classes.
+  // P empty relates everything (the paper: x [{}] y for all x, y).
   bool Isomorphic(std::size_t a, std::size_t b, ProcessSet set) const;
 
   // Decides the composed relation At(a) [P0 P1 ... Pn] At(b) by BFS through
-  // the per-stage equivalence classes.
+  // the per-stage partition buckets (an empty stage relates every id).
   bool ComposedIsomorphic(std::size_t a, std::size_t b,
                           const std::vector<ProcessSet>& stages) const;
 
@@ -578,28 +504,22 @@ class ComputationSpace {
   // after num_processes_ is set and before any column grows.
   void InitColumns(const SegmentOptions& options);
 
-  // Bucket size without the bounds checks of Bucket().
-  std::size_t BucketSize(ProcessId p, std::uint32_t cls) const {
-    const auto& offsets = bucket_offsets_[static_cast<std::size_t>(p)];
-    return offsets[cls + 1] - offsets[cls];
-  }
-
   // Builds the per-process CSR buckets from proj_class_ by counting sort
   // (phase 2 of construction); one independent task per process when a pool
   // is given.  Streams the projection column segment-at-a-time under pins,
-  // trimming residency as it goes when a budget is set.  Also refills the
-  // CSR columns of every cached group index from its cls_ column
+  // trimming residency as it goes when a budget is set.  Also fills every
+  // cached [G]-table whose classes ReplayGroupClasses just replayed
   // (SpaceBuilder::Finalize).
   static void BuildBuckets(ComputationSpace& space, internal::WorkerPool* pool);
 
-  // The one way a [G]-class table is built: replays the class links in id
-  // order through an inherit-or-mint scan into a fresh cls_ column and
-  // sizes offsets_ so BuildBuckets (or EnsureGroupIndex) can fill the CSR
-  // with internal::BucketByClass.  EnsureGroupIndex runs it on first use;
-  // SpaceBuilder re-runs it over every cached index after Deepen/Ingest —
-  // the replay visits ids in the same order as the original build, so the
-  // extended tables stay byte-identical to a from-scratch enumeration.
-  void ReplayGroupClasses(GroupIndex& index) const;
+  // The one way a [G]-table is built: replays the class links in id order
+  // through an inherit-or-mint scan into a fresh `cls` column and sizes
+  // `offsets` to the class count, so BuildBuckets (or EnsureGroupIndex) can
+  // Fill the CSR.  EnsureGroupIndex runs it on first use; SpaceBuilder
+  // re-runs it over every cached table after Deepen/Ingest — the replay
+  // visits ids in the same order as the original build, so the extended
+  // tables stay byte-identical to a from-scratch enumeration.
+  void ReplayGroupClasses(ProcessSet g, internal::PartitionTable& table) const;
 
   // Interned-event-id form of the canonical sequence of class `id`,
   // materialized by replaying the splice chain from the root.
@@ -662,14 +582,15 @@ class ComputationSpace {
   internal::SegColumn<std::uint32_t> succ_offsets_;  // size() + 1
   internal::SegColumn<std::uint32_t> succ_class_;
   internal::SegColumn<std::uint32_t> succ_event_;
-  // Group-partition cache, keyed by process mask.  unique_ptr values keep
-  // GroupIndex addresses stable across rehashes; the mutex guards only the
-  // map (indexes are immutable once published).  Held by unique_ptr so the
-  // space stays movable.
+  // [G]-table cache, ordered by process mask (the order snapshots store
+  // them in).  Always resident: the tables are derived, rebuildable
+  // indexes, not part of the segmented store.  Map nodes keep the tables'
+  // column buffers in place while other masks are added; the mutex guards
+  // only the map (tables are immutable once published).  Held by
+  // unique_ptr so the space stays movable.
   mutable std::unique_ptr<std::mutex> group_mutex_ =
       std::make_unique<std::mutex>();
-  mutable std::unordered_map<std::uint64_t, std::unique_ptr<GroupIndex>>
-      group_index_;
+  mutable std::map<std::uint64_t, internal::PartitionTable> group_index_;
 };
 
 // Resumable construction surface over ComputationSpace: owns the space plus
@@ -706,7 +627,10 @@ class ComputationSpace {
 // The System passed to Build is borrowed and must outlive the builder (or
 // at least every later Deepen).  Builders are single-threaded objects: no
 // concurrent calls, and no space reads while a call is in flight.  A
-// builder whose Build/Deepen threw is in an unspecified state; rebuild it.
+// builder whose Build threw is in an unspecified state; rebuild it.  A
+// Deepen that throws is a no-op, and an Ingest that throws keeps (and
+// finalizes) the prefixes before the failing event — either way the space
+// stays whole and readers need no Refresh.
 //
 // Snapshots: serialization.h saves a builder with its frontier
 // (hpl-space-v3) so a served space can be loaded and then deepened;
@@ -729,7 +653,9 @@ class SpaceBuilder {
   // already complete).  Throws on a sealed builder (no frontier), after a
   // minting Ingest, or past the 16-bit depth cap.  Truncation follows the
   // limits passed to Build: if the space is still extendable at the new
-  // target and allow_truncation was not set, Deepen throws like Build.
+  // target and allow_truncation was not set, Deepen throws like Build.  A
+  // throw leaves the builder as it was: the levels minted before it are
+  // cut back and the frontier is parked again.
   std::size_t Deepen(int extra_levels = 1);
 
   // Splices the event stream into the space: walks the stream's prefixes,
@@ -737,7 +663,9 @@ class SpaceBuilder {
   // reachable from the observed events only — never a whole level).
   // Returns the number of classes minted; re-ingesting a seen stream is a
   // dedup no-op returning 0.  Throws (before any mutation of the failing
-  // prefix) if an event is not a legal extension of the observed prefix.
+  // prefix) if an event is not a legal extension of the observed prefix;
+  // the prefixes before it stay, finalized, so the space is what ingesting
+  // the legal prefix alone would have left.
   std::size_t Ingest(std::span<const Event> events);
 
   // As above, over the first `prefix_len` (default: all) recorded entries
@@ -788,7 +716,9 @@ class SpaceBuilder {
   // reconstructs the transient state — event interner, projection-extension
   // maps, and for kCapped the frontier arena (classes
   // [frontier_begin, size)) — by replaying the stored columns in id order,
-  // which reproduces the live maps byte for byte.
+  // which reproduces the live maps byte for byte.  Throws ModelError when a
+  // stored [p]-class is not the one the mint rule replays.  Also the path a
+  // failed Deepen re-parks its frontier through.
   void AdoptSpace(std::unique_ptr<ComputationSpace> space,
                   FrontierState frontier, std::size_t frontier_begin,
                   const System* system, const EnumerationLimits& limits);

@@ -51,7 +51,7 @@ StateView::StateView(const ComputationSpace& space,
   // sees ids in ascending order, so class ids are first-occurrence.
   std::vector<std::unordered_map<std::string, std::uint32_t>> key_to_class(
       tables_.size());
-  for (Table& t : tables_) t.cls.resize(size_);
+  for (internal::PartitionTable& t : tables_) t.cls.resize(size_);
   space.ForEachComputation(
       0, size_, [](std::size_t) { return true; },
       [&](std::size_t id, const Computation& x) {
@@ -64,17 +64,7 @@ StateView::StateView(const ComputationSpace& space,
         }
       });
   for (std::size_t p = 0; p < tables_.size(); ++p)
-    internal::BucketByClass(tables_[p].cls, key_to_class[p].size(),
-                            tables_[p].offsets, tables_[p].ids);
-}
-
-bool StateView::StateIsomorphic(std::size_t a, std::size_t b,
-                                ProcessSet set) const {
-  bool ok = true;
-  set.ForEach([&](ProcessId p) {
-    if (ok && StateClass(a, p) != StateClass(b, p)) ok = false;
-  });
-  return ok;
+    tables_[p].Fill(key_to_class[p].size());
 }
 
 Partition StateView::PartitionOf(ProcessSet g) const {
@@ -82,14 +72,14 @@ Partition StateView::PartitionOf(ProcessSet g) const {
   if (g.Size() == 1)
     return tables_[static_cast<std::size_t>(g.First())].View();
   std::lock_guard<std::mutex> lock(group_mutex_);
-  std::unique_ptr<Table>& table = groups_[g.bits()];
-  if (table == nullptr) {
+  auto it = groups_.find(g.bits());
+  if (it == groups_.end()) {
     // Refine member by member: pairing the classes so far with the next
     // member's and numbering the pairs by first occurrence yields the
     // first-occurrence numbering of the members' state tuples.
-    auto built = std::make_unique<Table>();
-    std::vector<std::uint32_t> cls =
-        tables_[static_cast<std::size_t>(g.First())].cls;
+    internal::PartitionTable table;
+    std::vector<std::uint32_t>& cls = table.cls;
+    cls = tables_[static_cast<std::size_t>(g.First())].cls;
     std::size_t num_classes = 0;
     g.ForEach([&](ProcessId q) {
       if (q == g.First()) return;
@@ -103,11 +93,10 @@ Partition StateView::PartitionOf(ProcessSet g) const {
       }
       num_classes = pair_class.size();
     });
-    internal::BucketByClass(cls, num_classes, built->offsets, built->ids);
-    built->cls = std::move(cls);
-    table = std::move(built);
+    table.Fill(num_classes);
+    it = groups_.emplace(g.bits(), std::move(table)).first;
   }
-  return table->View();
+  return it->second.View();
 }
 
 bool StateView::IsLossless() const {
@@ -115,7 +104,7 @@ bool StateView::IsLossless() const {
   // coarsens the [p]-partition; the two are equal iff their class counts
   // are.
   for (ProcessId p = 0; p < space_.num_processes(); ++p)
-    if (tables_[static_cast<std::size_t>(p)].offsets.size() - 1 !=
+    if (tables_[static_cast<std::size_t>(p)].View().NumClasses() !=
         space_.PartitionOf(ProcessSet::Of(p)).NumClasses())
       return false;
   return true;

@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <string>
@@ -64,10 +63,12 @@ class StateAbstraction {
   Fn fn_;
 };
 
-// Precomputed state partitions over an enumerated space: per process, a
-// dense state class per class id (numbered by first occurrence) and a CSR
-// bucket column; per multi-process group, the common refinement of the
-// member partitions, built on first use and cached.  The view covers the
+// Precomputed state partitions over an enumerated space, read only through
+// PartitionOf: per process, a dense state class per class id (numbered by
+// first occurrence) and a CSR bucket column; per multi-process group, the
+// common refinement of the member partitions, built on first use and
+// cached.  Both are internal::PartitionTable, the space's [G]-table type.
+// The view covers the
 // space as it was at construction; after a SpaceBuilder Deepen or Ingest,
 // build a new one.
 class StateView {
@@ -84,17 +85,11 @@ class StateView {
   // Number of class ids the view covers (space().size() at construction).
   std::size_t size() const noexcept { return size_; }
 
-  // Dense id of p's state in computation `id`.
-  std::uint32_t StateClass(std::size_t id, ProcessId p) const {
-    return tables_.at(static_cast<std::size_t>(p)).cls.at(id);
-  }
-
-  // a ~P b under state isomorphism.
-  bool StateIsomorphic(std::size_t a, std::size_t b, ProcessSet set) const;
-
   // The state partition of `g` (equal states on every member) as a
-  // Partition view, valid for the view's lifetime.  Throws ModelError when
-  // `g` is empty or names a process outside the system.  Thread-safe.
+  // Partition view, valid for the view's lifetime: the only reader of the
+  // state classes.  For g = {p}, ClassOf(id) is the dense id of p's state
+  // in computation `id`, numbered by first occurrence.  Throws ModelError
+  // when `g` is empty or names a process outside the system.  Thread-safe.
   Partition PartitionOf(ProcessSet g) const;
 
   // True iff the abstraction's relation equals [p] on this space for every
@@ -102,25 +97,14 @@ class StateView {
   bool IsLossless() const;
 
  private:
-  // One partition: class per id plus its CSR buckets.
-  struct Table {
-    std::vector<std::uint32_t> cls;
-    std::vector<std::uint32_t> offsets;
-    std::vector<std::uint32_t> ids;
-
-    Partition View() const {
-      return Partition(cls.data(), offsets, ids.data());
-    }
-  };
-
   const ComputationSpace& space_;
   StateAbstraction abstraction_;
   std::size_t size_ = 0;
-  std::vector<Table> tables_;  // per process
-  // Multi-process tables keyed by group bits; unique_ptr values keep their
-  // addresses stable, and the mutex guards only the map.
+  std::vector<internal::PartitionTable> tables_;  // per process
+  // Multi-process tables keyed by group bits; map nodes keep the tables in
+  // place, and the mutex guards only the map.
   mutable std::mutex group_mutex_;
-  mutable std::unordered_map<std::uint64_t, std::unique_ptr<Table>> groups_;
+  mutable std::unordered_map<std::uint64_t, internal::PartitionTable> groups_;
 };
 
 }  // namespace hpl

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <vector>
+
+#include "core/isomorphism.h"
 #include "core/random_system.h"
 #include "core/system.h"
 
@@ -155,6 +160,42 @@ TEST_F(BeliefTest, MostPlausibleSetsAreWithinTheClass) {
     for (const ProcessSet p : {ProcessSet{0}, ProcessSet{1}}) {
       for (std::size_t y : belief.MostPlausible(p, id))
         EXPECT_TRUE(space_.Isomorphic(id, y, p));
+    }
+  }
+}
+
+TEST(BeliefGroupTest, MostPlausibleMatchesARankScanForGroups) {
+  // Multi-process and empty groups: the most-plausible set of id's
+  // [P]-class is every y with x [P] y at the class's minimum rank,
+  // ascending; P empty relates every id.
+  RandomSystemOptions options;
+  options.num_processes = 3;
+  options.seed = 4;
+  RandomSystem system(options);
+  const auto space = ComputationSpace::Enumerate(system, {.max_depth = 24});
+  ASSERT_GT(space.size(), 50u);
+  std::vector<Computation> all;
+  space.ForEachComputation(
+      0, space.size(), [](std::size_t) { return true; },
+      [&](std::size_t, const Computation& x) { all.push_back(x); });
+  for (const PlausibilityOrder& order :
+       {PlausibilityOrder::MinimalPending(),
+        PlausibilityOrder::MostAdvanced()}) {
+    BeliefEvaluator belief(space, order);
+    for (const ProcessSet p : {ProcessSet{0, 1}, ProcessSet::Empty()}) {
+      for (std::size_t id = 0; id < space.size(); id += 3) {
+        double best = std::numeric_limits<double>::infinity();
+        for (const Computation& y : all)
+          if (IsomorphicWrt(all[id], y, p))
+            best = std::min(best, order.RankOf(y));
+        std::vector<std::size_t> expected;
+        for (std::size_t y = 0; y < all.size(); ++y)
+          if (IsomorphicWrt(all[id], all[y], p) &&
+              order.RankOf(all[y]) == best)
+            expected.push_back(y);
+        ASSERT_EQ(belief.MostPlausible(p, id), expected)
+            << order.name() << " " << p.ToString() << " id=" << id;
+      }
     }
   }
 }

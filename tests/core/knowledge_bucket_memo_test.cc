@@ -108,7 +108,7 @@ TEST(KnowledgeBucketMemoTest, SingletonSweepsMemoizePerBucketNotPerMember) {
       ProcessSet{0}, Formula::Atom(Predicate::CountOnAtLeast(0, 1)));
   eval.SatisfyingSet(f);
   EXPECT_EQ(eval.MemoryUsage().bucket_entries,
-            space.NumProjectionClasses(0));
+            space.PartitionOf(ProcessSet{0}).NumClasses());
 }
 
 TEST(KnowledgeBucketMemoTest, MemoStatsSplitByTier) {

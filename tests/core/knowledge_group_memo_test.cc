@@ -163,8 +163,7 @@ TEST(KnowledgeGroupMemoTest, EvaluatorReusesAnEnsuredIndex) {
   const auto pre_indexed =
       ComputationSpace::Enumerate(system, {.max_depth = 24});
   const auto lazy = ComputationSpace::Enumerate(system, {.max_depth = 24});
-  const ComputationSpace::GroupIndex& index =
-      pre_indexed.EnsureGroupIndex(pair);
+  const Partition index = pre_indexed.EnsureGroupIndex(pair);
   const std::size_t index_bytes = pre_indexed.MemoryUsage().bytes_group_index;
   ASSERT_FALSE(lazy.HasGroupIndex(pair));
   KnowledgeEvaluator eval_pre(pre_indexed, {.num_threads = 1});
@@ -172,7 +171,8 @@ TEST(KnowledgeGroupMemoTest, EvaluatorReusesAnEnsuredIndex) {
   const FormulaPtr f =
       Formula::Knows(pair, Formula::Atom(Predicate::CountOnAtLeast(0, 1)));
   EXPECT_EQ(eval_pre.SatisfyingSet(f), eval_lazy.SatisfyingSet(f));
-  EXPECT_EQ(&pre_indexed.EnsureGroupIndex(pair), &index);
+  EXPECT_EQ(pre_indexed.EnsureGroupIndex(pair).Bucket(0).data(),
+            index.Bucket(0).data());
   EXPECT_EQ(pre_indexed.MemoryUsage().bytes_group_index, index_bytes);
   EXPECT_TRUE(lazy.HasGroupIndex(pair));
 }

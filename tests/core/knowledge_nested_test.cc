@@ -27,9 +27,10 @@ TEST(KnowledgeNestedTest, NestedMultiProcessKnowsMatchesBruteForce) {
   bool big_bucket = false;
   for (std::size_t id = 0; id < space.size() && !big_bucket; ++id) {
     std::size_t smallest = SIZE_MAX;
-    for (ProcessId p : {1, 2})
-      smallest = std::min(
-          smallest, space.Bucket(p, space.ProjectionClass(id, p)).size());
+    for (ProcessId p : {1, 2}) {
+      const Partition part = space.PartitionOf(ProcessSet::Of(p));
+      smallest = std::min(smallest, part.Bucket(part.ClassOf(id)).size());
+    }
     big_bucket = smallest >= 64;
   }
   ASSERT_TRUE(big_bucket) << "space too small for large bucket sweeps";

@@ -40,11 +40,10 @@ TEST_F(LocalPredicateTest, BIsLocalToItsOwner) {
 
 TEST_F(LocalPredicateTest, Fact1IsomorphismPreservesLocalValues) {
   // (b local to P and x [P] y) implies b at x == b at y.
-  for (std::size_t a = 0; a < space_.size(); a += 3) {
-    space_.ForEachIsomorphic(a, ProcessSet{0}, [&](std::size_t y) {
+  const Partition p0 = space_.PartitionOf(ProcessSet{0});
+  for (std::size_t a = 0; a < space_.size(); a += 3)
+    for (std::uint32_t y : p0.Bucket(p0.ClassOf(a)))
       EXPECT_EQ(b_.Eval(space_.At(a)), b_.Eval(space_.At(y)));
-    });
-  }
 }
 
 TEST_F(LocalPredicateTest, Fact2LocalTruthIsKnown) {
@@ -131,13 +130,13 @@ TEST_F(LocalPredicateTest, CommonKnowledgeCorollaryNeverGainedNorLost) {
 TEST_F(LocalPredicateTest, CommonComponentsPartition) {
   const ProcessSet g{0, 1};
   const std::uint32_t c0 = eval_.CommonComponent(g, 0);
+  const Partition p0 = space_.PartitionOf(ProcessSet{0});
   bool found_other = false;
   for (std::size_t id = 0; id < space_.size(); ++id) {
     if (eval_.CommonComponent(g, id) != c0) found_other = true;
     // Same component as any [p]-neighbour, p in g.
-    space_.ForEachIsomorphic(id, ProcessSet{0}, [&](std::size_t y) {
+    for (std::uint32_t y : p0.Bucket(p0.ClassOf(id)))
       EXPECT_EQ(eval_.CommonComponent(g, id), eval_.CommonComponent(g, y));
-    });
   }
   // This system's computations are all reachable from empty by
   // single-process steps, so everything collapses into one component.

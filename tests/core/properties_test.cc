@@ -74,14 +74,14 @@ TEST_P(IsomorphismLawTest, Property6Concatenation) {
   // x [P1 P2] z == exists y: x [P1] y and y [P2] z, by construction of
   // ComposedReachable; verify against a direct two-step scan.
   const ProcessSet p1{0}, p2{1};
+  const Partition part1 = bundle_.space.PartitionOf(p1);
+  const Partition part2 = bundle_.space.PartitionOf(p2);
   for (std::size_t a = 0; a < bundle_.space.size(); a += 19) {
     const auto composed = bundle_.space.ComposedReachable(a, {p1, p2});
     std::vector<std::size_t> direct;
-    bundle_.space.ForEachIsomorphic(a, p1, [&](std::size_t y) {
-      bundle_.space.ForEachIsomorphic(y, p2, [&](std::size_t z) {
+    for (std::uint32_t y : part1.Bucket(part1.ClassOf(a)))
+      for (std::uint32_t z : part2.Bucket(part2.ClassOf(y)))
         direct.push_back(z);
-      });
-    });
     std::sort(direct.begin(), direct.end());
     direct.erase(std::unique(direct.begin(), direct.end()), direct.end());
     EXPECT_EQ(composed, direct);
@@ -163,9 +163,9 @@ TEST_P(KnowledgeLawTest, Fact2IsomorphicComputationsShareKnowledge) {
   auto kb = Formula::Knows(ProcessSet{1}, Formula::Atom(b_));
   for (std::size_t id = 0; id < bundle_.space.size(); id += 9) {
     const bool at_x = Holds(kb, id);
-    bundle_.space.ForEachIsomorphic(id, ProcessSet{1}, [&](std::size_t y) {
+    const Partition p1 = bundle_.space.PartitionOf(ProcessSet{1});
+    for (std::uint32_t y : p1.Bucket(p1.ClassOf(id)))
       EXPECT_EQ(Holds(kb, y), at_x);
-    });
   }
 }
 

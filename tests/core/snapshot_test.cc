@@ -64,9 +64,6 @@ void ExpectStructurallyIdentical(const ComputationSpace& fresh,
   for (std::size_t id = 0; id < fresh.size(); ++id) {
     EXPECT_EQ(loaded.LengthOf(id), fresh.LengthOf(id)) << id;
     EXPECT_TRUE(loaded.At(id) == fresh.At(id)) << id;
-    for (ProcessId p = 0; p < fresh.num_processes(); ++p)
-      EXPECT_EQ(loaded.ProjectionClass(id, p), fresh.ProjectionClass(id, p))
-          << id;
     // Successor CSR: same classes, same extending events, same order.
     const auto fresh_succ = fresh.SuccessorsOf(id);
     const auto loaded_succ = loaded.SuccessorsOf(id);
@@ -80,10 +77,14 @@ void ExpectStructurallyIdentical(const ComputationSpace& fresh,
         << id;
   }
   for (ProcessId p = 0; p < fresh.num_processes(); ++p) {
-    ASSERT_EQ(loaded.NumProjectionClasses(p), fresh.NumProjectionClasses(p));
-    for (std::uint32_t cls = 0; cls < fresh.NumProjectionClasses(p); ++cls) {
-      const auto a = fresh.Bucket(p, cls);
-      const auto b = loaded.Bucket(p, cls);
+    const Partition fresh_p = fresh.PartitionOf(ProcessSet::Of(p));
+    const Partition loaded_p = loaded.PartitionOf(ProcessSet::Of(p));
+    for (std::size_t id = 0; id < fresh.size(); ++id)
+      EXPECT_EQ(loaded_p.ClassOf(id), fresh_p.ClassOf(id)) << id;
+    ASSERT_EQ(loaded_p.NumClasses(), fresh_p.NumClasses());
+    for (std::uint32_t cls = 0; cls < fresh_p.NumClasses(); ++cls) {
+      const auto a = fresh_p.Bucket(cls);
+      const auto b = loaded_p.Bucket(cls);
       ASSERT_EQ(b.size(), a.size()) << p;
       for (std::size_t k = 0; k < a.size(); ++k) EXPECT_EQ(b[k], a[k]) << p;
     }
@@ -110,8 +111,8 @@ TEST(SnapshotTest, RoundTripPreservesGroupIndexes) {
   const auto loaded = LoadBytes(SnapshotBytes(fresh));
   for (ProcessSet g : groups) {
     ASSERT_TRUE(loaded.HasGroupIndex(g)) << g.ToString();
-    const auto& a = fresh.EnsureGroupIndex(g);
-    const auto& b = loaded.EnsureGroupIndex(g);
+    const Partition a = fresh.EnsureGroupIndex(g);
+    const Partition b = loaded.EnsureGroupIndex(g);
     ASSERT_EQ(b.NumClasses(), a.NumClasses()) << g.ToString();
     for (std::size_t id = 0; id < fresh.size(); ++id)
       EXPECT_EQ(b.ClassOf(id), a.ClassOf(id)) << g.ToString();

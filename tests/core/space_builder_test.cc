@@ -147,9 +147,9 @@ TEST(SpaceBuilderTest, DeepenWorksOnLiteralInterleavingSpaces) {
 }
 
 TEST(SpaceBuilderTest, DeepenRefreshesEnsuredGroupIndexesInPlace) {
-  // Evaluators hold GroupIndex references across Deepen, so the capped
-  // builder's indexes must be extended in place — same address — into the
-  // tables a fresh full-depth space builds.
+  // Deepen keeps every ensured [G]-table cached and extends it into the
+  // table a fresh full-depth space builds; holders re-read it through a
+  // fresh view.
   protocols::TokenBusSystem bus(3, 3);
   const std::vector<ProcessSet> groups = {ProcessSet{0, 1}, ProcessSet{1, 2}};
   for (const int threads : {1, 4}) {
@@ -158,16 +158,13 @@ TEST(SpaceBuilderTest, DeepenRefreshesEnsuredGroupIndexesInPlace) {
     for (const ProcessSet g : groups) fresh.EnsureGroupIndex(g);
     SpaceBuilder builder;
     builder.Build(bus, TruncatableLimits(4, threads));
-    std::vector<const ComputationSpace::GroupIndex*> held;
-    for (const ProcessSet g : groups)
-      held.push_back(&builder.space().EnsureGroupIndex(g));
+    for (const ProcessSet g : groups) builder.space().EnsureGroupIndex(g);
     ASSERT_GT(builder.Deepen(2), 0u);
-    for (std::size_t i = 0; i < groups.size(); ++i) {
-      EXPECT_EQ(&builder.space().EnsureGroupIndex(groups[i]), held[i])
-          << groups[i].ToString();
-      EXPECT_EQ(held[i]->NumClasses(),
-                fresh.EnsureGroupIndex(groups[i]).NumClasses())
-          << groups[i].ToString();
+    for (const ProcessSet g : groups) {
+      EXPECT_TRUE(builder.space().HasGroupIndex(g)) << g.ToString();
+      EXPECT_EQ(builder.space().PartitionOf(g).NumClasses(),
+                fresh.PartitionOf(g).NumClasses())
+          << g.ToString();
     }
     // Snapshot bytes cover the group tables (saved in mask order).
     EXPECT_EQ(SnapshotBytes(builder.space()), SnapshotBytes(fresh)) << threads;
@@ -209,6 +206,48 @@ TEST(SpaceBuilderTest, DeepenWithoutAllowTruncationThrowsLikeBuild) {
   strict.allow_truncation = false;
   SpaceBuilder strict_builder;
   EXPECT_THROW(strict_builder.Build(bus, strict), ModelError);
+}
+
+TEST(SpaceBuilderTest, DeepenThatThrowsIsANoOp) {
+  // A capped builder reloaded under stricter limits: Deepen mints part of a
+  // level, then throws — at the depth cap without allow_truncation (with
+  // the store resident or spilling), or mid-level on the class budget.  The builder must come back exactly as
+  // it was, frontier included, and still deepen to the fresh space.
+  protocols::TokenBusSystem bus(3, 3);
+  for (const int threads : {1, 4}) {
+    SpaceBuilder capped;
+    capped.Build(bus, TruncatableLimits(3, threads));
+    const std::string parked = BuilderBytes(capped);
+    EnumerationLimits at_cap = TruncatableLimits(3, threads);
+    at_cap.allow_truncation = false;
+    EnumerationLimits budget = TruncatableLimits(3, threads);
+    budget.max_classes = capped.space().size() + 1;
+    // The same cap failure with cold segments spilled behind the frontier.
+    EnumerationLimits spilled = at_cap;
+    spilled.segments.segment_shift = 2;
+    spilled.segments.residency_budget_bytes = 256;
+    for (const EnumerationLimits& strict : {at_cap, budget, spilled}) {
+      std::istringstream in(parked);
+      SpaceBuilder builder = LoadSpaceBuilderSnapshot(bus, in, strict);
+      KnowledgeEvaluator eval(builder.space(), {.num_threads = 1});
+      const FormulaPtr f =
+          Formula::Knows(ProcessSet{0}, Formula::Atom(bus.HoldsToken(0)));
+      const auto verdicts = eval.SatisfyingSet(f);
+      EXPECT_THROW(builder.Deepen(1), ModelError);
+      EXPECT_EQ(BuilderBytes(builder), parked) << threads;
+      EXPECT_TRUE(builder.CanDeepen());
+      EXPECT_EQ(eval.SatisfyingSet(f), verdicts);
+      // The BFS drains before a 10-level cap, so nothing throws.
+      if (strict.max_classes != budget.max_classes) {
+        builder.Deepen(10);
+        EXPECT_TRUE(builder.complete());
+        EXPECT_EQ(SnapshotBytes(builder.space()),
+                  SnapshotBytes(ComputationSpace::Enumerate(
+                      bus, TruncatableLimits(12, threads))))
+            << threads;
+      }
+    }
+  }
 }
 
 // --- Evaluator Refresh ------------------------------------------------------
@@ -389,6 +428,33 @@ TEST(SpaceBuilderTest, IngestRejectsInvalidExtensions) {
   const std::vector<Event> bogus = {Receive(1, 0, 99, "nope")};
   EXPECT_THROW(builder.Ingest(std::span<const Event>(bogus)), ModelError);
   EXPECT_EQ(builder.space().size(), before);
+}
+
+TEST(SpaceBuilderTest, IngestThatThrowsKeepsItsFinishedPrefixes) {
+  // Event #6 is illegal; the six prefixes before it were minted.  They stay,
+  // finalized and resealed: the space is what ingesting the legal prefix
+  // alone leaves, and it answers queries over all its classes.
+  protocols::TokenBusSystem bus(3, 3);
+  const auto run = GreedyWalk(bus, 6);
+  ASSERT_EQ(run.size(), 6u);
+  SpaceBuilder clean;
+  clean.Build(bus, TruncatableLimits(2, /*threads=*/1));
+  clean.Ingest(std::span<const Event>(run));
+
+  SpaceBuilder builder;
+  builder.Build(bus, TruncatableLimits(2, /*threads=*/1));
+  ASSERT_EQ(builder.space().size(), 3u);
+  std::vector<Event> bad = run;
+  bad.push_back(Receive(1, 0, 99, "nope"));
+  EXPECT_THROW(builder.Ingest(std::span<const Event>(bad)), ModelError);
+  EXPECT_EQ(builder.space().size(), 7u);
+  EXPECT_EQ(BuilderBytes(builder), BuilderBytes(clean));
+  const FormulaPtr f =
+      Formula::Knows(ProcessSet{0}, Formula::Atom(bus.HoldsToken(0)));
+  KnowledgeEvaluator eval(builder.space(), {.num_threads = 1});
+  EXPECT_EQ(eval.SatisfyingSet(f),
+            ReferenceKnowledge(clean.space()).SatisfyingSet(f));
+  EXPECT_EQ(builder.Ingest(std::span<const Event>(run)), 0u);
 }
 
 TEST(SpaceBuilderTest, DeepenAfterMintingIngestThrows) {

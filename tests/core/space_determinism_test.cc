@@ -20,9 +20,6 @@ void ExpectIdenticalSpaces(const ComputationSpace& a,
   ASSERT_EQ(a.truncated(), b.truncated());
   for (std::size_t id = 0; id < a.size(); ++id) {
     ASSERT_EQ(a.At(id), b.At(id)) << "class " << id;
-    for (ProcessId p = 0; p < a.num_processes(); ++p)
-      ASSERT_EQ(a.ProjectionClass(id, p), b.ProjectionClass(id, p))
-          << "class " << id << " process " << p;
     const auto& succ_a = a.SuccessorsOf(id);
     const auto& succ_b = b.SuccessorsOf(id);
     ASSERT_EQ(succ_a.size(), succ_b.size()) << "class " << id;
@@ -34,10 +31,15 @@ void ExpectIdenticalSpaces(const ComputationSpace& a,
     }
   }
   for (ProcessId p = 0; p < a.num_processes(); ++p) {
-    ASSERT_EQ(a.NumProjectionClasses(p), b.NumProjectionClasses(p));
-    for (std::uint32_t cls = 0; cls < a.NumProjectionClasses(p); ++cls) {
-      const auto bucket_a = a.Bucket(p, cls);
-      const auto bucket_b = b.Bucket(p, cls);
+    const Partition part_a = a.PartitionOf(ProcessSet::Of(p));
+    const Partition part_b = b.PartitionOf(ProcessSet::Of(p));
+    for (std::size_t id = 0; id < a.size(); ++id)
+      ASSERT_EQ(part_a.ClassOf(id), part_b.ClassOf(id))
+          << "class " << id << " process " << p;
+    ASSERT_EQ(part_a.NumClasses(), part_b.NumClasses());
+    for (std::uint32_t cls = 0; cls < part_a.NumClasses(); ++cls) {
+      const auto bucket_a = part_a.Bucket(cls);
+      const auto bucket_b = part_b.Bucket(cls);
       ASSERT_EQ(bucket_a.size(), bucket_b.size()) << "p" << p << " " << cls;
       EXPECT_TRUE(
           std::equal(bucket_a.begin(), bucket_a.end(), bucket_b.begin()))

@@ -1,13 +1,13 @@
 // Invariants of the [G]-class (group projection) layer
-// (ComputationSpace::EnsureGroupIndex):
+// (ComputationSpace::EnsureGroupIndex, read as a Partition):
 //
 //   * partition semantics — two computations share a [G]-class iff they
 //     share the [p]-class of every member (the [G]-partition is the common
 //     refinement of the member [p]-partitions);
 //   * bucket containment — every [G]-bucket is a subset of each member's
 //     [p]-bucket of its representative;
-//   * |G| = 1 reduction — the lazily built singleton index coincides with
-//     the existing ProjectionClass/Bucket columns;
+//   * |G| = 1 reduction — the lazily built singleton table coincides with
+//     the [p]-columns PartitionOf({p}) reads;
 //   * CSR shape — buckets are ascending, disjoint, and cover the space;
 //   * numbering — class ids are the first-occurrence order of member
 //     [p]-class tuples over ascending ids, the ids snapshots persist.
@@ -41,16 +41,16 @@ std::vector<ProcessSet> TestGroups(int num_processes) {
 }
 
 void ExpectRefinementInvariants(const ComputationSpace& space, ProcessSet g) {
-  const ComputationSpace::GroupIndex& gi = space.EnsureGroupIndex(g);
-  ASSERT_EQ(gi.mask(), g.bits());
+  const Partition gi = space.EnsureGroupIndex(g);
+  ASSERT_TRUE(space.HasGroupIndex(g));
 
   // Partition semantics against the brute-force definition.
   for (std::size_t a = 0; a < space.size(); ++a) {
     for (std::size_t b = a; b < space.size(); ++b) {
       bool all_members_agree = true;
       g.ForEach([&](ProcessId p) {
-        if (space.ProjectionClass(a, p) != space.ProjectionClass(b, p))
-          all_members_agree = false;
+        const Partition member = space.PartitionOf(ProcessSet::Of(p));
+        if (member.ClassOf(a) != member.ClassOf(b)) all_members_agree = false;
       });
       ASSERT_EQ(gi.ClassOf(a) == gi.ClassOf(b), all_members_agree)
           << "ids " << a << "," << b << " mask=" << g.bits();
@@ -81,8 +81,8 @@ void ExpectRefinementInvariants(const ComputationSpace& space, ProcessSet g) {
   for (std::uint32_t cls = 0; cls < gi.NumClasses(); ++cls) {
     const auto bucket = gi.Bucket(cls);
     g.ForEach([&](ProcessId p) {
-      const auto pbucket =
-          space.Bucket(p, space.ProjectionClass(bucket.front(), p));
+      const Partition member = space.PartitionOf(ProcessSet::Of(p));
+      const auto pbucket = member.Bucket(member.ClassOf(bucket.front()));
       for (std::uint32_t y : bucket) {
         bool in_pbucket = false;
         for (std::uint32_t z : pbucket)
@@ -97,14 +97,14 @@ void ExpectRefinementInvariants(const ComputationSpace& space, ProcessSet g) {
 
 void ExpectSingletonReduction(const ComputationSpace& space) {
   for (ProcessId p = 0; p < space.num_processes(); ++p) {
-    const ComputationSpace::GroupIndex& gi =
-        space.EnsureGroupIndex(ProcessSet::Of(p));
-    ASSERT_EQ(gi.NumClasses(), space.NumProjectionClasses(p));
+    const Partition gi = space.EnsureGroupIndex(ProcessSet::Of(p));
+    const Partition columns = space.PartitionOf(ProcessSet::Of(p));
+    ASSERT_EQ(gi.NumClasses(), columns.NumClasses());
     for (std::size_t id = 0; id < space.size(); ++id)
-      ASSERT_EQ(gi.ClassOf(id), space.ProjectionClass(id, p));
+      ASSERT_EQ(gi.ClassOf(id), columns.ClassOf(id));
     for (std::uint32_t cls = 0; cls < gi.NumClasses(); ++cls) {
       const auto lazy = gi.Bucket(cls);
-      const auto column = space.Bucket(p, cls);
+      const auto column = columns.Bucket(cls);
       ASSERT_EQ(std::vector<std::uint32_t>(lazy.begin(), lazy.end()),
                 std::vector<std::uint32_t>(column.begin(), column.end()));
     }
@@ -136,13 +136,13 @@ std::vector<ProcessSet> AllGroups(const ComputationSpace& space) {
 // Brute-force numbering: scan ids ascending and give each new tuple of
 // member [p]-class ids the next [G]-class id.
 void ExpectFirstOccurrenceNumbering(const ComputationSpace& space,
-                                    const ComputationSpace::GroupIndex& gi,
-                                    ProcessSet g) {
+                                    const Partition& gi, ProcessSet g) {
   std::map<std::vector<std::uint32_t>, std::uint32_t> numbering;
   for (std::size_t id = 0; id < space.size(); ++id) {
     std::vector<std::uint32_t> tuple;
-    g.ForEach(
-        [&](ProcessId p) { tuple.push_back(space.ProjectionClass(id, p)); });
+    g.ForEach([&](ProcessId p) {
+      tuple.push_back(space.PartitionOf(ProcessSet::Of(p)).ClassOf(id));
+    });
     const auto next = static_cast<std::uint32_t>(numbering.size());
     const auto [it, inserted] = numbering.emplace(std::move(tuple), next);
     ASSERT_EQ(gi.ClassOf(id), it->second)
@@ -186,23 +186,20 @@ TEST(SpaceGroupClassTest, ClassIdsAreFirstOccurrenceOnLockstepSpace) {
 }
 
 TEST(SpaceGroupClassTest, ClassIdsStayFirstOccurrenceAfterDeepen) {
-  // Deepen re-replays every cached index in place: the refreshed tables
+  // Deepen re-replays every cached table in place: the refreshed tables
   // must number the grown space exactly as a first build would.
   const RandomSystem system = SmallRandomSystem();
   SpaceBuilder builder;
   builder.Build(system,
                 {.max_depth = 8, .allow_truncation = true, .num_threads = 1});
   const ComputationSpace& space = builder.space();
-  std::vector<const ComputationSpace::GroupIndex*> indexes;
-  for (ProcessSet g : AllGroups(space))
-    indexes.push_back(&space.EnsureGroupIndex(g));
+  for (ProcessSet g : AllGroups(space)) space.EnsureGroupIndex(g);
   const std::size_t before = space.size();
   ASSERT_GT(builder.Deepen(6), 0u);
   ASSERT_GT(space.size(), before);
-  const auto groups = AllGroups(space);
-  for (std::size_t k = 0; k < groups.size(); ++k) {
-    ASSERT_EQ(&space.EnsureGroupIndex(groups[k]), indexes[k]);
-    ExpectFirstOccurrenceNumbering(space, *indexes[k], groups[k]);
+  for (ProcessSet g : AllGroups(space)) {
+    ASSERT_TRUE(space.HasGroupIndex(g)) << g.ToString();
+    ExpectFirstOccurrenceNumbering(space, space.EnsureGroupIndex(g), g);
   }
 }
 
@@ -214,16 +211,16 @@ TEST(SpaceGroupClassTest, FullGroupOnCanonicalSpaceIsDiscrete) {
   // On a canonicalized space, projections onto all processes determine the
   // [D]-class, so the [All]-partition is discrete.
   const auto space = SmallRandomSpace();
-  const auto& gi = space.EnsureGroupIndex(space.AllProcesses());
+  const Partition gi = space.EnsureGroupIndex(space.AllProcesses());
   EXPECT_EQ(gi.NumClasses(), space.size());
 }
 
 TEST(SpaceGroupClassTest, GroupIndexIsCachedAndCountedInMemoryUsage) {
   const auto space = SmallRandomSpace();
   const std::size_t before = space.MemoryUsage().bytes_total;
-  const auto& a = space.EnsureGroupIndex(ProcessSet{0, 1});
-  const auto& b = space.EnsureGroupIndex(ProcessSet{0, 1});
-  EXPECT_EQ(&a, &b);  // cached, stable address
+  const Partition a = space.EnsureGroupIndex(ProcessSet{0, 1});
+  const Partition b = space.EnsureGroupIndex(ProcessSet{0, 1});
+  EXPECT_EQ(a.Bucket(0).data(), b.Bucket(0).data());  // cached, not rebuilt
   const auto after = space.MemoryUsage();
   EXPECT_GT(after.bytes_group_index, 0u);
   EXPECT_EQ(after.bytes_total, before + after.bytes_group_index);

@@ -48,8 +48,6 @@ void ExpectSameSpace(const ComputationSpace& a, const ComputationSpace& b) {
   for (std::size_t id = 0; id < a.size(); ++id) {
     EXPECT_EQ(a.LengthOf(id), b.LengthOf(id)) << id;
     EXPECT_TRUE(a.At(id) == b.At(id)) << id;
-    for (ProcessId p = 0; p < a.num_processes(); ++p)
-      EXPECT_EQ(a.ProjectionClass(id, p), b.ProjectionClass(id, p)) << id;
     const auto sa = a.SuccessorsOf(id);
     const auto sb = b.SuccessorsOf(id);
     ASSERT_EQ(sa.size(), sb.size()) << id;
@@ -59,10 +57,14 @@ void ExpectSameSpace(const ComputationSpace& a, const ComputationSpace& b) {
     }
   }
   for (ProcessId p = 0; p < a.num_processes(); ++p) {
-    ASSERT_EQ(a.NumProjectionClasses(p), b.NumProjectionClasses(p));
-    for (std::size_t c = 0; c < a.NumProjectionClasses(p); ++c) {
-      const auto ba = a.Bucket(p, static_cast<std::uint32_t>(c));
-      const auto bb = b.Bucket(p, static_cast<std::uint32_t>(c));
+    const Partition pa = a.PartitionOf(ProcessSet::Of(p));
+    const Partition pb = b.PartitionOf(ProcessSet::Of(p));
+    for (std::size_t id = 0; id < a.size(); ++id)
+      EXPECT_EQ(pa.ClassOf(id), pb.ClassOf(id)) << id;
+    ASSERT_EQ(pa.NumClasses(), pb.NumClasses());
+    for (std::size_t c = 0; c < pa.NumClasses(); ++c) {
+      const auto ba = pa.Bucket(static_cast<std::uint32_t>(c));
+      const auto bb = pb.Bucket(static_cast<std::uint32_t>(c));
       ASSERT_EQ(ba.size(), bb.size()) << c;
       for (std::size_t i = 0; i < ba.size(); ++i)
         EXPECT_EQ(ba[i], bb[i]) << c;

@@ -8,6 +8,7 @@
 
 #include "core/isomorphism.h"
 #include "core/random_system.h"
+#include "core/state_view.h"
 
 namespace hpl {
 namespace {
@@ -87,8 +88,8 @@ TEST(SpaceTest, ProjectionClassesMatchIsomorphism) {
   for (std::size_t a = 0; a < space.size(); a += 5) {
     for (std::size_t b = 0; b < space.size(); b += 7) {
       for (ProcessId p = 0; p < 3; ++p) {
-        const bool via_class =
-            space.ProjectionClass(a, p) == space.ProjectionClass(b, p);
+        const Partition part = space.PartitionOf(ProcessSet::Of(p));
+        const bool via_class = part.ClassOf(a) == part.ClassOf(b);
         const bool direct = IsomorphicWrt(space.At(a), space.At(b), p);
         ASSERT_EQ(via_class, direct) << a << "," << b << ",p" << p;
       }
@@ -102,16 +103,18 @@ TEST(SpaceTest, BucketsPartitionTheSpace) {
   RandomSystem system(options);
   auto space = ComputationSpace::Enumerate(system, {.max_depth = 24});
   for (ProcessId p = 0; p < space.num_processes(); ++p) {
+    const Partition part = space.PartitionOf(ProcessSet::Of(p));
     std::vector<bool> seen(space.size(), false);
     std::uint32_t max_class = 0;
     for (std::size_t id = 0; id < space.size(); ++id)
-      max_class = std::max(max_class, space.ProjectionClass(id, p));
+      max_class = std::max(max_class, part.ClassOf(id));
+    ASSERT_EQ(part.NumClasses(), max_class + 1u);
     std::size_t total = 0;
     for (std::uint32_t cls = 0; cls <= max_class; ++cls) {
-      for (std::uint32_t id : space.Bucket(p, cls)) {
+      for (std::uint32_t id : part.Bucket(cls)) {
         ASSERT_FALSE(seen[id]);
         seen[id] = true;
-        ASSERT_EQ(space.ProjectionClass(id, p), cls);
+        ASSERT_EQ(part.ClassOf(id), cls);
         ++total;
       }
     }
@@ -119,26 +122,56 @@ TEST(SpaceTest, BucketsPartitionTheSpace) {
   }
 }
 
-TEST(SpaceTest, ForEachIsomorphicMatchesScan) {
+// Every id's bucket, read through the Partition view, is exactly the ids a
+// pairwise scan relates: [P] by IsomorphicWrt on the space, equal state keys
+// on every member on a StateView.  (E21(b): the [P]-relation sweep.)
+TEST(SpaceTest, PartitionBucketsMatchScan) {
   RandomSystemOptions options;
   options.seed = 8;
   RandomSystem system(options);
   auto space = ComputationSpace::Enumerate(system, {.max_depth = 24});
-  const std::vector<ProcessSet> sets = {
-      ProcessSet::Empty(), ProcessSet{0}, ProcessSet{1}, ProcessSet{0, 1},
-      ProcessSet{0, 1, 2}};
-  for (std::size_t id = 0; id < space.size(); id += 11) {
-    for (const ProcessSet& set : sets) {
-      std::vector<std::size_t> via_iter;
-      space.ForEachIsomorphic(id, set,
-                              [&](std::size_t y) { via_iter.push_back(y); });
+  std::vector<Computation> all;
+  space.ForEachComputation(
+      0, space.size(), [](std::size_t) { return true; },
+      [&](std::size_t, const Computation& x) { all.push_back(x); });
+  const std::vector<ProcessSet> sets = {ProcessSet{0}, ProcessSet{1},
+                                        ProcessSet{0, 1}, ProcessSet{0, 1, 2}};
+  // ASSERTs that the bucket of every id is {y : related(id, y)}.
+  const auto expect_buckets = [&](const Partition& part, ProcessSet set,
+                                  const auto& related) {
+    for (std::size_t id = 0; id < all.size(); ++id) {
+      const auto bucket = part.Bucket(part.ClassOf(id));
+      const std::vector<std::size_t> via_bucket(bucket.begin(), bucket.end());
       std::vector<std::size_t> via_scan;
-      for (std::size_t y = 0; y < space.size(); ++y)
-        if (IsomorphicWrt(space.At(id), space.At(y), set))
-          via_scan.push_back(y);
-      std::sort(via_iter.begin(), via_iter.end());
-      ASSERT_EQ(via_iter, via_scan) << "id=" << id << " set=" << set.ToString();
+      for (std::size_t y = 0; y < all.size(); ++y)
+        if (related(id, y)) via_scan.push_back(y);
+      ASSERT_EQ(via_bucket, via_scan)
+          << "id=" << id << " set=" << set.ToString();
+      ASSERT_EQ(part.Representative(part.ClassOf(id)), via_scan.front());
     }
+  };
+  for (const ProcessSet set : sets)
+    expect_buckets(space.PartitionOf(set), set,
+                   [&](std::size_t a, std::size_t b) {
+                     return IsomorphicWrt(all[a], all[b], set);
+                   });
+  for (StateAbstraction abstraction :
+       {StateAbstraction::FullHistory(), StateAbstraction::EventCount()}) {
+    SCOPED_TRACE(abstraction.name());
+    const StateView view(space, abstraction);
+    std::vector<std::vector<std::string>> keys(all.size());
+    for (std::size_t id = 0; id < all.size(); ++id)
+      for (ProcessId p = 0; p < space.num_processes(); ++p)
+        keys[id].push_back(abstraction.StateOf(p, all[id].Projection(p)));
+    for (const ProcessSet set : sets)
+      expect_buckets(view.PartitionOf(set), set,
+                     [&](std::size_t a, std::size_t b) {
+                       bool same = true;
+                       set.ForEach([&](ProcessId p) {
+                         same = same && keys[a][p] == keys[b][p];
+                       });
+                       return same;
+                     });
   }
 }
 

@@ -13,7 +13,9 @@ Contract under test:
     exits 1 with a named error (it used to abort on an uncaught
     std::out_of_range),
   * `relay:N` accepts only N in [2, 64]: larger specs exit 1 naming the
-    spec instead of overflowing the space's per-process rows.
+    spec instead of overflowing the space's per-process rows,
+  * `chains <n> <z> <p...>` accepts stage processes only in [0, n - 1]:
+    a process outside the system exits 1 naming the stage argument.
 
 Usage: cli_group_test.py <path-to-hpl_cli>
 """
@@ -106,6 +108,13 @@ def main():
     proc = run_cli(cli, ["space", "relay:64"])
     check("out of range" not in proc.stderr,
           "relay:64 is inside the spec's range")
+
+    proc = run_cli(cli, ["chains", "2", "", "7"])
+    check(proc.returncode == 1 and "chain stage process" in proc.stderr
+          and "[0, 1]" in proc.stderr,
+          "chains 2 '' 7 exits 1 naming the stage process")
+    proc = run_cli(cli, ["chains", "2", "", "1"])
+    check(proc.returncode == 0, "chains 2 '' 1 is inside the system")
 
     if failures:
         print(f"\n{len(failures)} failure(s)")

@@ -21,7 +21,12 @@ Contract under test:
     reports the out-of-core state of the store,
   * {"op":"deepen"} answers deterministically on a complete space
     (added=0) -- the same bytes whether the space was enumerated fresh
-    or loaded from the snapshot.
+    or loaded from the snapshot,
+  * a deepen that fails (a capped snapshot re-served without
+    --allow-truncation) is an error response and a no-op: the answers
+    after it are byte-identical to a session that never sent it, and a
+    later deepen to completion answers like a standalone check of the
+    full space.
 
 Usage: serve_pipe_test.py <path-to-hpl_cli>
 """
@@ -149,6 +154,63 @@ def run_serve(cli, snapshot_path, requests):
     return proc, responses
 
 
+def failed_deepen_stream(cli, tmp):
+    """Serve a capped snapshot without --allow-truncation through a failing
+    deepen; the session must answer exactly as one that never sent it (the
+    check after it used to end in SIGSEGV)."""
+    spec = "tokenbus:4,6"
+    formulas = ["K{1} token_at_p1", "K{0,1} token_at_p0", "M{2} token_at_p2"]
+    path = os.path.join(tmp, "capped.snap")
+    proc = run_cli(cli, ["serve", spec, "--max-depth=10", "--allow-truncation",
+                         f"--snapshot={path}"], stdin_data='{"op":"quit"}\n')
+    check(proc.returncode == 0 and os.path.exists(path),
+          "capped serve writes its snapshot")
+    probes = [
+        '{"op":"check","formula":"K{1} token_at_p1","ids":true}',
+        json.dumps({"op": "check", "formulas": formulas}),
+        '{"op":"check-at","formula":"token_at_p1",'
+        '"at":"0>1:0/token 1<0:0/token"}',
+        '{"op":"info"}',
+    ]
+    n = len(probes)
+
+    def serve(requests):
+        proc = run_cli(cli, ["serve", spec, "--max-depth=10",
+                             f"--snapshot={path}"],
+                       stdin_data="".join(line + "\n" for line in requests))
+        # info's running request counter is the one field that may move.
+        return proc, [re.sub(r',"requests":\d+', "", line)
+                      for line in proc.stdout.splitlines() if line.strip()]
+
+    _, untouched = serve(probes + ['{"op":"quit"}'])
+    requests = (['{"op":"deepen","id":"fails"}'] + probes +
+                ['{"op":"deepen","levels":20,"id":"drain"}',
+                 json.dumps({"op": "check", "formulas": formulas}),
+                 '{"op":"quit"}'])
+    proc, responses = serve(requests)
+    check(proc.returncode == 0,
+          f"serve survives a failed deepen (exit {proc.returncode})")
+    if len(responses) != len(requests):
+        check(False, f"one response per request after a failed deepen "
+                     f"({len(responses)}/{len(requests)})")
+        return
+    failed = json.loads(responses[0])
+    check(failed.get("ok") is False and
+          "still extendable at max_depth=11" in failed.get("error", ""),
+          "the deepen past the cap fails with a named error")
+    check(responses[1:n + 1] == untouched[:n],
+          "answers after the failed deepen match a session without it")
+    drained = json.loads(responses[n + 1])
+    check(drained.get("ok") is True and drained.get("complete") is True,
+          "a later deepen drains the space")
+    results = json.loads(responses[n + 2]).get("results", [])
+    for formula, result in zip(formulas, results):
+        standalone = run_cli(cli, ["check", spec, formula]).stdout
+        digest = re.search(r"satisfying-hash: ([0-9a-f]{16})", standalone)
+        check(digest is not None and result["hash"] == digest.group(1),
+              f"the drained space answers '{formula}' like standalone check")
+
+
 def main():
     if len(sys.argv) != 2:
         sys.exit("usage: serve_pipe_test.py <path-to-hpl_cli>")
@@ -182,6 +244,8 @@ def main():
               "second run does not enumerate")
         check(warm_responses == cold_responses,
               "loaded-snapshot responses are byte-identical to cold run")
+
+        failed_deepen_stream(cli, tmp)
 
     # Validate the warm response stream against the standalone verdicts.
     ok_checks = 0

@@ -122,6 +122,65 @@ TEST_F(SessionTest, DeepenCappedThenComplete) {
             R"("hash":"ed3a3c8c2a52f1c0"})");
 }
 
+TEST_F(SessionTest, FailedDeepenLeavesTheSessionAsItWas) {
+  // token_bus(n=4,passes=6) capped at depth 10 (39 classes) and served
+  // without allow_truncation: deepening one level mints level 11, finds it
+  // still extendable and throws.  The failed call must leave the space, the
+  // frontier and every answer as a session that never sent it has them (a
+  // half-grown space used to crash the next check).
+  const protocols::TokenBusSystem bus(4, 6);
+  EnumerationLimits limits = Capped();
+  limits.max_depth = 10;
+  std::stringstream bytes;
+  {
+    SpaceBuilder capped;
+    capped.Build(bus, limits);
+    SaveSpaceBuilderSnapshot(capped, bytes);
+  }
+  limits.allow_truncation = false;
+  const auto serve = [&] {
+    std::vector<Predicate> atoms;
+    for (ProcessId p = 0; p < 4; ++p) atoms.push_back(bus.HoldsToken(p));
+    std::istringstream in(bytes.str());
+    return Session(LoadSpaceBuilderSnapshot(bus, in, limits), std::move(atoms),
+                   {.num_threads = 1});
+  };
+  const std::vector<std::string> requests = {
+      R"({"op":"check","formula":"K{1} token_at_p1","ids":true})",
+      R"({"op":"check","formulas":["K{0,1} token_at_p0","M{2} token_at_p2"]})",
+      R"({"op":"check-at","formula":"K{1} token_at_p1",)"
+      R"("at":"0>1:0/token 1<0:0/token"})",
+      R"({"op":"info"})"};
+  // Responses minus info's running request counter (its last field).
+  const auto answer = [](Session& session, const std::string& request) {
+    std::string response = session.Handle(request);
+    const std::size_t at = response.find(R"(,"requests":)");
+    if (at != std::string::npos) response.erase(at, response.size() - 1 - at);
+    return response;
+  };
+  Session untouched = serve();
+  Session session = serve();
+  const std::string failed = session.Handle(R"({"op":"deepen"})");
+  EXPECT_NE(failed.find(R"("ok":false)"), std::string::npos) << failed;
+  EXPECT_NE(failed.find("still extendable at max_depth=11"), std::string::npos)
+      << failed;
+  for (const std::string& request : requests)
+    EXPECT_EQ(answer(session, request), answer(untouched, request)) << request;
+
+  // Deepening past the last level never meets the cap, and lands on the
+  // space a fresh enumeration builds.
+  EXPECT_EQ(session.Handle(R"({"op":"deepen","levels":10})"),
+            R"({"ok":true,"v":3,"op":"deepen","added":26,"classes":65,)"
+            R"("built_depth":12,"complete":true})");
+  std::stringstream grown, fresh;
+  SaveSpaceSnapshot(session.builder().space(), grown);
+  const ComputationSpace full =
+      ComputationSpace::Enumerate(bus, {.num_threads = 1});
+  full.EnsureGroupIndex(ProcessSet{0, 1});  // the K{0,1} query built it
+  SaveSpaceSnapshot(full, fresh);
+  EXPECT_EQ(grown.str(), fresh.str());
+}
+
 TEST_F(SessionTest, DeepenSealedIsAnError) {
   Session session = SealedSession();
   const std::string line = session.Handle(R"({"op":"deepen","id":7})");

@@ -540,15 +540,22 @@ void EnsureGroups(const ComputationSpace& space, const CliOptions& flags) {
   for (ProcessSet g : flags.groups) space.EnsureGroupIndex(g);
 }
 
+// Bytes of one [G]-table: a class per computation, NumClasses() + 1 CSR
+// offsets, and a bucket entry per computation.
+std::size_t GroupTableBytes(const Partition& part, std::size_t size) {
+  return (2 * size + part.NumClasses() + 1) * sizeof(std::uint32_t);
+}
+
 // The group-layer stats of every --group= index: printed on check paths and
 // emitted as group_index/ rows in --json.
 void PrintGroupStats(const ComputationSpace& space,
                      const std::vector<ProcessSet>& groups) {
   for (ProcessSet g : groups) {
-    const auto& index = space.EnsureGroupIndex(g);
-    std::printf("group %s: %zu [G]-classes over %zu computations, %.1f KiB\n",
-                g.ToString().c_str(), index.NumClasses(), space.size(),
-                static_cast<double>(index.MemoryBytes()) / 1024.0);
+    const Partition part = space.EnsureGroupIndex(g);
+    std::printf(
+        "group %s: %zu [G]-classes over %zu computations, %.1f KiB\n",
+        g.ToString().c_str(), part.NumClasses(), space.size(),
+        static_cast<double>(GroupTableBytes(part, space.size())) / 1024.0);
   }
 }
 
@@ -556,13 +563,13 @@ void AddGroupRows(bench::JsonReporter& reporter, const NamedSystem& named,
                   const ComputationSpace& space,
                   const std::vector<ProcessSet>& groups) {
   for (ProcessSet g : groups) {
-    const auto& index = space.EnsureGroupIndex(g);
+    const Partition part = space.EnsureGroupIndex(g);
     bench::JsonResult row;
     row.name = "group_index/" + named.system->Name() + "/" + g.ToString();
     row.params = {{"group_size", static_cast<double>(g.Size())},
-                  {"group_classes", static_cast<double>(index.NumClasses())}};
+                  {"group_classes", static_cast<double>(part.NumClasses())}};
     row.space_classes = space.size();
-    row.bytes_space = index.MemoryBytes();
+    row.bytes_space = GroupTableBytes(part, space.size());
     reporter.Add(std::move(row));
   }
 }
@@ -840,8 +847,8 @@ int CmdChains(int n, const std::string& serialized,
   const Computation z = ParseComputation(serialized);
   std::vector<ProcessSet> stages;
   for (const std::string& arg : stage_args)
-    stages.push_back(ProcessSet::Of(static_cast<int>(
-        ParseIntArg("chain stage process", arg, 0, kMaxProcesses - 1))));
+    stages.push_back(ProcessSet::Of(
+        static_cast<int>(ParseIntArg("chain stage process", arg, 0, n - 1))));
   ChainDetector detector(z, n);
   const auto witness = detector.FindChain(stages);
   if (!witness.has_value()) {
@@ -1059,11 +1066,13 @@ int CmdBench(const std::string& spec, const CliOptions& flags) {
     const auto seq_space = ComputationSpace::Enumerate(*named.system,
                                                        seq_limits);
     if (seq_space.size() != classes) deterministic = false;
-    for (std::size_t id = 0; deterministic && id < classes; ++id) {
+    for (std::size_t id = 0; deterministic && id < classes; ++id)
       if (space->LengthOf(id) != seq_space.LengthOf(id)) deterministic = false;
-      for (ProcessId p = 0; deterministic && p < space->num_processes(); ++p)
-        if (space->ProjectionClass(id, p) != seq_space.ProjectionClass(id, p))
-          deterministic = false;
+    for (ProcessId p = 0; deterministic && p < space->num_processes(); ++p) {
+      const Partition a = space->PartitionOf(ProcessSet::Of(p));
+      const Partition b = seq_space.PartitionOf(ProcessSet::Of(p));
+      for (std::size_t id = 0; deterministic && id < classes; ++id)
+        if (a.ClassOf(id) != b.ClassOf(id)) deterministic = false;
     }
     // Canonical forms are O(length^2) to materialize; sample them.
     const std::size_t step = std::max<std::size_t>(1, classes / 997);
