@@ -27,19 +27,25 @@ std::uint64_t LiveMask(std::size_t n, std::size_t w) {
 //     whole [p]-bucket sits inside one component), so any p in both G and
 //     view suffices.
 //   - Propositional combinations of view-constant formulas stay constant.
+//   - An atom local to p by construction (Predicate::OnProjection) is
+//     constant on [p]-classes, and [view] refines [p] whenever p is in
+//     view — but only when the partitions are the space's own: a state
+//     partition (StateView) is coarser than [p], so `local_atoms` is off.
 // Under K{P} / M{P} a P-constant child collapses the quantifier to the
 // child itself; under Sure{P} it collapses to `true`.
-bool ViewConstant(const Formula* f, ProcessSet view) {
+bool ViewConstant(const Formula* f, ProcessSet view, bool local_atoms) {
   switch (f->kind()) {
-    case FormulaKind::kAtom:
-      return false;
+    case FormulaKind::kAtom: {
+      const ProcessId p = f->atom().local_process();
+      return local_atoms && p != kNoProcess && view.Contains(p);
+    }
     case FormulaKind::kNot:
-      return ViewConstant(f->left().get(), view);
+      return ViewConstant(f->left().get(), view, local_atoms);
     case FormulaKind::kAnd:
     case FormulaKind::kOr:
     case FormulaKind::kImplies:
-      return ViewConstant(f->left().get(), view) &&
-             ViewConstant(f->right().get(), view);
+      return ViewConstant(f->left().get(), view, local_atoms) &&
+             ViewConstant(f->right().get(), view, local_atoms);
     case FormulaKind::kKnows:
     case FormulaKind::kSure:
     case FormulaKind::kPossible:
@@ -61,7 +67,8 @@ std::size_t KernelProgram::MemoryBytes() const {
 }
 
 bool Compile(std::span<const CompileNode> postorder,
-             std::span<const std::uint32_t> roots, KernelProgram* out) {
+             std::span<const std::uint32_t> roots, bool local_atoms,
+             KernelProgram* out) {
   KernelProgram p;
   std::unordered_map<const Formula*, Slot> slot_of;
   std::unordered_set<std::uint32_t> root_set(roots.begin(), roots.end());
@@ -149,7 +156,7 @@ bool Compile(std::span<const CompileNode> postorder,
       case FormulaKind::kPossible: {
         const ProcessSet group = f->group();
         if (group.IsEmpty()) return false;  // interpreter handles these
-        if (ViewConstant(f->left().get(), group)) {
+        if (ViewConstant(f->left().get(), group, local_atoms)) {
           if (f->kind() == FormulaKind::kSure) {
             Op op;
             op.code = OpCode::kLoadConst;
@@ -178,8 +185,9 @@ bool Compile(std::span<const CompileNode> postorder,
         if (group.IsEmpty()) return false;
         bool member_local = true;
         group.ForEach([&](ProcessId q) {
-          member_local =
-              member_local && ViewConstant(f->left().get(), ProcessSet::Of(q));
+          member_local = member_local && ViewConstant(f->left().get(),
+                                                      ProcessSet::Of(q),
+                                                      local_atoms);
         });
         if (member_local) {
           // E{G} f == AND of K{p} f == f when f is local to every member.
@@ -336,14 +344,61 @@ void FillRow(std::uint64_t* row_known, std::uint64_t* row_value,
   }
 }
 
+bool TestBit(const std::uint64_t* bits, std::size_t i) {
+  return (bits[i / 64] >> (i % 64)) & 1;
+}
+
+// The verdicts of an atom local to p (Predicate::OnProjection), one bit per
+// [p]-class: a local atom is constant on [p]-classes, so its plane is
+// decided by one predicate call per class and scattered to the ids.  Empty
+// for every other op.
+struct ClassVerdicts {
+  Partition partition;               // the space's [p]-partition
+  std::vector<std::uint64_t> value;  // one bit per [p]-class
+};
+
+// The class pass of a local atom, run before the id scatter: a class whose
+// representative's bit is already known (seeded by earlier pointwise
+// queries; after Refresh, every old class) copies it, every other class
+// calls the predicate once on its projection, streamed along the space's
+// projection trie.  64-aligned class chunks keep the bit writes disjoint.
+void EvaluateClasses(const ExecContext& ctx, const Op& op, ClassVerdicts& out) {
+  const Predicate& atom = op.node->atom();
+  const ProcessId p = atom.local_process();
+  out.partition = ctx.space->PartitionOf(ProcessSet::Of(p));
+  const std::size_t classes = out.partition.NumClasses();
+  out.value.assign((classes + 63) / 64, 0);
+  const std::uint64_t* known_row = DenseKnownRow(ctx, op.dst.index);
+  const std::uint64_t* value_row = DenseValueRow(ctx, op.dst.index);
+  const auto set = [class_row = out.value.data()](std::size_t cls) {
+    class_row[cls / 64] |= std::uint64_t{1} << (cls % 64);
+  };
+  internal::ParallelFor(
+      ctx.pool, classes, /*align=*/64, [&](std::size_t b, std::size_t e) {
+        ctx.space->ForEachProjection(
+            p, b, e,
+            [&](std::size_t cls) {
+              const std::uint32_t rep = out.partition.Representative(
+                  static_cast<std::uint32_t>(cls));
+              if (!TestBit(known_row, rep)) return true;
+              if (TestBit(value_row, rep)) set(cls);
+              return false;
+            },
+            [&](std::size_t cls, std::span<const Event> projection) {
+              if (atom.EvalProjection(projection)) set(cls);
+            });
+      });
+}
+
 // The atom pass shared by both execution modes: per 64-id word, verdicts
 // seeded from bits earlier pointwise queries memoized (after Refresh that is
-// every old id), the rest evaluated against computations streamed along the
-// splice chain — only ids whose known bit is clear are materialized.  The
-// dense row comes out complete.  [begin, end) is 64-aligned at `begin`.
-void LoadAtomRange(const ExecContext& ctx, const Op& op, std::size_t begin,
+// every old id); the rest come from the class verdicts of a local atom, or
+// else are evaluated against computations streamed along the splice chain —
+// only ids whose known bit is clear are materialized.  The dense row comes
+// out complete.  [begin, end) is 64-aligned at `begin`.
+void LoadAtomRange(const ExecContext& ctx, const Op& op,
+                   const ClassVerdicts& local, std::size_t begin,
                    std::size_t end) {
-  const Predicate& atom = op.node->atom();
   std::uint64_t* known_row = DenseKnownRow(ctx, op.dst.index);
   std::uint64_t* value_row = DenseValueRow(ctx, op.dst.index);
   const std::size_t wb = begin / 64;
@@ -352,19 +407,37 @@ void LoadAtomRange(const ExecContext& ctx, const Op& op, std::size_t begin,
   const auto bit = [](std::size_t id) {
     return std::uint64_t{1} << (id % 64);
   };
-  ctx.space->ForEachComputation(
-      begin, end,
-      [&](std::size_t id) { return (known_row[id / 64] & bit(id)) == 0; },
-      [&](std::size_t id, const Computation& x) {
-        if (atom.Eval(x)) value_row[id / 64] |= bit(id);
-      });
+  if (!local.value.empty()) {
+    for (std::size_t w = wb; w < we; ++w) {
+      std::uint64_t unknown = ~known_row[w] & LiveMask(ctx.n, w);
+      std::uint64_t word = 0;
+      while (unknown != 0) {
+        const std::size_t id =
+            w * 64 + static_cast<std::size_t>(__builtin_ctzll(unknown));
+        if (TestBit(local.value.data(), local.partition.ClassOf(id)))
+          word |= bit(id);
+        unknown &= unknown - 1;
+      }
+      value_row[w] |= word;
+    }
+  } else {
+    const Predicate& atom = op.node->atom();
+    ctx.space->ForEachComputation(
+        begin, end,
+        [&](std::size_t id) { return (known_row[id / 64] & bit(id)) == 0; },
+        [&](std::size_t id, const Computation& x) {
+          if (atom.Eval(x)) value_row[id / 64] |= bit(id);
+        });
+  }
   for (std::size_t w = wb; w < we; ++w) known_row[w] = LiveMask(ctx.n, w);
 }
 
 // One pointwise op over the word range [wb, we) — the fused-mode inner loop
-// and the sharded body of segmented-mode boolean passes.
+// and the sharded body of segmented-mode boolean passes.  `local` holds the
+// class verdicts of a local atom op.
 void RunPointwiseOp(const ExecContext& ctx, Regs& regs, const Op& op,
-                    std::size_t wb, std::size_t we) {
+                    const ClassVerdicts& local, std::size_t wb,
+                    std::size_t we) {
   switch (op.code) {
     case OpCode::kLoadConst:
       for (std::size_t w = wb; w < we; ++w)
@@ -372,7 +445,7 @@ void RunPointwiseOp(const ExecContext& ctx, Regs& regs, const Op& op,
                   op.const_value ? LiveMask(ctx.n, w) : 0);
       break;
     case OpCode::kLoadAtomPlane:
-      LoadAtomRange(ctx, op, wb * 64, std::min(ctx.n, we * 64));
+      LoadAtomRange(ctx, op, local, wb * 64, std::min(ctx.n, we * 64));
       break;
     case OpCode::kCopy:
       for (std::size_t w = wb; w < we; ++w)
@@ -624,6 +697,19 @@ void Execute(const KernelProgram& program, const ExecContext& ctx) {
       if (regs[r].size() != ctx.words) regs[r].resize(ctx.words);
   }
 
+  // Local atoms run their class pass first, once per program, so each
+  // class is evaluated once whichever id chunk its members fall in.  An
+  // atom local to a process outside the system (its projection is always
+  // empty) takes the per-id path.
+  std::vector<ClassVerdicts> local(program.ops.size());
+  for (std::size_t i = 0; i < program.ops.size(); ++i) {
+    const Op& op = program.ops[i];
+    if (op.code != OpCode::kLoadAtomPlane) continue;
+    const ProcessId p = op.node->atom().local_process();
+    if (p != kNoProcess && p < ctx.space->num_processes())
+      EvaluateClasses(ctx, op, local[i]);
+  }
+
   if (program.pointwise) {
     // Fused mode: every op is word-local, so each worker streams its
     // 64-aligned id chunks through the whole op array with private
@@ -634,8 +720,8 @@ void Execute(const KernelProgram& program, const ExecContext& ctx) {
           Regs& regs = pools[static_cast<std::size_t>(worker)];
           const std::size_t wb = begin / 64;
           const std::size_t we = (end + 63) / 64;
-          for (const Op& op : program.ops)
-            RunPointwiseOp(ctx, regs, op, wb, we);
+          for (std::size_t i = 0; i < program.ops.size(); ++i)
+            RunPointwiseOp(ctx, regs, program.ops[i], local[i], wb, we);
         });
     if (ctx.space->out_of_core()) ctx.space->TrimResidency();
     return;
@@ -648,7 +734,8 @@ void Execute(const KernelProgram& program, const ExecContext& ctx) {
   // trims residency between ops — the kernel streams the space's segments
   // op by op instead of faulting the whole space resident.
   Regs& regs = pools[0];
-  for (const Op& op : program.ops) {
+  for (std::size_t i = 0; i < program.ops.size(); ++i) {
+    const Op& op = program.ops[i];
     if (ctx.space->out_of_core()) ctx.space->TrimResidency();
     switch (op.code) {
       case OpCode::kKnowSeg:
@@ -663,13 +750,14 @@ void Execute(const KernelProgram& program, const ExecContext& ctx) {
       case OpCode::kLoadAtomPlane:
         internal::ParallelFor(ctx.pool, ctx.n, /*align=*/64,
                               [&](std::size_t b, std::size_t e) {
-                                LoadAtomRange(ctx, op, b, e);
+                                LoadAtomRange(ctx, op, local[i], b, e);
                               });
         break;
       default:
         internal::ParallelFor(ctx.pool, ctx.words, /*align=*/1,
                               [&](std::size_t wb, std::size_t we) {
-                                RunPointwiseOp(ctx, regs, op, wb, we);
+                                RunPointwiseOp(ctx, regs, op, local[i], wb,
+                                               we);
                               });
         break;
     }

@@ -14,7 +14,12 @@
 //                       id); only the unknown ids are evaluated, each shard
 //                       streaming their computations along the splice chain
 //                       (ComputationSpace::ForEachComputation) instead of
-//                       rebuilding each one from the root
+//                       rebuilding each one from the root.  An atom local to
+//                       p (Predicate::OnProjection) is evaluated once per
+//                       [p]-class instead, on projections streamed along the
+//                       space's projection trie
+//                       (ComputationSpace::ForEachProjection), in a class
+//                       pass before the id scatter
 //   kNot/kAnd/kOr/...   boolean connectives over 64-bit words
 //   kKnowSeg            Knows / Sure / Possible via the projection-tier
 //                       segment primitive: phase A sweeps each bucket of the
@@ -43,8 +48,9 @@
 //   - Local-formula folding (IsLocalTo, compile time): when a modal child is
 //     *syntactically local* to the operator's view — constant on the
 //     operator's indistinguishability classes, e.g. K{H} g under K{P} with
-//     H subset of P, or CK{G} g under any K{P} with P meeting G — S5 algebra
-//     collapses the operator: K{P} f == M{P} f == f and Sure{P} f == true.
+//     H subset of P, CK{G} g under any K{P} with P meeting G, or an atom
+//     local to some p in P — S5 algebra collapses the operator:
+//     K{P} f == M{P} f == f and Sure{P} f == true.
 //   - Constant folding (IsConstant, run time): before sweeping any buckets,
 //     a modal op scans its child plane once; an all-true or all-false child
 //     decides every bucket verdict in O(n/64) words and the sweep is
@@ -161,11 +167,16 @@ struct CompileNode {
 
 // Lowers the DAG to a program.  `postorder` must cover every node reachable
 // from `roots` (complete nodes may stop the walk); `roots` are dense node
-// ids and must be incomplete.  Returns false when the DAG contains a shape
-// the kernels do not cover (currently: modal operators over an empty
-// process set) — callers fall back to the interpreted engine.
+// ids and must be incomplete.  `local_atoms` says the quantifiers range
+// over the space's own [p]- and [G]-partitions, so an atom local to p is
+// constant on every group containing p and folds like a local formula;
+// evaluators over a StateView (coarser state partitions) pass false.
+// Returns false when the DAG contains a shape the kernels do not cover
+// (currently: modal operators over an empty process set) — callers fall
+// back to the interpreted engine.
 bool Compile(std::span<const CompileNode> postorder,
-             std::span<const std::uint32_t> roots, KernelProgram* out);
+             std::span<const std::uint32_t> roots, bool local_atoms,
+             KernelProgram* out);
 
 // Everything one execution needs to locate the evaluator's memo state and
 // scratch.  All pointers remain owned by the caller.

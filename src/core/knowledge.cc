@@ -555,12 +555,26 @@ bool KnowledgeEvaluator::Eval(const Formula* f, std::size_t id) {
   const std::uint32_t seg = node_seg_begin_[node];
   bool result = false;
   switch (f->kind()) {
-    case FormulaKind::kAtom:
-      // At() materializes the computation from the columnar store; the
-      // verdict is memoized, so each (atom node, class) pays the replay
-      // exactly once per evaluator.
-      result = f->atom().Eval(space_.At(id));
+    case FormulaKind::kAtom: {
+      // An atom local to p reads p's projection alone, streamed from the
+      // space's projection trie; any other atom reads the computation At()
+      // materializes from the columnar store.  The verdict is memoized, so
+      // each (atom node, class) pays the read exactly once per evaluator.
+      const Predicate& atom = f->atom();
+      const ProcessId p = atom.local_process();
+      if (p == kNoProcess || p >= space_.num_processes()) {
+        result = atom.Eval(space_.At(id));
+        break;
+      }
+      const std::size_t cls =
+          space_.PartitionOf(ProcessSet::Of(p)).ClassOf(id);
+      space_.ForEachProjection(
+          p, cls, cls + 1, [](std::size_t) { return true; },
+          [&](std::size_t, std::span<const Event> projection) {
+            result = atom.EvalProjection(projection);
+          });
       break;
+    }
     case FormulaKind::kNot:
       result = !Eval(f->left().get(), id);
       break;
@@ -731,7 +745,9 @@ bool KnowledgeEvaluator::EvaluateEverywhereKernel(
       nodes.push_back(cn);
     }
     kernel::KernelProgram fresh;
-    if (!kernel::Compile(nodes, key, &fresh)) return false;
+    if (!kernel::Compile(nodes, key, /*local_atoms=*/view_ == nullptr,
+                         &fresh))
+      return false;
     program =
         &kernel_programs_.emplace(std::move(key), std::move(fresh))
              .first->second;

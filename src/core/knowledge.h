@@ -69,10 +69,11 @@
 // engines read the same tier rows and partitions.  Common-knowledge
 // component labels are the smallest member id of each component, whatever
 // the union order, so results are byte-identical at any thread count.
-// Kernel atom loads call Predicate::Eval concurrently from multiple
-// threads, which is safe for every predicate in the repo because predicates
-// are pure functions of the computation; custom predicates must preserve
-// that (no mutable state inside Eval).
+// Kernel atom loads call Predicate::Eval (EvalProjection for atoms local
+// by construction, once per [p]-class) concurrently from multiple threads,
+// which is safe for every predicate in the repo because predicates are pure
+// functions of the computation; custom predicates must preserve that (no
+// mutable state inside Eval).
 #ifndef HPL_CORE_KNOWLEDGE_H_
 #define HPL_CORE_KNOWLEDGE_H_
 

@@ -1,5 +1,8 @@
 #include "core/predicate.h"
 
+#include <cstdint>
+#include <vector>
+
 namespace hpl {
 
 Predicate Predicate::operator!() const {
@@ -34,21 +37,37 @@ Predicate Predicate::False() {
   return Predicate("false", [](const Computation&) { return false; });
 }
 
+Predicate Predicate::OnProjection(ProcessId p, std::string name,
+                                  ProjectionFn fn) {
+  if (p < 0 || p >= kMaxProcesses)
+    throw ModelError("Predicate::OnProjection: process " + std::to_string(p) +
+                     " is out of range");
+  if (!fn) throw ModelError("Predicate::OnProjection: empty function");
+  Predicate out(std::move(name), [p, fn](const Computation& x) {
+    const std::vector<Event> projection = x.Projection(p);
+    return fn(projection);
+  });
+  out.local_process_ = p;
+  out.projection_fn_ = std::move(fn);
+  return out;
+}
+
 Predicate Predicate::CountOnAtLeast(ProcessId p, int k) {
-  return Predicate(
-      "count(p" + std::to_string(p) + ")>=" + std::to_string(k),
-      [p, k](const Computation& x) { return x.CountOn(p) >= k; });
+  return OnProjection(
+      p, "count(p" + std::to_string(p) + ")>=" + std::to_string(k),
+      [k](std::span<const Event> events) {
+        return static_cast<std::int64_t>(events.size()) >= k;
+      });
 }
 
 Predicate Predicate::DidInternal(ProcessId p, std::string label) {
-  return Predicate(
-      "did(p" + std::to_string(p) + "," + label + ")",
-      [p, label = std::move(label)](const Computation& x) {
-        for (const Event& e : x.events())
-          if (e.process == p && e.IsInternal() && e.label == label)
-            return true;
-        return false;
-      });
+  std::string name = "did(p" + std::to_string(p) + "," + label + ")";
+  return OnProjection(p, std::move(name),
+                      [label = std::move(label)](std::span<const Event> events) {
+                        for (const Event& e : events)
+                          if (e.IsInternal() && e.label == label) return true;
+                        return false;
+                      });
 }
 
 Predicate Predicate::HasLabel(std::string label) {

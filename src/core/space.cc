@@ -1176,6 +1176,85 @@ Partition ComputationSpace::PartitionOf(ProcessSet g) const {
   return part;
 }
 
+std::span<const ComputationSpace::ProjectionLink>
+ComputationSpace::ProjectionTrie(ProcessId p) const {
+  internal::RequirePartitionGroup(ProcessSet::Of(p), num_processes_);
+  const Partition part = PartitionOf(ProcessSet::Of(p));
+  const std::size_t classes = part.NumClasses();
+  std::lock_guard<std::mutex> lock(*group_mutex_);
+  if (projection_trie_.size() != static_cast<std::size_t>(num_processes_))
+    projection_trie_.resize(static_cast<std::size_t>(num_processes_));
+  std::vector<ProjectionLink>& trie =
+      projection_trie_[static_cast<std::size_t>(p)];
+  // Class numbers are stable while the space grows, so the links already
+  // derived stay valid and only new classes are linked.  Nothing needs
+  // rolling back: a Deepen that throws never reaches Finalize, so the class
+  // count, and every trie built from it, stays as it was.
+  const auto refuse = [&](std::size_t cls, const char* why) {
+    throw ModelError("ComputationSpace: corrupt [p]-class " +
+                     std::to_string(cls) + " of process " + std::to_string(p) +
+                     ": " + why);
+  };
+  // A class is minted at its smallest member (Representative) by a link
+  // event on p — ChildRow's mint rule — so its link names the event and,
+  // through the parent's row, the class one event shorter; class 0, the
+  // empty projection, is the root's.  A sealed snapshot skips AdoptSpace's
+  // replay of that rule, so each link is checked here; a parent class that
+  // is not smaller would make the projection walk loop.
+  if (trie.size() < classes) trie.reserve(classes);
+  for (std::size_t cls = trie.size(); cls < classes; ++cls) {
+    const std::span<const std::uint32_t> bucket =
+        part.Bucket(static_cast<std::uint32_t>(cls));
+    if (bucket.empty()) refuse(cls, "its bucket is empty");
+    const std::uint32_t rep = bucket.front();
+    if ((rep == 0) != (cls == 0) || part.ClassOf(rep) != cls)
+      refuse(cls, "its representative is not a member minted into it");
+    if (cls == 0) {
+      trie.emplace_back();
+      continue;
+    }
+    const ClassLink link = links_[rep];
+    if (event_pool_[link.event].process != p)
+      refuse(cls, "its representative's link event is not on the process");
+    const std::uint32_t parent = proj_class_.Row(link.parent)[p];
+    if (parent >= cls) refuse(cls, "its parent class is not smaller");
+    trie.push_back(ProjectionLink{parent, link.event});
+  }
+  return trie;
+}
+
+ComputationSpace::ProjectionCursor::ProjectionCursor(
+    const ComputationSpace& space, ProcessId p, std::size_t end)
+    : space_(space), trie_(space.ProjectionTrie(p)) {
+  if (end > trie_.size())
+    throw std::out_of_range("ComputationSpace::ForEachProjection: end " +
+                            std::to_string(end) + " exceeds " +
+                            std::to_string(trie_.size()) + " classes");
+}
+
+std::span<const Event> ComputationSpace::ProjectionCursor::Materialize(
+    std::size_t cls) {
+  // Walk to the root (parents are strictly smaller, so the walk ends),
+  // then keep the prefix of the held projection that lies on the same
+  // path and copy only the events past it.
+  chain_.clear();
+  for (auto cur = static_cast<std::uint32_t>(cls); cur != 0;
+       cur = trie_[cur].parent)
+    chain_.push_back(cur);
+  std::size_t kept = 0;
+  while (kept < path_.size() && kept < chain_.size() &&
+         path_[kept] == chain_[chain_.size() - 1 - kept])
+    ++kept;
+  path_.resize(kept);
+  events_.resize(kept);
+  for (std::size_t d = kept; d < chain_.size(); ++d) {
+    const std::uint32_t c = chain_[chain_.size() - 1 - d];
+    path_.push_back(c);
+    events_.push_back(space_.event_pool_[trie_[c].event]);
+  }
+  return events_;
+}
+
 bool ComputationSpace::HasGroupIndex(ProcessSet g) const {
   std::lock_guard<std::mutex> lock(*group_mutex_);
   return group_index_.find(g.bits()) != group_index_.end();
@@ -1396,13 +1475,17 @@ ComputationSpace::MemoryStats ComputationSpace::MemoryUsage() const {
     std::lock_guard<std::mutex> lock(*group_mutex_);
     for (const auto& [mask, table] : group_index_)
       s.bytes_group_index += table.MemoryBytes();
+    for (const auto& trie : projection_trie_)
+      s.bytes_projection_trie += vec_bytes(trie);
   }
   s.bytes_total = s.bytes_event_pool + s.bytes_class_links +
                   s.bytes_canon_index + s.bytes_projection + s.bytes_buckets +
-                  s.bytes_successors + s.bytes_group_index;
+                  s.bytes_successors + s.bytes_group_index +
+                  s.bytes_projection_trie;
 
   // Residency split: segmented payload by state, plus the always-resident
-  // columns (event pool, bucket CSR, group indexes) under bytes_resident.
+  // columns (event pool, bucket CSR, group indexes, projection tries) under
+  // bytes_resident.
   const internal::SegmentedSpaceStore::Stats store = store_->GetStats();
   s.segments = store.segments;
   s.spill_faults = static_cast<std::size_t>(store.spill_faults);
@@ -1411,7 +1494,7 @@ ComputationSpace::MemoryStats ComputationSpace::MemoryUsage() const {
   s.bytes_spilled = static_cast<std::size_t>(store.bytes_spilled);
   s.bytes_resident = static_cast<std::size_t>(store.bytes_resident) +
                      s.bytes_event_pool + s.bytes_buckets +
-                     s.bytes_group_index;
+                     s.bytes_group_index + s.bytes_projection_trie;
 
   std::size_t total_events = 0;
   for (std::size_t id = 0; id < s.classes; ++id)

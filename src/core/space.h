@@ -266,6 +266,28 @@ class ComputationSpace {
       if (need(id)) fn(id, cursor.Materialize(id));
   }
 
+  // Streaming materializer over one process's projections: visits the
+  // [p]-classes cls in [begin, end) (class numbers of PartitionOf({p}))
+  // in ascending order and calls fn(cls, projection) for every class where
+  // need(cls) is true, where `projection` is p's events in any member of
+  // cls, in order — what a predicate local to p
+  // (Predicate::OnProjection) reads.  Walks the process's projection trie
+  // (one (parent [p]-class, event) link per class, built on first use and
+  // cached like the [G]-tables, extended after the space grows); the
+  // projection buffer is recycled across classes, so a class costs the
+  // Event copies where it differs from the previous one.  `projection` is
+  // valid only during the call.  Concurrent calls over disjoint ranges are
+  // safe.  Throws ModelError when p is not a process of the system, or
+  // when a stored [p]-class breaks the mint rule the trie relies on (a
+  // corrupt snapshot), and std::out_of_range unless end <= NumClasses.
+  template <typename Need, typename Fn>
+  void ForEachProjection(ProcessId p, std::size_t begin, std::size_t end,
+                         Need&& need, Fn&& fn) const {
+    ProjectionCursor cursor(*this, p, end);
+    for (std::size_t cls = begin; cls < end; ++cls)
+      if (need(cls)) fn(cls, cursor.Materialize(cls));
+  }
+
   // Event count of class `id` without materializing it (O(1); faults the
   // class's links segment in if it is spilled).
   std::size_t LengthOf(std::size_t id) const { return links_[id].length; }
@@ -463,6 +485,7 @@ class ComputationSpace {
     std::size_t bytes_buckets = 0;       // CSR offsets + payload
     std::size_t bytes_successors = 0;    // CSR offsets + payload
     std::size_t bytes_group_index = 0;   // cached [G]-class indexes
+    std::size_t bytes_projection_trie = 0;  // cached projection tries
     std::size_t bytes_total = 0;         // logical sum of the above
     // Residency split (segmented columns by state + always-resident
     // columns under bytes_resident).
@@ -548,6 +571,39 @@ class ComputationSpace {
     std::vector<std::uint32_t> held_;  // pool ids of x_'s events
   };
 
+  // One [p]-class of a projection trie: every class c > 0 is minted at its
+  // representative (smallest member) by a link event on p, so its
+  // projection is its parent class's projection plus that event.  Class
+  // 0, the empty projection, has a placeholder link.
+  struct ProjectionLink {
+    std::uint32_t parent = 0;  // [p]-class one event shorter (< this class)
+    std::uint32_t event = 0;   // event pool id
+  };
+
+  // The projection trie of p over every current [p]-class: extended on
+  // demand under group_mutex_ after the space grows.
+  // Each new link is checked against the stored links, so a corrupt
+  // snapshot is refused with ModelError instead of looping.  The span is
+  // stable until the space grows.
+  std::span<const ProjectionLink> ProjectionTrie(ProcessId p) const;
+
+  // ForEachProjection's state: the current projection (its classes and
+  // events by depth), reused across classes.
+  class ProjectionCursor {
+   public:
+    // Throws std::out_of_range unless end <= the trie's class count.
+    ProjectionCursor(const ComputationSpace& space, ProcessId p,
+                     std::size_t end);
+    std::span<const Event> Materialize(std::size_t cls);
+
+   private:
+    const ComputationSpace& space_;
+    std::span<const ProjectionLink> trie_;
+    std::vector<std::uint32_t> path_;   // classes of events_, root side first
+    std::vector<Event> events_;
+    std::vector<std::uint32_t> chain_;  // scratch: one walk, leaf first
+  };
+
   Successor SuccessorAt(std::uint32_t i) const {
     return Successor{succ_class_[i], event_pool_[succ_event_[i]]};
   }
@@ -586,11 +642,14 @@ class ComputationSpace {
   // them in).  Always resident: the tables are derived, rebuildable
   // indexes, not part of the segmented store.  Map nodes keep the tables'
   // column buffers in place while other masks are added; the mutex guards
-  // only the map (tables are immutable once published).  Held by
-  // unique_ptr so the space stays movable.
+  // only the map and the projection tries below (tables are immutable once
+  // published).  Held by unique_ptr so the space stays movable.
   mutable std::unique_ptr<std::mutex> group_mutex_ =
       std::make_unique<std::mutex>();
   mutable std::map<std::uint64_t, internal::PartitionTable> group_index_;
+  // Projection tries by process (ProjectionTrie), guarded by group_mutex_
+  // like the [G]-tables: derived, never saved.
+  mutable std::vector<std::vector<ProjectionLink>> projection_trie_;
 };
 
 // Resumable construction surface over ComputationSpace: owns the space plus

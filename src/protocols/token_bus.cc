@@ -1,5 +1,7 @@
 #include "protocols/token_bus.h"
 
+#include <span>
+
 namespace hpl::protocols {
 
 TokenBusSystem::TokenBusSystem(int num_processes, int max_passes)
@@ -62,21 +64,16 @@ std::optional<hpl::ProcessId> TokenBusSystem::TokenAt(
 }
 
 hpl::Predicate TokenBusSystem::HoldsToken(hpl::ProcessId p) const {
-  // Self-contained (does not capture `this`): the token's location is a
-  // function of the send/receive events alone, so the predicate stays valid
-  // beyond the system's lifetime.
-  return hpl::Predicate(
-      "token_at_p" + std::to_string(p), [p](const hpl::Computation& x) {
-        bool in_flight = false;
-        hpl::ProcessId holder = 0;
-        for (const hpl::Event& e : x.events()) {
-          if (e.IsSend()) in_flight = true;
-          if (e.IsReceive()) {
-            in_flight = false;
-            holder = e.process;
-          }
-        }
-        return !in_flight && holder == p;
+  // Local to p: p holds the token iff its last token event is a receive, or
+  // it is process 0 (where the token starts) and has not sent it yet.  Self-
+  // contained (does not capture `this`), so the predicate stays valid beyond
+  // the system's lifetime.
+  return hpl::Predicate::OnProjection(
+      p, "token_at_p" + std::to_string(p),
+      [p](std::span<const hpl::Event> events) {
+        for (auto it = events.rbegin(); it != events.rend(); ++it)
+          if (it->IsSend() || it->IsReceive()) return it->IsReceive();
+        return p == 0;
       });
 }
 

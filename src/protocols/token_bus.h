@@ -36,7 +36,8 @@ class TokenBusSystem : public hpl::System {
   // while the token is in flight.
   std::optional<hpl::ProcessId> TokenAt(const hpl::Computation& x) const;
 
-  // Predicate "process p holds the token" (false while in flight).
+  // Predicate "process p holds the token" (false while in flight), local to
+  // p by construction (Predicate::OnProjection).
   hpl::Predicate HoldsToken(hpl::ProcessId p) const;
 
  private:

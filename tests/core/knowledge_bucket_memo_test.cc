@@ -122,10 +122,12 @@ TEST(KnowledgeBucketMemoTest, MemoStatsSplitByTier) {
   // [G]-tier rows (its aggregation row plus per-member conjunct rows).  One
   // fused batch, so the sweep lowers to a compiled kernel (a lone modal
   // root would stay on the lazy interpreter) and the kernel tier is
-  // populated alongside the projection tiers.
+  // populated alongside the projection tiers.  The singleton modality is
+  // over process 1: the atom is local to process 0, so K{0} of it would
+  // fold to the atom and fill no row.
   const FormulaPtr atom = Formula::Atom(Predicate::CountOnAtLeast(0, 1));
   const std::vector<FormulaPtr> batch = {
-      Formula::Knows(ProcessSet{0}, atom),
+      Formula::Knows(ProcessSet{1}, atom),
       Formula::Everyone(space.AllProcesses(), atom)};
   eval.SatisfyingSets(std::span<const FormulaPtr>(batch.data(), batch.size()));
   const auto stats = eval.MemoryUsage();

@@ -6,7 +6,8 @@
 // and crash-fault spaces; for single sweeps and fused SatisfyingSets
 // batches; and across Refresh() after Deepen/Ingest, which must invalidate
 // the kernel program cache — and over every StateView partition source
-// against the oracle fed the same state abstraction.  The profitability
+// against the oracle fed the same state abstraction, with and without the
+// compile-time fold of atoms local by construction.  The profitability
 // dispatch (a lone modal root with no pool stays on the lazy interpreter)
 // is pinned by LoneModalRootStaysOnInterpreter.
 #include <cstdint>
@@ -329,6 +330,67 @@ TEST(KnowledgeKernelTest, StateViewsMatchReference) {
   KnowledgeEvaluator by_view(full);
   KnowledgeEvaluator by_space(space);
   EXPECT_EQ(by_view.SatisfyingSets(span), by_space.SatisfyingSets(span));
+}
+
+// Atoms local by construction fold at compile time: K{P} b and M{P} b
+// become b, and Sure{P} b becomes true, whenever b is local to a process in
+// P.  The folded programs must match the oracle and read no tier row.  Over
+// a StateView the fold is off — a state partition is coarser than [p] —
+// and the same formulas must still match the oracle fed the abstraction.
+TEST(KnowledgeKernelTest, LocalAtomFoldsMatchReference) {
+  protocols::TokenBusSystem bus(/*num_processes=*/4, /*passes=*/8);
+  const auto space = ComputationSpace::Enumerate(bus);
+  ASSERT_GE(space.size(), 128u);  // the worker-pool threshold
+  const FormulaPtr a = Formula::Atom(bus.HoldsToken(1));
+  const FormulaPtr b = Formula::Atom(Predicate::CountOnAtLeast(2, 2));
+  const std::vector<FormulaPtr> folded = {
+      Formula::Knows(ProcessSet{1}, a),
+      Formula::Possible(ProcessSet{1}, Formula::Not(a)),
+      Formula::Sure(ProcessSet{1}, a),
+      Formula::Knows(ProcessSet{0, 1}, a),  // [G] refines [1]
+      Formula::Sure(ProcessSet{1, 2}, Formula::And(a, b)),
+      Formula::Everyone(ProcessSet{2}, Formula::Or(b, Formula::Not(b))),
+      Formula::Knows(ProcessSet{2}, Formula::Implies(b, Formula::Not(b))),
+  };
+  const std::span<const FormulaPtr> span(folded.data(), folded.size());
+  ReferenceKnowledge reference(space);
+  std::vector<std::vector<std::size_t>> expected;
+  for (const FormulaPtr& f : folded)
+    expected.push_back(reference.SatisfyingSet(f));
+  // The fold is visible: K{1} a is a, and K{0} a (not local) is not.
+  ASSERT_EQ(expected[0], reference.SatisfyingSet(a));
+  ASSERT_NE(reference.SatisfyingSet(Formula::Knows(ProcessSet{0}, a)),
+            reference.SatisfyingSet(a));
+  for (const int threads : {1, 4}) {
+    KnowledgeEvaluator eval(space, Config(threads, true));
+    ASSERT_EQ(eval.SatisfyingSets(span), expected) << threads;
+    const auto stats = eval.MemoryUsage();
+    EXPECT_EQ(stats.kernel_programs, 1u);
+    EXPECT_EQ(stats.bucket_entries, 0u);  // no quantifier swept a bucket
+    EXPECT_EQ(stats.group_entries, 0u);
+    for (std::size_t k = 0; k < folded.size(); ++k) {
+      KnowledgeEvaluator single(space, Config(threads, true));
+      ASSERT_EQ(single.SatisfyingSet(folded[k]), expected[k])
+          << folded[k]->ToString() << " threads=" << threads;
+    }
+  }
+  for (const StateAbstraction& abstraction :
+       {StateAbstraction::LastEvent(), StateAbstraction::EventCount()}) {
+    const StateView view(space, abstraction);
+    ReferenceKnowledge by_state(space, abstraction);
+    for (const int threads : {1, 4}) {
+      KnowledgeEvaluator eval(view, Config(threads, true));
+      for (const FormulaPtr& f : folded)
+        ASSERT_EQ(eval.SatisfyingSet(f), by_state.SatisfyingSet(f))
+            << abstraction.name() << ": " << f->ToString()
+            << " threads=" << threads;
+    }
+  }
+  // The last event of process 2 does not tell its event count, so K{2} b
+  // under that abstraction is not b: the state fold would be wrong.
+  ReferenceKnowledge last_event(space, StateAbstraction::LastEvent());
+  EXPECT_NE(last_event.SatisfyingSet(Formula::Knows(ProcessSet{2}, b)),
+            reference.SatisfyingSet(b));
 }
 
 // The profitability dispatch: with no worker pool, a lone modal root stays on

@@ -35,6 +35,8 @@ TEST(PredicateTest, DidInternalAndHasLabel) {
   EXPECT_TRUE(Predicate::DidInternal(0, "boot").Eval(x));
   EXPECT_FALSE(Predicate::DidInternal(1, "boot").Eval(x));
   EXPECT_FALSE(Predicate::DidInternal(0, "done").Eval(x));
+  // Atoms are interned by name, so the label must be in it.
+  EXPECT_EQ(Predicate::DidInternal(0, "boot").name(), "did(p0,boot)");
   EXPECT_TRUE(Predicate::HasLabel("n").Eval(x));
   EXPECT_FALSE(Predicate::HasLabel("zzz").Eval(x));
 }

@@ -634,6 +634,49 @@ TEST(SnapshotDefectTest, CappedFrontierOffTheBuiltDepth) {
                "of length 4, not at the built depth 3");
 }
 
+TEST(SnapshotDefectTest, ProjectionTrieRefusesAParentClassNotSmaller) {
+  // A truncated space saved bare is sealed: loading skips the mint-rule
+  // replay, and the loader alone cannot tell a rewired projection row.
+  // Move the parent of a [1]-class's representative into that class — a
+  // parent that represents no class, so every bucket keeps its smallest
+  // member: the class would then extend itself, and the first query of an
+  // atom local to process 1 must refuse the file by name, not loop.
+  protocols::TokenBusSystem bus(/*num_processes=*/3, /*passes=*/4);
+  EnumerationLimits limits;
+  limits.max_depth = 6;
+  limits.allow_truncation = true;
+  const auto space = ComputationSpace::Enumerate(bus, limits);
+  ASSERT_TRUE(space.truncated());
+  std::string bytes = SnapshotBytes(space);
+  const sb::Layout l = sb::Parse(bytes);
+  const Partition part = space.PartitionOf(ProcessSet{1});
+  std::uint32_t cls = 0;
+  std::uint64_t parent = 0;
+  for (std::uint32_t c = 1; c < part.NumClasses() && cls == 0; ++c) {
+    const std::uint32_t rep = part.Representative(c);
+    const std::uint64_t q = sb::GetLe(bytes, l.links.begin + 12 * rep, 4);
+    if (part.Representative(part.ClassOf(q)) != q) {
+      cls = c;
+      parent = q;
+    }
+  }
+  ASSERT_NE(cls, 0u);
+  sb::PutLe(bytes, l.proj.payload.begin + 4 * (parent * l.processes + 1), cls,
+            4);
+  sb::Reseal(bytes, l);
+  const auto loaded = LoadBytes(bytes);
+  KnowledgeEvaluator eval(loaded, {.num_threads = 1});
+  try {
+    (void)eval.SatisfyingSet(Formula::Atom(bus.HoldsToken(1)));
+    FAIL() << "a [1]-class extending itself was not refused";
+  } catch (const ModelError& error) {
+    EXPECT_NE(std::string(error.what())
+                  .find("of process 1: its parent class is not smaller"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(SnapshotDefectTest, AChecksumErrorWinsOverTheDefect) {
   // Unsealed, the same out-of-range projection class is plain corruption.
   std::string bytes = SmallBusBytes();
