@@ -4,10 +4,11 @@
 // range-sharded kernels and the projection-class memo tiers carry it?
 // Sweeps processes × formula depth × group size × worker threads ×
 // kernels over seeded random systems, timing SatisfyingSet for K-chains of
-// growing modal depth, multi-process K{G}/E{G} queries of growing group
-// size (the E25 group-tier axis), and a common-knowledge query, and
-// asserting along the way that every (thread count, kernels) combination
-// reproduces the t=1 kernels-off baseline answers byte for byte
+// growing modal depth (over an atom local to process 0, and again over a
+// two-process atom no K{p} can fold), multi-process K{G}/E{G} queries of
+// growing group size (the E25 group-tier axis), and a common-knowledge
+// query, and asserting along the way that every (thread count, kernels)
+// combination reproduces the t=1 kernels-off baseline answers byte for byte
 // (satisfying sets and CK component labels) — the determinism contracts of
 // KnowledgeOptions::num_threads / compiled_kernels.  Rows carry
 // `bytes_space`/`bytes_memo` in the JSON.
@@ -145,6 +146,10 @@ int main(int argc, char** argv) {
         system, {.max_depth = config.depth, .num_threads = 0});
     const ProcessSet all = space.AllProcesses();
     const FormulaPtr atom = Formula::Atom(Predicate::CountOnAtLeast(0, 2));
+    // Local to no process: every K{p} over it sweeps its buckets, where
+    // over `atom` the compiler folds K{0} atom to atom.
+    const FormulaPtr pair_atom = Formula::Atom(
+        Predicate::CountOnAtLeast(0, 2) && Predicate::CountOnAtLeast(1, 1));
 
     struct Query {
       std::string name;
@@ -156,6 +161,9 @@ int main(int argc, char** argv) {
     for (int depth : depths)
       queries.push_back({"K-depth" + std::to_string(depth),
                          KChain(depth, config.processes, atom)});
+    for (int depth : depths)
+      queries.push_back({"K-depth" + std::to_string(depth) + "-pair",
+                         KChain(depth, config.processes, pair_atom)});
     // The pure-boolean rows (modal depth 0): where compiled kernels replace
     // the whole per-(node, id) recursion with word-wide ops.
     for (int depth : {8, 32})
@@ -315,12 +323,12 @@ int main(int argc, char** argv) {
       "\nexpected: identical satisfying sets and component labels at every\n"
       "(thread count, kernels) combination.  kernels=off rows run the\n"
       "sequential lazy interpreter at any thread count; kernels=on rows\n"
-      "compute complete planes\n"
-      "bottom-up, range-sharded over the pool: they win big on pure-boolean\n"
-      "chains (word-wide ops) and can trail the interpreter on nested modal\n"
-      "queries whose laziness skips most of the space.  At t=1 a lone modal\n"
-      "root stays on the interpreter (profitability dispatch), so its\n"
-      "kernels=on row matches kernels=off.\n");
+      "compute complete planes bottom-up, range-sharded over the pool: they\n"
+      "win big on pure-boolean chains (word-wide ops) and on K-chains over\n"
+      "the local atom (read once per projection class).  At t=1 a lone root\n"
+      "quantifying over a non-local atom stays on the interpreter, whose\n"
+      "buckets stop at the first member that decides them (profitability\n"
+      "dispatch), so the -pair rows' kernels=on match kernels=off there.\n");
 
   if (json_path.has_value() && !reporter.WriteFile(*json_path)) return 1;
   if (require_kernel_speedup > 0.0 &&

@@ -106,6 +106,17 @@ bool Compile(std::span<const CompileNode> postorder,
       slot_of[f] = op.dst;
       p.ops.push_back(op);
     };
+    // One forall / exists / sure row over the node's partition.
+    auto emit_know_seg = [&](Quant quant) {
+      Op op;
+      op.code = OpCode::kKnowSeg;
+      op.quant = quant;
+      op.node = f;
+      op.seg = cn.seg_begin;
+      op.a = use(f->left().get());
+      op.dst = make_dst();
+      emit(op);
+    };
     // Fold K{P}/M{P}/E{G} of a view-constant child to the child itself: no
     // op off the root path, a kCopy to the root's dense row otherwise.
     auto alias_child = [&]() {
@@ -168,16 +179,7 @@ bool Compile(std::span<const CompileNode> postorder,
           }
           break;
         }
-        Op op;
-        op.code = OpCode::kKnowSeg;
-        op.quant = f->kind() == FormulaKind::kKnows      ? Quant::kForAll
-                   : f->kind() == FormulaKind::kPossible ? Quant::kExists
-                                                         : Quant::kSure;
-        op.node = f;
-        op.seg = cn.seg_begin;
-        op.a = use(f->left().get());
-        op.dst = make_dst();
-        emit(op);
+        emit_know_seg(QuantOf(f->kind()));
         break;
       }
       case FormulaKind::kEveryone: {
@@ -195,15 +197,7 @@ bool Compile(std::span<const CompileNode> postorder,
           break;
         }
         if (group.Size() == 1) {
-          // E{p} == K{p}: one forall row over the [p]-classes.
-          Op op;
-          op.code = OpCode::kKnowSeg;
-          op.quant = Quant::kForAll;
-          op.node = f;
-          op.seg = cn.seg_begin;
-          op.a = use(f->left().get());
-          op.dst = make_dst();
-          emit(op);
+          emit_know_seg(Quant::kForAll);  // E{p} == K{p}
           break;
         }
         Op op;
@@ -493,45 +487,12 @@ void SweepRowRange(const ExecContext& ctx, const Regs& regs, Slot child,
     for (std::size_t c = w * 64; c < c_end; ++c) {
       const std::uint64_t bit = std::uint64_t{1} << (c % 64);
       if (known & bit) continue;
-      const std::span<const std::uint32_t> bucket =
-          part.Bucket(static_cast<std::uint32_t>(c));
-      bool verdict;
-      switch (quant) {
-        case Quant::kForAll: {
-          verdict = true;
-          for (std::uint32_t y : bucket)
-            if (!ReadBit(ctx, regs, child, y)) {
-              verdict = false;
-              break;
-            }
-          break;
-        }
-        case Quant::kExists: {
-          verdict = false;
-          for (std::uint32_t y : bucket)
-            if (ReadBit(ctx, regs, child, y)) {
-              verdict = true;
-              break;
-            }
-          break;
-        }
-        case Quant::kSure: {
-          bool all_true = true, all_false = true;
-          for (std::uint32_t y : bucket) {
-            if (ReadBit(ctx, regs, child, y))
-              all_false = false;
-            else
-              all_true = false;
-            if (!all_true && !all_false) break;
-          }
-          verdict = all_true || all_false;
-          break;
-        }
-        default:
-          verdict = false;
-      }
       known |= bit;
-      if (verdict) value |= bit;
+      if (Quantify(quant, part.Bucket(static_cast<std::uint32_t>(c)),
+                   [&](std::uint32_t y) {
+                     return ReadBit(ctx, regs, child, y) != 0;
+                   }))
+        value |= bit;
     }
     row_known[w] = known;
     row_value[w] = value;
@@ -656,27 +617,26 @@ void ExecCkComponent(const ExecContext& ctx, Regs& regs, const Op& op) {
     FillPlane(ctx, regs, op.dst, fold == FoldScan::kAllTrue);
     return;
   }
-  const std::span<const std::uint32_t> roots = ctx.ck_roots(op.node);
-  // comp[r] = AND of the child plane over the component labeled r: start
-  // all-true, clear the label of every id where the child fails.  One
-  // sequential O(n) bit pass — the scatter below is the parallel part.
+  const Partition components = ctx.ck_components(op.node);
+  // comp[c] = AND of the child plane over component c: start all-true,
+  // clear the component of every id where the child fails.  One sequential
+  // O(n) bit pass — the scatter below is the parallel part.
   std::vector<std::uint64_t>& comp = *ctx.comp_scratch;
-  comp.assign(ctx.words, ~std::uint64_t{0});
+  comp.assign((components.NumClasses() + 63) / 64, ~std::uint64_t{0});
   for (std::size_t w = 0; w < ctx.words; ++w) {
     std::uint64_t miss =
         ~ReadWord(ctx, regs, op.a, w) & LiveMask(ctx.n, w);
     while (miss != 0) {
-      const std::size_t id =
-          w * 64 + static_cast<std::size_t>(__builtin_ctzll(miss));
-      const std::uint32_t r = roots[id];
-      comp[r / 64] &= ~(std::uint64_t{1} << (r % 64));
+      const std::uint32_t c = components.ClassOf(
+          w * 64 + static_cast<std::size_t>(__builtin_ctzll(miss)));
+      comp[c / 64] &= ~(std::uint64_t{1} << (c % 64));
       miss &= miss - 1;
     }
   }
   internal::ParallelFor(
       ctx.pool, ctx.n, /*align=*/64, [&](std::size_t b, std::size_t e) {
         ScatterRange(ctx, regs, op.dst, comp.data(),
-                     [&](std::size_t id) { return roots[id]; },
+                     [&](std::size_t id) { return components.ClassOf(id); },
                      /*and_into=*/false, b, e);
       });
 }

@@ -30,7 +30,7 @@
 //   kEveryoneSeg        multi-process Everyone: per-member kKnowSeg rows
 //                       folded with word-AND, plus the [G]-aggregation row
 //   kCkComponent        common knowledge: per-component AND over the
-//                       component labels the evaluator already builds
+//                       component partition the evaluator already builds
 //
 // Segment ops name no relation themselves: each reads its partition(s)
 // from the evaluator's segment table (ExecContext::segments), the same rows
@@ -100,6 +100,28 @@ enum class OpCode : std::uint8_t {
 };
 
 enum class Quant : std::uint8_t { kForAll, kExists, kSure };
+
+// The quantifier of a Knows / Everyone (for all), Possible (exists) or
+// Sure (all equal) node.
+inline Quant QuantOf(FormulaKind kind) {
+  return kind == FormulaKind::kPossible ? Quant::kExists
+         : kind == FormulaKind::kSure   ? Quant::kSure
+                                        : Quant::kForAll;
+}
+
+// `quant` over `ids`, with `holds(y)` the child verdict at y; stops at the
+// first id that decides it.  Both engines sweep buckets through it.
+template <typename Ids, typename Holds>
+bool Quantify(Quant quant, const Ids& ids, Holds&& holds) {
+  bool all_true = true, all_false = true;
+  for (const auto y : ids) {
+    (holds(y) ? all_false : all_true) = false;
+    if (quant == Quant::kForAll && !all_true) return false;
+    if (quant == Quant::kExists && !all_false) return true;
+    if (!all_true && !all_false) return false;  // sure: a mixed bucket
+  }
+  return quant != Quant::kExists;  // exists: no member holds
+}
 
 // Where an op reads or writes one verdict bit per class id: a register in
 // the executor's scratch pool, or (dense == true) the evaluator's dense
@@ -191,9 +213,9 @@ struct ExecContext {
   std::uint64_t* bucket_known = nullptr;
   std::uint64_t* bucket_value = nullptr;
   const Segment* segments = nullptr;
-  // CK component labels (smallest member id per class), pre-built by the
-  // caller for every kCkComponent node in the program.
-  std::function<std::span<const std::uint32_t>(const Formula*)> ck_roots;
+  // The CK component partition of a kCkComponent node's group, pre-built
+  // by the caller for every such node in the program.
+  std::function<Partition(const Formula*)> ck_components;
   internal::WorkerPool* pool = nullptr;  // null => run inline
   // Register pools, one per worker (pointwise programs) — segment programs
   // share pool 0 across 64-aligned shards.  Resized by the executor and

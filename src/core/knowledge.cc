@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <ranges>
+#include <string>
 #include <unordered_set>
 #include <utility>
 
@@ -53,42 +54,45 @@ bool PlaneIsUniform(const std::uint64_t* plane, std::size_t n, bool v) {
   return true;
 }
 
-// The quantifier of Knows / Everyone (for all), Possible (exists) or Sure
-// (all equal) over `ids`, with `holds(y)` the child verdict at y; stops at
-// the first id that decides it.
-template <typename Ids, typename Holds>
-bool Quantify(FormulaKind kind, const Ids& ids, Holds&& holds) {
-  switch (kind) {
-    case FormulaKind::kKnows:
-    case FormulaKind::kEveryone:
-      for (const auto y : ids)
-        if (!holds(y)) return false;
-      return true;
-    case FormulaKind::kPossible:
-      for (const auto y : ids)
-        if (holds(y)) return true;
-      return false;
-    case FormulaKind::kSure: {
-      // K_P f || K_P !f, decided in one pass.
-      bool all_true = true, all_false = true;
-      for (const auto y : ids) {
-        (holds(y) ? all_false : all_true) = false;
-        if (!all_true && !all_false) return false;
-      }
-      return true;
-    }
-    default:
-      throw ModelError("Quantify: node has no quantifier");
-  }
+using Bits = std::vector<std::uint64_t>;
+
+bool TestBit(const Bits& bits, std::size_t i) {
+  return (bits[i / 64] >> (i % 64)) & 1;
+}
+
+// Calls `fn(i)` for every set bit i of a `words`-word bitmap, ascending.
+template <typename Fn>
+void ForEachSetBit(const std::uint64_t* bits, std::size_t words, Fn&& fn) {
+  for (std::size_t w = 0; w < words; ++w)
+    for (std::uint64_t word = bits[w]; word != 0; word &= word - 1)
+      fn(w * 64 + static_cast<std::size_t>(__builtin_ctzll(word)));
+}
+template <typename Fn>
+void ForEachSetBit(const Bits& bits, Fn&& fn) {
+  ForEachSetBit(bits.data(), bits.size(), fn);
 }
 
 // Appends the ids of the set bits of a `words`-word plane, ascending.
 void AppendSetBits(const std::uint64_t* plane, std::size_t words,
                    std::vector<std::size_t>& out) {
-  for (std::size_t w = 0; w < words; ++w) {
-    for (std::uint64_t word = plane[w]; word != 0; word &= word - 1)
-      out.push_back(w * 64 + static_cast<std::size_t>(__builtin_ctzll(word)));
-  }
+  ForEachSetBit(plane, words, [&](std::size_t id) { out.push_back(id); });
+}
+
+// The classes of `part` whose quantifier verdicts may have changed when
+// the space grew from `old_n` to `n` ids: a verdict over a class is a
+// function of its bucket's child verdicts, so it can change only if the
+// bucket gained a new id or holds an old id set in `child_dirty`.  One
+// pass over those ids, as a class bitmap.
+Bits DirtyClasses(const Partition& part, const Bits& child_dirty,
+                  std::size_t old_n, std::size_t n) {
+  Bits classes((part.NumClasses() + 63) / 64, 0);
+  const auto mark = [&](std::size_t id) {
+    const std::uint32_t c = part.ClassOf(id);
+    classes[c / 64] |= std::uint64_t{1} << (c % 64);
+  };
+  ForEachSetBit(child_dirty, mark);
+  for (std::size_t id = old_n; id < n; ++id) mark(id);
+  return classes;
 }
 
 std::size_t Popcount(const std::vector<std::uint64_t>& words) {
@@ -134,87 +138,72 @@ void KnowledgeEvaluator::Refresh() {
   const std::size_t old_n = synced_size_;
   const std::size_t old_words = words_;
   const std::size_t new_words = (n + 63) / 64;
-  const std::size_t num_nodes = node_index_.size();
 
-  const auto test_bit = [](const std::vector<std::uint64_t>& bits,
-                           std::size_t id) {
-    return (bits[id / 64] & (std::uint64_t{1} << (id % 64))) != 0;
+  // The dirty classes of each (group, child node) quantifier, computed
+  // once: the dense cones gather from them and the tier rows mask by them.
+  std::unordered_map<const Formula*, Bits> dirty;
+  std::map<std::pair<std::uint64_t, const Formula*>, Bits> dirty_classes;
+  const auto classes_of = [&](ProcessSet g,
+                              const Formula* child) -> const Bits& {
+    auto [it, fresh] = dirty_classes.try_emplace({g.bits(), child});
+    if (fresh)
+      it->second = DirtyClasses(PartitionOf(g), dirty.at(child), old_n, n);
+    return it->second;
   };
-  const auto set_bit = [](std::vector<std::uint64_t>& bits, std::size_t id) {
-    bits[id / 64] |= std::uint64_t{1} << (id % 64);
+  const auto gather = [&](ProcessSet g, const Formula* child, Bits& bits) {
+    const Partition part = PartitionOf(g);
+    ForEachSetBit(classes_of(g, child), [&](std::size_t c) {
+      for (const std::uint32_t y : part.Bucket(static_cast<std::uint32_t>(c))) {
+        if (y >= old_n) break;  // buckets ascend: the rest are new ids
+        bits[y / 64] |= std::uint64_t{1} << (y % 64);
+      }
+    });
   };
-
-  // A bucket (the quantifier range of some modal node restricted to one
-  // equivalence class) forces recomputation iff it gained a new class or
-  // contains an id where the child verdict itself may have changed.
-  const auto bucket_dirty = [&](std::span<const std::uint32_t> bucket,
-                                const std::vector<std::uint64_t>& child) {
-    for (std::uint32_t y : bucket)
-      if (y >= old_n || test_bit(child, y)) return true;
-    return false;
-  };
-  // Marks every OLD member of every dirty bucket of `part`.
-  const auto close_over = [&](const Partition& part,
-                              const std::vector<std::uint64_t>& child,
-                              std::vector<std::uint64_t>& out) {
-    const auto classes = static_cast<std::uint32_t>(part.NumClasses());
-    for (std::uint32_t c = 0; c < classes; ++c) {
-      const auto bucket = part.Bucket(c);
-      if (!bucket_dirty(bucket, child)) continue;
-      for (std::uint32_t y : bucket)
-        if (y < old_n) set_bit(out, y);
-    }
-  };
-
-  // Bottom-up dirty cones over the OLD id range, memoized per subformula:
-  // the set of old ids where the node's verdict may differ from before the
-  // growth.  Atoms are pure functions of the computation, so they are never
-  // dirty; propositional nodes are dirty where a child is; modal nodes
-  // close their child's dirt (plus the new ids) over the buckets of their
-  // quantifier's partition (Everyone over each member's).  The empty group
-  // relates every class and CK components can merge through new classes,
-  // so empty-group Knows/Sure/Possible and kCommon are dirty everywhere.
-  std::unordered_map<const Formula*, std::vector<std::uint64_t>> dirty;
-  const auto mark_all = [&](std::vector<std::uint64_t>& bits) {
+  const auto mark_all = [&](Bits& bits) {
     for (std::size_t w = 0; w < old_words; ++w)
       bits[w] = LiveWordMask(old_n, w);
   };
-  auto dirty_of = [&](auto&& self,
-                      const Formula* f) -> const std::vector<std::uint64_t>& {
-    auto it = dirty.find(f);
-    if (it != dirty.end()) return it->second;
-    std::vector<std::uint64_t> bits(old_words, 0);
+
+  // Bottom-up dirty cones over the OLD id range, memoized per subformula:
+  // the old ids where the node's verdict may differ from before the
+  // growth.  Atoms are pure functions of the computation, so they are never
+  // dirty; propositional nodes are dirty where a child is; modal nodes are
+  // dirty on the old members of their dirty classes (Everyone: of each
+  // member's).  The empty group relates every class and CK components can
+  // merge through new classes, so empty-group Knows/Sure/Possible and
+  // kCommon are dirty everywhere.
+  auto dirty_of = [&](auto&& self, const Formula* f) -> const Bits& {
+    if (const auto it = dirty.find(f); it != dirty.end()) return it->second;
+    Bits bits(old_words, 0);
+    const Formula* child = f->left().get();
     switch (f->kind()) {
       case FormulaKind::kAtom:
         break;
       case FormulaKind::kNot:
-        bits = self(self, f->left().get());
+        bits = self(self, child);
         break;
       case FormulaKind::kAnd:
       case FormulaKind::kOr:
       case FormulaKind::kImplies: {
-        bits = self(self, f->left().get());
-        const auto& rhs = self(self, f->right().get());
+        bits = self(self, child);
+        const Bits& rhs = self(self, f->right().get());
         for (std::size_t w = 0; w < old_words; ++w) bits[w] |= rhs[w];
         break;
       }
       case FormulaKind::kKnows:
       case FormulaKind::kSure:
-      case FormulaKind::kPossible: {
-        const auto& child = self(self, f->left().get());
+      case FormulaKind::kPossible:
+        self(self, child);
         if (f->group().IsEmpty())
           mark_all(bits);
         else
-          close_over(PartitionOf(f->group()), child, bits);
+          gather(f->group(), child, bits);
         break;
-      }
-      case FormulaKind::kEveryone: {
-        const auto& child = self(self, f->left().get());
-        f->group().ForEach([&](ProcessId p) {
-          close_over(PartitionOf(ProcessSet::Of(p)), child, bits);
-        });
+      case FormulaKind::kEveryone:
+        self(self, child);
+        f->group().ForEach(
+            [&](ProcessId p) { gather(ProcessSet::Of(p), child, bits); });
         break;
-      }
       case FormulaKind::kCommon:
         mark_all(bits);
         break;
@@ -225,82 +214,73 @@ void KnowledgeEvaluator::Refresh() {
   // Dense planes: re-layout every node row from old_words to new_words,
   // keeping known bits wherever the node's cone is clean.  New ids land in
   // the zeroed tail (unknown), exactly like a fresh evaluator.
-  {
-    MemoPlanes grown;
-    grown.known.assign(num_nodes * new_words, 0);
-    grown.value.assign(num_nodes * new_words, 0);
-    for (const auto& [f, node] : node_index_) {
-      const auto& d = dirty_of(dirty_of, f);
-      for (std::size_t w = 0; w < old_words; ++w) {
-        const std::uint64_t keep = ~d[w];
-        grown.known[node * new_words + w] =
-            planes_.known[node * old_words + w] & keep;
-        grown.value[node * new_words + w] =
-            planes_.value[node * old_words + w] & keep;
-      }
+  MemoPlanes dense;
+  dense.known.assign(node_index_.size() * new_words, 0);
+  dense.value.assign(node_index_.size() * new_words, 0);
+  for (const auto& [f, node] : node_index_) {
+    const Bits& d = dirty_of(dirty_of, f);
+    for (std::size_t w = 0; w < old_words; ++w) {
+      dense.known[node * new_words + w] =
+          planes_.known[node * old_words + w] & ~d[w];
+      dense.value[node * new_words + w] =
+          planes_.value[node * old_words + w] & ~d[w];
     }
-    planes_ = std::move(grown);
   }
+  planes_ = std::move(dense);
 
-  // Bucket/group tier: rows are sized by the class counts of their
-  // partitions, which grew too.  Re-lay the segment planes out for the new
-  // counts; a row cell survives iff its bucket is clean under the owning
-  // node's child cone (same rule as the dense tier, one level up).
-  if (!segments_.empty()) {
-    std::vector<std::uint32_t> new_offsets(segments_.size());
-    std::size_t off = 0;
-    for (std::size_t s = 0; s < segments_.size(); ++s) {
-      new_offsets[s] = static_cast<std::uint32_t>(off);
-      off += (segments_[s].partition.NumClasses() + 63) / 64;
-    }
-    MemoPlanes grown;
-    grown.known.assign(off, 0);
-    grown.value.assign(off, 0);
-    for (const auto& [f, node] : node_index_) {
-      if (node_seg_begin_[node] == kNoSegment) continue;
-      const auto& child = dirty.at(f->left().get());
-      const std::uint32_t begin = node_seg_begin_[node];
-      const std::uint32_t count = node_seg_count_[node];
-      for (std::uint32_t k = 0; k < count; ++k) {
-        const kernel::Segment& seg = segments_[begin + k];
-        const Partition& part = seg.partition;
-        // The [G]-aggregation row of a multi-process Everyone is an AND of
-        // its member rows' verdicts, and each member bucket is a superset
-        // of the [G]-bucket — so it must check every member bucket of the
-        // class representative (all [G]-equivalent ids share their member
-        // classes).  Every other row checks its own bucket.
-        const bool aggregate =
-            k == 0 && count > 1 && f->kind() == FormulaKind::kEveryone;
-        const auto classes = static_cast<std::uint32_t>(part.NumClasses());
-        for (std::uint32_t c = 0; c < classes; ++c) {
-          if (c / 64 >= seg.words) continue;  // row cell did not exist yet
-          const std::uint64_t bit = std::uint64_t{1} << (c % 64);
-          if ((bucket_planes_.known[seg.offset + c / 64] & bit) == 0)
-            continue;
-          bool row_dirty = false;
-          if (aggregate) {
-            const std::uint32_t rep = part.Representative(c);
-            for (std::uint32_t m = 1; m < count && !row_dirty; ++m) {
-              const Partition& member = segments_[begin + m].partition;
-              row_dirty =
-                  bucket_dirty(member.Bucket(member.ClassOf(rep)), child);
-            }
-          } else {
-            row_dirty = bucket_dirty(part.Bucket(c), child);
+  // Tier rows, re-laid out for the grown class counts: a row cell survives
+  // iff its class is clean.  The [G]-aggregation row of a multi-process
+  // Everyone ANDs its member rows, and the member bucket of each member
+  // contains the [G]-bucket, so its cell is dirty iff the representative's
+  // class is dirty in some member's bitmap.
+  std::vector<std::uint32_t> new_offsets(segments_.size());
+  std::size_t tier_words = 0;
+  for (std::size_t s = 0; s < segments_.size(); ++s) {
+    new_offsets[s] = static_cast<std::uint32_t>(tier_words);
+    tier_words += (segments_[s].partition.NumClasses() + 63) / 64;
+  }
+  MemoPlanes tier;
+  tier.known.assign(tier_words, 0);
+  tier.value.assign(tier_words, 0);
+  for (const auto& [f, node] : node_index_) {
+    const std::uint32_t begin = node_seg_begin_[node];
+    if (begin == kNoSegment) continue;
+    const Formula* child = f->left().get();
+    const std::uint32_t count = node_seg_count_[node];
+    for (std::uint32_t k = 0; k < count; ++k) {
+      const kernel::Segment& seg = segments_[begin + k];
+      const std::uint64_t* known = &bucket_planes_.known[seg.offset];
+      const std::uint64_t* value = &bucket_planes_.value[seg.offset];
+      std::uint64_t* kept_known = &tier.known[new_offsets[begin + k]];
+      std::uint64_t* kept_value = &tier.value[new_offsets[begin + k]];
+      if (k == 0 && count > 1 && f->kind() == FormulaKind::kEveryone) {
+        ForEachSetBit(known, seg.words, [&](std::size_t c) {
+          const std::uint32_t rep =
+              seg.partition.Representative(static_cast<std::uint32_t>(c));
+          for (std::uint32_t m = 1; m < count; ++m) {
+            const kernel::Segment& member = segments_[begin + m];
+            if (TestBit(classes_of(member.group, child),
+                        member.partition.ClassOf(rep)))
+              return;
           }
-          if (row_dirty) continue;
-          grown.known[new_offsets[begin + k] + c / 64] |= bit;
-          if (bucket_planes_.value[seg.offset + c / 64] & bit)
-            grown.value[new_offsets[begin + k] + c / 64] |= bit;
-        }
+          const std::uint64_t bit = std::uint64_t{1} << (c % 64);
+          kept_known[c / 64] |= bit;
+          kept_value[c / 64] |= value[c / 64] & bit;
+        });
+        continue;
+      }
+      const Bits& d = classes_of(seg.group, child);
+      for (std::uint32_t w = 0; w < seg.words; ++w) {
+        kept_known[w] = known[w] & ~d[w];
+        kept_value[w] = value[w] & kept_known[w];
       }
     }
-    bucket_planes_ = std::move(grown);
-    for (std::size_t s = 0; s < segments_.size(); ++s) {
-      segments_[s].offset = new_offsets[s];
-      segments_[s].words = static_cast<std::uint32_t>(
-          (segments_[s].partition.NumClasses() + 63) / 64);
-    }
+  }
+  bucket_planes_ = std::move(tier);
+  for (std::size_t s = 0; s < segments_.size(); ++s) {
+    segments_[s].offset = new_offsets[s];
+    segments_[s].words = static_cast<std::uint32_t>(
+        (segments_[s].partition.NumClasses() + 63) / 64);
   }
 
   // Whole-space completion flags, CK components, and compiled kernel
@@ -315,6 +295,14 @@ void KnowledgeEvaluator::Refresh() {
   synced_size_ = n;
 }
 
+void KnowledgeEvaluator::RequireId(std::size_t id, const char* query) const {
+  if (id >= space_.size())
+    throw ModelError("KnowledgeEvaluator::" + std::string(query) +
+                     ": class id " + std::to_string(id) +
+                     " is out of range (the space has " +
+                     std::to_string(space_.size()) + " classes)");
+}
+
 bool KnowledgeEvaluator::UseParallel() const noexcept {
   return num_threads_ > 1 && space_.size() >= kMinParallelSpace;
 }
@@ -326,6 +314,7 @@ internal::WorkerPool& KnowledgeEvaluator::Pool() {
 
 bool KnowledgeEvaluator::Holds(const FormulaPtr& f, std::size_t id) {
   if (!f) throw ModelError("KnowledgeEvaluator::Holds: null formula");
+  RequireId(id, "Holds");
   const FormulaPtr canon = interner_.Intern(f);
   return Eval(canon.get(), id);
 }
@@ -386,11 +375,13 @@ std::vector<std::vector<std::size_t>> KnowledgeEvaluator::SatisfyingSets(
 
 bool KnowledgeEvaluator::Knows(ProcessSet p, const Predicate& b,
                                std::size_t id) {
+  RequireId(id, "Knows");
   return Holds(Formula::Knows(p, Formula::Atom(b)), id);
 }
 
 bool KnowledgeEvaluator::Sure(ProcessSet p, const Predicate& b,
                               std::size_t id) {
+  RequireId(id, "Sure");
   return Holds(Formula::Sure(p, Formula::Atom(b)), id);
 }
 
@@ -414,37 +405,24 @@ bool KnowledgeEvaluator::IsConstant(const FormulaPtr& f) {
 
 std::uint32_t KnowledgeEvaluator::CommonComponent(ProcessSet g,
                                                   std::size_t id) {
-  return Components(g).root.at(id);
+  RequireId(id, "CommonComponent");
+  const Partition components = Components(g);
+  return components.Representative(components.ClassOf(id));
 }
 
-const KnowledgeEvaluator::ComponentIndex& KnowledgeEvaluator::Components(
-    ProcessSet g) {
+Partition KnowledgeEvaluator::Components(ProcessSet g) {
+  // The union of one equivalence relation is that relation: the
+  // components are the [p]-classes.
+  if (g.Size() == 1) return PartitionOf(g);
   auto it = components_.find(g.bits());
-  if (it != components_.end()) return it->second;
+  if (it != components_.end()) return it->second.View();
 
-  ComponentIndex index;
-  index.root.resize(space_.size());
-  BuildComponentRoots(g, index.root);
-  for (std::size_t id = 0; id < space_.size(); ++id)
-    index.members[index.root[id]].push_back(static_cast<std::uint32_t>(id));
-  return components_.emplace(g.bits(), std::move(index)).first->second;
-}
-
-void KnowledgeEvaluator::BuildComponentRoots(ProcessSet g,
-                                             std::vector<std::uint32_t>& root) {
-  const Partition classes = PartitionOf(g);
-  if (g.Size() == 1) {
-    // The union of one equivalence relation is that relation: the
-    // components are the [p]-classes, labeled by their smallest member.
-    for (std::size_t id = 0; id < root.size(); ++id)
-      root[id] = classes.Representative(classes.ClassOf(id));
-    return;
-  }
   // [G]-contracted build: all members of a [G]-class are mutually related
   // through every p in G, so contract them to one union-find node and run
   // the per-process unions over [G]-class representatives — two
   // [G]-classes are p-adjacent iff their representatives share a
   // [p]-class.  O(classes x |G|) unions instead of O(n x |G|).
+  const Partition classes = PartitionOf(g);
   const auto num_classes = static_cast<std::uint32_t>(classes.NumClasses());
   UnionFind uf(num_classes);
   g.ForEach([&](ProcessId p) {
@@ -459,16 +437,21 @@ void KnowledgeEvaluator::BuildComponentRoots(ProcessSet g,
         uf.Union(first[pc], c);
     }
   });
-  // Label each component by its smallest member id, whatever union order
-  // produced the raw roots.
+  // Number the components by first occurrence over ascending ids, whatever
+  // union order produced the raw roots, so each component's representative
+  // is its smallest member.
   constexpr std::uint32_t kUnseen = UINT32_MAX;
-  std::vector<std::uint32_t> smallest(num_classes, kUnseen);
-  for (std::size_t id = 0; id < root.size(); ++id) {
-    const std::uint32_t raw = uf.Find(classes.ClassOf(id));
-    if (smallest[raw] == kUnseen)
-      smallest[raw] = static_cast<std::uint32_t>(id);
-    root[id] = smallest[raw];
+  std::vector<std::uint32_t> number(num_classes, kUnseen);
+  std::uint32_t next = 0;
+  internal::PartitionTable table;
+  table.cls.resize(space_.size());
+  for (std::size_t id = 0; id < table.cls.size(); ++id) {
+    std::uint32_t& c = number[uf.Find(classes.ClassOf(id))];
+    if (c == kUnseen) c = next++;
+    table.cls[id] = c;
   }
+  table.Fill(next);
+  return components_.emplace(g.bits(), std::move(table)).first->second.View();
 }
 
 std::uint32_t KnowledgeEvaluator::InternNode(const Formula* f) {
@@ -537,10 +520,9 @@ bool KnowledgeEvaluator::BucketVerdict(const Formula* f, std::uint32_t seg,
   // every member; memoizing it per class is what collapses a whole-space
   // sweep of this node from sum-of-bucket-squares to linear.
   const Formula* child = f->left().get();
-  const bool result =
-      Quantify(f->kind(), row.partition.Bucket(cls), [&](std::size_t y) {
-    return Eval(child, y);
-  });
+  const bool result = kernel::Quantify(
+      kernel::QuantOf(f->kind()), row.partition.Bucket(cls),
+      [&](std::size_t y) { return Eval(child, y); });
   bucket_planes_.known[word] |= bit;
   if (result) bucket_planes_.value[word] |= bit;
   return result;
@@ -596,18 +578,19 @@ bool KnowledgeEvaluator::Eval(const Formula* f, std::size_t id) {
       }
       // The empty group has no tier row: x [{}] y for every y, so the
       // quantifier ranges over the whole space.
-      result = Quantify(f->kind(),
-                        std::views::iota(std::size_t{0}, space_.size()),
-                        [&](std::size_t y) { return Eval(f->left().get(), y); });
+      result = kernel::Quantify(
+          kernel::QuantOf(f->kind()),
+          std::views::iota(std::size_t{0}, space_.size()),
+          [&](std::size_t y) { return Eval(f->left().get(), y); });
       break;
     }
     case FormulaKind::kCommon: {
       // Greatest fixpoint: f must hold on the entire G-component of id.
       // The verdict is a function of the component, so cache it for every
       // member at once — later probes anywhere in the component are hits.
-      const ComponentIndex& components = Components(f->group());
-      const std::vector<std::uint32_t>& members =
-          components.members.at(components.root[id]);
+      const Partition components = Components(f->group());
+      const std::span<const std::uint32_t> members =
+          components.Bucket(components.ClassOf(id));
       result = true;
       for (std::uint32_t y : members) {
         if (!Eval(f->left().get(), y)) {
@@ -666,10 +649,7 @@ void KnowledgeEvaluator::EvaluateEverywhere(
   if (roots.empty()) return;
   if (compiled_kernels_ && EvaluateEverywhereKernel(roots)) return;
   // Sequential completion: the lazy recursion over the planes, id-outer so
-  // shared subformulas stay memo-warm across a multi-root batch.  This is
-  // where a kernel profitability refusal lands — the short-circuiting
-  // interpreter touches only the child bits the quantifiers demand, where
-  // the kernel would materialize every subformula plane in full.
+  // shared subformulas stay memo-warm across a multi-root batch.
   for (auto cur = space_.Classes(0, SIZE_MAX, space_.out_of_core());
        cur.Valid(); cur.Next())
     for (std::size_t id = cur.begin(); id < cur.end(); ++id)
@@ -700,27 +680,29 @@ bool KnowledgeEvaluator::EvaluateEverywhereKernel(
   }
   for (const Formula* f : order) InternNode(f);
 
-  // Profitability: a lone modal root with no worker pool is better served
-  // by the lazy interpreter — the kernel computes every subformula plane at
-  // every id, while the short-circuiting recursion touches only the atom
-  // bits its quantifiers demand (measured ~5x on shallow one-shot `check`
-  // queries).  Pure-boolean programs, fused multi-root batches, and
-  // parallel passes all need (or amortize) the eager planes, so they stay
-  // on the kernel.
+  // One shape stays on the interpreter: with no worker pool, a lone root
+  // that quantifies and loads a non-local atom.  The kernel evaluates such
+  // an atom at every id (a local atom costs one evaluation per projection
+  // class), while the interpreter's buckets stop at the first member that
+  // decides them and evaluate a fraction of the ids.
   if (roots.size() == 1 && !UseParallel()) {
+    bool modal = false, nonlocal_atom = false;
     for (const Formula* f : order) {
+      if (node_complete_[InternNode(f)]) continue;
       switch (f->kind()) {
-        case FormulaKind::kKnows:
-        case FormulaKind::kSure:
-        case FormulaKind::kEveryone:
-        case FormulaKind::kCommon:
-        case FormulaKind::kPossible:
-          if (!node_complete_[InternNode(f)]) return false;
+        case FormulaKind::kAtom:
+          nonlocal_atom |= f->atom().local_process() == kNoProcess;
+          break;
+        case FormulaKind::kNot:
+        case FormulaKind::kAnd:
+        case FormulaKind::kOr:
+        case FormulaKind::kImplies:
           break;
         default:
-          break;
+          modal = true;
       }
     }
+    if (modal && nonlocal_atom) return false;
   }
 
   std::vector<std::uint32_t> key;
@@ -753,8 +735,8 @@ bool KnowledgeEvaluator::EvaluateEverywhereKernel(
              .first->second;
   }
 
-  // Pre-build the CK component labels on this thread; the executor only
-  // reads them.
+  // Pre-build the CK component partitions on this thread; the executor
+  // only reads them.
   for (const kernel::Op& op : program->ops)
     if (op.code == kernel::OpCode::kCkComponent) Components(op.node->group());
 
@@ -767,9 +749,8 @@ bool KnowledgeEvaluator::EvaluateEverywhereKernel(
   ctx.bucket_known = bucket_planes_.known.data();
   ctx.bucket_value = bucket_planes_.value.data();
   ctx.segments = segments_.data();
-  ctx.ck_roots = [this](const Formula* f) -> std::span<const std::uint32_t> {
-    const ComponentIndex& c = components_.at(f->group().bits());
-    return std::span<const std::uint32_t>(c.root.data(), c.root.size());
+  ctx.ck_components = [this](const Formula* f) {
+    return Components(f->group());
   };
   ctx.pool = UseParallel() ? &Pool() : nullptr;
   ctx.worker_regs = &kernel_worker_regs_;

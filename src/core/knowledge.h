@@ -65,12 +65,14 @@
 // plane: they lower to compiled kernels (kernel.h), range-sharded over
 // KnowledgeOptions::num_threads workers, and fall back to one sequential
 // lazy pass when kernels are off, the compiler refuses the DAG, or the
-// profitability dispatch keeps a lone modal root on the interpreter.  Both
-// engines read the same tier rows and partitions.  Common-knowledge
-// component labels are the smallest member id of each component, whatever
-// the union order, so results are byte-identical at any thread count.
-// Kernel atom loads call Predicate::Eval (EvalProjection for atoms local
-// by construction, once per [p]-class) concurrently from multiple threads,
+// root is the one shape the interpreter answers faster (see
+// compiled_kernels).  Both engines read the same tier rows and partitions.
+// Common-knowledge components are a Partition too: for G = {p} the
+// [p]-partition itself, otherwise one owned table numbered by first
+// occurrence, so a component's label (its representative) is its smallest
+// member id and results are byte-identical at any thread count.  Kernel
+// atom loads call Predicate::Eval (EvalProjection for atoms local by
+// construction, once per [p]-class) concurrently from multiple threads,
 // which is safe for every predicate in the repo because predicates are pure
 // functions of the computation; custom predicates must preserve that (no
 // mutable state inside Eval).
@@ -102,12 +104,13 @@ struct KnowledgeOptions {
   // formula DAG becomes a flat postorder array of bitset ops executed
   // word-at-a-time over the memo planes, with constant / local-formula
   // folding, instead of the per-(node, id) interpreted recursion.  Programs
-  // are cached per root-set and invalidated by Refresh().  The dispatch
-  // keeps one case on the lazy interpreter even when this is on: a lone
-  // modal root with no worker pool, where short-circuiting quantifiers beat
-  // eager plane materialization.  Off, whole-space queries run one
-  // sequential interpreted pass; pointwise Holds always does.  Verdicts are
-  // byte-identical either way, at any thread count.
+  // are cached per root-set and invalidated by Refresh().  One shape stays
+  // on the lazy interpreter even when this is on: a lone root with no
+  // worker pool that quantifies and reads an atom local to no process.  The
+  // kernel would evaluate that atom at every id, where the interpreter's
+  // short-circuiting buckets evaluate a fraction of them.  Off, whole-space
+  // queries run one sequential interpreted pass; pointwise Holds always
+  // does.  Verdicts are byte-identical either way, at any thread count.
   bool compiled_kernels = true;
 };
 
@@ -126,7 +129,9 @@ class KnowledgeEvaluator {
   KnowledgeEvaluator(const KnowledgeEvaluator&) = delete;
   KnowledgeEvaluator& operator=(const KnowledgeEvaluator&) = delete;
 
-  // Truth of `f` at the computation with class id `id`.
+  // Truth of `f` at the computation with class id `id`.  Throws ModelError
+  // when `id` is not a class id of the space, as Knows, Sure and
+  // CommonComponent do.
   bool Holds(const FormulaPtr& f, std::size_t id);
 
   // Truth at a computation given by value (must be in the space).
@@ -176,20 +181,24 @@ class KnowledgeEvaluator {
 
   // Frontier-aware invalidation after the underlying space grew (a
   // SpaceBuilder::Deepen or Ingest on the space this evaluator wraps).
-  // Memoized verdicts survive wherever they provably cannot have changed:
-  // a (node, class) verdict is recomputed only when the node's modal cone
-  // is touched — its quantifier bucket gained a new member, or a
-  // transitively dirty subformula verdict lies inside that bucket.  Atoms
-  // and propositional combinations of clean verdicts are kept as-is;
-  // common-knowledge nodes invalidate everywhere (new classes can merge
-  // indistinguishability components).  The bucket/group tier rows are
-  // re-laid out for the grown class counts with the same keep/clear rule.
-  // Verdicts after Refresh are byte-identical to a fresh evaluator over
-  // the grown space.  Call it after every Deepen or Ingest, even one that
-  // added no class: the partition views the memo rows hold go stale.  An
-  // evaluator over a StateView throws ModelError instead once the space
-  // grew (the view's state classes cover only the old ids).  Not
-  // thread-safe against concurrent queries.
+  // Memoized verdicts survive wherever they provably cannot have changed.
+  // A quantifier's verdict over a class is a function of the child
+  // verdicts on its bucket, so per (group, child node) one class bitmap
+  // marks the dirty classes: those whose bucket gained a new id or holds
+  // an old id where the child is dirty.  A modal node is dirty on the old
+  // members of its dirty classes (Everyone: of any member's); atoms are
+  // never dirty, propositional nodes are dirty where a child is, and
+  // common-knowledge and empty-group nodes are dirty everywhere (new
+  // classes can merge indistinguishability components).  Dense rows keep
+  // their clean bits; a tier row keeps its clean classes, and a
+  // [G]-aggregation cell of Everyone is kept unless its representative's
+  // class is dirty in some member's bitmap.  Verdicts after Refresh are
+  // byte-identical to a fresh evaluator over the grown space.  Call it
+  // after every Deepen or Ingest, even one that added no class: the
+  // partition views the memo rows hold go stale.  An evaluator over a
+  // StateView throws ModelError instead once the space grew (the view's
+  // state classes cover only the old ids).  Not thread-safe against
+  // concurrent queries.
   void Refresh();
 
   // Exact number of (interned formula node, [D]-class) pairs whose verdict
@@ -227,13 +236,6 @@ class KnowledgeEvaluator {
   const FormulaInterner& interner() const noexcept { return interner_; }
 
  private:
-  // Connected components of the union of [p] relations for one group.
-  struct ComponentIndex {
-    std::vector<std::uint32_t> root;  // per class id: smallest member id
-    // root -> all member ids ascending (including the root itself).
-    std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> members;
-  };
-
   // Dense memo planes: `known` and `value` bits, node-major.
   struct MemoPlanes {
     std::vector<std::uint64_t> known;
@@ -250,8 +252,11 @@ class KnowledgeEvaluator {
   // the member rows.
   bool BucketVerdict(const Formula* f, std::uint32_t seg, std::size_t id);
   std::uint32_t InternNode(const Formula* f);
-  const ComponentIndex& Components(ProcessSet g);
-  void BuildComponentRoots(ProcessSet g, std::vector<std::uint32_t>& root);
+  // The connected components of the union of the [p] relations, p in g, as
+  // a partition whose classes are numbered by first occurrence.
+  Partition Components(ProcessSet g);
+  // Throws ModelError naming `query` unless `id` is a class id.
+  void RequireId(std::size_t id, const char* query) const;
   // The partition a quantifier over `g` ranges over: the view's state
   // partition when the evaluator has one, the space's [g]-partition
   // otherwise.  The one place the source is chosen; called at intern,
@@ -262,15 +267,13 @@ class KnowledgeEvaluator {
   bool UseParallel() const noexcept;
   internal::WorkerPool& Pool();
   // Whole-space dispatch: memoizes every root at every class id in the
-  // planes.  Tries the compiled kernel executor (which may refuse — compile
-  // failure or profitability, see the .cc), else runs one sequential lazy
-  // pass.
+  // planes.  Tries the compiled kernel executor (which refuses the DAGs
+  // the compiler does not cover), else runs one sequential lazy pass.
   void EvaluateEverywhere(std::span<const Formula* const> roots);
   // The kernel engine: compiles (or reuses) the program for this set of
   // incomplete roots and executes it over the planes.  Returns false when
-  // the DAG has a shape the compiler refuses or the program would lose to
-  // the lazy interpreter (a lone modal root, no worker pool); true once
-  // every root is whole-space memoized.
+  // the DAG has a shape the compiler refuses; true once every root is
+  // whole-space memoized.
   bool EvaluateEverywhereKernel(std::span<const Formula* const> roots);
   // Canonicalizes f, runs the whole-space pass, and returns f's value
   // plane (one verdict bit per class id) — the shared preamble of every
@@ -304,8 +307,8 @@ class KnowledgeEvaluator {
   std::vector<kernel::Segment> segments_;
   MemoPlanes bucket_planes_;
 
-  // Component indexes keyed by group bits.
-  std::unordered_map<std::uint64_t, ComponentIndex> components_;
+  // CK component tables of multi-process groups, keyed by group bits.
+  std::unordered_map<std::uint64_t, internal::PartitionTable> components_;
 
   // Compiled kernel programs keyed by the sorted, deduplicated node ids of
   // the (incomplete) roots they were lowered from; cleared by Refresh()

@@ -99,13 +99,14 @@ TEST(KnowledgeBucketMemoTest, LockstepSpaceIsTierInvariant) {
 TEST(KnowledgeBucketMemoTest, SingletonSweepsMemoizePerBucketNotPerMember) {
   // After one whole-space sweep of K{0} atom, the tier holds exactly one
   // entry per [0]-class — that is the sum-of-squares -> linear collapse.
+  // The atom is local to process 1, not 0, so K{0} of it does not fold.
   RandomSystemOptions options;
   options.seed = 7;
   RandomSystem system(options);
   const auto space = ComputationSpace::Enumerate(system, {.max_depth = 24});
   KnowledgeEvaluator eval(space, {.num_threads = 1});
   const FormulaPtr f = Formula::Knows(
-      ProcessSet{0}, Formula::Atom(Predicate::CountOnAtLeast(0, 1)));
+      ProcessSet{0}, Formula::Atom(Predicate::CountOnAtLeast(1, 1)));
   eval.SatisfyingSet(f);
   EXPECT_EQ(eval.MemoryUsage().bucket_entries,
             space.PartitionOf(ProcessSet{0}).NumClasses());
@@ -120,11 +121,10 @@ TEST(KnowledgeBucketMemoTest, MemoStatsSplitByTier) {
   EXPECT_EQ(eval.MemoryUsage().bytes_total, 0u);
   // A singleton modality fills [p]-tier rows; a multi-process Everyone owns
   // [G]-tier rows (its aggregation row plus per-member conjunct rows).  One
-  // fused batch, so the sweep lowers to a compiled kernel (a lone modal
-  // root would stay on the lazy interpreter) and the kernel tier is
-  // populated alongside the projection tiers.  The singleton modality is
-  // over process 1: the atom is local to process 0, so K{0} of it would
-  // fold to the atom and fill no row.
+  // fused batch, so the sweep lowers to one compiled kernel and the kernel
+  // tier is populated alongside the projection tiers.  The singleton
+  // modality is over process 1: the atom is local to process 0, so K{0} of
+  // it would fold to the atom and fill no row.
   const FormulaPtr atom = Formula::Atom(Predicate::CountOnAtLeast(0, 1));
   const std::vector<FormulaPtr> batch = {
       Formula::Knows(ProcessSet{1}, atom),

@@ -137,7 +137,8 @@ TEST(KnowledgeGroupMemoTest, SequentialAndParallelEnginesAgreeWithTierOn) {
 TEST(KnowledgeGroupMemoTest, GroupSweepsMemoizePerGroupClassNotPerMember) {
   // After one whole-space sweep of K{0,1} atom, the [G]-row holds exactly
   // one entry per [G]-class — the sum-of-squares -> linear collapse, now
-  // for group modalities.
+  // for group modalities.  The atom is local to process 2, outside the
+  // group, so K{0,1} of it does not fold.
   RandomSystemOptions options;
   options.seed = 7;
   RandomSystem system(options);
@@ -145,7 +146,7 @@ TEST(KnowledgeGroupMemoTest, GroupSweepsMemoizePerGroupClassNotPerMember) {
   KnowledgeEvaluator eval(space, {.num_threads = 1});
   const ProcessSet pair{0, 1};
   const FormulaPtr f =
-      Formula::Knows(pair, Formula::Atom(Predicate::CountOnAtLeast(0, 1)));
+      Formula::Knows(pair, Formula::Atom(Predicate::CountOnAtLeast(2, 1)));
   eval.SatisfyingSet(f);
   EXPECT_EQ(eval.MemoryUsage().group_entries,
             space.EnsureGroupIndex(pair).NumClasses());

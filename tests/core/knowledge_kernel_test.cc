@@ -8,8 +8,9 @@
 // the kernel program cache — and over every StateView partition source
 // against the oracle fed the same state abstraction, with and without the
 // compile-time fold of atoms local by construction.  The profitability
-// dispatch (a lone modal root with no pool stays on the lazy interpreter)
-// is pinned by LoneModalRootStaysOnInterpreter.
+// dispatch (a lone root with no pool quantifying over a non-local atom
+// stays on the lazy interpreter) is pinned by
+// LoneModalRootStaysOnInterpreter.
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -228,8 +229,7 @@ TEST(KnowledgeKernelTest, RefreshAfterDeepenInvalidatesProgramCache) {
       ProcessSet::Of(0),
       Formula::Or(Formula::Atom(bus.HoldsToken(0)),
                   Formula::Atom(bus.HoldsToken(2))));
-  // A two-root batch so the modal root compiles (see the profitability
-  // dispatch); the cache-invalidation contract is batch-independent.
+  // A two-root batch: the cache-invalidation contract is batch-independent.
   const std::vector<FormulaPtr> batch = {f, Formula::Atom(bus.HoldsToken(1))};
   const std::span<const FormulaPtr> span(batch.data(), batch.size());
   eval.SatisfyingSets(span);
@@ -393,9 +393,11 @@ TEST(KnowledgeKernelTest, LocalAtomFoldsMatchReference) {
             reference.SatisfyingSet(b));
 }
 
-// The profitability dispatch: with no worker pool, a lone modal root stays on
-// the lazy interpreter (no program compiles), while pure-boolean roots,
-// fused batches, and sweeps with a worker pool use the kernel.
+// The one shape the interpreter keeps: with no worker pool, a lone root
+// that quantifies over an atom local to no process (Sent names none) stays
+// on the lazy interpreter, no program compiles.  A lone modal root over a
+// local atom, pure-boolean roots over the non-local atom, fused batches,
+// and sweeps with a worker pool use the kernel.
 TEST(KnowledgeKernelTest, LoneModalRootStaysOnInterpreter) {
   RandomSystemOptions options;
   options.seed = 17;
@@ -403,10 +405,16 @@ TEST(KnowledgeKernelTest, LoneModalRootStaysOnInterpreter) {
   const auto space = ComputationSpace::Enumerate(system, {.max_depth = 24});
   const FormulaPtr atom = Formula::Atom(Predicate::Sent(0));
   const FormulaPtr modal = Formula::Knows(ProcessSet::Of(0), atom);
+  const FormulaPtr local_modal = Formula::Knows(
+      ProcessSet::Of(1), Formula::Atom(Predicate::CountOnAtLeast(0, 1)));
 
   KnowledgeEvaluator lazy(space, Config(1, true));
   lazy.SatisfyingSet(modal);
   EXPECT_EQ(lazy.MemoryUsage().kernel_programs, 0u);
+
+  KnowledgeEvaluator local(space, Config(1, true));
+  local.SatisfyingSet(local_modal);
+  EXPECT_EQ(local.MemoryUsage().kernel_programs, 1u);
 
   KnowledgeEvaluator boolean(space, Config(1, true));
   boolean.SatisfyingSet(Formula::And(atom, Formula::Not(atom)));
@@ -425,6 +433,8 @@ TEST(KnowledgeKernelTest, LoneModalRootStaysOnInterpreter) {
 
   ReferenceKnowledge reference(space);
   EXPECT_EQ(lazy.SatisfyingSet(modal), reference.SatisfyingSet(modal));
+  EXPECT_EQ(local.SatisfyingSet(local_modal),
+            reference.SatisfyingSet(local_modal));
   EXPECT_EQ(pooled.SatisfyingSet(modal), reference.SatisfyingSet(modal));
 }
 

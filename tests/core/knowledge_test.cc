@@ -1,5 +1,9 @@
 #include "core/knowledge.h"
 
+#include <algorithm>
+#include <functional>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "core/random_system.h"
@@ -174,6 +178,52 @@ TEST_F(PingKnowledgeTest, GroupOutsideTheSystemIsANamedError) {
   EXPECT_TRUE(eval_.Knows(ProcessSet{0}, sent_, s_));
   EXPECT_EQ(eval_.SatisfyingSet(Formula::Knows(ProcessSet{1}, b)),
             std::vector<std::size_t>{r_});
+}
+
+// A class id at or past space().size() names no computation: every
+// pointwise query rejects it with a ModelError naming the query, and the
+// evaluator stays usable.
+void ExpectOutOfRange(const std::function<void(std::size_t)>& query,
+                      std::size_t size, const std::string& name) {
+  for (const std::size_t id : {size, size + 70}) {
+    try {
+      query(id);
+      ADD_FAILURE() << name << " accepted id " << id;
+    } catch (const ModelError& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST_F(PingKnowledgeTest, HoldsRejectsIdOutsideTheSpace) {
+  const FormulaPtr f = Formula::Knows(ProcessSet{1}, Formula::Atom(sent_));
+  ExpectOutOfRange([&](std::size_t id) { eval_.Holds(f, id); },
+                   space_.size(), "Holds");
+  EXPECT_TRUE(eval_.Holds(f, r_));
+}
+
+TEST_F(PingKnowledgeTest, KnowsRejectsIdOutsideTheSpace) {
+  ExpectOutOfRange(
+      [&](std::size_t id) { eval_.Knows(ProcessSet{0}, sent_, id); },
+      space_.size(), "Knows");
+  EXPECT_TRUE(eval_.Knows(ProcessSet{0}, sent_, s_));
+}
+
+TEST_F(PingKnowledgeTest, SureRejectsIdOutsideTheSpace) {
+  ExpectOutOfRange(
+      [&](std::size_t id) { eval_.Sure(ProcessSet{1}, sent_, id); },
+      space_.size(), "Sure");
+  EXPECT_TRUE(eval_.Sure(ProcessSet{1}, sent_, r_));
+}
+
+TEST_F(PingKnowledgeTest, CommonComponentRejectsIdOutsideTheSpace) {
+  for (const ProcessSet g : {ProcessSet{0}, ProcessSet{0, 1}})
+    ExpectOutOfRange([&](std::size_t id) { eval_.CommonComponent(g, id); },
+                     space_.size(), "CommonComponent");
+  // e [1] s [0] r: one component, labeled by its smallest id.
+  EXPECT_EQ(eval_.CommonComponent(ProcessSet{0, 1}, r_),
+            std::min({e_, s_, r_}));
 }
 
 TEST(KnowledgeEvaluatorTest, MemoizationGrows) {

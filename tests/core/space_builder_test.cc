@@ -18,7 +18,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/faults.h"
 #include "core/knowledge.h"
+#include "core/random_system.h"
 #include "core/serialization.h"
 #include "core/space.h"
 #include "protocols/lockstep.h"
@@ -54,9 +56,8 @@ EnumerationLimits TruncatableLimits(int max_depth, int threads,
 // The full battery of modalities the evaluator memoizes differently:
 // singleton [p]-tier, multi-process [G]-tier, Everyone aggregation rows,
 // and the common-knowledge component build.
-std::vector<FormulaPtr> TokenBusFormulas(const protocols::TokenBusSystem& bus) {
-  const FormulaPtr t0 = Formula::Atom(bus.HoldsToken(0));
-  const FormulaPtr t1 = Formula::Atom(bus.HoldsToken(1));
+std::vector<FormulaPtr> ModalFormulas(const FormulaPtr& t0,
+                                      const FormulaPtr& t1) {
   const ProcessSet p01 = ProcessSet::Of(0).Union(ProcessSet::Of(1));
   return {
       Formula::Knows(ProcessSet::Of(0), t0),
@@ -70,6 +71,11 @@ std::vector<FormulaPtr> TokenBusFormulas(const protocols::TokenBusSystem& bus) {
       Formula::Or(Formula::Knows(ProcessSet::Of(0), t1),
                   Formula::Not(Formula::Sure(p01, t1))),
   };
+}
+
+std::vector<FormulaPtr> TokenBusFormulas(const protocols::TokenBusSystem& bus) {
+  return ModalFormulas(Formula::Atom(bus.HoldsToken(0)),
+                       Formula::Atom(bus.HoldsToken(1)));
 }
 
 // --- Deepen vs fresh enumeration -------------------------------------------
@@ -320,23 +326,109 @@ TEST(SpaceBuilderTest, RefreshIsIdempotentWhenNothingChanged) {
     EXPECT_EQ(eval.SatisfyingSet(formulas[k]), before[k]) << k;
 }
 
+// Deepen(1) after Deepen(1): after every Refresh, pointwise verdicts (which
+// read the kept memo bits), satisfying sets and CK component labels equal a
+// fresh evaluator's over the grown space — on a token-bus, a random and a
+// crash-fault system, at 1 and 4 threads.
 TEST(SpaceBuilderTest, RefreshAfterRepeatedDeepenStaysExact) {
   protocols::TokenBusSystem bus(3, 3);
-  const auto formulas = TokenBusFormulas(bus);
-  SpaceBuilder builder;
-  builder.Build(bus, TruncatableLimits(2, /*threads=*/1));
-  KnowledgeEvaluator eval(builder.space(), {.num_threads = 1});
-  for (const FormulaPtr& f : formulas) eval.SatisfyingSet(f);
-  for (int step = 0; step < 5; ++step) {
-    builder.Deepen(1);
+  RandomSystemOptions options;
+  options.seed = 7;
+  const RandomSystem random(options);
+  protocols::TokenBusSystem small_bus(3, 2);
+  const CrashFaultSystem faulty(small_bus,
+                                {.max_crashes = 1, .may_crash = {}});
+  const FormulaPtr sent = Formula::Atom(Predicate::Sent(0));
+  const FormulaPtr received = Formula::Atom(Predicate::Received(0));
+  struct Case {
+    const System* system;
+    std::vector<FormulaPtr> formulas;
+  };
+  const Case cases[] = {
+      {&bus, TokenBusFormulas(bus)},
+      {&random, ModalFormulas(sent, received)},
+      {&faulty, ModalFormulas(Formula::Atom(small_bus.HoldsToken(0)),
+                              Formula::Atom(small_bus.HoldsToken(1)))},
+  };
+  const ProcessSet p01 = ProcessSet::Of(0).Union(ProcessSet::Of(1));
+  // Verdicts that flip as the space grows: "p1 (p2) has not moved yet" is
+  // not stable, so a bucket that gains a longer member can lose K of it or
+  // gain M of it — a Refresh that keeps a dirty cell answers wrong here.
+  const FormulaPtr still1 =
+      Formula::Not(Formula::Atom(Predicate::CountOnAtLeast(1, 1)));
+  const FormulaPtr still2 =
+      Formula::Not(Formula::Atom(Predicate::CountOnAtLeast(2, 1)));
+  const std::vector<FormulaPtr> flipping = {
+      Formula::Knows(ProcessSet::Of(0), still1),
+      Formula::Possible(ProcessSet::Of(0), Formula::Not(still1)),
+      Formula::Knows(p01, still2),
+      Formula::Everyone(p01, still2),
+      Formula::Knows(ProcessSet::Of(2), Formula::Everyone(p01, still2)),
+  };
+  for (const int threads : {1, 4}) {
+    for (auto c : cases) {
+      c.formulas.insert(c.formulas.end(), flipping.begin(), flipping.end());
+      const std::string name = c.system->Name() + " threads " +
+                               std::to_string(threads);
+      SpaceBuilder builder;
+      builder.Build(*c.system, TruncatableLimits(2, threads));
+      KnowledgeEvaluator eval(builder.space(), {.num_threads = threads});
+      for (const FormulaPtr& f : c.formulas) eval.SatisfyingSet(f);
+      eval.CommonComponent(p01, 0);
+      for (int step = 0; step < 5; ++step) {
+        builder.Deepen(1);
+        eval.Refresh();
+        const ComputationSpace& space = builder.space();
+        KnowledgeEvaluator fresh(space, {.num_threads = threads});
+        for (std::size_t k = 0; k < c.formulas.size(); ++k) {
+          for (std::size_t id = 0; id < space.size(); ++id)
+            ASSERT_EQ(eval.Holds(c.formulas[k], id),
+                      fresh.Holds(c.formulas[k], id))
+                << name << " step " << step << " formula " << k << " id "
+                << id;
+          EXPECT_EQ(eval.SatisfyingSet(c.formulas[k]),
+                    fresh.SatisfyingSet(c.formulas[k]))
+              << name << " step " << step << " formula " << k;
+        }
+        for (const ProcessSet g : {ProcessSet::Of(2), p01})
+          for (std::size_t id = 0; id < space.size(); ++id)
+            ASSERT_EQ(eval.CommonComponent(g, id), fresh.CommonComponent(g, id))
+                << name << " step " << step << " id " << id;
+      }
+    }
+  }
+}
+
+// Refresh keeps every memo bit the class-dirty rule allows, no more and no
+// fewer: the kept counts after one Deepen(1) + Refresh of a fused sweep are
+// pinned, so a Refresh that clears everything (or keeps a dirty cell) fails.
+TEST(SpaceBuilderTest, RefreshKeepsTheCleanMemoBits) {
+  protocols::TokenBusSystem bus(3, 3);
+  RandomSystemOptions options;
+  options.seed = 7;
+  const RandomSystem random(options);
+  const struct {
+    const System* system;
+    std::vector<FormulaPtr> formulas;
+    std::size_t memo_size, bucket_entries, group_entries;
+  } cases[] = {
+      {&bus, TokenBusFormulas(bus), 54, 9, 8},
+      {&random,
+       ModalFormulas(Formula::Atom(Predicate::Sent(0)),
+                     Formula::Atom(Predicate::Received(0))),
+       332, 9, 83},
+  };
+  for (const auto& c : cases) {
+    SpaceBuilder builder;
+    builder.Build(*c.system, TruncatableLimits(5, /*threads=*/1));
+    KnowledgeEvaluator eval(builder.space(), {.num_threads = 1});
+    eval.SatisfyingSets(std::span<const FormulaPtr>(c.formulas));
+    ASSERT_GT(builder.Deepen(1), 0u);
     eval.Refresh();
-    const auto fresh_space = ComputationSpace::Enumerate(
-        bus, TruncatableLimits(3 + step, /*threads=*/1));
-    KnowledgeEvaluator oracle(fresh_space, {.num_threads = 1});
-    for (std::size_t k = 0; k < formulas.size(); ++k)
-      EXPECT_EQ(eval.SatisfyingSet(formulas[k]),
-                oracle.SatisfyingSet(formulas[k]))
-          << "step " << step << " formula " << k;
+    const auto stats = eval.MemoryUsage();
+    EXPECT_EQ(eval.memo_size(), c.memo_size) << c.system->Name();
+    EXPECT_EQ(stats.bucket_entries, c.bucket_entries) << c.system->Name();
+    EXPECT_EQ(stats.group_entries, c.group_entries) << c.system->Name();
   }
 }
 
