@@ -66,9 +66,8 @@ std::size_t KernelProgram::MemoryBytes() const {
          (completed.capacity() + roots.capacity()) * sizeof(std::uint32_t);
 }
 
-bool Compile(std::span<const CompileNode> postorder,
-             std::span<const std::uint32_t> roots, bool local_atoms,
-             KernelProgram* out) {
+KernelProgram Compile(std::span<const CompileNode> postorder,
+                      std::span<const std::uint32_t> roots, bool local_atoms) {
   KernelProgram p;
   std::unordered_map<const Formula*, Slot> slot_of;
   std::unordered_set<std::uint32_t> root_set(roots.begin(), roots.end());
@@ -105,17 +104,6 @@ bool Compile(std::span<const CompileNode> postorder,
     auto emit = [&](Op op) {
       slot_of[f] = op.dst;
       p.ops.push_back(op);
-    };
-    // One forall / exists / sure row over the node's partition.
-    auto emit_know_seg = [&](Quant quant) {
-      Op op;
-      op.code = OpCode::kKnowSeg;
-      op.quant = quant;
-      op.node = f;
-      op.seg = cn.seg_begin;
-      op.a = use(f->left().get());
-      op.dst = make_dst();
-      emit(op);
     };
     // Fold K{P}/M{P}/E{G} of a view-constant child to the child itself: no
     // op off the root path, a kCopy to the root's dense row otherwise.
@@ -165,9 +153,7 @@ bool Compile(std::span<const CompileNode> postorder,
       case FormulaKind::kKnows:
       case FormulaKind::kSure:
       case FormulaKind::kPossible: {
-        const ProcessSet group = f->group();
-        if (group.IsEmpty()) return false;  // interpreter handles these
-        if (ViewConstant(f->left().get(), group, local_atoms)) {
+        if (ViewConstant(f->left().get(), f->group(), local_atoms)) {
           if (f->kind() == FormulaKind::kSure) {
             Op op;
             op.code = OpCode::kLoadConst;
@@ -179,14 +165,21 @@ bool Compile(std::span<const CompileNode> postorder,
           }
           break;
         }
-        emit_know_seg(QuantOf(f->kind()));
+        // One forall / exists / sure row over the node's partition, or
+        // over the whole space for the empty group (no row).
+        Op op;
+        op.code = OpCode::kKnowSeg;
+        op.quant = QuantOf(f->kind());
+        op.node = f;
+        op.seg = cn.seg_begin;
+        op.a = use(f->left().get());
+        op.dst = make_dst();
+        emit(op);
         break;
       }
       case FormulaKind::kEveryone: {
-        const ProcessSet group = f->group();
-        if (group.IsEmpty()) return false;
         bool member_local = true;
-        group.ForEach([&](ProcessId q) {
+        f->group().ForEach([&](ProcessId q) {
           member_local = member_local && ViewConstant(f->left().get(),
                                                       ProcessSet::Of(q),
                                                       local_atoms);
@@ -194,10 +187,6 @@ bool Compile(std::span<const CompileNode> postorder,
         if (member_local) {
           // E{G} f == AND of K{p} f == f when f is local to every member.
           alias_child();
-          break;
-        }
-        if (group.Size() == 1) {
-          emit_know_seg(Quant::kForAll);  // E{p} == K{p}
           break;
         }
         Op op;
@@ -210,7 +199,6 @@ bool Compile(std::span<const CompileNode> postorder,
         break;
       }
       case FormulaKind::kCommon: {
-        if (f->group().IsEmpty()) return false;
         Op op;
         op.code = OpCode::kCkComponent;
         op.node = f;
@@ -264,9 +252,7 @@ bool Compile(std::span<const CompileNode> postorder,
     if (dead_dst_reg != UINT32_MAX) free_regs.push_back(dead_dst_reg);
   }
   p.num_registers = high_water;
-
-  *out = std::move(p);
-  return true;
+  return p;
 }
 
 // ---------------------------------------------------------------------------
@@ -550,13 +536,18 @@ void SweepAndScatter(const ExecContext& ctx, Regs& regs, Slot a, Slot dst,
 
 void ExecKnowSeg(const ExecContext& ctx, Regs& regs, const Op& op) {
   const FoldScan fold = ScanConstant(ctx, regs, op.a);
-  if (fold != FoldScan::kMixed) {
-    // Constant child: forall == exists == the constant (buckets are
-    // reflexive, never empty), sure == true either way.
-    const bool verdict =
-        op.quant == Quant::kSure ? true : fold == FoldScan::kAllTrue;
-    const TierRow row(ctx, op.seg);
-    FillRow(row.known, row.value, row.partition.NumClasses(), verdict);
+  if (fold != FoldScan::kMixed || op.seg == kNoSegment) {
+    // A constant child decides every bucket (buckets are reflexive, never
+    // empty), and the empty group's one bucket is the whole space: either
+    // way the scan is the verdict.
+    const bool verdict = op.quant == Quant::kForAll ? fold == FoldScan::kAllTrue
+                         : op.quant == Quant::kExists
+                             ? fold != FoldScan::kAllFalse
+                             : fold != FoldScan::kMixed;
+    if (op.seg != kNoSegment) {
+      const TierRow row(ctx, op.seg);
+      FillRow(row.known, row.value, row.partition.NumClasses(), verdict);
+    }
     FillPlane(ctx, regs, op.dst, verdict);
     return;
   }
@@ -565,50 +556,22 @@ void ExecKnowSeg(const ExecContext& ctx, Regs& regs, const Op& op) {
 }
 
 void ExecEveryoneSeg(const ExecContext& ctx, Regs& regs, const Op& op) {
-  // Row op.seg is the [G]-aggregation row; rows op.seg + 1 .. op.seg + |G|
-  // are the member K{q} rows.
+  // Rows op.seg .. op.seg + |G| - 1 are the member K{q} rows.
   const auto members = static_cast<std::uint32_t>(op.node->group().Size());
-  const TierRow agg(ctx, op.seg);
-
   const FoldScan fold = ScanConstant(ctx, regs, op.a);
   if (fold != FoldScan::kMixed) {
     const bool verdict = fold == FoldScan::kAllTrue;
-    for (std::uint32_t k = 0; k <= members; ++k) {
+    for (std::uint32_t k = 0; k < members; ++k) {
       const TierRow row(ctx, op.seg + k);
       FillRow(row.known, row.value, row.partition.NumClasses(), verdict);
     }
     FillPlane(ctx, regs, op.dst, verdict);
     return;
   }
-
   // Fold each member's K{q} plane into dst with word-AND.
-  for (std::uint32_t k = 1; k <= members; ++k)
+  for (std::uint32_t k = 0; k < members; ++k)
     SweepAndScatter(ctx, regs, op.a, op.dst, Quant::kForAll, op.seg + k,
-                    /*and_into=*/k > 1);
-
-  // Complete the [G]-aggregation row from the finished plane: the E verdict
-  // is constant on the [G]-class, so the representative's bit is the row
-  // cell.
-  internal::ParallelFor(
-      ctx.pool, agg.partition.NumClasses(), /*align=*/64,
-      [&](std::size_t b, std::size_t e) {
-        for (std::size_t w = b / 64; w * 64 < e; ++w) {
-          std::uint64_t known = agg.known[w];
-          std::uint64_t value = agg.value[w];
-          const std::size_t c_end = std::min(e, w * 64 + 64);
-          for (std::size_t c = w * 64; c < c_end; ++c) {
-            const std::uint64_t bit = std::uint64_t{1} << (c % 64);
-            if (known & bit) continue;
-            known |= bit;
-            if (ReadBit(ctx, regs, op.dst,
-                        agg.partition.Representative(
-                            static_cast<std::uint32_t>(c))))
-              value |= bit;
-          }
-          agg.known[w] = known;
-          agg.value[w] = value;
-        }
-      });
+                    /*and_into=*/k > 0);
 }
 
 void ExecCkComponent(const ExecContext& ctx, Regs& regs, const Op& op) {

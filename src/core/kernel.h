@@ -26,9 +26,11 @@
 //                       segment's partition over the child plane once per
 //                       class (seeded from, and written back to, the
 //                       evaluator's tier row), phase B scatters the
-//                       per-class verdicts to the id plane
-//   kEveryoneSeg        multi-process Everyone: per-member kKnowSeg rows
-//                       folded with word-AND, plus the [G]-aggregation row
+//                       per-class verdicts to the id plane.  Over the empty
+//                       group (no segment) the one bucket is the whole
+//                       space, decided by the constant-fold scan alone
+//   kEveryoneSeg        Everyone: per-member kKnowSeg rows folded into dst
+//                       with word-AND
 //   kCkComponent        common knowledge: per-component AND over the
 //                       component partition the evaluator already builds
 //
@@ -94,8 +96,8 @@ enum class OpCode : std::uint8_t {
   kAnd,            // dst := a & b
   kOr,             // dst := a | b
   kImplies,        // dst := !a | b, masked to live ids
-  kKnowSeg,        // dst := quantifier over the [p]- or [G]-bucket of a
-  kEveryoneSeg,    // dst := AND of member K{p} rows (+ [G]-aggregation row)
+  kKnowSeg,        // dst := quantifier over the bucket (or space) of a
+  kEveryoneSeg,    // dst := AND of member K{p} rows
   kCkComponent,    // dst := component-wide AND of a over CK components
 };
 
@@ -156,8 +158,8 @@ struct Op {
   Slot a{0, true};
   Slot b{0, true};
   // First projection-tier segment of `node` in the evaluator's segment
-  // table: the one row of kKnowSeg; the [G]-aggregation row of
-  // kEveryoneSeg, followed by one member row per process in group ForEach
+  // table: the one row of kKnowSeg (kNoSegment over the empty group); the
+  // first of kEveryoneSeg's member rows, one per process in group ForEach
   // order.
   std::uint32_t seg = kNoSegment;
 };
@@ -183,7 +185,8 @@ struct CompileNode {
   const Formula* f = nullptr;
   std::uint32_t node = 0;   // dense memo row id
   bool complete = false;    // whole-space memoized: compile as a leaf
-  // First tier segment; every modal node over a non-empty group has one.
+  // First tier segment; every Knows / Sure / Possible / Everyone node over
+  // a non-empty group has one.
   std::uint32_t seg_begin = kNoSegment;
 };
 
@@ -193,12 +196,9 @@ struct CompileNode {
 // over the space's own [p]- and [G]-partitions, so an atom local to p is
 // constant on every group containing p and folds like a local formula;
 // evaluators over a StateView (coarser state partitions) pass false.
-// Returns false when the DAG contains a shape the kernels do not cover
-// (currently: modal operators over an empty process set) — callers fall
-// back to the interpreted engine.
-bool Compile(std::span<const CompileNode> postorder,
-             std::span<const std::uint32_t> roots, bool local_atoms,
-             KernelProgram* out);
+// Every formula compiles.
+KernelProgram Compile(std::span<const CompileNode> postorder,
+                      std::span<const std::uint32_t> roots, bool local_atoms);
 
 // Everything one execution needs to locate the evaluator's memo state and
 // scratch.  All pointers remain owned by the caller.

@@ -56,10 +56,6 @@ bool PlaneIsUniform(const std::uint64_t* plane, std::size_t n, bool v) {
 
 using Bits = std::vector<std::uint64_t>;
 
-bool TestBit(const Bits& bits, std::size_t i) {
-  return (bits[i / 64] >> (i % 64)) & 1;
-}
-
 // Calls `fn(i)` for every set bit i of a `words`-word bitmap, ascending.
 template <typename Fn>
 void ForEachSetBit(const std::uint64_t* bits, std::size_t words, Fn&& fn) {
@@ -229,10 +225,7 @@ void KnowledgeEvaluator::Refresh() {
   planes_ = std::move(dense);
 
   // Tier rows, re-laid out for the grown class counts: a row cell survives
-  // iff its class is clean.  The [G]-aggregation row of a multi-process
-  // Everyone ANDs its member rows, and the member bucket of each member
-  // contains the [G]-bucket, so its cell is dirty iff the representative's
-  // class is dirty in some member's bitmap.
+  // iff its class is clean.
   std::vector<std::uint32_t> new_offsets(segments_.size());
   std::size_t tier_words = 0;
   for (std::size_t s = 0; s < segments_.size(); ++s) {
@@ -253,22 +246,6 @@ void KnowledgeEvaluator::Refresh() {
       const std::uint64_t* value = &bucket_planes_.value[seg.offset];
       std::uint64_t* kept_known = &tier.known[new_offsets[begin + k]];
       std::uint64_t* kept_value = &tier.value[new_offsets[begin + k]];
-      if (k == 0 && count > 1 && f->kind() == FormulaKind::kEveryone) {
-        ForEachSetBit(known, seg.words, [&](std::size_t c) {
-          const std::uint32_t rep =
-              seg.partition.Representative(static_cast<std::uint32_t>(c));
-          for (std::uint32_t m = 1; m < count; ++m) {
-            const kernel::Segment& member = segments_[begin + m];
-            if (TestBit(classes_of(member.group, child),
-                        member.partition.ClassOf(rep)))
-              return;
-          }
-          const std::uint64_t bit = std::uint64_t{1} << (c % 64);
-          kept_known[c / 64] |= bit;
-          kept_value[c / 64] |= value[c / 64] & bit;
-        });
-        continue;
-      }
       const Bits& d = classes_of(seg.group, child);
       for (std::uint32_t w = 0; w < seg.words; ++w) {
         kept_known[w] = known[w] & ~d[w];
@@ -462,16 +439,16 @@ std::uint32_t KnowledgeEvaluator::InternNode(const Formula* f) {
   // Projection tiers: the node's rows, laid out append-only in the bucket
   // planes.  Their partitions are resolved before any state changes, so a
   // group the partition source rejects leaves the evaluator untouched.  A
-  // multi-process group builds (or reuses) its [G]-table here — always on
-  // the interning thread, never inside a kernel pass (passes pre-intern
-  // their whole DAG).
+  // multi-process Knows / Sure / Possible builds (or reuses) its [G]-table
+  // here — always on the interning thread, never inside a kernel pass
+  // (passes pre-intern their whole DAG).  Everyone ranges over its
+  // members' [p]-relations only, so it never needs one.
   std::vector<kernel::Segment> segments;
   const ProcessSet group = f->group();
-  const bool multi = group.Size() >= 2;
   const auto add_row = [&](ProcessSet g) {
     segments.push_back(kernel::Segment{.group = g,
                                        .partition = PartitionOf(g),
-                                       .group_tier = multi});
+                                       .group_tier = group.Size() >= 2});
   };
   switch (f->kind()) {
     case FormulaKind::kKnows:
@@ -480,7 +457,6 @@ std::uint32_t KnowledgeEvaluator::InternNode(const Formula* f) {
       if (!group.IsEmpty()) add_row(group);
       break;
     case FormulaKind::kEveryone:
-      if (multi) add_row(group);
       group.ForEach([&](ProcessId p) { add_row(ProcessSet::Of(p)); });
       break;
     default:
@@ -608,31 +584,13 @@ bool KnowledgeEvaluator::Eval(const Formula* f, std::size_t id) {
       }
       return result;
     }
-    case FormulaKind::kEveryone: {
+    case FormulaKind::kEveryone:
       // Conjunction of the individual K{p} over the group, each conjunct a
       // singleton tier row of this node.
-      const std::uint32_t count = node_seg_count_[node];
-      if (count == 1) {
-        result = BucketVerdict(f, seg, id);  // E{p} == K{p}
-        break;
-      }
-      // Multi-process: row `seg` is the [G]-aggregation row — probe it, fill
-      // from the per-member rows on a miss.  The verdict is constant on the
-      // [G]-class because [G] refines every member [p].
-      const std::uint32_t cls = segments_[seg].partition.ClassOf(id);
-      const std::size_t agg_word = segments_[seg].offset + cls / 64;
-      const std::uint64_t agg_bit = std::uint64_t{1} << (cls % 64);
-      if (bucket_planes_.known[agg_word] & agg_bit) {
-        result = (bucket_planes_.value[agg_word] & agg_bit) != 0;
-        break;
-      }
       result = true;
-      for (std::uint32_t k = 1; k < count && result; ++k)
+      for (std::uint32_t k = 0; k < node_seg_count_[node] && result; ++k)
         result = BucketVerdict(f, seg + k, id);
-      bucket_planes_.known[agg_word] |= agg_bit;
-      if (result) bucket_planes_.value[agg_word] |= agg_bit;
       break;
-    }
   }
   planes_.known[word] |= bit;
   if (result) planes_.value[word] |= bit;
@@ -726,10 +684,8 @@ bool KnowledgeEvaluator::EvaluateEverywhereKernel(
       cn.seg_begin = node_seg_begin_[cn.node];
       nodes.push_back(cn);
     }
-    kernel::KernelProgram fresh;
-    if (!kernel::Compile(nodes, key, /*local_atoms=*/view_ == nullptr,
-                         &fresh))
-      return false;
+    kernel::KernelProgram fresh =
+        kernel::Compile(nodes, key, /*local_atoms=*/view_ == nullptr);
     program =
         &kernel_programs_.emplace(std::move(key), std::move(fresh))
              .first->second;
@@ -797,8 +753,10 @@ KnowledgeEvaluator::MemoStats KnowledgeEvaluator::MemoryUsage() const {
     for (const auto& reg : pool)
       s.bytes_kernel += reg.capacity() * sizeof(std::uint64_t);
   s.bytes_kernel += kernel_comp_scratch_.capacity() * sizeof(std::uint64_t);
-  s.bytes_total =
-      s.bytes_dense + s.bytes_bucket + s.bytes_group + s.bytes_kernel;
+  for (const auto& [bits, table] : components_)
+    s.bytes_components += table.MemoryBytes();
+  s.bytes_total = s.bytes_dense + s.bytes_bucket + s.bytes_group +
+                  s.bytes_kernel + s.bytes_components;
   return s;
 }
 

@@ -24,17 +24,17 @@
 // Knows/Sure/Possible over |G| >= 2 is exactly the [G]-bucket of x, so
 // those nodes memo per (node, [G]-class) and sweep each [G]-bucket once per
 // node instead of once per member — the same sum-of-bucket-squares ->
-// linear collapse, now for group modalities.  Everyone(G, f) with |G| >= 2
-// is a conjunction of singleton K{p} whose verdict is constant on the
-// (finer) [G]-class; the tier gives it one [G]-aggregation row probed in
-// O(1) plus one per-member [p]-row per conjunct.  Common-knowledge
-// components over |G| >= 2 are built through the [G]-partition too:
-// [G]-classes are contracted first and the per-process unions run over
-// [G]-class representatives instead of every computation.
+// linear collapse, now for group modalities.  Everyone(G, f) is the
+// conjunction of K{p} f over p in G (paper Section 4, "P knows b" per
+// process), so every quantifier in it ranges over one member's
+// [p]-relation: it owns one [p]-row per member and never a [G]-row.
+// Common-knowledge components over |G| >= 2 are built through the
+// [G]-partition: [G]-classes are contracted first and the per-process
+// unions run over [G]-class representatives instead of every computation.
 //
 // Both tiers are always on.  The only modal nodes without tier rows are
 // Knows / Sure / Possible over the empty group, which relate every class
-// (x [{}] y for all x, y) and sweep the whole space directly.
+// (x [{}] y for all x, y) and quantify over the whole space directly.
 //
 // Every relation a quantifier ranges over is read through one type, the
 // Partition view (space.h): ClassOf, NumClasses, Bucket, Representative.
@@ -64,9 +64,9 @@
 // IsConstant) memoize every root at every class id and read the value
 // plane: they lower to compiled kernels (kernel.h), range-sharded over
 // KnowledgeOptions::num_threads workers, and fall back to one sequential
-// lazy pass when kernels are off, the compiler refuses the DAG, or the
-// root is the one shape the interpreter answers faster (see
-// compiled_kernels).  Both engines read the same tier rows and partitions.
+// lazy pass only when kernels are off or the root is the one shape the
+// interpreter answers faster (see compiled_kernels).  Both engines read the
+// same tier rows and partitions.
 // Common-knowledge components are a Partition too: for G = {p} the
 // [p]-partition itself, otherwise one owned table numbered by first
 // occurrence, so a component's label (its representative) is its smallest
@@ -190,14 +190,12 @@ class KnowledgeEvaluator {
   // never dirty, propositional nodes are dirty where a child is, and
   // common-knowledge and empty-group nodes are dirty everywhere (new
   // classes can merge indistinguishability components).  Dense rows keep
-  // their clean bits; a tier row keeps its clean classes, and a
-  // [G]-aggregation cell of Everyone is kept unless its representative's
-  // class is dirty in some member's bitmap.  Verdicts after Refresh are
-  // byte-identical to a fresh evaluator over the grown space.  Call it
-  // after every Deepen or Ingest, even one that added no class: the
-  // partition views the memo rows hold go stale.  An evaluator over a
-  // StateView throws ModelError instead once the space grew (the view's
-  // state classes cover only the old ids).  Not thread-safe against
+  // their clean bits and every tier row keeps its clean classes.  Verdicts
+  // after Refresh are byte-identical to a fresh evaluator over the grown
+  // space.  Call it after every Deepen or Ingest, even one that added no
+  // class: the partition views the memo rows hold go stale.  An evaluator
+  // over a StateView throws ModelError instead once the space grew (the
+  // view's state classes cover only the old ids).  Not thread-safe against
   // concurrent queries.
   void Refresh();
 
@@ -211,9 +209,9 @@ class KnowledgeEvaluator {
 
   // Memo footprint and fill, split by tier: the dense (node, [D]-class)
   // planes, the (node, [p]-class) rows of singleton-group nodes, and the
-  // [G]-tier rows of multi-process nodes (their [G]-class rows plus, for
-  // Everyone, the per-member conjunct rows).  Bytes are the allocated row
-  // sizes; entries are known-bit popcounts.
+  // tier rows of multi-process nodes (a [G]-class row for Knows / Sure /
+  // Possible, the per-member [p]-rows for Everyone).  Bytes are the
+  // allocated row sizes; entries are known-bit popcounts.
   struct MemoStats {
     std::size_t dense_entries = 0;
     std::size_t bucket_entries = 0;
@@ -226,6 +224,8 @@ class KnowledgeEvaluator {
     std::size_t bytes_bucket = 0;
     std::size_t bytes_group = 0;
     std::size_t bytes_kernel = 0;
+    // The CK component tables of multi-process groups.
+    std::size_t bytes_components = 0;
     std::size_t bytes_total = 0;
   };
   MemoStats MemoryUsage() const;
@@ -247,9 +247,7 @@ class KnowledgeEvaluator {
   bool Eval(const Formula* f, std::size_t id);
   // The projection-tier probe/sweep for segment `seg`: returns the memoized
   // verdict of `f`'s quantifier over the bucket of `id` in the row's
-  // partition, sweeping the bucket once on a miss.  Not used for the
-  // [G]-aggregation row of a multi-process Everyone, which Eval fills from
-  // the member rows.
+  // partition, sweeping the bucket once on a miss.
   bool BucketVerdict(const Formula* f, std::uint32_t seg, std::size_t id);
   std::uint32_t InternNode(const Formula* f);
   // The connected components of the union of the [p] relations, p in g, as
@@ -267,13 +265,13 @@ class KnowledgeEvaluator {
   bool UseParallel() const noexcept;
   internal::WorkerPool& Pool();
   // Whole-space dispatch: memoizes every root at every class id in the
-  // planes.  Tries the compiled kernel executor (which refuses the DAGs
-  // the compiler does not cover), else runs one sequential lazy pass.
+  // planes.  Tries the compiled kernel executor, else runs one sequential
+  // lazy pass.
   void EvaluateEverywhere(std::span<const Formula* const> roots);
   // The kernel engine: compiles (or reuses) the program for this set of
-  // incomplete roots and executes it over the planes.  Returns false when
-  // the DAG has a shape the compiler refuses; true once every root is
-  // whole-space memoized.
+  // incomplete roots and executes it over the planes.  Returns false for
+  // the lone-root shape the interpreter answers faster (see
+  // compiled_kernels); true once every root is whole-space memoized.
   bool EvaluateEverywhereKernel(std::span<const Formula* const> roots);
   // Canonicalizes f, runs the whole-space pass, and returns f's value
   // plane (one verdict bit per class id) — the shared preamble of every
@@ -299,9 +297,9 @@ class KnowledgeEvaluator {
   // (kNoSegment when the node has no tier rows) and its segment count;
   // segments and the bucket planes grow append-only at intern time.  A
   // node's rows are contiguous: Knows / Sure / Possible over a non-empty
-  // group own one row over the group's partition; Everyone one row per
-  // member, after a [G]-aggregation row when |G| >= 2.  Knows / Sure /
-  // Possible over the empty group relate every class and own none.
+  // group own one row over the group's partition; Everyone one [p]-row per
+  // member.  Knows / Sure / Possible over the empty group relate every
+  // class and own none.
   std::vector<std::uint32_t> node_seg_begin_;
   std::vector<std::uint32_t> node_seg_count_;
   std::vector<kernel::Segment> segments_;

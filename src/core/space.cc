@@ -1260,6 +1260,13 @@ bool ComputationSpace::HasGroupIndex(ProcessSet g) const {
   return group_index_.find(g.bits()) != group_index_.end();
 }
 
+std::size_t ComputationSpace::GroupIndexBytes() const {
+  std::lock_guard<std::mutex> lock(*group_mutex_);
+  std::size_t bytes = 0;
+  for (const auto& [mask, table] : group_index_) bytes += table.MemoryBytes();
+  return bytes;
+}
+
 std::vector<std::uint32_t> ComputationSpace::CanonicalIdsOf(
     std::size_t id) const {
   // Replay the splice chain root-to-leaf: collect (pos, event) links by
@@ -1471,10 +1478,9 @@ ComputationSpace::MemoryStats ComputationSpace::MemoryUsage() const {
   for (const auto& ids : bucket_ids_) s.bytes_buckets += vec_bytes(ids);
   s.bytes_successors = succ_offsets_.ByteSize() + succ_class_.ByteSize() +
                        succ_event_.ByteSize();
+  s.bytes_group_index = GroupIndexBytes();
   {
     std::lock_guard<std::mutex> lock(*group_mutex_);
-    for (const auto& [mask, table] : group_index_)
-      s.bytes_group_index += table.MemoryBytes();
     for (const auto& trie : projection_trie_)
       s.bytes_projection_trie += vec_bytes(trie);
   }

@@ -310,6 +310,10 @@ class ComputationSpace {
   // EnsureGroupIndex, or loaded with a snapshot).
   bool HasGroupIndex(ProcessSet g) const;
 
+  // Bytes held by the materialized [G]-tables (MemoryStats::
+  // bytes_group_index), without MemoryUsage's full column scan.
+  std::size_t GroupIndexBytes() const;
+
   // The [g]-partition as a Partition view: the [p]-class column and CSR
   // buckets of p for g = {p}, the EnsureGroupIndex(g) table for |g| >= 2.
   // The only reader of the space's equivalence classes.  Throws ModelError

@@ -140,6 +140,7 @@ struct SessionOps {
         .Num("kernel_programs", memo.kernel_programs)
         .Num("kernel_ops", memo.kernel_ops)
         .Num("bytes_kernel", memo.bytes_kernel)
+        .Num("bytes_group_index", space.GroupIndexBytes())
         .Bool("out_of_core", space.out_of_core())
         .Num("segments", seg.segments)
         .Num("segments_resident", seg.resident_segments)

@@ -120,11 +120,11 @@ TEST(KnowledgeBucketMemoTest, MemoStatsSplitByTier) {
   KnowledgeEvaluator eval(space, {.num_threads = 1});
   EXPECT_EQ(eval.MemoryUsage().bytes_total, 0u);
   // A singleton modality fills [p]-tier rows; a multi-process Everyone owns
-  // [G]-tier rows (its aggregation row plus per-member conjunct rows).  One
-  // fused batch, so the sweep lowers to one compiled kernel and the kernel
-  // tier is populated alongside the projection tiers.  The singleton
-  // modality is over process 1: the atom is local to process 0, so K{0} of
-  // it would fold to the atom and fill no row.
+  // [G]-tier rows (its per-member conjunct rows).  One fused batch, so the
+  // sweep lowers to one compiled kernel and the kernel tier is populated
+  // alongside the projection tiers.  The singleton modality is over
+  // process 1: the atom is local to process 0, so K{0} of it would fold to
+  // the atom and fill no row.
   const FormulaPtr atom = Formula::Atom(Predicate::CountOnAtLeast(0, 1));
   const std::vector<FormulaPtr> batch = {
       Formula::Knows(ProcessSet{1}, atom),

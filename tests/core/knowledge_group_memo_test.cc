@@ -1,19 +1,21 @@
 // Correctness contract of the [G]-class memo tier: for multi-process
 // Knows / Sure / Possible the quantifier ranges exactly over the
-// [G]-bucket, and Everyone's conjunction is constant on the [G]-class, so
-// memoizing per (node, [G]-class) — and building CK components over
-// contracted [G]-classes — must reproduce the paper's definitions byte for
-// byte: satisfying sets, batch Holds, pointwise Holds, and CK component
-// labels, checked against the independent ReferenceKnowledge oracle at 1
-// and 4 worker threads, kernels off and on, on a canonicalized space and a
-// lockstep (non-canonicalized) one, including nested
-// Everyone(G, Knows(p, f)).
+// [G]-bucket, so memoizing per (node, [G]-class) — and building CK
+// components over contracted [G]-classes — must reproduce the paper's
+// definitions byte for byte: satisfying sets, batch Holds, pointwise Holds,
+// and CK component labels, checked against the independent
+// ReferenceKnowledge oracle at 1 and 4 worker threads, kernels off and on,
+// on a canonicalized space and a lockstep (non-canonicalized) one,
+// including nested Everyone(G, Knows(p, f)).  Everyone is a conjunction of
+// per-member K{p}, so it must answer from its [p]-rows without ever
+// building a [G]-table.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "core/knowledge.h"
 #include "core/random_system.h"
+#include "core/space.h"
 #include "protocols/lockstep.h"
 #include "reference_knowledge.h"
 
@@ -176,6 +178,77 @@ TEST(KnowledgeGroupMemoTest, EvaluatorReusesAnEnsuredIndex) {
             index.Bucket(0).data());
   EXPECT_EQ(pre_indexed.MemoryUsage().bytes_group_index, index_bytes);
   EXPECT_TRUE(lazy.HasGroupIndex(pair));
+}
+
+TEST(KnowledgeGroupMemoTest, EveryoneBuildsNoGroupTable) {
+  // E{G} f is the conjunction of K{p} f over p in G: every quantifier in it
+  // ranges over one member's [p]-relation, so no query path — pointwise
+  // interpreter, whole-space kernels or sequential pass, before or after
+  // Deepen + Refresh — may materialize the space's [G]-table.
+  RandomSystemOptions options;
+  options.num_processes = 3;
+  options.num_messages = 4;
+  options.internal_events = 1;
+  options.seed = 42;
+  RandomSystem system(options);
+  const ProcessSet pair{0, 1}, triple{0, 1, 2};
+  const FormulaPtr a = Formula::Atom(Predicate::CountOnAtLeast(0, 2));
+  const std::vector<FormulaPtr> formulas = {Formula::Everyone(pair, a),
+                                            Formula::Everyone(triple, a)};
+  for (int threads : {1, 4}) {
+    for (bool kernels : {false, true}) {
+      EnumerationLimits limits;
+      limits.max_depth = 8;
+      limits.allow_truncation = true;
+      limits.num_threads = threads;
+      SpaceBuilder builder;
+      builder.Build(system, limits);
+      KnowledgeEvaluator eval(
+          builder.space(),
+          {.num_threads = threads, .compiled_kernels = kernels});
+      const auto expect_no_group_table = [&](const char* stage) {
+        const ComputationSpace& space = builder.space();
+        ASSERT_GE(space.size(), 128u) << stage;  // parallel threshold
+        ReferenceKnowledge reference(space);
+        for (const FormulaPtr& f : formulas) {
+          // Pointwise first, so the interpreter runs on unmemoized ids.
+          for (std::size_t id = 0; id < space.size(); id += 7)
+            ASSERT_EQ(eval.Holds(f, id), reference.Holds(f, id))
+                << f->ToString() << " at " << id << ", " << stage;
+          ASSERT_EQ(eval.SatisfyingSet(f), reference.SatisfyingSet(f))
+              << f->ToString() << ", " << stage;
+          ASSERT_EQ(eval.HoldsAll(f), reference.HoldsAll(f))
+              << f->ToString() << ", " << stage;
+        }
+        EXPECT_FALSE(space.HasGroupIndex(pair))
+            << stage << " at " << threads << " threads, kernels=" << kernels;
+        EXPECT_FALSE(space.HasGroupIndex(triple))
+            << stage << " at " << threads << " threads, kernels=" << kernels;
+      };
+      expect_no_group_table("built");
+      ASSERT_GT(builder.Deepen(1), 0u);
+      eval.Refresh();
+      expect_no_group_table("deepened");
+    }
+  }
+}
+
+TEST(KnowledgeGroupMemoTest, MemoryUsageCountsCommonComponentTables) {
+  // A multi-process CK component table holds a class and a member slot per
+  // id, so it is at least 8 B per class, and bytes_total includes it.
+  RandomSystemOptions options;
+  options.seed = 7;
+  RandomSystem system(options);
+  const auto space = ComputationSpace::Enumerate(system, {.max_depth = 24});
+  KnowledgeEvaluator eval(space, {.num_threads = 1});
+  EXPECT_EQ(eval.MemoryUsage().bytes_components, 0u);
+  eval.SatisfyingSet(Formula::Common(
+      ProcessSet{0, 1}, Formula::Atom(Predicate::CountOnAtLeast(0, 1))));
+  const auto stats = eval.MemoryUsage();
+  EXPECT_GE(stats.bytes_components, 8 * space.size());
+  EXPECT_EQ(stats.bytes_total, stats.bytes_dense + stats.bytes_bucket +
+                                   stats.bytes_group + stats.bytes_kernel +
+                                   stats.bytes_components);
 }
 
 }  // namespace

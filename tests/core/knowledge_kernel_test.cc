@@ -38,7 +38,8 @@ KnowledgeOptions Config(int threads, bool kernels) {
 // each quantifier), multi-process Everyone (kEveryoneSeg), common knowledge
 // (kCkComponent), compile-time local-formula folds (modal child constant on
 // the operator's view), runtime constant folds (tautological children), and
-// the empty-group compile refusal that falls back to the interpreter.
+// the empty-group K{} / Sure{} / M{}, whose kKnowSeg quantifies over the
+// whole space with no tier row.
 std::vector<FormulaPtr> KernelFormulas(const FormulaPtr& a,
                                        const FormulaPtr& b, ProcessSet all) {
   const ProcessSet pair = ProcessSet::Of(0).Union(ProcessSet::Of(1));
@@ -69,8 +70,9 @@ std::vector<FormulaPtr> KernelFormulas(const FormulaPtr& a,
       Formula::Knows(ProcessSet::Of(1),
                      Formula::And(Formula::Knows(ProcessSet::Of(0), a),
                                   Formula::Not(b))),
-      // Empty-group modal: the compiler refuses, the evaluator falls back.
+      // Empty-group modals: one bucket, the whole space.
       Formula::Knows(ProcessSet(), a),
+      Formula::Sure(ProcessSet(), b),
       Formula::Possible(ProcessSet(), Formula::Not(b)),
   };
 }

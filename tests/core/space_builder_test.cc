@@ -54,7 +54,7 @@ EnumerationLimits TruncatableLimits(int max_depth, int threads,
 }
 
 // The full battery of modalities the evaluator memoizes differently:
-// singleton [p]-tier, multi-process [G]-tier, Everyone aggregation rows,
+// singleton [p]-tier, multi-process [G]-tier, Everyone's per-member rows,
 // and the common-knowledge component build.
 std::vector<FormulaPtr> ModalFormulas(const FormulaPtr& t0,
                                       const FormulaPtr& t1) {
@@ -412,11 +412,11 @@ TEST(SpaceBuilderTest, RefreshKeepsTheCleanMemoBits) {
     std::vector<FormulaPtr> formulas;
     std::size_t memo_size, bucket_entries, group_entries;
   } cases[] = {
-      {&bus, TokenBusFormulas(bus), 54, 9, 8},
+      {&bus, TokenBusFormulas(bus), 54, 9, 6},
       {&random,
        ModalFormulas(Formula::Atom(Predicate::Sent(0)),
                      Formula::Atom(Predicate::Received(0))),
-       332, 9, 83},
+       332, 9, 80},
   };
   for (const auto& c : cases) {
     SpaceBuilder builder;

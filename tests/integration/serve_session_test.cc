@@ -261,9 +261,10 @@ TEST_F(SessionTest, InfoAndResidencyKeyOrder) {
                 "ok", "v", "op", "system", "classes", "truncated",
                 "built_depth", "deepenable", "memo_entries", "bytes_memo",
                 "formulas_interned", "kernel_programs", "kernel_ops",
-                "bytes_kernel", "out_of_core", "segments",
-                "segments_resident", "segments_spilled", "bytes_resident",
-                "bytes_mapped", "bytes_spilled", "requests", "id"}));
+                "bytes_kernel", "bytes_group_index", "out_of_core",
+                "segments", "segments_resident", "segments_spilled",
+                "bytes_resident", "bytes_mapped", "bytes_spilled", "requests",
+                "id"}));
   EXPECT_EQ(Keys(session.Handle(R"({"op":"residency"})")),
             (std::vector<std::string>{
                 "ok", "v", "op", "out_of_core", "budget_bytes",
@@ -271,6 +272,22 @@ TEST_F(SessionTest, InfoAndResidencyKeyOrder) {
                 "segments_mapped", "segments_spilled", "bytes_resident",
                 "bytes_mapped", "bytes_spilled", "spill_faults",
                 "spill_writes"}));
+}
+
+// Everyone quantifies over its members' [p]-rows only, so an E{0,1} check
+// builds no [G]-table; distributed knowledge K{0,1} does.
+TEST_F(SessionTest, InfoReportsGroupIndexBytes) {
+  Session session = CappedSession();
+  const auto group_index_bytes = [&] {
+    return json::Parse(session.Handle(R"({"op":"info"})"))
+        .Find("bytes_group_index")
+        ->number;
+  };
+  EXPECT_EQ(group_index_bytes(), 0.0);
+  session.Handle(R"({"op":"check","formula":"E{0,1} token_at_p0"})");
+  EXPECT_EQ(group_index_bytes(), 0.0);
+  session.Handle(R"({"op":"check","formula":"K{0,1} token_at_p0"})");
+  EXPECT_GT(group_index_bytes(), 0.0);
 }
 
 TEST_F(SessionTest, RunAnswersLineByLineUntilQuit) {
