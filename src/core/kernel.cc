@@ -61,11 +61,6 @@ bool ViewConstant(const Formula* f, ProcessSet view, bool local_atoms) {
 
 }  // namespace
 
-std::size_t KernelProgram::MemoryBytes() const {
-  return sizeof(*this) + ops.capacity() * sizeof(Op) +
-         (completed.capacity() + roots.capacity()) * sizeof(std::uint32_t);
-}
-
 KernelProgram Compile(std::span<const CompileNode> postorder,
                       std::span<const std::uint32_t> roots, bool local_atoms) {
   KernelProgram p;
@@ -215,7 +210,6 @@ KernelProgram Compile(std::span<const CompileNode> postorder,
         return op.code == OpCode::kKnowSeg || op.code == OpCode::kEveryoneSeg ||
                op.code == OpCode::kCkComponent;
       });
-  p.roots.assign(roots.begin(), roots.end());
 
   // Liveness register assignment: linear scan over the emitted ops, one
   // physical register per live value.  The dst is allocated before its

@@ -173,10 +173,6 @@ struct KernelProgram {
   // Dense node ids whose rows are whole-space complete after one run
   // (atoms and roots); the evaluator flips their completion flags.
   std::vector<std::uint32_t> completed;
-  // Dense node ids of the requested roots, in request order.
-  std::vector<std::uint32_t> roots;
-
-  std::size_t MemoryBytes() const;
 };
 
 // One postorder entry of the DAG under compilation, supplied by the

@@ -1,6 +1,7 @@
 #include "core/knowledge.h"
 
 #include <algorithm>
+#include <map>
 #include <numeric>
 #include <ranges>
 #include <string>
@@ -260,13 +261,13 @@ void KnowledgeEvaluator::Refresh() {
         (segments_[s].partition.NumClasses() + 63) / 64);
   }
 
-  // Whole-space completion flags, CK components, and compiled kernel
-  // programs all key off the old id range / plane layout; drop them
-  // wholesale (they are rebuilt lazily, and components can merge through
-  // new classes).
+  // Whole-space completion flags and CK components key off the old id
+  // range; drop them wholesale (they are rebuilt lazily, and components can
+  // merge through new classes).  The compile counters restart with them.
   std::fill(node_complete_.begin(), node_complete_.end(), 0);
   components_.clear();
-  kernel_programs_.clear();
+  kernel_programs_ = 0;
+  kernel_ops_ = 0;
 
   words_ = new_words;
   synced_size_ = n;
@@ -663,37 +664,29 @@ bool KnowledgeEvaluator::EvaluateEverywhereKernel(
     if (modal && nonlocal_atom) return false;
   }
 
-  std::vector<std::uint32_t> key;
-  key.reserve(roots.size());
-  for (const Formula* root : roots) key.push_back(InternNode(root));
-  std::sort(key.begin(), key.end());
-  key.erase(std::unique(key.begin(), key.end()), key.end());
-
-  kernel::KernelProgram* program = nullptr;
-  const auto cached = kernel_programs_.find(key);
-  if (cached != kernel_programs_.end()) {
-    program = &cached->second;
-  } else {
-    std::vector<kernel::CompileNode> nodes;
-    nodes.reserve(order.size());
-    for (const Formula* f : order) {
-      kernel::CompileNode cn;
-      cn.f = f;
-      cn.node = InternNode(f);
-      cn.complete = node_complete_[cn.node] != 0;
-      cn.seg_begin = node_seg_begin_[cn.node];
-      nodes.push_back(cn);
-    }
-    kernel::KernelProgram fresh =
-        kernel::Compile(nodes, key, /*local_atoms=*/view_ == nullptr);
-    program =
-        &kernel_programs_.emplace(std::move(key), std::move(fresh))
-             .first->second;
+  // Every root is incomplete here and complete once the program has run,
+  // so a program is compiled for one run and dropped.
+  std::vector<std::uint32_t> root_nodes;
+  root_nodes.reserve(roots.size());
+  for (const Formula* root : roots) root_nodes.push_back(InternNode(root));
+  std::vector<kernel::CompileNode> nodes;
+  nodes.reserve(order.size());
+  for (const Formula* f : order) {
+    kernel::CompileNode cn;
+    cn.f = f;
+    cn.node = InternNode(f);
+    cn.complete = node_complete_[cn.node] != 0;
+    cn.seg_begin = node_seg_begin_[cn.node];
+    nodes.push_back(cn);
   }
+  const kernel::KernelProgram program =
+      kernel::Compile(nodes, root_nodes, /*local_atoms=*/view_ == nullptr);
+  ++kernel_programs_;
+  kernel_ops_ += program.ops.size();
 
   // Pre-build the CK component partitions on this thread; the executor
   // only reads them.
-  for (const kernel::Op& op : program->ops)
+  for (const kernel::Op& op : program.ops)
     if (op.code == kernel::OpCode::kCkComponent) Components(op.node->group());
 
   kernel::ExecContext ctx;
@@ -711,9 +704,9 @@ bool KnowledgeEvaluator::EvaluateEverywhereKernel(
   ctx.pool = UseParallel() ? &Pool() : nullptr;
   ctx.worker_regs = &kernel_worker_regs_;
   ctx.comp_scratch = &kernel_comp_scratch_;
-  kernel::Execute(*program, ctx);
+  kernel::Execute(program, ctx);
 
-  for (const std::uint32_t node : program->completed) node_complete_[node] = 1;
+  for (const std::uint32_t node : program.completed) node_complete_[node] = 1;
   return true;
 }
 
@@ -743,12 +736,8 @@ KnowledgeEvaluator::MemoStats KnowledgeEvaluator::MemoryUsage() const {
       s.bytes_bucket += bytes;
     }
   }
-  s.kernel_programs = kernel_programs_.size();
-  for (const auto& [key, program] : kernel_programs_) {
-    s.kernel_ops += program.ops.size();
-    s.bytes_kernel +=
-        program.MemoryBytes() + key.capacity() * sizeof(std::uint32_t);
-  }
+  s.kernel_programs = kernel_programs_;
+  s.kernel_ops = kernel_ops_;
   for (const auto& pool : kernel_worker_regs_)
     for (const auto& reg : pool)
       s.bytes_kernel += reg.capacity() * sizeof(std::uint64_t);

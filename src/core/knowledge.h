@@ -80,7 +80,6 @@
 #define HPL_CORE_KNOWLEDGE_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <span>
 #include <unordered_map>
@@ -103,8 +102,9 @@ struct KnowledgeOptions {
   // Lowers whole-space queries to compiled kernel programs (kernel.h): the
   // formula DAG becomes a flat postorder array of bitset ops executed
   // word-at-a-time over the memo planes, with constant / local-formula
-  // folding, instead of the per-(node, id) interpreted recursion.  Programs
-  // are cached per root-set and invalidated by Refresh().  One shape stays
+  // folding, instead of the per-(node, id) interpreted recursion.  Each
+  // program is compiled for the roots a query has not yet completed and
+  // dropped after its one run.  One shape stays
   // on the lazy interpreter even when this is on: a lone root with no
   // worker pool that quantifies and reads an atom local to no process.  The
   // kernel would evaluate that atom at every id, where the interpreter's
@@ -216,8 +216,9 @@ class KnowledgeEvaluator {
     std::size_t dense_entries = 0;
     std::size_t bucket_entries = 0;
     std::size_t group_entries = 0;
-    // Compiled kernel cache: program count, total ops across programs, and
-    // the bytes held by programs plus the persistent register-plane pools.
+    // Kernel programs compiled since the last Refresh, and their total
+    // ops; bytes_kernel is the executor's persistent register planes and
+    // CK scratch.
     std::size_t kernel_programs = 0;
     std::size_t kernel_ops = 0;
     std::size_t bytes_dense = 0;
@@ -232,7 +233,7 @@ class KnowledgeEvaluator {
 
   // The evaluator's structural interner: every formula handed to a query is
   // canonicalized through it, so structurally equal formulas from different
-  // parses share one node, one memo row, and one compiled program.
+  // parses share one node and one memo row.
   const FormulaInterner& interner() const noexcept { return interner_; }
 
  private:
@@ -268,8 +269,8 @@ class KnowledgeEvaluator {
   // planes.  Tries the compiled kernel executor, else runs one sequential
   // lazy pass.
   void EvaluateEverywhere(std::span<const Formula* const> roots);
-  // The kernel engine: compiles (or reuses) the program for this set of
-  // incomplete roots and executes it over the planes.  Returns false for
+  // The kernel engine: compiles a program for this set of incomplete
+  // roots and executes it over the planes.  Returns false for
   // the lone-root shape the interpreter answers faster (see
   // compiled_kernels); true once every root is whole-space memoized.
   bool EvaluateEverywhereKernel(std::span<const Formula* const> roots);
@@ -308,19 +309,17 @@ class KnowledgeEvaluator {
   // CK component tables of multi-process groups, keyed by group bits.
   std::unordered_map<std::uint64_t, internal::PartitionTable> components_;
 
-  // Compiled kernel programs keyed by the sorted, deduplicated node ids of
-  // the (incomplete) roots they were lowered from; cleared by Refresh()
-  // (the plane re-layout invalidates the baked segment/row references).
-  std::map<std::vector<std::uint32_t>, kernel::KernelProgram>
-      kernel_programs_;
+  // Kernel programs compiled since the last Refresh(), and their ops.
+  std::size_t kernel_programs_ = 0;
+  std::size_t kernel_ops_ = 0;
   // Executor scratch, persistent across runs: per-worker register-plane
   // pools and the CK per-component verdict bits.
   std::vector<std::vector<std::vector<std::uint64_t>>> kernel_worker_regs_;
   std::vector<std::uint64_t> kernel_comp_scratch_;
 
   // Canonicalizes every queried formula and keeps the canonical nodes (and
-  // the nodes they were interned from) alive while their memo rows and
-  // compiled programs are cached.
+  // the nodes they were interned from) alive while their memo rows are
+  // cached.
   FormulaInterner interner_;
 };
 

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <istream>
 #include <iterator>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <string_view>
@@ -130,7 +131,7 @@ Computation ParseComputation(const std::string& text) {
   return built;
 }
 
-// --- Binary space snapshots (hpl-space-v3) ---------------------------------
+// --- Binary space snapshots (hpl-space-v4) ---------------------------------
 
 namespace {
 
@@ -407,14 +408,28 @@ class Reader {
 };
 
 // What a load learns about a u32 column while decoding it, for the id
-// checks that run once the file's checksums hold: the largest value at each
-// position of a row, the first value, and whether the values never
-// decrease.
+// checks that run once the file's checksums hold: at each position of a
+// row, one more than the largest value so far, and the first value that
+// jumps past that bound (a class number skipped); the first value; and
+// whether the values never decrease.
 struct U32Summary {
-  explicit U32Summary(std::size_t row = 1) : max(row, 0) {}
-  std::vector<std::uint32_t> max;
+  explicit U32Summary(std::size_t row = 1) : bound(row, 0) {}
+  // One more than the largest value at each row position (0: none yet).
+  std::vector<std::uint64_t> bound;
+  // The first value greater than its position's bound at the time.
+  struct Skip {
+    std::uint64_t at = 0;  // element index
+    std::uint32_t value = 0;
+    std::uint64_t bound = 0;
+  };
+  std::optional<Skip> skip;
   std::uint32_t first = 0;
   bool ascending = true;
+
+  // The largest value at row position `pos` (of a non-empty column).
+  std::uint32_t Max(std::size_t pos = 0) const {
+    return static_cast<std::uint32_t>(bound[pos] - 1);
+  }
 
   // Decodes n little-endian u32s into out[0, n) and folds them in.
   void Decode(const unsigned char* p, std::size_t n, std::uint32_t* out) {
@@ -422,14 +437,18 @@ struct U32Summary {
     std::uint32_t prev = seen_ == 0 ? LoadLe32(p) : last_;
     if (seen_ == 0) first = prev;
     bool up = true;
-    std::size_t pos = static_cast<std::size_t>(seen_ % max.size());
+    std::size_t pos = static_cast<std::size_t>(seen_ % bound.size());
     for (std::size_t i = 0; i < n; ++i, p += 4) {
       const std::uint32_t v = LoadLe32(p);
       out[i] = v;
       up &= v >= prev;
       prev = v;
-      max[pos] = std::max(max[pos], v);
-      if (++pos == max.size()) pos = 0;
+      std::uint64_t& b = bound[pos];
+      if (v >= b) {
+        if (v > b && !skip) skip = Skip{seen_ + i, v, b};
+        b = std::uint64_t{v} + 1;
+      }
+      if (++pos == bound.size()) pos = 0;
     }
     ascending &= up;
     last_ = prev;
@@ -468,20 +487,6 @@ std::uint64_t ReadU32SegColumn(Reader& r,
               if (store.out_of_core()) store.EnforceBudget();
             });
   return h;
-}
-
-// A resident u32 column (bucket and group tables): its count, checked
-// against the bytes left, then the elements in chunks.
-std::vector<std::uint32_t> ReadU32Column(Reader& r, const char* where,
-                                         U32Summary* summary) {
-  const std::uint64_t n = r.Count(where);
-  r.RequireFits(n, 4, where);
-  std::vector<std::uint32_t> column(static_cast<std::size_t>(n));
-  r.Records(n, 4, nullptr, [where](std::size_t) { return where; },
-            [&](const unsigned char* p, std::uint64_t first, std::size_t k) {
-              summary->Decode(p, k, column.data() + first);
-            });
-  return column;
 }
 
 // Header (everything ReadSpaceSnapshotInfo needs), after the magic: version,
@@ -629,15 +634,15 @@ struct SpaceSnapshotIO {
   static void Save(const ComputationSpace& space, std::ostream& out,
                    const FrontierMeta& frontier) {
     // [G]-tables are built lazily under the space's mutex; collect the
-    // published ones under it.  The cache is ordered by mask, so identical
-    // spaces serialize byte-identically regardless of build order.
-    std::vector<std::pair<std::uint64_t, const internal::PartitionTable*>>
-        groups;
+    // masks of the published ones under it.  The cache is ordered by mask,
+    // so identical spaces serialize byte-identically regardless of build
+    // order.
+    std::vector<std::uint64_t> masks;
     {
       std::lock_guard<std::mutex> lock(*space.group_mutex_);
-      groups.reserve(space.group_index_.size());
+      masks.reserve(space.group_index_.size());
       for (const auto& [mask, table] : space.group_index_)
-        groups.emplace_back(mask, &table);
+        masks.push_back(mask);
     }
 
     // Every segmented column is encoded twice — once for its directory
@@ -657,7 +662,7 @@ struct SpaceSnapshotIO {
     info.canonicalize = space.canonicalize_;
     info.classes = space.links_.size();
     info.pool_events = space.event_pool_.size();
-    info.group_indexes = groups.size();
+    info.group_indexes = masks.size();
     info.frontier = frontier.state;
     info.built_depth = frontier.built_depth;
     info.frontier_begin = frontier.begin;
@@ -703,24 +708,11 @@ struct SpaceSnapshotIO {
       w.U64(c.size());
       EncodeChunks(c, 4, PutU32, emit, buf, store);
     };
-    const auto column = [&](const std::vector<std::uint32_t>& c) {
-      w.U64(c.size());
-      EncodeChunks(c.data(), c.size(), 4, PutU32, emit, buf);
-    };
     seg_column(space.proj_class_);
-    for (int p = 0; p < space.num_processes_; ++p) {
-      column(space.bucket_offsets_[static_cast<std::size_t>(p)]);
-      column(space.bucket_ids_[static_cast<std::size_t>(p)]);
-    }
     seg_column(space.succ_offsets_);
     seg_column(space.succ_class_);
     seg_column(space.succ_event_);
-    for (const auto& [mask, table] : groups) {
-      w.U64(mask);
-      column(table->cls);
-      column(table->offsets);
-      column(table->ids);
-    }
+    for (const std::uint64_t mask : masks) w.U64(mask);
     w.Checksum();
     if (!w.ok())
       throw ModelError("SaveSpaceSnapshot: write failed (stream error)");
@@ -905,43 +897,17 @@ struct SpaceSnapshotIO {
     check_column(3, "proj", proj_elems,
                  ReadU32SegColumn(r, space.proj_class_, proj_elems,
                                   "projection classes", store, &proj));
-
-    // A CSR offsets column starts at 0 and never decreases; its last entry
-    // is checked against the payload size where the column is read.
-    const auto csr = [](const U32Summary& s) {
-      return s.first == 0 && s.ascending;
-    };
-    space.bucket_offsets_.resize(P);
-    space.bucket_ids_.resize(P);
-    for (std::size_t p = 0; p < P; ++p) {
-      auto& offsets = space.bucket_offsets_[p];
-      auto& ids = space.bucket_ids_[p];
-      U32Summary offsets_sum, ids_sum;
-      offsets = ReadU32Column(r, "bucket offsets", &offsets_sum);
-      ids = ReadU32Column(r, "bucket ids", &ids_sum);
-      if (offsets.empty() || offsets.back() != ids.size() ||
-          ids.size() != classes)
-        throw ModelError(
-            "LoadSpaceSnapshot: bucket CSR columns inconsistent for process " +
-            std::to_string(p));
-      if (!csr(offsets_sum))
-        note([&] {
-          return "bucket offsets of process " + std::to_string(p) +
-                 " do not start at 0 and ascend";
-        });
-      if (classes > 0 && ids_sum.max[0] >= classes)
-        note([&] {
-          return "bucket of process " + std::to_string(p) + " holds class " +
-                 std::to_string(ids_sum.max[0]) + " of " +
-                 std::to_string(classes);
-        });
-      if (classes > 0 && proj.max[p] >= offsets.size() - 1)
-        note([&] {
-          return "projection class " + std::to_string(proj.max[p]) +
-                 " of process " + std::to_string(p) + " is out of range (" +
-                 std::to_string(offsets.size() - 1) + " classes)";
-        });
-    }
+    // ChildRow mints each process's classes in id order, so a class number
+    // is at most one past the largest before it.  The bound also sizes the
+    // buckets derived below, so it holds before they are.
+    if (proj.skip)
+      note([&] {
+        return "projection class " + std::to_string(proj.skip->value) +
+               " of process " + std::to_string(proj.skip->at % P) +
+               " at class " + std::to_string(proj.skip->at / P) +
+               " is not numbered by first occurrence (the next new class is " +
+               std::to_string(proj.skip->bound) + ")";
+      });
 
     U32Summary succo, succc, succe;
     const std::uint64_t succo_elems = r.Count("successor offsets");
@@ -961,66 +927,52 @@ struct SpaceSnapshotIO {
         space.succ_class_.size() != space.succ_event_.size())
       throw ModelError("LoadSpaceSnapshot: successor CSR columns "
                        "inconsistent");
-    if (!csr(succo))
+    // The offsets start at 0 and never decrease; the last one was checked
+    // against the payload size above.
+    if (succo.first != 0 || !succo.ascending)
       note([] {
         return std::string("successor offsets do not start at 0 and ascend");
       });
-    if (succc_elems > 0 && succc.max[0] >= classes)
+    if (succc_elems > 0 && succc.Max() >= classes)
       note([&] {
-        return "successor class " + std::to_string(succc.max[0]) +
+        return "successor class " + std::to_string(succc.Max()) +
                " is out of range (" + std::to_string(classes) + " classes)";
       });
-    if (succe_elems > 0 && succe.max[0] >= pool)
+    if (succe_elems > 0 && succe.Max() >= pool)
       note([&] {
-        return "successor event " + std::to_string(succe.max[0]) +
+        return "successor event " + std::to_string(succe.Max()) +
                " is out of range (" + std::to_string(pool) + " pool events)";
       });
     trim();
 
-    std::uint64_t last_mask = 0;
+    std::vector<std::uint64_t> masks;
     for (std::uint64_t i = 0; i < info.group_indexes; ++i) {
       const std::uint64_t mask = r.U64("group mask");
-      if (i > 0 && mask <= last_mask)
+      if (i > 0 && mask <= masks.back())
         throw ModelError("LoadSpaceSnapshot: group indexes out of order");
-      last_mask = mask;
-      internal::PartitionTable table;
-      U32Summary cls_sum, offsets_sum, ids_sum;
-      table.cls = ReadU32Column(r, "group classes", &cls_sum);
-      table.offsets = ReadU32Column(r, "group offsets", &offsets_sum);
-      table.ids = ReadU32Column(r, "group ids", &ids_sum);
-      if (table.cls.size() != classes || table.offsets.empty() ||
-          table.offsets.back() != table.ids.size() ||
-          table.ids.size() != classes)
-        throw ModelError("LoadSpaceSnapshot: group index columns "
-                         "inconsistent");
-      const std::size_t group_classes = table.offsets.size() - 1;
       if (mask == 0 || (mask & ~space.AllProcesses().bits()) != 0)
         note([&] {
           return "group mask " + std::to_string(mask) +
                  " names no process or one outside the system";
         });
-      if (!csr(offsets_sum))
-        note([&] {
-          return "offsets of group " + std::to_string(mask) +
-                 " do not start at 0 and ascend";
-        });
-      if (classes > 0 && ids_sum.max[0] >= classes)
-        note([&] {
-          return "a bucket of group " + std::to_string(mask) +
-                 " holds class " + std::to_string(ids_sum.max[0]) + " of " +
-                 std::to_string(classes);
-        });
-      if (classes > 0 && cls_sum.max[0] >= group_classes)
-        note([&] {
-          return "group " + std::to_string(mask) + " class " +
-                 std::to_string(cls_sum.max[0]) + " is out of range (" +
-                 std::to_string(group_classes) + " classes)";
-        });
-      space.group_index_.emplace(mask, std::move(table));
+      masks.push_back(mask);
     }
 
     r.VerifyChecksum();
     if (!defect.empty()) throw ModelError(defect);
+
+    // The [p]-buckets and the saved [G]-tables are functions of the
+    // projection column, so they are derived, not read: the [G]-classes by
+    // the same replay EnsureGroupIndex runs, then every CSR by the counting
+    // sort SpaceBuilder::Finalize runs.
+    space.bucket_offsets_.resize(P);
+    space.bucket_ids_.resize(P);
+    for (std::size_t p = 0; p < P; ++p)
+      space.bucket_offsets_[p].assign(proj.bound[p] + 1, 0);
+    for (const std::uint64_t mask : masks)
+      space.ReplayGroupClasses(ProcessSet::FromBits(mask),
+                               space.group_index_[mask]);
+    ComputationSpace::BuildBuckets(space, nullptr);
 
     space.built_depth_ = static_cast<int>(info.built_depth);
     trim();

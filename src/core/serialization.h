@@ -11,13 +11,19 @@
 //    the result as a system computation — incrementally, so errors name the
 //    offending token (1-based index and text); Format is its inverse.
 //
-// 2. Binary space snapshots (format `hpl-space-v3`): versioned,
-//    little-endian save/load of the full columnar ComputationSpace — the
-//    interned event pool, splice links, canonical-hash index, per-process
-//    [p]-class tables, CSR successors and buckets, and every materialized
-//    [G]-table (EnsureGroupIndex).  A loaded space is byte-identical to
-//    the one saved: same class ids, canonical hashes, projection classes,
-//    buckets, successor lists and group tables, so knowledge verdicts
+// 2. Binary space snapshots (format `hpl-space-v4`): versioned,
+//    little-endian save/load of the columnar ComputationSpace.  A snapshot
+//    stores only what a load cannot derive — the interned event pool,
+//    splice links, canonical-hash index, per-process [p]-class rows, CSR
+//    successors, and the mask of every materialized [G]-table
+//    (EnsureGroupIndex).  The [p]-buckets and the [G]-tables are functions
+//    of the projection rows (x [p] y iff both have the same projection on
+//    p; a [G]-class is the intersection of its members' [p]-classes), so a
+//    load rebuilds them: the [p]-buckets by the counting sort
+//    SpaceBuilder::Finalize runs, each saved mask's table by the replay
+//    EnsureGroupIndex runs.  A loaded space is identical to the one saved:
+//    same class ids, canonical hashes, projection classes, buckets,
+//    successor lists and cached group tables, so knowledge verdicts
 //    evaluated against it match the freshly enumerated space exactly.
 //    This is what lets `hpl_cli serve` enumerate once and answer queries
 //    forever after.
@@ -42,8 +48,11 @@
 //
 //    Layout: an 8-byte magic ("HPLSPACE"), a u32 format version, a header
 //    (process count, flags, system name, summary counts, the frontier
-//    fields and the segment directory), the columns in a fixed order, and
-//    a trailing FNV-1a checksum of everything before it.  All integers are
+//    fields and the segment directory), the event pool, the columns links,
+//    canonical hashes, canonical ids, projection rows, successor offsets,
+//    successor classes and successor events (the last four each after a u64
+//    element count), the u64 [G]-table masks in ascending order, and a
+//    trailing FNV-1a checksum of everything before it.  All integers are
 //    explicit little-endian, so snapshots are portable across hosts.
 //
 //    Column I/O is bulk: load reads ~4096 records per stream call, folds
@@ -56,26 +65,28 @@
 //    stream that cannot seek, which is read into memory first).
 //
 //    What a load validates, with a ModelError naming the problem:
-//    - where each field is read: bad magic, other versions (the
-//      pre-directory versions 1 and 2 with a message to re-save from the
-//      system), truncated files (naming the field that holds the first
-//      missing byte), implausible counts and counts the remaining bytes
-//      cannot hold, inconsistent column sizes, event kinds, link parents
-//      (an earlier id) and link events (inside the pool), canonical ids,
-//      and checksum mismatches (per directory column, then the file);
+//    - where each field is read: bad magic, other versions (versions 1 to
+//      3 with a message to re-save from the system), truncated files
+//      (naming the field that holds the first missing byte), implausible
+//      counts and counts the remaining bytes cannot hold, inconsistent
+//      column sizes, event kinds, link parents (an earlier id) and link
+//      events (inside the pool), canonical ids, group masks in ascending
+//      order, and checksum mismatches (per directory column, then the
+//      file);
 //    - once the file checksum holds, every other id a query, Deepen or
 //      Ingest will follow: event processes and send/receive peers inside
 //      the system; class 0 the empty root, and every other class its
 //      parent plus one event spliced at a position inside the parent's
-//      sequence; successor classes and bucket ids below the class count;
-//      successor events inside the pool; projection classes below each
-//      process's [p]-class count; [G]-classes below their table's class
-//      count and group masks inside the system; CSR offsets that start at
-//      0 and never decrease; and a capped frontier that starts at a class
-//      of the built depth.  These are computed while each chunk is
-//      decoded; raising them last keeps a damaged file reported as a
-//      checksum mismatch, so only a checksum-consistent file gets the
-//      named defect.
+//      sequence; successor classes below the class count; successor events
+//      inside the pool; projection classes numbered by first occurrence
+//      (each at most one past the largest before it for its process, as
+//      the builder mints them), which also bounds every derived bucket;
+//      group masks inside the system; successor offsets that start at 0
+//      and never decrease; and a capped frontier that starts at a class of
+//      the built depth.  These are computed while each chunk is decoded;
+//      raising them last keeps a damaged file reported as a checksum
+//      mismatch, so only a checksum-consistent file gets the named defect.
+//      The derived columns are built only after every check has passed.
 #ifndef HPL_CORE_SERIALIZATION_H_
 #define HPL_CORE_SERIALIZATION_H_
 
@@ -97,10 +108,10 @@ std::string FormatComputation(const Computation& x);
 // index and text of the offending token.
 Computation ParseComputation(const std::string& text);
 
-// --- Binary space snapshots (hpl-space-v3) ---------------------------------
+// --- Binary space snapshots (hpl-space-v4) ---------------------------------
 
 // The one snapshot format version this build writes and reads.
-inline constexpr std::uint32_t kSpaceSnapshotVersion = 3;
+inline constexpr std::uint32_t kSpaceSnapshotVersion = 4;
 
 // Header summary of a snapshot, readable without loading the columns.
 struct SpaceSnapshotInfo {
@@ -127,8 +138,8 @@ struct SpaceSnapshotInfo {
 
 // Writes the space as an hpl-space snapshot.  The stream overload writes
 // to any binary ostream; the path overload creates/truncates the file and
-// throws ModelError on I/O failure.  Group indexes are saved in ascending
-// mask order, so identical spaces produce byte-identical snapshots.  A
+// throws ModelError on I/O failure.  Group-index masks are saved in
+// ascending order, so identical spaces produce byte-identical snapshots.  A
 // bare ComputationSpace carries no frontier, so these save as `complete`
 // when the space is exhaustive and `sealed` when it was truncated;
 // SaveSpaceBuilderSnapshot preserves a live frontier.

@@ -1198,26 +1198,22 @@ ComputationSpace::ProjectionTrie(ProcessId p) const {
   // A class is minted at its smallest member (Representative) by a link
   // event on p — ChildRow's mint rule — so its link names the event and,
   // through the parent's row, the class one event shorter; class 0, the
-  // empty projection, is the root's.  A sealed snapshot skips AdoptSpace's
-  // replay of that rule, so each link is checked here; a parent class that
-  // is not smaller would make the projection walk loop.
+  // empty projection, is the root's.  Buckets are derived from the
+  // projection column, which a snapshot load requires numbered by first
+  // occurrence: every bucket is non-empty and the parent's class, minted
+  // earlier, is smaller.  A sealed snapshot skips AdoptSpace's replay of
+  // the mint rule, so whether the event is on p is checked here.
   if (trie.size() < classes) trie.reserve(classes);
   for (std::size_t cls = trie.size(); cls < classes; ++cls) {
-    const std::span<const std::uint32_t> bucket =
-        part.Bucket(static_cast<std::uint32_t>(cls));
-    if (bucket.empty()) refuse(cls, "its bucket is empty");
-    const std::uint32_t rep = bucket.front();
-    if ((rep == 0) != (cls == 0) || part.ClassOf(rep) != cls)
-      refuse(cls, "its representative is not a member minted into it");
     if (cls == 0) {
       trie.emplace_back();
       continue;
     }
-    const ClassLink link = links_[rep];
+    const ClassLink link =
+        links_[part.Representative(static_cast<std::uint32_t>(cls))];
     if (event_pool_[link.event].process != p)
       refuse(cls, "its representative's link event is not on the process");
     const std::uint32_t parent = proj_class_.Row(link.parent)[p];
-    if (parent >= cls) refuse(cls, "its parent class is not smaller");
     trie.push_back(ProjectionLink{parent, link.event});
   }
   return trie;

@@ -172,7 +172,7 @@ class Partition {
 namespace internal {
 // The one owning store of a flat partition: a class per id and the CSR
 // buckets a Partition view reads.  Backs the space's [G]-tables,
-// StateView's state tables, and the snapshot columns of both.
+// StateView's state tables and the evaluator's CK components.
 struct PartitionTable {
   std::vector<std::uint32_t> cls;      // per id: its class
   std::vector<std::uint32_t> offsets;  // CSR offsets (num_classes + 1)
@@ -301,13 +301,14 @@ class ComputationSpace {
 
   // The [G]-partition for `g` as a Partition view.  The table behind it is
   // built on first use (a replay of the class links in id order) and cached
-  // by process mask, |g| = 1 included, so a saved snapshot carries it; `g`
-  // must be non-empty and name only processes of the system.  Thread-safe.
+  // by process mask, |g| = 1 included, so a saved snapshot records the mask
+  // and its load rebuilds the table; `g` must be non-empty and name only
+  // processes of the system.  Thread-safe.
   // For |g| >= 2 PartitionOf(g) returns the same view.
   Partition EnsureGroupIndex(ProcessSet g) const;
 
   // True when the [G]-table for `g` is already materialized (by a previous
-  // EnsureGroupIndex, or loaded with a snapshot).
+  // EnsureGroupIndex, or rebuilt by a snapshot load).
   bool HasGroupIndex(ProcessSet g) const;
 
   // Bytes held by the materialized [G]-tables (MemoryStats::
@@ -458,14 +459,12 @@ class ComputationSpace {
   // Cooperative: only call from quiescent points (no unpinned concurrent
   // readers).  Returns segments spilled.  No-op without a budget.
   std::size_t TrimResidency() const { return store_->EnforceBudget(); }
-  // Faults every spilled segment back in (heap-backed): required before
-  // handing the space to code that still assumes full residency.
-  void MakeFullyResident() const { store_->MakeAllResident(); }
   // Residency / spill counters of the segment store.
   internal::SegmentedSpaceStore::Stats SegmentStats() const {
     return store_->GetStats();
   }
-  // Per-segment residency rows (serve {"op":"residency"}).
+  // One row per segment: its column tag, index, state, bytes and pins.
+  // (Serve's `residency` op reports the SegmentStats totals instead.)
   std::vector<internal::SegmentedSpaceStore::SegmentInfo> SegmentResidency()
       const {
     return store_->Residency();
@@ -536,7 +535,7 @@ class ComputationSpace {
   // is given.  Streams the projection column segment-at-a-time under pins,
   // trimming residency as it goes when a budget is set.  Also fills every
   // cached [G]-table whose classes ReplayGroupClasses just replayed
-  // (SpaceBuilder::Finalize).
+  // (SpaceBuilder::Finalize, and a snapshot load, which derives both).
   static void BuildBuckets(ComputationSpace& space, internal::WorkerPool* pool);
 
   // The one way a [G]-table is built: replays the class links in id order
@@ -586,8 +585,9 @@ class ComputationSpace {
 
   // The projection trie of p over every current [p]-class: extended on
   // demand under group_mutex_ after the space grows.
-  // Each new link is checked against the stored links, so a corrupt
-  // snapshot is refused with ModelError instead of looping.  The span is
+  // Each new class's minting event is checked to be on p, so a corrupt
+  // sealed snapshot is refused with ModelError; a snapshot load already
+  // keeps every parent class smaller, so the walk cannot loop.  The span is
   // stable until the space grows.
   std::span<const ProjectionLink> ProjectionTrie(ProcessId p) const;
 
@@ -643,7 +643,7 @@ class ComputationSpace {
   internal::SegColumn<std::uint32_t> succ_class_;
   internal::SegColumn<std::uint32_t> succ_event_;
   // [G]-table cache, ordered by process mask (the order snapshots store
-  // them in).  Always resident: the tables are derived, rebuildable
+  // the masks in).  Always resident: the tables are derived, rebuildable
   // indexes, not part of the segmented store.  Map nodes keep the tables'
   // column buffers in place while other masks are added; the mutex guards
   // only the map and the projection tries below (tables are immutable once
@@ -767,7 +767,7 @@ class SpaceBuilder {
   struct State;
 
   // How the held space relates to its (absent or retained) frontier; the
-  // hpl-space-v3 snapshot stores this byte verbatim.
+  // hpl-space snapshot stores this byte verbatim.
   enum class FrontierState : std::uint8_t {
     kSealed = 0,    // no frontier persisted: query-only
     kComplete = 1,  // BFS drained: nothing left to deepen into
@@ -788,7 +788,7 @@ class SpaceBuilder {
 
   void RequireSpace(const char* what) const;
   // First class id of the parked frontier level (kCapped builders only);
-  // what a v2 snapshot stores as frontier_begin.  Lives here because State
+  // what a snapshot stores as frontier_begin.  Lives here because State
   // is incomplete outside space.cc.
   std::size_t FrontierBegin() const;
   // The level-synchronous BFS loop: expands full levels while

@@ -122,13 +122,15 @@ TEST(KnowledgeBucketMemoTest, MemoStatsSplitByTier) {
   // A singleton modality fills [p]-tier rows; a multi-process Everyone owns
   // [G]-tier rows (its per-member conjunct rows).  One fused batch, so the
   // sweep lowers to one compiled kernel and the kernel tier is populated
-  // alongside the projection tiers.  The singleton modality is over
-  // process 1: the atom is local to process 0, so K{0} of it would fold to
-  // the atom and fill no row.
+  // alongside the projection tiers: the negation under the last root is
+  // neither an atom nor a root, so it runs in a register plane.  The
+  // singleton modalities are over process 1: the atom is local to process
+  // 0, so K{0} of it would fold to the atom and fill no row.
   const FormulaPtr atom = Formula::Atom(Predicate::CountOnAtLeast(0, 1));
   const std::vector<FormulaPtr> batch = {
       Formula::Knows(ProcessSet{1}, atom),
-      Formula::Everyone(space.AllProcesses(), atom)};
+      Formula::Everyone(space.AllProcesses(), atom),
+      Formula::Knows(ProcessSet{1}, Formula::Not(atom))};
   eval.SatisfyingSets(std::span<const FormulaPtr>(batch.data(), batch.size()));
   const auto stats = eval.MemoryUsage();
   EXPECT_EQ(stats.dense_entries, eval.memo_size());
@@ -138,7 +140,8 @@ TEST(KnowledgeBucketMemoTest, MemoStatsSplitByTier) {
   EXPECT_GT(stats.bytes_bucket, 0u);
   EXPECT_GT(stats.bytes_group, 0u);
   // Whole-space sweeps lower to compiled kernels by default, so the kernel
-  // tier (cached programs + register pools) is populated too.
+  // tier (programs compiled since the last Refresh, register planes) is
+  // populated too.
   EXPECT_GT(stats.kernel_programs, 0u);
   EXPECT_GT(stats.kernel_ops, 0u);
   EXPECT_GT(stats.bytes_kernel, 0u);

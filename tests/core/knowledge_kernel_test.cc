@@ -5,7 +5,7 @@
 // at 1 and 4 threads — on canonicalized, lockstep (literal interleaving),
 // and crash-fault spaces; for single sweeps and fused SatisfyingSets
 // batches; and across Refresh() after Deepen/Ingest, which must invalidate
-// the kernel program cache — and over every StateView partition source
+// the completed planes — and over every StateView partition source
 // against the oracle fed the same state abstraction, with and without the
 // compile-time fold of atoms local by construction.  The profitability
 // dispatch (a lone root with no pool quantifying over a non-local atom
@@ -157,7 +157,7 @@ TEST(KnowledgeKernelTest, FusedBatchesAreByteIdentical) {
       KnowledgeEvaluator eval(space, Config(threads, use_kernels));
       ASSERT_EQ(eval.SatisfyingSets(span), expected)
           << "threads=" << threads << " kernels=" << use_kernels;
-      // A repeat batch hits completed planes and the program cache.
+      // A repeat batch answers from the completed planes.
       ASSERT_EQ(eval.SatisfyingSets(span), expected);
     }
   }

@@ -1,4 +1,4 @@
-// An independent walk of the hpl-space-v3 byte layout, for tests that craft
+// An independent walk of the hpl-space-v4 byte layout, for tests that craft
 // snapshot files: where each field and column lies, and how to recompute
 // the segment-directory and whole-file checksums after a patch so the
 // patched file reaches the loader's validators instead of its checksum
@@ -69,10 +69,8 @@ struct Layout {
   std::vector<std::size_t> event_at;  // where each pool event begins
   Span links, canon_hash, canon_id;
   Counted proj;
-  std::vector<Counted> bucket_offsets, bucket_ids;  // per process
   Counted succ_offsets, succ_classes, succ_events;
-  std::vector<std::size_t> group_mask_at;
-  std::vector<Counted> group_classes, group_offsets, group_ids;
+  std::vector<std::size_t> group_mask_at;  // one u64 mask per [G]-table
   std::size_t checksum_at = 0;
 
   // Payload range of directory column `i` (the range its checksum covers).
@@ -134,19 +132,12 @@ inline Layout Parse(const std::string& bytes) {
   l.canon_hash = span(l.classes, 8);
   l.canon_id = span(l.classes, 4);
   l.proj = counted();
-  for (std::uint32_t p = 0; p < l.processes; ++p) {
-    l.bucket_offsets.push_back(counted());
-    l.bucket_ids.push_back(counted());
-  }
   l.succ_offsets = counted();
   l.succ_classes = counted();
   l.succ_events = counted();
   for (std::uint64_t g = 0; g < l.groups; ++g) {
     l.group_mask_at.push_back(at);
     at += 8;
-    l.group_classes.push_back(counted());
-    l.group_offsets.push_back(counted());
-    l.group_ids.push_back(counted());
   }
   l.checksum_at = at;
   if (at + 8 != bytes.size())

@@ -1,17 +1,20 @@
-// Binary space snapshots (hpl-space-v3): round-trip invariants.
+// Binary space snapshots (hpl-space-v4): round-trip invariants.
 // (Builder snapshots — frontier round-trip, sealed loads, rejection of the
-// retired versions 1 and 2 — are covered in space_builder_test.cc.)
+// retired versions 1 to 3 — are covered in space_builder_test.cc.)
 //
 // The contract under test is byte-identity — a loaded space must be
 // indistinguishable from the freshly enumerated one: same class ids,
-// canonical forms, hashes, projection classes, buckets, successors, group
-// tables, and (within allocator slack) the same MemoryUsage(); knowledge
+// canonical forms, hashes, projection classes, successors, the buckets and
+// group tables a load derives from the projection rows (the file stores
+// only the group masks), and (within allocator slack) the same
+// MemoryUsage(); knowledge
 // verdicts evaluated against it must match the definitional oracle over the
 // fresh space exactly, kernels on and off, at 1 and 4 threads.  Corrupt,
 // truncated, or foreign files must be rejected with ModelError, never crash
 // or silently load — and so must files whose checksums hold but whose ids
 // point outside their columns.  The saved bytes and the truncation messages
 // are pinned.
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <streambuf>
@@ -347,10 +350,12 @@ TEST(SnapshotTest, DifferentialSatisfyingSets) {
 
 // --- Format pins -------------------------------------------------------------
 //
-// hpl-space-v3 bytes are a contract: files saved by earlier builds must load,
+// hpl-space-v4 bytes are a contract: files saved by earlier builds must load,
 // and a rewrite of the I/O paths must not move a byte.  The lengths and
-// FNV-1a digests below were recorded from an element-by-element writer, so
-// they do not depend on the chunked one they check.
+// FNV-1a digests below were derived from the v3 files of the same spaces,
+// themselves pinned from an element-by-element writer, by cutting out the
+// bucket and [G]-table columns (keeping the masks), so they do not depend
+// on the writer they check.
 
 struct Pin {
   std::size_t length;
@@ -365,7 +370,7 @@ void ExpectPinned(const std::string& bytes, const Pin& pin, const char* what) {
 TEST(SnapshotFormatTest, CompleteSpaceBytesArePinned) {
   protocols::TokenBusSystem bus(/*num_processes=*/4, /*passes=*/4);
   ExpectPinned(SnapshotBytes(ComputationSpace::Enumerate(bus)),
-               {2548, 13446064194917206626ull}, "tokenbus(4,4)");
+               {1996, 11838304003665495398ull}, "tokenbus(4,4)");
 }
 
 TEST(SnapshotFormatTest, CappedBuilderBytesArePinned) {
@@ -377,7 +382,7 @@ TEST(SnapshotFormatTest, CappedBuilderBytesArePinned) {
   builder.Build(bus, limits);
   std::ostringstream out;
   SaveSpaceBuilderSnapshot(builder, out);
-  ExpectPinned(out.str(), {1672, 10358189265477235969ull},
+  ExpectPinned(out.str(), {1320, 10616252623752191204ull},
                "tokenbus(4,4) capped at 6");
 }
 
@@ -385,14 +390,13 @@ TEST(SnapshotFormatTest, GroupIndexBytesArePinned) {
   const auto space = EnumerateRandom(11);
   space.EnsureGroupIndex(ProcessSet{0, 1});
   space.EnsureGroupIndex(ProcessSet{2, 3});
-  ExpectPinned(SnapshotBytes(space), {709806, 4751258480160657799ull},
+  ExpectPinned(SnapshotBytes(space), {471858, 18386983614797309306ull},
                "random(11) + 2 groups");
 }
 
 // --- Truncation messages -----------------------------------------------------
 //
-// A file cut short names the field that holds its first missing byte; the
-// resident bucket and group columns are refused by their count first.
+// A file cut short names the field that holds its first missing byte.
 
 std::string Truncated(std::string where) {
   return "LoadSpaceSnapshot: truncated snapshot (" + where + ")";
@@ -411,17 +415,10 @@ std::string TruncationMessage(const std::string& bytes, std::size_t keep) {
 TEST(SnapshotFormatTest, TruncationNamesTheFieldOfTheFirstMissingByte) {
   const auto space = EnumerateRandom(11);
   space.EnsureGroupIndex(ProcessSet{0, 1});
+  space.EnsureGroupIndex(ProcessSet{2, 3});
   const std::string bytes = SnapshotBytes(space);
   const sb::Layout l = sb::Parse(bytes);
-  ASSERT_EQ(l.groups, 1u);
-  // A resident column's count is checked against the bytes that remain.
-  const auto unfit = [&](const char* where, const sb::Counted& c,
-                         std::size_t keep) {
-    const std::uint64_t count = sb::GetLe(bytes, c.count_at, 8);
-    return Truncated(std::string(where) + ": count " + std::to_string(count) +
-                     " of 4-byte elements, " +
-                     std::to_string(keep - c.payload.begin) + " bytes remain");
-  };
+  ASSERT_EQ(l.groups, 2u);
   // The last pool event: the pool's count is checked against the bytes
   // left before any event is read, so a cut in the first one would be
   // refused by that count.
@@ -442,29 +439,14 @@ TEST(SnapshotFormatTest, TruncationNamesTheFieldOfTheFirstMissingByte) {
       {l.canon_id.begin + 6, Truncated("canon id")},
       {l.proj.count_at + 3, Truncated("projection classes")},
       {l.proj.payload.begin + 5, Truncated("projection classes")},
-      {l.bucket_offsets[1].count_at + 2, Truncated("bucket offsets")},
-      {l.bucket_offsets[1].payload.begin + 3,
-       unfit("bucket offsets", l.bucket_offsets[1],
-             l.bucket_offsets[1].payload.begin + 3)},
-      {l.bucket_ids[2].count_at + 7, Truncated("bucket ids")},
-      {l.bucket_ids[2].payload.begin + 9,
-       unfit("bucket ids", l.bucket_ids[2], l.bucket_ids[2].payload.begin + 9)},
       {l.succ_offsets.count_at + 1, Truncated("successor offsets")},
       {l.succ_offsets.payload.begin + 2, Truncated("successor offsets")},
       {l.succ_classes.payload.begin + 6, Truncated("successor classes")},
       {l.succ_events.count_at + 4, Truncated("successor events")},
       {l.succ_events.payload.begin + 1, Truncated("successor events")},
       {l.group_mask_at[0] + 3, Truncated("group mask")},
-      {l.group_classes[0].count_at + 5, Truncated("group classes")},
-      {l.group_classes[0].payload.begin + 1,
-       unfit("group classes", l.group_classes[0],
-             l.group_classes[0].payload.begin + 1)},
-      {l.group_offsets[0].payload.begin + 4,
-       unfit("group offsets", l.group_offsets[0],
-             l.group_offsets[0].payload.begin + 4)},
-      {l.group_ids[0].count_at, Truncated("group ids")},
-      {l.group_ids[0].payload.end - 1,
-       unfit("group ids", l.group_ids[0], l.group_ids[0].payload.end - 1)},
+      {l.group_mask_at[1], Truncated("group mask")},
+      {l.group_mask_at[1] + 7, Truncated("group mask")},
       {l.checksum_at + 3, Truncated("checksum")},
   };
   for (const auto& [keep, message] : cuts)
@@ -560,19 +542,66 @@ TEST(SnapshotDefectTest, LinkSplicePositionPastItsParent) {
 TEST(SnapshotDefectTest, ProjectionClassPastTheClassCount) {
   const std::string bytes = SmallBusBytes();
   ExpectDefect(bytes, sb::Parse(bytes).proj.payload.begin, 1000, 4,
-               "projection class 1000 of process 0 is out of range");
+               "projection class 1000 of process 0 at class 0 is not numbered "
+               "by first occurrence (the next new class is 0)");
 }
 
-TEST(SnapshotDefectTest, BucketOffsetsNotACsrPrefix) {
-  const std::string bytes = SmallBusBytes();
-  ExpectDefect(bytes, sb::Parse(bytes).bucket_offsets[1].payload.begin, 1, 4,
-               "bucket offsets of process 1 do not start at 0 and ascend");
+// A process that class 1's extending event is not on: its projection of
+// class 1 is the root's, class 0.
+std::uint32_t ProcessOffClass1(const std::string& bytes) {
+  const sb::Layout l = sb::Parse(bytes);
+  const std::uint64_t event = sb::GetLe(bytes, l.links.begin + 12 + 4, 4);
+  return sb::GetLe(bytes, l.event_at[static_cast<std::size_t>(event)], 4) == 0
+             ? 1u
+             : 0u;
 }
 
-TEST(SnapshotDefectTest, BucketIdPastTheClasses) {
+TEST(SnapshotDefectTest, ProjectionClassSkipsAClassNumber) {
+  // Class 2 at class 1 for a process whose only class so far is 0: below
+  // the process's class count, so no range check can see it, but class 1
+  // is skipped.
   const std::string bytes = SmallBusBytes();
-  ExpectDefect(bytes, sb::Parse(bytes).bucket_ids[0].payload.begin, 4'000'000,
-               4, "bucket of process 0 holds class 4000000");
+  const sb::Layout l = sb::Parse(bytes);
+  const std::uint32_t other = ProcessOffClass1(bytes);
+  ASSERT_EQ(sb::GetLe(bytes, l.proj.payload.begin + 4 * (l.processes + other),
+                      4),
+            0u);
+  ExpectDefect(bytes, l.proj.payload.begin + 4 * (l.processes + other), 2, 4,
+               "projection class 2 of process " + std::to_string(other) +
+                   " at class 1 is not numbered by first occurrence (the "
+                   "next new class is 1)");
+}
+
+TEST(SnapshotDefectTest, ProjectionClassOfAParentMovedIntoItsChild) {
+  // The parent of a [1]-class's first member, moved into that class while
+  // a class minted between them is still unopened.  With stored buckets
+  // this file used to load, and the projection trie saw a class whose
+  // parent class was not smaller, a walk that would loop.
+  protocols::TokenBusSystem bus(/*num_processes=*/3, /*passes=*/4);
+  EnumerationLimits limits;
+  limits.max_depth = 6;
+  limits.allow_truncation = true;
+  const auto space = ComputationSpace::Enumerate(bus, limits);
+  const std::string bytes = SnapshotBytes(space);
+  const sb::Layout l = sb::Parse(bytes);
+  const Partition part = space.PartitionOf(ProcessSet{1});
+  for (std::uint32_t c = 1; c < part.NumClasses(); ++c) {
+    const std::uint64_t parent =
+        sb::GetLe(bytes, l.links.begin + 12 * part.Representative(c), 4);
+    std::uint32_t next = 0;  // the class a new [1]-class at `parent` gets
+    for (std::uint64_t id = 0; id < parent; ++id)
+      next = std::max(next, part.ClassOf(id) + 1);
+    if (c <= next) continue;
+    ExpectDefect(bytes, l.proj.payload.begin + 4 * (parent * l.processes + 1),
+                 c, 4,
+                 "projection class " + std::to_string(c) +
+                     " of process 1 at class " + std::to_string(parent) +
+                     " is not numbered by first occurrence (the next new "
+                     "class is " +
+                     std::to_string(next) + ")");
+    return;
+  }
+  FAIL() << "no [1]-class opens after its parent's next new class";
 }
 
 TEST(SnapshotDefectTest, SuccessorOffsetsNotACsrPrefix) {
@@ -602,24 +631,6 @@ TEST(SnapshotDefectTest, GroupMaskOutsideTheSystem) {
                "group mask 1024 names no process or one outside the system");
 }
 
-TEST(SnapshotDefectTest, GroupClassPastTheGroupClassCount) {
-  const std::string bytes = SmallBusBytes();
-  ExpectDefect(bytes, sb::Parse(bytes).group_classes[0].payload.begin, 500, 4,
-               "group 3 class 500 is out of range");
-}
-
-TEST(SnapshotDefectTest, GroupOffsetsNotACsrPrefix) {
-  const std::string bytes = SmallBusBytes();
-  ExpectDefect(bytes, sb::Parse(bytes).group_offsets[0].payload.begin, 1, 4,
-               "offsets of group 3 do not start at 0 and ascend");
-}
-
-TEST(SnapshotDefectTest, GroupIdPastTheClasses) {
-  const std::string bytes = SmallBusBytes();
-  ExpectDefect(bytes, sb::Parse(bytes).group_ids[0].payload.begin, 4'000'000,
-               4, "a bucket of group 3 holds class 4000000");
-}
-
 TEST(SnapshotDefectTest, CappedFrontierOffTheBuiltDepth) {
   protocols::TokenBusSystem bus(/*num_processes=*/3, /*passes=*/3);
   EnumerationLimits limits;
@@ -634,44 +645,29 @@ TEST(SnapshotDefectTest, CappedFrontierOffTheBuiltDepth) {
                "of length 4, not at the built depth 3");
 }
 
-TEST(SnapshotDefectTest, ProjectionTrieRefusesAParentClassNotSmaller) {
-  // A truncated space saved bare is sealed: loading skips the mint-rule
-  // replay, and the loader alone cannot tell a rewired projection row.
-  // Move the parent of a [1]-class's representative into that class — a
-  // parent that represents no class, so every bucket keeps its smallest
-  // member: the class would then extend itself, and the first query of an
-  // atom local to process 1 must refuse the file by name, not loop.
-  protocols::TokenBusSystem bus(/*num_processes=*/3, /*passes=*/4);
-  EnumerationLimits limits;
-  limits.max_depth = 6;
-  limits.allow_truncation = true;
-  const auto space = ComputationSpace::Enumerate(bus, limits);
-  ASSERT_TRUE(space.truncated());
-  std::string bytes = SnapshotBytes(space);
+TEST(SnapshotDefectTest, ProjectionTrieRefusesAMintOffTheProcess) {
+  // A bare load skips the builder's replay of the mint rule, so it cannot
+  // tell that class 1 opens a new [p]-class of a process its event is not
+  // on: the numbering stays first-occurrence.  The first query of an atom
+  // local to that process must refuse the file by name.
+  const protocols::TokenBusSystem bus(/*num_processes=*/3, /*passes=*/3);
+  std::string bytes = SmallBusBytes();
   const sb::Layout l = sb::Parse(bytes);
-  const Partition part = space.PartitionOf(ProcessSet{1});
-  std::uint32_t cls = 0;
-  std::uint64_t parent = 0;
-  for (std::uint32_t c = 1; c < part.NumClasses() && cls == 0; ++c) {
-    const std::uint32_t rep = part.Representative(c);
-    const std::uint64_t q = sb::GetLe(bytes, l.links.begin + 12 * rep, 4);
-    if (part.Representative(part.ClassOf(q)) != q) {
-      cls = c;
-      parent = q;
-    }
-  }
-  ASSERT_NE(cls, 0u);
-  sb::PutLe(bytes, l.proj.payload.begin + 4 * (parent * l.processes + 1), cls,
-            4);
+  const std::uint32_t other = ProcessOffClass1(bytes);
+  sb::PutLe(bytes, l.proj.payload.begin + 4 * (l.processes + other), 1, 4);
   sb::Reseal(bytes, l);
   const auto loaded = LoadBytes(bytes);
   KnowledgeEvaluator eval(loaded, {.num_threads = 1});
   try {
-    (void)eval.SatisfyingSet(Formula::Atom(bus.HoldsToken(1)));
-    FAIL() << "a [1]-class extending itself was not refused";
+    (void)eval.SatisfyingSet(
+        Formula::Atom(bus.HoldsToken(static_cast<ProcessId>(other))));
+    FAIL() << "a [p]-class minted off its process was not refused";
   } catch (const ModelError& error) {
     EXPECT_NE(std::string(error.what())
-                  .find("of process 1: its parent class is not smaller"),
+                  .find("corrupt [p]-class 1 of process " +
+                        std::to_string(other) +
+                        ": its representative's link event is not on the "
+                        "process"),
               std::string::npos)
         << error.what();
   }

@@ -624,14 +624,15 @@ TEST(SpaceBuilderTest, TruncatedSpaceSnapshotLoadsSealed) {
   EXPECT_EQ(SnapshotBytes(loaded.space()), bytes);
 }
 
-TEST(SpaceBuilderTest, PreV3SnapshotsAreRejected) {
-  // Versions 1 and 2 predate the segment directory; every reader refuses
+TEST(SpaceBuilderTest, PreV4SnapshotsAreRejected) {
+  // Versions 1 and 2 predate the segment directory, and version 3 stores
+  // the buckets and [G]-tables a load now derives; every reader refuses
   // them with an error that names the version and says how to recover.
   protocols::TokenBusSystem bus(3, 3);
-  const std::string v3 = SnapshotBytes(
+  const std::string v4 = SnapshotBytes(
       ComputationSpace::Enumerate(bus, TruncatableLimits(4, /*threads=*/1)));
-  for (const char version : {1, 2}) {
-    std::string bytes = v3;
+  for (const char version : {1, 2, 3}) {
+    std::string bytes = v4;
     bytes[8] = version;  // the u32 after the 8-byte magic, little-endian
     const std::string named = "snapshot version " + std::to_string(version);
     const auto expect_rejected = [&](const auto& read) {

@@ -61,7 +61,8 @@
 //                          then approximations; a WARNING is printed)
 //   --group=P0,P1[,...]    materialize the [G]-class index of this process
 //                          group right after the space is built or loaded
-//                          (repeatable; snapshot save and serve persist it);
+//                          (repeatable; snapshot save and serve record the
+//                          mask, and a load rebuilds the table);
 //                          group stats are printed and, with --json, emitted
 //                          as group_index/ rows
 //   --json=PATH            write the phases as hpl-bench-v1 rows, including
@@ -592,7 +593,7 @@ void PrintMemoryStats(const ComputationSpace::MemoryStats& space_memory,
               space_memory.BytesPerClass(),
               static_cast<double>(space_memory.bytes_aos_equivalent) / 1024.0,
               static_cast<double>(memo_memory.bytes_total) / 1024.0);
-  std::printf("kernels: %zu programs, %zu ops, %.1f KiB compiled+registers\n",
+  std::printf("kernels: %zu programs, %zu ops, %.1f KiB registers\n",
               memo_memory.kernel_programs, memo_memory.kernel_ops,
               static_cast<double>(memo_memory.bytes_kernel) / 1024.0);
   if (space_memory.bytes_mapped > 0 || space_memory.bytes_spilled > 0)
@@ -990,12 +991,11 @@ int CmdSnapshotInfo(const std::string& path) {
               static_cast<unsigned long long>(info.segments),
               static_cast<unsigned long long>(info.segment_columns),
               info.segment_shift, 1u << info.segment_shift);
-  // Snapshots persist the space only; an evaluator over it starts with an
-  // empty kernel cache, so report the per-register-plane footprint a
-  // compiled sweep of this space will use (one 64-bit word per 64 classes).
+  // Snapshots persist the space only, so report the per-register-plane
+  // footprint a compiled sweep of this space will use (one 64-bit word per
+  // 64 classes).
   const unsigned long long plane_bytes = ((info.classes + 63) / 64) * 8;
-  std::printf("kernel cache:  0 programs, 0 ops (cold); %.1f KiB per "
-              "register plane\n",
+  std::printf("kernels:       %.1f KiB per register plane\n",
               static_cast<double>(plane_bytes) / 1024.0);
   return 0;
 }
@@ -1150,7 +1150,9 @@ int Main(int argc, char** argv) {
                  "\n  check/check-at/bench/serve/snapshot save flags: "
                  "[--threads=N] [--knowledge-threads=N] [--kernels=on|off] "
                  "[--max-depth=N] [--max-classes=N] [--allow-truncation] "
-                 "[--group=P0,P1[,...] (a [G]-index built after the space)] "
+                 "[--group=P0,P1[,...] (a [G]-index built after the space; "
+                 "a saved snapshot records the mask, load rebuilds the "
+                 "table)] "
                  "[--json=PATH]"
                  "\n  fault knobs (check/bench/simulate consensus): "
                  "[--crash=p[@t]] [--drop=P] [--partition=S@B..E]\n");
