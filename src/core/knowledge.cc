@@ -57,22 +57,11 @@ bool PlaneIsUniform(const std::uint64_t* plane, std::size_t n, bool v) {
 
 using Bits = std::vector<std::uint64_t>;
 
-// Calls `fn(i)` for every set bit i of a `words`-word bitmap, ascending.
-template <typename Fn>
-void ForEachSetBit(const std::uint64_t* bits, std::size_t words, Fn&& fn) {
-  for (std::size_t w = 0; w < words; ++w)
-    for (std::uint64_t word = bits[w]; word != 0; word &= word - 1)
-      fn(w * 64 + static_cast<std::size_t>(__builtin_ctzll(word)));
-}
-template <typename Fn>
-void ForEachSetBit(const Bits& bits, Fn&& fn) {
-  ForEachSetBit(bits.data(), bits.size(), fn);
-}
-
-// Appends the ids of the set bits of a `words`-word plane, ascending.
-void AppendSetBits(const std::uint64_t* plane, std::size_t words,
-                   std::vector<std::size_t>& out) {
-  ForEachSetBit(plane, words, [&](std::size_t id) { out.push_back(id); });
+// The ids of the set bits of a plane, ascending.
+std::vector<std::size_t> SetBits(std::span<const std::uint64_t> plane) {
+  std::vector<std::size_t> out;
+  ForEachSetBit(plane, [&](std::size_t id) { out.push_back(id); });
+  return out;
 }
 
 // The classes of `part` whose quantifier verdicts may have changed when
@@ -301,40 +290,17 @@ bool KnowledgeEvaluator::Holds(const FormulaPtr& f, const Computation& x) {
   return Holds(f, space_.RequireIndex(x));
 }
 
-const std::uint64_t* KnowledgeEvaluator::EvaluatedValuePlane(
+std::span<const std::uint64_t> KnowledgeEvaluator::SatisfyingBits(
     const FormulaPtr& f) {
-  if (!f) throw ModelError("KnowledgeEvaluator: null formula");
-  const FormulaPtr canon = interner_.Intern(f);
-  const Formula* root = canon.get();
-  EvaluateEverywhere(std::span<const Formula* const>(&root, 1));
-  return &planes_.value[InternNode(root) * words_];
+  return SatisfyingBits(std::span<const FormulaPtr>(&f, 1))[0];
 }
 
-std::vector<std::uint8_t> KnowledgeEvaluator::HoldsAll(const FormulaPtr& f) {
-  if (!f) throw ModelError("KnowledgeEvaluator::HoldsAll: null formula");
-  std::vector<std::uint8_t> out(space_.size(), 0);
-  if (space_.size() == 0) return out;
-  const std::uint64_t* value = EvaluatedValuePlane(f);
-  for (std::size_t id = 0; id < space_.size(); ++id)
-    out[id] = (value[id / 64] >> (id % 64)) & 1;
-  return out;
-}
-
-std::vector<std::size_t> KnowledgeEvaluator::SatisfyingSet(
-    const FormulaPtr& f) {
-  if (!f) throw ModelError("KnowledgeEvaluator::SatisfyingSet: null formula");
-  std::vector<std::size_t> out;
-  if (space_.size() == 0) return out;
-  AppendSetBits(EvaluatedValuePlane(f), words_, out);
-  return out;
-}
-
-std::vector<std::vector<std::size_t>> KnowledgeEvaluator::SatisfyingSets(
+std::vector<std::span<const std::uint64_t>> KnowledgeEvaluator::SatisfyingBits(
     std::span<const FormulaPtr> formulas) {
   for (const FormulaPtr& f : formulas)
     if (!f)
-      throw ModelError("KnowledgeEvaluator::SatisfyingSets: null formula");
-  std::vector<std::vector<std::size_t>> out(formulas.size());
+      throw ModelError("KnowledgeEvaluator::SatisfyingBits: null formula");
+  std::vector<std::span<const std::uint64_t>> out(formulas.size());
   if (formulas.empty() || space_.size() == 0) return out;
   // Canonicalize the batch: structurally equal formulas collapse onto one
   // node, one memo row, and (kernels on) one fused program root.  The
@@ -345,9 +311,29 @@ std::vector<std::vector<std::size_t>> KnowledgeEvaluator::SatisfyingSets(
     roots.push_back(interner_.Intern(f).get());
   EvaluateEverywhere(
       std::span<const Formula* const>(roots.data(), roots.size()));
+  // Every root is interned now, so the planes no longer move.
   for (std::size_t k = 0; k < roots.size(); ++k)
-    AppendSetBits(&planes_.value[InternNode(roots[k]) * words_], words_,
-                  out[k]);
+    out[k] = {&planes_.value[InternNode(roots[k]) * words_], words_};
+  return out;
+}
+
+std::vector<std::uint8_t> KnowledgeEvaluator::HoldsAll(const FormulaPtr& f) {
+  std::vector<std::uint8_t> out(space_.size(), 0);
+  ForEachSetBit(SatisfyingBits(f), [&](std::size_t id) { out[id] = 1; });
+  return out;
+}
+
+std::vector<std::size_t> KnowledgeEvaluator::SatisfyingSet(
+    const FormulaPtr& f) {
+  return SetBits(SatisfyingBits(f));
+}
+
+std::vector<std::vector<std::size_t>> KnowledgeEvaluator::SatisfyingSets(
+    std::span<const FormulaPtr> formulas) {
+  std::vector<std::vector<std::size_t>> out;
+  out.reserve(formulas.size());
+  for (const std::span<const std::uint64_t> plane : SatisfyingBits(formulas))
+    out.push_back(SetBits(plane));
   return out;
 }
 
@@ -370,14 +356,14 @@ bool KnowledgeEvaluator::IsLocalTo(const Predicate& b, ProcessSet p) {
 bool KnowledgeEvaluator::IsLocalTo(const FormulaPtr& f, ProcessSet p) {
   if (!f) throw ModelError("KnowledgeEvaluator::IsLocalTo: null formula");
   if (space_.size() == 0) return true;
-  return PlaneIsUniform(EvaluatedValuePlane(Formula::Sure(p, f)),
+  return PlaneIsUniform(SatisfyingBits(Formula::Sure(p, f)).data(),
                         space_.size(), true);
 }
 
 bool KnowledgeEvaluator::IsConstant(const FormulaPtr& f) {
   if (!f) throw ModelError("KnowledgeEvaluator::IsConstant: null formula");
   if (space_.size() == 0) return true;
-  const std::uint64_t* value = EvaluatedValuePlane(f);
+  const std::uint64_t* value = SatisfyingBits(f).data();
   return PlaneIsUniform(value, space_.size(), (value[0] & 1) != 0);
 }
 

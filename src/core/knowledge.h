@@ -60,13 +60,13 @@
 //
 // Two engines answer queries.  Pointwise Holds runs the lazy interpreter
 // (Eval), which short-circuits quantifiers and touches only the memo bits it
-// needs.  Whole-space queries (SatisfyingSet(s), HoldsAll, IsLocalTo,
-// IsConstant) memoize every root at every class id and read the value
-// plane: they lower to compiled kernels (kernel.h), range-sharded over
-// KnowledgeOptions::num_threads workers, and fall back to one sequential
-// lazy pass only when kernels are off or the root is the one shape the
-// interpreter answers faster (see compiled_kernels).  Both engines read the
-// same tier rows and partitions.
+// needs.  Whole-space queries (SatisfyingBits and its readers
+// SatisfyingSet(s), HoldsAll, IsLocalTo, IsConstant) memoize every root at
+// every class id and read the value plane: they lower to compiled kernels
+// (kernel.h), range-sharded over KnowledgeOptions::num_threads workers, and
+// fall back to one sequential lazy pass only when kernels are off or the
+// root is the one shape the interpreter answers faster (see
+// compiled_kernels).  Both engines read the same tier rows and partitions.
 // Common-knowledge components are a Partition too: for G = {p} the
 // [p]-partition itself, otherwise one owned table numbered by first
 // occurrence, so a component's label (its representative) is its smallest
@@ -114,6 +114,15 @@ struct KnowledgeOptions {
   bool compiled_kernels = true;
 };
 
+// Calls `fn(id)` for every set bit of a bitset, ascending — e.g. every
+// class id of a SatisfyingBits plane.
+template <typename Fn>
+void ForEachSetBit(std::span<const std::uint64_t> bits, Fn&& fn) {
+  for (std::size_t w = 0; w < bits.size(); ++w)
+    for (std::uint64_t word = bits[w]; word != 0; word &= word - 1)
+      fn(w * 64 + static_cast<std::size_t>(__builtin_ctzll(word)));
+}
+
 class KnowledgeEvaluator {
  public:
   explicit KnowledgeEvaluator(const ComputationSpace& space,
@@ -137,23 +146,34 @@ class KnowledgeEvaluator {
   // Truth at a computation given by value (must be in the space).
   bool Holds(const FormulaPtr& f, const Computation& x);
 
-  // Batch Holds: truth of `f` at every class id (1 = holds), read off the
-  // value plane of one whole-space pass.
-  std::vector<std::uint8_t> HoldsAll(const FormulaPtr& f);
+  // The satisfying set of `f` as its value plane: bit i of word i / 64 is
+  // set iff `f` holds at class id i.  The plane has ceil(size() / 64) words
+  // (none for an empty space) and its bits past size() are zero.  The span
+  // points into the memo and stays valid until the next call on the
+  // evaluator.  The whole-space queries below all read it.
+  std::span<const std::uint64_t> SatisfyingBits(const FormulaPtr& f);
 
-  // All class ids at which `f` holds, ascending.
-  std::vector<std::size_t> SatisfyingSet(const FormulaPtr& f);
-
-  // Fused multi-formula sweep: the satisfying sets of every formula in the
+  // Fused multi-formula sweep: the value planes of every formula in the
   // batch, in input order, computed in ONE pass over the class-id range
   // instead of one whole-space pass per formula.  The batch shares a single
   // plane-stack per columnar sweep — subformula nodes common to several
   // formulas (or memoized by earlier queries) are evaluated once and hit
   // the dense memo for every other root — so a batch of N related formulas
-  // costs roughly one sweep plus N plane reads, not N sweeps.  Results are
-  // byte-identical to calling SatisfyingSet per formula, at any thread
-  // count.  Null formulas throw; an empty batch
-  // returns an empty vector.
+  // costs roughly one sweep plus N plane reads, not N sweeps.  Planes are
+  // byte-identical to calling SatisfyingBits per formula, at any thread
+  // count, and all of them stay valid until the next call on the
+  // evaluator.  Null formulas throw; an empty batch returns no planes.
+  std::vector<std::span<const std::uint64_t>> SatisfyingBits(
+      std::span<const FormulaPtr> formulas);
+
+  // Batch Holds: truth of `f` at every class id (1 = holds).
+  std::vector<std::uint8_t> HoldsAll(const FormulaPtr& f);
+
+  // All class ids at which `f` holds, ascending.
+  std::vector<std::size_t> SatisfyingSet(const FormulaPtr& f);
+
+  // The fused SatisfyingBits batch as id vectors: identical to calling
+  // SatisfyingSet per formula.
   std::vector<std::vector<std::size_t>> SatisfyingSets(
       std::span<const FormulaPtr> formulas);
 
@@ -274,11 +294,6 @@ class KnowledgeEvaluator {
   // the lone-root shape the interpreter answers faster (see
   // compiled_kernels); true once every root is whole-space memoized.
   bool EvaluateEverywhereKernel(std::span<const Formula* const> roots);
-  // Canonicalizes f, runs the whole-space pass, and returns f's value
-  // plane (one verdict bit per class id) — the shared preamble of every
-  // whole-space query.
-  const std::uint64_t* EvaluatedValuePlane(const FormulaPtr& f);
-
   const ComputationSpace& space_;
   const StateView* view_ = nullptr;  // the partition source, when set
   std::size_t words_ = 0;  // bitset words per formula node: ceil(size/64)

@@ -1,5 +1,8 @@
 #include "serve/serve.h"
 
+#include <algorithm>
+#include <array>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <istream>
@@ -99,15 +102,60 @@ std::string Array(std::size_t n, Item item) {
   return out;
 }
 
-// The per-formula fields of a check response.
-Fields CheckResult(const std::vector<std::size_t>& sat, bool with_ids) {
+// The per-formula fields of a check response; the "satisfying" ids, asked
+// for by `with_ids`, are written straight from the formula's `plane`.
+Fields CheckResult(const SatisfyingDigest& digest, bool with_ids,
+                   std::span<const std::uint64_t> plane) {
   Fields fields;
-  fields.Num("count", sat.size()).Str("hash", SatisfyingHashHex(sat));
-  if (with_ids)
-    fields.Raw("satisfying", Array(sat.size(), [&](std::size_t i) {
-                 return std::to_string(sat[i]);
-               }));
+  fields.Num("count", digest.count).Str("hash", digest.HashHex());
+  if (with_ids) {
+    std::string ids = "[";
+    ForEachSetBit(plane, [&](std::size_t id) {
+      if (ids.size() > 1) ids += ',';
+      char digits[24];
+      ids.append(digits, std::to_chars(digits, digits + 24, id).ptr);
+    });
+    ids += ']';
+    fields.Raw("satisfying", ids);
+  }
   return fields;
+}
+
+constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
+constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+
+// kFnvPrimePowers[k]: the FNV-1a steps over k zero bytes, which only
+// multiply (a xor with a zero byte changes nothing).
+constexpr auto kFnvPrimePowers = [] {
+  std::array<std::uint64_t, 9> powers{1};
+  for (std::size_t k = 1; k < powers.size(); ++k)
+    powers[k] = powers[k - 1] * kFnvPrime;
+  return powers;
+}();
+
+// FNV-1a over the ids of `bits` from word `w` on, 8 little-endian bytes
+// each.  Ids below 2^(8 kBytes) (words below 2^(8 kBytes - 6)) have only
+// their low kBytes bytes nonzero, so their upper 8 - kBytes steps fold
+// into one multiply; the words past that go to kBytes + 1.
+template <int kBytes = 1>
+std::uint64_t FnvFrom(std::uint64_t h, std::span<const std::uint64_t> bits,
+                      std::size_t w) {
+  const std::size_t end =
+      kBytes == 8 ? bits.size()
+                  : std::min(bits.size(), std::size_t{1} << (8 * kBytes - 6));
+  for (; w < end; ++w) {
+    for (std::uint64_t word = bits[w]; word != 0; word &= word - 1) {
+      const std::uint64_t id =
+          w * 64 + static_cast<std::uint64_t>(__builtin_ctzll(word));
+      for (int i = 0; i < kBytes; ++i) {
+        h ^= (id >> (8 * i)) & 0xff;
+        h *= kFnvPrime;
+      }
+      h *= kFnvPrimePowers[8 - kBytes];
+    }
+  }
+  if constexpr (kBytes < 8) return FnvFrom<kBytes + 1>(h, bits, w);
+  return h;
 }
 
 }  // namespace
@@ -179,26 +227,31 @@ struct SessionOps {
     const bool with_ids =
         ids != nullptr && ids->type == json::Value::Type::kBool && ids->boolean;
     const json::Value* batch = request.Find("formulas");
+    std::vector<FormulaPtr> formulas;
+    if (batch == nullptr) {
+      formulas.push_back(s.FormulaFor(RequireString(request, "formula")));
+    } else {
+      if (batch->type != json::Value::Type::kArray || batch->array.empty())
+        throw ModelError("\"formulas\" must be a non-empty array of strings");
+      formulas.reserve(batch->array.size());
+      for (const json::Value& v : batch->array) {
+        if (v.type != json::Value::Type::kString)
+          throw ModelError(
+              "\"formulas\" must be a non-empty array of strings");
+        formulas.push_back(s.FormulaFor(v.string));
+      }
+    }
+    const std::vector<SatisfyingDigest> digests = s.DigestsFor(formulas);
+    std::vector<std::span<const std::uint64_t>> planes(formulas.size());
+    if (with_ids) planes = s.eval_.SatisfyingBits(formulas);
     Fields fields;
     fields.Num("classes", s.builder_.space().size());
-    if (batch == nullptr) {
-      const FormulaPtr f = s.FormulaFor(RequireString(request, "formula"));
+    if (batch == nullptr)
       return fields.Take() +
-             CheckResult(s.eval_.SatisfyingSet(f), with_ids).Take();
-    }
-    if (batch->type != json::Value::Type::kArray || batch->array.empty())
-      throw ModelError("\"formulas\" must be a non-empty array of strings");
-    std::vector<FormulaPtr> formulas;
-    formulas.reserve(batch->array.size());
-    for (const json::Value& v : batch->array) {
-      if (v.type != json::Value::Type::kString)
-        throw ModelError("\"formulas\" must be a non-empty array of strings");
-      formulas.push_back(s.FormulaFor(v.string));
-    }
-    // The whole batch runs as ONE fused sweep.
-    const auto sets = s.eval_.SatisfyingSets(formulas);
-    const std::string results = Array(sets.size(), [&](std::size_t k) {
-      const std::string members = CheckResult(sets[k], with_ids).Take();
+             CheckResult(digests[0], with_ids, planes[0]).Take();
+    const std::string results = Array(digests.size(), [&](std::size_t k) {
+      const std::string members =
+          CheckResult(digests[k], with_ids, planes[k]).Take();
       std::string result = "{";
       result.append(members, 1);
       result += '}';
@@ -239,6 +292,7 @@ struct SessionOps {
       levels = static_cast<int>(v->number);
     }
     const auto start = std::chrono::steady_clock::now();
+    s.digests_.clear();  // the answers change with the space
     const std::size_t added = s.builder_.Deepen(levels);
     s.eval_.Refresh();
     const std::chrono::duration<double, std::milli> elapsed =
@@ -286,18 +340,18 @@ std::string UnknownOpFields(const std::string& op) {
 
 }  // namespace
 
-std::string SatisfyingHashHex(const std::vector<std::size_t>& sat) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (std::size_t id : sat) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (static_cast<std::uint64_t>(id) >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
+std::string SatisfyingDigest::HashHex() const {
   char buffer[17];
   std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(h));
+                static_cast<unsigned long long>(hash));
   return std::string(buffer);
+}
+
+SatisfyingDigest DigestSatisfying(std::span<const std::uint64_t> bits) {
+  std::size_t count = 0;
+  for (const std::uint64_t word : bits)
+    count += static_cast<std::size_t>(__builtin_popcountll(word));
+  return {count, FnvFrom(kFnvOffset, bits, 0)};
 }
 
 Session::Session(SpaceBuilder builder, std::vector<Predicate> atoms,
@@ -312,6 +366,22 @@ FormulaPtr Session::FormulaFor(const std::string& text) {
   FormulaPtr f = Formula::Parse(text, atoms_);
   by_text_.emplace(text, f);
   return f;
+}
+
+std::vector<SatisfyingDigest> Session::DigestsFor(
+    const std::vector<FormulaPtr>& formulas) {
+  std::vector<FormulaPtr> missing;
+  for (const FormulaPtr& f : formulas)
+    if (!digests_.contains(f.get())) missing.push_back(f);
+  if (!missing.empty()) {
+    const auto planes = eval_.SatisfyingBits(missing);
+    for (std::size_t k = 0; k < missing.size(); ++k)
+      digests_.emplace(missing[k].get(), DigestSatisfying(planes[k]));
+  }
+  std::vector<SatisfyingDigest> out;
+  out.reserve(formulas.size());
+  for (const FormulaPtr& f : formulas) out.push_back(digests_.at(f.get()));
+  return out;
 }
 
 std::string Session::Handle(const std::string& line) {

@@ -14,11 +14,19 @@
 // as an object.  A failing request gets {"ok":false,...,"error":"..."} and
 // the session keeps serving.  The response bytes are deterministic: timing
 // goes to stderr, never into a response.
+//
+// A check's count and hash are computed from the formula's value plane
+// (KnowledgeEvaluator::SatisfyingBits) without listing its class ids; ids
+// are written straight from the plane, and only for "ids":true.  The
+// session keeps each formula's count and hash, so a repeated check (alone
+// or inside a batch) is a lookup until the next deepen, the only op that
+// changes the space.  None of this changes a response byte.
 #ifndef HPL_SERVE_SERVE_H_
 #define HPL_SERVE_SERVE_H_
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -31,11 +39,21 @@ namespace hpl::serve {
 
 inline constexpr int kServeProtocolVersion = 3;
 
-// FNV-1a over the satisfying class ids (8 little-endian bytes each), as 16
-// hex digits: a stable fingerprint of a satisfying set.  `hpl_cli check`
-// prints it and serve returns it as "hash", so "serve verdicts equal a
+// A satisfying set's size and fingerprint: FNV-1a over its class ids,
+// ascending, 8 little-endian bytes each.  `hpl_cli check` prints both and
+// serve returns them as "count" and "hash", so "serve verdicts equal a
 // standalone check" is testable by comparing two short strings.
-std::string SatisfyingHashHex(const std::vector<std::size_t>& sat);
+struct SatisfyingDigest {
+  std::size_t count = 0;
+  std::uint64_t hash = 0;
+
+  // The hash as 16 lowercase hex digits.
+  std::string HashHex() const;
+};
+
+// The digest of a SatisfyingBits plane: a popcount and an FNV-1a walk over
+// the set bits, with no id list in between.
+SatisfyingDigest DigestSatisfying(std::span<const std::uint64_t> bits);
 
 // The long-lived state behind one serve process.  The space lives inside a
 // resumable SpaceBuilder so "deepen" grows it in place, and one
@@ -43,7 +61,8 @@ std::string SatisfyingHashHex(const std::vector<std::size_t>& sat);
 // after a Deepen, Refresh() re-syncs them instead of rebuilding.  The
 // evaluator interns every formula structurally, so the hundredth
 // "K{0} sent" lands on the first one's memo rows and kernel program; the
-// session only caches request text -> parsed formula to skip re-parsing.
+// session caches request text -> parsed formula to skip re-parsing, and
+// parsed formula -> digest to skip the plane walk until the next deepen.
 class Session {
  public:
   // `builder`'s system must outlive the session (Deepen enumerates it).
@@ -64,11 +83,17 @@ class Session {
   friend struct SessionOps;
 
   FormulaPtr FormulaFor(const std::string& text);
+  // The digests of `formulas` (FormulaFor results), computing the ones not
+  // cached in one fused sweep.
+  std::vector<SatisfyingDigest> DigestsFor(
+      const std::vector<FormulaPtr>& formulas);
 
   SpaceBuilder builder_;
   std::vector<Predicate> atoms_;
   KnowledgeEvaluator eval_;
   std::unordered_map<std::string, FormulaPtr> by_text_;
+  // Keyed by by_text_'s formulas, which it keeps alive; cleared by deepen.
+  std::unordered_map<const Formula*, SatisfyingDigest> digests_;
   std::uint64_t requests_ = 0;
   bool done_ = false;
 };

@@ -176,7 +176,7 @@ TEST(SpaceSegmentedTest, MemoryUsageSplitsResidency) {
   EXPECT_GT(usage.bytes_total, 0u);
 }
 
-TEST(SpaceSegmentedTest, SnapshotV3RoundTripsUnderBudget) {
+TEST(SpaceSegmentedTest, SnapshotRoundTripsUnderBudget) {
   RandomSystem system = MakeRandom(13);
   EnumerationLimits limits;
   limits.max_depth = 7;

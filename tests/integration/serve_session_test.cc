@@ -47,7 +47,20 @@ class SessionTest : public ::testing::Test {
                    {.num_threads = 1});
   }
 
+  // token_bus(n=4,passes=6) built to `depth` (39 classes at 10, 65 when
+  // complete at 12), deepenable.
+  Session BusSession(int depth) const {
+    EnumerationLimits limits = Capped();
+    limits.max_depth = depth;
+    SpaceBuilder builder;
+    builder.Build(bus46_, limits);
+    std::vector<Predicate> atoms;
+    for (ProcessId p = 0; p < 4; ++p) atoms.push_back(bus46_.HoldsToken(p));
+    return Session(std::move(builder), std::move(atoms), {.num_threads = 1});
+  }
+
   protocols::TokenBusSystem bus_{3, 3};
+  protocols::TokenBusSystem bus46_{4, 6};
 };
 
 std::vector<std::string> Keys(const std::string& response) {
@@ -120,6 +133,65 @@ TEST_F(SessionTest, DeepenCappedThenComplete) {
   EXPECT_EQ(session.Handle(R"({"op":"check","formula":"K{0} token_at_p0"})"),
             R"({"ok":true,"v":3,"op":"check","classes":11,"count":2,)"
             R"("hash":"ed3a3c8c2a52f1c0"})");
+}
+
+// The session caches each formula's count and hash; a deepen must drop
+// them, so every answer after it is the one a session that was built to the
+// deeper space gives.
+TEST_F(SessionTest, RepeatAfterDeepenAnswersOverTheDeeperSpace) {
+  const std::string check =
+      R"({"op":"check","formula":"!K{1} token_at_p1","id":1})";
+  Session session = BusSession(10);
+  const std::string before = session.Handle(check);
+  EXPECT_EQ(session.Handle(check), before);  // a cached repeat
+  session.Handle(R"({"op":"deepen"})");
+  const std::string after = session.Handle(check);
+  EXPECT_EQ(after, BusSession(11).Handle(check));
+  const json::Value was = json::Parse(before), is = json::Parse(after);
+  EXPECT_NE(is.Find("count")->number, was.Find("count")->number);
+  EXPECT_NE(is.Find("hash")->string, was.Find("hash")->string);
+}
+
+TEST_F(SessionTest, CachedRepeatWithIdsListsTheIds) {
+  const std::string check = R"({"op":"check","formula":"M{2} token_at_p3"})";
+  const std::string with_ids =
+      R"({"op":"check","formula":"M{2} token_at_p3","ids":true})";
+  Session session = BusSession(10);
+  session.Handle(check);
+  const std::string listed = session.Handle(with_ids);
+  EXPECT_NE(listed.find(R"("satisfying":[)"), std::string::npos) << listed;
+  EXPECT_EQ(listed, BusSession(10).Handle(with_ids));
+  session.Handle(R"({"op":"deepen"})");
+  EXPECT_EQ(session.Handle(with_ids), BusSession(11).Handle(with_ids));
+}
+
+TEST_F(SessionTest, BatchOfCachedAndNewFormulasMatchesSingleChecks) {
+  const std::vector<std::string> batch = {
+      "!K{0,1} token_at_p0", "Sure{2} token_at_p1", "!E{1,3} token_at_p2",
+      "!K{0,1} token_at_p0"};
+  const auto single = [](const std::string& f) {
+    return R"({"op":"check","formula":")" + f + R"("})";
+  };
+  const auto count = [](const std::string& response) {
+    return json::Parse(response).Find("count")->number;
+  };
+  Session session = BusSession(10);
+  // Cached, then dropped by the deepen, which changes its answer.
+  const std::string shallow = session.Handle(single(batch[0]));
+  session.Handle(R"({"op":"deepen"})");
+  session.Handle(single(batch[1]));  // cached over the deeper space
+  Session deeper = BusSession(11);
+  std::string expected =
+      R"({"ok":true,"v":3,"op":"check","classes":)" +
+      std::to_string(deeper.builder().space().size()) + R"(,"results":[)";
+  std::string request = R"({"op":"check","formulas":[)";
+  EXPECT_NE(count(deeper.Handle(single(batch[0]))), count(shallow));
+  for (std::size_t k = 0; k < batch.size(); ++k) {
+    const std::string answer = deeper.Handle(single(batch[k]));
+    expected += (k > 0 ? ",{" : "{") + answer.substr(answer.find("\"count\""));
+    request += (k > 0 ? ",\"" : "\"") + batch[k] + "\"";
+  }
+  EXPECT_EQ(session.Handle(request + "]}"), expected + "]}");
 }
 
 TEST_F(SessionTest, FailedDeepenLeavesTheSessionAsItWas) {

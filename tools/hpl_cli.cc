@@ -101,6 +101,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -644,8 +645,15 @@ int CmdCheck(const std::string& spec, const std::string& text,
               space.truncated() ? ", TRUNCATED" : "");
   std::printf("formula: %s\n", formula->ToString().c_str());
   bench::WallTimer evaluate_timer;
-  const auto sat = eval.SatisfyingSet(formula);
+  const std::span<const std::uint64_t> sat = eval.SatisfyingBits(formula);
   const std::int64_t evaluate_ns = evaluate_timer.ElapsedNs();
+  const serve::SatisfyingDigest digest = serve::DigestSatisfying(sat);
+  std::vector<std::size_t> first;  // the first 12 satisfying ids
+  std::size_t last = 0;
+  ForEachSetBit(sat, [&](std::size_t id) {
+    if (first.size() < 12) first.push_back(id);
+    last = id;
+  });
   std::printf("phases:  enumerate %.3f ms, evaluate %.3f ms\n",
               static_cast<double>(enumerate_ns) / 1e6,
               static_cast<double>(evaluate_ns) / 1e6);
@@ -653,14 +661,14 @@ int CmdCheck(const std::string& spec, const std::string& text,
   const KnowledgeEvaluator::MemoStats memo_memory = eval.MemoryUsage();
   PrintMemoryStats(space_memory, memo_memory);
   PrintGroupStats(space, flags.groups);
-  std::printf("holds at %zu/%zu computations\n", sat.size(), space.size());
-  std::printf("satisfying-hash: %s\n", serve::SatisfyingHashHex(sat).c_str());
-  if (!sat.empty() && sat.size() <= 12) {
-    for (std::size_t id : sat)
+  std::printf("holds at %zu/%zu computations\n", digest.count, space.size());
+  std::printf("satisfying-hash: %s\n", digest.HashHex().c_str());
+  if (digest.count > 0 && digest.count <= 12) {
+    for (std::size_t id : first)
       std::printf("  %s\n", space.At(id).ToString().c_str());
-  } else if (!sat.empty()) {
-    std::printf("  first: %s\n", space.At(sat.front()).ToString().c_str());
-    std::printf("  last:  %s\n", space.At(sat.back()).ToString().c_str());
+  } else if (digest.count > 0) {
+    std::printf("  first: %s\n", space.At(first.front()).ToString().c_str());
+    std::printf("  last:  %s\n", space.At(last).ToString().c_str());
   }
   if (json_path.has_value()) {
     bench::JsonReporter reporter("cli_check");
@@ -673,7 +681,7 @@ int CmdCheck(const std::string& spec, const std::string& text,
          static_cast<double>(
              internal::ResolveNumThreads(flags.knowledge_threads))},
         {"kernels", flags.kernels ? 1.0 : 0.0},
-        {"satisfying", static_cast<double>(sat.size())},
+        {"satisfying", static_cast<double>(digest.count)},
         {"memo_entries", static_cast<double>(eval.memo_size())}};
     evaluate_row.wall_ns = evaluate_ns;
     evaluate_row.space_classes = space.size();
