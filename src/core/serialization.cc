@@ -7,7 +7,6 @@
 #include <fstream>
 #include <istream>
 #include <iterator>
-#include <optional>
 #include <ostream>
 #include <sstream>
 #include <string_view>
@@ -131,7 +130,7 @@ Computation ParseComputation(const std::string& text) {
   return built;
 }
 
-// --- Binary space snapshots (hpl-space-v4) ---------------------------------
+// --- Binary space snapshots (hpl-space-v5) ---------------------------------
 
 namespace {
 
@@ -408,55 +407,35 @@ class Reader {
 };
 
 // What a load learns about a u32 column while decoding it, for the id
-// checks that run once the file's checksums hold: at each position of a
-// row, one more than the largest value so far, and the first value that
-// jumps past that bound (a class number skipped); the first value; and
-// whether the values never decrease.
+// checks that run once the file's checksums hold: its largest and first
+// values (0 for an empty column), and whether the values never decrease.
 struct U32Summary {
-  explicit U32Summary(std::size_t row = 1) : bound(row, 0) {}
-  // One more than the largest value at each row position (0: none yet).
-  std::vector<std::uint64_t> bound;
-  // The first value greater than its position's bound at the time.
-  struct Skip {
-    std::uint64_t at = 0;  // element index
-    std::uint32_t value = 0;
-    std::uint64_t bound = 0;
-  };
-  std::optional<Skip> skip;
+  std::uint32_t max = 0;
   std::uint32_t first = 0;
   bool ascending = true;
-
-  // The largest value at row position `pos` (of a non-empty column).
-  std::uint32_t Max(std::size_t pos = 0) const {
-    return static_cast<std::uint32_t>(bound[pos] - 1);
-  }
 
   // Decodes n little-endian u32s into out[0, n) and folds them in.
   void Decode(const unsigned char* p, std::size_t n, std::uint32_t* out) {
     if (n == 0) return;
-    std::uint32_t prev = seen_ == 0 ? LoadLe32(p) : last_;
-    if (seen_ == 0) first = prev;
+    std::uint32_t prev = seen_ ? last_ : LoadLe32(p);
+    if (!seen_) first = prev;
+    std::uint32_t top = max;
     bool up = true;
-    std::size_t pos = static_cast<std::size_t>(seen_ % bound.size());
     for (std::size_t i = 0; i < n; ++i, p += 4) {
       const std::uint32_t v = LoadLe32(p);
       out[i] = v;
       up &= v >= prev;
+      top = std::max(top, v);
       prev = v;
-      std::uint64_t& b = bound[pos];
-      if (v >= b) {
-        if (v > b && !skip) skip = Skip{seen_ + i, v, b};
-        b = std::uint64_t{v} + 1;
-      }
-      if (++pos == bound.size()) pos = 0;
     }
+    max = top;
     ascending &= up;
     last_ = prev;
-    seen_ += n;
+    seen_ = true;
   }
 
  private:
-  std::uint64_t seen_ = 0;  // values folded so far
+  bool seen_ = false;  // a value was folded
   std::uint32_t last_ = 0;
 };
 
@@ -470,19 +449,19 @@ struct SegDirEntry {
 };
 
 // Reads `n` u32 elements into a segmented column chunk by chunk (spilling
-// sealed segments as it goes under a budget), folding `summary` rows of
-// `summary->max.size()` elements, and returns the FNV-1a checksum of the
-// streamed payload for the directory check.
+// sealed segments as it goes under a budget), folding them into `summary`,
+// and returns the FNV-1a checksum of the streamed payload for the
+// directory check.
 std::uint64_t ReadU32SegColumn(Reader& r,
                                internal::SegColumn<std::uint32_t>& column,
                                std::uint64_t n, const char* where,
                                internal::SegmentedSpaceStore& store,
-                               U32Summary* summary) {
+                               U32Summary& summary) {
   std::uint64_t h = kFnvOffset;
   std::vector<std::uint32_t> buf(std::min<std::uint64_t>(n, kChunkRecords));
   r.Records(n, 4, &h, [where](std::size_t) { return where; },
             [&](const unsigned char* p, std::uint64_t, std::size_t k) {
-              summary->Decode(p, k, buf.data());
+              summary.Decode(p, k, buf.data());
               column.Append(buf.data(), k);
               if (store.out_of_core()) store.EnforceBudget();
             });
@@ -689,7 +668,6 @@ struct SpaceSnapshotIO {
     entry("links", space.links_, kLinkBytes, PutLink);
     entry("canonh", space.canon_hash_, 8, PutU64);
     entry("canoni", space.canon_id_, 4, PutU32);
-    entry("proj", space.proj_class_, 4, PutU32);
     entry("succo", space.succ_offsets_, 4, PutU32);
     entry("succc", space.succ_class_, 4, PutU32);
     entry("succe", space.succ_event_, 4, PutU32);
@@ -708,7 +686,6 @@ struct SpaceSnapshotIO {
       w.U64(c.size());
       EncodeChunks(c, 4, PutU32, emit, buf, store);
     };
-    seg_column(space.proj_class_);
     seg_column(space.succ_offsets_);
     seg_column(space.succ_class_);
     seg_column(space.succ_event_);
@@ -724,16 +701,20 @@ struct SpaceSnapshotIO {
   // throw where the field is read, and a corrupt byte fails a checksum.
   // The id checks below are computed in the decode loops and raised after
   // the file checksum verifies: a damaged file keeps its checksum error,
-  // and only a file whose checksums hold gets the named defect.
+  // and only a file whose checksums hold gets the named defect.  Only then
+  // are the derived columns built, starting with the projection rows the
+  // mint rule gives the links; `minter` receives its extension maps.
   static ComputationSpace Load(std::istream& in, const SegmentOptions& segments,
-                               SpaceSnapshotInfo* info_out = nullptr) {
+                               SpaceSnapshotInfo* info_out = nullptr,
+                               ComputationSpace::ProjectionMinter* minter =
+                                   nullptr) {
     Reader r(in);
     std::vector<SegDirEntry> dir;
     const SpaceSnapshotInfo info = ReadHeader(r, &dir);
     if (info_out != nullptr) *info_out = info;
-    if (dir.size() != 7)
+    if (dir.size() != 6)
       throw ModelError(
-          "LoadSpaceSnapshot: bad segment directory (expected 7 columns, "
+          "LoadSpaceSnapshot: bad segment directory (expected 6 columns, "
           "found " +
           std::to_string(dir.size()) + ")");
 
@@ -773,6 +754,9 @@ struct SpaceSnapshotIO {
     };
 
     const std::size_t classes = info.classes;
+    if (classes == 0)
+      throw ModelError("LoadSpaceSnapshot: snapshot has no classes (every "
+                       "space holds the root, the empty computation)");
     const auto P = static_cast<std::size_t>(info.num_processes);
     r.RequireFits(info.pool_events, kMinEventBytes, "pool_events");
     space.event_pool_.reserve(info.pool_events);
@@ -889,39 +873,19 @@ struct SpaceSnapshotIO {
     check_column(2, "canoni", classes, fold);
     trim();
 
-    const std::uint64_t proj_elems = r.Count("projection classes");
-    if (proj_elems !=
-        classes * static_cast<std::uint64_t>(info.num_processes))
-      throw ModelError("LoadSpaceSnapshot: projection column size mismatch");
-    U32Summary proj(P);
-    check_column(3, "proj", proj_elems,
-                 ReadU32SegColumn(r, space.proj_class_, proj_elems,
-                                  "projection classes", store, &proj));
-    // ChildRow mints each process's classes in id order, so a class number
-    // is at most one past the largest before it.  The bound also sizes the
-    // buckets derived below, so it holds before they are.
-    if (proj.skip)
-      note([&] {
-        return "projection class " + std::to_string(proj.skip->value) +
-               " of process " + std::to_string(proj.skip->at % P) +
-               " at class " + std::to_string(proj.skip->at / P) +
-               " is not numbered by first occurrence (the next new class is " +
-               std::to_string(proj.skip->bound) + ")";
-      });
-
     U32Summary succo, succc, succe;
     const std::uint64_t succo_elems = r.Count("successor offsets");
-    check_column(4, "succo", succo_elems,
+    check_column(3, "succo", succo_elems,
                  ReadU32SegColumn(r, space.succ_offsets_, succo_elems,
-                                  "successor offsets", store, &succo));
+                                  "successor offsets", store, succo));
     const std::uint64_t succc_elems = r.Count("successor classes");
-    check_column(5, "succc", succc_elems,
+    check_column(4, "succc", succc_elems,
                  ReadU32SegColumn(r, space.succ_class_, succc_elems,
-                                  "successor classes", store, &succc));
+                                  "successor classes", store, succc));
     const std::uint64_t succe_elems = r.Count("successor events");
-    check_column(6, "succe", succe_elems,
+    check_column(5, "succe", succe_elems,
                  ReadU32SegColumn(r, space.succ_event_, succe_elems,
-                                  "successor events", store, &succe));
+                                  "successor events", store, succe));
     if (space.succ_offsets_.size() != classes + (classes ? 1 : 0) ||
         (classes && space.succ_offsets_.back() != space.succ_class_.size()) ||
         space.succ_class_.size() != space.succ_event_.size())
@@ -933,14 +897,14 @@ struct SpaceSnapshotIO {
       note([] {
         return std::string("successor offsets do not start at 0 and ascend");
       });
-    if (succc_elems > 0 && succc.Max() >= classes)
+    if (succc_elems > 0 && succc.max >= classes)
       note([&] {
-        return "successor class " + std::to_string(succc.Max()) +
+        return "successor class " + std::to_string(succc.max) +
                " is out of range (" + std::to_string(classes) + " classes)";
       });
-    if (succe_elems > 0 && succe.Max() >= pool)
+    if (succe_elems > 0 && succe.max >= pool)
       note([&] {
-        return "successor event " + std::to_string(succe.Max()) +
+        return "successor event " + std::to_string(succe.max) +
                " is out of range (" + std::to_string(pool) + " pool events)";
       });
     trim();
@@ -961,18 +925,18 @@ struct SpaceSnapshotIO {
     r.VerifyChecksum();
     if (!defect.empty()) throw ModelError(defect);
 
-    // The [p]-buckets and the saved [G]-tables are functions of the
-    // projection column, so they are derived, not read: the [G]-classes by
-    // the same replay EnsureGroupIndex runs, then every CSR by the counting
-    // sort SpaceBuilder::Finalize runs.
-    space.bucket_offsets_.resize(P);
-    space.bucket_ids_.resize(P);
-    for (std::size_t p = 0; p < P; ++p)
-      space.bucket_offsets_[p].assign(proj.bound[p] + 1, 0);
+    // Everything else is a function of the links, so it is derived, not
+    // read: the projection rows by the mint rule, in id order as the
+    // builder minted them; the saved [G]-tables' classes by the replay
+    // EnsureGroupIndex runs; then every CSR by the counting sort
+    // SpaceBuilder::Finalize runs.
+    ComputationSpace::ProjectionMinter minted;
+    if (minter == nullptr) minter = &minted;
+    space.MintProjections(*minter);
     for (const std::uint64_t mask : masks)
       space.ReplayGroupClasses(ProcessSet::FromBits(mask),
                                space.group_index_[mask]);
-    ComputationSpace::BuildBuckets(space, nullptr);
+    ComputationSpace::BuildBuckets(space, minter->count, nullptr);
 
     space.built_depth_ = static_cast<int>(info.built_depth);
     trim();
@@ -1010,8 +974,9 @@ struct SpaceSnapshotIO {
   static SpaceBuilder LoadBuilder(const System& system, std::istream& in,
                                   const EnumerationLimits& limits) {
     SpaceSnapshotInfo info;
+    ComputationSpace::ProjectionMinter minter;
     auto space = std::unique_ptr<ComputationSpace>(
-        new ComputationSpace(Load(in, limits.segments, &info)));
+        new ComputationSpace(Load(in, limits.segments, &info, &minter)));
     if (info.system_name != system.Name() ||
         info.num_processes != system.NumProcesses())
       throw ModelError(
@@ -1022,7 +987,8 @@ struct SpaceSnapshotIO {
     SpaceBuilder builder;
     builder.AdoptSpace(std::move(space),
                        static_cast<SpaceBuilder::FrontierState>(info.frontier),
-                       info.frontier_begin, &system, limits);
+                       info.frontier_begin, &system, limits,
+                       std::move(minter));
     return builder;
   }
 };

@@ -11,17 +11,21 @@
 //    the result as a system computation — incrementally, so errors name the
 //    offending token (1-based index and text); Format is its inverse.
 //
-// 2. Binary space snapshots (format `hpl-space-v4`): versioned,
+// 2. Binary space snapshots (format `hpl-space-v5`): versioned,
 //    little-endian save/load of the columnar ComputationSpace.  A snapshot
 //    stores only what a load cannot derive — the interned event pool,
-//    splice links, canonical-hash index, per-process [p]-class rows, CSR
-//    successors, and the mask of every materialized [G]-table
-//    (EnsureGroupIndex).  The [p]-buckets and the [G]-tables are functions
-//    of the projection rows (x [p] y iff both have the same projection on
-//    p; a [G]-class is the intersection of its members' [p]-classes), so a
-//    load rebuilds them: the [p]-buckets by the counting sort
-//    SpaceBuilder::Finalize runs, each saved mask's table by the replay
-//    EnsureGroupIndex runs.  A loaded space is identical to the one saved:
+//    splice links, canonical-hash index, CSR successors, and the mask of
+//    every materialized [G]-table (EnsureGroupIndex).  Everything else is
+//    a function of the links (x [p] y iff both have the same projection on
+//    p, and a class's event sequence is its splice chain; a [G]-class is
+//    the intersection of its members' [p]-classes), so a load rebuilds it:
+//    the per-process [p]-class rows by the one mint rule the builder uses
+//    (ComputationSpace::ProjectionMinter, replayed over the links in id
+//    order), the [p]-buckets by the counting sort SpaceBuilder::Finalize
+//    runs, each saved mask's table by the replay EnsureGroupIndex runs.
+//    Bare and builder loads alike derive the rows; a builder load keeps
+//    the mint rule's extension maps, so Deepen and Ingest continue from
+//    them.  A loaded space is identical to the one saved:
 //    same class ids, canonical hashes, projection classes, buckets,
 //    successor lists and cached group tables, so knowledge verdicts
 //    evaluated against it match the freshly enumerated space exactly.
@@ -49,9 +53,9 @@
 //    Layout: an 8-byte magic ("HPLSPACE"), a u32 format version, a header
 //    (process count, flags, system name, summary counts, the frontier
 //    fields and the segment directory), the event pool, the columns links,
-//    canonical hashes, canonical ids, projection rows, successor offsets,
-//    successor classes and successor events (the last four each after a u64
-//    element count), the u64 [G]-table masks in ascending order, and a
+//    canonical hashes, canonical ids, successor offsets, successor classes
+//    and successor events (the last three each after a u64 element count),
+//    the u64 [G]-table masks in ascending order, and a
 //    trailing FNV-1a checksum of everything before it.  All integers are
 //    explicit little-endian, so snapshots are portable across hosts.
 //
@@ -66,9 +70,10 @@
 //
 //    What a load validates, with a ModelError naming the problem:
 //    - where each field is read: bad magic, other versions (versions 1 to
-//      3 with a message to re-save from the system), truncated files
-//      (naming the field that holds the first missing byte), implausible
-//      counts and counts the remaining bytes cannot hold, inconsistent
+//      4 with a message to re-save from the system), a file without the
+//      root class, truncated files (naming the field that holds the first
+//      missing byte), implausible counts and counts the remaining bytes
+//      cannot hold, inconsistent
 //      column sizes, event kinds, link parents (an earlier id) and link
 //      events (inside the pool), canonical ids, group masks in ascending
 //      order, and checksum mismatches (per directory column, then the
@@ -78,15 +83,14 @@
 //      the system; class 0 the empty root, and every other class its
 //      parent plus one event spliced at a position inside the parent's
 //      sequence; successor classes below the class count; successor events
-//      inside the pool; projection classes numbered by first occurrence
-//      (each at most one past the largest before it for its process, as
-//      the builder mints them), which also bounds every derived bucket;
-//      group masks inside the system; successor offsets that start at 0
+//      inside the pool; group masks inside the system; successor offsets
+//      that start at 0
 //      and never decrease; and a capped frontier that starts at a class of
 //      the built depth.  These are computed while each chunk is decoded;
 //      raising them last keeps a damaged file reported as a checksum
 //      mismatch, so only a checksum-consistent file gets the named defect.
-//      The derived columns are built only after every check has passed.
+//      The derived columns are built only after every check has passed, so
+//      the mint rule never reads an event process outside the system.
 #ifndef HPL_CORE_SERIALIZATION_H_
 #define HPL_CORE_SERIALIZATION_H_
 
@@ -108,10 +112,10 @@ std::string FormatComputation(const Computation& x);
 // index and text of the offending token.
 Computation ParseComputation(const std::string& text);
 
-// --- Binary space snapshots (hpl-space-v4) ---------------------------------
+// --- Binary space snapshots (hpl-space-v5) ---------------------------------
 
 // The one snapshot format version this build writes and reads.
-inline constexpr std::uint32_t kSpaceSnapshotVersion = 4;
+inline constexpr std::uint32_t kSpaceSnapshotVersion = 5;
 
 // Header summary of a snapshot, readable without loading the columns.
 struct SpaceSnapshotInfo {

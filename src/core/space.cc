@@ -196,12 +196,48 @@ void ComputationSpace::InitColumns(const SegmentOptions& options) {
   succ_event_.Bind(s, "succe", sh);
 }
 
+void ComputationSpace::ProjectionMinter::Start(ComputationSpace& space) {
+  const auto P = static_cast<std::size_t>(space.num_processes_);
+  extend.assign(P, {});
+  count.assign(P, 1);
+  const std::array<std::uint32_t, kMaxProcesses> root{};
+  space.proj_class_.Append(root.data(), P);
+}
+
+void ComputationSpace::ProjectionMinter::Mint(ComputationSpace& space,
+                                              std::size_t parent,
+                                              std::uint32_t event) {
+  const auto P = static_cast<std::size_t>(space.num_processes_);
+  std::array<std::uint32_t, kMaxProcesses> row;
+  const std::uint32_t* parent_row = space.proj_class_.Row(parent);
+  std::copy(parent_row, parent_row + P, row.begin());
+  const auto p = static_cast<std::size_t>(space.event_pool_[event].process);
+  const std::uint64_t key = (std::uint64_t{row[p]} << 32) | event;
+  auto [it, minted] = extend[p].try_emplace(key, count[p]);
+  if (minted) ++count[p];
+  row[p] = it->second;
+  space.proj_class_.Append(row.data(), P);
+}
+
+void ComputationSpace::MintProjections(ProjectionMinter& minter) {
+  proj_class_.Truncate(0);
+  minter.Start(*this);
+  const std::size_t n = links_.size();
+  const std::size_t seg_rows = std::size_t{1} << proj_class_.shift();
+  for (std::size_t id = 1; id < n; ++id) {
+    const ClassLink link = links_[id];
+    minter.Mint(*this, link.parent, link.event);
+    if (store_->out_of_core() && (id + 1) % seg_rows == 0)
+      store_->EnforceBudget();
+  }
+  if (store_->out_of_core()) store_->EnforceBudget();
+}
+
 // Transient construction state retained between Build/Deepen/Ingest calls:
-// the event interner, the incremental projection-class maps, and the BFS
-// frontier arena — everything the one-shot BFS used to discard when it
-// returned.  All of it is reconstructible from the sealed columns by an
-// id-order replay, which is how a loaded hpl-space-v3 snapshot resumes
-// (AdoptSpace).
+// the event interner, the projection minter, and the BFS frontier arena —
+// everything the one-shot BFS used to discard when it returned.  All of it
+// is reconstructible from the links and the event pool by an id-order
+// replay, which is how a loaded snapshot resumes (AdoptSpace).
 struct SpaceBuilder::State {
   // Event interner: pool-id lists per event hash.  Read-only while a
   // level's parallel phases are in flight; misses are interned between
@@ -210,33 +246,9 @@ struct SpaceBuilder::State {
   std::unordered_map<std::size_t, std::vector<std::uint32_t>> event_index;
   std::vector<std::size_t> event_hash;  // per pool id: HashEvent
 
-  // Incremental projection-class minting: a one-event extension only
-  // changes the projection on the event's own process, where it appends the
-  // event — so a child [p]-class is the parent's for p != e.process, and
-  // the class minted for (parent [p]-class, event id) for p == e.process.
-  // Class 0 is the empty projection on every process.
-  std::vector<std::unordered_map<std::uint64_t, std::uint32_t>> proj_extend;
-  std::vector<std::uint32_t> proj_count;
-
-  // The one [p]-class mint rule: the projection row of a child of `parent`
-  // extended by pool event `event` — the parent's row with the event's own
-  // process moved to the class keyed (parent [p]-class, event), minted on
-  // first sight.  Classes are minted in id order, so an id-order replay
-  // over stored links reproduces every class number (AdoptSpace).
-  std::array<std::uint32_t, kMaxProcesses> ChildRow(const ComputationSpace& sp,
-                                                    std::size_t parent,
-                                                    std::uint32_t event) {
-    const auto P = static_cast<std::size_t>(sp.num_processes_);
-    std::array<std::uint32_t, kMaxProcesses> row;
-    const std::uint32_t* parent_row = sp.proj_class_.Row(parent);
-    std::copy(parent_row, parent_row + P, row.begin());
-    const auto p = static_cast<std::size_t>(sp.event_pool_[event].process);
-    const std::uint64_t key = (std::uint64_t{row[p]} << 32) | event;
-    auto [it, minted] = proj_extend[p].try_emplace(key, proj_count[p]);
-    if (minted) ++proj_count[p];
-    row[p] = it->second;
-    return row;
-  }
+  // The [p]-class mint rule's extension maps (ComputationSpace::
+  // ProjectionMinter), live across Deepen and Ingest.
+  ComputationSpace::ProjectionMinter proj;
 
   // The BFS frontier: classes [level_begin, level_begin + level_count),
   // all of length `depth`, with their interned-id sequences materialized in
@@ -337,17 +349,10 @@ void SpaceBuilder::Build(const System& system,
   space.system_name_ = system.Name();
   space.canonicalize_ = limits.canonicalize;
   space.InitColumns(limits.segments);
-  const int P = space.num_processes_;
-
-  st.proj_extend.resize(static_cast<std::size_t>(P));
-  st.proj_count.assign(static_cast<std::size_t>(P), 1);
 
   // Root: the empty computation.
   space.links_.push_back(ComputationSpace::ClassLink{});
-  {
-    std::array<std::uint32_t, kMaxProcesses> zero_row{};
-    space.proj_class_.Append(zero_row.data(), static_cast<std::size_t>(P));
-  }
+  st.proj.Start(space);
   space.canon_hash_.push_back(Computation().SequenceHash());
   space.canon_id_.push_back(0);
   space.succ_offsets_.push_back(0);
@@ -409,13 +414,12 @@ std::size_t SpaceBuilder::Deepen(int extra_levels) {
     } catch (...) {
       // A level threw (depth cap without allow_truncation, class budget,
       // an illegal event) before Finalize: cut every grown column back,
+      // re-mint the projection rows (the minter saw the cut classes),
       // re-park the frontier, and rebuild the builder state by the replay
       // a loaded snapshot resumes through — the call becomes a no-op.
-      const auto P = static_cast<std::size_t>(space.num_processes_);
       space.links_.Truncate(before);
       space.canon_hash_.Truncate(before);
       space.canon_id_.Truncate(before);
-      space.proj_class_.Truncate(before * P);
       space.succ_class_.Truncate(succ_before);
       space.succ_event_.Truncate(succ_before);
       space.succ_offsets_.Truncate(frontier_begin + 1);
@@ -426,8 +430,10 @@ std::size_t SpaceBuilder::Deepen(int extra_levels) {
           space.event_pool_.begin() + static_cast<std::ptrdiff_t>(pool_before),
           space.event_pool_.end());
       space.truncated_ = truncated_before;
+      ComputationSpace::ProjectionMinter minter;
+      space.MintProjections(minter);
       AdoptSpace(std::move(space_), FrontierState::kCapped, frontier_begin,
-                 system_, limits_);
+                 system_, limits_, std::move(minter));
       throw;
     }
     Finalize(pool);
@@ -448,7 +454,6 @@ void SpaceBuilder::RunLevels(int target_depth, internal::WorkerPool* pool) {
   const System& system = *system_;
   const std::size_t num_shards =
       pool != nullptr ? static_cast<std::size_t>(pool->size()) : 1;
-  const int P = space.num_processes_;
 
   struct Candidate {
     Event event;  // moved out once interned
@@ -646,11 +651,7 @@ void SpaceBuilder::RunLevels(int target_depth, internal::WorkerPool* pool) {
           space.links_.push_back(link);
           space.canon_hash_.push_back(c.key);
           space.canon_id_.push_back(id);
-          // Projection row, built on the stack before the append — Append
-          // can seal (and shrink-reallocate) the tail segment the parent
-          // row lives in.
-          const auto row = st.ChildRow(space, parent, c.event_id);
-          space.proj_class_.Append(row.data(), static_cast<std::size_t>(P));
+          st.proj.Mint(space, parent, c.event_id);
           // Next level arena row.
           const std::uint32_t* seq =
               ext_seqs[i].data() +
@@ -696,7 +697,6 @@ void SpaceBuilder::RunLevels(int target_depth, internal::WorkerPool* pool) {
 void SpaceBuilder::Finalize(internal::WorkerPool* pool) {
   ComputationSpace& space = *space_;
   State& st = *state_;
-  const int P = space.num_processes_;
   const std::size_t n = space.links_.size();
 
   // Merge the canonical-index suffix appended since the last Finalize into
@@ -753,16 +753,6 @@ void SpaceBuilder::Finalize(internal::WorkerPool* pool) {
     st.finalized_canon = n;
   }
 
-  // A [p]-partition's class count is derived from its offset column;
-  // pre-size them here so BuildBuckets only has to count and fill.  The
-  // bucket CSR is a pure function of proj_class_, so rebuilding from
-  // scratch after a Deepen/Ingest matches a fresh enumeration bit for bit.
-  space.bucket_offsets_.assign(static_cast<std::size_t>(P), {});
-  space.bucket_ids_.assign(static_cast<std::size_t>(P), {});
-  for (int p = 0; p < P; ++p)
-    space.bucket_offsets_[static_cast<std::size_t>(p)].assign(
-        st.proj_count[static_cast<std::size_t>(p)] + 1, 0);
-
   // Refresh every cached [G]-table in place; BuildBuckets fills their CSR
   // columns alongside the singleton ones.  The replay visits ids in the
   // same order as the original build, so old ids keep their [G]-classes.
@@ -775,7 +765,9 @@ void SpaceBuilder::Finalize(internal::WorkerPool* pool) {
     }
   }
 
-  ComputationSpace::BuildBuckets(space, pool);
+  // The bucket CSR is a pure function of proj_class_, so rebuilding it from
+  // scratch after a Deepen/Ingest matches a fresh enumeration bit for bit.
+  ComputationSpace::BuildBuckets(space, st.proj.count, pool);
 
   // Sealed spaces report the depth their BFS reached; Ingest can splice in
   // longer classes without extending the exhaustive frontier, so it leaves
@@ -933,8 +925,7 @@ std::size_t SpaceBuilder::Ingest(std::span<const Event> events) {
       space.canon_id_.Insert(at, id);
       ++st.finalized_canon;
 
-      const auto row = st.ChildRow(space, cur, eid);
-      space.proj_class_.Append(row.data(), static_cast<std::size_t>(P));
+      st.proj.Mint(space, cur, eid);
 
       // Successor CSR: an empty row for the newcomer, then the parent edge.
       space.succ_offsets_.push_back(space.succ_offsets_.back());
@@ -977,7 +968,8 @@ std::size_t SpaceBuilder::Ingest(const sim::Trace& trace,
 void SpaceBuilder::AdoptSpace(std::unique_ptr<ComputationSpace> space,
                               FrontierState frontier,
                               std::size_t frontier_begin, const System* system,
-                              const EnumerationLimits& limits) {
+                              const EnumerationLimits& limits,
+                              ComputationSpace::ProjectionMinter minter) {
   space_ = std::move(space);
   system_ = system;
   limits_ = limits;
@@ -988,9 +980,9 @@ void SpaceBuilder::AdoptSpace(std::unique_ptr<ComputationSpace> space,
   state_ = std::make_unique<State>();
   ComputationSpace& sp = *space_;
   State& st = *state_;
-  const auto P = static_cast<std::size_t>(sp.num_processes_);
   const std::size_t n = sp.links_.size();
   st.finalized_canon = n;
+  st.proj = std::move(minter);
   if (sealed_) return;  // Deepen/Ingest both refuse; skip the O(n) replay
 
   // Rebuild the event interner from the pool (pool ids are the intern
@@ -1001,26 +993,6 @@ void SpaceBuilder::AdoptSpace(std::unique_ptr<ComputationSpace> space,
     st.event_index[h].push_back(static_cast<std::uint32_t>(i));
     st.event_hash.push_back(h);
   }
-
-  // Replay the [p]-class mint rule over the links in id order: classes
-  // were minted in id order, so the replay rebuilds the extension maps and
-  // counters exactly, and a stored row or class count it does not
-  // reproduce is a corrupt space.  Sequential id-order reads — segments
-  // fault in one at a time and can spill again at the next trim.
-  st.proj_extend.resize(P);
-  st.proj_count.assign(P, 1);
-  for (std::size_t id = 1; id < n; ++id) {
-    const ComputationSpace::ClassLink link = sp.links_[id];
-    const auto row = st.ChildRow(sp, link.parent, link.event);
-    if (!std::equal(row.begin(), row.begin() + P, sp.proj_class_.Row(id)))
-      throw ModelError("SpaceBuilder: corrupt projection row of class " +
-                       std::to_string(id));
-  }
-  for (std::size_t p = 0; p < P; ++p)
-    if (st.proj_count[p] !=
-        sp.PartitionOf(ProcessSet::Of(static_cast<ProcessId>(p))).NumClasses())
-      throw ModelError("SpaceBuilder: corrupt [p]-class count of process " +
-                       std::to_string(p));
 
   if (capped_) {
     // Rehydrate the frontier arena from the stored splice chains: the
@@ -1050,10 +1022,16 @@ void SpaceBuilder::AdoptSpace(std::unique_ptr<ComputationSpace> space,
 }
 
 void ComputationSpace::BuildBuckets(ComputationSpace& space,
+                                    const std::vector<std::uint32_t>& counts,
                                     internal::WorkerPool* pool) {
   const std::size_t n = space.links_.size();
   const auto P = static_cast<std::size_t>(space.num_processes_);
   const unsigned shift = space.proj_class_.shift();
+  // A [p]-partition's class count is its offset column's size less one.
+  space.bucket_offsets_.assign(P, {});
+  space.bucket_ids_.assign(P, {});
+  for (std::size_t p = 0; p < P; ++p)
+    space.bucket_offsets_[p].assign(counts[p] + 1, 0);
   auto build_for = [&](std::size_t p) {
     // Counting sort of class ids by [p]-class: ids land ascending within
     // each bucket because they are scanned in ascending order.  Both
@@ -1190,19 +1168,12 @@ ComputationSpace::ProjectionTrie(ProcessId p) const {
   // derived stay valid and only new classes are linked.  Nothing needs
   // rolling back: a Deepen that throws never reaches Finalize, so the class
   // count, and every trie built from it, stays as it was.
-  const auto refuse = [&](std::size_t cls, const char* why) {
-    throw ModelError("ComputationSpace: corrupt [p]-class " +
-                     std::to_string(cls) + " of process " + std::to_string(p) +
-                     ": " + why);
-  };
+  //
   // A class is minted at its smallest member (Representative) by a link
-  // event on p — ChildRow's mint rule — so its link names the event and,
-  // through the parent's row, the class one event shorter; class 0, the
-  // empty projection, is the root's.  Buckets are derived from the
-  // projection column, which a snapshot load requires numbered by first
-  // occurrence: every bucket is non-empty and the parent's class, minted
-  // earlier, is smaller.  A sealed snapshot skips AdoptSpace's replay of
-  // the mint rule, so whether the event is on p is checked here.
+  // event on p — ProjectionMinter's rule, the one every space's rows come
+  // from — so its link names the event and, through the parent's row, the
+  // class one event shorter, minted earlier and so smaller; class 0, the
+  // empty projection, is the root's.
   if (trie.size() < classes) trie.reserve(classes);
   for (std::size_t cls = trie.size(); cls < classes; ++cls) {
     if (cls == 0) {
@@ -1211,8 +1182,6 @@ ComputationSpace::ProjectionTrie(ProcessId p) const {
     }
     const ClassLink link =
         links_[part.Representative(static_cast<std::uint32_t>(cls))];
-    if (event_pool_[link.event].process != p)
-      refuse(cls, "its representative's link event is not on the process");
     const std::uint32_t parent = proj_class_.Row(link.parent)[p];
     trie.push_back(ProjectionLink{parent, link.event});
   }

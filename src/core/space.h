@@ -51,7 +51,8 @@
 // it appends that event — so a child's [p]-class is inherited from its
 // parent for p != e.process and looked up (or minted) by the key (parent's
 // [p]-class, event id) for p == e.process.  Classifying a class costs O(1)
-// amortized instead of hashing its projections.
+// amortized instead of hashing its projections, and the rows are a
+// function of the links: snapshots do not store them, a load re-mints them.
 //
 // On top of the singleton [p]-classes sits the group ([G]-class) layer: for
 // a process set G, the [G]-equivalence x [G] y (equal projections on every
@@ -96,6 +97,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -277,9 +279,8 @@ class ComputationSpace {
   // projection buffer is recycled across classes, so a class costs the
   // Event copies where it differs from the previous one.  `projection` is
   // valid only during the call.  Concurrent calls over disjoint ranges are
-  // safe.  Throws ModelError when p is not a process of the system, or
-  // when a stored [p]-class breaks the mint rule the trie relies on (a
-  // corrupt snapshot), and std::out_of_range unless end <= NumClasses.
+  // safe.  Throws ModelError when p is not a process of the system, and
+  // std::out_of_range unless end <= NumClasses.
   template <typename Need, typename Fn>
   void ForEachProjection(ProcessId p, std::size_t begin, std::size_t end,
                          Need&& need, Fn&& fn) const {
@@ -530,13 +531,41 @@ class ComputationSpace {
   // after num_processes_ is set and before any column grows.
   void InitColumns(const SegmentOptions& options);
 
+  // The one [p]-class mint rule (see the header comment): a child's row is
+  // its parent's with the extending event's process moved to the class
+  // keyed (parent [p]-class, event id), minted on first sight.  Minting the
+  // same links in id order always gives the same class numbers, so Build,
+  // Deepen and Ingest mint each new class here, and a snapshot load and a
+  // failed Deepen re-mint every row through MintProjections.
+  struct ProjectionMinter {
+    // Per process: (parent class << 32 | event id) -> minted class.
+    std::vector<std::unordered_map<std::uint64_t, std::uint32_t>> extend;
+    std::vector<std::uint32_t> count;  // per process: classes minted
+
+    // Forgets every minted class and appends the root's row.
+    void Start(ComputationSpace& space);
+    // Appends the row of the child of `parent` extended by pool event
+    // `event`.  The row is built on the stack first: the append can seal
+    // (and shrink-reallocate) the tail segment the parent row lives in.
+    void Mint(ComputationSpace& space, std::size_t parent,
+              std::uint32_t event);
+  };
+
+  // Re-derives proj_class_ from the links: starts `minter` over and mints
+  // every class's row in id order (parents have smaller ids), trimming
+  // residency after each segment when a budget is set.
+  void MintProjections(ProjectionMinter& minter);
+
   // Builds the per-process CSR buckets from proj_class_ by counting sort
-  // (phase 2 of construction); one independent task per process when a pool
-  // is given.  Streams the projection column segment-at-a-time under pins,
-  // trimming residency as it goes when a budget is set.  Also fills every
-  // cached [G]-table whose classes ReplayGroupClasses just replayed
-  // (SpaceBuilder::Finalize, and a snapshot load, which derives both).
-  static void BuildBuckets(ComputationSpace& space, internal::WorkerPool* pool);
+  // (phase 2 of construction), sized by the minted class counts `counts`;
+  // one independent task per process when a pool is given.  Streams the
+  // projection column segment-at-a-time under pins, trimming residency as
+  // it goes when a budget is set.  Also fills every cached [G]-table whose
+  // classes ReplayGroupClasses just replayed (SpaceBuilder::Finalize, and a
+  // snapshot load, which derives both).
+  static void BuildBuckets(ComputationSpace& space,
+                           const std::vector<std::uint32_t>& counts,
+                           internal::WorkerPool* pool);
 
   // The one way a [G]-table is built: replays the class links in id order
   // through an inherit-or-mint scan into a fresh `cls` column and sizes
@@ -584,11 +613,9 @@ class ComputationSpace {
   };
 
   // The projection trie of p over every current [p]-class: extended on
-  // demand under group_mutex_ after the space grows.
-  // Each new class's minting event is checked to be on p, so a corrupt
-  // sealed snapshot is refused with ModelError; a snapshot load already
-  // keeps every parent class smaller, so the walk cannot loop.  The span is
-  // stable until the space grows.
+  // demand under group_mutex_ after the space grows.  Every space's rows
+  // come from the mint rule, so each class's parent class is smaller and
+  // the walk cannot loop.  The span is stable until the space grows.
   std::span<const ProjectionLink> ProjectionTrie(ProcessId p) const;
 
   // ForEachProjection's state: the current projection (its classes and
@@ -695,8 +722,8 @@ class ComputationSpace {
 // finalizes) the prefixes before the failing event — either way the space
 // stays whole and readers need no Refresh.
 //
-// Snapshots: serialization.h saves a builder with its frontier
-// (hpl-space-v3) so a served space can be loaded and then deepened;
+// Snapshots: serialization.h saves a builder with its frontier so a
+// served space can be loaded and then deepened;
 // loading a frontier-less snapshot (a truncated space saved without its
 // builder) yields a sealed builder — Ingest still works, Deepen throws.
 class SpaceBuilder {
@@ -775,16 +802,16 @@ class SpaceBuilder {
     kIngested = 3,  // Ingest broke level order: Ingest only, no Deepen
   };
 
-  // Wraps an existing space (e.g. loaded from a snapshot) in a builder:
-  // reconstructs the transient state — event interner, projection-extension
-  // maps, and for kCapped the frontier arena (classes
-  // [frontier_begin, size)) — by replaying the stored columns in id order,
-  // which reproduces the live maps byte for byte.  Throws ModelError when a
-  // stored [p]-class is not the one the mint rule replays.  Also the path a
-  // failed Deepen re-parks its frontier through.
+  // Wraps an existing space (loaded from a snapshot, or cut back by a
+  // failed Deepen) in a builder, taking over `minter`, the extension maps
+  // that minted its projection rows: reconstructs the rest of the
+  // transient state — the event interner, and for kCapped the frontier
+  // arena (classes [frontier_begin, size)) — by replaying the stored
+  // columns in id order, which reproduces the live state byte for byte.
   void AdoptSpace(std::unique_ptr<ComputationSpace> space,
                   FrontierState frontier, std::size_t frontier_begin,
-                  const System* system, const EnumerationLimits& limits);
+                  const System* system, const EnumerationLimits& limits,
+                  ComputationSpace::ProjectionMinter minter);
 
   void RequireSpace(const char* what) const;
   // First class id of the parked frontier level (kCapped builders only);

@@ -1,4 +1,4 @@
-// An independent walk of the hpl-space-v4 byte layout, for tests that craft
+// An independent walk of the hpl-space-v5 byte layout, for tests that craft
 // snapshot files: where each field and column lies, and how to recompute
 // the segment-directory and whole-file checksums after a patch so the
 // patched file reaches the loader's validators instead of its checksum
@@ -68,7 +68,6 @@ struct Layout {
   Span pool;
   std::vector<std::size_t> event_at;  // where each pool event begins
   Span links, canon_hash, canon_id;
-  Counted proj;
   Counted succ_offsets, succ_classes, succ_events;
   std::vector<std::size_t> group_mask_at;  // one u64 mask per [G]-table
   std::size_t checksum_at = 0;
@@ -78,7 +77,6 @@ struct Layout {
     const Span spans[] = {links,
                           canon_hash,
                           canon_id,
-                          proj.payload,
                           succ_offsets.payload,
                           succ_classes.payload,
                           succ_events.payload};
@@ -131,7 +129,6 @@ inline Layout Parse(const std::string& bytes) {
   l.links = span(l.classes, 12);
   l.canon_hash = span(l.classes, 8);
   l.canon_id = span(l.classes, 4);
-  l.proj = counted();
   l.succ_offsets = counted();
   l.succ_classes = counted();
   l.succ_events = counted();
@@ -145,12 +142,12 @@ inline Layout Parse(const std::string& bytes) {
   return l;
 }
 
-// Recomputes the seven directory checksums over `layout`'s payload ranges,
+// Recomputes the six directory checksums over `layout`'s payload ranges,
 // then the trailing whole-file checksum, in place.  `layout` is the
 // unpatched file's: a patch that moves fields leaves the ranges stale, and
 // the load then fails structurally instead of on a checksum.
 inline void Reseal(std::string& bytes, const Layout& layout) {
-  for (std::size_t i = 0; i < layout.dir_checksum_at.size() && i < 7; ++i) {
+  for (std::size_t i = 0; i < layout.dir_checksum_at.size() && i < 6; ++i) {
     const Span s = layout.DirPayload(i);
     PutLe(bytes, layout.dir_checksum_at[i],
           Fnv1a(std::string_view(bytes).substr(s.begin, s.end - s.begin)), 8);

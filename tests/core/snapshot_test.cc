@@ -1,12 +1,12 @@
-// Binary space snapshots (hpl-space-v4): round-trip invariants.
+// Binary space snapshots (hpl-space-v5): round-trip invariants.
 // (Builder snapshots — frontier round-trip, sealed loads, rejection of the
-// retired versions 1 to 3 — are covered in space_builder_test.cc.)
+// retired versions 1 to 4 — are covered in space_builder_test.cc.)
 //
 // The contract under test is byte-identity — a loaded space must be
 // indistinguishable from the freshly enumerated one: same class ids,
-// canonical forms, hashes, projection classes, successors, the buckets and
-// group tables a load derives from the projection rows (the file stores
-// only the group masks), and (within allocator slack) the same
+// canonical forms, hashes, successors, the projection classes a load mints
+// from the links, the buckets and group tables it derives from them (the
+// file stores only the group masks), and (within allocator slack) the same
 // MemoryUsage(); knowledge
 // verdicts evaluated against it must match the definitional oracle over the
 // fresh space exactly, kernels on and off, at 1 and 4 threads.  Corrupt,
@@ -14,7 +14,6 @@
 // or silently load — and so must files whose checksums hold but whose ids
 // point outside their columns.  The saved bytes and the truncation messages
 // are pinned.
-#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <streambuf>
@@ -290,6 +289,28 @@ TEST(SnapshotTest, RejectsACountTheInputCannotHold) {
   EXPECT_THROW(LoadSpaceSnapshot(unseekable), ModelError);
 }
 
+TEST(SnapshotTest, RejectsAFileWithoutTheRootClass) {
+  // Every space holds the root, and a load mints the projection rows from
+  // it, so a class count of 0 is refused as soon as the header is read.
+  const auto fresh = EnumerateRandom(2);
+  std::string bytes = SnapshotBytes(fresh);
+  // magic, version, processes, two flags, reserved u16, the length-prefixed
+  // name.
+  const std::size_t classes_at =
+      8 + 4 + 4 + 1 + 1 + 2 + 4 + fresh.system_name().size();
+  for (std::size_t i = 0; i < 8; ++i) bytes[classes_at + i] = 0;
+  std::istringstream header(bytes);
+  ASSERT_EQ(ReadSpaceSnapshotInfo(header).classes, 0u);
+  try {
+    LoadBytes(bytes);
+    FAIL() << "a file without classes loaded";
+  } catch (const ModelError& error) {
+    EXPECT_NE(std::string(error.what()).find("snapshot has no classes"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(SnapshotTest, RejectsAnOutOfRangeSegmentShift) {
   // `snapshot info` prints 1 << segment_shift, so a corrupt shift must be
   // rejected when the header is read, not shifted.
@@ -350,12 +371,12 @@ TEST(SnapshotTest, DifferentialSatisfyingSets) {
 
 // --- Format pins -------------------------------------------------------------
 //
-// hpl-space-v4 bytes are a contract: files saved by earlier builds must load,
+// hpl-space-v5 bytes are a contract: files saved by earlier builds must load,
 // and a rewrite of the I/O paths must not move a byte.  The lengths and
-// FNV-1a digests below were derived from the v3 files of the same spaces,
-// themselves pinned from an element-by-element writer, by cutting out the
-// bucket and [G]-table columns (keeping the masks), so they do not depend
-// on the writer they check.
+// FNV-1a digests below were derived from the v4 files of the same spaces
+// (themselves cut from v3 files pinned from an element-by-element writer)
+// by cutting out the projection column and its directory row, so they do
+// not depend on the writer they check.
 
 struct Pin {
   std::size_t length;
@@ -370,7 +391,7 @@ void ExpectPinned(const std::string& bytes, const Pin& pin, const char* what) {
 TEST(SnapshotFormatTest, CompleteSpaceBytesArePinned) {
   protocols::TokenBusSystem bus(/*num_processes=*/4, /*passes=*/4);
   ExpectPinned(SnapshotBytes(ComputationSpace::Enumerate(bus)),
-               {1996, 11838304003665495398ull}, "tokenbus(4,4)");
+               {1592, 3742376582678808276ull}, "tokenbus(4,4)");
 }
 
 TEST(SnapshotFormatTest, CappedBuilderBytesArePinned) {
@@ -382,7 +403,7 @@ TEST(SnapshotFormatTest, CappedBuilderBytesArePinned) {
   builder.Build(bus, limits);
   std::ostringstream out;
   SaveSpaceBuilderSnapshot(builder, out);
-  ExpectPinned(out.str(), {1320, 10616252623752191204ull},
+  ExpectPinned(out.str(), {1076, 10783140252654968150ull},
                "tokenbus(4,4) capped at 6");
 }
 
@@ -390,7 +411,7 @@ TEST(SnapshotFormatTest, GroupIndexBytesArePinned) {
   const auto space = EnumerateRandom(11);
   space.EnsureGroupIndex(ProcessSet{0, 1});
   space.EnsureGroupIndex(ProcessSet{2, 3});
-  ExpectPinned(SnapshotBytes(space), {471858, 18386983614797309306ull},
+  ExpectPinned(SnapshotBytes(space), {353982, 6138625375408145479ull},
                "random(11) + 2 groups");
 }
 
@@ -437,8 +458,6 @@ TEST(SnapshotFormatTest, TruncationNamesTheFieldOfTheFirstMissingByte) {
       {link + 11, Truncated("link length")},
       {l.canon_hash.begin + 11, Truncated("canon hash")},
       {l.canon_id.begin + 6, Truncated("canon id")},
-      {l.proj.count_at + 3, Truncated("projection classes")},
-      {l.proj.payload.begin + 5, Truncated("projection classes")},
       {l.succ_offsets.count_at + 1, Truncated("successor offsets")},
       {l.succ_offsets.payload.begin + 2, Truncated("successor offsets")},
       {l.succ_classes.payload.begin + 6, Truncated("successor classes")},
@@ -464,8 +483,6 @@ TEST(SnapshotFormatTest, TruncationAtAChunkBoundaryNamesTheField) {
   EXPECT_EQ(TruncationMessage(bytes, chunk_end + 8), Truncated("link pos"));
   EXPECT_EQ(TruncationMessage(bytes, l.canon_hash.begin + 4096 * 8 + 7),
             Truncated("canon hash"));
-  EXPECT_EQ(TruncationMessage(bytes, l.proj.payload.begin + 4096 * 4),
-            Truncated("projection classes"));
 }
 
 // --- Checksum-consistent defects ---------------------------------------------
@@ -539,71 +556,6 @@ TEST(SnapshotDefectTest, LinkSplicePositionPastItsParent) {
                "class 1 (length 1, splice position 3) does not extend");
 }
 
-TEST(SnapshotDefectTest, ProjectionClassPastTheClassCount) {
-  const std::string bytes = SmallBusBytes();
-  ExpectDefect(bytes, sb::Parse(bytes).proj.payload.begin, 1000, 4,
-               "projection class 1000 of process 0 at class 0 is not numbered "
-               "by first occurrence (the next new class is 0)");
-}
-
-// A process that class 1's extending event is not on: its projection of
-// class 1 is the root's, class 0.
-std::uint32_t ProcessOffClass1(const std::string& bytes) {
-  const sb::Layout l = sb::Parse(bytes);
-  const std::uint64_t event = sb::GetLe(bytes, l.links.begin + 12 + 4, 4);
-  return sb::GetLe(bytes, l.event_at[static_cast<std::size_t>(event)], 4) == 0
-             ? 1u
-             : 0u;
-}
-
-TEST(SnapshotDefectTest, ProjectionClassSkipsAClassNumber) {
-  // Class 2 at class 1 for a process whose only class so far is 0: below
-  // the process's class count, so no range check can see it, but class 1
-  // is skipped.
-  const std::string bytes = SmallBusBytes();
-  const sb::Layout l = sb::Parse(bytes);
-  const std::uint32_t other = ProcessOffClass1(bytes);
-  ASSERT_EQ(sb::GetLe(bytes, l.proj.payload.begin + 4 * (l.processes + other),
-                      4),
-            0u);
-  ExpectDefect(bytes, l.proj.payload.begin + 4 * (l.processes + other), 2, 4,
-               "projection class 2 of process " + std::to_string(other) +
-                   " at class 1 is not numbered by first occurrence (the "
-                   "next new class is 1)");
-}
-
-TEST(SnapshotDefectTest, ProjectionClassOfAParentMovedIntoItsChild) {
-  // The parent of a [1]-class's first member, moved into that class while
-  // a class minted between them is still unopened.  With stored buckets
-  // this file used to load, and the projection trie saw a class whose
-  // parent class was not smaller, a walk that would loop.
-  protocols::TokenBusSystem bus(/*num_processes=*/3, /*passes=*/4);
-  EnumerationLimits limits;
-  limits.max_depth = 6;
-  limits.allow_truncation = true;
-  const auto space = ComputationSpace::Enumerate(bus, limits);
-  const std::string bytes = SnapshotBytes(space);
-  const sb::Layout l = sb::Parse(bytes);
-  const Partition part = space.PartitionOf(ProcessSet{1});
-  for (std::uint32_t c = 1; c < part.NumClasses(); ++c) {
-    const std::uint64_t parent =
-        sb::GetLe(bytes, l.links.begin + 12 * part.Representative(c), 4);
-    std::uint32_t next = 0;  // the class a new [1]-class at `parent` gets
-    for (std::uint64_t id = 0; id < parent; ++id)
-      next = std::max(next, part.ClassOf(id) + 1);
-    if (c <= next) continue;
-    ExpectDefect(bytes, l.proj.payload.begin + 4 * (parent * l.processes + 1),
-                 c, 4,
-                 "projection class " + std::to_string(c) +
-                     " of process 1 at class " + std::to_string(parent) +
-                     " is not numbered by first occurrence (the next new "
-                     "class is " +
-                     std::to_string(next) + ")");
-    return;
-  }
-  FAIL() << "no [1]-class opens after its parent's next new class";
-}
-
 TEST(SnapshotDefectTest, SuccessorOffsetsNotACsrPrefix) {
   const std::string bytes = SmallBusBytes();
   const sb::Layout l = sb::Parse(bytes);
@@ -645,44 +597,16 @@ TEST(SnapshotDefectTest, CappedFrontierOffTheBuiltDepth) {
                "of length 4, not at the built depth 3");
 }
 
-TEST(SnapshotDefectTest, ProjectionTrieRefusesAMintOffTheProcess) {
-  // A bare load skips the builder's replay of the mint rule, so it cannot
-  // tell that class 1 opens a new [p]-class of a process its event is not
-  // on: the numbering stays first-occurrence.  The first query of an atom
-  // local to that process must refuse the file by name.
-  const protocols::TokenBusSystem bus(/*num_processes=*/3, /*passes=*/3);
-  std::string bytes = SmallBusBytes();
-  const sb::Layout l = sb::Parse(bytes);
-  const std::uint32_t other = ProcessOffClass1(bytes);
-  sb::PutLe(bytes, l.proj.payload.begin + 4 * (l.processes + other), 1, 4);
-  sb::Reseal(bytes, l);
-  const auto loaded = LoadBytes(bytes);
-  KnowledgeEvaluator eval(loaded, {.num_threads = 1});
-  try {
-    (void)eval.SatisfyingSet(
-        Formula::Atom(bus.HoldsToken(static_cast<ProcessId>(other))));
-    FAIL() << "a [p]-class minted off its process was not refused";
-  } catch (const ModelError& error) {
-    EXPECT_NE(std::string(error.what())
-                  .find("corrupt [p]-class 1 of process " +
-                        std::to_string(other) +
-                        ": its representative's link event is not on the "
-                        "process"),
-              std::string::npos)
-        << error.what();
-  }
-}
-
 TEST(SnapshotDefectTest, AChecksumErrorWinsOverTheDefect) {
-  // Unsealed, the same out-of-range projection class is plain corruption.
+  // Unsealed, the same out-of-range successor class is plain corruption.
   std::string bytes = SmallBusBytes();
-  sb::PutLe(bytes, sb::Parse(bytes).proj.payload.begin, 1000, 4);
+  sb::PutLe(bytes, sb::Parse(bytes).succ_classes.payload.begin, 99, 4);
   try {
     (void)LoadBytes(bytes);
     FAIL() << "loaded a corrupt file";
   } catch (const ModelError& error) {
     EXPECT_EQ(std::string(error.what()),
-              "LoadSpaceSnapshot: column 'proj' checksum mismatch (corrupt "
+              "LoadSpaceSnapshot: column 'succc' checksum mismatch (corrupt "
               "snapshot)");
   }
 }

@@ -8,8 +8,10 @@
 // literal (lockstep) spaces alike.  KnowledgeEvaluator::Refresh() must
 // keep verdicts identical to a from-scratch evaluator across every memo
 // tier.  Ingest must splice observed events into exactly the classes a
-// full enumeration would have minted, and a v2 builder snapshot must
-// round-trip with its frontier live; v1 snapshots load sealed.
+// full enumeration would have minted, and a builder snapshot must
+// round-trip with its frontier live (capped or ingested); snapshots saved
+// without a frontier load sealed, and retired format versions are refused.
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <sstream>
@@ -604,6 +606,72 @@ TEST(SpaceBuilderTest, BuilderSnapshotRoundTripsAndDeepens) {
                 bus, TruncatableLimits(6, /*threads=*/1))));
 }
 
+TEST(SpaceBuilderTest, IngestedBuilderSnapshotRoundTrips) {
+  // Two ingested runs mint a length-3 class after a length-6 one, so the
+  // ids are out of BFS level order (frontier state `ingested`).  A load
+  // mints the projection rows from the links in id order; both load paths
+  // must give the live builder's [p]-partitions, and the loaded builder
+  // must keep ingesting exactly as the live one does.
+  RandomSystemOptions options;
+  options.seed = 7;
+  const RandomSystem system(options);
+  // The run whose step k takes the last enabled event when bit k of
+  // `picks` is set, the first otherwise.
+  const auto walk = [&](std::uint32_t picks) {
+    std::vector<Event> events;
+    while (events.size() < 8) {
+      const auto enabled =
+          system.EnabledEvents(Computation::TrustedFromEvents(events));
+      if (enabled.empty()) break;
+      const bool last = (picks >> events.size()) & 1;
+      events.push_back(last ? enabled.back() : enabled.front());
+    }
+    return events;
+  };
+  SpaceBuilder live;
+  live.Build(system, TruncatableLimits(2, /*threads=*/1));
+  ASSERT_GT(live.Ingest(std::span<const Event>(walk(0))), 0u);
+  ASSERT_GT(live.Ingest(std::span<const Event>(walk(0xff))), 0u);
+  const ComputationSpace& space = live.space();
+  const auto by_length = space.IdsByLength();
+  ASSERT_FALSE(std::is_sorted(by_length.begin(), by_length.end()));
+  const std::string bytes = BuilderBytes(live);
+  std::istringstream header(bytes);
+  ASSERT_EQ(ReadSpaceSnapshotInfo(header).frontier, 3u);
+
+  const auto expect_live_partitions = [&](const ComputationSpace& loaded) {
+    ASSERT_EQ(loaded.size(), space.size());
+    for (ProcessId p = 0; p < space.num_processes(); ++p) {
+      const Partition want = space.PartitionOf(ProcessSet::Of(p));
+      const Partition got = loaded.PartitionOf(ProcessSet::Of(p));
+      ASSERT_EQ(got.NumClasses(), want.NumClasses()) << p;
+      for (std::size_t id = 0; id < space.size(); ++id)
+        EXPECT_EQ(got.ClassOf(id), want.ClassOf(id)) << p << ' ' << id;
+      for (std::uint32_t c = 0; c < want.NumClasses(); ++c) {
+        const auto a = want.Bucket(c);
+        const auto b = got.Bucket(c);
+        EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+            << p << ' ' << c;
+      }
+    }
+  };
+  std::istringstream bare(bytes);
+  expect_live_partitions(LoadSpaceSnapshot(bare));
+  std::istringstream in(bytes);
+  SpaceBuilder loaded =
+      LoadSpaceBuilderSnapshot(system, in, TruncatableLimits(2, /*threads=*/1));
+  expect_live_partitions(loaded.space());
+  EXPECT_EQ(BuilderBytes(loaded), bytes);
+
+  // A third run mints new [p]-classes on top of the loaded extension maps.
+  const auto third = walk(0x55);
+  const std::size_t minted = live.Ingest(std::span<const Event>(third));
+  ASSERT_GT(minted, 0u);
+  EXPECT_EQ(loaded.Ingest(std::span<const Event>(third)), minted);
+  EXPECT_EQ(BuilderBytes(loaded), BuilderBytes(live));
+  expect_live_partitions(loaded.space());
+}
+
 TEST(SpaceBuilderTest, TruncatedSpaceSnapshotLoadsSealed) {
   // A bare truncated space lost its frontier with its builder, so its
   // snapshot records state 0 (sealed) and loads query-only.
@@ -624,15 +692,16 @@ TEST(SpaceBuilderTest, TruncatedSpaceSnapshotLoadsSealed) {
   EXPECT_EQ(SnapshotBytes(loaded.space()), bytes);
 }
 
-TEST(SpaceBuilderTest, PreV4SnapshotsAreRejected) {
-  // Versions 1 and 2 predate the segment directory, and version 3 stores
-  // the buckets and [G]-tables a load now derives; every reader refuses
-  // them with an error that names the version and says how to recover.
+TEST(SpaceBuilderTest, PreV5SnapshotsAreRejected) {
+  // Versions 1 and 2 predate the segment directory, version 3 stores the
+  // buckets and [G]-tables a load now derives, and version 4 the
+  // projection rows it now mints; every reader refuses them with an error
+  // that names the version and says how to recover.
   protocols::TokenBusSystem bus(3, 3);
-  const std::string v4 = SnapshotBytes(
+  const std::string v5 = SnapshotBytes(
       ComputationSpace::Enumerate(bus, TruncatableLimits(4, /*threads=*/1)));
-  for (const char version : {1, 2, 3}) {
-    std::string bytes = v4;
+  for (const char version : {1, 2, 3, 4}) {
+    std::string bytes = v5;
     bytes[8] = version;  // the u32 after the 8-byte magic, little-endian
     const std::string named = "snapshot version " + std::to_string(version);
     const auto expect_rejected = [&](const auto& read) {

@@ -191,7 +191,7 @@ TEST(SpaceSegmentedTest, SnapshotRoundTripsUnderBudget) {
     std::istringstream in(bytes);
     const SpaceSnapshotInfo info = ReadSpaceSnapshotInfo(in);
     EXPECT_EQ(info.version, kSpaceSnapshotVersion);
-    EXPECT_EQ(info.segment_columns, 7u);
+    EXPECT_EQ(info.segment_columns, 6u);
     EXPECT_GT(info.segments, 0u);
     EXPECT_GT(info.segment_shift, 0u);
   }
