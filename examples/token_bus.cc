@@ -35,11 +35,10 @@ int main(int argc, char** argv) {
   Computation x;
   auto report = [&](const char* what) {
     const auto holder = bus.TokenAt(x);
-    std::string at = "(in flight)";
-    if (holder.has_value()) {
-      at = "p";
-      at += std::to_string(*holder);
-    }
+    // Built by appends: gcc 12 -O3 misreads assigning "p" over the initial
+    // text as an overlapping copy and fails -Werror=restrict.
+    std::string at = holder.has_value() ? "p" : "(in flight)";
+    if (holder.has_value()) at += std::to_string(*holder);
     std::printf("%-28s token at %s  claim %s\n", what, at.c_str(),
                 eval.Holds(claim, space.RequireIndex(x)) ? "HOLDS"
                                                          : "does not hold");

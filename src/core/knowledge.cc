@@ -381,38 +381,36 @@ Partition KnowledgeEvaluator::Components(ProcessSet g) {
   auto it = components_.find(g.bits());
   if (it != components_.end()) return it->second.View();
 
-  // [G]-contracted build: all members of a [G]-class are mutually related
-  // through every p in G, so contract them to one union-find node and run
-  // the per-process unions over [G]-class representatives — two
-  // [G]-classes are p-adjacent iff their representatives share a
-  // [p]-class.  O(classes x |G|) unions instead of O(n x |G|).
-  const Partition classes = PartitionOf(g);
-  const auto num_classes = static_cast<std::uint32_t>(classes.NumClasses());
-  UnionFind uf(num_classes);
-  g.ForEach([&](ProcessId p) {
+  // Union the first member's [p]-classes: each other member's bucket joins
+  // the first-member classes of its ids, so a component is a union of
+  // first-member classes.  One pass over each member's buckets, with the
+  // first member's class per id scattered from its own; no [G]-table.
+  const ProcessId first = g.First();
+  const Partition base = PartitionOf(ProcessSet::Of(first));
+  internal::PartitionTable table;
+  std::vector<std::uint32_t>& cls = table.cls;
+  cls.resize(space_.size());
+  for (std::uint32_t c = 0; c < base.NumClasses(); ++c)
+    for (const std::uint32_t id : base.Bucket(c)) cls[id] = c;
+  UnionFind uf(base.NumClasses());
+  g.Minus(ProcessSet::Of(first)).ForEach([&](ProcessId p) {
     const Partition member = PartitionOf(ProcessSet::Of(p));
-    constexpr std::uint32_t kUnset = UINT32_MAX;
-    std::vector<std::uint32_t> first(member.NumClasses(), kUnset);
-    for (std::uint32_t c = 0; c < num_classes; ++c) {
-      const std::uint32_t pc = member.ClassOf(classes.Representative(c));
-      if (first[pc] == kUnset)
-        first[pc] = c;
-      else
-        uf.Union(first[pc], c);
+    for (std::uint32_t c = 0; c < member.NumClasses(); ++c) {
+      const std::span<const std::uint32_t> bucket = member.Bucket(c);
+      for (const std::uint32_t id : bucket.subspan(1))
+        uf.Union(cls[bucket.front()], cls[id]);
     }
   });
   // Number the components by first occurrence over ascending ids, whatever
   // union order produced the raw roots, so each component's representative
   // is its smallest member.
   constexpr std::uint32_t kUnseen = UINT32_MAX;
-  std::vector<std::uint32_t> number(num_classes, kUnseen);
+  std::vector<std::uint32_t> number(base.NumClasses(), kUnseen);
   std::uint32_t next = 0;
-  internal::PartitionTable table;
-  table.cls.resize(space_.size());
-  for (std::size_t id = 0; id < table.cls.size(); ++id) {
-    std::uint32_t& c = number[uf.Find(classes.ClassOf(id))];
-    if (c == kUnseen) c = next++;
-    table.cls[id] = c;
+  for (std::uint32_t& c : cls) {
+    std::uint32_t& component = number[uf.Find(c)];
+    if (component == kUnseen) component = next++;
+    c = component;
   }
   table.Fill(next);
   return components_.emplace(g.bits(), std::move(table)).first->second.View();

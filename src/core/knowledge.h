@@ -28,9 +28,9 @@
 // conjunction of K{p} f over p in G (paper Section 4, "P knows b" per
 // process), so every quantifier in it ranges over one member's
 // [p]-relation: it owns one [p]-row per member and never a [G]-row.
-// Common-knowledge components over |G| >= 2 are built through the
-// [G]-partition: [G]-classes are contracted first and the per-process
-// unions run over [G]-class representatives instead of every computation.
+// Common-knowledge components over |G| >= 2 union the first member's
+// [p]-classes over one pass of each other member's buckets, so CK builds
+// no [G]-table either.
 //
 // Both tiers are always on.  The only modal nodes without tier rows are
 // Knows / Sure / Possible over the empty group, which relate every class

@@ -927,16 +927,16 @@ struct SpaceSnapshotIO {
 
     // Everything else is a function of the links, so it is derived, not
     // read: the projection rows by the mint rule, in id order as the
-    // builder minted them; the saved [G]-tables' classes by the replay
-    // EnsureGroupIndex runs; then every CSR by the counting sort
-    // SpaceBuilder::Finalize runs.
+    // builder minted them; the [p]-buckets by the counting sort
+    // SpaceBuilder::Finalize runs; then the saved masks' [G]-tables by the
+    // refinement of those buckets that EnsureGroupIndex and Finalize run.
     ComputationSpace::ProjectionMinter minted;
     if (minter == nullptr) minter = &minted;
     space.MintProjections(*minter);
-    for (const std::uint64_t mask : masks)
-      space.ReplayGroupClasses(ProcessSet::FromBits(mask),
-                               space.group_index_[mask]);
     ComputationSpace::BuildBuckets(space, minter->count, nullptr);
+    for (const std::uint64_t mask : masks)
+      space.group_index_.try_emplace(mask);
+    space.RefreshGroupTables();
 
     space.built_depth_ = static_cast<int>(info.built_depth);
     trim();

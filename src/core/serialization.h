@@ -22,7 +22,8 @@
 //    the per-process [p]-class rows by the one mint rule the builder uses
 //    (ComputationSpace::ProjectionMinter, replayed over the links in id
 //    order), the [p]-buckets by the counting sort SpaceBuilder::Finalize
-//    runs, each saved mask's table by the replay EnsureGroupIndex runs.
+//    runs, then each saved mask's table by refining those buckets as
+//    EnsureGroupIndex does (ComputationSpace::RefineGroupTable).
 //    Bare and builder loads alike derive the rows; a builder load keeps
 //    the mint rule's extension maps, so Deepen and Ingest continue from
 //    them.  A loaded space is identical to the one saved:

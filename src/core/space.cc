@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <functional>
 #include <numeric>
 #include <stdexcept>
@@ -64,110 +63,6 @@ std::size_t UpperBound(const internal::SegColumn<T>& col, const T& v) {
   }
   return lo;
 }
-
-// Mints dense [G]-class ids for classes visited in ascending id order.  A
-// child whose extending event lies outside G inherits its parent's class
-// (its member projections are the parent's); otherwise the class is
-// hash-consed by the child's tuple of member [p]-class ids.  The tuple is
-// the only sound key for |G| >= 2: the same [G]-tuple is reachable through
-// parents that extend different member processes, so any
-// (parent-class, event)-shaped key would mint duplicate ids (see space.h).
-// Ids come out in first-occurrence order, so replaying the same links always
-// mints the same table.  ComputationSpace::ReplayGroupClasses is its only
-// user.
-//
-// The hash-cons table is flat open addressing: a slot holds class + 1 (0 is
-// empty), each class keeps its tuple hash, and a probe hit is confirmed by
-// comparing member tuples against the class's first member.  A new class
-// costs two array appends — no map node, no per-hash vector — and a rehash
-// reads only the stored hashes, never the projection column.
-class GroupClassMinter {
- public:
-  // `n`: the number of ids the replay will visit.
-  GroupClassMinter(ProcessSet g, std::size_t n) : g_(g) { cls_.reserve(n); }
-
-  // Visit class `id` (ids strictly ascending from 0, the root).  `proj` is
-  // the space's proj_class_ column, already filled through `id`'s row.
-  void Classify(std::size_t id, std::size_t parent, ProcessId extend_process,
-                const internal::SegColumn<std::uint32_t>& proj) {
-    if (id == 0) {
-      // The root: every projection is empty.  Its tuple can never collide
-      // with a minted one (minting appends an event on a member process),
-      // so it is not registered in the hash table.
-      rep_.push_back(0);
-      hash_.push_back(0);
-      cls_.push_back(0);
-      return;
-    }
-    if (!g_.Contains(extend_process)) {
-      cls_.push_back(cls_[parent]);
-      return;
-    }
-    const std::uint32_t* row = proj.Row(id);
-    std::uint64_t h = 14695981039346656037ull;  // FNV-1a over the tuple
-    g_.ForEach([&](ProcessId p) {
-      h ^= row[static_cast<std::size_t>(p)];
-      h *= 1099511628211ull;
-    });
-    if (2 * rep_.size() >= slots_.size()) Grow();
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = SlotOf(h);
-    for (; slots_[i] != 0; i = (i + 1) & mask) {
-      const std::uint32_t c = slots_[i] - 1;
-      if (hash_[c] == h && TupleEqual(row, proj.Row(rep_[c]))) {
-        cls_.push_back(c);
-        return;
-      }
-    }
-    const auto c = static_cast<std::uint32_t>(rep_.size());
-    slots_[i] = c + 1;
-    rep_.push_back(static_cast<std::uint32_t>(id));
-    hash_.push_back(h);
-    cls_.push_back(c);
-  }
-
-  std::uint32_t num_classes() const {
-    return static_cast<std::uint32_t>(rep_.size());
-  }
-  std::vector<std::uint32_t> TakeClasses() { return std::move(cls_); }
-
- private:
-  // Fibonacci hashing: the multiply folds every bit of the tuple hash into
-  // the top bits the shift keeps.
-  std::size_t SlotOf(std::uint64_t h) const {
-    return static_cast<std::size_t>((h * 0x9E3779B97F4A7C15ull) >> shift_);
-  }
-
-  // Doubles the table (1024 slots at first) and re-inserts every class but
-  // the unregistered root; keeps the load factor at most 1/2.
-  void Grow() {
-    const std::size_t size = slots_.empty() ? 1024 : 2 * slots_.size();
-    shift_ = 64 - static_cast<unsigned>(std::countr_zero(size));
-    slots_.assign(size, 0);
-    for (std::uint32_t c = 1; c < rep_.size(); ++c) {
-      std::size_t i = SlotOf(hash_[c]);
-      while (slots_[i] != 0) i = (i + 1) & (size - 1);
-      slots_[i] = c + 1;
-    }
-  }
-
-  bool TupleEqual(const std::uint32_t* ra, const std::uint32_t* rb) const {
-    bool equal = true;
-    g_.ForEach([&](ProcessId p) {
-      if (equal && ra[static_cast<std::size_t>(p)] !=
-                       rb[static_cast<std::size_t>(p)])
-        equal = false;
-    });
-    return equal;
-  }
-
-  ProcessSet g_;
-  std::vector<std::uint32_t> cls_;   // per visited id: its [G]-class
-  std::vector<std::uint32_t> rep_;   // per [G]-class: first member id
-  std::vector<std::uint64_t> hash_;  // per [G]-class: its tuple hash
-  std::vector<std::uint32_t> slots_;  // open addressing: class + 1, 0 empty
-  unsigned shift_ = 64;
-};
 
 }  // namespace
 
@@ -753,21 +648,15 @@ void SpaceBuilder::Finalize(internal::WorkerPool* pool) {
     st.finalized_canon = n;
   }
 
-  // Refresh every cached [G]-table in place; BuildBuckets fills their CSR
-  // columns alongside the singleton ones.  The replay visits ids in the
-  // same order as the original build, so old ids keep their [G]-classes.
-  {
-    std::lock_guard<std::mutex> lock(*space.group_mutex_);
-    for (auto& [mask, table] : space.group_index_) {
-      // Untouched by a zero-growth Finalize.
-      if (table.cls.size() != n)
-        space.ReplayGroupClasses(ProcessSet::FromBits(mask), table);
-    }
-  }
-
   // The bucket CSR is a pure function of proj_class_, so rebuilding it from
   // scratch after a Deepen/Ingest matches a fresh enumeration bit for bit.
+  // The cached [G]-tables refine from it: first-occurrence numbering keeps
+  // old ids in their [G]-classes, and a zero-growth Finalize leaves them.
   ComputationSpace::BuildBuckets(space, st.proj.count, pool);
+  {
+    std::lock_guard<std::mutex> lock(*space.group_mutex_);
+    space.RefreshGroupTables();
+  }
 
   // Sealed spaces report the depth their BFS reached; Ingest can splice in
   // longer classes without extending the exhaustive frontier, so it leaves
@@ -1070,26 +959,9 @@ void ComputationSpace::BuildBuckets(ComputationSpace& space,
       if (space.store_->out_of_core()) space.store_->EnforceBudget();
     }
   };
-  // Cached [G]-tables still need their CSR columns; the sorts are
-  // independent of the per-process ones, so they join the task list.
-  std::vector<internal::PartitionTable*> group_tasks;
-  for (auto& [mask, table] : space.group_index_) group_tasks.push_back(&table);
-  auto task = [&](std::size_t t) {
-    if (t < P) {
-      build_for(t);
-    } else {
-      internal::PartitionTable& table = *group_tasks[t - P];
-      table.Fill(table.offsets.size() - 1);
-    }
-  };
-  const std::size_t num_tasks = P + group_tasks.size();
-  if (pool != nullptr && num_tasks > 1) {
-    // Tasks are independent; each runs the exact sequential code, so
-    // results do not depend on the pool.
-    pool->Run(num_tasks, task);
-  } else {
-    for (std::size_t t = 0; t < num_tasks; ++t) task(t);
-  }
+  // Tasks are independent; each runs the exact sequential code, so results
+  // do not depend on the pool.
+  RunJob(P > 1 ? pool : nullptr, P, build_for);
 }
 
 void internal::PartitionTable::Fill(std::size_t num_classes) {
@@ -1115,33 +987,81 @@ void internal::RequirePartitionGroup(ProcessSet g, int num_processes) {
                      std::to_string(num_processes) + " processes)");
 }
 
-void ComputationSpace::ReplayGroupClasses(
-    ProcessSet g, internal::PartitionTable& table) const {
-  // Replay the class links in id order — BFS and Ingest parents always have
-  // smaller ids, so every parent is classified before its children.
-  const std::size_t n = links_.size();
-  GroupClassMinter minter(g, n);
-  for (std::size_t id = 0; id < n; ++id) {
-    const ClassLink link = links_[id];
-    const ProcessId extend_process =
-        id == 0 ? ProcessId{0} : event_pool_[link.event].process;
-    minter.Classify(id, link.parent, extend_process, proj_class_);
+void internal::PartitionTable::Refine(const Partition& a, const Partition& b,
+                                      std::size_t n) {
+  // `cls` first holds b's class per id, scattered from its buckets: the
+  // walk below reads each id's slot once, on the visit that overwrites it.
+  cls.resize(n);
+  for (std::uint32_t c = 0; c < b.NumClasses(); ++c)
+    for (const std::uint32_t id : b.Bucket(c)) cls[id] = c;
+  // Walk a's buckets.  Ids ascend within a bucket, so the first id seen of
+  // each (a-class, b-class) pair is its smallest: stamp[bc] records which
+  // a-bucket last set first[bc], and every id takes its pair's first id.
+  constexpr std::uint32_t kNone = UINT32_MAX;
+  std::vector<std::uint32_t> stamp(b.NumClasses(), kNone);
+  std::vector<std::uint32_t> first(b.NumClasses());
+  for (std::uint32_t c = 0; c < a.NumClasses(); ++c) {
+    for (const std::uint32_t id : a.Bucket(c)) {
+      const std::uint32_t bc = cls[id];
+      if (stamp[bc] != c) {
+        stamp[bc] = c;
+        first[bc] = id;
+      }
+      cls[id] = first[bc];
+    }
   }
-  table.cls = minter.TakeClasses();
-  table.cls.shrink_to_fit();
-  table.offsets.assign(minter.num_classes() + 1, 0);
+  // Number the pairs by first occurrence: a pair's first id is at most any
+  // member's, so cls[first] is already a class number when a member reads
+  // it.
+  std::uint32_t next = 0;
+  for (std::size_t id = 0; id < n; ++id)
+    cls[id] = cls[id] == id ? next++ : cls[cls[id]];
+  Fill(next);
+}
+
+internal::PartitionTable ComputationSpace::RefineGroupTable(
+    ProcessSet g) const {
+  const std::size_t n = size();
+  ProcessSet from = ProcessSet::Of(g.First());
+  Partition start = PartitionOf(from);
+  for (const auto& [mask, table] : group_index_) {
+    const ProcessSet sub = ProcessSet::FromBits(mask);
+    if (sub.Size() > from.Size() && sub.Size() < g.Size() &&
+        sub.IsSubsetOf(g)) {
+      from = sub;
+      start = table.View();
+    }
+  }
+  internal::PartitionTable table;
+  // A singleton group refines its [p]-partition by itself: a copy.
+  if (from == g) table.Refine(start, start, n);
+  g.Minus(from).ForEach([&](ProcessId q) {
+    internal::PartitionTable refined;
+    refined.Refine(start, PartitionOf(ProcessSet::Of(q)), n);
+    table = std::move(refined);
+    start = table.View();
+  });
+  return table;
+}
+
+void ComputationSpace::RefreshGroupTables() {
+  // A strict subgroup's mask is the smaller number, so mask order makes
+  // every subgroup's table current before a table that refines from it.
+  for (auto& [mask, table] : group_index_) {
+    if (table.cls.size() == size()) continue;
+    table = internal::PartitionTable{};  // a stale table has no other use
+    table = RefineGroupTable(ProcessSet::FromBits(mask));
+  }
 }
 
 Partition ComputationSpace::EnsureGroupIndex(ProcessSet g) const {
   internal::RequirePartitionGroup(g, num_processes_);
   std::lock_guard<std::mutex> lock(*group_mutex_);
   auto it = group_index_.find(g.bits());
-  if (it != group_index_.end()) return it->second.View();
-  internal::PartitionTable table;
-  ReplayGroupClasses(g, table);
-  table.Fill(table.offsets.size() - 1);
-  // Moving the table keeps its column buffers, so the view stays valid.
-  return group_index_.emplace(g.bits(), std::move(table)).first->second.View();
+  if (it == group_index_.end())
+    it = group_index_.emplace(g.bits(), RefineGroupTable(g)).first;
+  // Map nodes keep their tables in place, so the view stays valid.
+  return it->second.View();
 }
 
 Partition ComputationSpace::PartitionOf(ProcessSet g) const {

@@ -59,15 +59,14 @@
 // member) is the common refinement of the member [p]-partitions, and its
 // classes are materialized as an internal::PartitionTable — one dense class
 // id per [D]-class plus a CSR bucket column, exactly the singleton layout.
-// A child whose extending event lies outside G inherits its parent's
-// [G]-class; otherwise the class is looked up (or minted) by the child's
-// tuple of member [p]-class ids.  (Unlike the singleton case, the key
-// (parent [G]-class, event) would be UNSOUND for |G| >= 2: the same
-// [G]-tuple is reachable through parents that extend different member
-// processes, which would mint duplicate ids — the tuple key is canonical.)
-// A table is built on first use by EnsureGroupIndex, which replays the
-// class links in id order and caches the table by process mask; Deepen and
-// Ingest re-replay every cached table in place.
+// Class ids number the member [p]-class tuples by first occurrence over
+// ascending ids.  A table is built on first use by EnsureGroupIndex, which
+// refines partitions bucket by bucket (PartitionTable::Refine): from the
+// largest cached table of a subgroup, else the first member's [p]-buckets,
+// by each remaining member's [p]-buckets.  The build reads only resident
+// bucket CSRs, never the links or the projection rows.  Tables are cached
+// by process mask; Deepen and Ingest re-derive every cached table the same
+// way once the [p]-buckets are rebuilt.
 //
 // Every reader outside the space sees classes the same way: as a Partition
 // view (ClassOf, NumClasses, Bucket, Representative) from PartitionOf(g) —
@@ -183,6 +182,12 @@ struct PartitionTable {
   // Counting sort of the ids 0 .. cls.size() - 1 by class: fills `offsets`
   // and `ids` for `num_classes` classes, ascending within each bucket.
   void Fill(std::size_t num_classes);
+  // Makes this table the common refinement of `a` and `b`, two partitions
+  // of the ids 0 .. n - 1: two ids share a class iff they share one in `a`
+  // and in `b`.  Classes are numbered by first occurrence over ascending
+  // ids, so when `a` and `b` are numbered by first occurrence of member
+  // tuples, so is the result.  Reads only the two partitions' buckets.
+  void Refine(const Partition& a, const Partition& b, std::size_t n);
   Partition View() const { return Partition(cls.data(), offsets, ids.data()); }
   std::size_t MemoryBytes() const noexcept {
     return (cls.capacity() + offsets.capacity() + ids.capacity()) *
@@ -301,7 +306,7 @@ class ComputationSpace {
   std::size_t RequireIndex(const Computation& c) const;
 
   // The [G]-partition for `g` as a Partition view.  The table behind it is
-  // built on first use (a replay of the class links in id order) and cached
+  // built on first use (a refinement of cached partitions) and cached
   // by process mask, |g| = 1 included, so a saved snapshot records the mask
   // and its load rebuilds the table; `g` must be non-empty and name only
   // processes of the system.  Thread-safe.
@@ -560,21 +565,24 @@ class ComputationSpace {
   // (phase 2 of construction), sized by the minted class counts `counts`;
   // one independent task per process when a pool is given.  Streams the
   // projection column segment-at-a-time under pins, trimming residency as
-  // it goes when a budget is set.  Also fills every cached [G]-table whose
-  // classes ReplayGroupClasses just replayed (SpaceBuilder::Finalize, and a
-  // snapshot load, which derives both).
+  // it goes when a budget is set.
   static void BuildBuckets(ComputationSpace& space,
                            const std::vector<std::uint32_t>& counts,
                            internal::WorkerPool* pool);
 
-  // The one way a [G]-table is built: replays the class links in id order
-  // through an inherit-or-mint scan into a fresh `cls` column and sizes
-  // `offsets` to the class count, so BuildBuckets (or EnsureGroupIndex) can
-  // Fill the CSR.  EnsureGroupIndex runs it on first use; SpaceBuilder
-  // re-runs it over every cached table after Deepen/Ingest — the replay
-  // visits ids in the same order as the original build, so the extended
-  // tables stay byte-identical to a from-scratch enumeration.
-  void ReplayGroupClasses(ProcessSet g, internal::PartitionTable& table) const;
+  // The one way a [G]-table is built: refines the largest cached table of a
+  // strict subgroup of `g` — else the first member's [p]-buckets — by each
+  // remaining member's [p]-buckets; those tables must be current.  Every
+  // path gives the first-occurrence numbering of the member tuples, so a
+  // table built on first use, re-derived after the space grew, or derived
+  // at a load is byte-identical to a from-scratch build.  Reads only the
+  // resident bucket CSRs.  The caller holds group_mutex_ or owns the space.
+  internal::PartitionTable RefineGroupTable(ProcessSet g) const;
+
+  // Re-derives every cached [G]-table that does not cover every id (the
+  // space grew, or a load registered the mask) in mask order, so each
+  // refines from current subgroup tables.  Runs after BuildBuckets.
+  void RefreshGroupTables();
 
   // Interned-event-id form of the canonical sequence of class `id`,
   // materialized by replaying the splice chain from the root.
@@ -827,7 +835,7 @@ class SpaceBuilder {
   void RunLevels(int target_depth, internal::WorkerPool* pool);
   // Re-derives every sorted/derived column after RunLevels or Ingest:
   // merges the new canonical-index suffix, rebuilds the per-process CSR
-  // buckets, re-replays the cached group indexes in place, records
+  // buckets, re-derives the cached group indexes from them, records
   // built_depth, and drops growth slack.
   void Finalize(internal::WorkerPool* pool);
 

@@ -74,26 +74,19 @@ Partition StateView::PartitionOf(ProcessSet g) const {
   std::lock_guard<std::mutex> lock(group_mutex_);
   auto it = groups_.find(g.bits());
   if (it == groups_.end()) {
-    // Refine member by member: pairing the classes so far with the next
-    // member's and numbering the pairs by first occurrence yields the
+    // Refine member by member: each step numbers the (classes so far,
+    // next member's class) pairs by first occurrence, which is the
     // first-occurrence numbering of the members' state tuples.
+    const ProcessId first = g.First();
     internal::PartitionTable table;
-    std::vector<std::uint32_t>& cls = table.cls;
-    cls = tables_[static_cast<std::size_t>(g.First())].cls;
-    std::size_t num_classes = 0;
-    g.ForEach([&](ProcessId q) {
-      if (q == g.First()) return;
-      std::unordered_map<std::uint64_t, std::uint32_t> pair_class;
-      for (std::size_t id = 0; id < size_; ++id) {
-        const std::uint64_t key =
-            std::uint64_t{cls[id]} << 32 |
-            tables_[static_cast<std::size_t>(q)].cls[id];
-        const auto next = static_cast<std::uint32_t>(pair_class.size());
-        cls[id] = pair_class.emplace(key, next).first->second;
-      }
-      num_classes = pair_class.size();
+    Partition classes = tables_[static_cast<std::size_t>(first)].View();
+    g.Minus(ProcessSet::Of(first)).ForEach([&](ProcessId q) {
+      internal::PartitionTable refined;
+      refined.Refine(classes, tables_[static_cast<std::size_t>(q)].View(),
+                     size_);
+      table = std::move(refined);
+      classes = table.View();
     });
-    table.Fill(num_classes);
     it = groups_.emplace(g.bits(), std::move(table)).first;
   }
   return it->second.View();

@@ -1,18 +1,20 @@
 // Correctness contract of the [G]-class memo tier: for multi-process
 // Knows / Sure / Possible the quantifier ranges exactly over the
 // [G]-bucket, so memoizing per (node, [G]-class) — and building CK
-// components over contracted [G]-classes — must reproduce the paper's
+// components from the member [p]-classes alone — must reproduce the paper's
 // definitions byte for byte: satisfying sets, batch Holds, pointwise Holds,
 // and CK component labels, checked against the independent
 // ReferenceKnowledge oracle at 1 and 4 worker threads, kernels off and on,
 // on a canonicalized space and a lockstep (non-canonicalized) one,
 // including nested Everyone(G, Knows(p, f)).  Everyone is a conjunction of
 // per-member K{p}, so it must answer from its [p]-rows without ever
-// building a [G]-table.
+// building a [G]-table; neither may a CK query.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "core/faults.h"
 #include "core/knowledge.h"
 #include "core/random_system.h"
 #include "core/space.h"
@@ -229,6 +231,47 @@ TEST(KnowledgeGroupMemoTest, EveryoneBuildsNoGroupTable) {
       ASSERT_GT(builder.Deepen(1), 0u);
       eval.Refresh();
       expect_no_group_table("deepened");
+    }
+  }
+}
+
+TEST(KnowledgeGroupMemoTest, CommonComponentsMatchReferenceAndBuildNoGroupTable) {
+  // CK components over |G| = 2 and 3 union the first member's [p]-classes
+  // over the other members' buckets: the labels must be the oracle's
+  // smallest members, on a random space and on its crash-fault extension,
+  // before and after Deepen + Refresh, and no [G]-table may appear.
+  RandomSystemOptions options;
+  options.num_processes = 3;
+  options.num_messages = 3;
+  options.internal_events = 1;
+  options.seed = 19;
+  const RandomSystem base(options);
+  const CrashFaultSystem faulty(base, {.max_crashes = 1, .may_crash = {}});
+  const std::vector<ProcessSet> groups = {ProcessSet{0, 1}, ProcessSet{1, 2},
+                                          ProcessSet{0, 1, 2}};
+  for (const System* system : {static_cast<const System*>(&base),
+                               static_cast<const System*>(&faulty)}) {
+    SpaceBuilder builder;
+    builder.Build(*system,
+                  {.max_depth = 6, .allow_truncation = true, .num_threads = 1});
+    KnowledgeEvaluator eval(builder.space(), {.num_threads = 1});
+    for (const char* stage : {"built", "deepened"}) {
+      const ComputationSpace& space = builder.space();
+      ASSERT_GT(space.size(), 50u) << system->Name() << " " << stage;
+      ReferenceKnowledge reference(space);
+      for (const ProcessSet g : groups) {
+        for (std::size_t id = 0; id < space.size(); ++id)
+          ASSERT_EQ(eval.CommonComponent(g, id),
+                    reference.CommonComponent(g, id))
+              << system->Name() << " " << g.ToString() << " id " << id
+              << ", " << stage;
+        EXPECT_FALSE(space.HasGroupIndex(g))
+            << system->Name() << " " << g.ToString() << ", " << stage;
+      }
+      if (std::string(stage) == "built") {
+        ASSERT_GT(builder.Deepen(2), 0u);
+        eval.Refresh();
+      }
     }
   }
 }

@@ -10,15 +10,26 @@
 //     the [p]-columns PartitionOf({p}) reads;
 //   * CSR shape — buckets are ascending, disjoint, and cover the space;
 //   * numbering — class ids are the first-occurrence order of member
-//     [p]-class tuples over ascending ids, the ids snapshots persist.
+//     [p]-class tuples over ascending ids, the ids snapshots persist —
+//     whichever cached subgroup a table refines from, on ingested,
+//     budgeted and literal spaces, and after a snapshot round trip;
+//   * the build reads only bucket CSRs, so it faults nothing in under a
+//     residency budget;
+//   * StateView's group partitions number state tuples the same way.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
+#include <span>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/random_system.h"
+#include "core/serialization.h"
 #include "core/space.h"
+#include "core/state_view.h"
 #include "protocols/lockstep.h"
 
 namespace hpl {
@@ -186,7 +197,7 @@ TEST(SpaceGroupClassTest, ClassIdsAreFirstOccurrenceOnLockstepSpace) {
 }
 
 TEST(SpaceGroupClassTest, ClassIdsStayFirstOccurrenceAfterDeepen) {
-  // Deepen re-replays every cached table in place: the refreshed tables
+  // Deepen re-derives every cached table: the refreshed tables
   // must number the grown space exactly as a first build would.
   const RandomSystem system = SmallRandomSystem();
   SpaceBuilder builder;
@@ -200,6 +211,154 @@ TEST(SpaceGroupClassTest, ClassIdsStayFirstOccurrenceAfterDeepen) {
   for (ProcessSet g : AllGroups(space)) {
     ASSERT_TRUE(space.HasGroupIndex(g)) << g.ToString();
     ExpectFirstOccurrenceNumbering(space, space.EnsureGroupIndex(g), g);
+  }
+}
+
+// Same classes and the same buckets.
+void ExpectSamePartition(const Partition& a, const Partition& b,
+                         std::size_t n, const std::string& what) {
+  ASSERT_EQ(a.NumClasses(), b.NumClasses()) << what;
+  for (std::size_t id = 0; id < n; ++id)
+    ASSERT_EQ(a.ClassOf(id), b.ClassOf(id)) << what << " id " << id;
+  for (std::uint32_t c = 0; c < a.NumClasses(); ++c) {
+    const auto x = a.Bucket(c);
+    const auto y = b.Bucket(c);
+    ASSERT_TRUE(std::equal(x.begin(), x.end(), y.begin(), y.end()))
+        << what << " class " << c;
+  }
+}
+
+TEST(SpaceGroupClassTest, ClassIdsStayFirstOccurrenceOnAnIngestedSpace) {
+  // Two ingested runs put a length-3 class after a length-6 one, so ids
+  // are out of length order; Ingest re-derives the cached tables, and
+  // tables built afterwards number the same way.
+  RandomSystemOptions options;
+  options.seed = 7;
+  const RandomSystem system(options);
+  const auto walk = [&](std::uint32_t picks) {
+    std::vector<Event> events;
+    while (events.size() < 8) {
+      const auto enabled =
+          system.EnabledEvents(Computation::TrustedFromEvents(events));
+      if (enabled.empty()) break;
+      events.push_back((picks >> events.size()) & 1 ? enabled.back()
+                                                    : enabled.front());
+    }
+    return events;
+  };
+  SpaceBuilder builder;
+  builder.Build(system,
+                {.max_depth = 2, .allow_truncation = true, .num_threads = 1});
+  const ComputationSpace& space = builder.space();
+  const std::vector<ProcessSet> groups = AllGroups(space);
+  for (std::size_t i = 0; i < groups.size(); i += 2)
+    space.EnsureGroupIndex(groups[i]);
+  ASSERT_GT(builder.Ingest(std::span<const Event>(walk(0))), 0u);
+  ASSERT_GT(builder.Ingest(std::span<const Event>(walk(0xff))), 0u);
+  const auto by_length = space.IdsByLength();
+  ASSERT_FALSE(std::is_sorted(by_length.begin(), by_length.end()));
+  for (ProcessSet g : groups)
+    ExpectFirstOccurrenceNumbering(space, space.EnsureGroupIndex(g), g);
+}
+
+TEST(SpaceGroupClassTest, BuildsFaultNothingInUnderABudget) {
+  // Segments of 16 classes under a 4 KiB budget spill while the space is
+  // built; the tables refine from the resident bucket CSRs alone.
+  EnumerationLimits limits;
+  limits.max_depth = 24;
+  limits.segments.segment_shift = 4;
+  limits.segments.residency_budget_bytes = 4096;
+  const auto space = ComputationSpace::Enumerate(SmallRandomSystem(), limits);
+  ASSERT_GT(space.SegmentStats().spill_writes, 0u);
+  const std::uint64_t faults = space.SegmentStats().spill_faults;
+  for (ProcessSet g : AllGroups(space)) space.EnsureGroupIndex(g);
+  EXPECT_EQ(space.SegmentStats().spill_faults, faults);
+  const auto resident = SmallRandomSpace();
+  ASSERT_EQ(space.size(), resident.size());
+  for (ProcessSet g : AllGroups(space)) {
+    ExpectFirstOccurrenceNumbering(space, space.EnsureGroupIndex(g), g);
+    ExpectSamePartition(space.EnsureGroupIndex(g),
+                        resident.EnsureGroupIndex(g), space.size(),
+                        g.ToString());
+  }
+}
+
+TEST(SpaceGroupClassTest, ClassIdsAreFirstOccurrenceOnALiteralSpace) {
+  EnumerationLimits limits;
+  limits.max_depth = 7;
+  limits.allow_truncation = true;
+  limits.canonicalize = false;
+  const auto space = ComputationSpace::Enumerate(SmallRandomSystem(), limits);
+  ASSERT_GT(space.size(), 100u);
+  for (ProcessSet g : AllGroups(space))
+    ExpectFirstOccurrenceNumbering(space, space.EnsureGroupIndex(g), g);
+}
+
+TEST(SpaceGroupClassTest, ARefinementFromACachedSubgroupGivesTheSameIds) {
+  // {0,1} then {0,1,2} refines the triple from the cached pair; {0,1,2}
+  // alone refines from process 0's buckets.  Both number first occurrence.
+  const auto stepped = SmallRandomSpace();
+  const auto direct = SmallRandomSpace();
+  const ProcessSet pair{0, 1}, triple{0, 1, 2};
+  stepped.EnsureGroupIndex(pair);
+  const Partition a = stepped.EnsureGroupIndex(triple);
+  const Partition b = direct.EnsureGroupIndex(triple);
+  ASSERT_FALSE(direct.HasGroupIndex(pair));
+  ExpectSamePartition(a, b, stepped.size(), triple.ToString());
+  ExpectFirstOccurrenceNumbering(stepped, a, triple);
+}
+
+TEST(SpaceGroupClassTest, GroupSnapshotsSaveIdenticallyAndReloadTheIds) {
+  // Tables built in different orders (and so from different subgroups)
+  // save byte-identically; a load, resident or under a budget, derives
+  // tables equal to the saved space's.
+  const auto forward = SmallRandomSpace();
+  const auto backward = SmallRandomSpace();
+  const std::vector<ProcessSet> groups = AllGroups(forward);
+  for (ProcessSet g : groups) forward.EnsureGroupIndex(g);
+  for (auto it = groups.rbegin(); it != groups.rend(); ++it)
+    backward.EnsureGroupIndex(*it);
+  std::ostringstream a, b;
+  SaveSpaceSnapshot(forward, a);
+  SaveSpaceSnapshot(backward, b);
+  ASSERT_EQ(a.str(), b.str());
+  SegmentOptions budget;
+  budget.segment_shift = 4;
+  budget.residency_budget_bytes = 4096;
+  for (const SegmentOptions& segments : {SegmentOptions{}, budget}) {
+    std::istringstream in(a.str());
+    const ComputationSpace loaded = LoadSpaceSnapshot(in, segments);
+    for (ProcessSet g : groups) {
+      ASSERT_TRUE(loaded.HasGroupIndex(g)) << g.ToString();
+      ExpectSamePartition(loaded.EnsureGroupIndex(g),
+                          forward.EnsureGroupIndex(g), forward.size(),
+                          g.ToString());
+    }
+  }
+}
+
+TEST(SpaceGroupClassTest, StateViewGroupsNumberStateTuplesByFirstOccurrence) {
+  // A lossy abstraction, so state classes are coarser than [p]-classes;
+  // the brute force keys on the state strings themselves.
+  const auto space = SmallRandomSpace();
+  const StateAbstraction abstraction = StateAbstraction::LabelBag();
+  const StateView view(space, abstraction);
+  ASSERT_FALSE(view.IsLossless());
+  for (ProcessSet g : AllGroups(space)) {
+    const Partition part = view.PartitionOf(g);
+    std::map<std::vector<std::string>, std::uint32_t> numbering;
+    for (std::size_t id = 0; id < space.size(); ++id) {
+      const Computation x = space.At(id);
+      std::vector<std::string> tuple;
+      g.ForEach([&](ProcessId p) {
+        tuple.push_back(abstraction.StateOf(p, x.Projection(p)));
+      });
+      const auto next = static_cast<std::uint32_t>(numbering.size());
+      const auto [it, inserted] = numbering.emplace(std::move(tuple), next);
+      ASSERT_EQ(part.ClassOf(id), it->second)
+          << "id " << id << " mask " << g.bits();
+    }
+    EXPECT_EQ(part.NumClasses(), numbering.size()) << "mask " << g.bits();
   }
 }
 
