@@ -367,6 +367,7 @@ const void* SegmentedSpaceStore::FaultInLocked(Entry& e) {
   seg->dirty = false;
   seg->lru_tick = ++lru_clock_;
   ++faults_;
+  ++seg->faults;
   seg->data.store(published, std::memory_order_release);
   return published;
 }
@@ -468,6 +469,7 @@ std::vector<SegmentedSpaceStore::SegmentInfo> SegmentedSpaceStore::Residency()
     info.state = e->meta->state;
     info.bytes = e->meta->bytes;
     info.pins = e->meta->pins;
+    info.faults = e->meta->faults;
     out.push_back(std::move(info));
   }
   return out;

@@ -105,6 +105,7 @@ struct SegmentMeta {
   std::uint32_t pins = 0;   // live SegmentPins (evict only at 0)
   std::uint64_t bytes = 0;  // payload bytes
   std::uint64_t lru_tick = 0;
+  std::uint32_t faults = 0;  // fault-ins from its file, lifetime
   // Heap backing while kResident.
   std::vector<unsigned char> heap;
   // mmap backing while kMapped.
@@ -222,6 +223,7 @@ class SegmentedSpaceStore {
     SegmentState state = SegmentState::kResident;
     std::uint64_t bytes = 0;
     std::uint32_t pins = 0;
+    std::uint32_t faults = 0;  // fault-ins from its file, lifetime
   };
   std::vector<SegmentInfo> Residency() const;
 

@@ -927,9 +927,10 @@ struct SpaceSnapshotIO {
 
     // Everything else is a function of the links, so it is derived, not
     // read: the projection rows by the mint rule, in id order as the
-    // builder minted them; the [p]-buckets by the counting sort
-    // SpaceBuilder::Finalize runs; then the saved masks' [G]-tables by the
-    // refinement of those buckets that EnsureGroupIndex and Finalize run.
+    // builder minted them; the [p]-buckets by the extension
+    // SpaceBuilder::Finalize runs, here from no covered id; then the saved
+    // masks' [G]-tables by the refinement of those buckets that
+    // EnsureGroupIndex and Finalize run.
     ComputationSpace::ProjectionMinter minted;
     if (minter == nullptr) minter = &minted;
     space.MintProjections(*minter);

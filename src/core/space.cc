@@ -408,8 +408,10 @@ void SpaceBuilder::RunLevels(int target_depth, internal::WorkerPool* pool) {
       }
     });
 
-    if (std::any_of(extendable.begin(), extendable.end(),
-                    [](char f) { return f != 0; })) {
+    const bool any_extendable =
+        std::any_of(extendable.begin(), extendable.end(),
+                    [](char f) { return f != 0; });
+    if (any_extendable) {
       if (!limits_.allow_truncation)
         throw ModelError(
             "ComputationSpace::Enumerate: system '" + system.Name() +
@@ -419,11 +421,13 @@ void SpaceBuilder::RunLevels(int target_depth, internal::WorkerPool* pool) {
       space.truncated_ = true;
     }
 
-    if (at_depth_cap) {
+    if (at_depth_cap && any_extendable) {
       // Park the frontier: record the empty successor rows a one-shot
       // enumeration would have emitted for this level (phases B–E see no
       // candidates at the cap), keep the arena, and hand control back so
       // Deepen can resume from here.  Deepen rewinds these rows first.
+      // A cap level with nothing extendable falls through: phases B–E
+      // see no candidates and drain the BFS, completing the space.
       for (std::size_t i = 0; i < level_count; ++i)
         space.succ_offsets_.push_back(
             static_cast<std::uint32_t>(space.succ_class_.size()));
@@ -648,10 +652,11 @@ void SpaceBuilder::Finalize(internal::WorkerPool* pool) {
     st.finalized_canon = n;
   }
 
-  // The bucket CSR is a pure function of proj_class_, so rebuilding it from
-  // scratch after a Deepen/Ingest matches a fresh enumeration bit for bit.
-  // The cached [G]-tables refine from it: first-occurrence numbering keeps
-  // old ids in their [G]-classes, and a zero-growth Finalize leaves them.
+  // Extend the bucket CSR by the rows past those it covers: old buckets are
+  // prefixes of the new ones, so the result matches a fresh enumeration
+  // bit for bit, and a Finalize that added no id touches no bucket.  The
+  // cached [G]-tables refine from it: first-occurrence numbering keeps old
+  // ids in their [G]-classes, and a zero-growth Finalize leaves them.
   ComputationSpace::BuildBuckets(space, st.proj.count, pool);
   {
     std::lock_guard<std::mutex> lock(*space.group_mutex_);
@@ -817,7 +822,9 @@ std::size_t SpaceBuilder::Ingest(std::span<const Event> events) {
       st.proj.Mint(space, cur, eid);
 
       // Successor CSR: an empty row for the newcomer, then the parent edge.
+      // The push can seal the full tail the shifts below write into.
       space.succ_offsets_.push_back(space.succ_offsets_.back());
+      space.succ_offsets_.UnsealAll();
       const std::uint32_t edge_at = space.succ_offsets_[cur + 1];
       space.succ_class_.Insert(edge_at, id);
       space.succ_event_.Insert(edge_at, eid);
@@ -916,48 +923,67 @@ void ComputationSpace::BuildBuckets(ComputationSpace& space,
   const std::size_t n = space.links_.size();
   const auto P = static_cast<std::size_t>(space.num_processes_);
   const unsigned shift = space.proj_class_.shift();
-  // A [p]-partition's class count is its offset column's size less one.
-  space.bucket_offsets_.assign(P, {});
-  space.bucket_ids_.assign(P, {});
-  for (std::size_t p = 0; p < P; ++p)
-    space.bucket_offsets_[p].assign(counts[p] + 1, 0);
+  // Every id sits in exactly one bucket, so each payload's size is the
+  // count of ids the CSRs cover; a space that has none covers no id.
+  if (space.bucket_ids_.size() != P) {
+    space.bucket_offsets_.assign(P, {0});
+    space.bucket_ids_.assign(P, {});
+  }
+  const std::size_t covered = space.bucket_ids_[0].size();
+  if (covered == n) return;
   auto build_for = [&](std::size_t p) {
-    // Counting sort of class ids by [p]-class: ids land ascending within
-    // each bucket because they are scanned in ascending order.  Both
-    // passes stream the projection column segment-at-a-time under a pin —
-    // concurrent build tasks each pin their current segment, so the
-    // per-segment budget trims can never evict a row another task is
-    // reading (only cost it a re-fault later).
+    // Ids only append and a row never changes, so each old bucket is a
+    // prefix of its new bucket: a counting sort of the new rows alone,
+    // whose ids exceed every old one, places them behind it.  Both passes
+    // stream the new rows' projection segments under a pin — concurrent
+    // build tasks each pin their current segment, so the per-segment
+    // budget trims can never evict a row another task is reading (only
+    // cost it a re-fault later) — and never read the rows of covered ids.
     auto& offsets = space.bucket_offsets_[p];
     auto& ids = space.bucket_ids_[p];
-    const std::size_t num_segs = space.proj_class_.num_segments();
-    for (std::size_t s = 0; s < num_segs; ++s) {
-      internal::SegmentPin pin;
-      const std::uint32_t* base = space.proj_class_.PinSegment(s, &pin);
-      const std::size_t row0 = s << shift;
-      const std::size_t row1 =
-          std::min(n, row0 + (std::size_t{1} << shift));
-      for (std::size_t row = row0; row < row1; ++row)
-        ++offsets[base[(row - row0) * P + p] + 1];
-      pin.Release();
-      if (space.store_->out_of_core()) space.store_->EnforceBudget();
-    }
-    for (std::size_t cls = 1; cls < offsets.size(); ++cls)
-      offsets[cls] += offsets[cls - 1];
+    const std::size_t old_classes = offsets.size() - 1;
+    const std::size_t classes = counts[p];
+    const auto for_each_new_row = [&](auto&& fn) {
+      for (std::size_t s = covered >> shift; (s << shift) < n; ++s) {
+        internal::SegmentPin pin;
+        const std::uint32_t* base = space.proj_class_.PinSegment(s, &pin);
+        const std::size_t row0 = s << shift;
+        const std::size_t row1 =
+            std::min(n, row0 + (std::size_t{1} << shift));
+        for (std::size_t row = std::max(row0, covered); row < row1; ++row)
+          fn(row, base[(row - row0) * P + p]);
+        pin.Release();
+        if (space.store_->out_of_core()) space.store_->EnforceBudget();
+      }
+    };
+    // moved[c]: the new ids in the classes before c, by which class c's
+    // old block moves right (new classes start behind every old id).
+    std::vector<std::uint32_t> moved(classes + 1, 0);
+    for_each_new_row([&](std::size_t, std::uint32_t cls) { ++moved[cls + 1]; });
+    for (std::size_t cls = 1; cls <= classes; ++cls)
+      moved[cls] += moved[cls - 1];
+    // Exact capacity: the CSRs are the resident floor of the store.
+    if (ids.capacity() < n) ids.reserve(n);
+    if (offsets.capacity() < classes + 1) offsets.reserve(classes + 1);
     ids.resize(n);
-    std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (std::size_t s = 0; s < num_segs; ++s) {
-      internal::SegmentPin pin;
-      const std::uint32_t* base = space.proj_class_.PinSegment(s, &pin);
-      const std::size_t row0 = s << shift;
-      const std::size_t row1 =
-          std::min(n, row0 + (std::size_t{1} << shift));
-      for (std::size_t row = row0; row < row1; ++row)
-        ids[cursor[base[(row - row0) * P + p]]++] =
-            static_cast<std::uint32_t>(row);
-      pin.Release();
-      if (space.store_->out_of_core()) space.store_->EnforceBudget();
+    offsets.resize(classes + 1, static_cast<std::uint32_t>(covered));
+    // Move the old blocks right, last first: block c lands at or after its
+    // old start and ends by block c + 1's new start, and block c + 1
+    // has already moved, so no block is overwritten before it moves.
+    for (std::size_t cls = old_classes; cls-- > 0;) {
+      if (moved[cls] == 0) break;  // this block and those before stay put
+      std::copy_backward(ids.begin() + offsets[cls],
+                         ids.begin() + offsets[cls + 1],
+                         ids.begin() + offsets[cls + 1] + moved[cls]);
     }
+    for (std::size_t cls = 0; cls <= classes; ++cls) offsets[cls] += moved[cls];
+    // The new ids go behind each bucket's old block, ascending; moved[cls]
+    // becomes the cursor of class cls.
+    for (std::size_t cls = 0; cls < classes; ++cls)
+      moved[cls] = offsets[cls + 1] - (moved[cls + 1] - moved[cls]);
+    for_each_new_row([&](std::size_t row, std::uint32_t cls) {
+      ids[moved[cls]++] = static_cast<std::uint32_t>(row);
+    });
   };
   // Tasks are independent; each runs the exact sequential code, so results
   // do not depend on the pool.
@@ -1033,14 +1059,17 @@ internal::PartitionTable ComputationSpace::RefineGroupTable(
     }
   }
   internal::PartitionTable table;
-  // A singleton group refines its [p]-partition by itself: a copy.
-  if (from == g) table.Refine(start, start, n);
   g.Minus(from).ForEach([&](ProcessId q) {
+    // Refining a discrete partition gives it back unchanged.
+    if (start.NumClasses() == n) return;
     internal::PartitionTable refined;
     refined.Refine(start, PartitionOf(ProcessSet::Of(q)), n);
     table = std::move(refined);
     start = table.View();
   });
+  // A singleton group, or a start already discrete, refines by itself: a
+  // copy.
+  if (table.cls.empty()) table.Refine(start, start, n);
   return table;
 }
 

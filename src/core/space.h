@@ -66,7 +66,7 @@
 // by each remaining member's [p]-buckets.  The build reads only resident
 // bucket CSRs, never the links or the projection rows.  Tables are cached
 // by process mask; Deepen and Ingest re-derive every cached table the same
-// way once the [p]-buckets are rebuilt.
+// way once the [p]-buckets are extended by the new rows.
 //
 // Every reader outside the space sees classes the same way: as a Partition
 // view (ClassOf, NumClasses, Bucket, Representative) from PartitionOf(g) —
@@ -561,22 +561,28 @@ class ComputationSpace {
   // residency after each segment when a budget is set.
   void MintProjections(ProjectionMinter& minter);
 
-  // Builds the per-process CSR buckets from proj_class_ by counting sort
-  // (phase 2 of construction), sized by the minted class counts `counts`;
-  // one independent task per process when a pool is given.  Streams the
-  // projection column segment-at-a-time under pins, trimming residency as
-  // it goes when a budget is set.
+  // Extends the per-process CSR buckets from the proj_class_ rows past the
+  // ids they already cover (none after a load), to the minted class counts
+  // `counts`: ids only append and rows never change, so each old bucket is
+  // a prefix of its new bucket — a counting sort of the new rows shifts the
+  // old blocks right and appends the new ids behind them, bit-identical to
+  // a sort of every row.  Covering every id, it touches nothing.  One
+  // independent task per process when a pool is given.  Streams only the
+  // new rows' projection segments under pins, trimming residency as it
+  // goes when a budget is set.
   static void BuildBuckets(ComputationSpace& space,
                            const std::vector<std::uint32_t>& counts,
                            internal::WorkerPool* pool);
 
   // The one way a [G]-table is built: refines the largest cached table of a
   // strict subgroup of `g` — else the first member's [p]-buckets — by each
-  // remaining member's [p]-buckets; those tables must be current.  Every
-  // path gives the first-occurrence numbering of the member tuples, so a
-  // table built on first use, re-derived after the space grew, or derived
-  // at a load is byte-identical to a from-scratch build.  Reads only the
-  // resident bucket CSRs.  The caller holds group_mutex_ or owns the space.
+  // remaining member's [p]-buckets, stopping once the table is discrete
+  // (one class per id: refining it changes nothing); those tables must be
+  // current.  Every path gives the first-occurrence numbering of the member
+  // tuples, so a table built on first use, re-derived after the space
+  // grew, or derived at a load is byte-identical to a from-scratch build.
+  // Reads only the resident bucket CSRs.  The caller holds group_mutex_ or
+  // owns the space.
   internal::PartitionTable RefineGroupTable(ProcessSet g) const;
 
   // Re-derives every cached [G]-table that does not cover every id (the
@@ -779,8 +785,8 @@ class SpaceBuilder {
 
   // Depth the BFS has reached so far (space().built_depth()).
   int built_depth() const;
-  // True once the BFS exhausted the system below the depth cap: Deepen
-  // becomes a 0-class no-op.
+  // True once the BFS exhausted the system within the depth cap (no class
+  // at the cap has an enabled event): Deepen becomes a 0-class no-op.
   bool complete() const noexcept { return complete_; }
   // True when the builder carries no frontier (loaded from a snapshot saved
   // without builder state): Deepen throws, Ingest still works.
@@ -829,14 +835,16 @@ class SpaceBuilder {
   // The level-synchronous BFS loop: expands full levels while
   // depth < target_depth, then runs the cap pass (extendability check +
   // empty successor rows for the frontier) and returns with the frontier
-  // retained — or marks the build complete when a level comes up empty.
+  // retained — or marks the build complete when a level comes up empty,
+  // the cap's own level included (no member has an enabled event).
   // Between levels it trims residency to the budget (cold segments spill
   // behind the frontier).
   void RunLevels(int target_depth, internal::WorkerPool* pool);
-  // Re-derives every sorted/derived column after RunLevels or Ingest:
-  // merges the new canonical-index suffix, rebuilds the per-process CSR
-  // buckets, re-derives the cached group indexes from them, records
-  // built_depth, and drops growth slack.
+  // Brings every sorted/derived column up to date after RunLevels or
+  // Ingest, touching only what they added: merges the new canonical-index
+  // suffix, extends the per-process CSR buckets by the new rows,
+  // re-derives the cached group indexes that no longer cover every id,
+  // records built_depth, and drops growth slack.
   void Finalize(internal::WorkerPool* pool);
 
   const System* system_ = nullptr;
@@ -844,7 +852,7 @@ class SpaceBuilder {
   std::unique_ptr<ComputationSpace> space_;
   std::unique_ptr<State> state_;
   bool sealed_ = false;    // no frontier (snapshot without builder state)
-  bool complete_ = false;  // BFS exhausted below the depth cap
+  bool complete_ = false;  // BFS exhausted within the depth cap
   bool capped_ = false;    // frontier parked at the depth cap
   bool ingested_ = false;  // Ingest minted classes: level order broken
 };

@@ -191,6 +191,39 @@ TEST(SpaceBuilderTest, DeepenOnCompleteSpaceReturnsZero) {
   EXPECT_FALSE(builder.CanDeepen());
 }
 
+TEST(SpaceBuilderTest, ACapWithNothingExtendableCompletesTheSpace) {
+  // Capped exactly at the depth where the BFS drains, the frontier has no
+  // enabled event: the builder is complete, not capped, and saves the bytes
+  // of a build with room to spare — whether Build reaches that cap or the
+  // Deepen that adds the last level does.
+  protocols::TokenBusSystem bus(3, 3);
+  for (const int threads : {1, 4}) {
+    SpaceBuilder roomy;
+    roomy.Build(bus, TruncatableLimits(40, threads));
+    ASSERT_TRUE(roomy.complete());
+    const int drain = roomy.built_depth();
+    const std::string want = BuilderBytes(roomy);
+    for (const bool allow_truncation : {true, false}) {
+      EnumerationLimits at_drain = TruncatableLimits(drain, threads);
+      at_drain.allow_truncation = allow_truncation;
+      SpaceBuilder exact;
+      exact.Build(bus, at_drain);
+      EXPECT_TRUE(exact.complete()) << threads;
+      EXPECT_FALSE(exact.CanDeepen());
+      EXPECT_FALSE(exact.space().truncated());
+      EXPECT_EQ(exact.built_depth(), drain);
+      EXPECT_EQ(BuilderBytes(exact), want) << threads;
+      EXPECT_EQ(exact.Deepen(1), 0u);
+    }
+    SpaceBuilder stepped;
+    stepped.Build(bus, TruncatableLimits(drain - 1, threads));
+    ASSERT_FALSE(stepped.complete());
+    EXPECT_GT(stepped.Deepen(1), 0u);
+    EXPECT_TRUE(stepped.complete()) << threads;
+    EXPECT_EQ(BuilderBytes(stepped), want) << threads;
+  }
+}
+
 TEST(SpaceBuilderTest, DeepenValidatesItsArguments) {
   protocols::TokenBusSystem bus(3, 3);
   SpaceBuilder empty;

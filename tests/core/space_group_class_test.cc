@@ -21,16 +21,20 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/faults.h"
 #include "core/random_system.h"
 #include "core/serialization.h"
 #include "core/space.h"
 #include "core/state_view.h"
 #include "protocols/lockstep.h"
+#include "protocols/token_bus.h"
 
 namespace hpl {
 namespace {
@@ -372,6 +376,105 @@ TEST(SpaceGroupClassTest, FullGroupOnCanonicalSpaceIsDiscrete) {
   const auto space = SmallRandomSpace();
   const Partition gi = space.EnsureGroupIndex(space.AllProcesses());
   EXPECT_EQ(gi.NumClasses(), space.size());
+}
+
+// The refinement by every member in turn, never stopping early: what a
+// table must equal whichever shortcut built it.
+internal::PartitionTable FullRefinement(const ComputationSpace& space,
+                                        ProcessSet g) {
+  const std::size_t n = space.size();
+  const ProcessSet first = ProcessSet::Of(g.First());
+  internal::PartitionTable table;
+  table.Refine(space.PartitionOf(first), space.PartitionOf(first), n);
+  g.Minus(first).ForEach([&](ProcessId q) {
+    internal::PartitionTable refined;
+    refined.Refine(table.View(), space.PartitionOf(ProcessSet::Of(q)), n);
+    table = std::move(refined);
+  });
+  return table;
+}
+
+// Builds every group's table, subgroups first (so larger groups refine
+// from cached tables) or largest first, and checks each against the full
+// refinement; returns how many groups had a strict subgroup that is
+// already discrete, the case where the refinement stops early.
+std::size_t ExpectTablesEqualTheFullRefinement(const ComputationSpace& space,
+                                               bool subgroups_first,
+                                               const std::string& what) {
+  std::vector<ProcessSet> groups = AllGroups(space);
+  if (!subgroups_first) std::reverse(groups.begin(), groups.end());
+  for (ProcessSet g : groups) {
+    const internal::PartitionTable full = FullRefinement(space, g);
+    ExpectSamePartition(space.EnsureGroupIndex(g), full.View(), space.size(),
+                        what + " " + g.ToString());
+  }
+  std::size_t early = 0;
+  for (ProcessSet g : groups) {
+    bool stops = false;
+    for (ProcessSet h : groups)
+      if (h.Size() < g.Size() && h.IsSubsetOf(g) &&
+          space.EnsureGroupIndex(h).NumClasses() == space.size())
+        stops = true;
+    early += stops ? 1 : 0;
+  }
+  return early;
+}
+
+TEST(SpaceGroupClassTest, TablesStopRefiningOnceDiscreteYetEqualTheFull) {
+  // A table with one class per id refines to itself, so the build stops
+  // there; on random, crash-fault, literal and ingested spaces every table
+  // still equals the refinement by every member.
+  const RandomSystem random = SmallRandomSystem();
+  RandomSystemOptions four;
+  four.num_processes = 4;
+  four.num_messages = 3;
+  four.seed = 3;
+  const RandomSystem random4(four);
+  const CrashFaultSystem crash(random, {.max_crashes = 1, .may_crash = {}});
+  std::vector<std::pair<std::string, std::unique_ptr<ComputationSpace>>>
+      spaces;
+  const auto add = [&](std::string name, ComputationSpace space) {
+    spaces.emplace_back(std::move(name),
+                        std::make_unique<ComputationSpace>(std::move(space)));
+  };
+  add("random", ComputationSpace::Enumerate(random, {.max_depth = 24}));
+  add("random4", ComputationSpace::Enumerate(random4, {.max_depth = 24}));
+  // Every token-bus event is a send or a receive, so the members other than
+  // one already see all of it: a strict subgroup is discrete.
+  add("tokenbus", ComputationSpace::Enumerate(protocols::TokenBusSystem(4, 2),
+                                              {.max_depth = 24}));
+  add("crash-fault",
+      ComputationSpace::Enumerate(
+          crash, {.max_depth = 6, .allow_truncation = true}));
+  add("literal", ComputationSpace::Enumerate(
+                     random, {.max_depth = 7,
+                              .allow_truncation = true,
+                              .canonicalize = false}));
+  SpaceBuilder ingested;
+  ingested.Build(random, {.max_depth = 2, .allow_truncation = true});
+  for (std::uint32_t picks : {0u, 0xffu, 0x5au}) {
+    std::vector<Event> events;
+    while (events.size() < 10) {
+      const auto enabled =
+          random.EnabledEvents(Computation::TrustedFromEvents(events));
+      if (enabled.empty()) break;
+      events.push_back((picks >> (events.size() % 8)) & 1 ? enabled.back()
+                                                          : enabled.front());
+    }
+    ingested.Ingest(std::span<const Event>(events));
+  }
+  add("ingested", std::move(ingested).Take());
+  std::size_t early = 0;
+  for (const auto& [name, space] : spaces) {
+    // A second copy of the space, its tables built largest first.
+    std::ostringstream out;
+    SaveSpaceSnapshot(*space, out);
+    std::istringstream in(out.str());
+    const ComputationSpace copy = LoadSpaceSnapshot(in);
+    early += ExpectTablesEqualTheFullRefinement(*space, true, name);
+    ExpectTablesEqualTheFullRefinement(copy, false, name + " largest first");
+  }
+  EXPECT_GT(early, 0u);
 }
 
 TEST(SpaceGroupClassTest, GroupIndexIsCachedAndCountedInMemoryUsage) {
