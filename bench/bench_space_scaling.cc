@@ -1,7 +1,9 @@
 // Experiment E22/E24 — enumeration scaling: how fast can the computation
 // space be explored, how far does the parallel frontier BFS carry it, and
 // what does the columnar store pay per class?  Sweeps processes ×
-// message-pool size × worker threads over seeded random systems, asserting
+// message-pool size × worker threads over seeded random systems, plus one
+// token-bus row per preset (a protocol that reads its enabled events off
+// the BFS rows through its own System::EnabledEventsAt), asserting
 // along the way that every thread count reproduces the sequential space
 // byte-for-byte (class count, class order, projection classes) — the
 // determinism contract of ComputationSpace::Enumerate.  Each run reports
@@ -11,14 +13,16 @@
 //   bench_space_scaling [--preset=smoke|default|big|huge] [--threads=1,2,4]
 //                       [--json=BENCH_space_scaling.json]
 //
-// smoke   tiny spaces for CI smoke jobs (~1s total)
-// default mid-size spaces incl. a ~31k-class system
-// big     adds a ~69k-class and a ~300k-class system
+// smoke   tiny spaces for CI smoke jobs (~1s total), tokenbus:6,12
+// default mid-size spaces incl. a ~31k-class system, tokenbus:6,12
+// big     adds a ~69k-class and a ~300k-class system, tokenbus:8,20
+//         (557k classes)
 // huge    adds a ~525k-class and a ~8M-class system (~20s/thread-count on
-//         one core; the E24 memory-scaling acceptance run)
+//         one core; the E24 memory-scaling acceptance run), tokenbus:8,20
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,16 +30,32 @@
 #include "bench/table.h"
 #include "core/random_system.h"
 #include "core/space.h"
+#include "protocols/token_bus.h"
 
 using namespace hpl;
 
 namespace {
 
+// A random system (processes, message-pool size `size`) or, with
+// `token_bus`, the paper's token bus (processes, `size` passes).
 struct Config {
   int processes;
-  int messages;
+  int size;
   int depth;
+  bool token_bus = false;
 };
+
+std::unique_ptr<System> MakeSystem(const Config& config) {
+  if (config.token_bus)
+    return std::make_unique<protocols::TokenBusSystem>(config.processes,
+                                                       config.size);
+  RandomSystemOptions options;
+  options.num_processes = config.processes;
+  options.num_messages = config.size;
+  options.internal_events = 1;
+  options.seed = 42;
+  return std::make_unique<RandomSystem>(options);
+}
 
 // Compares the spaces produced by two thread counts; exits on divergence.
 void RequireIdentical(const ComputationSpace& a, const ComputationSpace& b,
@@ -79,14 +99,16 @@ int main(int argc, char** argv) {
                                       "[--threads=1,2,4]");
 
   std::vector<Config> configs;
+  const Config small_bus{6, 12, 64, true};
+  const Config big_bus{8, 20, 64, true};
   if (preset == "smoke") {
-    configs = {{3, 4, 32}, {4, 5, 48}};
+    configs = {{3, 4, 32}, {4, 5, 48}, small_bus};
   } else if (preset == "default") {
-    configs = {{4, 5, 48}, {4, 6, 56}, {5, 6, 64}};
+    configs = {{4, 5, 48}, {4, 6, 56}, {5, 6, 64}, small_bus};
   } else if (preset == "big") {
-    configs = {{4, 6, 56}, {5, 6, 64}, {4, 7, 64}};
+    configs = {{4, 6, 56}, {5, 6, 64}, {4, 7, 64}, big_bus};
   } else if (preset == "huge") {
-    configs = {{4, 7, 64}, {5, 8, 64}, {4, 9, 64}};
+    configs = {{4, 7, 64}, {5, 8, 64}, {4, 9, 64}, big_bus};
   } else {
     std::fprintf(stderr, "unknown preset '%s'\n", preset.c_str());
     return 2;
@@ -101,12 +123,8 @@ int main(int argc, char** argv) {
                       "identical?"});
 
   for (const Config& config : configs) {
-    RandomSystemOptions options;
-    options.num_processes = config.processes;
-    options.num_messages = config.messages;
-    options.internal_events = 1;
-    options.seed = 42;
-    RandomSystem system(options);
+    const std::unique_ptr<System> owned = MakeSystem(config);
+    const System& system = *owned;
 
     ComputationSpace baseline =
         ComputationSpace::Enumerate(system, {.max_depth = config.depth,
@@ -155,7 +173,8 @@ int main(int argc, char** argv) {
       bench::JsonResult result;
       result.name = "enumerate/" + system.Name();
       result.params = {{"processes", static_cast<double>(config.processes)},
-                       {"messages", static_cast<double>(config.messages)},
+                       {config.token_bus ? "passes" : "messages",
+                        static_cast<double>(config.size)},
                        {"depth", static_cast<double>(config.depth)},
                        {"threads", static_cast<double>(t)},
                        {"bytes_per_class", memory.BytesPerClass()},

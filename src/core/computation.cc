@@ -186,50 +186,7 @@ Computation Computation::CanonicalExtended(const Event& e) const {
 }
 
 std::size_t Computation::CanonicalInsertPos(const Event& e) const {
-  // Where does the greedy scheduler emit `e`?  Replay its state from the
-  // canonical sequence alone.  The scheduler sweeps processes 0..P-1 and
-  // drains every eligible event, so within one sweep emitted process ids are
-  // non-decreasing; a new sweep begins exactly where they decrease.  `e` is
-  // eligible right after its last dependency `dep` (its process predecessor
-  // and, for a receive, its send), and is emitted at the next moment the
-  // sweep pointer reaches e.process: after the run of events that follow
-  // `dep` in dep's sweep with process <= e.process — or, if the pointer has
-  // already passed e.process in that sweep, after the matching prefix run of
-  // the next sweep as well.
-  const std::size_t n = events_.size();
-  std::vector<std::uint32_t> sweep(n);
-  std::size_t dep = n;  // n = no dependency: eligible before anything
-  for (std::size_t i = 0; i < n; ++i) {
-    sweep[i] = (i == 0 || events_[i].process >= events_[i - 1].process)
-                   ? (i == 0 ? 0 : sweep[i - 1])
-                   : sweep[i - 1] + 1;
-    if (events_[i].process == e.process ||
-        (e.IsReceive() && events_[i].IsSend() && events_[i].message == e.message))
-      dep = i;
-  }
-
-  std::size_t pos;
-  if (dep == n) {
-    // Eligible from the start: the pointer begins sweep 0 at process 0.
-    pos = 0;
-    while (pos < n && sweep[pos] == 0 && events_[pos].process <= e.process)
-      ++pos;
-  } else if (e.process >= events_[dep].process) {
-    // Emitted later in dep's own sweep.
-    pos = dep + 1;
-    while (pos < n && sweep[pos] == sweep[dep] &&
-           events_[pos].process <= e.process)
-      ++pos;
-  } else {
-    // The pointer already passed e.process in dep's sweep: skip the rest of
-    // that sweep, then the next sweep's prefix up to e.process.
-    pos = dep + 1;
-    while (pos < n && (sweep[pos] == sweep[dep] ||
-                       (sweep[pos] == sweep[dep] + 1 &&
-                        events_[pos].process <= e.process)))
-      ++pos;
-  }
-  return pos;
+  return hpl::CanonicalInsertPos(events_, e);
 }
 
 std::size_t Computation::CanonicalHash() const {
@@ -274,44 +231,6 @@ std::string Computation::ToString() const {
   }
   out += ">";
   return out;
-}
-
-bool CanExtend(const Computation& x, const Event& e, std::string* why) {
-  auto fail = [&](const std::string& msg) {
-    if (why != nullptr) *why = msg;
-    return false;
-  };
-  if (e.process < 0 || e.process >= kMaxProcesses)
-    return fail("bad process id");
-  switch (e.kind) {
-    case EventKind::kInternal:
-      return true;
-    case EventKind::kSend: {
-      if (e.message == kNoMessage) return fail("send without message id");
-      if (e.peer == e.process) return fail("self-send");
-      if (e.peer < 0 || e.peer >= kMaxProcesses)
-        return fail("send to bad process");
-      for (const Event& prev : x.events())
-        if (prev.IsSend() && prev.message == e.message)
-          return fail("message sent twice");
-      return true;
-    }
-    case EventKind::kReceive: {
-      const Event* send = nullptr;
-      for (const Event& prev : x.events()) {
-        if (prev.IsSend() && prev.message == e.message) send = &prev;
-        if (prev.IsReceive() && prev.message == e.message)
-          return fail("message received twice");
-      }
-      if (send == nullptr) return fail("receive without earlier send");
-      if (send->peer != e.process || send->process != e.peer)
-        return fail("receive endpoints do not match send");
-      if (send->label != e.label)
-        return fail("receive label differs from send");
-      return true;
-    }
-  }
-  return fail("unknown event kind");
 }
 
 }  // namespace hpl

@@ -19,6 +19,7 @@
 #define HPL_CORE_COMPUTATION_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
@@ -112,7 +113,8 @@ class Computation {
   // this (canonically ordered) sequence.  CanonicalExtended(e) ==
   // events()[0, pos) ++ e ++ events()[pos, size()).  The columnar space
   // store records (parent, event, pos) per class and replays these splices
-  // to materialize canonical sequences.
+  // to materialize canonical sequences.  Forwards to the range template
+  // hpl::CanonicalInsertPos below.
   std::size_t CanonicalInsertPos(const Event& e) const;
 
   // Stable structural hash of the canonical form.
@@ -140,9 +142,119 @@ class Computation {
   std::vector<Event> events_;
 };
 
-// Checks whether appending `e` to `x` yields a valid system computation
-// without constructing it (used by enumeration hot paths).
-bool CanExtend(const Computation& x, const Event& e, std::string* why = nullptr);
+// A read-only view of a computation held as interned event ids: element i
+// is pool[ids[i]].  The space builder keeps its BFS frontier in this form,
+// so EventRow lets System::EnabledEventsAt and the range templates below
+// read a frontier member without copying its events into a Computation.
+class EventRow {
+ public:
+  EventRow(std::span<const std::uint32_t> ids,
+           std::span<const Event> pool) noexcept
+      : ids_(ids), pool_(pool) {}
+
+  std::size_t size() const noexcept { return ids_.size(); }
+  const Event& operator[](std::size_t i) const { return pool_[ids_[i]]; }
+
+  std::span<const std::uint32_t> ids() const noexcept { return ids_; }
+  std::span<const Event> pool() const noexcept { return pool_; }
+
+ private:
+  std::span<const std::uint32_t> ids_;
+  std::span<const Event> pool_;
+};
+
+// Checks whether appending `e` to the event sequence `x` yields a valid
+// system computation without constructing it.  `x` is any random-access
+// event range (size() and operator[] yielding const Event&): a
+// Computation's events(), an EventRow, a span.  On failure `why` (when
+// given) names the broken rule.
+template <typename Events>
+bool CanExtend(const Events& x, const Event& e, std::string* why = nullptr) {
+  const auto fail = [why](const char* msg) {
+    if (why != nullptr) *why = msg;
+    return false;
+  };
+  if (e.process < 0 || e.process >= kMaxProcesses)
+    return fail("bad process id");
+  switch (e.kind) {
+    case EventKind::kInternal:
+      return true;
+    case EventKind::kSend: {
+      if (e.message == kNoMessage) return fail("send without message id");
+      if (e.peer == e.process) return fail("self-send");
+      if (e.peer < 0 || e.peer >= kMaxProcesses)
+        return fail("send to bad process");
+      for (std::size_t i = 0; i < x.size(); ++i)
+        if (x[i].IsSend() && x[i].message == e.message)
+          return fail("message sent twice");
+      return true;
+    }
+    case EventKind::kReceive: {
+      const Event* send = nullptr;
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        const Event& prev = x[i];
+        if (prev.IsSend() && prev.message == e.message) send = &prev;
+        if (prev.IsReceive() && prev.message == e.message)
+          return fail("message received twice");
+      }
+      if (send == nullptr) return fail("receive without earlier send");
+      if (send->peer != e.process || send->process != e.peer)
+        return fail("receive endpoints do not match send");
+      if (send->label != e.label)
+        return fail("receive label differs from send");
+      return true;
+    }
+  }
+  return fail("unknown event kind");
+}
+
+inline bool CanExtend(const Computation& x, const Event& e,
+                      std::string* why = nullptr) {
+  return CanExtend(x.events(), e, why);
+}
+
+// The index at which the greedy scheduler of Computation::Canonical emits
+// `e` when it is appended to the canonically ordered event range `x` (any
+// random-access range, as for CanExtend); Computation::CanonicalInsertPos
+// forwards here.
+//
+// The scheduler sweeps processes 0..P-1 and drains every eligible event, so
+// within one sweep emitted process ids are non-decreasing; a new sweep
+// begins exactly where they decrease.  `e` is eligible right after its last
+// dependency `dep` (its process predecessor and, for a receive, its send),
+// and is emitted at the next moment the sweep pointer reaches e.process:
+// after the run of events that follow `dep` in dep's sweep with process <=
+// e.process — or, if the pointer has already passed e.process in that
+// sweep, after the matching prefix run of the next sweep as well.  Sweep
+// boundaries are read off adjacent pairs as the scan passes them, so the
+// position costs two passes over `x` and no allocation.
+template <typename Events>
+std::size_t CanonicalInsertPos(const Events& x, const Event& e) {
+  const std::size_t n = x.size();
+  std::size_t dep = n;  // n = no dependency: eligible before anything
+  for (std::size_t i = n; i-- > 0;) {
+    const Event& f = x[i];
+    if (f.process == e.process ||
+        (e.IsReceive() && f.IsSend() && f.message == e.message)) {
+      dep = i;
+      break;
+    }
+  }
+  const auto sweep_starts = [&](std::size_t i) {
+    return i > 0 && x[i].process < x[i - 1].process;
+  };
+  // dep == n: the pointer begins sweep 0 at process 0.
+  std::size_t pos = dep == n ? 0 : dep + 1;
+  if (dep != n && e.process < x[dep].process) {
+    // The pointer already passed e.process in dep's sweep: skip the rest
+    // of that sweep first; the next sweep's prefix run follows.
+    while (pos < n && !sweep_starts(pos)) ++pos;
+    if (pos == n || x[pos].process > e.process) return pos;
+    ++pos;
+  }
+  while (pos < n && !sweep_starts(pos) && x[pos].process <= e.process) ++pos;
+  return pos;
+}
 
 // The order-sensitive fold behind Computation::SequenceHash, exposed so the
 // columnar space store can hash a sequence it holds as interned event ids

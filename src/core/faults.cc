@@ -1,7 +1,9 @@
 #include "core/faults.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <deque>
+#include <vector>
 
 namespace hpl {
 
@@ -19,15 +21,25 @@ bool IsFaultMarker(const Event& e) {
   return IsCrashEvent(e) || IsRecoverEvent(e);
 }
 
-ProcessSet CrashedIn(const Computation& x) {
+namespace {
+
+template <typename Events>
+ProcessSet CrashedInRange(const Events& x) {
   ProcessSet crashed;
-  for (const Event& e : x.events()) {
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const Event& e = x[i];
     if (IsCrashEvent(e))
       crashed.Insert(e.process);
     else if (IsRecoverEvent(e))
       crashed.Erase(e.process);
   }
   return crashed;
+}
+
+}  // namespace
+
+ProcessSet CrashedIn(const Computation& x) {
+  return CrashedInRange(x.events());
 }
 
 ProcessSet CorrectIn(const Computation& x, int num_processes) {
@@ -54,24 +66,40 @@ CrashFaultSystem::CrashFaultSystem(std::unique_ptr<const System> base,
 }
 
 std::vector<Event> CrashFaultSystem::EnabledEvents(const Computation& x) const {
-  const ProcessSet crashed = CrashedIn(x);
-
   // The base system never sees fault markers: it is asked about the run
   // with them stripped, which by induction is a run it generated itself.
   std::vector<Event> stripped;
   stripped.reserve(x.size());
   for (const Event& e : x.events())
     if (!IsFaultMarker(e)) stripped.push_back(e);
+  std::vector<Event> enabled = base_->EnabledEvents(
+      Computation::TrustedFromEvents(std::move(stripped)));
+  AddFaults(CrashedIn(x), enabled);
+  return enabled;
+}
 
-  std::vector<Event> enabled;
-  for (Event& e : base_->EnabledEvents(
-           Computation::TrustedFromEvents(std::move(stripped)))) {
-    // Crash-silence: a crashed process performs nothing, and nobody can
-    // receive what a crashed process would have sent — but messages sent
-    // *before* the crash stay deliverable (receives are events of the
-    // receiver, which CanExtend already guarantees have a matching send).
-    if (!crashed.Contains(e.process)) enabled.push_back(std::move(e));
-  }
+void CrashFaultSystem::EnabledEventsAt(EventRow x,
+                                       std::vector<Event>& out) const {
+  // The stripped run as an id row over the same pool.  The buffer is moved
+  // out for the call, so a wrapped wrapper strips into a buffer of its own.
+  thread_local std::vector<std::uint32_t> buffer;
+  std::vector<std::uint32_t> ids = std::move(buffer);
+  ids.clear();
+  for (std::size_t i = 0; i < x.size(); ++i)
+    if (!IsFaultMarker(x[i])) ids.push_back(x.ids()[i]);
+  base_->EnabledEventsAt(EventRow(ids, x.pool()), out);
+  buffer = std::move(ids);
+  AddFaults(CrashedInRange(x), out);
+}
+
+void CrashFaultSystem::AddFaults(ProcessSet crashed,
+                                 std::vector<Event>& enabled) const {
+  // Crash-silence: a crashed process performs nothing, and nobody can
+  // receive what a crashed process would have sent — but messages sent
+  // *before* the crash stay deliverable (receives are events of the
+  // receiver, which CanExtend already guarantees have a matching send).
+  std::erase_if(enabled,
+                [&](const Event& e) { return crashed.Contains(e.process); });
   // The adversary may crash any still-correct candidate while the failure
   // budget lasts.  Ascending process order keeps EnabledEvents
   // deterministic, which enumeration requires.
@@ -79,7 +107,6 @@ std::vector<Event> CrashFaultSystem::EnabledEvents(const Computation& x) const {
     options_.may_crash.Minus(crashed).ForEach(
         [&](ProcessId p) { enabled.push_back(CrashEvent(p)); });
   }
-  return enabled;
 }
 
 std::string CrashFaultSystem::Name() const {

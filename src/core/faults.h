@@ -76,11 +76,18 @@ class CrashFaultSystem : public System {
 
   int NumProcesses() const override { return base_->NumProcesses(); }
   std::vector<Event> EnabledEvents(const Computation& x) const override;
+  // Hands the base the row's ids minus the fault markers, so a base that
+  // overrides the hook reads the stripped run without a copy either.
+  void EnabledEventsAt(EventRow x, std::vector<Event>& out) const override;
   std::string Name() const override;
 
   const CrashFaultOptions& options() const noexcept { return options_; }
 
  private:
+  // Applies the failure model to the base's enabled events of a run whose
+  // crashed processes are `crashed`, in place.
+  void AddFaults(ProcessSet crashed, std::vector<Event>& enabled) const;
+
   std::unique_ptr<const System> owned_;
   const System* base_;
   CrashFaultOptions options_;

@@ -50,26 +50,37 @@ RandomSystem::RandomSystem(const RandomSystemOptions& options)
   }
 }
 
-std::vector<Event> RandomSystem::EnabledEvents(const Computation& x) const {
-  std::vector<Event> out;
+template <typename Events>
+void RandomSystem::Enabled(const Events& x, std::vector<Event>& out) const {
+  out.clear();
   for (ProcessId p = 0; p < options_.num_processes; ++p) {
     // Next scripted local event: the process has performed some prefix of
     // its script interleaved with receives; count non-receive events on p.
     int done = 0;
-    for (const Event& e : x.events())
-      if (e.process == p && !e.IsReceive()) ++done;
+    for (std::size_t i = 0; i < x.size(); ++i)
+      if (x[i].process == p && !x[i].IsReceive()) ++done;
     if (done < static_cast<int>(scripts_[p].size())) {
       const Event& next = scripts_[p][done];
       if (CanExtend(x, next)) out.push_back(next);
     }
   }
   // Receives: any sent-but-undelivered message may be received now.
-  for (const Event& e : x.events()) {
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const Event& e = x[i];
     if (!e.IsSend()) continue;
     Event recv = Receive(e.peer, e.process, e.message, e.label);
-    if (CanExtend(x, recv)) out.push_back(recv);
+    if (CanExtend(x, recv)) out.push_back(std::move(recv));
   }
+}
+
+std::vector<Event> RandomSystem::EnabledEvents(const Computation& x) const {
+  std::vector<Event> out;
+  Enabled(x.events(), out);
   return out;
+}
+
+void RandomSystem::EnabledEventsAt(EventRow x, std::vector<Event>& out) const {
+  Enabled(x, out);
 }
 
 std::string RandomSystem::Name() const {

@@ -32,12 +32,17 @@ class RandomSystem : public System {
 
   int NumProcesses() const override { return options_.num_processes; }
   std::vector<Event> EnabledEvents(const Computation& x) const override;
+  void EnabledEventsAt(EventRow x, std::vector<Event>& out) const override;
   std::string Name() const override;
 
   // The scripted order of sends per process (for test introspection).
   const std::vector<std::vector<Event>>& scripts() const { return scripts_; }
 
  private:
+  // The one enabled-events rule, over any random-access event range.
+  template <typename Events>
+  void Enabled(const Events& x, std::vector<Event>& out) const;
+
   RandomSystemOptions options_;
   // scripts_[p] = ordered local agenda of process p (sends + internals).
   std::vector<std::vector<Event>> scripts_;

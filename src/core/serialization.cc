@@ -934,7 +934,7 @@ struct SpaceSnapshotIO {
     ComputationSpace::ProjectionMinter minted;
     if (minter == nullptr) minter = &minted;
     space.MintProjections(*minter);
-    ComputationSpace::BuildBuckets(space, minter->count, nullptr);
+    ComputationSpace::BuildBuckets(space, minter->Counts(), nullptr);
     for (const std::uint64_t mask : masks)
       space.group_index_.try_emplace(mask);
     space.RefreshGroupTables();

@@ -4,6 +4,7 @@
 #include <array>
 #include <functional>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -94,7 +95,6 @@ void ComputationSpace::InitColumns(const SegmentOptions& options) {
 void ComputationSpace::ProjectionMinter::Start(ComputationSpace& space) {
   const auto P = static_cast<std::size_t>(space.num_processes_);
   extend.assign(P, {});
-  count.assign(P, 1);
   const std::array<std::uint32_t, kMaxProcesses> root{};
   space.proj_class_.Append(root.data(), P);
 }
@@ -108,10 +108,18 @@ void ComputationSpace::ProjectionMinter::Mint(ComputationSpace& space,
   std::copy(parent_row, parent_row + P, row.begin());
   const auto p = static_cast<std::size_t>(space.event_pool_[event].process);
   const std::uint64_t key = (std::uint64_t{row[p]} << 32) | event;
-  auto [it, minted] = extend[p].try_emplace(key, count[p]);
-  if (minted) ++count[p];
-  row[p] = it->second;
+  const std::uint32_t entry =
+      extend[p].FindOrInsert(key, [](std::uint32_t) { return true; }).first;
+  row[p] = entry + 1;
   space.proj_class_.Append(row.data(), P);
+}
+
+std::vector<std::uint32_t> ComputationSpace::ProjectionMinter::Counts() const {
+  std::vector<std::uint32_t> counts;
+  counts.reserve(extend.size());
+  for (const internal::FirstSightTable& table : extend)
+    counts.push_back(static_cast<std::uint32_t>(table.size() + 1));
+  return counts;
 }
 
 void ComputationSpace::MintProjections(ProjectionMinter& minter) {
@@ -351,7 +359,7 @@ void SpaceBuilder::RunLevels(int target_depth, internal::WorkerPool* pool) {
       pool != nullptr ? static_cast<std::size_t>(pool->size()) : 1;
 
   struct Candidate {
-    Event event;  // moved out once interned
+    Event event;  // only when phase A missed it; moved out once interned
     std::uint32_t event_id = kNoEventId;
     std::uint16_t pos = 0;
     std::size_t key = 0;  // sequence hash of the extension
@@ -368,23 +376,24 @@ void SpaceBuilder::RunLevels(int target_depth, internal::WorkerPool* pool) {
       return st.level_seq.data() + i * static_cast<std::size_t>(depth);
     };
 
-    // Phase A (parallel): materialize each member from the arena, ask the
-    // system for enabled events, and record candidate (event, splice-pos)
-    // pairs, resolving event-pool ids where the event is already interned.
-    // Reads only the arena and the (resident) event pool — never the
-    // segmented columns, so it coexists with segments spilled behind the
-    // frontier.
+    // Phase A (parallel): read each member in place as an EventRow over
+    // the arena, ask the system for its enabled events through the row
+    // hook, and record candidate (event, splice-pos) pairs, resolving
+    // event-pool ids where the event is already interned (only a missed
+    // event keeps its value for phase B).  Reads only the arena and the
+    // (resident) event pool — never the segmented columns, so it coexists
+    // with segments spilled behind the frontier.
     std::vector<std::vector<Candidate>> expanded(level_count);
     std::vector<char> extendable(level_count, 0);
     const bool at_depth_cap = depth >= target_depth;
+    const std::span<const Event> event_pool(space.event_pool_);
     RunJob(pool, level_count, [&](std::size_t i) {
-      std::vector<Event> events;
-      events.reserve(static_cast<std::size_t>(depth));
-      const std::uint32_t* row = row_of(i);
-      for (int k = 0; k < depth; ++k)
-        events.push_back(space.event_pool_[row[k]]);
-      const Computation x = Computation::TrustedFromEvents(std::move(events));
-      std::vector<Event> enabled = system.EnabledEvents(x);
+      thread_local std::vector<Event> enabled;
+      const EventRow x(
+          std::span<const std::uint32_t>(row_of(i),
+                                         static_cast<std::size_t>(depth)),
+          event_pool);
+      system.EnabledEventsAt(x, enabled);
       if (enabled.empty()) return;
       if (at_depth_cap) {
         extendable[i] = 1;
@@ -400,10 +409,10 @@ void SpaceBuilder::RunLevels(int target_depth, internal::WorkerPool* pool) {
                            ": " + why);
         Candidate c;
         c.pos = static_cast<std::uint16_t>(
-            space.canonicalize_ ? x.CanonicalInsertPos(e)
+            space.canonicalize_ ? CanonicalInsertPos(x, e)
                                 : static_cast<std::size_t>(depth));
         c.event_id = st.LookupEvent(space, e, HashEvent(e));
-        c.event = std::move(e);
+        if (c.event_id == kNoEventId) c.event = std::move(e);
         out.push_back(std::move(c));
       }
     });
@@ -472,16 +481,18 @@ void SpaceBuilder::RunLevels(int target_depth, internal::WorkerPool* pool) {
       }
     });
 
-    // Phase D: dedup through per-shard hash maps.  All members of a BFS
-    // level have the same length, so extensions can only collide with other
-    // extensions of the same level — dedup is entirely intra-level.  A
-    // sequential O(candidates) routing pass hands each shard the
-    // (member, candidate) pairs it owns in global order, so "first
-    // occurrence" within a shard coincides with first occurrence in the
-    // sequential discovery order.  Equal sequences have equal interned-id
-    // rows (interning is exact), so rows compare with std::equal.
+    // Phase D: dedup through per-shard flat tables keyed by the sequence
+    // hash.  All members of a BFS level have the same length, so
+    // extensions can only collide with other extensions of the same level
+    // — dedup is entirely intra-level.  A sequential O(candidates) routing
+    // pass hands each shard the (member, candidate) pairs it owns in global
+    // order, so "first occurrence" within a shard coincides with first
+    // occurrence in the sequential discovery order.  Equal sequences have
+    // equal interned-id rows (interning is exact), so a key hit compares
+    // the rows with std::equal.  A shard's table is sized for all its
+    // candidates up front and never grows.
     struct Shard {
-      std::unordered_map<std::size_t, std::vector<std::uint32_t>> by_key;
+      internal::FirstSightTable table;
       std::vector<const std::uint32_t*> uniques;  // arena rows
     };
     std::vector<Shard> shards(num_shards);
@@ -496,26 +507,18 @@ void SpaceBuilder::RunLevels(int target_depth, internal::WorkerPool* pool) {
         routed[expanded[i][j].shard].emplace_back(i, j);
     RunJob(pool, num_shards, [&](std::size_t s) {
       Shard& shard = shards[s];
-      shard.by_key.reserve(routed[s].size());
+      shard.table.Reserve(routed[s].size());
       shard.uniques.reserve(routed[s].size());
       for (const auto& [i, j] : routed[s]) {
         Candidate& c = expanded[i][j];
         const std::uint32_t* seq = ext_seqs[i].data() + j * ext_len;
-        auto& with_key = shard.by_key[c.key];
-        bool matched = false;
-        for (std::uint32_t u : with_key) {
-          if (std::equal(seq, seq + ext_len, shard.uniques[u])) {
-            c.unique = u;
-            matched = true;
-            break;
-          }
-        }
-        if (!matched) {
-          c.unique = static_cast<std::uint32_t>(shard.uniques.size());
-          c.first = true;
-          with_key.push_back(c.unique);
-          shard.uniques.push_back(seq);
-        }
+        const auto [unique, first] =
+            shard.table.FindOrInsert(c.key, [&](std::uint32_t u) {
+              return std::equal(seq, seq + ext_len, shard.uniques[u]);
+            });
+        c.unique = unique;
+        c.first = first;
+        if (first) shard.uniques.push_back(seq);
       }
     });
 
@@ -657,7 +660,7 @@ void SpaceBuilder::Finalize(internal::WorkerPool* pool) {
   // bit for bit, and a Finalize that added no id touches no bucket.  The
   // cached [G]-tables refine from it: first-occurrence numbering keeps old
   // ids in their [G]-classes, and a zero-growth Finalize leaves them.
-  ComputationSpace::BuildBuckets(space, st.proj.count, pool);
+  ComputationSpace::BuildBuckets(space, st.proj.Counts(), pool);
   {
     std::lock_guard<std::mutex> lock(*space.group_mutex_);
     space.RefreshGroupTables();

@@ -75,17 +75,19 @@
 // stored.
 //
 // Enumeration is level-synchronous: the BFS frontier expands one depth
-// level at a time, extensions dedup through per-shard hash maps over the
-// level's interned-id sequences, and shards merge in the sequential
-// discovery order — so class ids, successor lists, projection classes, and
-// therefore every knowledge result are byte-identical for every
-// `num_threads` value (`num_threads = 1` runs the same phases inline), and
-// independent of the segment size and residency budget (differential-
-// tested in tests/core/space_segmented_test.cc).  Expansion calls
-// `System::EnabledEvents` concurrently from multiple threads, which is
-// safe for every system in the repo because EnabledEvents is a pure
-// function of the computation; custom systems must preserve that (no
-// mutable state in a const EnabledEvents).
+// level at a time, each member read in place as an EventRow over its
+// interned ids, extensions dedup through per-shard flat tables
+// (flat_table.h) over the level's interned-id rows, and shards merge in
+// the sequential discovery order — so class ids, successor lists,
+// projection classes, and therefore every knowledge result are
+// byte-identical for every `num_threads` value (`num_threads = 1` runs the
+// same phases inline), and independent of the segment size and residency
+// budget (differential-tested in tests/core/space_segmented_test.cc).
+// Expansion calls `System::EnabledEventsAt` concurrently from multiple
+// threads, which is safe for every system in the repo because it (and the
+// EnabledEvents its default adapter calls) is a pure function of the
+// computation; custom systems must preserve that (no mutable state in a
+// const EnabledEvents or EnabledEventsAt).
 #ifndef HPL_CORE_SPACE_H_
 #define HPL_CORE_SPACE_H_
 
@@ -96,11 +98,11 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "core/computation.h"
+#include "core/flat_table.h"
 #include "core/segment_store.h"
 #include "core/system.h"
 #include "core/types.h"
@@ -543,9 +545,13 @@ class ComputationSpace {
   // Deepen and Ingest mint each new class here, and a snapshot load and a
   // failed Deepen re-mint every row through MintProjections.
   struct ProjectionMinter {
-    // Per process: (parent class << 32 | event id) -> minted class.
-    std::vector<std::unordered_map<std::uint64_t, std::uint32_t>> extend;
-    std::vector<std::uint32_t> count;  // per process: classes minted
+    // Per process: the classes minted so far, keyed (parent class << 32 |
+    // event id); entry k is class k + 1 (class 0, the empty projection, is
+    // the root's and has no key).
+    std::vector<internal::FirstSightTable> extend;
+
+    // Per process: the classes minted so far, the root's included.
+    std::vector<std::uint32_t> Counts() const;
 
     // Forgets every minted class and appends the root's row.
     void Start(ComputationSpace& space);

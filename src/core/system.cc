@@ -4,6 +4,20 @@
 
 namespace hpl {
 
+void System::EnabledEventsAt(EventRow x, std::vector<Event>& out) const {
+  // The buffer is moved out for the call, so a nested adapter call (a
+  // wrapper whose EnabledEvents asks its base) gets a buffer of its own and
+  // never overwrites the computation this call is reading.  Copy-assigning
+  // over the previous call's events reuses their label storage.
+  thread_local std::vector<Event> buffer;
+  std::vector<Event> events = std::move(buffer);
+  events.resize(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) events[i] = x[i];
+  Computation c = Computation::TrustedFromEvents(std::move(events));
+  out = EnabledEvents(c);
+  buffer = std::move(c).TakeEvents();
+}
+
 ExplicitSystem::ExplicitSystem(int num_processes,
                                std::vector<Computation> maximal,
                                std::string name)

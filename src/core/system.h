@@ -32,6 +32,16 @@ class System {
   // the empty computation through this function.
   virtual std::vector<Event> EnabledEvents(const Computation& x) const = 0;
 
+  // EnabledEvents of the computation the interned-id row `x` stands for,
+  // read without materializing it: replaces the contents of `out` with
+  // exactly EnabledEvents(Computation of x's events), in the same order.
+  // The space builder asks this of every frontier member, from several
+  // threads at once, so an override must be as pure and thread-safe as
+  // EnabledEvents.  The default adapter copies the row into a per-thread
+  // buffer it reuses and calls EnabledEvents; a system that can read its
+  // state off the row overrides it and skips the copy.
+  virtual void EnabledEventsAt(EventRow x, std::vector<Event>& out) const;
+
   // Human-readable name for diagnostics and experiment tables.
   virtual std::string Name() const = 0;
 

@@ -12,15 +12,17 @@ TokenBusSystem::TokenBusSystem(int num_processes, int max_passes)
     throw hpl::ModelError("TokenBusSystem: negative max_passes");
 }
 
-TokenBusSystem::State TokenBusSystem::Reconstruct(
-    const hpl::Computation& x) const {
+template <typename Events>
+TokenBusSystem::State TokenBusSystem::Reconstruct(const Events& x) {
   // The token's trajectory is determined by the send/receive events; sends
   // are numbered 0.. in order, so the k-th send uses message id k.
   State s;
-  for (const hpl::Event& e : x.events()) {
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const hpl::Event& e = x[i];
     if (e.IsSend()) {
       s.in_flight = true;
       s.dest = e.peer;
+      s.sender = e.process;
       ++s.passes;
     } else if (e.IsReceive()) {
       s.in_flight = false;
@@ -30,35 +32,39 @@ TokenBusSystem::State TokenBusSystem::Reconstruct(
   return s;
 }
 
-std::vector<hpl::Event> TokenBusSystem::EnabledEvents(
-    const hpl::Computation& x) const {
+template <typename Events>
+void TokenBusSystem::Enabled(const Events& x,
+                             std::vector<hpl::Event>& out) const {
   const State s = Reconstruct(x);
-  std::vector<hpl::Event> out;
+  out.clear();
   if (s.in_flight) {
     // Only the destination can act: receive the token.
-    out.push_back(hpl::Receive(s.dest,
-                               /*from=*/[&] {
-                                 // sender of the last send
-                                 for (auto it = x.events().rbegin();
-                                      it != x.events().rend(); ++it)
-                                   if (it->IsSend()) return it->process;
-                                 throw hpl::ModelError("token bus: lost send");
-                               }(),
-                               /*m=*/s.passes - 1, "token"));
-    return out;
+    out.push_back(hpl::Receive(s.dest, s.sender, /*m=*/s.passes - 1, "token"));
+    return;
   }
-  if (s.passes >= max_passes_) return out;  // pass budget exhausted
+  if (s.passes >= max_passes_) return;  // pass budget exhausted
   const hpl::ProcessId h = s.holder;
   if (h > 0)
     out.push_back(hpl::Send(h, h - 1, /*m=*/s.passes, "token"));
   if (h < num_processes_ - 1)
     out.push_back(hpl::Send(h, h + 1, /*m=*/s.passes, "token"));
+}
+
+std::vector<hpl::Event> TokenBusSystem::EnabledEvents(
+    const hpl::Computation& x) const {
+  std::vector<hpl::Event> out;
+  Enabled(x.events(), out);
   return out;
+}
+
+void TokenBusSystem::EnabledEventsAt(hpl::EventRow x,
+                                     std::vector<hpl::Event>& out) const {
+  Enabled(x, out);
 }
 
 std::optional<hpl::ProcessId> TokenBusSystem::TokenAt(
     const hpl::Computation& x) const {
-  const State s = Reconstruct(x);
+  const State s = Reconstruct(x.events());
   if (s.in_flight) return std::nullopt;
   return s.holder;
 }

@@ -30,6 +30,8 @@ class TokenBusSystem : public hpl::System {
   int NumProcesses() const override { return num_processes_; }
   std::vector<hpl::Event> EnabledEvents(
       const hpl::Computation& x) const override;
+  void EnabledEventsAt(hpl::EventRow x,
+                       std::vector<hpl::Event>& out) const override;
   std::string Name() const override;
 
   // Where the token is in computation x: the holding process, or nullopt
@@ -45,9 +47,15 @@ class TokenBusSystem : public hpl::System {
     hpl::ProcessId holder = 0;       // meaningful when !in_flight
     bool in_flight = false;
     hpl::ProcessId dest = 0;         // meaningful when in_flight
+    hpl::ProcessId sender = 0;       // of the last send; when in_flight
     int passes = 0;                  // sends so far
   };
-  State Reconstruct(const hpl::Computation& x) const;
+  // Both read any random-access event range (a Computation's events, an
+  // EventRow), so EnabledEvents and EnabledEventsAt share one rule.
+  template <typename Events>
+  static State Reconstruct(const Events& x);
+  template <typename Events>
+  void Enabled(const Events& x, std::vector<hpl::Event>& out) const;
 
   int num_processes_;
   int max_passes_;

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <unordered_set>
+#include <vector>
 
 #include "core/random_system.h"
 
@@ -309,6 +312,68 @@ TEST(CanonicalExtendedTest, MatchesFullRecanonicalizationOverEnumeration) {
   }
   // The sweep should have crossed a few thousand distinct extensions.
   EXPECT_GT(checked, 2000u);
+}
+
+TEST(CanonicalExtendedTest, RowInsertPosMatchesTheCanonicalForm) {
+  // The BFS computes splice positions with the range template over an
+  // EventRow (interned ids into an event pool).  Over seeded random spaces,
+  // for every member and every event it enables, that position must equal
+  // Computation::CanonicalInsertPos, and the event must sit at exactly that
+  // index of Canonical() of the extension; CanExtend must agree too.
+  std::size_t checked = 0;
+  for (const std::uint64_t seed : {3u, 7u, 11u, 42u}) {
+    RandomSystemOptions options;
+    options.num_processes = 3 + static_cast<int>(seed % 2);
+    options.num_messages = 4;
+    options.internal_events = 1;
+    options.seed = seed;
+    const RandomSystem system(options);
+
+    std::vector<Event> pool;  // interned events; rows index it
+    const auto intern = [&](const Event& e) {
+      const auto it = std::find(pool.begin(), pool.end(), e);
+      if (it != pool.end())
+        return static_cast<std::uint32_t>(it - pool.begin());
+      pool.push_back(e);
+      return static_cast<std::uint32_t>(pool.size() - 1);
+    };
+    std::vector<Computation> frontier{Computation()};
+    std::unordered_set<std::size_t> seen;
+    std::vector<Event> enabled;
+    while (!frontier.empty()) {
+      std::vector<Computation> next_frontier;
+      for (const Computation& x : frontier) {
+        std::vector<std::uint32_t> ids;
+        for (const Event& e : x.events()) ids.push_back(intern(e));
+        const EventRow row(ids, pool);
+        system.EnabledEventsAt(row, enabled);
+        ASSERT_EQ(enabled, system.EnabledEvents(x)) << x.ToString();
+        for (const Event& e : enabled) {
+          ASSERT_TRUE(CanExtend(row, e))
+              << x.ToString() << " + " << e.ToString();
+          const std::size_t pos = CanonicalInsertPos(row, e);
+          ASSERT_EQ(pos, x.CanonicalInsertPos(e))
+              << x.ToString() << " + " << e.ToString();
+          const Computation canon = x.Extended(e).Canonical();
+          ASSERT_EQ(canon.at(pos), e) << x.ToString() << " + " << e.ToString();
+          ASSERT_EQ(std::count(canon.events().begin(), canon.events().end(), e),
+                    1);
+          ++checked;
+          if (seen.insert(canon.SequenceHash()).second)
+            next_frontier.push_back(canon);
+        }
+        // Events the member does not enable are refused on the row with the
+        // reason the Computation entry point gives.
+        for (const Event& bad : {Send(0, 1, 0, "m0"), Receive(1, 0, 99, "x")}) {
+          std::string why_row, why_x;
+          ASSERT_EQ(CanExtend(row, bad, &why_row), CanExtend(x, bad, &why_x));
+          ASSERT_EQ(why_row, why_x);
+        }
+      }
+      frontier = std::move(next_frontier);
+    }
+  }
+  EXPECT_GT(checked, 5000u);
 }
 
 }  // namespace
